@@ -1,14 +1,13 @@
-"""Detector stage walkthrough: window cutouts, clustering, confidence gate.
+"""Detector stage walkthrough: clustering and the confidence gate.
 
-Two people stand in an empty room with a wall behind them. The cutout
-preprocessing resamples a fixed one-meter window around each beam to a
-constant sample count; the cluster detector then finds person-shaped arcs
-and scores them against the beam count a person should subtend.
+Two people stand in an empty room with a wall behind them. The cluster
+detector finds person-shaped arcs and scores them against the beam count a
+person should subtend; the gate keeps the confident ones.
 """
 
 import numpy as np
 
-from lidarmot import DetectorConfig, cluster_detect, extract_cutouts, filter_by_confidence
+from lidarmot import DetectorConfig, cluster_detect, filter_by_confidence
 from lidarmot.simulator import (
     AgentModel,
     LidarParams,
@@ -32,19 +31,12 @@ world = WorldState(
 )
 scan = raycast_scan(world, LidarParams(), noise_std=0.01, rng=np.random.default_rng(0))
 
-# Cutouts: a fixed spatial window, resampled to a constant length.
 cfg = DetectorConfig(window_stride=10, confidence_threshold=0.85)
-cutouts = extract_cutouts(scan, cfg)
-print(f"{len(cutouts)} cutouts from {scan.beam_count} beams (stride {cfg.window_stride})")
-near = min(cutouts, key=lambda c: c.center_range)
-far = max(cutouts, key=lambda c: c.center_range)
-print(f"nearest cutout: center range {near.center_range:.2f} m, {len(near.samples)} samples")
-print(f"farthest cutout: center range {far.center_range:.2f} m, {len(far.samples)} samples")
 
 # Clustering: candidate blobs with confidence, then the gate.
 raw = cluster_detect(scan, cfg)
 kept = filter_by_confidence(raw, cfg.confidence_threshold)
-print(f"\n{len(raw)} candidate clusters, {len(kept)} above confidence {cfg.confidence_threshold}")
+print(f"{len(raw)} candidate clusters, {len(kept)} above confidence {cfg.confidence_threshold}")
 for d in kept:
     print(f"  detection at ({d.position.x:+.2f}, {d.position.y:+.2f}) "
           f"confidence {d.confidence:.2f}")

@@ -1,7 +1,7 @@
 """2D LiDAR multi-object person tracking toolkit.
 
 Submodules: :mod:`geometry` (scans, poses, transforms), :mod:`detection`
-(cutout preprocessing and the cluster detector), :mod:`tracking` (Kalman CV
+(the cluster detector and confidence gate), :mod:`tracking` (Kalman CV
 tracker with Hungarian association), :mod:`evaluation` (CLEAR MOT),
 :mod:`simulator` (raycast scenarios with ground truth), :mod:`pipeline`
 (two-stage real-time runtime and obstacle export), plus dataset/report file
@@ -10,11 +10,9 @@ formats and a CLI.
 
 from .detection import (
     ClusterDetector,
-    Cutout,
     Detection,
     DetectorConfig,
     cluster_detect,
-    extract_cutouts,
     filter_by_confidence,
     make_detector,
 )
@@ -41,7 +39,6 @@ from .geometry import (
     interpolate_pose,
     invert_pose,
     normalize_angle,
-    polar_to_cartesian,
     transform_to_frame,
 )
 from .pipeline import (
@@ -67,7 +64,6 @@ from .simulator import (
     Segment,
     WorldState,
     emit_ground_truth,
-    generate_scenario,
     raycast_scan,
     run_scenario,
     step_world,

@@ -18,14 +18,12 @@ from pathlib import Path
 from . import dataset as ds
 from .config import ConfigError, load_config
 from .dataset import DatasetFormatError
-from .detection import filter_by_confidence
 from .evaluation import evaluate_sequence
-from .geometry import Pose2D, interpolate_pose
+from .geometry import LidarScan
 from .pipeline import collect_timings, paced, run_pipeline
 from .report import build_report, mot_section, timing_section, write_report
-from .simulator import LidarParams, run_scenario
-from .tracking import Tracker
-from .workflows import build_detector, pose_for_scan, run_benchmark
+from .simulator import LidarParams, PlacementError, run_scenario
+from .workflows import bind_stages, build_detector, run_benchmark, run_tracking
 
 SCANS_FILE = "scans.jsonl"
 GROUND_TRUTH_FILE = "ground_truth.jsonl"
@@ -119,36 +117,29 @@ def _cmd_track(args) -> int:
     in_dir = _in_dir(args)
     out = _out_dir(args)
     det_stream = ds.read_dataset(in_dir / DETECTIONS_FILE, strict=args.strict)
-    frames = [
-        (r.timestamp, ds.record_to_detections(r))
-        for r in det_stream.records
-        if r.kind == "detection"
-    ]
+    frames = sorted(
+        ((r.timestamp, ds.record_to_detections(r))
+         for r in det_stream.records
+         if r.kind == "detection"),
+        key=lambda kv: kv[0],
+    )
+    # Sensor poses come from the scan file when there is one, otherwise from
+    # ground-truth odometry; a frame with neither is tracked at the origin.
     scans_path = in_dir / SCANS_FILE
     gt_path = in_dir / GROUND_TRUTH_FILE
     pose_by_time = {}
     gt_frames = None
     if scans_path.exists():
-        pose_by_time = {
-            s.timestamp: s.pose
-            for s in _read_scans(scans_path, args.strict)
-            if s.pose is not None
-        }
+        pose_by_time = {s.timestamp: s.pose for s in _read_scans(scans_path, args.strict)}
     elif gt_path.exists():
         gt_frames = _read_ground_truth(gt_path, args.strict)
 
-    tracker = Tracker(cfg.tracker)
-    records = []
-    for t, dets in sorted(frames, key=lambda kv: kv[0]):
-        gated = filter_by_confidence(dets, cfg.detector.confidence_threshold)
-        pose = pose_by_time.get(t)
-        if pose is None:
-            if gt_frames:
-                pose = interpolate_pose([f.robot_pose for f in gt_frames], t)
-            else:
-                pose = Pose2D(0.0, 0.0, 0.0, t)
-        tracks = tracker.update(gated, pose, t)
-        records.append(ds.tracks_to_record(tracks, t))
+    # Each detection frame becomes a beamless scan that carries only its time
+    # and pose; the recorded detections stand in for the detector.
+    stubs = [LidarScan(t, (), 0.0, 1.0, 0.0, pose=pose_by_time.get(t)) for t, _ in frames]
+    recorded = iter([dets for _, dets in frames])
+    tracking = run_tracking(stubs, cfg, lambda scan: next(recorded), gt_frames)
+    records = [ds.tracks_to_record(tracks, t) for t, tracks in tracking.tracks_by_frame]
     ds.write_dataset(records, out / TRACKS_FILE, {"preset": cfg.preset})
     print(f"tracked {len(records)} frames -> {out / TRACKS_FILE}")
     return 0
@@ -193,22 +184,14 @@ def _cmd_pipeline(args) -> int:
     replay = None
     if cfg.detector_name == "replay":
         replay = _load_replay_detections(in_dir, args.strict)
-    detector = build_detector(cfg, replay=replay)
-    threshold = cfg.detector.confidence_threshold
-    tracker = Tracker(cfg.tracker)
-
-    def detect_fn(scan):
-        return filter_by_confidence(detector(scan), threshold)
-
-    def track_fn(scan, dets):
-        return tracker.update(dets, pose_for_scan(scan, None), scan.timestamp)
-
-    # File replay without --realtime is a batch job: back-pressure the
-    # reader instead of shedding frames.
-    pipe_cfg = dataclasses.replace(cfg.pipeline, drop_stale=args.realtime)
-    if args.serial:
-        pipe_cfg = dataclasses.replace(pipe_cfg, pipelined=False)
-    source = paced(scans, pipe_cfg.scan_rate_hz) if args.realtime else iter(scans)
+    detect_fn, track_fn = bind_stages(cfg, build_detector(cfg, replay=replay))
+    # A file replay without --realtime is a batch job: serial, with every
+    # scan processed. --realtime paces the scans like a live sensor into the
+    # pipelined runtime, which sheds the oldest scans when it falls behind.
+    pipe_cfg = dataclasses.replace(
+        cfg.pipeline, pipelined=args.realtime, drop_stale=args.realtime
+    )
+    source = paced(scans, pipe_cfg.scan_rate_hz) if args.realtime else scans
 
     track_records = []
     obstacle_records = []
@@ -353,10 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.75, help="match threshold [m]")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("pipeline", help="end-to-end pipelined runtime over scans")
+    p = sub.add_parser("pipeline", help="end-to-end detect/track runtime over scans")
     _add_common(p)
-    p.add_argument("--realtime", action="store_true", help="pace scans at the scan rate")
-    p.add_argument("--serial", action="store_true", help="disable stage overlap")
+    p.add_argument(
+        "--realtime",
+        action="store_true",
+        help="pace scans at the scan rate through the pipelined runtime, "
+        "dropping the oldest when it falls behind (default: serial batch)",
+    )
     p.add_argument("--velocity-gate", dest="velocity_gate", type=float)
     p.set_defaults(func=_cmd_pipeline)
 
@@ -383,7 +370,9 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetFormatError, FileNotFoundError, ValueError) as exc:
+    except (
+        ConfigError, DatasetFormatError, FileNotFoundError, PlacementError, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,5 @@
-"""Person detection stage: window/cutout preprocessing, a jump-distance
-cluster detector standing in for a learned model, and confidence gating.
+"""Person detection stage: a jump-distance cluster detector standing in for
+a learned model, and confidence gating.
 
 Detector implementations are callables ``scan -> list[Detection]`` selected
 by name ("cluster" or "replay"). Detections are reported in the sensor frame
@@ -37,64 +37,18 @@ class Detection:
 
 
 @dataclass(frozen=True)
-class Cutout:
-    """Fixed-width window of ranges around one beam, resampled to a fixed
-    sample count regardless of the center range."""
-
-    center_index: int
-    samples: np.ndarray
-    center_range: float
-
-
-@dataclass(frozen=True)
 class DetectorConfig:
+    #: Keep only clusters holding a beam whose index is a multiple of the
+    #: stride. This filters clusters and saves no compute: every beam is
+    #: still projected and clustered.
     window_stride: int = 1
     confidence_threshold: float = 0.85
-    window_width: float = 1.0
-    cutout_samples: int = 48
 
     def __post_init__(self):
         if self.window_stride < 1:
             raise ValueError("window_stride must be >= 1")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError("confidence_threshold must be in [0, 1]")
-        if self.window_width <= 0:
-            raise ValueError("window_width must be positive")
-        if self.cutout_samples < 1:
-            raise ValueError("cutout_samples must be >= 1")
-
-
-def extract_cutouts(scan: LidarScan, cfg: DetectorConfig) -> list[Cutout]:
-    """Cut a fixed-width (meters) window around every stride-th returning
-    beam and resample it to exactly ``cfg.cutout_samples`` values.
-
-    The angular half-width of the window is atan((window_width/2) / r) at
-    center range r, so nearby objects span many beams and distant ones few,
-    while the output sample count stays constant. No-return beams inside a
-    window are imputed with range_max so foreground objects stand out low.
-    """
-    ranges = scan.ranges
-    n = len(ranges)
-    finite = np.isfinite(ranges)
-    imputed = np.where(finite, ranges, scan.range_max)
-    m = cfg.cutout_samples
-    out: list[Cutout] = []
-    for i in range(0, n, cfg.window_stride):
-        if not finite[i]:
-            continue
-        r = float(ranges[i])
-        half_angle = math.atan((cfg.window_width / 2.0) / r)
-        k = int(half_angle / scan.angle_increment)
-        j0 = max(0, i - k)
-        j1 = min(n - 1, i + k)
-        window = imputed[j0 : j1 + 1]
-        if len(window) == m:
-            samples = window.copy()
-        else:
-            pos = np.linspace(j0, j1, m)
-            samples = np.interp(pos, np.arange(j0, j1 + 1), window)
-        out.append(Cutout(center_index=i, samples=samples, center_range=r))
-    return out
 
 
 def filter_by_confidence(

@@ -10,12 +10,7 @@ from dataclasses import dataclass
 from .config import RunConfig
 from .geometry import PointXY
 from .pipeline import DynamicObstacle, predicts_collision
-from .simulator import (
-    ScenarioConfig,
-    ScriptedAgent,
-    Segment,
-    run_scenario_with_labels,
-)
+from .simulator import ScenarioConfig, ScriptedAgent, Segment, run_scenario
 from .workflows import run_tracking
 
 
@@ -54,7 +49,7 @@ def measure_initiation(
     """Run the emergence scenario through detector and tracker and measure
     how long after first detectability the track reaches initiated status."""
     scenario = scenario or emergence_scenario()
-    scans, gt, labels = run_scenario_with_labels(scenario)
+    scans, gt, labels = run_scenario(scenario, labels=True)
     first_visible = None
     for scan, lab in zip(scans, labels):
         if int((lab == person_id).sum()) >= min_beams:

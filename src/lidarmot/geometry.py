@@ -29,11 +29,6 @@ def normalize_angle(angle: float) -> float:
     return -((math.pi - angle) % TWO_PI - math.pi)
 
 
-def is_return(r: float) -> bool:
-    """True if a range value is an actual return (finite)."""
-    return math.isfinite(r)
-
-
 @dataclass(frozen=True)
 class Pose2D:
     """Pose of one frame in another: translation (x, y) plus heading theta."""
@@ -105,9 +100,6 @@ class LidarScan:
     def beam_count(self) -> int:
         return len(self.ranges)
 
-    def beam_angles(self) -> np.ndarray:
-        return self.angle_min + np.arange(self.beam_count) * self.angle_increment
-
 
 def scan_xy(scan: LidarScan) -> tuple[np.ndarray, np.ndarray]:
     """Cartesian coordinates of all returning beams, in scan order.
@@ -123,18 +115,6 @@ def scan_xy(scan: LidarScan) -> tuple[np.ndarray, np.ndarray]:
     return idx, pts
 
 
-def polar_to_cartesian(scan: LidarScan) -> list[PointXY]:
-    """Project a scan into sensor-frame points, skipping no-return beams.
-
-    Each point keeps its source beam index for traceability.
-    """
-    idx, pts = scan_xy(scan)
-    return [
-        PointXY(float(x), float(y), frame=scan.frame, beam=int(i))
-        for i, (x, y) in zip(idx, pts)
-    ]
-
-
 def transform_to_frame(
     p: PointXY, pose_of_source_in_target: Pose2D, target_frame: str = ODOM_FRAME
 ) -> PointXY:
@@ -148,13 +128,6 @@ def transform_to_frame(
         frame=target_frame,
         beam=p.beam,
     )
-
-
-def transform_points(xy: np.ndarray, pose: Pose2D) -> np.ndarray:
-    """Vectorized rigid-body transform of an (n, 2) array."""
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    rot = np.array([[c, -s], [s, c]])
-    return xy @ rot.T + np.array([pose.x, pose.y])
 
 
 def invert_pose(pose: Pose2D) -> Pose2D:

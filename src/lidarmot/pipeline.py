@@ -1,12 +1,14 @@
-"""Two-stage detector/tracker runtime with per-stage timing, plus the
+"""The detector/tracker frame loop with per-stage timing, plus the
 tracker-to-planner export: velocity-gated dynamic obstacles, constant-velocity
 forecasts, and a closed-form collision-forecast check.
 
-In pipelined mode the detector works on scan i+1 while the tracker digests
+:func:`run_pipeline` is the only frame loop. Batch runs use it serially. In
+pipelined mode the detector works on scan i+1 while the tracker digests
 scan i's detections, so sustained throughput is bound by the slower stage
 rather than their sum. Scans cross stages as immutable snapshots through
-bounded ordered queues; if the detector falls behind, the oldest waiting
-scans are dropped (and counted) so the stream stays fresh and ordered.
+bounded ordered queues; if the detector falls behind a live source, the
+oldest waiting scans are dropped (and counted) so the stream stays fresh and
+ordered.
 """
 
 from __future__ import annotations
@@ -100,66 +102,18 @@ class RunSummary:
         return self.frames_processed / self.wall_time_s
 
 
-class _DropOldestQueue:
-    """Bounded FIFO that never blocks the producer: past capacity the oldest
-    entry is discarded. Preserves arrival order for the consumer."""
+class _ClosableQueue:
+    """Bounded ordered FIFO that a run closes when its producer is done or a
+    stage fails; subclasses decide what ``put`` does at capacity."""
 
     def __init__(self, capacity: int):
         self._items: list = []
         self._capacity = capacity
-        self._dropped = 0
         self._closed = False
         self._cond = threading.Condition()
-
-    def put(self, item) -> None:
-        with self._cond:
-            self._items.append(item)
-            if len(self._items) > self._capacity:
-                self._items.pop(0)
-                self._dropped += 1
-            self._cond.notify()
 
     def get(self):
         """Next item, or None once closed and drained."""
-        with self._cond:
-            while not self._items and not self._closed:
-                self._cond.wait()
-            if self._items:
-                return self._items.pop(0)
-            return None
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    @property
-    def dropped(self) -> int:
-        with self._cond:
-            return self._dropped
-
-
-class _HandoffQueue:
-    """Bounded FIFO with a blocking producer: post-detection frames are never
-    dropped, the detector simply waits (back-pressure pushes drops to the
-    scan queue where freshness matters)."""
-
-    dropped = 0
-
-    def __init__(self, capacity: int):
-        self._items: list = []
-        self._capacity = capacity
-        self._closed = False
-        self._cond = threading.Condition()
-
-    def put(self, item) -> None:
-        with self._cond:
-            while len(self._items) >= self._capacity and not self._closed:
-                self._cond.wait()
-            self._items.append(item)
-            self._cond.notify_all()
-
-    def get(self):
         with self._cond:
             while not self._items and not self._closed:
                 self._cond.wait()
@@ -173,6 +127,50 @@ class _HandoffQueue:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
+
+
+class _DropOldestQueue(_ClosableQueue):
+    """Never blocks the producer: past capacity the oldest entry is
+    discarded and counted. Preserves arrival order for the consumer."""
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
+        self._dropped = 0
+
+    def put(self, item) -> bool:
+        """Enqueue an item; False, and nothing enqueued, once closed."""
+        with self._cond:
+            if self._closed:
+                return False
+            self._items.append(item)
+            if len(self._items) > self._capacity:
+                self._items.pop(0)
+                self._dropped += 1
+            self._cond.notify()
+            return True
+
+    @property
+    def dropped(self) -> int:
+        with self._cond:
+            return self._dropped
+
+
+class _HandoffQueue(_ClosableQueue):
+    """Blocks the producer at capacity: post-detection frames are never
+    dropped, the detector simply waits (back-pressure pushes drops to the
+    scan queue where freshness matters)."""
+
+    def put(self, item) -> bool:
+        """Enqueue an item, waiting for room; False, and nothing enqueued,
+        once closed."""
+        with self._cond:
+            while len(self._items) >= self._capacity and not self._closed:
+                self._cond.wait()
+            if self._closed:
+                return False
+            self._items.append(item)
+            self._cond.notify_all()
+            return True
 
 
 def export_dynamic_obstacles(
@@ -272,6 +270,17 @@ def paced(scans: Iterable[LidarScan], rate_hz: float) -> Iterator[LidarScan]:
         yield scan
 
 
+def _counted(scans: Iterable[LidarScan], summary: RunSummary) -> Iterator[LidarScan]:
+    """The source's scans, counted into ``frames_in``. A source that fails
+    ends the stream; its error is recorded in the summary, not raised."""
+    try:
+        for scan in scans:
+            summary.frames_in += 1
+            yield scan
+    except Exception as exc:  # clean shutdown with partial results
+        summary.error = f"{type(exc).__name__}: {exc}"
+
+
 def run_pipeline(
     scans: Iterable[LidarScan],
     detect_fn: DetectFn,
@@ -282,31 +291,34 @@ def run_pipeline(
     """Drive the detector and tracker over a scan stream.
 
     Pipelined mode runs the two stages on their own threads connected by a
-    bounded ordered hand-off; serial mode runs them back to back on one
-    thread (the baseline the overlap is measured against). Frames are never
-    reordered; under ``drop_stale`` a backlogged scan queue sheds its oldest
-    entries and counts them, otherwise the source is back-pressured. A
-    failing source shuts the run down cleanly and reports the partial
-    summary.
+    bounded ordered hand-off; serial mode runs them back to back on the
+    calling thread. A batch source (``drop_stale`` False) is read by the
+    detect stage itself, so it is back-pressured and every scan is
+    processed. A live source is read by an ingest thread into a queue that,
+    when the detector falls behind, sheds its oldest scans and counts them.
+    Frames are never reordered.
+
+    A failing source ends the run cleanly with a partial summary whose
+    ``error`` names the failure. A failing stage stops both stages and its
+    exception is re-raised here.
     """
     cfg = cfg or PipelineConfig()
     summary = RunSummary()
+    wall_start = time.perf_counter()
+    source: Iterator[LidarScan] = _counted(scans, summary)
+    scan_queue = None
     if cfg.drop_stale:
         scan_queue = _DropOldestQueue(cfg.queue_capacity)
-    else:
-        scan_queue = _HandoffQueue(cfg.queue_capacity)
+        threading.Thread(
+            target=_ingest, args=(source, scan_queue), name="scan-ingest", daemon=True
+        ).start()
+        source = iter(scan_queue.get, None)
 
-    def ingest():
-        try:
-            for scan in scans:
-                summary.frames_in += 1
-                scan_queue.put(scan)
-        except Exception as exc:  # clean shutdown with partial results
-            summary.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            scan_queue.close()
+    def detect(scan: LidarScan):
+        t0 = time.perf_counter()
+        return scan, detect_fn(scan), t0, time.perf_counter()
 
-    def process_frame(scan: LidarScan, dets: list[Detection], t0: float, t1: float):
+    def finish_frame(scan: LidarScan, dets: list[Detection], t0: float, t1: float):
         t2 = time.perf_counter()
         tracks = track_fn(scan, dets)
         t3 = time.perf_counter()
@@ -323,49 +335,74 @@ def run_pipeline(
         for sink in sinks:
             sink(result)
 
-    wall_start = time.perf_counter()
-    ingest_thread = threading.Thread(target=ingest, name="scan-ingest", daemon=True)
-    ingest_thread.start()
-
-    if cfg.pipelined:
-        handoff = _HandoffQueue(cfg.queue_capacity)
-
-        def detect_stage():
-            while True:
-                scan = scan_queue.get()
-                if scan is None:
-                    break
-                t0 = time.perf_counter()
-                dets = detect_fn(scan)
-                t1 = time.perf_counter()
-                handoff.put((scan, dets, t0, t1))
-            handoff.close()
-
-        def track_stage():
-            while True:
-                item = handoff.get()
-                if item is None:
-                    break
-                process_frame(*item)
-
-        det_thread = threading.Thread(target=detect_stage, name="detector", daemon=True)
-        trk_thread = threading.Thread(target=track_stage, name="tracker", daemon=True)
-        det_thread.start()
-        trk_thread.start()
-        ingest_thread.join()
-        det_thread.join()
-        trk_thread.join()
-    else:
-        while True:
-            scan = scan_queue.get()
-            if scan is None:
-                break
-            t0 = time.perf_counter()
-            dets = detect_fn(scan)
-            t1 = time.perf_counter()
-            process_frame(scan, dets, t0, t1)
-        ingest_thread.join()
+    try:
+        if cfg.pipelined:
+            _overlap(map(detect, source), finish_frame, cfg.queue_capacity, scan_queue)
+        else:
+            for frame in map(detect, source):
+                finish_frame(*frame)
+    finally:
+        if scan_queue is not None:
+            scan_queue.close()
 
     summary.wall_time_s = time.perf_counter() - wall_start
-    summary.frames_dropped = scan_queue.dropped
+    summary.frames_dropped = scan_queue.dropped if scan_queue is not None else 0
     return summary
+
+
+def _ingest(source: Iterator[LidarScan], scan_queue: _DropOldestQueue) -> None:
+    """Feed a live source into the scan queue until it ends or the run
+    closes the queue."""
+    try:
+        for scan in source:
+            if not scan_queue.put(scan):
+                break
+    finally:
+        scan_queue.close()
+
+
+def _overlap(
+    detected: Iterator[tuple],
+    finish_frame: Callable,
+    capacity: int,
+    scan_queue: _DropOldestQueue | None,
+) -> None:
+    """Pull detected frames on one thread and finish them on another,
+    joined by a bounded hand-off. The first stage exception closes every
+    queue, so both threads end, and is re-raised on the calling thread."""
+    handoff = _HandoffQueue(capacity)
+    errors: list[BaseException] = []
+
+    def fail(exc: BaseException) -> None:
+        errors.append(exc)
+        handoff.close()
+        if scan_queue is not None:
+            scan_queue.close()
+
+    def detect_stage():
+        try:
+            for frame in detected:
+                if not handoff.put(frame):
+                    break
+        except BaseException as exc:
+            fail(exc)
+        finally:
+            handoff.close()
+
+    def track_stage():
+        try:
+            for frame in iter(handoff.get, None):
+                finish_frame(*frame)
+        except BaseException as exc:
+            fail(exc)
+
+    threads = [
+        threading.Thread(target=detect_stage, name="detector", daemon=True),
+        threading.Thread(target=track_stage, name="tracker", daemon=True),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]

@@ -119,6 +119,10 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        if self.n_persons < 0:
+            raise ValueError(f"n_persons must be >= 0, got {self.n_persons}")
+        if self.noise_std < 0:
+            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
         if self.person_speed[0] < 0 or self.person_speed[1] < self.person_speed[0]:
             raise ValueError("person_speed must be a nonnegative (lo, hi) range")
         if not 0.0 <= self.dropout_prob < 1.0:
@@ -495,6 +499,11 @@ def _arena_walls(arena: tuple[float, float, float, float]) -> tuple[Segment, ...
     )
 
 
+class PlacementError(RuntimeError):
+    """The scenario's persons cannot be placed clear of each other, the
+    robot and the furniture."""
+
+
 class Scenario:
     """A scenario bound to its seed: initial world plus deterministic policy
     streams. ``run()`` yields GroundTruthFrame objects at 100 Hz interleaved
@@ -606,7 +615,10 @@ class Scenario:
                     continue
                 break
             else:
-                raise RuntimeError("could not place agents without overlap")
+                raise PlacementError(
+                    f"could not place {cfg.n_persons} persons without overlap "
+                    f"in the {cfg.kind} scenario with seed {cfg.seed}"
+                )
             heading = rng.uniform(-math.pi, math.pi)
             speed = rng.uniform(*cfg.person_speed)
             agents.append(
@@ -711,37 +723,24 @@ class Scenario:
                 self.state = step_world(self.state, gt_dt)
 
 
-def generate_scenario(cfg: ScenarioConfig) -> Scenario:
-    """Build a scenario (initial world plus seeded policy streams)."""
-    return Scenario(cfg)
+def run_scenario(cfg: ScenarioConfig, labels: bool = False) -> tuple:
+    """Materialize the scan and ground-truth streams as ``(scans, gt)``.
 
-
-def run_scenario(
-    cfg: ScenarioConfig,
-) -> tuple[list[LidarScan], list[GroundTruthFrame]]:
-    """Convenience wrapper: materialize the scan and ground-truth streams."""
+    With ``labels`` the result is ``(scans, gt, labels)``, where
+    ``labels[i]`` holds the per-beam hit attribution of ``scans[i]``.
+    """
     scans: list[LidarScan] = []
     gt: list[GroundTruthFrame] = []
-    for event in generate_scenario(cfg).run():
-        if isinstance(event, LidarScan):
-            scans.append(event)
-        else:
-            gt.append(event)
-    return scans, gt
-
-
-def run_scenario_with_labels(
-    cfg: ScenarioConfig,
-) -> tuple[list[LidarScan], list[GroundTruthFrame], list[np.ndarray]]:
-    """Like run_scenario, also returning per-scan beam-hit labels."""
-    scans: list[LidarScan] = []
-    gt: list[GroundTruthFrame] = []
-    labels: list[np.ndarray] = []
-    for event in generate_scenario(cfg).run(with_labels=True):
+    beam_labels: list[np.ndarray] = []
+    for event in Scenario(cfg).run(with_labels=labels):
         if isinstance(event, GroundTruthFrame):
             gt.append(event)
-        else:
+        elif labels:
             scan, lab = event
             scans.append(scan)
-            labels.append(lab)
-    return scans, gt, labels
+            beam_labels.append(lab)
+        else:
+            scans.append(event)
+    if labels:
+        return scans, gt, beam_labels
+    return scans, gt

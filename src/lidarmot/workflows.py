@@ -1,19 +1,19 @@
 """End-to-end compositions shared by the command-line tools and the
-benchmark: detector construction, the deterministic serial tracking loop,
-and the simulate/track/evaluate bundle.
+benchmark: detector construction, the detect and track stages of a run,
+serial tracking over a scan list, and the simulate/track/evaluate bundle.
 
-The serial loop here processes every scan in order with no queueing, so a
-fixed (config, seed) pair always yields the identical result; the threaded
-runtime in :mod:`lidarmot.pipeline` is for wall-clock execution.
+:func:`bind_stages` is the one place the frame chain is assembled; every
+run drives it through :func:`lidarmot.pipeline.run_pipeline`. Serial batch
+runs process every scan in order, so a fixed (config, seed) pair always
+yields the identical result.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .config import RunConfig
-from .detection import Detector, filter_by_confidence, make_detector
+from .detection import Detection, Detector, filter_by_confidence, make_detector
 from .evaluation import (
     GroundTruthFrame,
     HypothesisFrame,
@@ -21,7 +21,7 @@ from .evaluation import (
     evaluate_sequence,
 )
 from .geometry import LidarScan, Pose2D, interpolate_pose
-from .pipeline import DynamicObstacle, FrameTiming, export_dynamic_obstacles
+from .pipeline import DetectFn, DynamicObstacle, FrameTiming, TrackFn, run_pipeline
 from .simulator import run_scenario
 from .tracking import Track, Tracker
 
@@ -59,37 +59,45 @@ def tracks_to_hypothesis(timestamp: float, tracks: list[Track]) -> HypothesisFra
     )
 
 
+def bind_stages(
+    run_cfg: RunConfig,
+    detector: Detector | None = None,
+    gt_frames: list[GroundTruthFrame] | None = None,
+) -> tuple[DetectFn, TrackFn]:
+    """The two stages of a run: the detector followed by the confidence
+    gate, and the sensor pose lookup followed by a fresh tracker's update."""
+    detector = detector or build_detector(run_cfg)
+    tracker = Tracker(run_cfg.tracker)
+    threshold = run_cfg.detector.confidence_threshold
+
+    def detect_fn(scan: LidarScan) -> list[Detection]:
+        return filter_by_confidence(detector(scan), threshold)
+
+    def track_fn(scan: LidarScan, detections: list[Detection]) -> list[Track]:
+        return tracker.update(detections, pose_for_scan(scan, gt_frames), scan.timestamp)
+
+    return detect_fn, track_fn
+
+
 def run_tracking(
     scans: list[LidarScan],
     run_cfg: RunConfig,
     detector: Detector | None = None,
     gt_frames: list[GroundTruthFrame] | None = None,
 ) -> TrackingRun:
-    """Serial detect -> gate -> track loop over a scan stream."""
-    detector = detector or build_detector(run_cfg)
-    tracker = Tracker(run_cfg.tracker)
-    threshold = run_cfg.detector.confidence_threshold
-    gate = run_cfg.pipeline.velocity_gate
+    """Every scan, in order, through the detect and track stages on the
+    calling thread."""
+    detect_fn, track_fn = bind_stages(run_cfg, detector, gt_frames)
     out = TrackingRun()
-    for scan in scans:
-        t0 = time.perf_counter()
-        detections = filter_by_confidence(detector(scan), threshold)
-        t1 = time.perf_counter()
-        tracks = tracker.update(detections, pose_for_scan(scan, gt_frames), scan.timestamp)
-        t2 = time.perf_counter()
-        out.hypothesis_frames.append(tracks_to_hypothesis(scan.timestamp, tracks))
-        out.tracks_by_frame.append((scan.timestamp, tracks))
-        out.obstacles_by_frame.append(
-            (scan.timestamp, export_dynamic_obstacles(tracks, gate))
-        )
-        out.timings.append(
-            FrameTiming(
-                timestamp=scan.timestamp,
-                t_det_ms=(t1 - t0) * 1e3,
-                t_track_ms=(t2 - t1) * 1e3,
-                t_lat_ms=(t2 - t0) * 1e3,
-            )
-        )
+
+    def collect(result):
+        t = result.scan.timestamp
+        out.hypothesis_frames.append(tracks_to_hypothesis(t, result.tracks))
+        out.tracks_by_frame.append((t, result.tracks))
+        out.obstacles_by_frame.append((t, result.obstacles))
+
+    serial = replace(run_cfg.pipeline, pipelined=False, drop_stale=False)
+    out.timings = run_pipeline(scans, detect_fn, track_fn, serial, sinks=[collect]).timings
     return out
 
 

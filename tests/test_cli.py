@@ -4,6 +4,9 @@ import pytest
 
 from lidarmot import dataset as ds
 from lidarmot.cli import run_cli
+from lidarmot.config import load_config
+from lidarmot.pipeline import PipelineConfig, run_pipeline
+from lidarmot.workflows import bind_stages, run_tracking
 
 
 def run(args):
@@ -111,10 +114,68 @@ class TestPipelineCommand:
         assert ds.read_dataset(out / "tracks.jsonl").records
 
 
+def write_frames(frames, preset, out):
+    """tracks.jsonl and obstacles.jsonl from (timestamp, tracks, obstacles)
+    frames, written as ``lidarmot pipeline`` writes them."""
+    out.mkdir(parents=True, exist_ok=True)
+    meta = {"preset": preset}
+    ds.write_dataset([ds.tracks_to_record(tr, t) for t, tr, _ in frames],
+                     out / "tracks.jsonl", meta)
+    ds.write_dataset([ds.obstacles_to_record(ob, t) for t, _, ob in frames],
+                     out / "obstacles.jsonl", meta)
+
+
+class TestOneFrameLoop:
+    """Every way of running the frame chain writes the same bytes."""
+
+    FILES = ("tracks.jsonl", "obstacles.jsonl")
+
+    def test_batch_pipeline_and_pipelined_runtime_match_run_tracking(
+        self, sim_dir, tmp_path
+    ):
+        cfg = load_config("config-2")
+        stream = ds.read_dataset(sim_dir / "scans.jsonl")
+        scans = [ds.record_to_scan(r) for r in stream.records if r.kind == "scan"]
+
+        ref = run_tracking(scans, cfg)
+        write_frames(
+            [(t, tr, ob) for (t, tr), (_, ob)
+             in zip(ref.tracks_by_frame, ref.obstacles_by_frame)],
+            cfg.preset, tmp_path / "ref",
+        )
+
+        assert run(["pipeline", "--in", sim_dir, "--preset", "config-2",
+                    "--out", tmp_path / "cli"]) == 0
+
+        results = []
+        detect_fn, track_fn = bind_stages(cfg)
+        summary = run_pipeline(
+            scans, detect_fn, track_fn,
+            PipelineConfig(pipelined=True, drop_stale=False),
+            sinks=[results.append],
+        )
+        assert summary.frames_processed == len(scans) == 101
+        write_frames([(r.scan.timestamp, r.tracks, r.obstacles) for r in results],
+                     cfg.preset, tmp_path / "pipelined")
+
+        assert any(ob for _, ob in ref.obstacles_by_frame)
+        for name in self.FILES:
+            expected = (tmp_path / "ref" / name).read_bytes()
+            assert (tmp_path / "cli" / name).read_bytes() == expected
+            assert (tmp_path / "pipelined" / name).read_bytes() == expected
+
+
 class TestErrors:
     def test_unknown_preset_exits_nonzero(self, tmp_path, capsys):
         assert run(["bench", "--preset", "config-9", "--out", tmp_path]) == 2
         assert "config-9" in capsys.readouterr().err
+
+    def test_unplaceable_scenario_exits_nonzero(self, tmp_path, capsys):
+        assert run(["bench", "--kind", "mr2", "--seed", "14",
+                    "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "mr2" in err and "seed 14" in err
 
     def test_missing_input_exits_nonzero(self, tmp_path):
         assert run(["evaluate", "--in", tmp_path / "nope", "--out", tmp_path]) == 2

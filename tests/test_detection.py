@@ -8,7 +8,6 @@ from lidarmot.detection import (
     DetectorConfig,
     cluster_detect,
     expected_person_beams,
-    extract_cutouts,
     filter_by_confidence,
     make_detector,
 )
@@ -47,79 +46,6 @@ def circle_world(centers, radius=0.3, robot=(0.0, 0.0, 0.0)):
         segments=(),
         arena=(-10, -10, 10, 10),
     )
-
-
-class TestExtractCutouts:
-    def test_count_with_stride_ten(self):
-        scan = make_scan(np.full(1080, 3.0))
-        cuts = extract_cutouts(scan, DetectorConfig(window_stride=10))
-        assert len(cuts) == 108
-
-    def test_angular_span_and_fixed_resample(self):
-        # 1 m window at 5 m: half-angle atan(0.1) = 5.71 deg, so the raw
-        # span covers about 45 beams; output length stays cutout_samples.
-        scan = make_scan(np.full(1080, 5.0))
-        cfg = DetectorConfig(window_stride=1080, cutout_samples=48)  # center 0 only
-        (cut,) = extract_cutouts(scan, cfg)
-        half = math.atan(0.5 / 5.0)
-        expected_raw = 2 * int(half / INC) + 1
-        assert expected_raw in (45, 46)
-        assert len(cut.samples) == 48
-
-    def test_identity_when_raw_count_matches(self):
-        rng = np.random.default_rng(0)
-        ranges = np.full(1080, 5.0)
-        ranges[516:564] = rng.uniform(4.9, 5.1, 48)
-        scan = make_scan(ranges)
-        cfg = DetectorConfig(window_stride=1080, cutout_samples=45)
-        # center beam 0: k = 22 -> 45 raw beams [0..22] clipped at 0
-        (cut,) = extract_cutouts(scan, cfg)
-        j0, j1 = 0, 22
-        raw = ranges[j0 : j1 + 1]
-        # resampling at identical knots reproduces the raw window
-        np.testing.assert_allclose(cut.samples[: len(raw)], raw, atol=1e-9)
-
-    def test_exact_knot_reproduction_mid_scan(self):
-        rng = np.random.default_rng(1)
-        ranges = rng.uniform(4.5, 5.5, 1080)
-        ranges[541] = 5.0
-        scan = make_scan(ranges)
-        half = math.atan(0.5 / 5.0)
-        k = int(half / INC)
-        m = 2 * k + 1
-        cfg = DetectorConfig(window_stride=541, cutout_samples=m)
-        cuts = extract_cutouts(scan, cfg)
-        cut = next(c for c in cuts if c.center_index == 541)
-        np.testing.assert_allclose(
-            cut.samples, ranges[541 - k : 541 + k + 1], atol=1e-9
-        )
-
-    def test_no_return_center_produces_no_cutout(self):
-        ranges = np.full(1080, NO_RETURN)
-        ranges[100] = 2.0
-        scan = make_scan(ranges)
-        cuts = extract_cutouts(scan, DetectorConfig(window_stride=1))
-        assert [c.center_index for c in cuts] == [100]
-
-    def test_no_return_imputed_with_range_max(self):
-        ranges = np.full(1080, 5.0)
-        ranges[530:540] = NO_RETURN
-        scan = make_scan(ranges)
-        cuts = extract_cutouts(scan, DetectorConfig(window_stride=541, cutout_samples=45))
-        cut = next(c for c in cuts if c.center_index == 541)
-        assert cut.samples.max() == pytest.approx(scan.range_max)
-
-    def test_all_cutouts_same_length_regardless_of_range(self):
-        rng = np.random.default_rng(2)
-        scan = make_scan(rng.uniform(0.5, 25.0, 1080))
-        cuts = extract_cutouts(scan, DetectorConfig(window_stride=7, cutout_samples=48))
-        assert {len(c.samples) for c in cuts} == {48}
-
-    def test_count_equals_ceil_on_fully_finite(self):
-        scan = make_scan(np.full(1080, 4.0))
-        for stride in (1, 7, 10, 13, 100):
-            cuts = extract_cutouts(scan, DetectorConfig(window_stride=stride))
-            assert len(cuts) == math.ceil(1080 / stride)
 
 
 class TestClusterDetect:
@@ -290,5 +216,3 @@ def test_detector_config_validation():
         DetectorConfig(window_stride=0)
     with pytest.raises(ValueError):
         DetectorConfig(confidence_threshold=1.5)
-    with pytest.raises(ValueError):
-        DetectorConfig(window_width=0.0)

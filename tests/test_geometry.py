@@ -13,7 +13,7 @@ from lidarmot.geometry import (
     interpolate_pose,
     invert_pose,
     normalize_angle,
-    polar_to_cartesian,
+    scan_xy,
     transform_to_frame,
 )
 
@@ -25,34 +25,38 @@ def make_scan(ranges, angle_min=0.0, inc=math.radians(0.25), t=0.0):
 
 
 class TestPolarToCartesian:
+    """Projection of a scan into sensor-frame points by ``scan_xy``."""
+
     def test_axis_aligned_beam(self):
-        pts = polar_to_cartesian(make_scan([2.0]))
-        assert pts[0].x == pytest.approx(2.0) and pts[0].y == pytest.approx(0.0)
+        _, pts = scan_xy(make_scan([2.0]))
+        assert pts[0, 0] == pytest.approx(2.0) and pts[0, 1] == pytest.approx(0.0)
 
     def test_quarter_turn(self):
         scan = make_scan([1.0], angle_min=math.pi / 2)
-        (p,) = polar_to_cartesian(scan)
-        assert p.x == pytest.approx(0.0, abs=1e-12)
-        assert p.y == pytest.approx(1.0)
+        _, ((x, y),) = scan_xy(scan)
+        assert x == pytest.approx(0.0, abs=1e-12)
+        assert y == pytest.approx(1.0)
 
     def test_radial_symmetry_full_scan(self):
         scan = make_scan(np.full(1080, 3.0), angle_min=-0.75 * math.pi)
-        pts = polar_to_cartesian(scan)
-        assert len(pts) == 1080
-        for p in pts[::97]:
-            assert math.hypot(p.x, p.y) == pytest.approx(3.0, abs=1e-12)
+        _, pts = scan_xy(scan)
+        assert pts.shape == (1080, 2)
+        for x, y in pts[::97]:
+            assert math.hypot(x, y) == pytest.approx(3.0, abs=1e-12)
 
     def test_no_returns_skipped_and_beams_kept(self):
         scan = make_scan([1.0, NO_RETURN, 2.0])
-        pts = polar_to_cartesian(scan)
-        assert [p.beam for p in pts] == [0, 2]
+        idx, pts = scan_xy(scan)
+        assert idx.tolist() == [0, 2]
+        assert len(pts) == 2
 
     def test_range_preserved_property(self):
         rng = np.random.default_rng(7)
         ranges = rng.uniform(0.1, 29.0, 1080)
         scan = make_scan(ranges, angle_min=-0.75 * math.pi)
-        for p in polar_to_cartesian(scan):
-            assert math.hypot(p.x, p.y) == pytest.approx(ranges[p.beam], abs=1e-12)
+        idx, pts = scan_xy(scan)
+        for i, (x, y) in zip(idx, pts):
+            assert math.hypot(x, y) == pytest.approx(ranges[i], abs=1e-12)
 
 
 class TestTransform:
@@ -100,8 +104,9 @@ class TestInFov:
     def test_scan_points_inside_fov(self):
         rng = np.random.default_rng(3)
         scan = make_scan(rng.uniform(0.5, 20.0, 1080), angle_min=-0.75 * math.pi)
-        for p in polar_to_cartesian(scan)[1:-1:13]:
-            assert in_fov(p, FOV_270)
+        _, pts = scan_xy(scan)
+        for x, y in pts[1:-1:13]:
+            assert in_fov(PointXY(float(x), float(y)), FOV_270)
 
 
 class TestInterpolatePose:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 import time
 
 import numpy as np
@@ -239,6 +241,43 @@ class TestRunPipeline:
         elapsed = time.perf_counter() - start
         assert len(out) == 10
         assert elapsed >= 0.09
+
+
+def endless_scans():
+    for k in itertools.count():
+        yield LidarScan(k / 20.0, np.full(8, 2.0), -2.356, math.radians(0.25), 30.0)
+
+
+@pytest.mark.parametrize("pipelined", [False, True], ids=["serial", "pipelined"])
+@pytest.mark.parametrize("drop_stale", [False, True], ids=["batch", "live"])
+@pytest.mark.parametrize("stage", ["detect", "track"])
+def test_stage_error_stops_run_and_surfaces(pipelined, drop_stale, stage):
+    calls = []
+
+    def failing(*_args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("boom")
+        return []
+
+    detect_fn = failing if stage == "detect" else (lambda s: [])
+    track_fn = failing if stage == "track" else (lambda s, d: [])
+    cfg = PipelineConfig(pipelined=pipelined, drop_stale=drop_stale)
+    raised = []
+
+    def call():
+        try:
+            run_pipeline(endless_scans(), detect_fn, track_fn, cfg)
+        except ValueError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive()
+    assert [str(e) for e in raised] == ["boom"]
+    stage_threads = {"detector", "tracker"}
+    assert not [t for t in threading.enumerate() if t.name in stage_threads]
 
 
 def test_pipeline_config_validation():

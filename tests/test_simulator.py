@@ -9,15 +9,15 @@ from lidarmot.simulator import (
     STATIC_LABEL,
     AgentModel,
     LidarParams,
+    PlacementError,
+    Scenario,
     ScenarioConfig,
     ScriptedAgent,
     Segment,
     WorldState,
     emit_ground_truth,
-    generate_scenario,
     raycast_scan,
     run_scenario,
-    run_scenario_with_labels,
     step_world,
 )
 
@@ -84,7 +84,7 @@ class TestScenarioKinds:
 
     def test_mr1_twist_bounds(self):
         cfg = small_cfg(kind="mr1", duration=5.0)
-        scen = generate_scenario(cfg)
+        scen = Scenario(cfg)
         for event in scen.run():
             v, omega = scen.state.robot_twist
             assert abs(v) <= 0.5 + 1e-9
@@ -247,9 +247,9 @@ class TestRaycast:
 
     def test_occlusion_soundness_with_noise(self):
         cfg = small_cfg(duration=1.0, noise_std=0.02, dropout_prob=0.1)
-        scen_noisy = generate_scenario(cfg)
+        scen_noisy = Scenario(cfg)
         clean_cfg = small_cfg(duration=1.0, noise_std=0.0, dropout_prob=0.0)
-        scen_clean = generate_scenario(clean_cfg)
+        scen_clean = Scenario(clean_cfg)
         noisy = [e for e in scen_noisy.run() if isinstance(e, LidarScan)]
         clean = [e for e in scen_clean.run() if isinstance(e, LidarScan)]
         for sn, sc in zip(noisy, clean):
@@ -258,7 +258,7 @@ class TestRaycast:
             assert excess.max() <= 3 * 0.02 + 1e-9
 
     def test_hits_lie_on_agent_surface(self):
-        scans, gt, labels = run_scenario_with_labels(small_cfg(duration=0.5))
+        scans, gt, labels = run_scenario(small_cfg(duration=0.5), labels=True)
         scan, lab = scans[0], labels[0]
         frame = gt[0]
         centers = {pid: (p.x, p.y) for pid, p in frame.persons}
@@ -304,7 +304,7 @@ class TestGroundTruth:
         assert gt[-1].persons[0][1].x == pytest.approx(1.5, abs=1e-9)
 
     def test_agents_clear_of_clutter_at_start(self):
-        scen = generate_scenario(small_cfg(seed=11))
+        scen = Scenario(small_cfg(seed=11))
         for a in scen.state.agents:
             for c in scen.state.circles:
                 assert np.hypot(a.position[0] - c.x, a.position[1] - c.y) > c.radius + 0.3
@@ -317,3 +317,18 @@ def test_config_validation():
         ScenarioConfig(dropout_prob=1.0)
     with pytest.raises(ValueError):
         ScenarioConfig(person_speed=(1.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n_persons", -1), ("noise_std", -0.01)]
+)
+def test_negative_count_and_noise_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**{field: value})
+
+
+def test_unplaceable_persons_name_kind_and_seed():
+    # Forty comfort-separated persons cannot fit in the default 4 m arena.
+    with pytest.raises(PlacementError, match="sr scenario with seed 5") as err:
+        Scenario(small_cfg(n_persons=40, seed=5))
+    assert isinstance(err.value, RuntimeError)
