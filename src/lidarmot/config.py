@@ -62,12 +62,19 @@ class RunConfig:
     preset: str | None = None
 
 
+#: Scenario fields that hold objects (LidarParams, agents, shapes); a JSON
+#: file would store raw dicts there, so only Python callers may set them.
+_SCENARIO_OBJECT_FIELDS = ("lidar", "scripted_agents", "occluder_walls", "clutter")
+
+
 def _build_section(name: str, base, overrides: dict):
     cls = _SECTION_TYPES[name]
     known = {f.name for f in dataclasses.fields(cls)}
     for key in overrides:
         if key not in known:
             raise ConfigError(f"unknown field {name}.{key}")
+        if name == "scenario" and key in _SCENARIO_OBJECT_FIELDS:
+            raise ConfigError(f"{name}.{key} cannot be set from a config file")
     try:
         return dataclasses.replace(base, **overrides)
     except (ValueError, TypeError) as exc:

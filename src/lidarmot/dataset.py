@@ -39,6 +39,17 @@ class DatasetFormatError(Exception):
         self.line_number = line_number
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+#: One decoder for every line; it refuses the NaN/Infinity tokens that
+#: ``json.loads`` would accept (the writer emits ``null`` instead). Only
+#: these tokens are refused: an overflowing literal such as ``1e999`` still
+#: decodes to inf.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 @dataclass(frozen=True)
 class DatasetRecord:
     kind: str
@@ -90,8 +101,9 @@ def write_dataset(
 def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
     """Read a record file.
 
-    Malformed lines raise DatasetFormatError with the line number in strict
-    mode and are skipped otherwise; records of unknown kind are skipped and
+    Malformed lines, including ones with NaN/Infinity/-Infinity tokens, raise
+    DatasetFormatError with the line number in strict mode and are skipped
+    otherwise; records of unknown kind are skipped and
     counted in both modes (forward compatibility).
     """
     stream = RecordStream()
@@ -101,7 +113,7 @@ def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _DECODER.decode(line)
                 kind = obj.pop("kind")
                 if kind == "header":
                     continue

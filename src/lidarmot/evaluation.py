@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -251,6 +251,46 @@ def _interp_persons(
     return tuple(out)
 
 
+def pose_lookup(gt_frames: Sequence[GroundTruthFrame]) -> Callable[[float], Pose2D]:
+    """Robot pose at time t along the ground-truth trajectory, exactly as
+    :func:`interpolate_pose` over all its poses gives it. The poses are
+    listed once; each lookup bisects their times and interpolates within
+    the bracketing pair."""
+    poses = [f.robot_pose for f in gt_frames]
+    times = [p.timestamp for p in poses]
+    if not poses:
+        raise ValueError("empty trajectory")
+
+    def pose_at(t: float) -> Pose2D:
+        if t < times[0] or t > times[-1]:
+            raise ValueError(
+                f"query time {t} outside trajectory range [{times[0]}, {times[-1]}]"
+            )
+        k = bisect_right(times, t)
+        return interpolate_pose(poses[k - 1 : k + 1], t)
+
+    return pose_at
+
+
+def _resample(
+    gt_frames: Sequence[GroundTruthFrame],
+    times: list[float],
+    pose_at: Callable[[float], Pose2D],
+    t: float,
+    tolerance: float,
+) -> GroundTruthFrame:
+    if t < times[0] or t > times[-1]:
+        raise ValueError(f"time {t} outside ground-truth range")
+    k = bisect_right(times, t)
+    lo = gt_frames[max(0, k - 1)]
+    hi = gt_frames[min(len(gt_frames) - 1, k)]
+    return GroundTruthFrame(
+        timestamp=t,
+        persons=_interp_persons(lo, hi, t, tolerance),
+        robot_pose=pose_at(t),
+    )
+
+
 def interpolate_ground_truth(
     gt_frames: Sequence[GroundTruthFrame], t: float, tolerance: float = 0.02
 ) -> GroundTruthFrame:
@@ -259,17 +299,7 @@ def interpolate_ground_truth(
     if not gt_frames:
         raise ValueError("empty ground-truth sequence")
     times = [f.timestamp for f in gt_frames]
-    if t < times[0] or t > times[-1]:
-        raise ValueError(f"time {t} outside ground-truth range")
-    k = bisect_right(times, t)
-    lo = gt_frames[max(0, k - 1)]
-    hi = gt_frames[min(len(gt_frames) - 1, k)]
-    pose = interpolate_pose([f.robot_pose for f in gt_frames], t)
-    return GroundTruthFrame(
-        timestamp=t,
-        persons=_interp_persons(lo, hi, t, tolerance),
-        robot_pose=pose,
-    )
+    return _resample(gt_frames, times, pose_lookup(gt_frames), t, tolerance)
 
 
 def evaluate_sequence(
@@ -301,6 +331,8 @@ def evaluate_sequence(
             report.frames.append(counts)
         return report
 
+    times = [f.timestamp for f in gt_frames]
+    pose_at = pose_lookup(gt_frames)
     t0 = gt_frames[0].timestamp - time_tolerance
     t1 = gt_frames[-1].timestamp + time_tolerance
     lo_t = gt_frames[0].timestamp
@@ -310,7 +342,7 @@ def evaluate_sequence(
             report.skipped_frames += 1
             continue
         t = min(max(hyp.timestamp, lo_t), hi_t)
-        gt = interpolate_ground_truth(gt_frames, t, time_tolerance)
+        gt = _resample(gt_frames, times, pose_at, t, time_tolerance)
         gtf, hypf = filter_by_fov_frame(gt, hyp, fov)
         counts, correspondence = match_frame(gtf, hypf, threshold, correspondence)
         report.frames.append(counts)

@@ -73,6 +73,24 @@ class LidarParams:
     n_beams: int = 1080
     range_max: float = 30.0
 
+    def __post_init__(self):
+        # A scan falls on every k-th ground-truth tick, so the scan period
+        # must be a whole number of ticks.
+        ticks = GT_RATE_HZ / self.rate_hz if self.rate_hz > 0 else 0.0
+        if not (round(ticks) >= 1 and abs(ticks - round(ticks)) <= 1e-9):
+            raise ValueError(
+                f"lidar.rate_hz must divide {GT_RATE_HZ:g} Hz into whole "
+                f"ticks, got {self.rate_hz}"
+            )
+        if self.n_beams < 1:
+            raise ValueError(f"lidar.n_beams must be >= 1, got {self.n_beams}")
+        if not self.angle_increment > 0:
+            raise ValueError(
+                f"lidar.angle_increment must be positive, got {self.angle_increment}"
+            )
+        if not self.range_max > 0:
+            raise ValueError(f"lidar.range_max must be positive, got {self.range_max}")
+
     def fov(self) -> FieldOfView:
         return FieldOfView(
             self.angle_min,
@@ -200,32 +218,52 @@ def step_world(
     other: softly inside the comfort distance, with a hard projection at the
     minimum separation. The robot integrates unicycle kinematics. Policy
     decisions (velocity resampling, steering) are not made here.
+
+    Agents are resolved one pair, robot, circle and edge at a time
+    (Gauss-Seidel), on Python floats. A shape is skipped when a cheap lower
+    bound on its distance (math.hypot, or the distance to an edge's bounding
+    box) clears the threshold by more than 1e-9, which no rounding can undo.
+    Every distance that decides a push is np.hypot (which can differ from
+    math.hypot in the last bit) or :func:`_point_segment_distance`, so
+    positions stay bit-for-bit those of the 2-vector formulation.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     x0, y0, x1, y1 = state.arena
+    lo_x, lo_y = x0 + wall_margin, y0 + wall_margin
+    hi_x, hi_y = x1 - wall_margin, y1 - wall_margin
     agents = [a.copy() for a in state.agents]
+    free: list[AgentModel] = []
+    xs: list[float] = []
+    ys: list[float] = []
     for a in agents:
-        a.position = a.position + a.velocity * dt
+        px = float(a.position[0]) + float(a.velocity[0]) * dt
+        py = float(a.position[1]) + float(a.velocity[1]) * dt
         if a.scripted:
+            a.position = np.array([px, py])
             continue
-        px, vx = _reflect_axis(
-            a.position[0], a.velocity[0], x0 + wall_margin, x1 - wall_margin
-        )
-        py, vy = _reflect_axis(
-            a.position[1], a.velocity[1], y0 + wall_margin, y1 - wall_margin
-        )
-        a.position = np.array([px, py])
+        px, vx = _reflect_axis(px, float(a.velocity[0]), lo_x, hi_x)
+        py, vy = _reflect_axis(py, float(a.velocity[1]), lo_y, hi_y)
         a.velocity = np.array([vx, vy])
+        free.append(a)
+        xs.append(px)
+        ys.append(py)
 
-    free = [a for a in agents if not a.scripted]
-    robot_xy = np.array([state.robot.x, state.robot.y])
+    n = len(free)
+    rx, ry = state.robot.x, state.robot.y
+    near = max(comfort, min_separation) + 1e-9
+    boxes = [
+        (seg, min(seg.x1, seg.x2), max(seg.x1, seg.x2), min(seg.y1, seg.y2), max(seg.y1, seg.y2))
+        for seg in state.keep_out
+    ]
     for _ in range(2):
-        for i in range(len(free)):
-            for j in range(i + 1, len(free)):
-                delta = free[j].position - free[i].position
-                d = float(np.hypot(*delta))
-                unit = delta / d if d > 1e-9 else np.array([1.0, 0.0])
+        for i in range(n):
+            for j in range(i + 1, n):
+                dx = xs[j] - xs[i]
+                dy = ys[j] - ys[i]
+                if math.hypot(dx, dy) > near:
+                    continue
+                d = float(np.hypot(dx, dy))
                 if d < min_separation:
                     shift = 0.5 * (min_separation - d)
                 elif d < comfort:
@@ -234,38 +272,54 @@ def step_world(
                     shift = (comfort - d) * dt
                 else:
                     continue
-                free[i].position = free[i].position - unit * shift
-                free[j].position = free[j].position + unit * shift
+                ux, uy = (dx / d, dy / d) if d > 1e-9 else (1.0, 0.0)
+                xs[i] = xs[i] - ux * shift
+                ys[i] = ys[i] - uy * shift
+                xs[j] = xs[j] + ux * shift
+                ys[j] = ys[j] + uy * shift
         # People step around the robot rather than over it.
-        for a in free:
-            delta = a.position - robot_xy
-            d = float(np.hypot(*delta))
+        for i in range(n):
+            dx = xs[i] - rx
+            dy = ys[i] - ry
+            if math.hypot(dx, dy) > near:
+                continue
+            d = float(np.hypot(dx, dy))
             if d < min_separation:
-                unit = delta / d if d > 1e-9 else np.array([1.0, 0.0])
-                a.position = robot_xy + unit * min_separation
+                ux, uy = (dx / d, dy / d) if d > 1e-9 else (1.0, 0.0)
+                xs[i] = rx + ux * min_separation
+                ys[i] = ry + uy * min_separation
             elif d < comfort:
-                unit = delta / d
-                a.position = a.position + unit * (comfort - d) * dt
+                xs[i] = xs[i] + dx / d * (comfort - d) * dt
+                ys[i] = ys[i] + dy / d * (comfort - d) * dt
         # ... and around the furniture rather than through it.
-        for a in free:
+        for i, a in enumerate(free):
+            x, y = xs[i], ys[i]
             for c in state.circles:
                 clear = a.radius + c.radius + 0.12
-                delta = a.position - np.array([c.x, c.y])
-                d = float(np.hypot(*delta))
+                dx = x - c.x
+                dy = y - c.y
+                if math.hypot(dx, dy) > clear + 1e-9:
+                    continue
+                d = float(np.hypot(dx, dy))
                 if d < clear:
-                    unit = delta / d if d > 1e-9 else np.array([1.0, 0.0])
-                    a.position = np.array([c.x, c.y]) + unit * clear
-            for seg in state.keep_out:
-                clear = a.radius + 0.15
-                d, direction = _point_segment_distance(a.position, seg)
+                    ux, uy = (dx / d, dy / d) if d > 1e-9 else (1.0, 0.0)
+                    x = c.x + ux * clear
+                    y = c.y + uy * clear
+            clear = a.radius + 0.15
+            for seg, bx0, bx1, by0, by1 in boxes:
+                gap_x = max(bx0 - x, x - bx1, 0.0)
+                gap_y = max(by0 - y, y - by1, 0.0)
+                if math.hypot(gap_x, gap_y) > clear + 1e-9:
+                    continue
+                d, direction = _point_segment_distance(np.array([x, y]), seg)
                 if d < clear:
-                    a.position = a.position + direction * (clear - d)
-        for a in free:
-            a.position = np.clip(
-                a.position,
-                [x0 + wall_margin, y0 + wall_margin],
-                [x1 - wall_margin, y1 - wall_margin],
-            )
+                    x = x + float(direction[0]) * (clear - d)
+                    y = y + float(direction[1]) * (clear - d)
+            # Same tie rule as np.clip: a bound equal to the value wins.
+            xs[i] = min(hi_x, max(lo_x, x))
+            ys[i] = min(hi_y, max(lo_y, y))
+    for a, x, y in zip(free, xs, ys):
+        a.position = np.array([x, y])
 
     v, omega = state.robot_twist
     r = state.robot
@@ -290,45 +344,49 @@ def step_world(
 def _ray_circles(
     origin: np.ndarray, dirs: np.ndarray, circles: Sequence[tuple[float, float, float]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-hit distances and the index of the hit circle per beam."""
+    """Nearest-hit distances and the index of the hit circle per beam, all
+    circles x beams in one pass."""
     n = len(dirs)
-    best = np.full(n, np.inf)
-    label = np.full(n, -1, dtype=int)
+    if not circles:
+        return np.full(n, np.inf), np.full(n, -1, dtype=int)
+    b = np.empty((len(circles), n))
+    c0 = np.empty((len(circles), 1))
     for k, (cx, cy, rad) in enumerate(circles):
+        # One matvec per circle: a single circles x beams product rounds
+        # differently in a quarter of the beams.
         m = np.array([cx, cy]) - origin
-        b = dirs @ m
-        c0 = float(m @ m) - rad * rad
-        disc = b * b - c0
-        ok = disc >= 0
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        t_near = b - sq
-        t_far = b + sq
-        t = np.where(t_near > 1e-9, t_near, t_far)
-        hit = ok & (t > 1e-9) & (t < best)
-        best = np.where(hit, t, best)
-        label = np.where(hit, k, label)
-    return best, label
+        b[k] = dirs @ m
+        c0[k] = float(m @ m) - rad * rad
+    disc = b * b - c0
+    ok = disc >= 0
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    t_near = b - sq
+    t = np.where(t_near > 1e-9, t_near, b + sq)
+    t = np.where(ok & (t > 1e-9), t, np.inf)
+    # argmin keeps the first of equal distances, as a strict ``<`` scan does.
+    k = np.argmin(t, axis=0)
+    best = t[k, np.arange(n)]
+    return best, np.where(best < np.inf, k, -1)
 
 
 def _ray_segments(
     origin: np.ndarray, dirs: np.ndarray, segments: Sequence[Segment]
 ) -> np.ndarray:
-    """Nearest-hit distances against line segments per beam."""
-    n = len(dirs)
-    best = np.full(n, np.inf)
-    for seg in segments:
-        p = np.array([seg.x1, seg.y1])
-        s = np.array([seg.x2 - seg.x1, seg.y2 - seg.y1])
-        q = p - origin
-        denom = dirs[:, 0] * s[1] - dirs[:, 1] * s[0]
-        qxs = q[0] * s[1] - q[1] * s[0]
-        qxd = q[0] * dirs[:, 1] - q[1] * dirs[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = qxs / denom
-            u = qxd / denom
-        hit = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= 0.0) & (u <= 1.0)
-        best = np.where(hit & (t < best), t, best)
-    return best
+    """Nearest-hit distances against line segments per beam, all segments x
+    beams in one pass."""
+    if not segments:
+        return np.full(len(dirs), np.inf)
+    sx = np.array([[seg.x2 - seg.x1] for seg in segments])
+    sy = np.array([[seg.y2 - seg.y1] for seg in segments])
+    q = np.array([[seg.x1, seg.y1] for seg in segments]) - origin
+    qx, qy = q[:, :1], q[:, 1:]
+    dx, dy = dirs[:, 0].copy(), dirs[:, 1].copy()
+    denom = dx * sy - dy * sx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (qx * sy - qy * sx) / denom
+        u = (qx * dy - qy * dx) / denom
+    hit = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= 0.0) & (u <= 1.0)
+    return np.where(hit, t, np.inf).min(axis=0)
 
 
 def raycast_scan(

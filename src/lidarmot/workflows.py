@@ -11,6 +11,7 @@ yields the identical result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .config import RunConfig
 from .detection import Detection, Detector, filter_by_confidence, make_detector
@@ -19,8 +20,9 @@ from .evaluation import (
     HypothesisFrame,
     MotReport,
     evaluate_sequence,
+    pose_lookup,
 )
-from .geometry import LidarScan, Pose2D, interpolate_pose
+from .geometry import LidarScan, Pose2D
 from .pipeline import DetectFn, DynamicObstacle, FrameTiming, TrackFn, run_pipeline
 from .simulator import run_scenario
 from .tracking import Track, Tracker
@@ -42,13 +44,14 @@ def build_detector(run_cfg: RunConfig, replay=None) -> Detector:
     return make_detector(run_cfg.detector_name, run_cfg.detector, replay=replay)
 
 
-def pose_for_scan(scan: LidarScan, gt_frames: list[GroundTruthFrame] | None) -> Pose2D:
+def pose_for_scan(scan: LidarScan, gt_pose_at: Callable[[float], Pose2D] | None) -> Pose2D:
     """Sensor pose for a scan: embedded pose if present, interpolated
-    ground-truth odometry as fallback, identity as a last resort."""
+    ground-truth odometry (an :func:`~lidarmot.evaluation.pose_lookup`) as
+    fallback, identity as a last resort."""
     if scan.pose is not None:
         return scan.pose
-    if gt_frames:
-        return interpolate_pose([f.robot_pose for f in gt_frames], scan.timestamp)
+    if gt_pose_at is not None:
+        return gt_pose_at(scan.timestamp)
     return Pose2D(0.0, 0.0, 0.0, scan.timestamp)
 
 
@@ -69,12 +72,13 @@ def bind_stages(
     detector = detector or build_detector(run_cfg)
     tracker = Tracker(run_cfg.tracker)
     threshold = run_cfg.detector.confidence_threshold
+    gt_pose_at = pose_lookup(gt_frames) if gt_frames else None
 
     def detect_fn(scan: LidarScan) -> list[Detection]:
         return filter_by_confidence(detector(scan), threshold)
 
     def track_fn(scan: LidarScan, detections: list[Detection]) -> list[Track]:
-        return tracker.update(detections, pose_for_scan(scan, gt_frames), scan.timestamp)
+        return tracker.update(detections, pose_for_scan(scan, gt_pose_at), scan.timestamp)
 
     return detect_fn, track_fn
 

@@ -177,6 +177,12 @@ class TestErrors:
         assert err.startswith("error: ")
         assert "mr2" in err and "seed 14" in err
 
+    def test_object_config_field_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scenario": {"lidar": {"rate_hz": 10}}}))
+        assert run(["bench", "--config", path, "--out", tmp_path / "out"]) == 2
+        assert "scenario.lidar" in capsys.readouterr().err
+
     def test_missing_input_exits_nonzero(self, tmp_path):
         assert run(["evaluate", "--in", tmp_path / "nope", "--out", tmp_path]) == 2
 

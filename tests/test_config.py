@@ -89,3 +89,25 @@ class TestConfigFiles:
         assert cfg.detector.window_stride == 1
         assert cfg.pipeline.velocity_gate == 0.05
         assert cfg.pipeline.robot_speed_max == 0.5
+
+
+class TestScenarioObjectFields:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lidar", {"rate_hz": 10}),
+            ("scripted_agents", [{"id": 3, "x": 1.0, "y": 0.5, "vx": 0.2, "vy": 0.0}]),
+            ("occluder_walls", [{"x1": 1, "y1": -1, "x2": 1, "y2": 1}]),
+            ("clutter", [{"x": 2.0, "y": 0.0, "radius": 0.03}]),
+        ],
+    )
+    def test_object_field_rejected_by_name(self, tmp_path, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scenario": {key: value}}))
+        with pytest.raises(ConfigError, match=f"scenario.{key}"):
+            load_config(path)
+
+    def test_arena_list_still_accepted(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scenario": {"kind": "mr1", "arena": [-4, -4, 4, 4]}}))
+        assert list(load_config(path).scenario.arena) == [-4, -4, 4, 4]

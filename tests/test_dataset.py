@@ -144,3 +144,15 @@ def test_track_and_obstacle_records():
     ob = DynamicObstacle(3, PointXY(1.0, 2.0, frame="odom"), (0.5, -0.5), 0.5)
     orec = ds.obstacles_to_record([ob], 0.5)
     assert orec.payload["obstacles"][0]["vx"] == 0.5
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_token_rejected_with_line_number(tmp_path, token):
+    path = tmp_path / "bad.jsonl"
+    good = ds._dump_record("scan", 0.0, {"ranges": [1.0, None]})
+    path.write_text(good + "\n" + good.replace("1.0", token) + "\n" + good + "\n")
+    with pytest.raises(ds.DatasetFormatError, match=token) as err:
+        ds.read_dataset(path)
+    assert err.value.line_number == 2
+    lenient = ds.read_dataset(path, strict=False)
+    assert len(lenient.records) == 2

@@ -1,0 +1,569 @@
+"""Bit-for-bit equivalence of the simulator and evaluator hot paths with
+their straightforward formulations.
+
+The ``ref_*`` functions below are the original per-pair, per-shape and
+per-query implementations, kept here as oracles only. Every comparison is
+exact: floats are compared through ``repr`` (which tells -0.0 from 0.0) and
+arrays through their bytes and dtype.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_right
+
+import numpy as np
+import pytest
+
+from lidarmot import simulator
+from lidarmot.evaluation import (
+    GroundTruthFrame,
+    HypothesisFrame,
+    MotReport,
+    _interp_persons,
+    evaluate_sequence,
+    filter_by_fov_frame,
+    interpolate_ground_truth,
+    match_frame,
+    pose_lookup,
+)
+from lidarmot.geometry import FieldOfView, PointXY, Pose2D, interpolate_pose, normalize_angle
+from lidarmot.simulator import (
+    ROBOT_WALL_MARGIN,
+    AgentModel,
+    Circle,
+    ScenarioConfig,
+    Segment,
+    WorldState,
+    _ray_circles,
+    _ray_segments,
+    run_scenario,
+    step_world,
+)
+from lidarmot.workflows import pose_for_scan
+
+# -- reference implementations ------------------------------------------
+
+
+def ref_point_segment_distance(p, seg):
+    a = np.array([seg.x1, seg.y1])
+    b = np.array([seg.x2, seg.y2])
+    ab = b - a
+    denom = float(ab @ ab)
+    u = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    closest = a + u * ab
+    delta = p - closest
+    d = float(np.hypot(*delta))
+    direction = delta / d if d > 1e-9 else np.array([0.0, 1.0])
+    return d, direction
+
+
+def ref_reflect_axis(p, v, lo, hi):
+    if p < lo:
+        return lo + (lo - p), abs(v)
+    if p > hi:
+        return hi - (p - hi), -abs(v)
+    return p, v
+
+
+def ref_step_world(state, dt, wall_margin=0.7, comfort=1.0, min_separation=0.5):
+    x0, y0, x1, y1 = state.arena
+    agents = [a.copy() for a in state.agents]
+    for a in agents:
+        a.position = a.position + a.velocity * dt
+        if a.scripted:
+            continue
+        px, vx = ref_reflect_axis(
+            a.position[0], a.velocity[0], x0 + wall_margin, x1 - wall_margin
+        )
+        py, vy = ref_reflect_axis(
+            a.position[1], a.velocity[1], y0 + wall_margin, y1 - wall_margin
+        )
+        a.position = np.array([px, py])
+        a.velocity = np.array([vx, vy])
+
+    free = [a for a in agents if not a.scripted]
+    robot_xy = np.array([state.robot.x, state.robot.y])
+    for _ in range(2):
+        for i in range(len(free)):
+            for j in range(i + 1, len(free)):
+                delta = free[j].position - free[i].position
+                d = float(np.hypot(*delta))
+                unit = delta / d if d > 1e-9 else np.array([1.0, 0.0])
+                if d < min_separation:
+                    shift = 0.5 * (min_separation - d)
+                elif d < comfort:
+                    shift = (comfort - d) * dt
+                else:
+                    continue
+                free[i].position = free[i].position - unit * shift
+                free[j].position = free[j].position + unit * shift
+        for a in free:
+            delta = a.position - robot_xy
+            d = float(np.hypot(*delta))
+            if d < min_separation:
+                unit = delta / d if d > 1e-9 else np.array([1.0, 0.0])
+                a.position = robot_xy + unit * min_separation
+            elif d < comfort:
+                unit = delta / d
+                a.position = a.position + unit * (comfort - d) * dt
+        for a in free:
+            for c in state.circles:
+                clear = a.radius + c.radius + 0.12
+                delta = a.position - np.array([c.x, c.y])
+                d = float(np.hypot(*delta))
+                if d < clear:
+                    unit = delta / d if d > 1e-9 else np.array([1.0, 0.0])
+                    a.position = np.array([c.x, c.y]) + unit * clear
+            for seg in state.keep_out:
+                clear = a.radius + 0.15
+                d, direction = ref_point_segment_distance(a.position, seg)
+                if d < clear:
+                    a.position = a.position + direction * (clear - d)
+        for a in free:
+            a.position = np.clip(
+                a.position,
+                [x0 + wall_margin, y0 + wall_margin],
+                [x1 - wall_margin, y1 - wall_margin],
+            )
+
+    v, omega = state.robot_twist
+    r = state.robot
+    nx = r.x + v * math.cos(r.theta) * dt
+    ny = r.y + v * math.sin(r.theta) * dt
+    nx = min(max(nx, x0 + ROBOT_WALL_MARGIN), x1 - ROBOT_WALL_MARGIN)
+    ny = min(max(ny, y0 + ROBOT_WALL_MARGIN), y1 - ROBOT_WALL_MARGIN)
+    robot = Pose2D(nx, ny, normalize_angle(r.theta + omega * dt), state.time + dt)
+    return WorldState(
+        time=state.time + dt,
+        robot=robot,
+        robot_twist=state.robot_twist,
+        agents=agents,
+        circles=state.circles,
+        segments=state.segments,
+        arena=state.arena,
+        keep_out=state.keep_out,
+    )
+
+
+def ref_ray_circles(origin, dirs, circles):
+    n = len(dirs)
+    best = np.full(n, np.inf)
+    label = np.full(n, -1, dtype=int)
+    for k, (cx, cy, rad) in enumerate(circles):
+        m = np.array([cx, cy]) - origin
+        b = dirs @ m
+        c0 = float(m @ m) - rad * rad
+        disc = b * b - c0
+        ok = disc >= 0
+        sq = np.sqrt(np.where(ok, disc, 0.0))
+        t_near = b - sq
+        t_far = b + sq
+        t = np.where(t_near > 1e-9, t_near, t_far)
+        hit = ok & (t > 1e-9) & (t < best)
+        best = np.where(hit, t, best)
+        label = np.where(hit, k, label)
+    return best, label
+
+
+def ref_ray_segments(origin, dirs, segments):
+    n = len(dirs)
+    best = np.full(n, np.inf)
+    for seg in segments:
+        p = np.array([seg.x1, seg.y1])
+        s = np.array([seg.x2 - seg.x1, seg.y2 - seg.y1])
+        q = p - origin
+        denom = dirs[:, 0] * s[1] - dirs[:, 1] * s[0]
+        qxs = q[0] * s[1] - q[1] * s[0]
+        qxd = q[0] * dirs[:, 1] - q[1] * dirs[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = qxs / denom
+            u = qxd / denom
+        hit = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= 0.0) & (u <= 1.0)
+        best = np.where(hit & (t < best), t, best)
+    return best
+
+
+def ref_interpolate_ground_truth(gt_frames, t, tolerance=0.02):
+    if not gt_frames:
+        raise ValueError("empty ground-truth sequence")
+    times = [f.timestamp for f in gt_frames]
+    if t < times[0] or t > times[-1]:
+        raise ValueError(f"time {t} outside ground-truth range")
+    k = bisect_right(times, t)
+    lo = gt_frames[max(0, k - 1)]
+    hi = gt_frames[min(len(gt_frames) - 1, k)]
+    pose = interpolate_pose([f.robot_pose for f in gt_frames], t)
+    return GroundTruthFrame(
+        timestamp=t,
+        persons=_interp_persons(lo, hi, t, tolerance),
+        robot_pose=pose,
+    )
+
+
+def ref_evaluate_sequence(gt_frames, hyp_frames, fov, threshold=0.75, time_tolerance=0.02):
+    report = MotReport()
+    correspondence: dict[int, int] = {}
+    t0 = gt_frames[0].timestamp - time_tolerance
+    t1 = gt_frames[-1].timestamp + time_tolerance
+    lo_t = gt_frames[0].timestamp
+    hi_t = gt_frames[-1].timestamp
+    for hyp in hyp_frames:
+        if not t0 <= hyp.timestamp <= t1:
+            report.skipped_frames += 1
+            continue
+        t = min(max(hyp.timestamp, lo_t), hi_t)
+        gt = ref_interpolate_ground_truth(gt_frames, t, time_tolerance)
+        gtf, hypf = filter_by_fov_frame(gt, hyp, fov)
+        counts, correspondence = match_frame(gtf, hypf, threshold, correspondence)
+        report.frames.append(counts)
+    return report
+
+
+# -- exact comparison helpers ----------------------------------------------
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def world_key(state: WorldState) -> tuple:
+    return (
+        repr(state.time),
+        repr(state.robot),
+        tuple(
+            (a.id, a.position.dtype.str, a.position.tobytes(), a.velocity.dtype.str,
+             a.velocity.tobytes(), a.scripted, a.next_resample)
+            for a in state.agents
+        ),
+    )
+
+
+def frame_key(frame: GroundTruthFrame) -> str:
+    return repr(frame)
+
+
+# -- step_world ------------------------------------------------------------
+
+
+def make_world(agents=(), circles=(), keep_out=(), robot=(0.0, 0.0, 0.0),
+               arena=(-4.0, -4.0, 4.0, 4.0), twist=(0.0, 0.0)):
+    return WorldState(
+        time=0.0,
+        robot=Pose2D(*robot),
+        robot_twist=twist,
+        agents=list(agents),
+        circles=tuple(circles),
+        segments=tuple(keep_out),
+        arena=arena,
+        keep_out=tuple(keep_out),
+    )
+
+
+def agent(aid, pos, vel=(0.0, 0.0), scripted=False, radius=0.3):
+    return AgentModel(aid, radius, np.array(pos, dtype=float), np.array(vel, dtype=float), scripted)
+
+
+def random_world(rng: np.random.Generator) -> WorldState:
+    """A crowded small room: many close pairs, agents near the robot and
+    furniture, scripted and free agents mixed."""
+    half = float(rng.uniform(2.0, 4.0))
+    n = int(rng.integers(0, 9))
+    agents = [
+        agent(
+            i,
+            rng.uniform(-half, half, 2),
+            rng.uniform(-1.2, 1.2, 2),
+            scripted=bool(rng.random() < 0.25),
+            radius=float(rng.uniform(0.2, 0.35)),
+        )
+        for i in range(n)
+    ]
+    circles = [
+        Circle(*rng.uniform(-half, half, 2), float(rng.choice([0.03, 0.2])))
+        for _ in range(int(rng.integers(0, 10)))
+    ]
+    keep_out = []
+    for _ in range(int(rng.integers(0, 4))):
+        x, y = rng.uniform(-half, half, 2)
+        length = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.3, 1.5))
+        angle = float(rng.uniform(-math.pi, math.pi))
+        keep_out.append(Segment(x, y, x + length * math.cos(angle), y + length * math.sin(angle)))
+    robot = (*rng.uniform(-half / 2, half / 2, 2), float(rng.uniform(-math.pi, math.pi)))
+    twist = (float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-1.5, 1.5)))
+    return make_world(agents, circles, keep_out, robot, (-half, -half, half, half), twist)
+
+
+def assert_same_steps(state: WorldState, steps: int, dt: float = 0.01) -> None:
+    ref = new = state
+    for _ in range(steps):
+        ref = ref_step_world(ref, dt)
+        new = step_world(new, dt)
+        assert world_key(new) == world_key(ref)
+
+
+class TestStepWorldEquivalence:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_worlds(self, seed):
+        assert_same_steps(random_world(np.random.default_rng(seed)), steps=40)
+
+    def test_random_worlds_exercise_every_push(self):
+        # The seeded worlds above reach every branch: hard and soft pair
+        # pushes, the robot, circles and keep-out edges.
+        hits = {"pair_hard": 0, "pair_soft": 0, "robot": 0, "circle": 0, "edge": 0}
+        for seed in range(12):
+            state = random_world(np.random.default_rng(seed))
+            for _ in range(40):
+                free = [a for a in state.agents if not a.scripted]
+                for i, a in enumerate(free):
+                    for b in free[i + 1:]:
+                        d = float(np.hypot(*(b.position - a.position)))
+                        hits["pair_hard"] += d < 0.5
+                        hits["pair_soft"] += 0.5 <= d < 1.0
+                    d = math.hypot(a.position[0] - state.robot.x, a.position[1] - state.robot.y)
+                    hits["robot"] += d < 1.0
+                    hits["circle"] += any(
+                        math.hypot(a.position[0] - c.x, a.position[1] - c.y)
+                        < a.radius + c.radius + 0.12
+                        for c in state.circles
+                    )
+                    hits["edge"] += any(
+                        ref_point_segment_distance(a.position, s)[0] < a.radius + 0.15
+                        for s in state.keep_out
+                    )
+                state = step_world(state, 0.01)
+        assert all(v > 0 for v in hits.values()), hits
+
+    def test_just_inside_every_threshold(self):
+        # Distances a hair under each threshold must still push.
+        eps = 1e-12
+        edge = Segment(-3.0, -2.0, -1.0, -2.0)
+        agents = [
+            agent(0, (2.0, 2.0)), agent(1, (2.0, 3.0 - eps)),  # pair, soft
+            agent(2, (1.0 - eps, 0.0)),  # robot at the origin, soft
+            agent(3, (-2.0, 2.0)),  # circle below
+            agent(4, (-2.0, -2.0 + 0.45 - eps)),  # keep-out edge below
+        ]
+        circles = [Circle(-2.0, 2.0 - (0.3 + 0.03 + 0.12 - eps), 0.03)]
+        state = make_world(agents, circles, [edge])
+        assert_same_steps(state, steps=1)
+        moved = ref_step_world(state, 0.01)
+        assert all(
+            not np.array_equal(a.position, b.position) for a, b in zip(state.agents, moved.agents)
+        )
+
+    def test_coincident_agents(self):
+        assert_same_steps(make_world([agent(0, (1.0, 1.0)), agent(1, (1.0, 1.0)),
+                                      agent(2, (1.0, 1.0), (0.3, 0.0))]), steps=5)
+
+    def test_agent_on_robot(self):
+        assert_same_steps(make_world([agent(0, (0.5, -0.25))], robot=(0.5, -0.25, 0.3)), steps=5)
+
+    def test_agent_inside_chair_leg(self):
+        legs = [Circle(1.0, 1.0, 0.03), Circle(1.42, 1.0, 0.03)]
+        assert_same_steps(make_world([agent(0, (1.0, 1.0)), agent(1, (1.41, 1.0))], legs), steps=5)
+
+    def test_agent_on_keep_out_endpoint_and_zero_length_segment(self):
+        edges = [Segment(-1.0, 0.5, 1.0, 0.5), Segment(2.0, -1.0, 2.0, -1.0)]
+        agents = [agent(0, (-1.0, 0.5)), agent(1, (1.0, 0.5)), agent(2, (2.0, -1.0))]
+        assert_same_steps(make_world(agents, keep_out=edges), steps=5)
+
+    def test_scripted_and_free_mixed(self):
+        agents = [
+            agent(0, (0.0, 1.0), (0.5, 0.0), scripted=True),
+            agent(1, (0.2, 1.0), (-0.5, 0.0)),
+            agent(2, (3.9, 0.0), (2.0, 0.0), scripted=True),  # past the wall margin
+            agent(3, (-3.5, -3.5), (-1.0, -1.0)),  # reflects off two walls
+        ]
+        assert_same_steps(make_world(agents, [Circle(0.1, 1.3, 0.03)]), steps=20)
+
+    def test_empty_world(self):
+        assert_same_steps(make_world(twist=(0.4, 0.7)), steps=3)
+
+    def test_signed_zero_on_the_clamp(self):
+        # The inset wall sits at 0.0 and the pushed coordinate lands on -0.0:
+        # the clamp must return the bound's sign, as np.clip does.
+        state = make_world([agent(0, (-0.0, 1.0), (-0.0, 0.0)), agent(1, (1.5, -0.0), (0.0, -0.0))],
+                           robot=(2.0, 2.0, 0.0), arena=(-0.7, -0.7, 2.7, 2.7))
+        assert_same_steps(state, steps=1)
+        ref = ref_step_world(state, 0.01)
+        assert repr(float(ref.agents[0].position[0])) == "0.0"
+        assert repr(float(ref.agents[1].position[1])) == "0.0"
+
+
+# -- raycast ---------------------------------------------------------------
+
+
+def beam_dirs(theta: float, n: int = 1080) -> np.ndarray:
+    angles = theta + -0.75 * math.pi + np.arange(n) * math.radians(0.25)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+class TestRaycastEquivalence:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_shapes(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        origin = rng.uniform(-2, 2, 2)
+        dirs = beam_dirs(float(rng.uniform(-math.pi, math.pi)))
+        circles = [
+            (*rng.uniform(-5, 5, 2), float(rng.uniform(0.02, 0.5)))
+            for _ in range(int(rng.integers(1, 20)))
+        ]
+        # Two equal circles tie on every beam that hits them.
+        circles += [(origin[0] + 3.0, origin[1], 0.5), (origin[0] + 3.0, origin[1], 0.5)]
+        segments = [Segment(*rng.uniform(-6, 6, 4)) for _ in range(int(rng.integers(1, 8)))]
+        segments += [Segment(1.0, 1.0, 1.0, 1.0), Segment(origin[0], origin[1], 4.0, 4.0)]
+        best, label = _ray_circles(origin, dirs, circles)
+        ref_best, ref_label = ref_ray_circles(origin, dirs, circles)
+        assert same_array(best, ref_best)
+        assert same_array(label, ref_label)
+        assert same_array(_ray_segments(origin, dirs, segments),
+                          ref_ray_segments(origin, dirs, segments))
+
+    def test_origin_inside_circle(self):
+        origin, dirs = np.array([0.5, -0.5]), beam_dirs(1.0)
+        circles = [(0.5, -0.5, 0.4), (0.6, -0.5, 0.2), (2.0, 0.0, 0.3)]
+        best, label = _ray_circles(origin, dirs, circles)
+        ref_best, ref_label = ref_ray_circles(origin, dirs, circles)
+        assert same_array(best, ref_best) and same_array(label, ref_label)
+
+    def test_origin_on_circle_rims_and_beams_through_segment_ends(self):
+        # Circles through the origin give roots within rounding of zero; the
+        # axis beams meet segment ends at exactly u = 0 and u = 1.
+        rng = np.random.default_rng(11)
+        origin = np.zeros(2)
+        dirs = np.vstack([[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], beam_dirs(0.3, 200)])
+        circles = [(float(x), float(y), math.hypot(x, y)) for x, y in rng.uniform(-2, 2, (20, 2))]
+        best, label = _ray_circles(origin, dirs, circles)
+        ref_best, ref_label = ref_ray_circles(origin, dirs, circles)
+        assert same_array(best, ref_best) and same_array(label, ref_label)
+        segments = [Segment(2.0, 0.0, 2.0, 1.0), Segment(0.0, 3.0, -1.0, 3.0),
+                    Segment(-1.0, -4.0, 0.0, -4.0), Segment(-2.0, 0.5, -2.0, 0.0)]
+        got = _ray_segments(origin, dirs, segments)
+        assert same_array(got, ref_ray_segments(origin, dirs, segments))
+        assert list(got[:4]) == [2.0, 3.0, 2.0, 4.0]
+
+    def test_no_shapes(self):
+        origin, dirs = np.array([0.0, 0.0]), beam_dirs(0.0)
+        best, label = _ray_circles(origin, dirs, [])
+        ref_best, ref_label = ref_ray_circles(origin, dirs, [])
+        assert same_array(best, ref_best) and same_array(label, ref_label)
+        assert same_array(_ray_segments(origin, dirs, []), ref_ray_segments(origin, dirs, []))
+
+    def test_scenario_streams_match_reference_physics(self, monkeypatch):
+        cfg = ScenarioConfig(kind="mr2", duration=3.0, seed=5, n_persons=6,
+                             arena=(-3.0, -3.0, 3.0, 3.0))
+        scans, gt, labels = run_scenario(cfg, labels=True)
+        monkeypatch.setattr(simulator, "step_world", ref_step_world)
+        monkeypatch.setattr(simulator, "_ray_circles", ref_ray_circles)
+        monkeypatch.setattr(simulator, "_ray_segments", ref_ray_segments)
+        ref_scans, ref_gt, ref_labels = run_scenario(cfg, labels=True)
+        assert [frame_key(f) for f in gt] == [frame_key(f) for f in ref_gt]
+        assert len(scans) == len(ref_scans)
+        for a, b, la, lb in zip(scans, ref_scans, labels, ref_labels):
+            assert repr(a.pose) == repr(b.pose)
+            assert same_array(a.ranges, b.ranges) and same_array(la, lb)
+
+
+# -- evaluator -------------------------------------------------------------
+
+FOV = FieldOfView(-0.75 * math.pi, 0.75 * math.pi, 30.0)
+
+
+def random_ground_truth(rng: np.random.Generator, n: int = 300, pose_lag: float = 0.0):
+    """100 Hz frames; persons appear and vanish part way, the robot turns
+    through the +-pi seam."""
+    frames = []
+    x = y = 0.0
+    theta = 3.0
+    for k in range(n):
+        t = k / 100.0
+        x += float(rng.normal(0, 0.01))
+        y += float(rng.normal(0, 0.01))
+        theta = normalize_angle(theta + float(rng.normal(0.02, 0.01)))
+        persons = tuple(
+            (pid, PointXY(*rng.uniform(-4, 4, 2), frame="odom"))
+            for pid in range(6)
+            if not (pid == 1 and k > n // 2) and not (pid == 2 and k < n // 3)
+            and not (pid == 3 and k % 7 == 0)
+        )
+        frames.append(GroundTruthFrame(t, persons, Pose2D(x, y, theta, t + pose_lag)))
+    return frames
+
+
+def query_times(frames, rng):
+    first, last = frames[0].timestamp, frames[-1].timestamp
+    ticks = [f.timestamp for f in frames]
+    return sorted(
+        [float(t) for t in rng.uniform(first, last, 60)]
+        + [first, last, ticks[1], ticks[len(ticks) // 2], ticks[-2]]
+        + [first - 0.01, first - 0.03, last + 0.01, last + 0.03]
+    )
+
+
+class TestEvaluatorEquivalence:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interpolate_ground_truth(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        gt = random_ground_truth(rng)
+        for t in query_times(gt, rng):
+            try:
+                expected = frame_key(ref_interpolate_ground_truth(gt, t, 0.02))
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    interpolate_ground_truth(gt, t, 0.02)
+                assert str(err.value) == str(exc)
+                continue
+            assert frame_key(interpolate_ground_truth(gt, t, 0.02)) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_evaluate_sequence(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        gt = random_ground_truth(rng)
+        hyp = []
+        for i, t in enumerate(query_times(gt, rng)):
+            tracks = tuple(
+                (tid, PointXY(*rng.uniform(-4, 4, 2), frame="odom"))
+                for tid in range(int(rng.integers(0, 7)))
+                if tid != i % 5
+            )
+            hyp.append(HypothesisFrame(t, tracks))
+        got = evaluate_sequence(gt, hyp, FOV, threshold=2.0)
+        ref = ref_evaluate_sequence(gt, hyp, FOV, threshold=2.0)
+        assert repr(got) == repr(ref)
+        assert got.skipped_frames == 2 and got.frames
+
+    def test_pose_lookup_uses_pose_times(self):
+        # Robot poses stamped a little after their frames: the lookup must
+        # bracket by pose time, as interpolating the whole trajectory does.
+        rng = np.random.default_rng(7)
+        gt = random_ground_truth(rng, n=50, pose_lag=0.003)
+        poses = [f.robot_pose for f in gt]
+        pose_at = pose_lookup(gt)
+        for t in [0.0, 0.003, 0.0031, 0.25, 0.253, 0.49, 0.493, 0.5, 1.0, -0.5]:
+            try:
+                expected = repr(interpolate_pose(poses, t))
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    pose_at(t)
+                assert str(err.value) == str(exc)
+                continue
+            assert repr(pose_at(t)) == expected
+
+    def test_pose_for_scan_fallback(self):
+        from lidarmot.geometry import LidarScan
+
+        gt = random_ground_truth(np.random.default_rng(8), n=80)
+        pose_at = pose_lookup(gt)
+        for t in (0.0, 0.123, 0.5, 0.79):
+            scan = LidarScan(t, np.zeros(3), 0.0, 0.1, 30.0)
+            expected = interpolate_pose([f.robot_pose for f in gt], t)
+            assert repr(pose_for_scan(scan, pose_at)) == repr(expected)
+        no_pose = LidarScan(0.2, np.zeros(3), 0.0, 0.1, 30.0)
+        assert pose_for_scan(no_pose, None) == Pose2D(0, 0, 0, 0.2)
+
+    def test_single_frame(self):
+        gt = random_ground_truth(np.random.default_rng(9), n=1)
+        assert frame_key(interpolate_ground_truth(gt, 0.0)) == frame_key(
+            ref_interpolate_ground_truth(gt, 0.0)
+        )

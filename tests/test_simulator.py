@@ -332,3 +332,26 @@ def test_unplaceable_persons_name_kind_and_seed():
     with pytest.raises(PlacementError, match="sr scenario with seed 5") as err:
         Scenario(small_cfg(n_persons=40, seed=5))
     assert isinstance(err.value, RuntimeError)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rate_hz", 30.0),  # 3.33 ticks per scan: would run at 33.3 Hz
+        ("rate_hz", 250.0),  # under one tick per scan
+        ("rate_hz", 0.0),
+        ("n_beams", 0),
+        ("angle_increment", 0.0),
+        ("angle_increment", -0.01),
+        ("range_max", 0.0),
+    ],
+)
+def test_lidar_params_rejected(field, value):
+    with pytest.raises(ValueError, match=f"lidar.{field}"):
+        LidarParams(**{field: value})
+
+
+@pytest.mark.parametrize("rate_hz", [100.0, 50.0, 25.0, 20.0, 10.0, 1.0])
+def test_lidar_rates_on_whole_ticks_run_at_their_rate(rate_hz):
+    scans, _ = run_scenario(small_cfg(duration=1.0, lidar=LidarParams(rate_hz=rate_hz)))
+    assert len(scans) == round(rate_hz) + 1
