@@ -27,6 +27,10 @@ FORMAT_NAME = "lidarmot-dataset"
 FORMAT_VERSION = 1
 
 KNOWN_KINDS = ("scan", "ground_truth", "detection", "track", "obstacle")
+#: Kinds whose timestamps must not decrease within a file. Readers of these
+#: streams bisect on time. Detection frames are not checked: ``lidarmot
+#: track`` sorts them itself.
+ORDERED_KINDS = ("scan", "ground_truth")
 
 
 class DatasetFormatError(Exception):
@@ -60,7 +64,10 @@ class DatasetRecord:
 @dataclass
 class RecordStream:
     records: list[DatasetRecord] = field(default_factory=list)
+    #: Records of a kind this reader does not know, skipped in both modes.
     skipped_unknown: int = 0
+    #: Malformed or out-of-order lines, skipped in lenient mode.
+    skipped_malformed: int = 0
 
 
 def fmt_seconds(t: float) -> str:
@@ -101,12 +108,16 @@ def write_dataset(
 def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
     """Read a record file.
 
-    Malformed lines, including ones with NaN/Infinity/-Infinity tokens, raise
-    DatasetFormatError with the line number in strict mode and are skipped
-    otherwise; records of unknown kind are skipped and
-    counted in both modes (forward compatibility).
+    Malformed lines, including ones with NaN/Infinity/-Infinity tokens or a
+    non-finite timestamp, and scan or ground-truth records timestamped
+    before the previous record of their kind raise DatasetFormatError with
+    the line number in strict mode.
+    Otherwise they are skipped and counted in ``skipped_malformed``. Equal
+    timestamps are accepted. Records of unknown kind are skipped and counted
+    in ``skipped_unknown`` in both modes (forward compatibility).
     """
     stream = RecordStream()
+    latest = dict.fromkeys(ORDERED_KINDS, -math.inf)
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -121,13 +132,21 @@ def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
                     stream.skipped_unknown += 1
                     continue
                 t = float(obj.pop("t"))
-                stream.records.append(DatasetRecord(kind, t, obj))
-            except DatasetFormatError:
-                raise
+                if not math.isfinite(t):
+                    raise ValueError(f"non-finite timestamp {t!r}")
+                if t < latest.get(kind, t):
+                    raise ValueError(
+                        f"{kind} record at t={t!r} is before the previous one at "
+                        f"t={latest[kind]!r}"
+                    )
             except Exception as exc:
                 if strict:
                     raise DatasetFormatError(str(exc), lineno) from exc
-                stream.skipped_unknown += 1
+                stream.skipped_malformed += 1
+                continue
+            if kind in latest:
+                latest[kind] = t
+            stream.records.append(DatasetRecord(kind, t, obj))
     return stream
 
 

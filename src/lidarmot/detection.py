@@ -5,6 +5,22 @@ Detector implementations are callables ``scan -> list[Detection]`` selected
 by name ("cluster" or "replay"). Detections are reported in the sensor frame
 with a confidence in [0, 1]; thresholding is a separate step so the same
 detection stream can be re-gated.
+
+The cluster detector walks each cluster on Python floats, because a dozen
+small numpy calls per cluster would cost more than the arithmetic. Every
+value it computes is kept bit for bit what the array formulation gives,
+so detections do not depend on which one runs:
+
+- means are a sequential sum from 0.0 divided by the count, which is how
+  ``ndarray.mean(axis=0)`` sums a column. The builtin ``sum()`` is not
+  used: from Python 3.12 it compensates float sums. ``np.add.reduceat``
+  is not used either: it sums pairwise;
+- the chord lengths and the centroid range use ``np.hypot`` and the
+  bounding-box span ``math.hypot``. The two round differently for about
+  one input in 200, so swapping either moves a decision that sits on a
+  threshold;
+- the arc-depth sign test and deviations stay numpy products: BLAS may
+  fuse their multiply-adds, which Python float arithmetic never does.
 """
 
 from __future__ import annotations
@@ -59,19 +75,6 @@ def filter_by_confidence(
     return [d for d in detections if d.confidence >= threshold]
 
 
-def _split_clusters(idx: np.ndarray, pts: np.ndarray, jump: float) -> list[slice]:
-    """Group consecutive returning beams whose adjacent points are closer
-    than the jump threshold. Dropped beams inside an object do not split it;
-    only a genuine Euclidean gap does."""
-    if len(idx) == 0:
-        return []
-    gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    breaks = np.nonzero(gaps >= jump)[0] + 1
-    starts = np.concatenate([[0], breaks])
-    ends = np.concatenate([breaks, [len(idx)]])
-    return [slice(a, b) for a, b in zip(starts, ends)]
-
-
 def expected_person_beams(
     rng: float, angle_increment: float, person_radius: float
 ) -> float:
@@ -81,30 +84,45 @@ def expected_person_beams(
     return 2.0 * math.asin(person_radius / rng) / angle_increment
 
 
-def _arc_depth(cluster: np.ndarray) -> float:
+def _mean(values: list[float]) -> float:
+    """Mean as ``ndarray.mean`` forms it along a column: a sequential sum
+    from 0.0, divided by the count."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def _arc_depth(cluster: np.ndarray, xs: list[float], ys: list[float]) -> float:
     """Inward bulge of a cluster's interior relative to its endpoint chord:
     around 0 for a straight surface (a wall or table edge), clearly positive
-    for a convex body facing the sensor.
+    for a convex body facing the sensor. ``xs`` and ``ys`` are the columns
+    of ``cluster`` as lists.
 
     The chord is anchored on small endpoint averages and the bulge is the
     median over the middle third, so neither endpoint range noise nor a
     minority of outlier points (a chair leg poking out of a wall run) can
     make flat structure look like a torso.
     """
-    k = max(1, min(3, len(cluster) // 4))
-    a = cluster[:k].mean(axis=0)
-    b = cluster[-k:].mean(axis=0)
-    chord = b - a
-    norm = float(np.hypot(*chord))
+    k = max(1, min(3, len(xs) // 4))
+    ax, ay = _mean(xs[:k]), _mean(ys[:k])
+    chord_x, chord_y = _mean(xs[-k:]) - ax, _mean(ys[-k:]) - ay
+    norm = float(np.hypot(chord_x, chord_y))
     if norm < 1e-9:
         return 0.0
     # Perpendicular pointing from the chord back toward the sensor (origin).
-    perp = np.array([-chord[1], chord[0]]) / norm
-    if perp @ a > 0:
+    anchor = np.array([ax, ay])
+    perp = np.array([-chord_y / norm, chord_x / norm])
+    if perp @ anchor > 0:
         perp = -perp
-    dev = (cluster[1:-1] - a) @ perp
-    mid = dev[len(dev) // 3 : max(len(dev) // 3 + 1, 2 * len(dev) // 3)]
-    return float(np.median(mid)) if len(mid) else 0.0
+    dev = ((cluster[1:-1] - anchor) @ perp).tolist()
+    third = len(dev) // 3
+    mid = sorted(dev[third : max(third + 1, 2 * len(dev) // 3)])
+    if not mid:
+        return 0.0
+    # The value of np.median; only the sign of a zero median may differ.
+    h = len(mid) // 2
+    return mid[h] if len(mid) % 2 else (mid[h - 1] + mid[h]) / 2
 
 
 def cluster_detect(
@@ -145,50 +163,70 @@ def cluster_detect(
     if min_points < 1:
         raise ValueError("min_points must be >= 1")
     idx, pts = scan_xy(scan)
-    stride = cfg.window_stride
     detections: list[Detection] = []
+    if len(idx) == 0:
+        return detections
+    # Consecutive returning beams closer than the jump threshold form one
+    # cluster. Dropped beams inside an object do not split it; only a
+    # genuine Euclidean gap does. The gaps equal np.linalg.norm(..., axis=1)
+    # bit for bit, without its slow two-element reduction.
+    dx, dy = np.diff(pts, axis=0).T
+    gaps = np.sqrt(dx * dx + dy * dy)
+    starts = np.concatenate([[0], np.nonzero(gaps >= jump_threshold)[0] + 1])
+    bounds = starts.tolist() + [len(idx)]
+    boxes = np.concatenate(
+        [np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)], axis=1
+    ).tolist()
+    stride = cfg.window_stride
+    if stride > 1:
+        # on_grid[a] == on_grid[b] iff no beam of idx[a:b] is on the grid.
+        on_grid = np.concatenate([[0], np.cumsum(idx % stride == 0)]).tolist()
     # Wide clusters may be several bodies walking shoulder to shoulder:
     # retry a bounded number of times after cutting at the widest internal
-    # gap (the grazing region between adjacent bodies).
-    work = [(sl, 2) for sl in _split_clusters(idx, pts, jump_threshold)]
+    # gap (the grazing region between adjacent bodies). A cut cluster has
+    # no bounding box yet.
+    work = [(a, b, 2, box) for a, b, box in zip(bounds, bounds[1:], boxes)]
     while work:
-        sl, splits_left = work.pop()
-        beams = idx[sl]
-        if len(beams) < min_points:
+        a, b, splits_left, box = work.pop()
+        n = b - a
+        if n < min_points:
             continue
-        cluster = pts[sl]
-        lo = cluster.min(axis=0)
-        hi = cluster.max(axis=0)
-        span = math.hypot(*(hi - lo))
-        if span > max_cluster_span:
-            if splits_left > 0 and len(beams) >= 2 * min_points:
-                gaps = np.linalg.norm(np.diff(cluster, axis=0), axis=1)
-                cut = int(np.argmax(gaps)) + 1
+        cols = None
+        if box is None:
+            cols = xs, ys = pts[a:b].T.tolist()
+            box = min(xs), min(ys), max(xs), max(ys)
+        x0, y0, x1, y1 = box
+        if math.hypot(x1 - x0, y1 - y0) > max_cluster_span:
+            if splits_left > 0 and n >= 2 * min_points:
+                inner = gaps[a : b - 1]
+                widest = int(np.argmax(inner))
                 # Only a physically meaningful gap separates bodies; noise
                 # ripple on a wall is no reason to carve it up.
-                if gaps[cut - 1] >= 0.06:
-                    work.append((slice(sl.start, sl.start + cut), splits_left - 1))
-                    work.append((slice(sl.start + cut, sl.stop), splits_left - 1))
+                if inner[widest] >= 0.06:
+                    cut = a + widest + 1
+                    work.append((a, cut, splits_left - 1, None))
+                    work.append((cut, b, splits_left - 1, None))
             continue
-        if stride > 1 and not np.any(beams % stride == 0):
+        if stride > 1 and on_grid[a] == on_grid[b]:
             continue
-        chord = float(np.hypot(*(cluster[-1] - cluster[0])))
-        if chord >= flat_min_chord and _arc_depth(cluster) < min_arc_depth:
+        xs, ys = cols or pts[a:b].T.tolist()
+        chord = float(np.hypot(xs[-1] - xs[0], ys[-1] - ys[0]))
+        if chord >= flat_min_chord and _arc_depth(pts[a:b], xs, ys) < min_arc_depth:
             continue
-        centroid = cluster.mean(axis=0)
-        rng = float(np.hypot(*centroid))
+        cx, cy = _mean(xs), _mean(ys)
+        rng = float(np.hypot(cx, cy))
         if rng <= 0:
             continue
-        pos = centroid * (1.0 + center_offset / rng)
+        push = 1.0 + center_offset / rng
         expected = expected_person_beams(
             rng + center_offset, scan.angle_increment, person_radius
         )
-        if len(beams) > oversize_ratio * expected:
+        if n > oversize_ratio * expected:
             continue
-        confidence = min(1.0, len(beams) / (detectable_fraction * expected))
+        confidence = min(1.0, n / (detectable_fraction * expected))
         detections.append(
             Detection(
-                position=PointXY(float(pos[0]), float(pos[1]), frame=scan.frame),
+                position=PointXY(cx * push, cy * push, frame=scan.frame),
                 confidence=confidence,
                 timestamp=scan.timestamp,
             )

@@ -22,6 +22,7 @@ from .geometry import ODOM_FRAME, PointXY, Pose2D, transform_to_frame
 
 _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 _I4 = np.eye(4)
+_I2 = np.eye(2)
 
 
 class TrackStatus(enum.Enum):
@@ -110,10 +111,9 @@ class AssociationResult:
     unmatched_detections: list[int]
 
 
-def kalman_predict(state: KalmanState, dt: float, accel_std: float) -> KalmanState:
-    """Propagate the CV model by dt with piecewise-white-acceleration noise."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+def _cv_model(dt: float, accel_std: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transition matrix F and piecewise-white-acceleration noise Q of the CV
+    model over dt."""
     f = _I4.copy()
     f[0, 2] = dt
     f[1, 3] = dt
@@ -129,9 +129,20 @@ def kalman_predict(state: KalmanState, dt: float, accel_std: float) -> KalmanSta
             [0.0, b, 0.0, c],
         ]
     )
+    return f, q
+
+
+def _predict(state: KalmanState, f: np.ndarray, q: np.ndarray) -> KalmanState:
     mean = f @ state.mean
     cov = f @ state.covariance @ f.T + q
     return KalmanState(mean, 0.5 * (cov + cov.T))
+
+
+def kalman_predict(state: KalmanState, dt: float, accel_std: float) -> KalmanState:
+    """Propagate the CV model by dt with piecewise-white-acceleration noise."""
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    return _predict(state, *_cv_model(dt, accel_std))
 
 
 def kalman_update(state: KalmanState, z, meas_std: float) -> KalmanState:
@@ -142,7 +153,7 @@ def kalman_update(state: KalmanState, z, meas_std: float) -> KalmanState:
     """
     z = np.asarray([z.x, z.y] if isinstance(z, PointXY) else z, dtype=float)
     p = state.covariance
-    r = (meas_std * meas_std) * np.eye(2)
+    r = (meas_std * meas_std) * _I2
     s = _H @ p @ _H.T + r
     k = np.linalg.solve(s.T, (p @ _H.T).T).T
     mean = state.mean + k @ (z - _H @ state.mean)
@@ -288,8 +299,10 @@ class Tracker:
             for d in detections
         ]
         dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
+        # One dt for every track: build the CV model once per frame.
+        f, q = _cv_model(dt, self.cfg.process_noise_accel)
         for t in self._tracks:
-            t.state = kalman_predict(t.state, dt, self.cfg.process_noise_accel)
+            t.state = _predict(t.state, f, q)
 
         initiated = [t for t in self._tracks if t.status is TrackStatus.INITIATED]
         candidates = [t for t in self._tracks if t.status is TrackStatus.CANDIDATE]

@@ -207,6 +207,7 @@ def test_criterion_6_avoidance_lead_time():
           f"(closed form {expected:.2f} s)")
 
 
+@pytest.mark.wallclock
 def test_criterion_7_pipelining_throughput():
     import sys
 

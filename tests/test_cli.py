@@ -183,6 +183,23 @@ class TestErrors:
         assert run(["bench", "--config", path, "--out", tmp_path / "out"]) == 2
         assert "scenario.lidar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,command", [
+        ("scans.jsonl", "pipeline"), ("ground_truth.jsonl", "bench"),
+    ])
+    def test_out_of_order_input_exits_2_with_line(self, tmp_path, capsys, name, command):
+        data = tmp_path / "data"
+        assert run(["simulate", "--kind", "sr", "--seed", "2", "--duration", "1",
+                    "--out", data]) == 0
+        path = data / name
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3], lines[4] = lines[4], lines[3]
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
+        assert "line 5: " in capsys.readouterr().err
+        assert run([command, "--in", data, "--out", tmp_path / "lenient",
+                    "--no-strict"]) == 0
+
     def test_missing_input_exits_nonzero(self, tmp_path):
         assert run(["evaluate", "--in", tmp_path / "nope", "--out", tmp_path]) == 2
 

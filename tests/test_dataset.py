@@ -76,7 +76,8 @@ def test_lenient_mode_skips_corrupt_lines(tmp_path):
     path.write_text(good + "\n" + "garbage\n" + good + "\n")
     stream = ds.read_dataset(path, strict=False)
     assert len(stream.records) == 2
-    assert stream.skipped_unknown == 1
+    assert stream.skipped_malformed == 1
+    assert stream.skipped_unknown == 0
 
 
 def test_empty_file_is_empty_stream(tmp_path):
@@ -156,3 +157,81 @@ def test_non_finite_token_rejected_with_line_number(tmp_path, token):
     assert err.value.line_number == 2
     lenient = ds.read_dataset(path, strict=False)
     assert len(lenient.records) == 2
+    assert (lenient.skipped_malformed, lenient.skipped_unknown) == (1, 0)
+
+
+def _timed_lines(kind: str, times) -> list[str]:
+    return [ds._dump_record(kind, t, {"n": i}) for i, t in enumerate(times)]
+
+
+@pytest.mark.parametrize("kind", ["scan", "ground_truth"])
+def test_out_of_order_record_rejected_with_line_number(tmp_path, kind):
+    path = tmp_path / "swapped.jsonl"
+    lines = _timed_lines(kind, [0.0, 0.05, 0.15, 0.1, 0.2])
+    path.write_text("\n".join(['{"kind":"header"}'] + lines) + "\n")
+    with pytest.raises(ds.DatasetFormatError, match=r"t=0\.1 is before .* t=0\.15") as err:
+        ds.read_dataset(path)
+    assert err.value.line_number == 5
+    lenient = ds.read_dataset(path, strict=False)
+    assert [r.timestamp for r in lenient.records] == [0.0, 0.05, 0.15, 0.2]
+    assert (lenient.skipped_malformed, lenient.skipped_unknown) == (1, 0)
+
+
+def _stamped_file(tmp_path, stamp):
+    path = tmp_path / "bad_t.jsonl"
+    lines = _timed_lines("scan", [0.5, 0.6, 0.4])
+    lines[1] = lines[1].replace('"t":0.600000000', f'"t":{stamp}')
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _assert_line_2_refused(path):
+    lenient = ds.read_dataset(path, strict=False)
+    assert [r.timestamp for r in lenient.records] == [0.5]
+    assert lenient.skipped_malformed == 2
+
+
+def test_non_finite_timestamp_rejected(tmp_path):
+    # 1e999 decodes to inf, which the order check alone would accept.
+    path = _stamped_file(tmp_path, "1e999")
+    with pytest.raises(ds.DatasetFormatError, match="non-finite timestamp") as err:
+        ds.read_dataset(path)
+    assert err.value.line_number == 2
+    _assert_line_2_refused(path)
+
+
+@pytest.mark.parametrize("stamp", ['"nan"', '"-inf"'])
+def test_string_non_finite_timestamp_rejected(tmp_path, stamp):
+    # A NaN time would slip past the order check: every comparison with NaN
+    # is false. Only the line is pinned, not the reason given.
+    path = _stamped_file(tmp_path, stamp)
+    with pytest.raises(ds.DatasetFormatError) as err:
+        ds.read_dataset(path)
+    assert err.value.line_number == 2
+    _assert_line_2_refused(path)
+
+
+def test_record_order_checked_per_kind(tmp_path):
+    # Equal timestamps are legal; scans and ground truth keep separate
+    # clocks; detection, track and obstacle frames are not checked.
+    path = tmp_path / "mixed.jsonl"
+    lines = (
+        _timed_lines("scan", [0.0, 0.05, 0.05])
+        + _timed_lines("ground_truth", [0.0, 0.01])
+        + _timed_lines("detection", [0.1, 0.05])
+        + _timed_lines("track", [0.1, 0.0])
+        + _timed_lines("obstacle", [0.1, 0.0])
+        + _timed_lines("scan", [0.1])
+    )
+    path.write_text("\n".join(lines) + "\n")
+    stream = ds.read_dataset(path)
+    assert len(stream.records) == len(lines)
+    assert stream.skipped_malformed == 0
+
+
+def test_simulated_files_read_in_order(tmp_path):
+    scans, gt = run_scenario(ScenarioConfig(duration=1.0, seed=3))
+    ds.write_dataset((ds.scan_to_record(s) for s in scans), tmp_path / "s.jsonl")
+    ds.write_dataset((ds.ground_truth_to_record(f) for f in gt), tmp_path / "g.jsonl")
+    assert len(ds.read_dataset(tmp_path / "s.jsonl").records) == len(scans)
+    assert len(ds.read_dataset(tmp_path / "g.jsonl").records) == len(gt)

@@ -1,10 +1,11 @@
-"""Bit-for-bit equivalence of the simulator and evaluator hot paths with
-their straightforward formulations.
+"""Bit-for-bit equivalence of the simulator, evaluator, detector and tracker
+hot paths with their straightforward formulations.
 
-The ``ref_*`` functions below are the original per-pair, per-shape and
-per-query implementations, kept here as oracles only. Every comparison is
-exact: floats are compared through ``repr`` (which tells -0.0 from 0.0) and
-arrays through their bytes and dtype.
+The ``ref_*`` functions and ``RefTracker`` below are the original per-pair,
+per-shape, per-query, per-cluster and per-track implementations, kept here
+as oracles only. Every comparison is exact: floats are compared through
+``repr`` (which tells -0.0 from 0.0) and arrays through their bytes and
+dtype.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ import numpy as np
 import pytest
 
 from lidarmot import simulator
+from lidarmot.config import load_config
+from lidarmot.detection import (
+    Detection,
+    DetectorConfig,
+    _arc_depth,
+    cluster_detect,
+    expected_person_beams,
+    filter_by_confidence,
+)
 from lidarmot.evaluation import (
     GroundTruthFrame,
     HypothesisFrame,
@@ -27,7 +37,18 @@ from lidarmot.evaluation import (
     match_frame,
     pose_lookup,
 )
-from lidarmot.geometry import FieldOfView, PointXY, Pose2D, interpolate_pose, normalize_angle
+from lidarmot.geometry import (
+    NO_RETURN,
+    ODOM_FRAME,
+    FieldOfView,
+    LidarScan,
+    PointXY,
+    Pose2D,
+    interpolate_pose,
+    normalize_angle,
+    scan_xy,
+    transform_to_frame,
+)
 from lidarmot.simulator import (
     ROBOT_WALL_MARGIN,
     AgentModel,
@@ -39,6 +60,18 @@ from lidarmot.simulator import (
     _ray_segments,
     run_scenario,
     step_world,
+)
+from lidarmot.tracking import (
+    AssociationResult,
+    KalmanState,
+    Tracker,
+    TrackerConfig,
+    TrackStatus,
+    build_cost_matrix,
+    kalman_predict,
+    kalman_update,
+    lifecycle_step,
+    solve_assignment,
 )
 from lidarmot.workflows import pose_for_scan
 
@@ -218,6 +251,168 @@ def ref_evaluate_sequence(gt_frames, hyp_frames, fov, threshold=0.75, time_toler
         counts, correspondence = match_frame(gtf, hypf, threshold, correspondence)
         report.frames.append(counts)
     return report
+
+
+def ref_split_clusters(idx, pts, jump):
+    if len(idx) == 0:
+        return []
+    gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    breaks = np.nonzero(gaps >= jump)[0] + 1
+    starts = np.concatenate([[0], breaks])
+    ends = np.concatenate([breaks, [len(idx)]])
+    return [slice(a, b) for a, b in zip(starts, ends)]
+
+
+def ref_arc_depth(cluster):
+    k = max(1, min(3, len(cluster) // 4))
+    a = cluster[:k].mean(axis=0)
+    b = cluster[-k:].mean(axis=0)
+    chord = b - a
+    norm = float(np.hypot(*chord))
+    if norm < 1e-9:
+        return 0.0
+    perp = np.array([-chord[1], chord[0]]) / norm
+    if perp @ a > 0:
+        perp = -perp
+    dev = (cluster[1:-1] - a) @ perp
+    mid = dev[len(dev) // 3 : max(len(dev) // 3 + 1, 2 * len(dev) // 3)]
+    return float(np.median(mid)) if len(mid) else 0.0
+
+
+def ref_cluster_detect(
+    scan, cfg, jump_threshold=0.25, min_points=5, max_cluster_span=0.8,
+    person_radius=0.3, center_offset=0.25, detectable_fraction=0.4,
+    oversize_ratio=1.8, flat_min_chord=0.18, min_arc_depth=0.012,
+):
+    idx, pts = scan_xy(scan)
+    stride = cfg.window_stride
+    detections = []
+    work = [(sl, 2) for sl in ref_split_clusters(idx, pts, jump_threshold)]
+    while work:
+        sl, splits_left = work.pop()
+        beams = idx[sl]
+        if len(beams) < min_points:
+            continue
+        cluster = pts[sl]
+        lo = cluster.min(axis=0)
+        hi = cluster.max(axis=0)
+        span = math.hypot(*(hi - lo))
+        if span > max_cluster_span:
+            if splits_left > 0 and len(beams) >= 2 * min_points:
+                gaps = np.linalg.norm(np.diff(cluster, axis=0), axis=1)
+                cut = int(np.argmax(gaps)) + 1
+                if gaps[cut - 1] >= 0.06:
+                    work.append((slice(sl.start, sl.start + cut), splits_left - 1))
+                    work.append((slice(sl.start + cut, sl.stop), splits_left - 1))
+            continue
+        if stride > 1 and not np.any(beams % stride == 0):
+            continue
+        chord = float(np.hypot(*(cluster[-1] - cluster[0])))
+        if chord >= flat_min_chord and ref_arc_depth(cluster) < min_arc_depth:
+            continue
+        centroid = cluster.mean(axis=0)
+        rng = float(np.hypot(*centroid))
+        if rng <= 0:
+            continue
+        pos = centroid * (1.0 + center_offset / rng)
+        expected = expected_person_beams(
+            rng + center_offset, scan.angle_increment, person_radius
+        )
+        if len(beams) > oversize_ratio * expected:
+            continue
+        confidence = min(1.0, len(beams) / (detectable_fraction * expected))
+        detections.append(
+            Detection(
+                position=PointXY(float(pos[0]), float(pos[1]), frame=scan.frame),
+                confidence=confidence,
+                timestamp=scan.timestamp,
+            )
+        )
+    detections.sort(key=lambda d: math.atan2(d.position.y, d.position.x))
+    return detections
+
+
+def ref_kalman_predict(state, dt, accel_std):
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    f = np.eye(4)
+    f[0, 2] = dt
+    f[1, 3] = dt
+    q2 = accel_std * accel_std
+    a = q2 * dt**4 / 4.0
+    b = q2 * dt**3 / 2.0
+    c = q2 * dt**2
+    q = np.array(
+        [
+            [a, 0.0, b, 0.0],
+            [0.0, a, 0.0, b],
+            [b, 0.0, c, 0.0],
+            [0.0, b, 0.0, c],
+        ]
+    )
+    mean = f @ state.mean
+    cov = f @ state.covariance @ f.T + q
+    return KalmanState(mean, 0.5 * (cov + cov.T))
+
+
+def ref_kalman_update(state, z, meas_std):
+    h = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    z = np.asarray([z.x, z.y] if isinstance(z, PointXY) else z, dtype=float)
+    p = state.covariance
+    r = (meas_std * meas_std) * np.eye(2)
+    s = h @ p @ h.T + r
+    k = np.linalg.solve(s.T, (p @ h.T).T).T
+    mean = state.mean + k @ (z - h @ state.mean)
+    ikh = np.eye(4) - k @ h
+    cov = ikh @ p @ ikh.T + k @ r @ k.T
+    return KalmanState(mean, 0.5 * (cov + cov.T))
+
+
+class RefTracker(Tracker):
+    """``Tracker.update`` with ``kalman_predict`` called once per track."""
+
+    def update(self, detections, robot_pose_in_odom, timestamp):
+        if self._last_timestamp is not None and timestamp < self._last_timestamp:
+            raise ValueError(f"time regression: {timestamp} < {self._last_timestamp}")
+        points = [
+            transform_to_frame(d.position, robot_pose_in_odom, ODOM_FRAME)
+            for d in detections
+        ]
+        dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
+        for t in self._tracks:
+            t.state = ref_kalman_predict(t.state, dt, self.cfg.process_noise_accel)
+
+        initiated = [t for t in self._tracks if t.status is TrackStatus.INITIATED]
+        candidates = [t for t in self._tracks if t.status is TrackStatus.CANDIDATE]
+
+        a1 = solve_assignment(
+            build_cost_matrix([t.position for t in initiated], points),
+            self.cfg.gate_distance,
+        )
+        leftover = a1.unmatched_detections
+        a2 = solve_assignment(
+            build_cost_matrix(
+                [t.position for t in candidates], [points[j] for j in leftover]
+            ),
+            self.cfg.gate_distance,
+        )
+
+        merged = AssociationResult(
+            matches=[(initiated[r].id, c, d) for r, c, d in a1.matches]
+            + [(candidates[r].id, leftover[c], d) for r, c, d in a2.matches],
+            unmatched_tracks=[initiated[r].id for r in a1.unmatched_tracks]
+            + [candidates[r].id for r in a2.unmatched_tracks],
+            unmatched_detections=[leftover[c] for c in a2.unmatched_detections],
+        )
+        self._tracks = lifecycle_step(
+            self._tracks, merged, points, self.cfg, timestamp, self._issue_id
+        )
+        self._last_timestamp = timestamp
+        return [
+            t.snapshot()
+            for t in self._tracks
+            if t.status is TrackStatus.INITIATED
+        ]
 
 
 # -- exact comparison helpers ----------------------------------------------
@@ -567,3 +762,252 @@ class TestEvaluatorEquivalence:
         assert frame_key(interpolate_ground_truth(gt, 0.0)) == frame_key(
             ref_interpolate_ground_truth(gt, 0.0)
         )
+
+
+# -- detector and tracker --------------------------------------------------
+
+#: Seeded sr/mr1/mr2 scenes with the default 3 persons in a 4 m room, and a
+#: 10-person crowd in an 8 m room.
+SCENES = {
+    "sr": ScenarioConfig(kind="sr", duration=4.0, seed=11),
+    "mr1": ScenarioConfig(kind="mr1", duration=4.0, seed=12),
+    "mr2": ScenarioConfig(kind="mr2", duration=4.0, seed=13),
+    "crowd": ScenarioConfig(kind="mr1", duration=4.0, seed=14, n_persons=10,
+                            arena=(-4.0, -4.0, 4.0, 4.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def scene_scans():
+    return {name: run_scenario(cfg)[0] for name, cfg in SCENES.items()}
+
+
+def track_key(track) -> tuple:
+    return (
+        track.id, track.status, track.hit_counter, track.miss_streak,
+        repr(track.last_update), track.state.mean.dtype.str, track.state.mean.tobytes(),
+        track.state.covariance.dtype.str, track.state.covariance.tobytes(),
+    )
+
+
+def assert_same_detections(scan, cfg=DetectorConfig(), **kwargs):
+    got = cluster_detect(scan, cfg, **kwargs)
+    expected = ref_cluster_detect(scan, cfg, **kwargs)
+    assert repr(got) == repr(expected)
+    return got
+
+
+def cluster_lists(cluster: np.ndarray):
+    xs, ys = cluster.T.tolist()
+    return xs, ys
+
+
+def circle_scan(centers, radius=0.25, increment_deg=0.25, n_beams=720,
+                angle_min=-math.pi / 2, t=0.0):
+    """Exact ranges to the nearest of some disks; no return elsewhere."""
+    angles = angle_min + np.arange(n_beams) * math.radians(increment_deg)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    ranges = np.full(n_beams, NO_RETURN)
+    for cx, cy in centers:
+        b = dirs @ np.array([cx, cy])
+        disc = b * b - (cx * cx + cy * cy - radius * radius)
+        hit = disc >= 0
+        near = np.where(hit, b - np.sqrt(np.where(hit, disc, 0.0)), np.inf)
+        ranges = np.minimum(ranges, np.where(near > 0, near, np.inf))
+    return LidarScan(t, ranges, angle_min, math.radians(increment_deg), 30.0)
+
+
+def random_scan(rng: np.random.Generator, t: float = 0.0) -> LidarScan:
+    """Runs of flat, slanted and bulging returns of random length, with
+    noise and dropped beams, at one of several beam spacings."""
+    n = int(rng.integers(50, 900))
+    ranges = np.empty(n)
+    i = 0
+    while i < n:
+        length = int(rng.integers(1, 70))
+        base = float(rng.uniform(0.3, 6.0))
+        u = np.linspace(-1.0, 1.0, length)
+        shape = int(rng.integers(3))
+        if shape == 0:
+            run = np.full(length, base)
+        elif shape == 1:
+            run = base + float(rng.uniform(-0.4, 0.4)) * u
+        else:
+            run = base - float(rng.uniform(0.0, 0.3)) * np.sqrt(1.0 - u * u)
+        ranges[i : i + length] = (run + rng.normal(0.0, 0.01, length))[: n - i]
+        i += length
+    ranges[rng.random(n) < 0.05] = NO_RETURN
+    increment = math.radians(float(rng.choice([0.25, 0.5, 1.0, 2.0])))
+    return LidarScan(t, ranges, float(rng.uniform(-math.pi, 0.0)), increment, 30.0)
+
+
+class TestDetectorEquivalence:
+    @pytest.mark.parametrize("stride", [1, 10])
+    @pytest.mark.parametrize("scene", list(SCENES))
+    def test_scene_scans(self, scene_scans, scene, stride):
+        cfg = DetectorConfig(window_stride=stride)
+        total = 0
+        for scan in scene_scans[scene]:
+            total += len(assert_same_detections(scan, cfg))
+        assert total > 0
+
+    @pytest.mark.parametrize("scene", list(SCENES))
+    def test_arc_depth_of_scene_clusters(self, scene_scans, scene):
+        for scan in scene_scans[scene]:
+            idx, pts = scan_xy(scan)
+            for sl in ref_split_clusters(idx, pts, 0.25):
+                cluster = pts[sl]
+                assert _arc_depth(cluster, *cluster_lists(cluster)) == ref_arc_depth(cluster)
+
+    def test_thresholds_on_the_last_bit(self, scene_scans):
+        # With a threshold at a chord or span the detector computes, the
+        # outcome hangs on the last bit. np.hypot (chords) and math.hypot
+        # (span) round differently for about one input in 200, and
+        # swapping either changes detections here.
+        decided = 0
+        for scan in scene_scans["crowd"]:
+            idx, pts = scan_xy(scan)
+            for sl in ref_split_clusters(idx, pts, 0.25):
+                cluster = pts[sl]
+                if len(cluster) < 5:
+                    continue
+                ends = cluster[-1] - cluster[0]
+                chords = float(np.hypot(*ends)), math.hypot(*ends)
+                if chords[0] != chords[1]:
+                    decided += 1
+                    assert_same_detections(
+                        scan, flat_min_chord=max(chords), min_arc_depth=math.inf
+                    )
+                extent = cluster.max(axis=0) - cluster.min(axis=0)
+                spans = math.hypot(*extent), float(np.hypot(*extent))
+                if spans[0] != spans[1]:
+                    decided += 1
+                    assert_same_detections(scan, max_cluster_span=min(spans))
+        assert decided >= 5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_scans(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        for _ in range(50):
+            scan = random_scan(rng)
+            stride = int(rng.choice([1, 3, 10]))
+            assert_same_detections(scan, DetectorConfig(window_stride=stride))
+            assert_same_detections(
+                scan, DetectorConfig(), min_points=int(rng.integers(1, 8)),
+                flat_min_chord=float(rng.uniform(0.0, 0.3)),
+            )
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_arc_depth_of_random_clusters(self, seed):
+        # Only the sign of a zero depth may differ: the depth is compared
+        # with a threshold, never stored.
+        rng = np.random.default_rng(600 + seed)
+        for _ in range(400):
+            n = int(rng.integers(1, 80))
+            theta = np.sort(rng.uniform(-0.5, 0.5, n))
+            r = rng.uniform(0.5, 5.0) - rng.uniform(-0.2, 0.3) * np.cos(theta * 3)
+            cluster = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+            cluster += rng.normal(0.0, 0.01, cluster.shape)
+            assert _arc_depth(cluster, *cluster_lists(cluster)) == ref_arc_depth(cluster)
+
+    def test_no_returns(self):
+        scan = LidarScan(0.0, np.full(100, NO_RETURN), -1.0, 0.01, 30.0)
+        assert assert_same_detections(scan) == []
+        assert assert_same_detections(LidarScan(0.0, np.array([]), -1.0, 0.01, 30.0)) == []
+
+    def test_cluster_of_exactly_min_points(self):
+        ranges = np.full(40, NO_RETURN)
+        ranges[10:15] = 2.0
+        assert len(assert_same_detections(LidarScan(0.0, ranges, 0.0, 0.005, 30.0))) == 1
+        ranges[14] = NO_RETURN
+        assert assert_same_detections(LidarScan(0.0, ranges, 0.0, 0.005, 30.0)) == []
+
+    def test_cluster_split_twice(self):
+        # Three bodies 6 cm apart merge into one cluster; two rounds of
+        # cuts at the widest gap separate them.
+        scan = circle_scan([(2.0, -0.56), (2.0, 0.0), (2.0, 0.56)])
+        idx, pts = scan_xy(scan)
+        assert len(ref_split_clusters(idx, pts, 0.25)) == 1
+        assert len(assert_same_detections(scan)) == 3
+
+    @pytest.mark.parametrize("n", [8, 14])
+    def test_even_length_middle_third(self, n):
+        # n - 2 interior points: a middle third of 2 (n = 8) or 4 (n = 14).
+        ranges = np.full(n + 4, NO_RETURN)
+        u = np.linspace(-1.0, 1.0, n)
+        ranges[2 : 2 + n] = 1.5 - 0.1 * np.sqrt(1.0 - u * u)
+        increment = math.radians(24.0 / n)
+        scan = LidarScan(0.0, ranges, -0.3, increment, 30.0)
+        _, pts = scan_xy(scan)
+        assert _arc_depth(pts, *cluster_lists(pts)) == ref_arc_depth(pts) > 0.012
+        assert len(assert_same_detections(scan)) == 1
+        # The same beams at one range bend away from the sensor.
+        flat = LidarScan(0.0, np.where(np.isfinite(ranges), 1.5, NO_RETURN), -0.3,
+                         increment, 30.0)
+        assert assert_same_detections(flat) == []
+
+    def test_zero_length_arc_chord(self):
+        # Out along one line and back: the endpoint averages coincide.
+        cluster = np.array([[1.0, 0.0], [1.1, 0.05], [1.2, 0.1], [1.1, 0.05], [1.0, 0.0]])
+        assert _arc_depth(cluster, *cluster_lists(cluster)) == ref_arc_depth(cluster) == 0.0
+        single = np.array([[1.0, 2.0]])
+        assert _arc_depth(single, *cluster_lists(single)) == ref_arc_depth(single) == 0.0
+        two = np.array([[1.0, 2.0], [1.0, 2.1]])
+        assert _arc_depth(two, *cluster_lists(two)) == ref_arc_depth(two) == 0.0
+
+    def test_centroid_at_origin(self):
+        # Zero ranges put every point on the sensor.
+        scan = LidarScan(0.0, np.zeros(12), -1.0, 0.1, 30.0)
+        assert assert_same_detections(scan) == []
+        assert assert_same_detections(scan, flat_min_chord=0.0) == []
+        assert assert_same_detections(scan, min_points=1) == []
+
+
+def detection_stream(scans, preset: str):
+    cfg = load_config(preset)
+    return [
+        (filter_by_confidence(cluster_detect(s, cfg.detector), cfg.detector.confidence_threshold),
+         s.pose, s.timestamp)
+        for s in scans
+    ]
+
+
+def assert_same_tracking(frames, cfg: TrackerConfig) -> int:
+    tracker, ref = Tracker(cfg), RefTracker(cfg)
+    reported = 0
+    for detections, pose, t in frames:
+        got = tracker.update(detections, pose, t)
+        expected = ref.update(detections, pose, t)
+        assert [track_key(x) for x in got] == [track_key(x) for x in expected]
+        assert [track_key(x) for x in tracker.tracks] == [track_key(x) for x in ref.tracks]
+        reported += len(got)
+    return reported
+
+
+class TestTrackerEquivalence:
+    @pytest.mark.parametrize("preset", ["config-1", "config-3"])
+    @pytest.mark.parametrize("scene", list(SCENES))
+    def test_scene_tracks(self, scene_scans, scene, preset):
+        frames = detection_stream(scene_scans[scene], preset)
+        assert assert_same_tracking(frames, load_config(preset).tracker) > 0
+
+    def test_first_frame_with_no_tracks(self):
+        pose = Pose2D(0.5, -0.2, 0.3, 0.0)
+        det = Detection(PointXY(1.0, 0.5), 0.9, 0.0)
+        frames = [([], pose, 0.0), ([det], pose, 0.05), ([det], pose, 0.05), ([], pose, 0.1)]
+        assert_same_tracking(frames, TrackerConfig(c_init=1))
+        assert_same_tracking(frames[1:], TrackerConfig(c_init=1))
+
+    def test_kalman_steps_of_random_states(self):
+        rng = np.random.default_rng(700)
+        for _ in range(300):
+            m = rng.normal(0.0, 2.0, (4, 4))
+            state = KalmanState(rng.normal(0.0, 3.0, 4), m @ m.T + 1e-3 * np.eye(4))
+            dt = float(rng.choice([0.0, 0.05, float(rng.uniform(0.0, 1.0))]))
+            accel = float(rng.uniform(0.0, 3.0))
+            a, b = kalman_predict(state, dt, accel), ref_kalman_predict(state, dt, accel)
+            assert same_array(a.mean, b.mean) and same_array(a.covariance, b.covariance)
+            z = PointXY(*rng.normal(0.0, 3.0, 2))
+            std = float(rng.uniform(0.01, 0.5))
+            a, b = kalman_update(state, z, std), ref_kalman_update(state, z, std)
+            assert same_array(a.mean, b.mean) and same_array(a.covariance, b.covariance)

@@ -163,6 +163,7 @@ BATCH = PipelineConfig(drop_stale=False)
 
 
 class TestRunPipeline:
+    @pytest.mark.wallclock
     def test_zero_delay_paced_no_drops(self):
         summary = run_pipeline(
             paced(scans(50), 400.0), lambda s: [], lambda s, d: [], PipelineConfig()
