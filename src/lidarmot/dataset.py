@@ -109,7 +109,8 @@ def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
     """Read a record file.
 
     Malformed lines, including ones with NaN/Infinity/-Infinity tokens or a
-    non-finite timestamp, and scan or ground-truth records timestamped
+    timestamp that is not a finite JSON number, and scan or ground-truth
+    records timestamped
     before the previous record of their kind raise DatasetFormatError with
     the line number in strict mode.
     Otherwise they are skipped and counted in ``skipped_malformed``. Equal
@@ -131,7 +132,11 @@ def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
                 if kind not in KNOWN_KINDS:
                     stream.skipped_unknown += 1
                     continue
-                t = float(obj.pop("t"))
+                t = obj.pop("t")
+                # bool is an int subclass, but JSON true/false is no number.
+                if isinstance(t, bool) or not isinstance(t, (int, float)):
+                    raise ValueError(f"timestamp {t!r} is not a number")
+                t = float(t)
                 if not math.isfinite(t):
                     raise ValueError(f"non-finite timestamp {t!r}")
                 if t < latest.get(kind, t):

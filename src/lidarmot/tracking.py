@@ -6,6 +6,17 @@ gate, run in two passes (initiated tracks first, then candidates) so young
 candidates cannot steal detections from confirmed tracks. Track lifecycle is
 counter-based: a candidate is promoted after c_init cumulative matches and
 any track is dropped once its miss streak strictly exceeds c_del.
+
+The Kalman filter runs stacked: each frame predicts every track in one pass
+and updates every matched track in one pass, over means of shape (N, 4) and
+covariances of shape (N, 4, 4). The single-track ``kalman_predict`` and
+``kalman_update`` are the N = 1 case of the same functions. Every stacked
+product keeps each track's own operand shapes (``F @ means[:, :, None]``,
+``F @ covs @ F.T``, ``transpose(0, 2, 1)`` for a per-track transpose), so
+numpy makes the same gemv, gemm and LAPACK solve call per track as for one
+track, and the results are bit for bit those of a per-track loop. The row
+form ``means @ F.T`` is one (N, 4) x (4, 4) gemm instead, which sums in
+another order and rounds differently.
 """
 
 from __future__ import annotations
@@ -39,6 +50,15 @@ class KalmanState:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(4)
         self.covariance = np.asarray(self.covariance, dtype=float).reshape(4, 4)
+
+    @classmethod
+    def _built(cls, mean: np.ndarray, covariance: np.ndarray) -> "KalmanState":
+        """A state from float arrays the filter shaped (4,) and (4, 4) itself,
+        without the constructor's conversion."""
+        state = object.__new__(cls)
+        state.mean = mean
+        state.covariance = covariance
+        return state
 
     @property
     def position(self) -> np.ndarray:
@@ -93,7 +113,7 @@ class Track:
     def snapshot(self) -> "Track":
         return Track(
             id=self.id,
-            state=KalmanState(self.state.mean.copy(), self.state.covariance.copy()),
+            state=KalmanState._built(self.state.mean.copy(), self.state.covariance.copy()),
             status=self.status,
             hit_counter=self.hit_counter,
             miss_streak=self.miss_streak,
@@ -132,17 +152,42 @@ def _cv_model(dt: float, accel_std: float) -> tuple[np.ndarray, np.ndarray]:
     return f, q
 
 
-def _predict(state: KalmanState, f: np.ndarray, q: np.ndarray) -> KalmanState:
-    mean = f @ state.mean
-    cov = f @ state.covariance @ f.T + q
-    return KalmanState(mean, 0.5 * (cov + cov.T))
+def _predict_stacked(
+    means: np.ndarray, covs: np.ndarray, f: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CV predict of N stacked states, means (N, 4) and covariances (N, 4, 4)."""
+    mean = (f @ means[:, :, None])[:, :, 0]
+    cov = f @ covs @ f.T + q
+    return mean, 0.5 * (cov + cov.transpose(0, 2, 1))
+
+
+def _update_stacked(
+    means: np.ndarray, covs: np.ndarray, zs: np.ndarray, meas_std: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joseph-form position update of N stacked states with measurements zs
+    (N, 2); see kalman_update."""
+    r = (meas_std * meas_std) * _I2
+    s = _H @ covs @ _H.T + r
+    k = np.linalg.solve(
+        s.transpose(0, 2, 1), (covs @ _H.T).transpose(0, 2, 1)
+    ).transpose(0, 2, 1)
+    mean = means + (k @ (zs[:, :, None] - _H @ means[:, :, None]))[:, :, 0]
+    ikh = _I4 - k @ _H
+    cov = ikh @ covs @ ikh.transpose(0, 2, 1) + k @ r @ k.transpose(0, 2, 1)
+    return mean, 0.5 * (cov + cov.transpose(0, 2, 1))
+
+
+def _stack_states(states: Sequence[KalmanState]) -> tuple[np.ndarray, np.ndarray]:
+    means = np.array([s.mean for s in states]).reshape(-1, 4)
+    return means, np.array([s.covariance for s in states]).reshape(-1, 4, 4)
 
 
 def kalman_predict(state: KalmanState, dt: float, accel_std: float) -> KalmanState:
     """Propagate the CV model by dt with piecewise-white-acceleration noise."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    return _predict(state, *_cv_model(dt, accel_std))
+    mean, cov = _predict_stacked(*_stack_states([state]), *_cv_model(dt, accel_std))
+    return KalmanState._built(mean[0], cov[0])
 
 
 def kalman_update(state: KalmanState, z, meas_std: float) -> KalmanState:
@@ -152,14 +197,8 @@ def kalman_update(state: KalmanState, z, meas_std: float) -> KalmanState:
     long update sequences.
     """
     z = np.asarray([z.x, z.y] if isinstance(z, PointXY) else z, dtype=float)
-    p = state.covariance
-    r = (meas_std * meas_std) * _I2
-    s = _H @ p @ _H.T + r
-    k = np.linalg.solve(s.T, (p @ _H.T).T).T
-    mean = state.mean + k @ (z - _H @ state.mean)
-    ikh = _I4 - k @ _H
-    cov = ikh @ p @ ikh.T + k @ r @ k.T
-    return KalmanState(mean, 0.5 * (cov + cov.T))
+    mean, cov = _update_stacked(*_stack_states([state]), z.reshape(1, 2), meas_std)
+    return KalmanState._built(mean[0], cov[0])
 
 
 def _position_of(item) -> tuple[float, float, str]:
@@ -178,10 +217,15 @@ def build_cost_matrix(
     frames = {p.frame for p in track_positions} | {f for _, _, f in det_xy}
     if len(frames) > 1:
         raise ValueError(f"mixed frames in association: {sorted(frames)}")
-    if not track_positions or not det_xy:
-        return np.zeros((len(track_positions), len(det_xy)))
     t = np.array([[p.x, p.y] for p in track_positions])
     d = np.array([[x, y] for x, y, _ in det_xy])
+    return _distances(t, d)
+
+
+def _distances(t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of t (n, 2) and of d (m, 2)."""
+    if not len(t) or not len(d):
+        return np.zeros((len(t), len(d)))
     return np.linalg.norm(t[:, None, :] - d[None, :, :], axis=2)
 
 
@@ -226,9 +270,18 @@ def lifecycle_step(
     detection counting as its first hit. Terminated tracks leave the set.
     """
     by_id = {t.id: t for t in tracks}
-    for track_id, det_idx, _dist in association.matches:
-        t = by_id[track_id]
-        t.state = kalman_update(t.state, measurements[det_idx], cfg.measurement_noise)
+    matched = [by_id[track_id] for track_id, _, _ in association.matches]
+    if matched:
+        zs = np.array(
+            [[measurements[j].x, measurements[j].y] for _, j, _ in association.matches],
+            dtype=float,
+        )
+        means, covs = _update_stacked(
+            *_stack_states([t.state for t in matched]), zs, cfg.measurement_noise
+        )
+        for t, mean, cov in zip(matched, means, covs):
+            t.state = KalmanState._built(mean, cov)
+    for t in matched:
         t.hit_counter = min(cfg.c_init, t.hit_counter + 1)
         t.miss_streak = 0
         t.last_update = timestamp
@@ -248,8 +301,8 @@ def lifecycle_step(
         survivors.append(
             Track(
                 id=next_id(),
-                state=KalmanState(
-                    np.array([m.x, m.y, 0.0, 0.0]),
+                state=KalmanState._built(
+                    np.array([m.x, m.y, 0.0, 0.0], dtype=float),
                     np.diag([pos_var, pos_var, vel_var, vel_var]),
                 ),
                 status=TrackStatus.CANDIDATE,
@@ -299,24 +352,28 @@ class Tracker:
             for d in detections
         ]
         dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
-        # One dt for every track: build the CV model once per frame.
-        f, q = _cv_model(dt, self.cfg.process_noise_accel)
-        for t in self._tracks:
-            t.state = _predict(t.state, f, q)
+        tracks = self._tracks
+        means = np.empty((0, 4))
+        if tracks:
+            means, covs = _predict_stacked(
+                *_stack_states([t.state for t in tracks]),
+                *_cv_model(dt, self.cfg.process_noise_accel),
+            )
+            for t, mean, cov in zip(tracks, means, covs):
+                t.state = KalmanState._built(mean, cov)
+        det_xy = np.array([[p.x, p.y] for p in points], dtype=float).reshape(-1, 2)
 
-        initiated = [t for t in self._tracks if t.status is TrackStatus.INITIATED]
-        candidates = [t for t in self._tracks if t.status is TrackStatus.CANDIDATE]
+        init_rows = [i for i, t in enumerate(tracks) if t.status is TrackStatus.INITIATED]
+        cand_rows = [i for i, t in enumerate(tracks) if t.status is TrackStatus.CANDIDATE]
+        initiated = [tracks[i] for i in init_rows]
+        candidates = [tracks[i] for i in cand_rows]
 
         a1 = solve_assignment(
-            build_cost_matrix([t.position for t in initiated], points),
-            self.cfg.gate_distance,
+            _distances(means[init_rows, :2], det_xy), self.cfg.gate_distance
         )
         leftover = a1.unmatched_detections
         a2 = solve_assignment(
-            build_cost_matrix(
-                [t.position for t in candidates], [points[j] for j in leftover]
-            ),
-            self.cfg.gate_distance,
+            _distances(means[cand_rows, :2], det_xy[leftover]), self.cfg.gate_distance
         )
 
         merged = AssociationResult(

@@ -211,6 +211,24 @@ def test_string_non_finite_timestamp_rejected(tmp_path, stamp):
     _assert_line_2_refused(path)
 
 
+@pytest.mark.parametrize("stamp", ['"0.6"', "true", "false"])
+def test_non_numeric_timestamp_rejected(tmp_path, stamp):
+    # float() would read "0.6" and true as times; the writer only emits numbers.
+    path = _stamped_file(tmp_path, stamp)
+    with pytest.raises(ds.DatasetFormatError, match="is not a number") as err:
+        ds.read_dataset(path)
+    assert err.value.line_number == 2
+    _assert_line_2_refused(path)
+
+
+def test_integer_timestamp_read_as_float(tmp_path):
+    path = _stamped_file(tmp_path, "1")
+    stream = ds.read_dataset(path, strict=False)
+    assert [r.timestamp for r in stream.records] == [0.5, 1.0]
+    assert isinstance(stream.records[1].timestamp, float)
+    assert stream.skipped_malformed == 1
+
+
 def test_record_order_checked_per_kind(tmp_path):
     # Equal timestamps are legal; scans and ground truth keep separate
     # clocks; detection, track and obstacle frames are not checked.

@@ -15,6 +15,9 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lidarmot import simulator
 from lidarmot.config import load_config
@@ -64,13 +67,17 @@ from lidarmot.simulator import (
 from lidarmot.tracking import (
     AssociationResult,
     KalmanState,
+    Track,
     Tracker,
     TrackerConfig,
     TrackStatus,
+    _cv_model,
+    _predict_stacked,
+    _stack_states,
+    _update_stacked,
     build_cost_matrix,
     kalman_predict,
     kalman_update,
-    lifecycle_step,
     solve_assignment,
 )
 from lidarmot.workflows import pose_for_scan
@@ -368,8 +375,46 @@ def ref_kalman_update(state, z, meas_std):
     return KalmanState(mean, 0.5 * (cov + cov.T))
 
 
+def ref_lifecycle_step(tracks, association, measurements, cfg, timestamp, next_id):
+    by_id = {t.id: t for t in tracks}
+    for track_id, det_idx, _dist in association.matches:
+        t = by_id[track_id]
+        t.state = ref_kalman_update(t.state, measurements[det_idx], cfg.measurement_noise)
+        t.hit_counter = min(cfg.c_init, t.hit_counter + 1)
+        t.miss_streak = 0
+        t.last_update = timestamp
+        if t.status is TrackStatus.CANDIDATE and t.hit_counter >= cfg.c_init:
+            t.status = TrackStatus.INITIATED
+    for track_id in association.unmatched_tracks:
+        t = by_id[track_id]
+        t.hit_counter = max(0, t.hit_counter - 1)
+        t.miss_streak += 1
+        if t.miss_streak > cfg.c_del:
+            t.status = TrackStatus.TERMINATED
+    survivors = [t for t in tracks if t.status is not TrackStatus.TERMINATED]
+    pos_var = cfg.measurement_noise**2
+    vel_var = cfg.initial_velocity_std**2
+    for det_idx in association.unmatched_detections:
+        m = measurements[det_idx]
+        survivors.append(
+            Track(
+                id=next_id(),
+                state=KalmanState(
+                    np.array([m.x, m.y, 0.0, 0.0]),
+                    np.diag([pos_var, pos_var, vel_var, vel_var]),
+                ),
+                status=TrackStatus.CANDIDATE,
+                hit_counter=1,
+                miss_streak=0,
+                last_update=timestamp,
+            )
+        )
+    return survivors
+
+
 class RefTracker(Tracker):
-    """``Tracker.update`` with ``kalman_predict`` called once per track."""
+    """``Tracker.update`` with ``kalman_predict`` and ``kalman_update`` called
+    once per track, and track positions read one ``PointXY`` at a time."""
 
     def update(self, detections, robot_pose_in_odom, timestamp):
         if self._last_timestamp is not None and timestamp < self._last_timestamp:
@@ -404,7 +449,7 @@ class RefTracker(Tracker):
             + [candidates[r].id for r in a2.unmatched_tracks],
             unmatched_detections=[leftover[c] for c in a2.unmatched_detections],
         )
-        self._tracks = lifecycle_step(
+        self._tracks = ref_lifecycle_step(
             self._tracks, merged, points, self.cfg, timestamp, self._issue_id
         )
         self._last_timestamp = timestamp
@@ -782,6 +827,14 @@ def scene_scans():
     return {name: run_scenario(cfg)[0] for name, cfg in SCENES.items()}
 
 
+@pytest.fixture(scope="module")
+def dense_scans():
+    """20 persons in the 8 m room: more than ten live tracks per frame."""
+    cfg = ScenarioConfig(kind="mr1", duration=4.0, seed=15, n_persons=20,
+                         arena=(-4.0, -4.0, 4.0, 4.0))
+    return run_scenario(cfg)[0]
+
+
 def track_key(track) -> tuple:
     return (
         track.id, track.status, track.hit_counter, track.miss_streak,
@@ -990,6 +1043,61 @@ class TestTrackerEquivalence:
     def test_scene_tracks(self, scene_scans, scene, preset):
         frames = detection_stream(scene_scans[scene], preset)
         assert assert_same_tracking(frames, load_config(preset).tracker) > 0
+
+    @pytest.mark.parametrize("preset", ["config-1", "config-3"])
+    def test_dense_crowd(self, dense_scans, preset):
+        # Three blank scans mid-stream leave every live track unmatched.
+        frames = detection_stream(dense_scans, preset)
+        frames[40:43] = [([], pose, t) for _, pose, t in frames[40:43]]
+        cfg = load_config(preset).tracker
+        assert assert_same_tracking(frames, cfg) > 0
+        ref, crowded, unmatched = RefTracker(cfg), 0, 0
+        for detections, pose, t in frames:
+            live = len(ref.tracks)
+            ref.update(detections, pose, t)
+            crowded += live > 10
+            unmatched += live > 0 and all(x.last_update < t for x in ref.tracks)
+        assert crowded > 0 and unmatched == 3
+
+    def test_mutating_returned_tracks_changes_nothing(self, scene_scans):
+        # Returned tracks own their arrays; none is a view of tracker state.
+        frames = detection_stream(scene_scans["crowd"], "config-3")
+        cfg = load_config("config-3").tracker
+        clean, poked = Tracker(cfg), Tracker(cfg)
+        reported = 0
+        for detections, pose, t in frames:
+            expected = [track_key(x) for x in clean.update(detections, pose, t)]
+            got = poked.update(detections, pose, t)
+            assert [track_key(x) for x in got] == expected
+            snapshots = poked.tracks
+            assert [track_key(x) for x in snapshots] == [track_key(x) for x in clean.tracks]
+            for x in got + snapshots:
+                x.state.mean += 1.0
+                x.state.covariance *= 2.0
+            reported += len(got)
+        assert reported > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 40),
+        dt=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        accel=st.floats(0.0, 3.0),
+        std=st.floats(0.01, 0.5),
+        data=st.data(),
+    )
+    def test_stacked_filter_matches_per_track_calls(self, n, dt, accel, std, data):
+        values = st.floats(-10.0, 10.0)
+        means = data.draw(arrays(np.float64, (n, 4), elements=values))
+        roots = data.draw(arrays(np.float64, (n, 4, 4), elements=values))
+        zs = data.draw(arrays(np.float64, (n, 2), elements=values))
+        states = [KalmanState(m, r @ r.T + 1e-3 * np.eye(4)) for m, r in zip(means, roots)]
+        pm, pc = _predict_stacked(*_stack_states(states), *_cv_model(dt, accel))
+        um, uc = _update_stacked(*_stack_states(states), zs, std)
+        assert pm.shape == um.shape == (n, 4) and pc.shape == uc.shape == (n, 4, 4)
+        for state, z, *stacked in zip(states, zs, pm, pc, um, uc):
+            p, u = ref_kalman_predict(state, dt, accel), ref_kalman_update(state, z, std)
+            expected = [p.mean, p.covariance, u.mean, u.covariance]
+            assert all(map(same_array, stacked, expected))
 
     def test_first_frame_with_no_tracks(self):
         pose = Pose2D(0.5, -0.2, 0.3, 0.0)
