@@ -105,6 +105,11 @@ def write_dataset(
     tmp.replace(path)
 
 
+def _is_number(value) -> bool:
+    # bool is an int subclass, but JSON true/false is no number.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
     """Read a record file.
 
@@ -133,8 +138,7 @@ def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
                     stream.skipped_unknown += 1
                     continue
                 t = obj.pop("t")
-                # bool is an int subclass, but JSON true/false is no number.
-                if isinstance(t, bool) or not isinstance(t, (int, float)):
+                if not _is_number(t):
                     raise ValueError(f"timestamp {t!r} is not a number")
                 t = float(t)
                 if not math.isfinite(t):
@@ -162,12 +166,18 @@ def _pose_payload(pose: Pose2D) -> dict:
     return {"x": pose.x, "y": pose.y, "theta": pose.theta}
 
 
-def _pose_from(payload: dict, timestamp: float) -> Pose2D:
-    return Pose2D(payload["x"], payload["y"], payload["theta"], timestamp)
+def _pose_from(payload: dict, timestamp: float, kind: str, name: str) -> Pose2D:
+    x, y, theta = payload["x"], payload["y"], payload["theta"]
+    if not (_is_number(x) and _is_number(y) and _is_number(theta)):
+        key = next(k for k in ("x", "y", "theta") if not _is_number(payload[k]))
+        raise DatasetFormatError(
+            f"{kind} at t={timestamp!r}: {name}.{key} is {payload[key]!r}, not a number"
+        )
+    return Pose2D(x, y, theta, timestamp)
 
 
 def scan_to_record(scan: LidarScan) -> DatasetRecord:
-    ranges = [None if math.isinf(r) else float(r) for r in scan.ranges]
+    ranges = [None if math.isinf(r) else r for r in scan.ranges.tolist()]
     payload = {
         "angle_min": scan.angle_min,
         "angle_increment": scan.angle_increment,
@@ -180,12 +190,24 @@ def scan_to_record(scan: LidarScan) -> DatasetRecord:
     return DatasetRecord("scan", scan.timestamp, payload)
 
 
+#: What a scan's ``ranges`` may hold: JSON numbers, or null for no return.
+_RANGE_TYPES = {float, int, type(None)}
+
+
 def record_to_scan(rec: DatasetRecord) -> LidarScan:
+    """Decode a scan record; a range or pose value that is not a JSON number
+    (a string, ``true``) raises DatasetFormatError naming the scan's time."""
     p = rec.payload
-    ranges = np.array(
-        [NO_RETURN if r is None else float(r) for r in p["ranges"]], dtype=float
-    )
-    pose = _pose_from(p["pose"], rec.timestamp) if "pose" in p else None
+    ranges = p["ranges"]
+    if type(ranges) is not list:
+        raise DatasetFormatError(f"scan at t={rec.timestamp!r}: ranges is {ranges!r}, not a list")
+    if not _RANGE_TYPES.issuperset(map(type, ranges)):
+        i, bad = next((i, r) for i, r in enumerate(ranges) if type(r) not in _RANGE_TYPES)
+        raise DatasetFormatError(
+            f"scan at t={rec.timestamp!r}: ranges[{i}] is {bad!r}, not a number or null"
+        )
+    ranges = np.array([NO_RETURN if r is None else r for r in ranges], dtype=float)
+    pose = _pose_from(p["pose"], rec.timestamp, "scan", "pose") if "pose" in p else None
     return LidarScan(
         timestamp=rec.timestamp,
         ranges=ranges,
@@ -216,7 +238,7 @@ def record_to_ground_truth(rec: DatasetRecord) -> GroundTruthFrame:
             (int(q["id"]), PointXY(q["x"], q["y"], frame=ODOM_FRAME))
             for q in p["persons"]
         ),
-        robot_pose=_pose_from(p["robot"], rec.timestamp),
+        robot_pose=_pose_from(p["robot"], rec.timestamp, "ground_truth", "robot"),
     )
 
 

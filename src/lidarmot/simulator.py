@@ -10,12 +10,20 @@ geometry, which the occlusion and avoidance experiments build on.
 All randomness derives from the scenario seed; the scan clock (20 Hz) and
 ground-truth clock (100 Hz) are exact rationals of the same tick, so a run
 is bit-reproducible.
+
+The two hot paths, ``step_world`` and the ray cast, work on Python floats
+and on sparse selections, but every product whose rounding numpy decides
+stays a numpy call: the per-circle beam matvecs (stacked, still one gemv
+per circle), the dot products of the segment clearance (BLAS may fuse a
+multiply-add) and np.hypot (it can differ from math.hypot in the last bit).
+So scans, labels and ground truth stay bit for bit those of the
+straightforward per-shape formulation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -183,18 +191,33 @@ class WorldState:
     keep_out: tuple[Segment, ...] = ()
 
 
-def _point_segment_distance(p: np.ndarray, seg: Segment) -> tuple[float, np.ndarray]:
-    """Distance from a point to a segment and the outward unit direction."""
-    a = np.array([seg.x1, seg.y1])
-    b = np.array([seg.x2, seg.y2])
-    ab = b - a
+def _point_segment_distance(
+    x: float, y: float, seg: Segment
+) -> tuple[float, float, float]:
+    """Distance from a point to a segment and the outward unit direction
+    ``(d, ux, uy)``.
+
+    Python floats throughout, except the two dot products and the hypot:
+    numpy's BLAS dot may fuse a multiply-add, and np.hypot can differ from
+    math.hypot in the last bit, so both stay numpy to keep the rounding of
+    the 2-vector formulation.
+    """
+    ax, ay = seg.x1, seg.y1
+    abx, aby = seg.x2 - ax, seg.y2 - ay
+    ab = np.array([abx, aby])
     denom = float(ab @ ab)
-    u = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    closest = a + u * ab
-    delta = p - closest
-    d = float(np.hypot(*delta))
-    direction = delta / d if d > 1e-9 else np.array([0.0, 1.0])
-    return d, direction
+    if denom == 0:
+        u = 0.0
+    else:
+        # The same rule as np.clip with scalar bounds: on a tie the value
+        # wins (-0.0 stays -0.0), and NaN passes through.
+        u = min(max(float(np.array([x - ax, y - ay]) @ ab) / denom, 0.0), 1.0)
+    dx = x - (ax + u * abx)
+    dy = y - (ay + u * aby)
+    d = float(np.hypot(dx, dy))
+    if d > 1e-9:
+        return d, dx / d, dy / d
+    return d, 0.0, 1.0
 
 
 def _reflect_axis(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:
@@ -224,28 +247,35 @@ def step_world(
     bound on its distance (math.hypot, or the distance to an edge's bounding
     box) clears the threshold by more than 1e-9, which no rounding can undo.
     Every distance that decides a push is np.hypot (which can differ from
-    math.hypot in the last bit) or :func:`_point_segment_distance`, so
-    positions stay bit-for-bit those of the 2-vector formulation.
+    math.hypot in the last bit) or :func:`_point_segment_distance` (which
+    keeps its dot products in numpy), so positions stay bit-for-bit those of
+    the 2-vector formulation. Each agent gets one new AgentModel and its
+    position array is built once, after the pushes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     x0, y0, x1, y1 = state.arena
     lo_x, lo_y = x0 + wall_margin, y0 + wall_margin
     hi_x, hi_y = x1 - wall_margin, y1 - wall_margin
-    agents = [a.copy() for a in state.agents]
+    agents: list[AgentModel] = []
     free: list[AgentModel] = []
     xs: list[float] = []
     ys: list[float] = []
-    for a in agents:
-        px = float(a.position[0]) + float(a.velocity[0]) * dt
-        py = float(a.position[1]) + float(a.velocity[1]) * dt
+    for a in state.agents:
+        (px, py), (vx, vy) = a.position.tolist(), a.velocity.tolist()
+        px = px + vx * dt
+        py = py + vy * dt
         if a.scripted:
-            a.position = np.array([px, py])
+            agents.append(AgentModel(
+                a.id, a.radius, np.array([px, py]), a.velocity.copy(), True, a.next_resample
+            ))
             continue
-        px, vx = _reflect_axis(px, float(a.velocity[0]), lo_x, hi_x)
-        py, vy = _reflect_axis(py, float(a.velocity[1]), lo_y, hi_y)
-        a.velocity = np.array([vx, vy])
-        free.append(a)
+        px, vx = _reflect_axis(px, vx, lo_x, hi_x)
+        py, vy = _reflect_axis(py, vy, lo_y, hi_y)
+        # The position is set once the pushes below are resolved.
+        moved = AgentModel(a.id, a.radius, a.position, np.array([vx, vy]), False, a.next_resample)
+        agents.append(moved)
+        free.append(moved)
         xs.append(px)
         ys.append(py)
 
@@ -311,10 +341,10 @@ def step_world(
                 gap_y = max(by0 - y, y - by1, 0.0)
                 if math.hypot(gap_x, gap_y) > clear + 1e-9:
                     continue
-                d, direction = _point_segment_distance(np.array([x, y]), seg)
+                d, ux, uy = _point_segment_distance(x, y, seg)
                 if d < clear:
-                    x = x + float(direction[0]) * (clear - d)
-                    y = y + float(direction[1]) * (clear - d)
+                    x = x + ux * (clear - d)
+                    y = y + uy * (clear - d)
             # Same tie rule as np.clip: a bound equal to the value wins.
             xs[i] = min(hi_x, max(lo_x, x))
             ys[i] = min(hi_y, max(lo_y, y))
@@ -345,28 +375,43 @@ def _ray_circles(
     origin: np.ndarray, dirs: np.ndarray, circles: Sequence[tuple[float, float, float]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-hit distances and the index of the hit circle per beam, all
-    circles x beams in one pass."""
+    circles x beams in one pass.
+
+    ``b`` is one stacked product, for which numpy still makes one matvec per
+    circle: a single circles x beams gemm, or a matvec over a slice of the
+    beams, rounds differently in some of them. Roots are taken only where a
+    beam meets a circle, and each beam keeps its nearest root; ties go to
+    the first circle, as a strict ``<`` scan over the circles does.
+    """
     n = len(dirs)
+    best = np.full(n, np.inf)
+    label = np.full(n, -1, dtype=int)
     if not circles:
-        return np.full(n, np.inf), np.full(n, -1, dtype=int)
-    b = np.empty((len(circles), n))
-    c0 = np.empty((len(circles), 1))
-    for k, (cx, cy, rad) in enumerate(circles):
-        # One matvec per circle: a single circles x beams product rounds
-        # differently in a quarter of the beams.
-        m = np.array([cx, cy]) - origin
-        b[k] = dirs @ m
-        c0[k] = float(m @ m) - rad * rad
-    disc = b * b - c0
-    ok = disc >= 0
-    sq = np.sqrt(np.where(ok, disc, 0.0))
+        return best, label
+    shapes = np.array(circles, dtype=float)
+    m = shapes[:, :2] - origin
+    # Flat circle-major index: pair (k, j) of circle k and beam j is k * n + j.
+    b = (dirs @ m[:, :, None]).ravel()
+    c0 = (m[:, None, :] @ m[:, :, None]).ravel() - shapes[:, 2] * shapes[:, 2]
+    disc = (b * b).reshape(len(shapes), n)
+    disc -= c0[:, None]
+    pair = np.flatnonzero(disc >= 0)
+    b = b[pair]
+    sq = np.sqrt(disc.ravel()[pair])
     t_near = b - sq
     t = np.where(t_near > 1e-9, t_near, b + sq)
-    t = np.where(ok & (t > 1e-9), t, np.inf)
-    # argmin keeps the first of equal distances, as a strict ``<`` scan does.
-    k = np.argmin(t, axis=0)
-    best = t[k, np.arange(n)]
-    return best, np.where(best < np.inf, k, -1)
+    hit = t > 1e-9
+    pair, t = pair[hit], t[hit]
+    beam = pair % n
+    # A stable sort on (beam, t) keeps equal distances in circle order.
+    order = np.lexsort((t, beam))
+    pair, beam, t = pair[order], beam[order], t[order]
+    nearest = np.ones(len(beam), dtype=bool)
+    nearest[1:] = beam[1:] != beam[:-1]
+    beam = beam[nearest]
+    best[beam] = t[nearest]
+    label[beam] = pair[nearest] // n
+    return best, label
 
 
 def _ray_segments(
@@ -410,24 +455,18 @@ def raycast_scan(
     angles = pose.theta + lidar.angle_min + np.arange(lidar.n_beams) * lidar.angle_increment
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
-    agent_circles = [
-        (float(a.position[0]), float(a.position[1]), a.radius) for a in state.agents
-    ]
-    t_agents, which_agent = _ray_circles(origin, dirs, agent_circles)
-    t_static_c, _ = _ray_circles(
-        origin, dirs, [(c.x, c.y, c.radius) for c in state.circles]
-    )
-    t_static_s = _ray_segments(origin, dirs, state.segments)
-    t_static = np.minimum(t_static_c, t_static_s)
+    # Agents first, so a tie with a static circle goes to the agent.
+    circles = [(*a.position.tolist(), a.radius) for a in state.agents]
+    circles += [(c.x, c.y, c.radius) for c in state.circles]
+    t_circles, which = _ray_circles(origin, dirs, circles)
+    t_segments = _ray_segments(origin, dirs, state.segments)
+    best = np.minimum(t_circles, t_segments)
 
-    best = np.minimum(t_agents, t_static)
     labels = np.full(lidar.n_beams, NO_LABEL, dtype=int)
     agent_ids = np.array([a.id for a in state.agents], dtype=int)
-    agent_hit = (t_agents <= t_static) & np.isfinite(t_agents)
-    if len(agent_ids):
-        labels[agent_hit] = agent_ids[which_agent[agent_hit]]
-    static_hit = np.isfinite(t_static) & ~agent_hit
-    labels[static_hit] = STATIC_LABEL
+    agent_hit = (which >= 0) & (which < len(agent_ids)) & (t_circles <= t_segments)
+    labels[agent_hit] = agent_ids[which[agent_hit]]
+    labels[np.isfinite(best) & ~agent_hit] = STATIC_LABEL
 
     in_range = best <= lidar.range_max
     ranges = np.where(in_range, best, NO_RETURN)
@@ -667,7 +706,7 @@ class Scenario:
                 ):
                     continue
                 if any(
-                    _point_segment_distance(pos, seg)[0] < cfg.person_radius + 0.3
+                    _point_segment_distance(*pos.tolist(), seg)[0] < cfg.person_radius + 0.3
                     for seg in keep_out
                 ):
                     continue
@@ -764,7 +803,8 @@ class Scenario:
             # Pin both clocks to the exact rational tick so timestamps never
             # drift from float accumulation across a long run.
             self.state.time = k / GT_RATE_HZ
-            self.state.robot = replace(self.state.robot, timestamp=self.state.time)
+            r = self.state.robot
+            self.state.robot = Pose2D(r.x, r.y, r.theta, self.state.time)
             yield emit_ground_truth(self.state)
             if k % ticks_per_scan == 0:
                 yield raycast_scan(

@@ -200,6 +200,30 @@ class TestErrors:
         assert run([command, "--in", data, "--out", tmp_path / "lenient",
                     "--no-strict"]) == 0
 
+    @pytest.mark.parametrize("name,command,where,value,expected", [
+        ("scans.jsonl", "pipeline", "ranges", "1.5", "ranges[0] is '1.5'"),
+        ("scans.jsonl", "pipeline", "pose", True, "pose.x is True"),
+        ("ground_truth.jsonl", "bench", "robot", "0.5", "robot.x is '0.5'"),
+    ])
+    def test_non_numeric_payload_exits_2(self, tmp_path, capsys, name, command, where,
+                                         value, expected):
+        data = tmp_path / "data"
+        assert run(["simulate", "--kind", "sr", "--seed", "2", "--duration", "1",
+                    "--out", data]) == 0
+        path = data / name
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[3])
+        if where == "ranges":
+            rec["ranges"][0] = value
+        else:
+            rec[where]["x"] = value
+        lines[3] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert f"at t={rec['t']!r}: {expected}" in err
+
     def test_missing_input_exits_nonzero(self, tmp_path):
         assert run(["evaluate", "--in", tmp_path / "nope", "--out", tmp_path]) == 2
 

@@ -253,3 +253,54 @@ def test_simulated_files_read_in_order(tmp_path):
     ds.write_dataset((ds.ground_truth_to_record(f) for f in gt), tmp_path / "g.jsonl")
     assert len(ds.read_dataset(tmp_path / "s.jsonl").records) == len(scans)
     assert len(ds.read_dataset(tmp_path / "g.jsonl").records) == len(gt)
+
+
+def _scan_record(ranges, pose=None, t=0.05):
+    payload = {"angle_min": 0.0, "angle_increment": 0.01, "range_max": 30.0,
+               "frame": "laser", "ranges": ranges}
+    if pose is not None:
+        payload["pose"] = pose
+    return ds.DatasetRecord("scan", t, payload)
+
+
+@pytest.mark.parametrize("bad", ["1.5", True, False, [1.0], {"r": 1.0}])
+def test_non_numeric_range_rejected(bad):
+    # float() would read "1.5" as 1.5 and true as 1.0.
+    with pytest.raises(ds.DatasetFormatError, match=r"scan at t=0\.05: ranges\[2\] is "):
+        ds.record_to_scan(_scan_record([1.0, None, bad, 2.0]))
+
+
+def test_non_list_ranges_rejected():
+    with pytest.raises(ds.DatasetFormatError, match=r"t=0\.05: ranges is '1\.0 2\.0'"):
+        ds.record_to_scan(_scan_record("1.0 2.0"))
+
+
+@pytest.mark.parametrize("key", ["x", "y", "theta"])
+@pytest.mark.parametrize("bad", ["0.5", True, None])
+def test_non_numeric_pose_rejected(key, bad):
+    pose = {"x": 0.5, "y": -1.0, "theta": 0.25, key: bad}
+    with pytest.raises(ds.DatasetFormatError, match=rf"scan at t=0\.05: pose\.{key} is "):
+        ds.record_to_scan(_scan_record([1.0], pose))
+    rec = ds.DatasetRecord("ground_truth", 0.02, {"persons": [], "robot": pose})
+    with pytest.raises(ds.DatasetFormatError, match=rf"ground_truth at t=0\.02: robot\.{key} is "):
+        ds.record_to_ground_truth(rec)
+
+
+def test_null_and_integer_values_read():
+    scan = ds.record_to_scan(_scan_record([None, 2, 1.5], {"x": 1, "y": 0, "theta": 0.5}))
+    assert scan.ranges.dtype == np.float64
+    assert scan.ranges.tolist() == [NO_RETURN, 2.0, 1.5]
+    assert scan.pose == Pose2D(1, 0, 0.5, 0.05)
+
+
+def test_scan_lines_written_as_before(tmp_path):
+    # Shortest-repr floats and null for no return, the same bytes as
+    # float() over each numpy scalar gives.
+    ranges = np.array([1.0, NO_RETURN, 0.1 + 0.2, 1e-7, 29.999999999999996, NO_RETURN])
+    scan = LidarScan(0.05, ranges, -2.35, 0.004, 30.0, pose=Pose2D(0.1, -0.2, 3.0, 0.05))
+    expected = [None if math.isinf(r) else float(r) for r in scan.ranges]
+    assert ds.scan_to_record(scan).payload["ranges"] == expected
+    path = tmp_path / "s.jsonl"
+    ds.write_dataset([ds.scan_to_record(scan)], path)
+    line = path.read_text().splitlines()[1]
+    assert '"ranges":[1.0,null,0.30000000000000004,1e-07,29.999999999999996,null]' in line

@@ -56,11 +56,14 @@ from lidarmot.simulator import (
     ROBOT_WALL_MARGIN,
     AgentModel,
     Circle,
+    LidarParams,
     ScenarioConfig,
     Segment,
     WorldState,
+    _point_segment_distance,
     _ray_circles,
     _ray_segments,
+    raycast_scan,
     run_scenario,
     step_world,
 )
@@ -222,6 +225,47 @@ def ref_ray_segments(origin, dirs, segments):
         hit = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= 0.0) & (u <= 1.0)
         best = np.where(hit & (t < best), t, best)
     return best
+
+
+def ref_raycast_scan(state, lidar, noise_std=0.0, dropout_prob=0.0, rng=None,
+                     with_labels=False):
+    pose = state.robot
+    origin = np.array([pose.x, pose.y])
+    angles = pose.theta + lidar.angle_min + np.arange(lidar.n_beams) * lidar.angle_increment
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    agent_circles = [
+        (float(a.position[0]), float(a.position[1]), a.radius) for a in state.agents
+    ]
+    t_agents, which_agent = ref_ray_circles(origin, dirs, agent_circles)
+    t_static_c, _ = ref_ray_circles(origin, dirs, [(c.x, c.y, c.radius) for c in state.circles])
+    t_static_s = ref_ray_segments(origin, dirs, state.segments)
+    t_static = np.minimum(t_static_c, t_static_s)
+    best = np.minimum(t_agents, t_static)
+    labels = np.full(lidar.n_beams, simulator.NO_LABEL, dtype=int)
+    agent_ids = np.array([a.id for a in state.agents], dtype=int)
+    agent_hit = (t_agents <= t_static) & np.isfinite(t_agents)
+    if len(agent_ids):
+        labels[agent_hit] = agent_ids[which_agent[agent_hit]]
+    static_hit = np.isfinite(t_static) & ~agent_hit
+    labels[static_hit] = simulator.STATIC_LABEL
+    in_range = best <= lidar.range_max
+    ranges = np.where(in_range, best, NO_RETURN)
+    labels[~in_range] = simulator.NO_LABEL
+    finite = np.isfinite(ranges)
+    if rng is not None and noise_std > 0:
+        noise = np.clip(
+            rng.normal(0.0, noise_std, lidar.n_beams), -3 * noise_std, 3 * noise_std
+        )
+        ranges = np.where(finite, np.clip(ranges + noise, 1e-6, lidar.range_max), ranges)
+    if rng is not None and dropout_prob > 0:
+        dropped = finite & (rng.random(lidar.n_beams) < dropout_prob)
+        ranges = np.where(dropped, NO_RETURN, ranges)
+        labels[dropped] = simulator.NO_LABEL
+    scan = LidarScan(
+        timestamp=state.time, ranges=ranges, angle_min=lidar.angle_min,
+        angle_increment=lidar.angle_increment, range_max=lidar.range_max, pose=pose,
+    )
+    return (scan, labels) if with_labels else scan
 
 
 def ref_interpolate_ground_truth(gt_frames, t, tolerance=0.02):
@@ -631,6 +675,58 @@ class TestStepWorldEquivalence:
         assert repr(float(ref.agents[1].position[1])) == "0.0"
 
 
+# -- point to segment ------------------------------------------------------
+
+
+def assert_same_distance(x: float, y: float, seg: Segment) -> tuple[float, float, float]:
+    got = _point_segment_distance(x, y, seg)
+    d, direction = ref_point_segment_distance(np.array([x, y]), seg)
+    assert tuple(map(repr, got)) == (repr(d), repr(float(direction[0])), repr(float(direction[1])))
+    return got
+
+
+class TestPointSegmentDistanceEquivalence:
+    def test_random_points_and_segments(self):
+        rng = np.random.default_rng(31)
+        for _ in range(3000):
+            x, y = rng.uniform(-4, 4, 2).tolist()
+            assert_same_distance(x, y, Segment(*rng.uniform(-3, 3, 4).tolist()))
+
+    def test_zero_length_segment(self):
+        seg = Segment(0.5, -1.25, 0.5, -1.25)
+        assert_same_distance(2.0, 3.0, seg)
+        assert assert_same_distance(0.5, -1.25, seg) == (0.0, 0.0, 1.0)
+
+    def test_point_on_segment(self):
+        seg = Segment(-1.0, 0.5, 2.0, 1.5)
+        for u in (0.0, 0.25, 1 / 3, 0.5, 0.7, 1.0):
+            d, ux, uy = assert_same_distance(-1.0 + u * 3.0, 0.5 + u * 1.0, seg)
+            assert d <= 1e-9 and (ux, uy) == (0.0, 1.0)
+
+    def test_projection_exactly_on_the_ends(self):
+        # u is exactly 0 and 1 at x = 0 and x = 2, and clamps to them beyond.
+        seg = Segment(0.0, 0.0, 2.0, 0.0)
+        for x in (0.0, 2.0, -0.5, 2.5, 1.0):
+            assert_same_distance(x, 1.0, seg)
+            assert_same_distance(x, -1.0, Segment(2.0, 0.0, 0.0, 0.0))
+
+    def test_signed_zero_projection(self):
+        # u = (p - a) . ab / |ab|^2 underflows to -0.0. np.clip with scalar
+        # bounds keeps the value on a tie, so u stays -0.0; the bound 0.0
+        # would flip the sign of the x direction.
+        seg = Segment(-0.0, 0.0, 3.0, 5e-324)
+        x, y = -0.0, -1.0
+        ab = np.array([seg.x2 - seg.x1, seg.y2 - seg.y1])
+        u = float(np.array([x - seg.x1, y - seg.y1]) @ ab) / float(ab @ ab)
+        assert repr(u) == "-0.0"
+        d, ux, uy = assert_same_distance(x, y, seg)
+        assert (repr(d), repr(ux), repr(uy)) == ("1.0", "0.0", "-1.0")
+
+    def test_nan_point(self):
+        got = assert_same_distance(math.nan, 1.0, Segment(0.0, 0.0, 2.0, 0.0))
+        assert repr(got) == "(nan, 0.0, 1.0)"
+
+
 # -- raycast ---------------------------------------------------------------
 
 
@@ -690,19 +786,95 @@ class TestRaycastEquivalence:
         assert same_array(best, ref_best) and same_array(label, ref_label)
         assert same_array(_ray_segments(origin, dirs, []), ref_ray_segments(origin, dirs, []))
 
-    def test_scenario_streams_match_reference_physics(self, monkeypatch):
-        cfg = ScenarioConfig(kind="mr2", duration=3.0, seed=5, n_persons=6,
-                             arena=(-3.0, -3.0, 3.0, 3.0))
+    def test_beam_tangent_to_circle(self):
+        # The axis beams graze both circles: disc is exactly 0 there.
+        origin = np.zeros(2)
+        dirs = np.vstack([[[1.0, 0.0], [0.0, 1.0]], beam_dirs(0.2, 100)])
+        circles = [(2.0, 1.0, 1.0), (-1.0, 3.0, 1.0), (0.5, 0.5, 0.1)]
+        best, label = _ray_circles(origin, dirs, circles)
+        ref_best, ref_label = ref_ray_circles(origin, dirs, circles)
+        assert same_array(best, ref_best) and same_array(label, ref_label)
+        assert list(best[:2]) == [2.0, 3.0] and list(label[:2]) == [0, 1]
+
+    def test_circle_in_the_blind_wedge(self):
+        # The beams span 270 degrees about heading 0; circle 1 sits straight
+        # behind, in the 90 degree wedge no beam reaches.
+        origin, dirs = np.zeros(2), beam_dirs(0.0)
+        circles = [(1.5, 0.5, 0.3), (-3.0, 0.0, 0.5), (2.0, -1.0, 0.3)]
+        best, label = _ray_circles(origin, dirs, circles)
+        ref_best, ref_label = ref_ray_circles(origin, dirs, circles)
+        assert same_array(best, ref_best) and same_array(label, ref_label)
+        assert set(label.tolist()) == {-1, 0, 2}
+
+    def test_exact_ties_at_non_adjacent_indices(self):
+        rng = np.random.default_rng(21)
+        origin, dirs = np.array([0.3, -0.2]), beam_dirs(0.4)
+        circles = [(*rng.uniform(-6, 6, 2).tolist(), float(rng.uniform(0.05, 0.4)))
+                   for _ in range(34)]
+        circles[2], circles[14] = (1.8, 0.4, 0.3), (0.1, 1.6, 0.25)
+        for copy, source in ((9, 2), (20, 2), (31, 14), (25, 14)):
+            circles[copy] = circles[source]
+        best, label = _ray_circles(origin, dirs, circles)
+        ref_best, ref_label = ref_ray_circles(origin, dirs, circles)
+        assert same_array(best, ref_best) and same_array(label, ref_label)
+        # Both copied circles are the nearest hit on some beams, where each
+        # ties with its copies; the first index must win.
+        per_circle = np.array([ref_ray_circles(origin, dirs, [c])[0] for c in circles])
+        tied = ((per_circle == best).sum(axis=0) >= 2) & np.isfinite(best)
+        assert set(label[tied].tolist()) == {2, 14}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scan_labels_of_random_worlds(self, seed):
+        # One pass over agent and static circles labels every beam as the
+        # separate agent and static passes did, ties included: agent 0 has
+        # a static twin.
+        rng = np.random.default_rng(300 + seed)
+        state = random_world(rng)
+        if state.agents:
+            a = state.agents[0]
+            state.circles += (Circle(float(a.position[0]), float(a.position[1]), a.radius),)
+        lidar = LidarParams()
+        got = raycast_scan(state, lidar, 0.01, 0.01, np.random.default_rng(seed), with_labels=True)
+        ref = ref_raycast_scan(state, lidar, 0.01, 0.01, np.random.default_rng(seed),
+                               with_labels=True)
+        assert same_array(got[0].ranges, ref[0].ranges) and same_array(got[1], ref[1])
+
+    def test_scan_label_ties_and_blind_wedge_agent(self):
+        # Agent 7 ties with a static twin and a wall on the heading beam;
+        # agent 8 stands in the blind wedge.
+        agents = [agent(7, (2.0, 0.0), radius=0.5), agent(8, (-3.0, 0.0))]
+        state = make_world(agents, [Circle(2.0, 0.0, 0.5)], [Segment(1.5, -1.0, 1.5, 1.0)])
+        lidar = LidarParams()
+        scan, labels = raycast_scan(state, lidar, with_labels=True)
+        ref_scan, ref_labels = ref_raycast_scan(state, lidar, with_labels=True)
+        assert same_array(scan.ranges, ref_scan.ranges) and same_array(labels, ref_labels)
+        assert scan.ranges[540] == 1.5 and labels[540] == 7
+        assert 8 not in labels
+
+    @staticmethod
+    def assert_stream_matches_reference(cfg, monkeypatch):
         scans, gt, labels = run_scenario(cfg, labels=True)
-        monkeypatch.setattr(simulator, "step_world", ref_step_world)
-        monkeypatch.setattr(simulator, "_ray_circles", ref_ray_circles)
-        monkeypatch.setattr(simulator, "_ray_segments", ref_ray_segments)
-        ref_scans, ref_gt, ref_labels = run_scenario(cfg, labels=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "step_world", ref_step_world)
+            patch.setattr(simulator, "raycast_scan", ref_raycast_scan)
+            patch.setattr(simulator, "_ray_circles", ref_ray_circles)
+            patch.setattr(simulator, "_ray_segments", ref_ray_segments)
+            ref_scans, ref_gt, ref_labels = run_scenario(cfg, labels=True)
         assert [frame_key(f) for f in gt] == [frame_key(f) for f in ref_gt]
         assert len(scans) == len(ref_scans)
         for a, b, la, lb in zip(scans, ref_scans, labels, ref_labels):
             assert repr(a.pose) == repr(b.pose)
             assert same_array(a.ranges, b.ranges) and same_array(la, lb)
+
+    def test_scenario_streams_match_reference_physics(self, monkeypatch):
+        cfg = ScenarioConfig(kind="mr2", duration=3.0, seed=5, n_persons=6,
+                             arena=(-3.0, -3.0, 3.0, 3.0))
+        self.assert_stream_matches_reference(cfg, monkeypatch)
+
+    def test_crowd_stream_matches_reference_physics(self, monkeypatch):
+        cfg = ScenarioConfig(kind="mr1", duration=2.0, seed=71, n_persons=10,
+                             arena=(-4.0, -4.0, 4.0, 4.0))
+        self.assert_stream_matches_reference(cfg, monkeypatch)
 
 
 # -- evaluator -------------------------------------------------------------
