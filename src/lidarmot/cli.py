@@ -75,16 +75,10 @@ def _load_run_config(args):
     return cfg
 
 
-def _read_scans(path: Path, strict: bool):
+def _read(path: Path, kind: str, decode, strict: bool) -> list:
+    """Every ``kind`` record of a dataset file, decoded, in file order."""
     stream = ds.read_dataset(path, strict=strict)
-    return [ds.record_to_scan(r) for r in stream.records if r.kind == "scan"]
-
-
-def _read_ground_truth(path: Path, strict: bool):
-    stream = ds.read_dataset(path, strict=strict)
-    return [
-        ds.record_to_ground_truth(r) for r in stream.records if r.kind == "ground_truth"
-    ]
+    return [decode(r) for r in stream.records if r.kind == kind]
 
 
 def _cmd_simulate(args) -> int:
@@ -103,7 +97,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_detect(args) -> int:
     cfg = _load_run_config(args)
     out = _out_dir(args)
-    scans = _read_scans(_in_dir(args) / SCANS_FILE, args.strict)
+    scans = _read(_in_dir(args) / SCANS_FILE, "scan", ds.record_to_scan, args.strict)
     detector = build_detector(cfg)
     records = [ds.detections_to_record(detector(s), s.timestamp) for s in scans]
     ds.write_dataset(records, out / DETECTIONS_FILE, {"preset": cfg.preset})
@@ -116,11 +110,11 @@ def _cmd_track(args) -> int:
     cfg = _load_run_config(args)
     in_dir = _in_dir(args)
     out = _out_dir(args)
-    det_stream = ds.read_dataset(in_dir / DETECTIONS_FILE, strict=args.strict)
     frames = sorted(
-        ((r.timestamp, ds.record_to_detections(r))
-         for r in det_stream.records
-         if r.kind == "detection"),
+        _read(
+            in_dir / DETECTIONS_FILE, "detection",
+            lambda r: (r.timestamp, ds.record_to_detections(r)), args.strict,
+        ),
         key=lambda kv: kv[0],
     )
     # Sensor poses come from the scan file when there is one, otherwise from
@@ -130,9 +124,10 @@ def _cmd_track(args) -> int:
     pose_by_time = {}
     gt_frames = None
     if scans_path.exists():
-        pose_by_time = {s.timestamp: s.pose for s in _read_scans(scans_path, args.strict)}
+        scans = _read(scans_path, "scan", ds.record_to_scan, args.strict)
+        pose_by_time = {s.timestamp: s.pose for s in scans}
     elif gt_path.exists():
-        gt_frames = _read_ground_truth(gt_path, args.strict)
+        gt_frames = _read(gt_path, "ground_truth", ds.record_to_ground_truth, args.strict)
 
     # Each detection frame becomes a beamless scan that carries only its time
     # and pose; the recorded detections stand in for the detector.
@@ -148,13 +143,10 @@ def _cmd_track(args) -> int:
 def _cmd_evaluate(args) -> int:
     in_dir = _in_dir(args)
     out = _out_dir(args)
-    gt_frames = _read_ground_truth(in_dir / GROUND_TRUTH_FILE, args.strict)
-    track_stream = ds.read_dataset(in_dir / TRACKS_FILE, strict=args.strict)
-    hyp = [
-        ds.record_to_hypothesis_frame(r)
-        for r in track_stream.records
-        if r.kind == "track"
-    ]
+    gt_frames = _read(
+        in_dir / GROUND_TRUTH_FILE, "ground_truth", ds.record_to_ground_truth, args.strict
+    )
+    hyp = _read(in_dir / TRACKS_FILE, "track", ds.record_to_hypothesis_frame, args.strict)
     fov = LidarParams().fov()
     mot = evaluate_sequence(gt_frames, hyp, fov, threshold=args.threshold)
     report = build_report(
@@ -167,23 +159,17 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _load_replay_detections(in_dir: Path, strict: bool):
-    stream = ds.read_dataset(in_dir / DETECTIONS_FILE, strict=strict)
-    out = []
-    for rec in stream.records:
-        if rec.kind == "detection":
-            out.extend(ds.record_to_detections(rec))
-    return out
-
-
 def _cmd_pipeline(args) -> int:
     cfg = _load_run_config(args)
     in_dir = _in_dir(args)
     out = _out_dir(args)
-    scans = _read_scans(in_dir / SCANS_FILE, args.strict)
+    scans = _read(in_dir / SCANS_FILE, "scan", ds.record_to_scan, args.strict)
     replay = None
     if cfg.detector_name == "replay":
-        replay = _load_replay_detections(in_dir, args.strict)
+        frames = _read(
+            in_dir / DETECTIONS_FILE, "detection", ds.record_to_detections, args.strict
+        )
+        replay = [d for dets in frames for d in dets]
     detect_fn, track_fn = bind_stages(cfg, build_detector(cfg, replay=replay))
     # A file replay without --realtime is a batch job: serial, with every
     # scan processed. --realtime paces the scans like a live sensor into the
@@ -234,8 +220,10 @@ def _bench_one(args, preset: str | None, seed: int | None):
     scans = gt_frames = None
     if args.in_dir:
         in_dir = Path(args.in_dir)
-        scans = _read_scans(in_dir / SCANS_FILE, args.strict)
-        gt_frames = _read_ground_truth(in_dir / GROUND_TRUTH_FILE, args.strict)
+        scans = _read(in_dir / SCANS_FILE, "scan", ds.record_to_scan, args.strict)
+        gt_frames = _read(
+            in_dir / GROUND_TRUTH_FILE, "ground_truth", ds.record_to_ground_truth, args.strict
+        )
     mot, tracking = run_benchmark(
         cfg, scans=scans, gt_frames=gt_frames, threshold=args.threshold
     )
@@ -247,29 +235,32 @@ def _cmd_bench(args) -> int:
     presets = args.preset.split(",") if args.preset else [None]
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
     rows = []
+    cfg0 = None
     for preset in presets:
         for seed in seeds:
             cfg, mot, tracking = _bench_one(args, preset, seed)
-            stage = None
-            if args.timings:
-                stage = collect_timings(tracking.timings, cfg.pipeline.scan_rate_hz)
+            cfg0 = cfg0 or cfg
             row = {
                 "preset": cfg.preset,
                 "kind": cfg.scenario.kind,
                 "seed": cfg.scenario.seed,
                 "mot": mot_section(mot),
             }
-            if stage is not None:
+            if args.timings:
+                stage = collect_timings(tracking.timings, cfg.pipeline.scan_rate_hz)
                 row["timing"] = timing_section(stage)
-            rows.append((cfg, mot, row))
+            rows.append(row)
+            # mot_section writes None where MOTA or MOTP is undefined.
+            section = row["mot"]
+            mota = "n/a" if section["mota"] is None else f"{section['mota'] * 100:.2f}%"
+            motp = "n/a" if section["motp"] is None else f"{section['motp']:.3f} m"
             print(
                 f"bench {cfg.preset or 'defaults'} seed {cfg.scenario.seed}: "
-                f"MOTA {mot.mota * 100:.2f}%  MOTP {mot.motp:.3f} m  "
+                f"MOTA {mota}  MOTP {motp}  "
                 f"(ID {mot.total_id_switches}  Miss {mot.total_misses}  "
                 f"FP {mot.total_false_positives}  g {mot.total_g})"
             )
 
-    cfg0, mot0, row0 = rows[0]
     metadata = {
         "kind": cfg0.scenario.kind,
         "duration": cfg0.scenario.duration,
@@ -279,13 +270,12 @@ def _cmd_bench(args) -> int:
         "preset": cfg0.preset,
         "seed": cfg0.scenario.seed,
     }
+    report = build_report(metadata=metadata)
     if len(rows) == 1:
-        report = build_report(metadata=metadata, mot=mot0)
-        if "timing" in row0:
-            report["timing"] = row0["timing"]
+        # One job reports its sections at the top level; a sweep, a table.
+        report.update((k, v) for k, v in rows[0].items() if k in ("mot", "timing"))
     else:
-        report = build_report(metadata=metadata)
-        report["rows"] = [row for _, _, row in rows]
+        report["rows"] = rows
     write_report(report, out / REPORT_FILE)
     print(f"report -> {out / REPORT_FILE}")
     return 0
@@ -350,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="simulate + track + evaluate in one run")
     _add_common(p, scenario=True)
     p.add_argument("--threshold", type=float, default=0.75, help="match threshold [m]")
-    p.add_argument("--velocity-gate", dest="velocity_gate", type=float)
     p.add_argument(
         "--seeds",
         help="comma-separated seed sweep (one table row per preset x seed)",

@@ -62,9 +62,14 @@ class RunConfig:
     preset: str | None = None
 
 
-#: Scenario fields that hold objects (LidarParams, agents, shapes); a JSON
-#: file would store raw dicts there, so only Python callers may set them.
-_SCENARIO_OBJECT_FIELDS = ("lidar", "scripted_agents", "occluder_walls", "clutter")
+#: Fields only Python callers may set, per section. Scenario fields that
+#: hold objects (LidarParams, agents, shapes) would store raw dicts from
+#: JSON. The pipeline mode is chosen by each command (``--realtime``, or a
+#: serial batch), so a file's value would be ignored.
+_NOT_FROM_FILE = {
+    "scenario": ("lidar", "scripted_agents", "occluder_walls", "clutter"),
+    "pipeline": ("pipelined", "drop_stale"),
+}
 
 
 def _build_section(name: str, base, overrides: dict):
@@ -73,7 +78,7 @@ def _build_section(name: str, base, overrides: dict):
     for key in overrides:
         if key not in known:
             raise ConfigError(f"unknown field {name}.{key}")
-        if name == "scenario" and key in _SCENARIO_OBJECT_FIELDS:
+        if key in _NOT_FROM_FILE.get(name, ()):
             raise ConfigError(f"{name}.{key} cannot be set from a config file")
     try:
         return dataclasses.replace(base, **overrides)

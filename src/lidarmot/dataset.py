@@ -235,8 +235,8 @@ def record_to_ground_truth(rec: DatasetRecord) -> GroundTruthFrame:
     return GroundTruthFrame(
         timestamp=rec.timestamp,
         persons=tuple(
-            (int(q["id"]), PointXY(q["x"], q["y"], frame=ODOM_FRAME))
-            for q in p["persons"]
+            (q["id"], PointXY(q["x"], q["y"], frame=ODOM_FRAME))
+            for q in _items(rec, "persons", ("x", "y"), ids=True)
         ),
         robot_pose=_pose_from(p["robot"], rec.timestamp, "ground_truth", "robot"),
     )
@@ -246,6 +246,25 @@ def record_to_ground_truth(rec: DatasetRecord) -> GroundTruthFrame:
 # frame whose payload lists the items (possibly none). A frame with nothing
 # in it still appears in the timeline, which downstream consumers need to
 # step miss streaks and count misses correctly.
+
+
+def _items(
+    rec: DatasetRecord, name: str, numbers: tuple[str, ...], ids: bool = False
+) -> list[dict]:
+    """The list of items under ``name`` in a record's payload. Each field in
+    ``numbers`` must be a JSON number and, with ``ids``, ``id`` an integer;
+    otherwise DatasetFormatError names the kind, time, item and field."""
+    items = rec.payload[name]
+    where = f"{rec.kind} at t={rec.timestamp!r}: {name}"
+    if type(items) is not list:
+        raise DatasetFormatError(f"{where} is {items!r}, not a list")
+    for i, q in enumerate(items):
+        for key in numbers:
+            if not _is_number(q[key]):
+                raise DatasetFormatError(f"{where}[{i}].{key} is {q[key]!r}, not a number")
+        if ids and type(q["id"]) is not int:
+            raise DatasetFormatError(f"{where}[{i}].id is {q['id']!r}, not an integer")
+    return items
 
 
 def detections_to_record(
@@ -275,7 +294,7 @@ def record_to_detections(rec: DatasetRecord) -> list[Detection]:
             confidence=q["confidence"],
             timestamp=rec.timestamp,
         )
-        for q in rec.payload["detections"]
+        for q in _items(rec, "detections", ("x", "y", "confidence"))
     ]
 
 
@@ -302,8 +321,8 @@ def record_to_hypothesis_frame(rec: DatasetRecord) -> HypothesisFrame:
     return HypothesisFrame(
         timestamp=rec.timestamp,
         tracks=tuple(
-            (int(q["id"]), PointXY(q["x"], q["y"], frame=ODOM_FRAME))
-            for q in rec.payload["tracks"]
+            (q["id"], PointXY(q["x"], q["y"], frame=ODOM_FRAME))
+            for q in _items(rec, "tracks", ("x", "y"), ids=True)
         ),
     )
 

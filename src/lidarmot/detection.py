@@ -236,27 +236,29 @@ def cluster_detect(
 
 
 class ClusterDetector:
-    """The built-in surrogate detector, bound to a DetectorConfig plus the
-    cluster-specific tuning knobs."""
+    """The built-in surrogate detector, bound to a DetectorConfig. It looks
+    up :func:`cluster_detect` on every call, so a wrapper installed on the
+    module (a profiler's) sees each scan."""
 
-    def __init__(self, cfg: DetectorConfig, **cluster_kwargs):
+    def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
-        self.cluster_kwargs = cluster_kwargs
 
     def __call__(self, scan: LidarScan) -> list[Detection]:
-        return cluster_detect(scan, self.cfg, **self.cluster_kwargs)
+        return cluster_detect(scan, self.cfg)
 
 
 class ReplayDetector:
     """Replays precomputed detections keyed by scan timestamp, so the tracker
     can be benchmarked against externally produced detections."""
 
-    def __init__(self, detections: Sequence[Detection], time_tolerance: float = 1e-6):
+    #: How far (s) a replayed detection frame may sit from its scan's time.
+    _TIME_TOLERANCE = 1e-6
+
+    def __init__(self, detections: Sequence[Detection]):
         self._by_time: dict[float, list[Detection]] = {}
         for d in detections:
             self._by_time.setdefault(d.timestamp, []).append(d)
         self._times = np.array(sorted(self._by_time), dtype=float)
-        self.time_tolerance = time_tolerance
 
     def __call__(self, scan: LidarScan) -> list[Detection]:
         if len(self._times) == 0:
@@ -268,19 +270,20 @@ class ReplayDetector:
                 dt = abs(self._times[j] - scan.timestamp)
                 if best is None or dt < best[0]:
                     best = (dt, self._times[j])
-        if best is None or best[0] > self.time_tolerance:
+        if best is None or best[0] > self._TIME_TOLERANCE:
             return []
         return list(self._by_time[float(best[1])])
 
 
 def make_detector(
-    name: str, cfg: DetectorConfig, replay: Sequence[Detection] | None = None, **kwargs
+    name: str, cfg: DetectorConfig, replay: Sequence[Detection] | None = None
 ) -> Detector:
-    """Build a detector by name ("cluster" or "replay")."""
+    """Build a detector by name: "cluster" runs :func:`cluster_detect` with
+    ``cfg``; "replay" plays back the ``replay`` detections by timestamp."""
     if name == "cluster":
-        return ClusterDetector(cfg, **kwargs)
+        return ClusterDetector(cfg)
     if name == "replay":
         if replay is None:
             raise ValueError("replay detector requires a detection sequence")
-        return ReplayDetector(replay, **kwargs)
+        return ReplayDetector(replay)
     raise ValueError(f"unknown detector {name!r}")

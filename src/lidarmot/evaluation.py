@@ -27,6 +27,10 @@ from .geometry import (
     transform_to_frame,
 )
 
+#: Seconds outside the ground-truth span that a hypothesis frame is still
+#: evaluated, and that a person seen in one bracketing frame only is kept.
+GT_TIME_TOLERANCE = 0.02
+
 
 @dataclass(frozen=True)
 class GroundTruthFrame:
@@ -292,7 +296,7 @@ def _resample(
 
 
 def interpolate_ground_truth(
-    gt_frames: Sequence[GroundTruthFrame], t: float, tolerance: float = 0.02
+    gt_frames: Sequence[GroundTruthFrame], t: float, tolerance: float = GT_TIME_TOLERANCE
 ) -> GroundTruthFrame:
     """Resample a ground-truth sequence at time t (persons linearly, robot
     pose along the shortest arc)."""
@@ -307,7 +311,6 @@ def evaluate_sequence(
     hyp_frames: Sequence[HypothesisFrame],
     fov: FieldOfView,
     threshold: float = 0.75,
-    time_tolerance: float = 0.02,
 ) -> MotReport:
     """Run the benchmark over a full recording.
 
@@ -333,8 +336,8 @@ def evaluate_sequence(
 
     times = [f.timestamp for f in gt_frames]
     pose_at = pose_lookup(gt_frames)
-    t0 = gt_frames[0].timestamp - time_tolerance
-    t1 = gt_frames[-1].timestamp + time_tolerance
+    t0 = gt_frames[0].timestamp - GT_TIME_TOLERANCE
+    t1 = gt_frames[-1].timestamp + GT_TIME_TOLERANCE
     lo_t = gt_frames[0].timestamp
     hi_t = gt_frames[-1].timestamp
     for hyp in hyp_frames:
@@ -342,7 +345,7 @@ def evaluate_sequence(
             report.skipped_frames += 1
             continue
         t = min(max(hyp.timestamp, lo_t), hi_t)
-        gt = _resample(gt_frames, times, pose_at, t, time_tolerance)
+        gt = _resample(gt_frames, times, pose_at, t, GT_TIME_TOLERANCE)
         gtf, hypf = filter_by_fov_frame(gt, hyp, fov)
         counts, correspondence = match_frame(gtf, hypf, threshold, correspondence)
         report.frames.append(counts)

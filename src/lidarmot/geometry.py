@@ -44,15 +44,11 @@ class Pose2D:
 
 @dataclass(frozen=True)
 class PointXY:
-    """A 2D point tagged with the frame it is expressed in.
-
-    ``beam`` optionally records the scan beam index the point came from.
-    """
+    """A 2D point tagged with the frame it is expressed in."""
 
     x: float
     y: float
     frame: str = SENSOR_FRAME
-    beam: int | None = None
 
     def distance_to(self, other: "PointXY") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -126,7 +122,6 @@ def transform_to_frame(
         pose.x + c * p.x - s * p.y,
         pose.y + s * p.x + c * p.y,
         frame=target_frame,
-        beam=p.beam,
     )
 
 

@@ -33,7 +33,6 @@ TrackFn = Callable[[LidarScan, "list[Detection]"], "list[Track]"]
 class PipelineConfig:
     scan_rate_hz: float = 20.0
     velocity_gate: float = 0.05   # m/s; slower tracks are not exported
-    robot_speed_max: float = 0.5  # m/s
     queue_capacity: int = 2
     pipelined: bool = True
     #: Live sources cannot wait: past capacity the oldest queued scan is
@@ -83,7 +82,6 @@ class FrameResult:
     scan: LidarScan
     tracks: list[Track]
     obstacles: list[DynamicObstacle]
-    timing: FrameTiming
 
 
 @dataclass
@@ -323,15 +321,14 @@ def run_pipeline(
         tracks = track_fn(scan, dets)
         t3 = time.perf_counter()
         obstacles = export_dynamic_obstacles(tracks, cfg.velocity_gate)
-        timing = FrameTiming(
+        summary.timings.append(FrameTiming(
             timestamp=scan.timestamp,
             t_det_ms=(t1 - t0) * 1e3,
             t_track_ms=(t3 - t2) * 1e3,
             t_lat_ms=(t3 - t0) * 1e3,
-        )
-        summary.timings.append(timing)
+        ))
         summary.frames_processed += 1
-        result = FrameResult(scan=scan, tracks=tracks, obstacles=obstacles, timing=timing)
+        result = FrameResult(scan=scan, tracks=tracks, obstacles=obstacles)
         for sink in sinks:
             sink(result)
 

@@ -40,11 +40,7 @@ def timing_section(stage: StageTimings) -> dict:
     }
 
 
-def build_report(
-    metadata: dict,
-    mot: MotReport | None = None,
-    timings: StageTimings | None = None,
-) -> dict:
+def build_report(metadata: dict, mot: MotReport | None = None) -> dict:
     report = {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
@@ -52,8 +48,6 @@ def build_report(
     }
     if mot is not None:
         report["mot"] = mot_section(mot)
-    if timings is not None:
-        report["timing"] = timing_section(timings)
     return report
 
 

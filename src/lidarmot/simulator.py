@@ -228,19 +228,14 @@ def _reflect_axis(p: float, v: float, lo: float, hi: float) -> tuple[float, floa
     return p, v
 
 
-def step_world(
-    state: WorldState,
-    dt: float,
-    wall_margin: float = WALL_MARGIN,
-    comfort: float = COMFORT_SEPARATION,
-    min_separation: float = MIN_SEPARATION,
-) -> WorldState:
+def step_world(state: WorldState, dt: float) -> WorldState:
     """Advance positions by one kinematic step.
 
-    Non-scripted agents reflect off an inset arena boundary and repel each
-    other: softly inside the comfort distance, with a hard projection at the
-    minimum separation. The robot integrates unicycle kinematics. Policy
-    decisions (velocity resampling, steering) are not made here.
+    Non-scripted agents reflect off the arena boundary inset by
+    ``WALL_MARGIN`` and repel each other: softly inside
+    ``COMFORT_SEPARATION``, with a hard projection at ``MIN_SEPARATION``.
+    The robot integrates unicycle kinematics. Policy decisions (velocity
+    resampling, steering) are not made here.
 
     Agents are resolved one pair, robot, circle and edge at a time
     (Gauss-Seidel), on Python floats. A shape is skipped when a cheap lower
@@ -255,8 +250,8 @@ def step_world(
     if dt <= 0:
         raise ValueError("dt must be positive")
     x0, y0, x1, y1 = state.arena
-    lo_x, lo_y = x0 + wall_margin, y0 + wall_margin
-    hi_x, hi_y = x1 - wall_margin, y1 - wall_margin
+    lo_x, lo_y = x0 + WALL_MARGIN, y0 + WALL_MARGIN
+    hi_x, hi_y = x1 - WALL_MARGIN, y1 - WALL_MARGIN
     agents: list[AgentModel] = []
     free: list[AgentModel] = []
     xs: list[float] = []
@@ -281,7 +276,7 @@ def step_world(
 
     n = len(free)
     rx, ry = state.robot.x, state.robot.y
-    near = max(comfort, min_separation) + 1e-9
+    near = max(COMFORT_SEPARATION, MIN_SEPARATION) + 1e-9
     boxes = [
         (seg, min(seg.x1, seg.x2), max(seg.x1, seg.x2), min(seg.y1, seg.y2), max(seg.y1, seg.y2))
         for seg in state.keep_out
@@ -294,12 +289,12 @@ def step_world(
                 if math.hypot(dx, dy) > near:
                     continue
                 d = float(np.hypot(dx, dy))
-                if d < min_separation:
-                    shift = 0.5 * (min_separation - d)
-                elif d < comfort:
+                if d < MIN_SEPARATION:
+                    shift = 0.5 * (MIN_SEPARATION - d)
+                elif d < COMFORT_SEPARATION:
                     # Mutual avoidance comparable to walking speed, so paths
                     # bend around each other instead of merging bodies.
-                    shift = (comfort - d) * dt
+                    shift = (COMFORT_SEPARATION - d) * dt
                 else:
                     continue
                 ux, uy = (dx / d, dy / d) if d > 1e-9 else (1.0, 0.0)
@@ -314,13 +309,13 @@ def step_world(
             if math.hypot(dx, dy) > near:
                 continue
             d = float(np.hypot(dx, dy))
-            if d < min_separation:
+            if d < MIN_SEPARATION:
                 ux, uy = (dx / d, dy / d) if d > 1e-9 else (1.0, 0.0)
-                xs[i] = rx + ux * min_separation
-                ys[i] = ry + uy * min_separation
-            elif d < comfort:
-                xs[i] = xs[i] + dx / d * (comfort - d) * dt
-                ys[i] = ys[i] + dy / d * (comfort - d) * dt
+                xs[i] = rx + ux * MIN_SEPARATION
+                ys[i] = ry + uy * MIN_SEPARATION
+            elif d < COMFORT_SEPARATION:
+                xs[i] = xs[i] + dx / d * (COMFORT_SEPARATION - d) * dt
+                ys[i] = ys[i] + dy / d * (COMFORT_SEPARATION - d) * dt
         # ... and around the furniture rather than through it.
         for i, a in enumerate(free):
             x, y = xs[i], ys[i]

@@ -89,6 +89,15 @@ class TestBench:
         ]
         assert all("mota" in r["mot"] for r in report["rows"])
 
+    def test_bench_without_persons_reports_null(self, tmp_path, capsys):
+        # MOTA and MOTP are undefined without ground-truth persons.
+        out = tmp_path / "empty"
+        assert run(["bench", "--kind", "sr", "--persons", "0", "--duration", "2",
+                    "--out", out]) == 0
+        mot = json.loads((out / "report.json").read_text())["mot"]
+        assert (mot["g"], mot["mota"], mot["motp"]) == (0, None, None)
+        assert "MOTA n/a  MOTP n/a" in capsys.readouterr().out
+
 
 class TestPipelineCommand:
     def test_writes_tracks_obstacles_timings(self, sim_dir, tmp_path):
@@ -177,11 +186,21 @@ class TestErrors:
         assert err.startswith("error: ")
         assert "mr2" in err and "seed 14" in err
 
-    def test_object_config_field_exits_2(self, tmp_path, capsys):
+    def test_object_config_field_exits_2(self, sim_dir, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"scenario": {"lidar": {"rate_hz": 10}}}))
         assert run(["bench", "--config", path, "--out", tmp_path / "out"]) == 2
         assert "scenario.lidar" in capsys.readouterr().err
+        # The pipeline mode comes from --realtime, not from a file.
+        for key in ("pipelined", "drop_stale"):
+            path.write_text(json.dumps({"pipeline": {key: False}}))
+            assert run(["pipeline", "--in", sim_dir, "--config", path,
+                        "--out", tmp_path / "out"]) == 2
+            assert f"pipeline.{key} cannot be set" in capsys.readouterr().err
+        # bench writes no obstacles, so it takes no velocity gate.
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", "--velocity-gate", "0.1", "--out", tmp_path / "out"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("name,command", [
         ("scans.jsonl", "pipeline"), ("ground_truth.jsonl", "bench"),
@@ -223,6 +242,29 @@ class TestErrors:
         assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert f"at t={rec['t']!r}: {expected}" in err
+
+    @pytest.mark.parametrize("name,command,items,key,value,expected", [
+        ("ground_truth.jsonl", "evaluate", "persons", "x", "0.5", "not a number"),
+        ("detections.jsonl", "track", "detections", "confidence", "0.9", "not a number"),
+        ("tracks.jsonl", "evaluate", "tracks", "id", True, "not an integer"),
+    ])
+    def test_non_numeric_item_exits_2(self, tmp_path, capsys, name, command, items, key,
+                                      value, expected):
+        data = tmp_path / "data"
+        assert run(["simulate", "--kind", "sr", "--seed", "2", "--duration", "2",
+                    "--out", data]) == 0
+        for step in ("detect", "track"):
+            assert run([step, "--in", data, "--preset", "config-3", "--out", data]) == 0
+        path = data / name
+        lines = path.read_text().splitlines(keepends=True)
+        i, rec = next((i, r) for i, r in enumerate(map(json.loads, lines)) if r.get(items))
+        rec[items][0][key] = value
+        lines[i] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert f"at t={rec['t']!r}: {items}[0].{key} is {value!r}, {expected}" in err
 
     def test_missing_input_exits_nonzero(self, tmp_path):
         assert run(["evaluate", "--in", tmp_path / "nope", "--out", tmp_path]) == 2

@@ -60,6 +60,10 @@ class TestConfigFiles:
         path.write_text(json.dumps({"tracker": {"c_int": 5}}))
         with pytest.raises(ConfigError, match="c_int"):
             load_config(path)
+        # Nothing read this speed limit, so it is no longer a field.
+        path.write_text(json.dumps({"pipeline": {"robot_speed_max": 0.5}}))
+        with pytest.raises(ConfigError, match=r"unknown field pipeline\.robot_speed_max"):
+            load_config(path)
 
     def test_unknown_section_named(self, tmp_path):
         path = tmp_path / "run.json"
@@ -88,7 +92,6 @@ class TestConfigFiles:
         assert cfg.preset is None
         assert cfg.detector.window_stride == 1
         assert cfg.pipeline.velocity_gate == 0.05
-        assert cfg.pipeline.robot_speed_max == 0.5
 
 
 class TestScenarioObjectFields:
@@ -99,12 +102,20 @@ class TestScenarioObjectFields:
             ("scripted_agents", [{"id": 3, "x": 1.0, "y": 0.5, "vx": 0.2, "vy": 0.0}]),
             ("occluder_walls", [{"x1": 1, "y1": -1, "x2": 1, "y2": 1}]),
             ("clutter", [{"x": 2.0, "y": 0.0, "radius": 0.03}]),
+            # Each command sets the pipeline mode itself.
+            ("pipeline.pipelined", False),
+            ("pipeline.drop_stale", False),
         ],
     )
     def test_object_field_rejected_by_name(self, tmp_path, key, value):
+        # A bare key is a scenario field.
+        section, _, name = key.rpartition(".")
+        section = section or "scenario"
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"scenario": {key: value}}))
-        with pytest.raises(ConfigError, match=f"scenario.{key}"):
+        path.write_text(json.dumps({section: {name: value}}))
+        with pytest.raises(
+            ConfigError, match=rf"{section}\.{name} cannot be set from a config file"
+        ):
             load_config(path)
 
     def test_arena_list_still_accepted(self, tmp_path):

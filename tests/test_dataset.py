@@ -286,6 +286,52 @@ def test_non_numeric_pose_rejected(key, bad):
         ds.record_to_ground_truth(rec)
 
 
+_ITEM_RECORDS = [
+    # (kind, payload list, item, decoder)
+    ("ground_truth", "persons", {"id": 3, "x": 0.5, "y": -1.0},
+     ds.record_to_ground_truth),
+    ("track", "tracks", {"id": 3, "x": 0.5, "y": -1.0, "vx": 0.0, "vy": 0.0},
+     ds.record_to_hypothesis_frame),
+    ("detection", "detections", {"x": 0.5, "y": -1.0, "frame": "laser", "confidence": 0.9},
+     ds.record_to_detections),
+]
+
+
+def _item_record(kind, name, item, **change):
+    """A record of two items, the second one changed."""
+    payload = {name: [item, dict(item, **change)]}
+    if kind == "ground_truth":
+        payload["robot"] = {"x": 0.0, "y": 0.0, "theta": 0.0}
+    return ds.DatasetRecord(kind, 0.05, payload)
+
+
+@pytest.mark.parametrize("kind, name, item, decode", _ITEM_RECORDS)
+@pytest.mark.parametrize("bad", ["0.5", True, None])
+def test_non_numeric_item_value_rejected(kind, name, item, decode, bad):
+    # These used to fail only later, in arithmetic, or read true as 1.
+    keys = [k for k in ("id", "x", "y", "confidence") if k in item]
+    for key in keys:
+        want = "an integer" if key == "id" else "a number"
+        rec = _item_record(kind, name, item, **{key: bad})
+        with pytest.raises(
+            ds.DatasetFormatError,
+            match=rf"{kind} at t=0\.05: {name}\[1\]\.{key} is {bad!r}, not {want}",
+        ):
+            decode(rec)
+
+
+@pytest.mark.parametrize("kind, name, item, decode", _ITEM_RECORDS)
+def test_item_values_checked_and_read(kind, name, item, decode):
+    with pytest.raises(ds.DatasetFormatError, match=rf"{kind} at t=0\.05: {name} is 'x', not a list"):
+        decode(ds.DatasetRecord(kind, 0.05, {name: "x"}))
+    if "id" in item:
+        with pytest.raises(ds.DatasetFormatError, match=r"\[1\]\.id is 3\.0, not an integer"):
+            decode(_item_record(kind, name, item, id=3.0))
+    # Integer coordinates still read.
+    ids = {"id": 4} if "id" in item else {}
+    decode(_item_record(kind, name, item, x=1, y=-2, **ids))
+
+
 def test_null_and_integer_values_read():
     scan = ds.record_to_scan(_scan_record([None, 2, 1.5], {"x": 1, "y": 0, "theta": 0.5}))
     assert scan.ranges.dtype == np.float64

@@ -1,5 +1,4 @@
-"""The demos that drive the simulator, the detector, the tracker and the
-obstacle export run to the end.
+"""The demos run to the end.
 
 Each demo runs as its own process, as a user would start it, so a break in
 the public API they use fails here rather than only when someone runs them.
@@ -17,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", [
     "01_simulate_and_inspect.py", "02_detection.py", "03_tracking.py",
-    "06_avoidance_forecast.py",
+    "04_benchmark.py", "05_realtime_pipeline.py", "06_avoidance_forecast.py",
 ])
 def test_demo_runs(demo):
     env = dict(os.environ)
