@@ -2,10 +2,11 @@
 
 Submodules: :mod:`geometry` (scans, poses, transforms), :mod:`detection`
 (the cluster detector and confidence gate), :mod:`tracking` (Kalman CV
-tracker with Hungarian association), :mod:`evaluation` (CLEAR MOT),
-:mod:`simulator` (raycast scenarios with ground truth), :mod:`pipeline`
-(two-stage real-time runtime and obstacle export), plus dataset/report file
-formats and a CLI.
+tracker with Hungarian association), :mod:`assignment` (the minimum-cost
+matching solver that tracking and evaluation share), :mod:`evaluation`
+(CLEAR MOT), :mod:`simulator` (raycast scenarios with ground truth),
+:mod:`pipeline` (two-stage real-time runtime and obstacle export), plus
+dataset/report file formats and a CLI.
 """
 
 from .detection import (

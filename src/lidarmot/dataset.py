@@ -166,14 +166,34 @@ def _pose_payload(pose: Pose2D) -> dict:
     return {"x": pose.x, "y": pose.y, "theta": pose.theta}
 
 
-def _pose_from(payload: dict, timestamp: float, kind: str, name: str) -> Pose2D:
+def _require(obj, keys: tuple[str, ...], rec: DatasetRecord, name: str = "") -> None:
+    """Check that ``obj``, the payload (or, with ``name``, the object at
+    that path in it), is a JSON object holding every key in ``keys``;
+    otherwise DatasetFormatError names the kind, time and missing field."""
+    if type(obj) is not dict:
+        raise DatasetFormatError(
+            f"{rec.kind} at t={rec.timestamp!r}: {name} is {obj!r}, not an object"
+        )
+    for key in keys:
+        if key not in obj:
+            path = f"{name}.{key}" if name else key
+            raise DatasetFormatError(f"{rec.kind} at t={rec.timestamp!r}: {path} is missing")
+
+
+_POSE_FIELDS = ("x", "y", "theta")
+
+
+def _pose_from(rec: DatasetRecord, name: str) -> Pose2D:
+    _require(rec.payload, (name,), rec)
+    payload = rec.payload[name]
+    _require(payload, _POSE_FIELDS, rec, name)
     x, y, theta = payload["x"], payload["y"], payload["theta"]
     if not (_is_number(x) and _is_number(y) and _is_number(theta)):
-        key = next(k for k in ("x", "y", "theta") if not _is_number(payload[k]))
+        key = next(k for k in _POSE_FIELDS if not _is_number(payload[k]))
         raise DatasetFormatError(
-            f"{kind} at t={timestamp!r}: {name}.{key} is {payload[key]!r}, not a number"
+            f"{rec.kind} at t={rec.timestamp!r}: {name}.{key} is {payload[key]!r}, not a number"
         )
-    return Pose2D(x, y, theta, timestamp)
+    return Pose2D(x, y, theta, rec.timestamp)
 
 
 def scan_to_record(scan: LidarScan) -> DatasetRecord:
@@ -192,12 +212,21 @@ def scan_to_record(scan: LidarScan) -> DatasetRecord:
 
 #: What a scan's ``ranges`` may hold: JSON numbers, or null for no return.
 _RANGE_TYPES = {float, int, type(None)}
+_SCAN_NUMBERS = ("angle_min", "angle_increment", "range_max")
+_SCAN_FIELDS = ("ranges", *_SCAN_NUMBERS)
 
 
 def record_to_scan(rec: DatasetRecord) -> LidarScan:
-    """Decode a scan record; a range or pose value that is not a JSON number
-    (a string, ``true``) raises DatasetFormatError naming the scan's time."""
+    """Decode a scan record; a missing field, or a range, angle, range limit
+    or pose value that is not a JSON number (a string, ``true``), raises
+    DatasetFormatError naming the scan's time."""
     p = rec.payload
+    _require(p, _SCAN_FIELDS, rec)
+    for key in _SCAN_NUMBERS:
+        if not _is_number(p[key]):
+            raise DatasetFormatError(
+                f"scan at t={rec.timestamp!r}: {key} is {p[key]!r}, not a number"
+            )
     ranges = p["ranges"]
     if type(ranges) is not list:
         raise DatasetFormatError(f"scan at t={rec.timestamp!r}: ranges is {ranges!r}, not a list")
@@ -207,7 +236,7 @@ def record_to_scan(rec: DatasetRecord) -> LidarScan:
             f"scan at t={rec.timestamp!r}: ranges[{i}] is {bad!r}, not a number or null"
         )
     ranges = np.array([NO_RETURN if r is None else r for r in ranges], dtype=float)
-    pose = _pose_from(p["pose"], rec.timestamp, "scan", "pose") if "pose" in p else None
+    pose = _pose_from(rec, "pose") if "pose" in p else None
     return LidarScan(
         timestamp=rec.timestamp,
         ranges=ranges,
@@ -231,14 +260,13 @@ def ground_truth_to_record(frame: GroundTruthFrame) -> DatasetRecord:
 
 
 def record_to_ground_truth(rec: DatasetRecord) -> GroundTruthFrame:
-    p = rec.payload
     return GroundTruthFrame(
         timestamp=rec.timestamp,
         persons=tuple(
             (q["id"], PointXY(q["x"], q["y"], frame=ODOM_FRAME))
             for q in _items(rec, "persons", ("x", "y"), ids=True)
         ),
-        robot_pose=_pose_from(p["robot"], rec.timestamp, "ground_truth", "robot"),
+        robot_pose=_pose_from(rec, "robot"),
     )
 
 
@@ -251,14 +279,18 @@ def record_to_ground_truth(rec: DatasetRecord) -> GroundTruthFrame:
 def _items(
     rec: DatasetRecord, name: str, numbers: tuple[str, ...], ids: bool = False
 ) -> list[dict]:
-    """The list of items under ``name`` in a record's payload. Each field in
-    ``numbers`` must be a JSON number and, with ``ids``, ``id`` an integer;
-    otherwise DatasetFormatError names the kind, time, item and field."""
+    """The list of items under ``name`` in a record's payload. Each item must
+    be an object, each field in ``numbers`` a JSON number and, with ``ids``,
+    ``id`` an integer; otherwise DatasetFormatError names the kind, time,
+    item and field."""
+    _require(rec.payload, (name,), rec)
     items = rec.payload[name]
     where = f"{rec.kind} at t={rec.timestamp!r}: {name}"
     if type(items) is not list:
         raise DatasetFormatError(f"{where} is {items!r}, not a list")
+    fields = ("id", *numbers) if ids else numbers
     for i, q in enumerate(items):
+        _require(q, fields, rec, f"{name}[{i}]")
         for key in numbers:
             if not _is_number(q[key]):
                 raise DatasetFormatError(f"{where}[{i}].{key} is {q[key]!r}, not a number")

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import linear_sum_assignment
 from .geometry import (
     SENSOR_FRAME,
     FieldOfView,

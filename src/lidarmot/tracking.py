@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import linear_sum_assignment
 from .detection import Detection
 from .geometry import ODOM_FRAME, PointXY, Pose2D, transform_to_frame
 

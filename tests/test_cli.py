@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lidarmot
 from lidarmot import dataset as ds
 from lidarmot.cli import run_cli
 from lidarmot.config import load_config
@@ -11,6 +16,15 @@ from lidarmot.workflows import bind_stages, run_tracking
 
 def run(args):
     return run_cli([str(a) for a in args])
+
+
+def simulate_detect_track(data):
+    """A 2 s sr scene with its detections and tracks, written to ``data``."""
+    assert run(["simulate", "--kind", "sr", "--seed", "2", "--duration", "2",
+                "--out", data]) == 0
+    for step in ("detect", "track"):
+        assert run([step, "--in", data, "--preset", "config-3", "--out", data]) == 0
+    return data
 
 
 @pytest.fixture(scope="module")
@@ -250,11 +264,7 @@ class TestErrors:
     ])
     def test_non_numeric_item_exits_2(self, tmp_path, capsys, name, command, items, key,
                                       value, expected):
-        data = tmp_path / "data"
-        assert run(["simulate", "--kind", "sr", "--seed", "2", "--duration", "2",
-                    "--out", data]) == 0
-        for step in ("detect", "track"):
-            assert run([step, "--in", data, "--preset", "config-3", "--out", data]) == 0
+        data = simulate_detect_track(tmp_path / "data")
         path = data / name
         lines = path.read_text().splitlines(keepends=True)
         i, rec = next((i, r) for i, r in enumerate(map(json.loads, lines)) if r.get(items))
@@ -266,6 +276,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"at t={rec['t']!r}: {items}[0].{key} is {value!r}, {expected}" in err
 
+    @pytest.mark.parametrize("name,command,items,key", [
+        ("scans.jsonl", "pipeline", None, "ranges"),
+        ("scans.jsonl", "pipeline", "pose", "theta"),
+        ("ground_truth.jsonl", "evaluate", "persons", "id"),
+        ("detections.jsonl", "track", "detections", "confidence"),
+        ("tracks.jsonl", "evaluate", "tracks", "id"),
+    ])
+    def test_missing_field_exits_2(self, tmp_path, capsys, name, command, items, key):
+        # These used to end in a KeyError traceback (exit 1).
+        data = simulate_detect_track(tmp_path / "data")
+        path = data / name
+        lines = path.read_text().splitlines(keepends=True)
+        i, rec = next((i, r) for i, r in enumerate(map(json.loads, lines))
+                      if "t" in r and (items is None or r.get(items)))
+        if items is None:
+            del rec[key]
+            field = key
+        elif items == "pose":
+            del rec[items][key]
+            field = f"{items}.{key}"
+        else:
+            del rec[items][0][key]
+            field = f"{items}[0].{key}"
+        lines[i] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
+        assert f"at t={rec['t']!r}: {field} is missing" in capsys.readouterr().err
+
     def test_missing_input_exits_nonzero(self, tmp_path):
         assert run(["evaluate", "--in", tmp_path / "nope", "--out", tmp_path]) == 2
 
@@ -274,3 +313,23 @@ class TestErrors:
         assert run(["simulate", "--kind", "sr", "--seed", "3",
                     "--duration", "1"]) == 0
         assert (tmp_path / "scans.jsonl").exists()
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # Importing scipy.optimize costs ~49 MB of RSS and ~0.6 s of start-up;
+    # the runtime must not pull it in through any command path.
+    code = f"""
+import sys
+from lidarmot.cli import run_cli
+out = {str(tmp_path)!r}
+assert run_cli(["bench", "--duration", "2", "--out", out + "/bench"]) == 0
+assert run_cli(["simulate", "--kind", "sr", "--duration", "2", "--out", out + "/sim"]) == 0
+assert run_cli(["pipeline", "--in", out + "/sim", "--out", out + "/pipe"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    src = str(Path(lidarmot.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -286,6 +286,48 @@ def test_non_numeric_pose_rejected(key, bad):
         ds.record_to_ground_truth(rec)
 
 
+@pytest.mark.parametrize("key", ["ranges", "angle_min", "angle_increment", "range_max"])
+def test_missing_scan_field_rejected(key):
+    # This used to end in a KeyError.
+    rec = _scan_record([1.0])
+    del rec.payload[key]
+    with pytest.raises(ds.DatasetFormatError, match=rf"^scan at t=0\.05: {key} is missing$"):
+        ds.record_to_scan(rec)
+
+
+@pytest.mark.parametrize("key", ["angle_min", "angle_increment", "range_max"])
+@pytest.mark.parametrize("bad", ["0.5", True, None])
+def test_non_numeric_scan_geometry_rejected(key, bad):
+    # These used to fail only later, in the detector's arithmetic.
+    rec = _scan_record([1.0])
+    rec.payload[key] = bad
+    with pytest.raises(
+        ds.DatasetFormatError, match=rf"^scan at t=0\.05: {key} is {bad!r}, not a number$"
+    ):
+        ds.record_to_scan(rec)
+
+
+@pytest.mark.parametrize("key", ["x", "y", "theta"])
+def test_missing_pose_field_rejected(key):
+    pose = {"x": 0.5, "y": -1.0, "theta": 0.25}
+    del pose[key]
+    with pytest.raises(ds.DatasetFormatError, match=rf"^scan at t=0\.05: pose\.{key} is missing$"):
+        ds.record_to_scan(_scan_record([1.0], pose))
+    rec = ds.DatasetRecord("ground_truth", 0.02, {"persons": [], "robot": pose})
+    with pytest.raises(ds.DatasetFormatError, match=rf"^ground_truth at t=0\.02: robot\.{key} is "):
+        ds.record_to_ground_truth(rec)
+
+
+def test_missing_or_non_object_pose_rejected():
+    rec = ds.DatasetRecord("ground_truth", 0.02, {"persons": []})
+    with pytest.raises(ds.DatasetFormatError, match=r"^ground_truth at t=0\.02: robot is missing$"):
+        ds.record_to_ground_truth(rec)
+    with pytest.raises(
+        ds.DatasetFormatError, match=r"^scan at t=0\.05: pose is \[0, 0, 0\], not an object$"
+    ):
+        ds.record_to_scan(_scan_record([1.0], [0, 0, 0]))
+
+
 _ITEM_RECORDS = [
     # (kind, payload list, item, decoder)
     ("ground_truth", "persons", {"id": 3, "x": 0.5, "y": -1.0},
@@ -318,6 +360,28 @@ def test_non_numeric_item_value_rejected(kind, name, item, decode, bad):
             match=rf"{kind} at t=0\.05: {name}\[1\]\.{key} is {bad!r}, not {want}",
         ):
             decode(rec)
+
+
+@pytest.mark.parametrize("kind, name, item, decode", _ITEM_RECORDS)
+def test_missing_item_field_rejected(kind, name, item, decode):
+    # These used to end in a KeyError (a TypeError for a non-object item).
+    for key in [k for k in ("id", "x", "y", "confidence") if k in item]:
+        rec = _item_record(kind, name, item)
+        del rec.payload[name][1][key]
+        with pytest.raises(
+            ds.DatasetFormatError, match=rf"^{kind} at t=0\.05: {name}\[1\]\.{key} is missing$"
+        ):
+            decode(rec)
+    rec = _item_record(kind, name, item)
+    del rec.payload[name]
+    with pytest.raises(ds.DatasetFormatError, match=rf"^{kind} at t=0\.05: {name} is missing$"):
+        decode(rec)
+    rec = _item_record(kind, name, item)
+    rec.payload[name][1] = 3
+    with pytest.raises(
+        ds.DatasetFormatError, match=rf"^{kind} at t=0\.05: {name}\[1\] is 3, not an object$"
+    ):
+        decode(rec)
 
 
 @pytest.mark.parametrize("kind, name, item, decode", _ITEM_RECORDS)

@@ -1,11 +1,13 @@
 """Bit-for-bit equivalence of the simulator, evaluator, detector and tracker
-hot paths with their straightforward formulations.
+hot paths with their straightforward formulations, and of the assignment
+solver with scipy's.
 
 The ``ref_*`` functions and ``RefTracker`` below are the original per-pair,
 per-shape, per-query, per-cluster and per-track implementations, kept here
-as oracles only. Every comparison is exact: floats are compared through
-``repr`` (which tells -0.0 from 0.0) and arrays through their bytes and
-dtype.
+as oracles only; ``scipy.optimize.linear_sum_assignment`` (a test
+dependency, not a runtime one) is the oracle of ``lidarmot.assignment``.
+Every comparison is exact: floats are compared through ``repr`` (which
+tells -0.0 from 0.0) and arrays through their bytes and dtype.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
 
 from lidarmot import simulator
+from lidarmot.assignment import linear_sum_assignment
 from lidarmot.config import load_config
 from lidarmot.detection import (
     Detection,
@@ -1291,3 +1295,75 @@ class TestTrackerEquivalence:
             std = float(rng.uniform(0.01, 0.5))
             a, b = kalman_update(state, z, std), ref_kalman_update(state, z, std)
             assert same_array(a.mean, b.mean) and same_array(a.covariance, b.covariance)
+
+
+# -- assignment solver ---------------------------------------------------
+
+
+def solve_outcome(solve, cost: np.ndarray):
+    """``(rows, cols)`` as lists, or the ValueError message."""
+    try:
+        rows, cols = solve(cost)
+    except ValueError as exc:
+        return str(exc)
+    return list(rows), list(cols)
+
+
+#: Cost entries as the tracker and the evaluator produce them, and worse:
+#: ties, a gate value (``threshold * 1e6 + 1`` at 0.5 m), +inf, NaN, -inf.
+COST_ENTRIES = {
+    "uniform": st.floats(-1e3, 1e3),
+    "ties": st.integers(0, 3).map(float),
+    "gated": st.one_of(st.floats(0.0, 0.5), st.just(0.5 * 1e6 + 1.0)),
+    "inf": st.one_of(st.floats(0.0, 1.0), st.just(math.inf)),
+    "invalid": st.one_of(st.floats(0.0, 1.0), st.sampled_from([math.nan, -math.inf])),
+}
+
+
+class TestAssignmentEquivalence:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        kind=st.sampled_from([*COST_ENTRIES, "constant"]),
+        data=st.data(),
+    )
+    def test_matches_scipy(self, shape, kind, data):
+        if kind == "constant":
+            cost = np.full(shape, data.draw(st.floats(-10.0, 10.0)))
+        else:
+            cost = data.draw(arrays(np.float64, shape, elements=COST_ENTRIES[kind]))
+        expected = solve_outcome(scipy_linear_sum_assignment, cost)
+        assert solve_outcome(linear_sum_assignment, cost) == expected
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (3, 5), (5, 3)])
+    def test_constant_matrix_gives_identity(self, shape):
+        n = min(shape)
+        assert linear_sum_assignment(np.full(shape, 2.5)) == (list(range(n)), list(range(n)))
+
+    def test_row_tie_goes_to_lowest_column(self):
+        assert linear_sum_assignment(np.zeros((1, 6))) == ([0], [0])
+        assert linear_sum_assignment(np.array([[3.0, 1.0, 2.0, 1.0]])) == ([0], [1])
+
+    def test_tall_and_wide(self):
+        tall = np.array([[1.0, 2.0], [0.0, 5.0], [3.0, 0.0]])
+        assert linear_sum_assignment(tall) == ([1, 2], [0, 1])
+        assert linear_sum_assignment(tall.T) == ([0, 1], [1, 2])
+        # Rows come back ascending although the transposed solve pairs them
+        # out of order.
+        tall = np.array([[9.0, 0.0], [9.0, 9.0], [0.0, 9.0]])
+        assert linear_sum_assignment(tall) == ([0, 2], [1, 0])
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, shape):
+        assert linear_sum_assignment(np.zeros(shape)) == ([], [])
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "matrix contains invalid numeric entries"),
+        (-math.inf, "matrix contains invalid numeric entries"),
+        (math.inf, "cost matrix is infeasible"),
+    ])
+    def test_errors(self, bad, message):
+        cost = np.ones((3, 4))
+        cost[1, :] = bad
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            linear_sum_assignment(cost)
