@@ -104,6 +104,10 @@ def _apply_layer(cfg: RunConfig, layer: dict) -> RunConfig:
     return dataclasses.replace(cfg, **updates)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def expand_preset(name: str) -> RunConfig:
     if name not in PRESETS:
         raise ConfigError(
@@ -131,8 +135,8 @@ def load_config(source: str | Path | None = None, preset: str | None = None) -> 
     if not path.exists():
         raise ConfigError(f"config {str(source)!r} is neither a preset nor a file")
     try:
-        layer = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        layer = json.loads(path.read_text(), parse_constant=_reject_constant)
+    except ValueError as exc:  # malformed JSON, or a NaN/Infinity token
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(layer, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

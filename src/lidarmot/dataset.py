@@ -105,19 +105,42 @@ def write_dataset(
     tmp.replace(path)
 
 
+#: Stands for a field a line does not have.
+_MISSING = object()
+
+
 def _is_number(value) -> bool:
     # bool is an int subclass, but JSON true/false is no number.
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _check_header(header: dict, lineno: int) -> None:
+    """Refuse a header that names another format, or a version this reader
+    does not know. A header without these fields is accepted."""
+    name = header.get("format", FORMAT_NAME)
+    version = header.get("version", FORMAT_VERSION)
+    if name != FORMAT_NAME:
+        raise DatasetFormatError(f"format {name!r} is not {FORMAT_NAME!r}", lineno)
+    if type(version) is not int or version > FORMAT_VERSION:
+        raise DatasetFormatError(
+            f"version {version!r} is not an integer <= {FORMAT_VERSION}", lineno
+        )
+
+
 def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
     """Read a record file.
 
-    Malformed lines, including ones with NaN/Infinity/-Infinity tokens or a
-    timestamp that is not a finite JSON number, and scan or ground-truth
-    records timestamped
-    before the previous record of their kind raise DatasetFormatError with
-    the line number in strict mode.
+    The header is a line tagged ``kind: header``, or the first line when it
+    carries ``format`` (writers may overwrite the tag with their own
+    metadata). A header naming another format, or a version that is not an
+    integer up to ``FORMAT_VERSION``, raises DatasetFormatError in both
+    modes.
+
+    Malformed lines, including ones that are not a JSON object, lack
+    ``kind`` or ``t``, hold NaN/Infinity/-Infinity tokens or a timestamp
+    that is not a finite JSON number, and scan or ground-truth records
+    timestamped before the previous record of their kind raise
+    DatasetFormatError with the line number in strict mode.
     Otherwise they are skipped and counted in ``skipped_malformed``. Equal
     timestamps are accepted. Records of unknown kind are skipped and counted
     in ``skipped_unknown`` in both modes (forward compatibility).
@@ -131,14 +154,21 @@ def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
                 continue
             try:
                 obj = _DECODER.decode(line)
-                kind = obj.pop("kind")
-                if kind == "header":
+                if type(obj) is not dict:
+                    raise ValueError("record is not an object")
+                kind = obj.pop("kind", _MISSING)
+                if kind == "header" or (lineno == 1 and "format" in obj):
+                    _check_header(obj, lineno)
                     continue
                 if kind not in KNOWN_KINDS:
+                    if kind is _MISSING:
+                        raise ValueError("kind is missing")
                     stream.skipped_unknown += 1
                     continue
-                t = obj.pop("t")
+                t = obj.pop("t", _MISSING)
                 if not _is_number(t):
+                    if t is _MISSING:
+                        raise ValueError(f"{kind} record: t is missing")
                     raise ValueError(f"timestamp {t!r} is not a number")
                 t = float(t)
                 if not math.isfinite(t):
@@ -148,6 +178,8 @@ def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
                         f"{kind} record at t={t!r} is before the previous one at "
                         f"t={latest[kind]!r}"
                     )
+            except DatasetFormatError:
+                raise
             except Exception as exc:
                 if strict:
                     raise DatasetFormatError(str(exc), lineno) from exc

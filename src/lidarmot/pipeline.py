@@ -2,13 +2,13 @@
 tracker-to-planner export: velocity-gated dynamic obstacles, constant-velocity
 forecasts, and a closed-form collision-forecast check.
 
-:func:`run_pipeline` is the only frame loop. Batch runs use it serially. In
-pipelined mode the detector works on scan i+1 while the tracker digests
-scan i's detections, so sustained throughput is bound by the slower stage
-rather than their sum. Scans cross stages as immutable snapshots through
-bounded ordered queues; if the detector falls behind a live source, the
-oldest waiting scans are dropped (and counted) so the stream stays fresh and
-ordered.
+:func:`run_pipeline` is the only frame loop, and tracking always runs on the
+calling thread. A live source is read on a thread of its own, which drops
+(and counts) the oldest waiting scans when the detector falls behind, so the
+stream stays fresh and ordered. In pipelined mode the detector works on scan
+i+1 on a thread of its own while the caller tracks scan i, so sustained
+throughput is bound by the slower stage rather than their sum. Scans cross
+threads as immutable snapshots through bounded ordered queues.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ class PipelineConfig:
             raise ValueError("scan_rate_hz must be positive")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
+        if not 0 <= self.velocity_gate < math.inf:
+            raise ValueError(f"velocity_gate must be >= 0 and finite, got {self.velocity_gate}")
 
 
 @dataclass(frozen=True)
@@ -100,75 +102,49 @@ class RunSummary:
         return self.frames_processed / self.wall_time_s
 
 
-class _ClosableQueue:
-    """Bounded ordered FIFO that a run closes when its producer is done or a
-    stage fails; subclasses decide what ``put`` does at capacity."""
+class _Queue:
+    """Bounded ordered FIFO from one producer thread to one consumer, closed
+    when the producer is done or the run ends. With ``drop_oldest`` the
+    producer is a live source that never waits: past capacity the oldest
+    item is discarded and counted. Otherwise ``put`` waits for room, so
+    nothing is lost and the producer is back-pressured."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, drop_oldest: bool):
         self._items: list = []
         self._capacity = capacity
+        self._drop_oldest = drop_oldest
         self._closed = False
         self._cond = threading.Condition()
+        self.dropped = 0
+
+    def put(self, item) -> bool:
+        """Enqueue an item; False, and nothing enqueued, once closed."""
+        with self._cond:
+            while len(self._items) >= self._capacity and not (self._drop_oldest or self._closed):
+                self._cond.wait()
+            if self._closed:
+                return False
+            self._items.append(item)
+            if len(self._items) > self._capacity:
+                self._items.pop(0)
+                self.dropped += 1
+            self._cond.notify_all()
+            return True
 
     def get(self):
         """Next item, or None once closed and drained."""
         with self._cond:
             while not self._items and not self._closed:
                 self._cond.wait()
-            if self._items:
-                item = self._items.pop(0)
-                self._cond.notify_all()
-                return item
-            return None
+            if not self._items:
+                return None
+            self._cond.notify_all()
+            return self._items.pop(0)
 
     def close(self) -> None:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-
-
-class _DropOldestQueue(_ClosableQueue):
-    """Never blocks the producer: past capacity the oldest entry is
-    discarded and counted. Preserves arrival order for the consumer."""
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self._dropped = 0
-
-    def put(self, item) -> bool:
-        """Enqueue an item; False, and nothing enqueued, once closed."""
-        with self._cond:
-            if self._closed:
-                return False
-            self._items.append(item)
-            if len(self._items) > self._capacity:
-                self._items.pop(0)
-                self._dropped += 1
-            self._cond.notify()
-            return True
-
-    @property
-    def dropped(self) -> int:
-        with self._cond:
-            return self._dropped
-
-
-class _HandoffQueue(_ClosableQueue):
-    """Blocks the producer at capacity: post-detection frames are never
-    dropped, the detector simply waits (back-pressure pushes drops to the
-    scan queue where freshness matters)."""
-
-    def put(self, item) -> bool:
-        """Enqueue an item, waiting for room; False, and nothing enqueued,
-        once closed."""
-        with self._cond:
-            while len(self._items) >= self._capacity and not self._closed:
-                self._cond.wait()
-            if self._closed:
-                return False
-            self._items.append(item)
-            self._cond.notify_all()
-            return True
 
 
 def export_dynamic_obstacles(
@@ -288,118 +264,87 @@ def run_pipeline(
 ) -> RunSummary:
     """Drive the detector and tracker over a scan stream.
 
-    Pipelined mode runs the two stages on their own threads connected by a
-    bounded ordered hand-off; serial mode runs them back to back on the
-    calling thread. A batch source (``drop_stale`` False) is read by the
-    detect stage itself, so it is back-pressured and every scan is
-    processed. A live source is read by an ingest thread into a queue that,
-    when the detector falls behind, sheds its oldest scans and counts them.
-    Frames are never reordered.
+    Tracking, obstacle export, timing and the sinks run on the calling
+    thread, frame by frame in order. ``drop_stale`` reads a live source on a
+    ``scan-ingest`` thread into a queue that sheds (and counts) its oldest
+    scans when the detector falls behind; without it the source is
+    back-pressured and every scan is processed. ``pipelined`` runs the
+    detector one frame ahead on a ``detector`` thread, through a bounded
+    hand-off that never drops. Serial batch mode starts no thread.
 
     A failing source ends the run cleanly with a partial summary whose
-    ``error`` names the failure. A failing stage stops both stages and its
-    exception is re-raised here.
+    ``error`` names the failure. A failing stage stops the run and the first
+    stage exception is re-raised here; frames the detector handed over
+    before it failed are still tracked. The ``detector`` thread has ended on
+    return; the ``scan-ingest`` thread, whose live source may block forever,
+    stops at its next scan.
     """
     cfg = cfg or PipelineConfig()
     summary = RunSummary()
     wall_start = time.perf_counter()
-    source: Iterator[LidarScan] = _counted(scans, summary)
-    scan_queue = None
-    if cfg.drop_stale:
-        scan_queue = _DropOldestQueue(cfg.queue_capacity)
-        threading.Thread(
-            target=_ingest, args=(source, scan_queue), name="scan-ingest", daemon=True
-        ).start()
-        source = iter(scan_queue.get, None)
+    queues: list[_Queue] = []
+    joined: list[threading.Thread] = []
+    errors: list[BaseException] = []
+
+    def on_thread(items: Iterator, name: str, drop_oldest: bool) -> Iterator:
+        """Drain ``items`` on a thread of their own into a bounded queue and
+        return the queue's items; an exception is kept for the caller. A
+        dropping queue is fed by a live source, which the run never joins."""
+        queue = _Queue(cfg.queue_capacity, drop_oldest)
+
+        def drain():
+            try:
+                for item in items:
+                    if not queue.put(item):
+                        break
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                queue.close()
+
+        thread = threading.Thread(target=drain, name=name, daemon=True)
+        thread.start()
+        queues.append(queue)
+        if not drop_oldest:
+            joined.append(thread)
+        return iter(queue.get, None)
 
     def detect(scan: LidarScan):
         t0 = time.perf_counter()
         return scan, detect_fn(scan), t0, time.perf_counter()
 
-    def finish_frame(scan: LidarScan, dets: list[Detection], t0: float, t1: float):
-        t2 = time.perf_counter()
-        tracks = track_fn(scan, dets)
-        t3 = time.perf_counter()
-        obstacles = export_dynamic_obstacles(tracks, cfg.velocity_gate)
-        summary.timings.append(FrameTiming(
-            timestamp=scan.timestamp,
-            t_det_ms=(t1 - t0) * 1e3,
-            t_track_ms=(t3 - t2) * 1e3,
-            t_lat_ms=(t3 - t0) * 1e3,
-        ))
-        summary.frames_processed += 1
-        result = FrameResult(scan=scan, tracks=tracks, obstacles=obstacles)
-        for sink in sinks:
-            sink(result)
+    source: Iterator[LidarScan] = _counted(scans, summary)
+    if cfg.drop_stale:
+        source = on_thread(source, "scan-ingest", drop_oldest=True)
+    frames = map(detect, source)
+    if cfg.pipelined:
+        frames = on_thread(frames, "detector", drop_oldest=False)
 
     try:
-        if cfg.pipelined:
-            _overlap(map(detect, source), finish_frame, cfg.queue_capacity, scan_queue)
-        else:
-            for frame in map(detect, source):
-                finish_frame(*frame)
-    finally:
-        if scan_queue is not None:
-            scan_queue.close()
-
-    summary.wall_time_s = time.perf_counter() - wall_start
-    summary.frames_dropped = scan_queue.dropped if scan_queue is not None else 0
-    return summary
-
-
-def _ingest(source: Iterator[LidarScan], scan_queue: _DropOldestQueue) -> None:
-    """Feed a live source into the scan queue until it ends or the run
-    closes the queue."""
-    try:
-        for scan in source:
-            if not scan_queue.put(scan):
-                break
-    finally:
-        scan_queue.close()
-
-
-def _overlap(
-    detected: Iterator[tuple],
-    finish_frame: Callable,
-    capacity: int,
-    scan_queue: _DropOldestQueue | None,
-) -> None:
-    """Pull detected frames on one thread and finish them on another,
-    joined by a bounded hand-off. The first stage exception closes every
-    queue, so both threads end, and is re-raised on the calling thread."""
-    handoff = _HandoffQueue(capacity)
-    errors: list[BaseException] = []
-
-    def fail(exc: BaseException) -> None:
+        for scan, dets, t0, t1 in frames:
+            t2 = time.perf_counter()
+            tracks = track_fn(scan, dets)
+            t3 = time.perf_counter()
+            obstacles = export_dynamic_obstacles(tracks, cfg.velocity_gate)
+            summary.timings.append(FrameTiming(
+                timestamp=scan.timestamp,
+                t_det_ms=(t1 - t0) * 1e3,
+                t_track_ms=(t3 - t2) * 1e3,
+                t_lat_ms=(t3 - t0) * 1e3,
+            ))
+            summary.frames_processed += 1
+            result = FrameResult(scan=scan, tracks=tracks, obstacles=obstacles)
+            for sink in sinks:
+                sink(result)
+    except BaseException as exc:
         errors.append(exc)
-        handoff.close()
-        if scan_queue is not None:
-            scan_queue.close()
-
-    def detect_stage():
-        try:
-            for frame in detected:
-                if not handoff.put(frame):
-                    break
-        except BaseException as exc:
-            fail(exc)
-        finally:
-            handoff.close()
-
-    def track_stage():
-        try:
-            for frame in iter(handoff.get, None):
-                finish_frame(*frame)
-        except BaseException as exc:
-            fail(exc)
-
-    threads = [
-        threading.Thread(target=detect_stage, name="detector", daemon=True),
-        threading.Thread(target=track_stage, name="tracker", daemon=True),
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
+    for queue in queues:
+        queue.close()
+    for thread in joined:
         thread.join()
     if errors:
         raise errors[0]
+
+    summary.wall_time_s = time.perf_counter() - wall_start
+    summary.frames_dropped = sum(queue.dropped for queue in queues)
+    return summary

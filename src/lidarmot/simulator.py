@@ -143,8 +143,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in ("sr", "mr1", "mr2", "custom"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
         if self.n_persons < 0:
             raise ValueError(f"n_persons must be >= 0, got {self.n_persons}")
         if self.noise_std < 0:

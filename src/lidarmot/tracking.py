@@ -83,7 +83,7 @@ class TrackerConfig:
             raise ValueError("c_init must be >= 1")
         if self.c_del < 1:
             raise ValueError("c_del must be >= 1")
-        if self.gate_distance <= 0:
+        if not self.gate_distance > 0:  # also refuses NaN
             raise ValueError("gate_distance must be positive")
 
 

@@ -216,6 +216,24 @@ class TestErrors:
             run(["bench", "--velocity-gate", "0.1", "--out", tmp_path / "out"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["pipeline", "--in", "SIM", "--velocity-gate", "nan"], "velocity_gate"),
+        (["pipeline", "--in", "SIM", "--velocity-gate", "-1"], "velocity_gate"),
+        (["bench", "--duration", "inf"], "duration"),
+        (["bench", "--config", '{"tracker": {"gate_distance": NaN}}'], "NaN"),
+        (["simulate", "--config", '{"scenario": {"duration": 1e999}}'], "duration"),
+    ], ids=["velocity-gate-nan", "velocity-gate-negative", "duration-inf",
+            "config-nan", "config-overflow"])
+    def test_non_finite_setting_exits_2(self, sim_dir, tmp_path, capsys, argv, expected):
+        argv = [sim_dir if a == "SIM" else a for a in argv]
+        if "--config" in argv:
+            path = tmp_path / "run.json"
+            path.write_text(argv[-1])
+            argv = [*argv[:-1], path]
+        assert run([*argv, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected in err
+
     @pytest.mark.parametrize("name,command", [
         ("scans.jsonl", "pipeline"), ("ground_truth.jsonl", "bench"),
     ])

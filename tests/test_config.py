@@ -1,8 +1,12 @@
 import json
+import math
 
 import pytest
 
 from lidarmot.config import ConfigError, PRESETS, expand_preset, load_config
+from lidarmot.pipeline import PipelineConfig
+from lidarmot.simulator import ScenarioConfig
+from lidarmot.tracking import TrackerConfig
 
 
 class TestPresets:
@@ -76,6 +80,34 @@ class TestConfigFiles:
         path.write_text("{nope")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("text, expected", [
+        ('{"tracker": {"gate_distance": NaN}}', "non-finite number NaN"),
+        ('{"scenario": {"duration": Infinity}}', "non-finite number Infinity"),
+        ('{"pipeline": {"velocity_gate": -Infinity}}', "non-finite number -Infinity"),
+        # An overflowing literal decodes to inf; the section refuses it.
+        ('{"scenario": {"duration": 1e999}}', "duration must be positive and finite"),
+        ('{"pipeline": {"velocity_gate": 1e999}}', "velocity_gate must be >= 0 and finite"),
+        ('{"pipeline": {"velocity_gate": -0.1}}', "velocity_gate must be >= 0 and finite"),
+    ], ids=["gate_distance-NaN", "duration-Infinity", "velocity_gate--Infinity",
+            "duration-1e999", "velocity_gate-1e999", "velocity_gate-negative"])
+    def test_non_finite_value_refused(self, tmp_path, text, expected):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=expected):
+            load_config(path)
+
+    @pytest.mark.parametrize("make", [
+        lambda: TrackerConfig(gate_distance=math.nan),
+        lambda: ScenarioConfig(duration=math.inf),
+        lambda: ScenarioConfig(duration=math.nan),
+        lambda: PipelineConfig(velocity_gate=math.nan),
+        lambda: PipelineConfig(velocity_gate=math.inf),
+    ], ids=["gate_distance-nan", "duration-inf", "duration-nan", "velocity_gate-nan",
+            "velocity_gate-inf"])
+    def test_non_finite_setting_refused(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -109,6 +109,53 @@ def test_header_line_present_and_versioned(tmp_path):
     assert header["seed"] == 9
 
 
+def test_header_read_under_writer_metadata(tmp_path):
+    # lidarmot simulate passes its scenario kind, which overwrites the tag.
+    path = tmp_path / "scans.jsonl"
+    scan = LidarScan(0.05, [1.0], 0.0, 0.1, 30.0)
+    ds.write_dataset([ds.scan_to_record(scan)], path, metadata={"kind": "sr", "seed": 2})
+    assert path.read_text().startswith('{"kind":"sr","format":"lidarmot-dataset",')
+    stream = ds.read_dataset(path)
+    assert [r.kind for r in stream.records] == ["scan"]
+    assert (stream.skipped_unknown, stream.skipped_malformed) == (0, 0)
+
+
+@pytest.mark.parametrize("header, expected", [
+    ({"kind": "header", "format": "other", "version": 1}, "format 'other' is not"),
+    ({"kind": "header", "format": ds.FORMAT_NAME, "version": 99}, "version 99 is not"),
+    ({"kind": "header", "version": "1"}, "version '1' is not"),
+    ({"kind": "header", "version": True}, "version True is not"),
+    ({"kind": "header", "version": 1.0}, "version 1.0 is not"),
+    ({"kind": "sr", "format": "other", "version": 1}, "format 'other' is not"),
+], ids=["format", "newer-version", "string-version", "bool-version", "float-version",
+        "overwritten-tag"])
+def test_foreign_header_rejected_in_both_modes(tmp_path, header, expected):
+    path = tmp_path / "h.jsonl"
+    good = ds._dump_record("scan", 0.0, {"ranges": []})
+    path.write_text(json.dumps(header) + "\n" + good + "\n")
+    for strict in (True, False):
+        with pytest.raises(ds.DatasetFormatError, match=expected) as err:
+            ds.read_dataset(path, strict=strict)
+        assert err.value.line_number == 1
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("[1, 2]", "record is not an object"),
+    ('"abc"', "record is not an object"),
+    ('{"t": 0}', "kind is missing"),
+    ('{"kind": "scan", "ranges": []}', "scan record: t is missing"),
+], ids=["list", "string", "no-kind", "no-t"])
+def test_bad_line_names_its_cause(tmp_path, line, expected):
+    path = tmp_path / "bad.jsonl"
+    good = ds._dump_record("scan", 0.0, {"ranges": []})
+    path.write_text(line + "\n" + good + "\n" + good + "\n")
+    with pytest.raises(ds.DatasetFormatError, match=f"^line 1: {expected}$"):
+        ds.read_dataset(path)
+    lenient = ds.read_dataset(path, strict=False)
+    assert len(lenient.records) == 2
+    assert (lenient.skipped_malformed, lenient.skipped_unknown) == (1, 0)
+
+
 def test_ground_truth_round_trip(tmp_path):
     frame = GroundTruthFrame(
         timestamp=0.01,

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from lidarmot.config import load_config
 from lidarmot.geometry import LidarScan, PointXY
 from lidarmot.pipeline import (
     DynamicObstacle,
@@ -19,6 +20,7 @@ from lidarmot.pipeline import (
     time_to_closest_approach,
 )
 from lidarmot.tracking import KalmanState, Track, TrackStatus
+from lidarmot.workflows import run_tracking
 
 
 def track(tid, x, y, vx, vy):
@@ -249,9 +251,67 @@ def endless_scans():
         yield LidarScan(k / 20.0, np.full(8, 2.0), -2.356, math.radians(0.25), 30.0)
 
 
+def errors_within_5s(*args) -> list[str]:
+    """Run ``run_pipeline(*args)`` on a worker thread, check that it returns
+    within 5 s, and give the messages of the ValueErrors it raised."""
+    raised = []
+
+    def call():
+        try:
+            run_pipeline(*args)
+        except ValueError as exc:
+            raised.append(str(exc))
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive()
+    return raised
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Names of the threads started while the test runs."""
+    names = []
+    start = threading.Thread.start
+
+    def record(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return names
+
+
 @pytest.mark.parametrize("pipelined", [False, True], ids=["serial", "pipelined"])
 @pytest.mark.parametrize("drop_stale", [False, True], ids=["batch", "live"])
-@pytest.mark.parametrize("stage", ["detect", "track"])
+def test_tracker_and_sinks_run_on_calling_thread(pipelined, drop_stale, started):
+    seen = []
+
+    def track_fn(scan, dets):
+        seen.append(("track", threading.current_thread()))
+        return []
+
+    def sink(result):
+        seen.append(("sink", threading.current_thread()))
+
+    cfg = PipelineConfig(pipelined=pipelined, drop_stale=drop_stale)
+    run_pipeline(iter(scans(10)), lambda s: [], track_fn, cfg, sinks=[sink, sink])
+    # A live source may shed scans, but the newest always reaches the tracker.
+    assert {stage for stage, _ in seen} == {"track", "sink"}
+    assert {thread for _, thread in seen} == {threading.current_thread()}
+    assert started == ["scan-ingest"] * drop_stale + ["detector"] * pipelined
+
+
+def test_batch_run_tracking_starts_no_thread(started):
+    run = run_tracking(scans(20), load_config("config-2"))
+    assert len(run.timings) == 20
+    assert started == []
+
+
+@pytest.mark.parametrize("pipelined", [False, True], ids=["serial", "pipelined"])
+@pytest.mark.parametrize("drop_stale", [False, True], ids=["batch", "live"])
+@pytest.mark.parametrize("stage", ["detect", "track", "sink"])
 def test_stage_error_stops_run_and_surfaces(pipelined, drop_stale, stage):
     calls = []
 
@@ -261,24 +321,41 @@ def test_stage_error_stops_run_and_surfaces(pipelined, drop_stale, stage):
             raise ValueError("boom")
         return []
 
+    tracked = []
+
+    def track_fn(scan, dets):
+        tracked.append(scan)
+        return failing() if stage == "track" else []
+
     detect_fn = failing if stage == "detect" else (lambda s: [])
-    track_fn = failing if stage == "track" else (lambda s, d: [])
+    sinks = [failing] if stage == "sink" else []
     cfg = PipelineConfig(pipelined=pipelined, drop_stale=drop_stale)
-    raised = []
-
-    def call():
-        try:
-            run_pipeline(endless_scans(), detect_fn, track_fn, cfg)
-        except ValueError as exc:
-            raised.append(exc)
-
-    worker = threading.Thread(target=call, daemon=True)
-    worker.start()
-    worker.join(timeout=5)
-    assert not worker.is_alive()
-    assert [str(e) for e in raised] == ["boom"]
+    assert errors_within_5s(endless_scans(), detect_fn, track_fn, cfg, sinks) == ["boom"]
+    # Frames detected before the detector failed are still tracked.
+    assert len(tracked) == (2 if stage == "detect" else 3)
     stage_threads = {"detector", "tracker"}
     assert not [t for t in threading.enumerate() if t.name in stage_threads]
+
+
+@pytest.mark.parametrize("pipelined", [False, True], ids=["serial", "pipelined"])
+@pytest.mark.parametrize("stage", ["detect", "track"])
+def test_failing_stage_returns_while_live_source_blocks(pipelined, stage):
+    release = threading.Event()
+
+    def blocking_source():
+        yield from scans(5)
+        release.wait()
+
+    def failing(*_args):
+        raise ValueError("boom")
+
+    detect_fn = failing if stage == "detect" else (lambda s: [])
+    track_fn = failing if stage == "track" else (lambda s, d: [])
+    cfg = PipelineConfig(pipelined=pipelined, drop_stale=True)
+    try:
+        assert errors_within_5s(blocking_source(), detect_fn, track_fn, cfg) == ["boom"]
+    finally:
+        release.set()
 
 
 def test_pipeline_config_validation():
