@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import dataset as ds
-from .config import ConfigError, load_config
+from .config import ConfigError, apply_layer, load_config
 from .dataset import DatasetFormatError
 from .evaluation import evaluate_sequence
 from .geometry import LidarScan
@@ -50,34 +50,37 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_run_config(args):
-    cfg = load_config(args.config or args.preset, preset=args.preset)
-    overrides = {}
-    scenario = cfg.scenario
-    for name in ("kind", "seed", "duration"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "persons", None) is not None:
-        overrides["n_persons"] = args.persons
-    if getattr(args, "noise_std", None) is not None:
-        overrides["noise_std"] = args.noise_std
-    if getattr(args, "dropout", None) is not None:
-        overrides["dropout_prob"] = args.dropout
-    if overrides:
-        scenario = dataclasses.replace(scenario, **overrides)
-        cfg = dataclasses.replace(cfg, scenario=scenario)
-    if getattr(args, "velocity_gate", None) is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            pipeline=dataclasses.replace(cfg.pipeline, velocity_gate=args.velocity_gate),
-        )
-    return cfg
+#: Each command-line setting and the config field it sets, as
+#: ``flag: (section, field)``. The flags form one more config layer, on top of
+#: the preset and the config file, and are checked like a file's keys.
+_FLAG_FIELDS = {
+    "kind": ("scenario", "kind"),
+    "seed": ("scenario", "seed"),
+    "duration": ("scenario", "duration"),
+    "persons": ("scenario", "n_persons"),
+    "noise_std": ("scenario", "noise_std"),
+    "dropout": ("scenario", "dropout_prob"),
+    "velocity_gate": ("pipeline", "velocity_gate"),
+}
+
+
+def _load_run_config(args, preset: str | None = None, seed: int | None = None):
+    """The run configuration of ``args``; a ``bench`` sweep row passes its own
+    ``preset`` and ``seed`` in place of the flags'."""
+    flags = vars(args) if seed is None else dict(vars(args), seed=seed)
+    layer: dict[str, dict] = {}
+    for flag, (section, name) in _FLAG_FIELDS.items():
+        if flags.get(flag) is not None:
+            layer.setdefault(section, {})[name] = flags[flag]
+    return apply_layer(load_config(args.config, preset=preset or args.preset), layer)
 
 
 def _read(path: Path, kind: str, decode, strict: bool) -> list:
-    """Every ``kind`` record of a dataset file, decoded, in file order."""
+    """Every ``kind`` record of a dataset file, decoded, in file order. A
+    lenient read says on stderr how many lines it skipped."""
     stream = ds.read_dataset(path, strict=strict)
+    if stream.skipped_malformed:
+        print(f"skipped {stream.skipped_malformed} malformed line(s) in {path}", file=sys.stderr)
     return [decode(r) for r in stream.records if r.kind == kind]
 
 
@@ -211,12 +214,13 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _bench_one(args, preset: str | None, seed: int | None):
-    sweep_args = argparse.Namespace(**vars(args))
-    sweep_args.preset = preset
-    if seed is not None:
-        sweep_args.seed = seed
-    cfg = _load_run_config(sweep_args)
+def _cmd_bench(args) -> int:
+    out = _out_dir(args)
+    presets = args.preset.split(",") if args.preset else [None]
+    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
+    # Every row's settings are checked before the first row runs, and an
+    # input directory is read once for all of them.
+    cfgs = [_load_run_config(args, preset, seed) for preset in presets for seed in seeds]
     scans = gt_frames = None
     if args.in_dir:
         in_dir = Path(args.in_dir)
@@ -224,43 +228,33 @@ def _bench_one(args, preset: str | None, seed: int | None):
         gt_frames = _read(
             in_dir / GROUND_TRUTH_FILE, "ground_truth", ds.record_to_ground_truth, args.strict
         )
-    mot, tracking = run_benchmark(
-        cfg, scans=scans, gt_frames=gt_frames, threshold=args.threshold
-    )
-    return cfg, mot, tracking
-
-
-def _cmd_bench(args) -> int:
-    out = _out_dir(args)
-    presets = args.preset.split(",") if args.preset else [None]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
     rows = []
-    cfg0 = None
-    for preset in presets:
-        for seed in seeds:
-            cfg, mot, tracking = _bench_one(args, preset, seed)
-            cfg0 = cfg0 or cfg
-            row = {
-                "preset": cfg.preset,
-                "kind": cfg.scenario.kind,
-                "seed": cfg.scenario.seed,
-                "mot": mot_section(mot),
-            }
-            if args.timings:
-                stage = collect_timings(tracking.timings, cfg.pipeline.scan_rate_hz)
-                row["timing"] = timing_section(stage)
-            rows.append(row)
-            # mot_section writes None where MOTA or MOTP is undefined.
-            section = row["mot"]
-            mota = "n/a" if section["mota"] is None else f"{section['mota'] * 100:.2f}%"
-            motp = "n/a" if section["motp"] is None else f"{section['motp']:.3f} m"
-            print(
-                f"bench {cfg.preset or 'defaults'} seed {cfg.scenario.seed}: "
-                f"MOTA {mota}  MOTP {motp}  "
-                f"(ID {mot.total_id_switches}  Miss {mot.total_misses}  "
-                f"FP {mot.total_false_positives}  g {mot.total_g})"
-            )
+    for cfg in cfgs:
+        mot, tracking = run_benchmark(
+            cfg, scans=scans, gt_frames=gt_frames, threshold=args.threshold
+        )
+        row = {
+            "preset": cfg.preset,
+            "kind": cfg.scenario.kind,
+            "seed": cfg.scenario.seed,
+            "mot": mot_section(mot),
+        }
+        if args.timings:
+            stage = collect_timings(tracking.timings, cfg.pipeline.scan_rate_hz)
+            row["timing"] = timing_section(stage)
+        rows.append(row)
+        # mot_section writes None where MOTA or MOTP is undefined.
+        section = row["mot"]
+        mota = "n/a" if section["mota"] is None else f"{section['mota'] * 100:.2f}%"
+        motp = "n/a" if section["motp"] is None else f"{section['motp']:.3f} m"
+        print(
+            f"bench {cfg.preset or 'defaults'} seed {cfg.scenario.seed}: "
+            f"MOTA {mota}  MOTP {motp}  "
+            f"(ID {mot.total_id_switches}  Miss {mot.total_misses}  "
+            f"FP {mot.total_false_positives}  g {mot.total_g})"
+        )
 
+    cfg0 = cfgs[0]
     metadata = {
         "kind": cfg0.scenario.kind,
         "duration": cfg0.scenario.duration,

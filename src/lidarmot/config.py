@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .dataset import _reject_constant
 from .detection import DetectorConfig
 from .pipeline import PipelineConfig
 from .simulator import ScenarioConfig
@@ -50,6 +53,7 @@ _SECTION_TYPES = {
     "pipeline": PipelineConfig,
     "scenario": ScenarioConfig,
 }
+_FIELD_TYPES = {name: typing.get_type_hints(cls) for name, cls in _SECTION_TYPES.items()}
 
 
 @dataclass(frozen=True)
@@ -67,26 +71,53 @@ class RunConfig:
 #: JSON. The pipeline mode is chosen by each command (``--realtime``, or a
 #: serial batch), so a file's value would be ignored.
 _NOT_FROM_FILE = {
-    "scenario": ("lidar", "scripted_agents", "occluder_walls", "clutter"),
+    "scenario": ("lidar", "scripted_agents", "occluder_walls"),
     "pipeline": ("pipelined", "drop_stale"),
 }
 
 
 def _build_section(name: str, base, overrides: dict):
-    cls = _SECTION_TYPES[name]
-    known = {f.name for f in dataclasses.fields(cls)}
     for key in overrides:
-        if key not in known:
+        if key not in _FIELD_TYPES[name]:
             raise ConfigError(f"unknown field {name}.{key}")
         if key in _NOT_FROM_FILE.get(name, ()):
             raise ConfigError(f"{name}.{key} cannot be set from a config file")
     try:
-        return dataclasses.replace(base, **overrides)
+        section = dataclasses.replace(base, **overrides)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid value in section {name!r}: {exc}") from exc
+    for key, value in overrides.items():
+        expected = _type_error(_FIELD_TYPES[name][key], value)
+        if expected:
+            raise ConfigError(
+                f"invalid value in section {name!r}: {key} must be {expected}, got {value!r}"
+            )
+    return section
 
 
-def _apply_layer(cfg: RunConfig, layer: dict) -> RunConfig:
+def _finite(value) -> bool:
+    """A JSON number, not a bool, that is finite."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _type_error(kind, value) -> str | None:
+    """What ``value`` must be to fill a field of type ``kind``, if it is not.
+    Only the plain types a file or flag sets are checked here; each field's
+    range is checked by its section's ``__post_init__``."""
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        return "an integer"
+    if kind is float and not _finite(value):
+        return "a finite number"
+    if typing.get_origin(kind) is tuple and typing.get_args(kind)[0] is float:
+        if not isinstance(value, (list, tuple)) or not all(map(_finite, value)):
+            return "a list of finite numbers"
+    return None
+
+
+def apply_layer(cfg: RunConfig, layer: dict) -> RunConfig:
+    """``cfg`` with one layer of settings on top: a preset's, a config file's
+    or the command line's, as ``{section: {field: value}}``. Every key is
+    checked and an error names it as ``section.key``."""
     updates = {}
     for key, value in layer.items():
         if key in _SECTION_TYPES:
@@ -104,16 +135,12 @@ def _apply_layer(cfg: RunConfig, layer: dict) -> RunConfig:
     return dataclasses.replace(cfg, **updates)
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite number {name}")
-
-
 def expand_preset(name: str) -> RunConfig:
     if name not in PRESETS:
         raise ConfigError(
             f"unknown preset {name!r} (known: {', '.join(sorted(PRESETS))})"
         )
-    cfg = _apply_layer(RunConfig(), PRESETS[name])
+    cfg = apply_layer(RunConfig(), PRESETS[name])
     return dataclasses.replace(cfg, preset=name)
 
 
@@ -142,4 +169,4 @@ def load_config(source: str | Path | None = None, preset: str | None = None) -> 
         raise ConfigError(f"config file {path} must hold a JSON object")
     if "preset" in layer and not preset:
         base = expand_preset(layer["preset"])
-    return _apply_layer(base, layer)
+    return apply_layer(base, layer)

@@ -172,7 +172,7 @@ def match_frame(
     absent from this frame (e.g. outside the FOV) loses its binding, so a
     fresh track after re-entry is not counted as a switch.
     """
-    if threshold <= 0:
+    if not threshold > 0:  # also refuses NaN
         raise ValueError("threshold must be positive")
     prev = prev or {}
     persons = sorted(gt.persons, key=lambda kv: kv[0])

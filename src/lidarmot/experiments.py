@@ -1,7 +1,10 @@
 """Canned experiments: track-initiation latency behind an occluder and
 head-on avoidance lead time. Both are small, fully deterministic setups used
 by the acceptance suite and the demo scripts, each defined once by the
-module constants below; only the emergence scenario's seed varies.
+module constants below; only the emergence scenario's seed varies. The
+emergence scenario is a ``custom`` scene, so its robot stands at the origin
+facing +x with no arena walls and no furniture, only the occluding wall and
+the person.
 """
 
 from __future__ import annotations
@@ -40,9 +43,6 @@ def emergence_scenario(seed: int = 0) -> ScenarioConfig:
         scripted_agents=(
             ScriptedAgent(id=EMERGING_PERSON_ID, x=2.6, y=-2.0, vx=0.0, vy=1.0),
         ),
-        robot_start=(0.0, 0.0, 0.0),
-        arena_walls=False,
-        clutter=(),
         seed=seed,
     )
 

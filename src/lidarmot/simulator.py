@@ -4,8 +4,11 @@ policies, robot motion policies, and high-rate ground truth.
 Three built-in scenario kinds mirror a stationary-robot recording ("sr"), a
 moving robot that steers to keep people in view ("mr1"), and a randomly
 moving robot that lets people leave and re-enter the field of view ("mr2").
-A "custom" kind runs scripted constant-velocity agents against caller-chosen
-geometry, which the occlusion and avoidance experiments build on.
+The three build the same kind of world from the seed: a walled arena with
+furniture and randomly walking persons. A "custom" kind is built by hand
+instead, for the occlusion experiment: the robot stands still at the origin
+facing +x, with no arena walls and no furniture, and the world holds only the
+caller's scripted constant-velocity agents and occluder walls.
 
 All randomness derives from the scenario seed; the scan clock (20 Hz) and
 ground-truth clock (100 Hz) are exact rationals of the same tick, so a run
@@ -122,6 +125,12 @@ class ScriptedAgent:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One simulated run. ``kind`` decides the world: ``sr``, ``mr1`` and
+    ``mr2`` generate a walled ``arena`` with seeded furniture and
+    ``n_persons`` persons (``scripted_agents`` are ignored), while ``custom``
+    puts the robot at the origin facing +x with only ``scripted_agents`` and
+    ``occluder_walls``. ``occluder_walls`` are added to every kind."""
+
     kind: str = "sr"
     arena: tuple[float, float, float, float] = (-2.0, -2.0, 2.0, 2.0)
     duration: float = 120.0
@@ -130,14 +139,11 @@ class ScenarioConfig:
     person_radius: float = 0.3
     robot_linear_max: float = 0.5
     robot_angular_max: float = 1.5
-    clutter: tuple | None = None          # None -> seed-placed default set
     occluder_walls: tuple[Segment, ...] = ()
     seed: int = 0
     noise_std: float = 0.01
     dropout_prob: float = 0.005
     scripted_agents: tuple[ScriptedAgent, ...] = ()
-    robot_start: tuple[float, float, float] | None = None
-    arena_walls: bool = True
     lidar: LidarParams = field(default_factory=LidarParams)
 
     def __post_init__(self):
@@ -531,53 +537,44 @@ def _default_clutter(
             for sx, sy in ((-1, -1), (1, -1), (-1, 1), (1, 1))
         )
 
-    def spot(fixed: float, lo: float, hi: float, horizontal: bool) -> tuple[float, float]:
-        x = y = 0.0
-        for _ in range(20):
-            at = float(rng.uniform(lo, hi))
-            x, y = (at, fixed) if horizontal else (fixed, at)
-            if math.hypot(x - keep_clear[0], y - keep_clear[1]) >= 1.2:
-                break
-        return x, y
-
-    def table(
-        fixed: float, lo: float, hi: float, horizontal: bool, back: float
-    ) -> tuple[Segment, tuple[Circle, Circle]]:
-        # Legs sit inset behind the front edge (toward the wall), so the
-        # edge itself stays a clean straight run from every viewpoint.
-        ends = ((lo, fixed), (lo + 1.2, fixed))
+    def place(
+        fixed: float, lo: float, hi: float, horizontal: bool, length: float
+    ) -> tuple[tuple[float, float], tuple[float, float]]:
+        # Both ends of a run of ``length`` along the wall line at ``fixed``,
+        # from a seeded start in [lo, hi), redrawn up to 20 times until both
+        # ends keep 1.2 m from ``keep_clear``; a chair is a run of length 0.
         for _ in range(20):
             at = float(rng.uniform(lo, hi))
             if horizontal:
-                ends = ((at, fixed), (at + 1.2, fixed))
+                ends = ((at, fixed), (at + length, fixed))
             else:
-                ends = ((fixed, at), (fixed, at + 1.2))
+                ends = ((fixed, at), (fixed, at + length))
             if all(
                 math.hypot(ex - keep_clear[0], ey - keep_clear[1]) >= 1.2
                 for ex, ey in ends
             ):
                 break
-        (ax, ay), (bx, by) = ends
-        if horizontal:
-            legs = (Circle(ax + 0.15, ay + back, leg_r), Circle(bx - 0.15, by + back, leg_r))
-        else:
-            legs = (Circle(ax + back, ay + 0.15, leg_r), Circle(bx + back, by - 0.15, leg_r))
-        return Segment(ax, ay, bx, by), legs
+        return ends
 
     # Chair leg centers sit at wall_off + half so every leg keeps clearance.
     chair_row = wall_off + 0.21
     circles: tuple[Circle, ...] = ()
-    circles += chair(*spot(y0 + chair_row, x0 + 0.2 * span_x, x0 + 0.8 * span_x, True))
-    circles += chair(*spot(y1 - chair_row, x0 + 0.2 * span_x, x0 + 0.8 * span_x, True))
+    for fixed in (y0 + chair_row, y1 - chair_row):
+        spot, _ = place(fixed, x0 + 0.2 * span_x, x0 + 0.8 * span_x, True, 0.0)
+        circles += chair(*spot)
 
+    # Table legs sit 0.15 m behind the front edge (toward the wall) and 0.15 m
+    # in from its ends, so the edge stays a clean straight run from every
+    # viewpoint.
     segments: list[Segment] = []
-    for fixed, lo, hi, horizontal, back in (
-        (y1 - wall_off, x0 + 0.2 * span_x, x0 + 0.8 * span_x - 1.2, True, 0.15),
-        (x1 - wall_off, y0 + 0.2 * span_y, y0 + 0.8 * span_y - 1.2, False, 0.15),
+    for fixed, lo, hi, horizontal in (
+        (y1 - wall_off, x0 + 0.2 * span_x, x0 + 0.8 * span_x - 1.2, True),
+        (x1 - wall_off, y0 + 0.2 * span_y, y0 + 0.8 * span_y - 1.2, False),
     ):
-        seg, legs = table(fixed, lo, hi, horizontal, back)
-        segments.append(seg)
-        circles += legs
+        (ax, ay), (bx, by) = place(fixed, lo, hi, horizontal, 1.2)
+        segments.append(Segment(ax, ay, bx, by))
+        dx, dy = (-0.15, 0.15) if horizontal else (0.15, -0.15)
+        circles += (Circle(ax + 0.15, ay + 0.15, leg_r), Circle(bx + dx, by + dy, leg_r))
     return circles, tuple(segments)
 
 
@@ -615,43 +612,14 @@ class Scenario:
 
     def _build_initial_state(self) -> WorldState:
         cfg = self.cfg
-        rng = self._rng_world
-        x0, y0, x1, y1 = cfg.arena
-
-        if cfg.robot_start is not None:
-            rx, ry, rtheta = cfg.robot_start
-        elif cfg.kind == "sr":
-            # Stationary robot near one wall looking across the arena keeps
-            # every walkable spot inside the 270-degree wedge.
-            rx, ry, rtheta = x0 + ROBOT_WALL_MARGIN + 0.1, (y0 + y1) / 2.0, 0.0
-        else:
-            rx, ry, rtheta = (x0 + x1) / 2.0, (y0 + y1) / 2.0, 0.0
-        robot = Pose2D(rx, ry, rtheta, 0.0)
-
-        circles: tuple[Circle, ...] = ()
-        segments: list[Segment] = []
-        keep_out: list[Segment] = []
-        if cfg.arena_walls:
-            segments.extend(_arena_walls(cfg.arena))
-        if cfg.clutter is None and cfg.kind != "custom":
-            circles, clutter_segs = _default_clutter(cfg.arena, rng, (rx, ry))
-            segments.extend(clutter_segs)
-            keep_out.extend(clutter_segs)
-        elif cfg.clutter:
-            for shape in cfg.clutter:
-                if isinstance(shape, Circle):
-                    circles = circles + (shape,)
-                elif isinstance(shape, Segment):
-                    segments.append(shape)
-                    keep_out.append(shape)
-                else:
-                    raise ValueError(f"unsupported clutter shape {shape!r}")
-        segments.extend(cfg.occluder_walls)
-
-        agents: list[AgentModel] = []
         if cfg.kind == "custom":
-            for sa in cfg.scripted_agents:
-                agents.append(
+            # Hand-built: the robot at the origin facing +x, the caller's
+            # walls and scripted agents, nothing else.
+            return WorldState(
+                time=0.0,
+                robot=Pose2D(0.0, 0.0, 0.0, 0.0),
+                robot_twist=(0.0, 0.0),
+                agents=[
                     AgentModel(
                         id=sa.id,
                         radius=sa.radius,
@@ -659,18 +627,33 @@ class Scenario:
                         velocity=np.array([sa.vx, sa.vy], dtype=float),
                         scripted=True,
                     )
-                )
+                    for sa in cfg.scripted_agents
+                ],
+                circles=(),
+                segments=tuple(cfg.occluder_walls),
+                arena=cfg.arena,
+            )
+
+        # Generated: a walled arena, seeded furniture and seeded persons.
+        rng = self._rng_world
+        x0, y0, x1, y1 = cfg.arena
+        if cfg.kind == "sr":
+            # Stationary robot near one wall looking across the arena keeps
+            # every walkable spot inside the 270-degree wedge.
+            rx, ry = x0 + ROBOT_WALL_MARGIN + 0.1, (y0 + y1) / 2.0
         else:
-            agents = self._place_persons(robot, circles, tuple(keep_out), rng)
+            rx, ry = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+        robot = Pose2D(rx, ry, 0.0, 0.0)
+        circles, furniture = _default_clutter(cfg.arena, rng, (rx, ry))
         return WorldState(
             time=0.0,
             robot=robot,
             robot_twist=(0.0, 0.0),
-            agents=agents,
+            agents=self._place_persons(robot, circles, furniture, rng),
             circles=circles,
-            segments=tuple(segments),
+            segments=_arena_walls(cfg.arena) + furniture + tuple(cfg.occluder_walls),
             arena=cfg.arena,
-            keep_out=tuple(keep_out),
+            keep_out=furniture,
         )
 
     def _place_persons(
@@ -730,7 +713,7 @@ class Scenario:
         """First half: straight lines (reflections only). Second half: the
         walk re-aims at random intervals."""
         cfg = self.cfg
-        if cfg.kind == "custom" or t < cfg.duration / 2.0:
+        if t < cfg.duration / 2.0:
             return
         rng = self._rng_world
         for a in self.state.agents:

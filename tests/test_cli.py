@@ -103,6 +103,30 @@ class TestBench:
         ]
         assert all("mota" in r["mot"] for r in report["rows"])
 
+    def test_bench_sweep_reads_input_once(self, sim_dir, tmp_path, monkeypatch):
+        singles = {}
+        for preset in ("config-1", "config-2"):
+            out = tmp_path / preset
+            assert run(["bench", "--in", sim_dir, "--preset", preset, "--out", out]) == 0
+            singles[preset] = json.loads((out / "report.json").read_text())["mot"]
+        reads = []
+
+        def counted(path, *args, **kwargs):
+            reads.append(Path(path).name)
+            return read_dataset(path, *args, **kwargs)
+
+        read_dataset = ds.read_dataset
+        monkeypatch.setattr(ds, "read_dataset", counted)
+        out = tmp_path / "sweep"
+        assert run(["bench", "--in", sim_dir, "--preset", "config-1,config-2",
+                    "--seeds", "4,5", "--out", out]) == 0
+        assert sorted(reads) == ["ground_truth.jsonl", "scans.jsonl"]
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert [(r["preset"], r["seed"]) for r in rows] == [
+            ("config-1", 4), ("config-1", 5), ("config-2", 4), ("config-2", 5),
+        ]
+        assert all(r["mot"] == singles[r["preset"]] for r in rows)
+
     def test_bench_without_persons_reports_null(self, tmp_path, capsys):
         # MOTA and MOTP are undefined without ground-truth persons.
         out = tmp_path / "empty"
@@ -222,8 +246,10 @@ class TestErrors:
         (["bench", "--duration", "inf"], "duration"),
         (["bench", "--config", '{"tracker": {"gate_distance": NaN}}'], "NaN"),
         (["simulate", "--config", '{"scenario": {"duration": 1e999}}'], "duration"),
+        (["simulate", "--noise-std", "nan"], "noise_std must be a finite number"),
+        (["bench", "--duration", "1", "--threshold", "nan"], "threshold must be positive"),
     ], ids=["velocity-gate-nan", "velocity-gate-negative", "duration-inf",
-            "config-nan", "config-overflow"])
+            "config-nan", "config-overflow", "noise-std-nan", "threshold-nan"])
     def test_non_finite_setting_exits_2(self, sim_dir, tmp_path, capsys, argv, expected):
         argv = [sim_dir if a == "SIM" else a for a in argv]
         if "--config" in argv:
@@ -231,6 +257,25 @@ class TestErrors:
             path.write_text(argv[-1])
             argv = [*argv[:-1], path]
         assert run([*argv, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        # A flag takes the same checks, and names its field the same way, as
+        # a file key.
+        (["--persons", "-1"], "section 'scenario': n_persons must be >= 0"),
+        (["--config", '{"scenario": {"n_persons": 2.5}}'],
+         "section 'scenario': n_persons must be an integer, got 2.5"),
+        (["--config", '{"scenario": {"seed": 1.5}}'],
+         "section 'scenario': seed must be an integer, got 1.5"),
+    ], ids=["persons-flag", "n_persons-file", "seed-file"])
+    def test_bad_setting_names_section(self, tmp_path, capsys, argv, expected):
+        if "--config" in argv:
+            path = tmp_path / "run.json"
+            path.write_text(argv[-1])
+            argv = [*argv[:-1], path]
+        assert run(["bench", "--kind", "sr", "--duration", "2", *argv,
+                    "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
 
@@ -250,6 +295,20 @@ class TestErrors:
         assert "line 5: " in capsys.readouterr().err
         assert run([command, "--in", data, "--out", tmp_path / "lenient",
                     "--no-strict"]) == 0
+
+    def test_lenient_read_reports_skipped_lines(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(["simulate", "--kind", "sr", "--seed", "2", "--duration", "1",
+                    "--out", data]) == 0
+        path = data / "scans.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "{nope\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(["pipeline", "--in", data, "--out", tmp_path / "out", "--no-strict"]) == 0
+        captured = capsys.readouterr()
+        assert "20/20 frames" in captured.out
+        assert captured.err == f"skipped 1 malformed line(s) in {path}\n"
 
     @pytest.mark.parametrize("name,command,where,value,expected", [
         ("scans.jsonl", "pipeline", "ranges", "1.5", "ranges[0] is '1.5'"),

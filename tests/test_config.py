@@ -109,6 +109,32 @@ class TestConfigFiles:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("section, key, literal, expected", [
+        ("scenario", "n_persons", "2.5", "an integer"),
+        ("scenario", "seed", "1.5", "an integer"),
+        ("scenario", "seed", "true", "an integer"),
+        ("scenario", "noise_std", "true", "a finite number"),
+        ("scenario", "arena", "[-4, -4, 4, 1e999]", "a list of finite numbers"),
+        ("scenario", "person_speed", "[0.3, true]", "a list of finite numbers"),
+        ("tracker", "c_init", "2.5", "an integer"),
+        ("tracker", "c_del", "true", "an integer"),
+        ("tracker", "gate_distance", "1e999", "a finite number"),
+        ("detector", "window_stride", "2.5", "an integer"),
+        ("detector", "confidence_threshold", "true", "a finite number"),
+        ("pipeline", "queue_capacity", "2.5", "an integer"),
+        ("pipeline", "scan_rate_hz", "1e999", "a finite number"),
+    ], ids=["n_persons-float", "seed-float", "seed-bool", "noise_std-bool",
+            "arena-overflow", "person_speed-bool", "c_init-float", "c_del-bool",
+            "gate_distance-overflow", "window_stride-float", "confidence_threshold-bool",
+            "queue_capacity-float", "scan_rate_hz-overflow"])
+    def test_wrong_type_refused_by_name(self, tmp_path, section, key, literal, expected):
+        path = tmp_path / "run.json"
+        path.write_text(f'{{"{section}": {{"{key}": {literal}}}}}')
+        with pytest.raises(
+            ConfigError, match=rf"section '{section}': {key} must be {expected}, got "
+        ):
+            load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
@@ -133,7 +159,6 @@ class TestScenarioObjectFields:
             ("lidar", {"rate_hz": 10}),
             ("scripted_agents", [{"id": 3, "x": 1.0, "y": 0.5, "vx": 0.2, "vy": 0.0}]),
             ("occluder_walls", [{"x1": 1, "y1": -1, "x2": 1, "y2": 1}]),
-            ("clutter", [{"x": 2.0, "y": 0.0, "radius": 0.03}]),
             # Each command sets the pipeline mode itself.
             ("pipeline.pipelined", False),
             ("pipeline.drop_stale", False),
@@ -148,6 +173,18 @@ class TestScenarioObjectFields:
         with pytest.raises(
             ConfigError, match=rf"{section}\.{name} cannot be set from a config file"
         ):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("clutter", [{"x": 2.0, "y": 0.0, "radius": 0.03}]),
+        ("arena_walls", False),
+        ("robot_start", [0.0, 0.0, 0.0]),
+    ])
+    def test_removed_scenario_field_unknown(self, tmp_path, key, value):
+        # A scenario's kind decides its robot start, walls and furniture.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scenario": {key: value}}))
+        with pytest.raises(ConfigError, match=rf"unknown field scenario\.{key}$"):
             load_config(path)
 
     def test_arena_list_still_accepted(self, tmp_path):

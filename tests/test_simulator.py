@@ -295,13 +295,21 @@ class TestGroundTruth:
             kind="custom",
             duration=1.0,
             scripted_agents=(ScriptedAgent(id=9, x=1.0, y=0.0, vx=0.5, vy=0.0),),
-            robot_start=(0.0, 0.0, 0.0),
-            arena_walls=False,
-            clutter=(),
         )
         scans, gt = run_scenario(cfg)
         assert gt[0].persons[0][0] == 9
         assert gt[-1].persons[0][1].x == pytest.approx(1.5, abs=1e-9)
+
+    def test_custom_scenario_is_hand_built(self):
+        # The kind decides the world: whatever the arena, a custom scene puts
+        # the robot at the origin facing +x with only the caller's walls.
+        wall = Segment(2.0, -4.0, 2.0, 0.0)
+        state = Scenario(
+            ScenarioConfig(kind="custom", arena=(-1.0, -5.0, 6.0, 5.0), occluder_walls=(wall,))
+        ).state
+        assert (state.robot.x, state.robot.y, state.robot.theta) == (0.0, 0.0, 0.0)
+        assert state.segments == (wall,)
+        assert state.circles == () and state.keep_out == ()
 
     def test_agents_clear_of_clutter_at_start(self):
         scen = Scenario(small_cfg(seed=11))
