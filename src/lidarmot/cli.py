@@ -214,10 +214,24 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+def _seed_list(text: str) -> list[int]:
+    seeds = []
+    for field in text.split(","):
+        try:
+            seeds.append(int(field))
+        except ValueError:
+            raise ValueError(f"--seeds: {field!r} is not an integer") from None
+    return seeds
+
+
 def _cmd_bench(args) -> int:
+    # Checked here, not only by the evaluator, so a bad value fails before
+    # any scene is simulated.
+    if not args.threshold > 0:  # also refuses NaN
+        raise ValueError("threshold must be positive")
     out = _out_dir(args)
     presets = args.preset.split(",") if args.preset else [None]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
+    seeds = _seed_list(args.seeds) if args.seeds else [args.seed]
     # Every row's settings are checked before the first row runs, and an
     # input directory is read once for all of them.
     cfgs = [_load_run_config(args, preset, seed) for preset in presets for seed in seeds]

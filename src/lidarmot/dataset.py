@@ -1,16 +1,24 @@
 """Line-delimited dataset files: scans, ground truth, detections, tracks,
 and obstacles as self-describing JSON records, one per line.
 
-Numbers round-trip bit-exactly (floats are written with shortest-repr
-precision), timestamps always carry at least nine decimal digits, and
-no-return ranges are stored as JSON null so files stay parseable outside
-Python. A header line carries the format name and version.
+Numbers round-trip bit-exactly: floats are written with shortest-repr
+precision, and timestamps always carry at least nine decimal digits. A
+scan's ranges are one ASCII string, the base64 of their little-endian
+float64 bytes, next to their count in ``beams``; no-return ranges are
+stored as the bytes of inf. A header line carries the format name, the
+version and, under ``meta``, the writer's metadata.
+
+Version 1 files still read: there a scan's ranges are a JSON list of
+numbers, with null for no return, and a writer's metadata could overwrite
+the header's ``kind`` tag.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -24,7 +32,7 @@ from .pipeline import DynamicObstacle
 from .tracking import Track
 
 FORMAT_NAME = "lidarmot-dataset"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 KNOWN_KINDS = ("scan", "ground_truth", "detection", "track", "obstacle")
 #: Kinds whose timestamps must not decrease within a file. Readers of these
@@ -92,14 +100,15 @@ def _dump_record(kind: str, timestamp: float, payload: dict) -> str:
 def write_dataset(
     records: Iterable[DatasetRecord], path: str | Path, metadata: dict | None = None
 ) -> None:
-    """Write records to a file, prefixed with a self-describing header."""
+    """Write records to a file, prefixed with a self-describing header that
+    holds ``metadata`` under its own ``meta`` key."""
     path = Path(path)
-    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION}
+    header = {"kind": "header", "format": FORMAT_NAME, "version": FORMAT_VERSION}
     if metadata:
-        header.update(metadata)
+        header["meta"] = metadata
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w") as f:
-        f.write(json.dumps({"kind": "header", **header}, separators=(",", ":")) + "\n")
+        f.write(json.dumps(header, separators=(",", ":")) + "\n")
         for rec in records:
             f.write(_dump_record(rec.kind, rec.timestamp, rec.payload) + "\n")
     tmp.replace(path)
@@ -131,14 +140,15 @@ def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
     """Read a record file.
 
     The header is a line tagged ``kind: header``, or the first line when it
-    carries ``format`` (writers may overwrite the tag with their own
-    metadata). A header naming another format, or a version that is not an
+    carries ``format`` (version 1 writers let their metadata overwrite the
+    tag). A header naming another format, or a version that is not an
     integer up to ``FORMAT_VERSION``, raises DatasetFormatError in both
     modes.
 
     Malformed lines, including ones that are not a JSON object, lack
     ``kind`` or ``t``, hold NaN/Infinity/-Infinity tokens or a timestamp
-    that is not a finite JSON number, and scan or ground-truth records
+    that is not a finite JSON number, scan records whose ``ranges`` do not
+    decode (see ``_decode_ranges``), and scan or ground-truth records
     timestamped before the previous record of their kind raise
     DatasetFormatError with the line number in strict mode.
     Otherwise they are skipped and counted in ``skipped_malformed``. Equal
@@ -178,6 +188,8 @@ def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
                         f"{kind} record at t={t!r} is before the previous one at "
                         f"t={latest[kind]!r}"
                     )
+                if kind == "scan" and "ranges" in obj:
+                    obj["ranges"] = _decode_ranges(t, obj)
             except DatasetFormatError:
                 raise
             except Exception as exc:
@@ -229,29 +241,76 @@ def _pose_from(rec: DatasetRecord, name: str) -> Pose2D:
 
 
 def scan_to_record(scan: LidarScan) -> DatasetRecord:
-    ranges = [None if math.isinf(r) else r for r in scan.ranges.tolist()]
+    """A scan's record; NaN ranges raise ValueError, as a JSON writer
+    refuses NaN numbers."""
+    ranges = scan.ranges.astype(_RANGE_DTYPE, copy=False)
+    if np.isnan(ranges).any():
+        raise ValueError(f"scan at t={scan.timestamp!r}: ranges hold NaN")
     payload = {
         "angle_min": scan.angle_min,
         "angle_increment": scan.angle_increment,
         "range_max": scan.range_max,
         "frame": scan.frame,
-        "ranges": ranges,
+        "beams": len(ranges),
+        "ranges": base64.b64encode(ranges.tobytes()).decode("ascii"),
     }
     if scan.pose is not None:
         payload["pose"] = _pose_payload(scan.pose)
     return DatasetRecord("scan", scan.timestamp, payload)
 
 
-#: What a scan's ``ranges`` may hold: JSON numbers, or null for no return.
+#: The bytes of a version 2 ``ranges`` string: float64, little-endian on
+#: every host.
+_RANGE_DTYPE = np.dtype("<f8")
+#: What a version 1 ``ranges`` list may hold: JSON numbers, or null for no
+#: return.
 _RANGE_TYPES = {float, int, type(None)}
 _SCAN_NUMBERS = ("angle_min", "angle_increment", "range_max")
 _SCAN_FIELDS = ("ranges", *_SCAN_NUMBERS)
 
 
+def _decode_ranges(t: float, payload: dict) -> np.ndarray:
+    """A scan payload's ``ranges`` as an owned float64 array.
+
+    Version 2 stores them as the base64 of ``beams`` little-endian float64
+    values; version 1 as a list of JSON numbers, with null for no return.
+    Invalid base64, a byte count that is not 8 x ``beams``, a ``beams`` that
+    is missing or no integer, a NaN, a list item that is no number or null,
+    or any other type raise ValueError naming the scan's time and
+    ``ranges``.
+    """
+    ranges = payload["ranges"]
+    where = f"scan at t={t!r}: ranges"
+    if type(ranges) is str:
+        try:
+            raw = base64.b64decode(ranges, validate=True)
+        except ValueError:  # binascii.Error, or a non-ASCII character
+            raise ValueError(f"{where} is {reprlib.repr(ranges)}, not valid base64") from None
+        beams = payload.get("beams", _MISSING)
+        if type(beams) is not int:
+            got = "missing" if beams is _MISSING else f"{beams!r}, not an integer"
+            raise ValueError(f"{where} is binary, but beams is {got}")
+        if len(raw) != 8 * beams:
+            raise ValueError(f"{where} holds {len(raw)} bytes, not 8 x {beams} beams")
+        decoded = np.frombuffer(raw, _RANGE_DTYPE).astype(float)
+        nan = np.isnan(decoded)
+        if nan.any():
+            raise ValueError(f"{where}[{nan.argmax()}] is NaN")
+        return decoded
+    if type(ranges) is list:
+        if not _RANGE_TYPES.issuperset(map(type, ranges)):
+            i, bad = next((i, r) for i, r in enumerate(ranges) if type(r) not in _RANGE_TYPES)
+            raise ValueError(f"{where}[{i}] is {bad!r}, not a number or null")
+        return np.array([NO_RETURN if r is None else r for r in ranges], dtype=float)
+    raise ValueError(f"{where} is {ranges!r}, not a base64 string or a list")
+
+
 def record_to_scan(rec: DatasetRecord) -> LidarScan:
-    """Decode a scan record; a missing field, or a range, angle, range limit
-    or pose value that is not a JSON number (a string, ``true``), raises
-    DatasetFormatError naming the scan's time."""
+    """Decode a scan record; a missing field, ``ranges`` that do not decode,
+    or an angle, range limit or pose value that is not a JSON number (a
+    string, ``true``), raises DatasetFormatError naming the scan's time.
+    ``read_dataset`` has already decoded the ranges of the records it
+    returns."""
     p = rec.payload
     _require(p, _SCAN_FIELDS, rec)
     for key in _SCAN_NUMBERS:
@@ -260,14 +319,11 @@ def record_to_scan(rec: DatasetRecord) -> LidarScan:
                 f"scan at t={rec.timestamp!r}: {key} is {p[key]!r}, not a number"
             )
     ranges = p["ranges"]
-    if type(ranges) is not list:
-        raise DatasetFormatError(f"scan at t={rec.timestamp!r}: ranges is {ranges!r}, not a list")
-    if not _RANGE_TYPES.issuperset(map(type, ranges)):
-        i, bad = next((i, r) for i, r in enumerate(ranges) if type(r) not in _RANGE_TYPES)
-        raise DatasetFormatError(
-            f"scan at t={rec.timestamp!r}: ranges[{i}] is {bad!r}, not a number or null"
-        )
-    ranges = np.array([NO_RETURN if r is None else r for r in ranges], dtype=float)
+    if type(ranges) is not np.ndarray:
+        try:
+            ranges = _decode_ranges(rec.timestamp, p)
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc)) from None
     pose = _pose_from(rec, "pose") if "pose" in p else None
     return LidarScan(
         timestamp=rec.timestamp,

@@ -260,6 +260,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
 
+    @pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
+    def test_bad_threshold_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                     threshold):
+        # A 10^5 s scene would take hours to simulate; the check comes first.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_benchmark called")
+
+        monkeypatch.setattr("lidarmot.cli.run_benchmark", unreachable)
+        assert run(["bench", "--duration", "100000", "--threshold", threshold,
+                    "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: threshold must be positive\n"
+
+    def test_bad_seed_list_names_flag_and_field(self, tmp_path, capsys):
+        assert run(["bench", "--duration", "1", "--seeds", "1,x",
+                    "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: --seeds: 'x' is not an integer\n"
+
     @pytest.mark.parametrize("argv, expected", [
         # A flag takes the same checks, and names its field the same way, as
         # a file key.
@@ -311,7 +328,7 @@ class TestErrors:
         assert captured.err == f"skipped 1 malformed line(s) in {path}\n"
 
     @pytest.mark.parametrize("name,command,where,value,expected", [
-        ("scans.jsonl", "pipeline", "ranges", "1.5", "ranges[0] is '1.5'"),
+        ("scans.jsonl", "pipeline", "ranges", "1.5", "ranges is '1.5', not valid base64"),
         ("scans.jsonl", "pipeline", "pose", True, "pose.x is True"),
         ("ground_truth.jsonl", "bench", "robot", "0.5", "robot.x is '0.5'"),
     ])
@@ -324,7 +341,7 @@ class TestErrors:
         lines = path.read_text().splitlines(keepends=True)
         rec = json.loads(lines[3])
         if where == "ranges":
-            rec["ranges"][0] = value
+            rec["ranges"] = value
         else:
             rec[where]["x"] = value
         lines[3] = json.dumps(rec) + "\n"

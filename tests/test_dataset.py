@@ -1,8 +1,12 @@
+import base64
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lidarmot import dataset as ds
 from lidarmot.detection import Detection
@@ -28,15 +32,16 @@ def test_scan_round_trip_bit_exact(tmp_path):
         assert back.pose == orig.pose
 
 
-def test_no_returns_stored_as_null(tmp_path):
+def test_no_returns_stored_as_inf_bytes(tmp_path):
+    # Version 2 carries the bytes of inf; version 1 needed null for them.
     scan = LidarScan(0.05, [1.0, NO_RETURN, 2.0], 0.0, 0.1, 30.0)
     path = tmp_path / "s.jsonl"
     ds.write_dataset([ds.scan_to_record(scan)], path)
-    lines = path.read_text().splitlines()
-    assert "null" in lines[1]
-    assert "Infinity" not in lines[1]
+    line = json.loads(path.read_text().splitlines()[1])
+    assert line["beams"] == 3
+    assert base64.b64decode(line["ranges"]) == np.array([1.0, np.inf, 2.0], "<f8").tobytes()
     back = ds.record_to_scan(ds.read_dataset(path).records[0])
-    assert math.isinf(back.ranges[1])
+    assert math.isinf(back.ranges[1]) and back.ranges[1] > 0
 
 
 def test_timestamp_has_nine_decimals(tmp_path):
@@ -105,16 +110,20 @@ def test_header_line_present_and_versioned(tmp_path):
     header = json.loads(path.read_text().splitlines()[0])
     assert header["kind"] == "header"
     assert header["format"] == ds.FORMAT_NAME
-    assert header["version"] == ds.FORMAT_VERSION
-    assert header["seed"] == 9
+    assert header["version"] == ds.FORMAT_VERSION == 2
+    assert header["meta"] == {"seed": 9}
 
 
 def test_header_read_under_writer_metadata(tmp_path):
-    # lidarmot simulate passes its scenario kind, which overwrites the tag.
+    # lidarmot simulate passes its scenario kind; it goes under "meta" and
+    # leaves the header's own tag alone.
     path = tmp_path / "scans.jsonl"
     scan = LidarScan(0.05, [1.0], 0.0, 0.1, 30.0)
     ds.write_dataset([ds.scan_to_record(scan)], path, metadata={"kind": "sr", "seed": 2})
-    assert path.read_text().startswith('{"kind":"sr","format":"lidarmot-dataset",')
+    assert path.read_text().startswith(
+        '{"kind":"header","format":"lidarmot-dataset","version":2,'
+        '"meta":{"kind":"sr","seed":2}}\n'
+    )
     stream = ds.read_dataset(path)
     assert [r.kind for r in stream.records] == ["scan"]
     assert (stream.skipped_unknown, stream.skipped_malformed) == (0, 0)
@@ -450,14 +459,117 @@ def test_null_and_integer_values_read():
     assert scan.pose == Pose2D(1, 0, 0.5, 0.05)
 
 
-def test_scan_lines_written_as_before(tmp_path):
-    # Shortest-repr floats and null for no return, the same bytes as
-    # float() over each numpy scalar gives.
+def test_scan_lines_written_as_v2(tmp_path):
+    # The ranges are the base64 of their little-endian float64 bytes, after
+    # their count; every other field is JSON as in version 1.
     ranges = np.array([1.0, NO_RETURN, 0.1 + 0.2, 1e-7, 29.999999999999996, NO_RETURN])
     scan = LidarScan(0.05, ranges, -2.35, 0.004, 30.0, pose=Pose2D(0.1, -0.2, 3.0, 0.05))
-    expected = [None if math.isinf(r) else float(r) for r in scan.ranges]
-    assert ds.scan_to_record(scan).payload["ranges"] == expected
     path = tmp_path / "s.jsonl"
     ds.write_dataset([ds.scan_to_record(scan)], path)
-    line = path.read_text().splitlines()[1]
-    assert '"ranges":[1.0,null,0.30000000000000004,1e-07,29.999999999999996,null]' in line
+    assert path.read_text().splitlines() == [
+        '{"kind":"header","format":"lidarmot-dataset","version":2}',
+        '{"kind":"scan","t":0.050000000,"angle_min":-2.35,"angle_increment":0.004,'
+        '"range_max":30.0,"frame":"lidar","beams":6,'
+        '"ranges":"AAAAAAAA8D8AAAAAAADwfzQzMzMzM9M/SK+8mvLXej7///////89QAAAAAAAAPB/",'
+        '"pose":{"x":0.1,"y":-0.2,"theta":3.0}}',
+    ]
+
+
+#: A version 1 file as its writer left it: the metadata's kind over the
+#: header tag, null for no return, integer and shortest-repr ranges.
+_V1_LINES = [
+    '{"kind":"sr","format":"lidarmot-dataset","version":1,"seed":2}',
+    '{"kind":"scan","t":0.000000000,"angle_min":-2.356194490192345,'
+    '"angle_increment":0.004363323129985824,"range_max":30.0,"frame":"lidar",'
+    '"ranges":[1.0,null,0.30000000000000004,2,1e-07,29.999999999999996],'
+    '"pose":{"x":0.0,"y":0.0,"theta":0.0}}',
+    '{"kind":"scan","t":0.050000000,"angle_min":-2.356194490192345,'
+    '"angle_increment":0.004363323129985824,"range_max":30.0,"frame":"lidar",'
+    '"ranges":[null,null,3,5e-324,0.1,1e999],"pose":{"x":0.5,"y":-1,"theta":3.0}}',
+]
+
+
+def test_v1_file_reads_bit_exact(tmp_path):
+    path = tmp_path / "scans.jsonl"
+    path.write_text("\n".join(_V1_LINES) + "\n")
+    stream = ds.read_dataset(path)
+    assert (stream.skipped_unknown, stream.skipped_malformed) == (0, 0)
+    scans = [ds.record_to_scan(r) for r in stream.records]
+    want = [
+        [1.0, NO_RETURN, 0.1 + 0.2, 2.0, 1e-7, 29.999999999999996],
+        [NO_RETURN, NO_RETURN, 3.0, 5e-324, 0.1, NO_RETURN],
+    ]
+    assert [s.ranges.tobytes() for s in scans] == [np.array(w).tobytes() for w in want]
+    assert [s.timestamp for s in scans] == [0.0, 0.05]
+    assert scans[0].angle_increment == 0.004363323129985824
+    assert scans[1].pose == Pose2D(0.5, -1.0, 3.0, 0.05)
+
+
+def test_decoded_ranges_owned_and_writable(tmp_path):
+    path = tmp_path / "s.jsonl"
+    ds.write_dataset([ds.scan_to_record(LidarScan(0.05, [1.0, 2.0], 0.0, 0.1, 30.0))], path)
+    for rec in (ds.read_dataset(path).records[0],
+                ds.scan_to_record(LidarScan(0.05, [1.0, 2.0], 0.0, 0.1, 30.0))):
+        ranges = ds.record_to_scan(rec).ranges
+        assert ranges.dtype == np.float64
+        assert ranges.flags.owndata and ranges.flags.writeable
+        ranges[0] = 5.0
+
+
+def test_nan_range_refused_by_writer():
+    scan = LidarScan(0.05, [1.0, math.nan], 0.0, 0.1, 30.0)
+    with pytest.raises(ValueError, match=r"scan at t=0\.05: ranges hold NaN"):
+        ds.scan_to_record(scan)
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.array(values, "<f8").tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("change, expected", [
+    ({"ranges": "not base64!"}, "ranges is 'not base64!', not valid base64"),
+    ({"ranges": _b64([1.0, 2.0])[:-1]}, r"ranges is '.*', not valid base64"),
+    ({"ranges": "AAAAAAAA8D8é"}, r"ranges is '.*', not valid base64"),
+    ({"beams": 3}, r"ranges holds 16 bytes, not 8 x 3 beams"),
+    ({"ranges": _b64([1.0, 2.0, 3.0]) + "AAAA"}, r"ranges holds 27 bytes, not 8 x 2 beams"),
+    ({"beams": None}, r"ranges is binary, but beams is missing"),
+    ({"beams": 2.0}, r"ranges is binary, but beams is 2\.0, not an integer"),
+    ({"beams": True}, r"ranges is binary, but beams is True, not an integer"),
+    ({"beams": "2"}, r"ranges is binary, but beams is '2', not an integer"),
+    ({"ranges": _b64([1.0, math.nan])}, r"ranges\[1\] is NaN"),
+    ({"ranges": 1.5}, r"ranges is 1\.5, not a base64 string or a list"),
+    ({"ranges": {"b64": "AAAA"}}, r"ranges is \{'b64': 'AAAA'\}, not a base64 string or a list"),
+    ({"ranges": None}, r"ranges is None, not a base64 string or a list"),
+], ids=["alphabet", "padding", "non-ascii", "beams-too-many", "bytes-too-many",
+        "beams-missing", "beams-float", "beams-bool", "beams-string", "nan", "number",
+        "object", "null"])
+def test_malformed_v2_ranges_name_their_cause(tmp_path, change, expected):
+    good = ds.scan_to_record(LidarScan(0.05, [1.0, 2.0], 0.0, 0.1, 30.0))
+    bad = dict(good.payload, **change)
+    if change.get("beams", 0) is None:
+        del bad["beams"]
+    with pytest.raises(ds.DatasetFormatError, match=rf"^scan at t=0\.05: {expected}$"):
+        ds.record_to_scan(ds.DatasetRecord("scan", 0.05, bad))
+    path = tmp_path / "bad.jsonl"
+    lines = [ds._dump_record("scan", t, p) for t, p in
+             [(0.0, good.payload), (0.05, bad), (0.1, good.payload)]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ds.DatasetFormatError, match=rf"^line 2: scan at t=0\.05: {expected}$"):
+        ds.read_dataset(path)
+    lenient = ds.read_dataset(path, strict=False)
+    assert [r.timestamp for r in lenient.records] == [0.0, 0.1]
+    assert (lenient.skipped_malformed, lenient.skipped_unknown) == (1, 0)
+
+
+_FLOAT64 = st.floats(width=64, allow_nan=False, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(np.float64, st.integers(0, 64), elements=_FLOAT64),
+       extra=st.sampled_from([[], [math.inf, -math.inf], [-0.0, 0.0], [5e-324, -2.2e-308]]))
+def test_ranges_round_trip_bit_for_bit(tmp_path_factory, values, extra):
+    ranges = np.concatenate([values, extra])
+    path = tmp_path_factory.mktemp("rt") / "s.jsonl"
+    ds.write_dataset([ds.scan_to_record(LidarScan(0.05, ranges, 0.0, 0.1, 30.0))], path)
+    back = ds.record_to_scan(ds.read_dataset(path).records[0])
+    assert back.ranges.tobytes() == ranges.tobytes()
