@@ -15,7 +15,6 @@ from .detection import (
     DetectorConfig,
     cluster_detect,
     filter_by_confidence,
-    make_detector,
 )
 from .evaluation import (
     GroundTruthFrame,

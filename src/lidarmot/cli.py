@@ -18,12 +18,13 @@ from pathlib import Path
 from . import dataset as ds
 from .config import ConfigError, apply_layer, load_config
 from .dataset import DatasetFormatError
+from .detection import ReplayDetector
 from .evaluation import evaluate_sequence
 from .geometry import LidarScan
 from .pipeline import collect_timings, paced, run_pipeline
 from .report import build_report, mot_section, timing_section, write_report
-from .simulator import LidarParams, PlacementError, run_scenario
-from .workflows import bind_stages, build_detector, run_benchmark, run_tracking
+from .simulator import PlacementError, run_scenario
+from .workflows import bind_stages, build_detector, run_benchmark, sensor_fov
 
 SCANS_FILE = "scans.jsonl"
 GROUND_TRUTH_FILE = "ground_truth.jsonl"
@@ -109,78 +110,22 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _cmd_track(args) -> int:
-    cfg = _load_run_config(args)
-    in_dir = _in_dir(args)
-    out = _out_dir(args)
-    frames = sorted(
-        _read(
-            in_dir / DETECTIONS_FILE, "detection",
-            lambda r: (r.timestamp, ds.record_to_detections(r)), args.strict,
-        ),
-        key=lambda kv: kv[0],
-    )
-    # Sensor poses come from the scan file when there is one, otherwise from
-    # ground-truth odometry; a frame with neither is tracked at the origin.
-    scans_path = in_dir / SCANS_FILE
-    gt_path = in_dir / GROUND_TRUTH_FILE
-    pose_by_time = {}
+def _track_and_write(args, cfg, frames, detector, out: Path, realtime: bool = False):
+    """Track ``frames`` with ``detector`` and write each frame's tracks and
+    obstacles to ``out``; returns the run's summary. A frame without a pose
+    is tracked at the ground-truth robot pose when the input directory holds
+    ground truth, by :func:`~lidarmot.workflows.pose_for_scan`.
+
+    Without ``realtime`` this is a batch job: serial, with every frame
+    processed. ``realtime`` paces the frames like a live sensor into the
+    pipelined runtime, which sheds the oldest when it falls behind."""
+    gt_path = _in_dir(args) / GROUND_TRUTH_FILE
     gt_frames = None
-    if scans_path.exists():
-        scans = _read(scans_path, "scan", ds.record_to_scan, args.strict)
-        pose_by_time = {s.timestamp: s.pose for s in scans}
-    elif gt_path.exists():
+    if gt_path.exists() and any(f.pose is None for f in frames):
         gt_frames = _read(gt_path, "ground_truth", ds.record_to_ground_truth, args.strict)
-
-    # Each detection frame becomes a beamless scan that carries only its time
-    # and pose; the recorded detections stand in for the detector.
-    stubs = [LidarScan(t, (), 0.0, 1.0, 0.0, pose=pose_by_time.get(t)) for t, _ in frames]
-    recorded = iter([dets for _, dets in frames])
-    tracking = run_tracking(stubs, cfg, lambda scan: next(recorded), gt_frames)
-    records = [ds.tracks_to_record(tracks, t) for t, tracks in tracking.tracks_by_frame]
-    ds.write_dataset(records, out / TRACKS_FILE, {"preset": cfg.preset})
-    print(f"tracked {len(records)} frames -> {out / TRACKS_FILE}")
-    return 0
-
-
-def _cmd_evaluate(args) -> int:
-    in_dir = _in_dir(args)
-    out = _out_dir(args)
-    gt_frames = _read(
-        in_dir / GROUND_TRUTH_FILE, "ground_truth", ds.record_to_ground_truth, args.strict
-    )
-    hyp = _read(in_dir / TRACKS_FILE, "track", ds.record_to_hypothesis_frame, args.strict)
-    fov = LidarParams().fov()
-    mot = evaluate_sequence(gt_frames, hyp, fov, threshold=args.threshold)
-    report = build_report(
-        metadata={"threshold": args.threshold, "source": str(in_dir)},
-        mot=mot,
-    )
-    write_report(report, out / REPORT_FILE)
-    mota_pct = f"{mot.mota * 100:.2f}%" if mot.total_g else "n/a"
-    print(f"MOTA {mota_pct} over {len(mot.frames)} frames -> {out / REPORT_FILE}")
-    return 0
-
-
-def _cmd_pipeline(args) -> int:
-    cfg = _load_run_config(args)
-    in_dir = _in_dir(args)
-    out = _out_dir(args)
-    scans = _read(in_dir / SCANS_FILE, "scan", ds.record_to_scan, args.strict)
-    replay = None
-    if cfg.detector_name == "replay":
-        frames = _read(
-            in_dir / DETECTIONS_FILE, "detection", ds.record_to_detections, args.strict
-        )
-        replay = [d for dets in frames for d in dets]
-    detect_fn, track_fn = bind_stages(cfg, build_detector(cfg, replay=replay))
-    # A file replay without --realtime is a batch job: serial, with every
-    # scan processed. --realtime paces the scans like a live sensor into the
-    # pipelined runtime, which sheds the oldest scans when it falls behind.
-    pipe_cfg = dataclasses.replace(
-        cfg.pipeline, pipelined=args.realtime, drop_stale=args.realtime
-    )
-    source = paced(scans, pipe_cfg.scan_rate_hz) if args.realtime else scans
+    detect_fn, track_fn = bind_stages(cfg, detector, gt_frames)
+    pipe_cfg = dataclasses.replace(cfg.pipeline, pipelined=realtime, drop_stale=realtime)
+    source = paced(frames, pipe_cfg.scan_rate_hz) if realtime else frames
 
     track_records = []
     obstacle_records = []
@@ -194,7 +139,59 @@ def _cmd_pipeline(args) -> int:
     summary = run_pipeline(source, detect_fn, track_fn, pipe_cfg, sinks=[sink])
     ds.write_dataset(track_records, out / TRACKS_FILE, {"preset": cfg.preset})
     ds.write_dataset(obstacle_records, out / OBSTACLES_FILE, {"preset": cfg.preset})
-    stage = collect_timings(summary.timings, pipe_cfg.scan_rate_hz)
+    return summary
+
+
+def _cmd_track(args) -> int:
+    cfg = _load_run_config(args)
+    in_dir = _in_dir(args)
+    out = _out_dir(args)
+    recorded = _read(
+        in_dir / DETECTIONS_FILE, "detection",
+        lambda r: (r.timestamp, ds.record_to_detections(r)), args.strict,
+    )
+    # The recorded detections stand in for the detector. Their frames are the
+    # recording's scans when it has them, otherwise one beamless scan per
+    # detection time, carrying only that time.
+    scans_path = in_dir / SCANS_FILE
+    if scans_path.exists():
+        frames = _read(scans_path, "scan", ds.record_to_scan, args.strict)
+    else:
+        frames = [LidarScan(t, (), 0.0, 1.0, 0.0) for t in sorted({t for t, _ in recorded})]
+    detector = ReplayDetector([d for _, dets in recorded for d in dets])
+    summary = _track_and_write(args, cfg, frames, detector, out)
+    print(f"tracked {summary.frames_processed} frames -> {out / TRACKS_FILE}")
+    return 0
+
+
+def _cmd_evaluate(args) -> int:
+    in_dir = _in_dir(args)
+    out = _out_dir(args)
+    gt_frames = _read(
+        in_dir / GROUND_TRUTH_FILE, "ground_truth", ds.record_to_ground_truth, args.strict
+    )
+    hyp = _read(in_dir / TRACKS_FILE, "track", ds.record_to_hypothesis_frame, args.strict)
+    scans_path = in_dir / SCANS_FILE
+    scans = []
+    if scans_path.exists():  # only for the field of view
+        scans = _read(scans_path, "scan", ds.record_to_scan, args.strict)
+    mot = evaluate_sequence(gt_frames, hyp, sensor_fov(scans), threshold=args.threshold)
+    report = build_report(
+        metadata={"threshold": args.threshold, "source": str(in_dir)},
+        mot=mot,
+    )
+    write_report(report, out / REPORT_FILE)
+    mota_pct = f"{mot.mota * 100:.2f}%" if mot.total_g else "n/a"
+    print(f"MOTA {mota_pct} over {len(mot.frames)} frames -> {out / REPORT_FILE}")
+    return 0
+
+
+def _cmd_pipeline(args) -> int:
+    cfg = _load_run_config(args)
+    out = _out_dir(args)
+    scans = _read(_in_dir(args) / SCANS_FILE, "scan", ds.record_to_scan, args.strict)
+    summary = _track_and_write(args, cfg, scans, build_detector(cfg), out, args.realtime)
+    stage = collect_timings(summary.timings, cfg.pipeline.scan_rate_hz)
     timings = {
         "frames_in": summary.frames_in,
         "frames_processed": summary.frames_processed,
@@ -289,17 +286,25 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, scenario: bool = False):
-    p.add_argument("--preset", help="named configuration (config-1/2/3)")
-    p.add_argument("--config", help="JSON config file (may itself name a preset)")
-    p.add_argument("--in", dest="in_dir", help="input data directory")
+def _add_common(
+    p: argparse.ArgumentParser, configured: bool = True, reads: bool = True,
+    scenario: bool = False,
+):
+    """The flags a command reads: the run configuration unless not
+    ``configured``, an input directory if it ``reads`` one, the scenario's
+    settings for a command that simulates, and always the output directory."""
+    if configured:
+        p.add_argument("--preset", help="named configuration (config-1/2/3)")
+        p.add_argument("--config", help="JSON config file (may itself name a preset)")
+    if reads:
+        p.add_argument("--in", dest="in_dir", help="input data directory")
+        p.add_argument(
+            "--strict",
+            action=argparse.BooleanOptionalAction,
+            default=True,
+            help="fail on malformed dataset lines (default) or skip them",
+        )
     p.add_argument("--out", help="output directory")
-    p.add_argument(
-        "--strict",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="fail on malformed dataset lines (default) or skip them",
-    )
     if scenario:
         p.add_argument("--kind", choices=["sr", "mr1", "mr2"], help="scenario kind")
         p.add_argument("--seed", type=int, help="scenario seed")
@@ -318,19 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="synthesize a scenario into dataset files")
-    _add_common(p, scenario=True)
+    _add_common(p, reads=False, scenario=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("detect", help="run the detector over a scan file")
     _add_common(p)
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("track", help="run the tracker over detections + odometry")
+    p = sub.add_parser("track", help="replay recorded detections through the tracker")
     _add_common(p)
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("evaluate", help="CLEAR MOT benchmark of tracks vs ground truth")
-    _add_common(p)
+    _add_common(p, configured=False)
     p.add_argument("--threshold", type=float, default=0.75, help="match threshold [m]")
     p.set_defaults(func=_cmd_evaluate)
 

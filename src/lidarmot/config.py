@@ -62,7 +62,6 @@ class RunConfig:
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    detector_name: str = "cluster"
     preset: str | None = None
 
 
@@ -124,10 +123,6 @@ def apply_layer(cfg: RunConfig, layer: dict) -> RunConfig:
             if not isinstance(value, dict):
                 raise ConfigError(f"section {key!r} must be an object")
             updates[key] = _build_section(key, getattr(cfg, key), value)
-        elif key == "detector_name":
-            if value not in ("cluster", "replay"):
-                raise ConfigError(f"unknown detector_name {value!r}")
-            updates["detector_name"] = value
         elif key == "preset":
             pass  # handled by the caller before layering
         else:

@@ -1,10 +1,11 @@
 """Person detection stage: a jump-distance cluster detector standing in for
 a learned model, and confidence gating.
 
-Detector implementations are callables ``scan -> list[Detection]`` selected
-by name ("cluster" or "replay"). Detections are reported in the sensor frame
-with a confidence in [0, 1]; thresholding is a separate step so the same
-detection stream can be re-gated.
+A detector is a callable ``scan -> list[Detection]``: the
+:class:`ClusterDetector`, or a :class:`ReplayDetector` that plays back
+recorded detections. Detections are reported in the sensor frame with a
+confidence in [0, 1]; thresholding is a separate step so the same detection
+stream can be re-gated.
 
 The cluster detector walks each cluster on Python floats, because a dozen
 small numpy calls per cluster would cost more than the arithmetic. Every
@@ -248,8 +249,8 @@ class ClusterDetector:
 
 
 class ReplayDetector:
-    """Replays precomputed detections keyed by scan timestamp, so the tracker
-    can be benchmarked against externally produced detections."""
+    """Replays recorded detections keyed by scan timestamp, so the tracker
+    runs on detections produced elsewhere (``lidarmot track``)."""
 
     #: How far (s) a replayed detection frame may sit from its scan's time.
     _TIME_TOLERANCE = 1e-6
@@ -274,16 +275,3 @@ class ReplayDetector:
             return []
         return list(self._by_time[float(best[1])])
 
-
-def make_detector(
-    name: str, cfg: DetectorConfig, replay: Sequence[Detection] | None = None
-) -> Detector:
-    """Build a detector by name: "cluster" runs :func:`cluster_detect` with
-    ``cfg``; "replay" plays back the ``replay`` detections by timestamp."""
-    if name == "cluster":
-        return ClusterDetector(cfg)
-    if name == "replay":
-        if replay is None:
-            raise ValueError("replay detector requires a detection sequence")
-        return ReplayDetector(replay)
-    raise ValueError(f"unknown detector {name!r}")

@@ -1,6 +1,7 @@
 """End-to-end compositions shared by the command-line tools and the
-benchmark: detector construction, the detect and track stages of a run,
-serial tracking over a scan list, and the simulate/track/evaluate bundle.
+benchmark: detector construction, the sensor's field of view, the detect and
+track stages of a run, serial tracking over a scan list, and the
+simulate/track/evaluate bundle.
 
 :func:`bind_stages` is the one place the frame chain is assembled; every
 run drives it through :func:`lidarmot.pipeline.run_pipeline`. Serial batch
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .config import RunConfig
-from .detection import Detection, Detector, filter_by_confidence, make_detector
+from .detection import ClusterDetector, Detection, Detector, filter_by_confidence
 from .evaluation import (
     GroundTruthFrame,
     HypothesisFrame,
@@ -22,9 +23,9 @@ from .evaluation import (
     evaluate_sequence,
     pose_lookup,
 )
-from .geometry import LidarScan, Pose2D
+from .geometry import FieldOfView, LidarScan, Pose2D
 from .pipeline import DetectFn, DynamicObstacle, FrameTiming, TrackFn, run_pipeline
-from .simulator import run_scenario
+from .simulator import LidarParams, run_scenario
 from .tracking import Track, Tracker
 
 
@@ -40,8 +41,18 @@ class TrackingRun:
     timings: list[FrameTiming] = field(default_factory=list)
 
 
-def build_detector(run_cfg: RunConfig, replay=None) -> Detector:
-    return make_detector(run_cfg.detector_name, run_cfg.detector, replay=replay)
+def build_detector(run_cfg: RunConfig) -> Detector:
+    return ClusterDetector(run_cfg.detector)
+
+
+def sensor_fov(scans: list[LidarScan]) -> FieldOfView:
+    """The wedge the scans cover, taken from the first one: from its first
+    beam's angle through one increment past its last beam, out to its
+    maximum range. Without scans, the default sensor's."""
+    if not scans:
+        return LidarParams().fov()
+    s = scans[0]
+    return FieldOfView(s.angle_min, s.angle_min + len(s.ranges) * s.angle_increment, s.range_max)
 
 
 def pose_for_scan(scan: LidarScan, gt_pose_at: Callable[[float], Pose2D] | None) -> Pose2D:
@@ -116,9 +127,6 @@ def run_benchmark(
         scans, gt_frames = run_scenario(run_cfg.scenario)
     tracking = run_tracking(scans, run_cfg, gt_frames=gt_frames)
     report = evaluate_sequence(
-        gt_frames,
-        tracking.hypothesis_frames,
-        run_cfg.scenario.lidar.fov(),
-        threshold=threshold,
+        gt_frames, tracking.hypothesis_frames, sensor_fov(scans), threshold=threshold
     )
     return report, tracking

@@ -1,15 +1,21 @@
+import dataclasses
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lidarmot
 from lidarmot import dataset as ds
 from lidarmot.cli import run_cli
 from lidarmot.config import load_config
+from lidarmot.evaluation import GroundTruthFrame
+from lidarmot.geometry import ODOM_FRAME, LidarScan, PointXY, Pose2D
 from lidarmot.pipeline import PipelineConfig, run_pipeline
 from lidarmot.workflows import bind_stages, run_tracking
 
@@ -33,6 +39,27 @@ def sim_dir(tmp_path_factory):
     assert run(["simulate", "--kind", "sr", "--seed", "1", "--duration", "5",
                 "--out", out]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def mr2_dir(tmp_path_factory):
+    """A moving-robot scene, so the sensor pose matters."""
+    out = tmp_path_factory.mktemp("mr2")
+    assert run(["simulate", "--kind", "mr2", "--seed", "3", "--duration", "6",
+                "--out", out]) == 0
+    return out
+
+
+def detect_and_track(recording, preset, out):
+    """``detect`` then ``track`` over a copy of ``recording`` in ``out``."""
+    shutil.copytree(recording, out)
+    for step in ("detect", "track"):
+        assert run([step, "--in", out, "--preset", preset, "--out", out]) == 0
+    return out
+
+
+def mot_of(directory):
+    return json.loads((directory / "report.json").read_text())["mot"]
 
 
 class TestSimulate:
@@ -149,17 +176,6 @@ class TestPipelineCommand:
         assert timings["frames_dropped"] == 0
         assert timings["stage"]["total_ms"]["avg"] > 0
 
-    def test_replay_detector_from_file(self, sim_dir, tmp_path):
-        assert run(["detect", "--in", sim_dir, "--preset", "config-2",
-                    "--out", sim_dir]) == 0
-        cfg = tmp_path / "replay.json"
-        cfg.write_text(json.dumps({"preset": "config-2",
-                                   "detector_name": "replay"}))
-        out = tmp_path / "replayed"
-        assert run(["pipeline", "--in", sim_dir, "--config", cfg,
-                    "--out", out]) == 0
-        assert ds.read_dataset(out / "tracks.jsonl").records
-
 
 def write_frames(frames, preset, out):
     """tracks.jsonl and obstacles.jsonl from (timestamp, tracks, obstacles)
@@ -210,6 +226,86 @@ class TestOneFrameLoop:
             expected = (tmp_path / "ref" / name).read_bytes()
             assert (tmp_path / "cli" / name).read_bytes() == expected
             assert (tmp_path / "pipelined" / name).read_bytes() == expected
+
+    @pytest.mark.parametrize("scene, preset", [
+        ("sr", "config-1"), ("sr", "config-3"), ("mr2", "config-1"), ("mr2", "config-3"),
+    ])
+    def test_detect_then_track_equals_pipeline(self, sim_dir, mr2_dir, tmp_path, scene,
+                                               preset):
+        # Detection and tracking are separate stages: replaying recorded
+        # detections gives what the integrated pipeline gives.
+        recording = {"sr": sim_dir, "mr2": mr2_dir}[scene]
+        data = detect_and_track(recording, preset, tmp_path / "data")
+        assert run(["pipeline", "--in", recording, "--preset", preset,
+                    "--out", tmp_path / "pipe"]) == 0
+        obstacles = ds.read_dataset(data / "obstacles.jsonl").records
+        assert any(r.payload["obstacles"] for r in obstacles)
+        for name in self.FILES:
+            assert (data / name).read_bytes() == (tmp_path / "pipe" / name).read_bytes()
+
+
+class TestPoseRule:
+    """A scan without a pose is tracked at the ground-truth robot pose by
+    every command, so ``pipeline``, ``track`` and ``bench --in`` agree."""
+
+    @pytest.fixture(scope="class")
+    def poseless(self, mr2_dir, tmp_path_factory):
+        data = tmp_path_factory.mktemp("poseless")
+        shutil.copy(mr2_dir / "ground_truth.jsonl", data)
+        stream = ds.read_dataset(mr2_dir / "scans.jsonl")
+        scans = [dataclasses.replace(ds.record_to_scan(r), pose=None) for r in stream.records]
+        ds.write_dataset(map(ds.scan_to_record, scans), data / "scans.jsonl")
+        return data
+
+    def test_pipeline_track_and_bench_agree(self, mr2_dir, poseless, tmp_path):
+        pipe, posed = tmp_path / "pipe", tmp_path / "posed"
+        for recording, out in ((poseless, pipe), (mr2_dir, posed)):
+            assert run(["pipeline", "--in", recording, "--preset", "config-2",
+                        "--out", out]) == 0
+        # The simulator's scans fall on ground-truth ticks, so the odometry
+        # pose is the pose the scans carried.
+        assert (pipe / "tracks.jsonl").read_bytes() == (posed / "tracks.jsonl").read_bytes()
+        data = detect_and_track(poseless, "config-2", tmp_path / "data")
+        assert (data / "tracks.jsonl").read_bytes() == (pipe / "tracks.jsonl").read_bytes()
+
+        assert run(["evaluate", "--in", data, "--out", tmp_path / "eval"]) == 0
+        assert run(["bench", "--in", poseless, "--preset", "config-2",
+                    "--out", tmp_path / "bench"]) == 0
+        assert mot_of(tmp_path / "eval") == mot_of(tmp_path / "bench")
+        assert mot_of(tmp_path / "bench")["mota"] > 0.5
+
+    def test_track_without_scans_reads_ground_truth(self, poseless, tmp_path):
+        data = detect_and_track(poseless, "config-2", tmp_path / "data")
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for name in ("detections.jsonl", "ground_truth.jsonl"):
+            shutil.copy(data / name, bare)
+        assert run(["track", "--in", bare, "--preset", "config-2", "--out", bare]) == 0
+        for name in TestOneFrameLoop.FILES:
+            assert (bare / name).read_bytes() == (data / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "bench"])
+def test_fov_taken_from_scans(tmp_path, command):
+    # A 180-degree scanner sees nothing behind +-90 degrees, so a person at a
+    # bearing of 104 degrees is out of view, not a miss, although the
+    # default 270-degree sensor would see it. The scans hold no returns and
+    # no tracks exist, so every person in view is a miss.
+    data = tmp_path / "data"
+    data.mkdir()
+    times = [i * 0.05 for i in range(10)]
+    beams = 720
+    scans = [LidarScan(t, np.full(beams, np.inf), -math.pi / 2, math.pi / beams, 30.0,
+                       pose=Pose2D(0.0, 0.0, 0.0, t)) for t in times]
+    persons = ((1, PointXY(2.0, 0.0, frame=ODOM_FRAME)),
+               (2, PointXY(-0.5, 2.0, frame=ODOM_FRAME)))
+    gt = [GroundTruthFrame(t, persons, Pose2D(0.0, 0.0, 0.0, t)) for t in times]
+    ds.write_dataset(map(ds.scan_to_record, scans), data / "scans.jsonl")
+    ds.write_dataset(map(ds.ground_truth_to_record, gt), data / "ground_truth.jsonl")
+    ds.write_dataset([ds.tracks_to_record([], t) for t in times], data / "tracks.jsonl")
+    assert run([command, "--in", data, "--out", tmp_path / "out"]) == 0
+    mot = mot_of(tmp_path / "out")
+    assert (mot["g"], mot["misses"]) == (10, 10)
 
 
 class TestErrors:
@@ -398,6 +494,20 @@ class TestErrors:
         capsys.readouterr()
         assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
         assert f"at t={rec['t']!r}: {field} is missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("evaluate", "--preset", "config-9"),
+        ("evaluate", "--config", "ABSENT"),
+        ("simulate", "--in", "ABSENT"),
+        ("simulate", "--no-strict", None),
+    ])
+    def test_flag_a_command_never_reads_exits_2(self, tmp_path, command, flag, value):
+        # evaluate loads no run configuration and simulate reads no dataset,
+        # so neither offers the flags that would choose one.
+        value = tmp_path / "absent" if value == "ABSENT" else value
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, *([value] if value else []), "--out", tmp_path / "out"])
+        assert exc.value.code == 2
 
     def test_missing_input_exits_nonzero(self, tmp_path):
         assert run(["evaluate", "--in", tmp_path / "nope", "--out", tmp_path]) == 2

@@ -140,10 +140,13 @@ class TestConfigFiles:
             load_config(tmp_path / "absent.json")
 
     def test_detector_name_validated(self, tmp_path):
+        # Recorded detections are replayed by `lidarmot track`; no setting
+        # picks a detector.
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"detector_name": "neural"}))
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for name in ("cluster", "replay"):
+            path.write_text(json.dumps({"detector_name": name}))
+            with pytest.raises(ConfigError, match="^unknown field detector_name$"):
+                load_config(path)
 
     def test_defaults_without_source(self):
         cfg = load_config(None)

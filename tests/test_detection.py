@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from lidarmot.config import load_config
 from lidarmot.detection import (
     ClusterDetector,
     DetectorConfig,
+    ReplayDetector,
     cluster_detect,
     expected_person_beams,
     filter_by_confidence,
-    make_detector,
 )
 from lidarmot.geometry import NO_RETURN, LidarScan, PointXY
 from lidarmot.simulator import (
@@ -19,6 +20,7 @@ from lidarmot.simulator import (
     WorldState,
     raycast_scan,
 )
+from lidarmot.workflows import build_detector
 
 INC = math.radians(0.25)
 
@@ -185,24 +187,20 @@ def _det(conf):
 
 class TestDetectorFactory:
     def test_cluster_by_name(self):
-        det = make_detector("cluster", DetectorConfig())
+        # A run's detector is the cluster detector with its preset's settings.
+        cfg = load_config("config-2")
+        det = build_detector(cfg)
         assert isinstance(det, ClusterDetector)
+        assert det.cfg == cfg.detector
 
     def test_replay_returns_frame_detections(self):
         dets = [_det(0.9)]
-        replay = make_detector("replay", DetectorConfig(), replay=dets)
+        replay = ReplayDetector(dets)
         scan = make_scan(np.full(8, 2.0))
         assert replay(scan) == dets
         later = LidarScan(99.0, np.full(8, 2.0), 0.0, INC, 30.0)
         assert replay(later) == []
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            make_detector("neural", DetectorConfig())
-
-    def test_replay_requires_detections(self):
-        with pytest.raises(ValueError):
-            make_detector("replay", DetectorConfig())
+        assert ReplayDetector([])(scan) == []
 
 
 def test_expected_beams_monotone_in_range():
