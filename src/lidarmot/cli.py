@@ -9,6 +9,8 @@ is set; --in/--out override it per invocation.
 from __future__ import annotations
 
 import argparse
+import bisect
+import contextlib
 import dataclasses
 import json
 import os
@@ -76,13 +78,33 @@ def _load_run_config(args, preset: str | None = None, seed: int | None = None):
     return apply_layer(load_config(args.config, preset=preset or args.preset), layer)
 
 
-def _read(path: Path, kind: str, decode, strict: bool) -> list:
-    """Every ``kind`` record of a dataset file, decoded, in file order. A
-    lenient read says on stderr how many lines it skipped."""
-    stream = ds.read_dataset(path, strict=strict)
+def _report_skipped(stream: ds.RecordStream, path: Path) -> None:
+    """Say on stderr how many lines a lenient read skipped."""
     if stream.skipped_malformed:
         print(f"skipped {stream.skipped_malformed} malformed line(s) in {path}", file=sys.stderr)
-    return [decode(r) for r in stream.records if r.kind == kind]
+
+
+def _read_with_meta(path: Path, kind: str, decode, strict: bool) -> tuple[list, dict]:
+    """Every ``kind`` record of a dataset file, decoded, in file order, and
+    the writer's metadata from its header."""
+    stream = ds.read_dataset(path, strict=strict)
+    _report_skipped(stream, path)
+    return [decode(r) for r in stream.records if r.kind == kind], stream.meta
+
+
+def _read(path: Path, kind: str, decode, strict: bool) -> list:
+    """Every ``kind`` record of a dataset file, decoded, in file order."""
+    return _read_with_meta(path, kind, decode, strict)[0]
+
+
+def _read_first(path: Path, kind: str, decode, strict: bool):
+    """The first ``kind`` record of a dataset file, decoded, or None; no line
+    after it is read."""
+    stream = ds.RecordStream()
+    with contextlib.closing(ds.iter_dataset(path, stream, strict)) as records:
+        first = next((r for r in records if r.kind == kind), None)
+    _report_skipped(stream, path)
+    return None if first is None else decode(first)
 
 
 def _cmd_simulate(args) -> int:
@@ -142,6 +164,26 @@ def _track_and_write(args, cfg, frames, detector, out: Path, realtime: bool = Fa
     return summary
 
 
+def _check_replay_times(times: list[float], scans: list[LidarScan], path: Path) -> None:
+    """Refuse detection records that no scan replays: each record's time
+    must lie within ``ReplayDetector.TIME_TOLERANCE`` of some scan's, else
+    its detections would be dropped without a word."""
+    scan_times = sorted(s.timestamp for s in scans)
+
+    def replayed(t: float) -> bool:
+        k = bisect.bisect_left(scan_times, t)
+        near = scan_times[max(k - 1, 0):k + 1]
+        return any(abs(u - t) <= ReplayDetector.TIME_TOLERANCE for u in near)
+
+    unmatched = [t for t in times if not replayed(t)]
+    if unmatched:
+        raise DatasetFormatError(
+            f"{path}: the detection record at t={unmatched[0]!r} has no scan within "
+            f"{ReplayDetector.TIME_TOLERANCE:g} s of its time; {len(unmatched)} of "
+            f"{len(times)} records found no scan"
+        )
+
+
 def _cmd_track(args) -> int:
     cfg = _load_run_config(args)
     in_dir = _in_dir(args)
@@ -156,6 +198,7 @@ def _cmd_track(args) -> int:
     scans_path = in_dir / SCANS_FILE
     if scans_path.exists():
         frames = _read(scans_path, "scan", ds.record_to_scan, args.strict)
+        _check_replay_times([t for t, _ in recorded], frames, in_dir / DETECTIONS_FILE)
     else:
         frames = [LidarScan(t, (), 0.0, 1.0, 0.0) for t in sorted({t for t, _ in recorded})]
     detector = ReplayDetector([d for _, dets in recorded for d in dets])
@@ -173,8 +216,9 @@ def _cmd_evaluate(args) -> int:
     hyp = _read(in_dir / TRACKS_FILE, "track", ds.record_to_hypothesis_frame, args.strict)
     scans_path = in_dir / SCANS_FILE
     scans = []
-    if scans_path.exists():  # only for the field of view
-        scans = _read(scans_path, "scan", ds.record_to_scan, args.strict)
+    if scans_path.exists():  # only the first scan, for the field of view
+        first = _read_first(scans_path, "scan", ds.record_to_scan, args.strict)
+        scans = [] if first is None else [first]
     mot = evaluate_sequence(gt_frames, hyp, sensor_fov(scans), threshold=args.threshold)
     report = build_report(
         metadata={"threshold": args.threshold, "source": str(in_dir)},
@@ -232,22 +276,34 @@ def _cmd_bench(args) -> int:
     # Every row's settings are checked before the first row runs, and an
     # input directory is read once for all of them.
     cfgs = [_load_run_config(args, preset, seed) for preset in presets for seed in seeds]
-    scans = gt_frames = None
+    scans = gt_frames = recording = None
     if args.in_dir:
         in_dir = Path(args.in_dir)
-        scans = _read(in_dir / SCANS_FILE, "scan", ds.record_to_scan, args.strict)
+        scans, meta = _read_with_meta(in_dir / SCANS_FILE, "scan", ds.record_to_scan, args.strict)
         gt_frames = _read(
             in_dir / GROUND_TRUTH_FILE, "ground_truth", ds.record_to_ground_truth, args.strict
         )
+        # A recording's scenario is its own, whatever the settings say.
+        recording = {
+            "kind": meta.get("kind"),
+            "seed": meta.get("seed"),
+            "duration": scans[-1].timestamp - scans[0].timestamp if scans else 0.0,
+        }
+
+    def scenario_of(cfg) -> dict:
+        sc = cfg.scenario
+        return recording or {"kind": sc.kind, "seed": sc.seed, "duration": sc.duration}
+
     rows = []
     for cfg in cfgs:
         mot, tracking = run_benchmark(
             cfg, scans=scans, gt_frames=gt_frames, threshold=args.threshold
         )
+        scenario = scenario_of(cfg)
         row = {
             "preset": cfg.preset,
-            "kind": cfg.scenario.kind,
-            "seed": cfg.scenario.seed,
+            "kind": scenario["kind"],
+            "seed": scenario["seed"],
             "mot": mot_section(mot),
         }
         if args.timings:
@@ -259,7 +315,7 @@ def _cmd_bench(args) -> int:
         mota = "n/a" if section["mota"] is None else f"{section['mota'] * 100:.2f}%"
         motp = "n/a" if section["motp"] is None else f"{section['motp']:.3f} m"
         print(
-            f"bench {cfg.preset or 'defaults'} seed {cfg.scenario.seed}: "
+            f"bench {cfg.preset or 'defaults'} seed {scenario['seed']}: "
             f"MOTA {mota}  MOTP {motp}  "
             f"(ID {mot.total_id_switches}  Miss {mot.total_misses}  "
             f"FP {mot.total_false_positives}  g {mot.total_g})"
@@ -267,13 +323,11 @@ def _cmd_bench(args) -> int:
 
     cfg0 = cfgs[0]
     metadata = {
-        "kind": cfg0.scenario.kind,
-        "duration": cfg0.scenario.duration,
+        **scenario_of(cfg0),
         "threshold": args.threshold,
         "velocity_gate": cfg0.pipeline.velocity_gate,
         "source": str(args.in_dir) if args.in_dir else "simulated",
         "preset": cfg0.preset,
-        "seed": cfg0.scenario.seed,
     }
     report = build_report(metadata=metadata)
     if len(rows) == 1:

@@ -21,7 +21,7 @@ import math
 import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,6 +72,9 @@ class DatasetRecord:
 @dataclass
 class RecordStream:
     records: list[DatasetRecord] = field(default_factory=list)
+    #: The writer's metadata: the header's ``meta`` object, or in a version 1
+    #: file the header's fields other than ``format`` and ``version``.
+    meta: dict = field(default_factory=dict)
     #: Records of a kind this reader does not know, skipped in both modes.
     skipped_unknown: int = 0
     #: Malformed or out-of-order lines, skipped in lenient mode.
@@ -88,8 +91,13 @@ def fmt_seconds(t: float) -> str:
     return s if float(s) == t else repr(float(t))
 
 
+#: One encoder for every record; ``json.dumps`` with these settings would
+#: build a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def _dump_record(kind: str, timestamp: float, payload: dict) -> str:
-    body = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+    body = _ENCODER.encode(payload)
     return '{"kind":%s,"t":%s,%s' % (
         json.dumps(kind),
         fmt_seconds(timestamp),
@@ -123,9 +131,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_header(header: dict, lineno: int) -> None:
-    """Refuse a header that names another format, or a version this reader
-    does not know. A header without these fields is accepted."""
+def _header_meta(header: dict, lineno: int) -> dict:
+    """The writer's metadata in a header line, its ``kind`` tag already
+    taken out. Refuses a header that names another format, a version this
+    reader does not know, or a ``meta`` that is no object. A header without
+    these fields is accepted."""
     name = header.get("format", FORMAT_NAME)
     version = header.get("version", FORMAT_VERSION)
     if name != FORMAT_NAME:
@@ -134,10 +144,29 @@ def _check_header(header: dict, lineno: int) -> None:
         raise DatasetFormatError(
             f"version {version!r} is not an integer <= {FORMAT_VERSION}", lineno
         )
+    if version == 1:
+        return {k: v for k, v in header.items() if k not in ("format", "version")}
+    meta = header.get("meta", {})
+    if type(meta) is not dict:
+        raise DatasetFormatError(f"header meta is {meta!r}, not an object", lineno)
+    return meta
 
 
 def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
-    """Read a record file.
+    """Read a record file to its end: the records of :func:`iter_dataset`,
+    in file order, with its metadata and skip counts."""
+    stream = RecordStream()
+    stream.records = list(iter_dataset(path, stream, strict))
+    return stream
+
+
+def iter_dataset(
+    path: str | Path, stream: RecordStream, strict: bool = True
+) -> Iterator[DatasetRecord]:
+    """Yield a record file's records in file order, decoding one line at a
+    time, so a caller that needs only the first records reads no further.
+    The header's metadata and the skip counts go to ``stream`` as they are
+    met; its ``records`` are left alone.
 
     The header is a line tagged ``kind: header``, or the first line when it
     carries ``format`` (version 1 writers let their metadata overwrite the
@@ -155,7 +184,6 @@ def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
     timestamps are accepted. Records of unknown kind are skipped and counted
     in ``skipped_unknown`` in both modes (forward compatibility).
     """
-    stream = RecordStream()
     latest = dict.fromkeys(ORDERED_KINDS, -math.inf)
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -168,7 +196,9 @@ def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
                     raise ValueError("record is not an object")
                 kind = obj.pop("kind", _MISSING)
                 if kind == "header" or (lineno == 1 and "format" in obj):
-                    _check_header(obj, lineno)
+                    if kind not in ("header", _MISSING):
+                        obj["kind"] = kind  # a version 1 writer's metadata
+                    stream.meta = _header_meta(obj, lineno)
                     continue
                 if kind not in KNOWN_KINDS:
                     if kind is _MISSING:
@@ -199,8 +229,7 @@ def read_dataset(path: str | Path, strict: bool = True) -> RecordStream:
                 continue
             if kind in latest:
                 latest[kind] = t
-            stream.records.append(DatasetRecord(kind, t, obj))
-    return stream
+            yield DatasetRecord(kind, t, obj)
 
 
 # -- record codecs ---------------------------------------------------------
@@ -419,22 +448,11 @@ def record_to_detections(rec: DatasetRecord) -> list[Detection]:
 
 
 def tracks_to_record(tracks: Sequence[Track], timestamp: float) -> DatasetRecord:
-    return DatasetRecord(
-        "track",
-        timestamp,
-        {
-            "tracks": [
-                {
-                    "id": t.id,
-                    "x": t.position.x,
-                    "y": t.position.y,
-                    "vx": t.velocity[0],
-                    "vy": t.velocity[1],
-                }
-                for t in tracks
-            ]
-        },
-    )
+    items = []
+    for t in tracks:
+        x, y, vx, vy = t.state.mean.tolist()
+        items.append({"id": t.id, "x": x, "y": y, "vx": vx, "vy": vy})
+    return DatasetRecord("track", timestamp, {"tracks": items})
 
 
 def record_to_hypothesis_frame(rec: DatasetRecord) -> HypothesisFrame:

@@ -253,7 +253,7 @@ class ReplayDetector:
     runs on detections produced elsewhere (``lidarmot track``)."""
 
     #: How far (s) a replayed detection frame may sit from its scan's time.
-    _TIME_TOLERANCE = 1e-6
+    TIME_TOLERANCE = 1e-6
 
     def __init__(self, detections: Sequence[Detection]):
         self._by_time: dict[float, list[Detection]] = {}
@@ -271,7 +271,7 @@ class ReplayDetector:
                 dt = abs(self._times[j] - scan.timestamp)
                 if best is None or dt < best[0]:
                     best = (dt, self._times[j])
-        if best is None or best[0] > self._TIME_TOLERANCE:
+        if best is None or best[0] > self.TIME_TOLERANCE:
             return []
         return list(self._by_time[float(best[1])])
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -106,9 +107,25 @@ def scan_xy(scan: LidarScan) -> tuple[np.ndarray, np.ndarray]:
     finite = np.isfinite(scan.ranges)
     idx = np.nonzero(finite)[0]
     r = scan.ranges[idx]
-    ang = scan.angle_min + idx * scan.angle_increment
-    pts = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
+    cos, sin = _beam_units(scan.angle_min, scan.angle_increment, len(scan.ranges))
+    pts = np.stack([r * cos[idx], r * sin[idx]], axis=1)
     return idx, pts
+
+
+@lru_cache(maxsize=8)
+def _beam_units(
+    angle_min: float, angle_increment: float, beams: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos and sin of every beam angle of one grid. A recording's
+    scans share their grid, so each grid costs one evaluation. The angles
+    are those of the per-beam formula ``angle_min + i * angle_increment``,
+    and ``np.cos``/``np.sin`` are elementwise, so the table holds the same
+    bits as evaluating each beam's angle on its own."""
+    ang = angle_min + np.arange(beams) * angle_increment
+    cos, sin = np.cos(ang), np.sin(ang)
+    cos.flags.writeable = False
+    sin.flags.writeable = False
+    return cos, sin
 
 
 def transform_to_frame(

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .detection import Detection
-from .geometry import LidarScan, PointXY
+from .geometry import ODOM_FRAME, LidarScan, PointXY
 from .tracking import Track
 
 DetectFn = Callable[[LidarScan], "list[Detection]"]
@@ -157,12 +157,12 @@ def export_dynamic_obstacles(
     """
     out = []
     for t in tracks:
-        vx, vy = t.velocity
+        x, y, vx, vy = t.state.mean.tolist()
         if math.hypot(vx, vy) >= velocity_gate:
             out.append(
                 DynamicObstacle(
                     track_id=t.id,
-                    position=t.position,
+                    position=PointXY(x, y, frame=ODOM_FRAME),
                     velocity=(vx, vy),
                     timestamp=t.last_update,
                 )

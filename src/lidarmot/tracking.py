@@ -96,15 +96,17 @@ class Track:
     miss_streak: int
     last_update: float
 
+    # Both read the state through one ``tolist()``, which yields plain
+    # floats equal to ``float()`` of each element, -0.0 included.
     @property
     def position(self) -> PointXY:
-        x, y = self.state.position
-        return PointXY(float(x), float(y), frame=ODOM_FRAME)
+        x, y, _, _ = self.state.mean.tolist()
+        return PointXY(x, y, frame=ODOM_FRAME)
 
     @property
     def velocity(self) -> tuple[float, float]:
-        vx, vy = self.state.velocity
-        return float(vx), float(vy)
+        _, _, vx, vy = self.state.mean.tolist()
+        return vx, vy
 
     @property
     def speed(self) -> float:

@@ -95,6 +95,69 @@ class TestDetectTrackEvaluate:
         assert tracks.records == []
 
 
+def shift_times(path, dt):
+    """Rewrite a dataset file with every record's time moved by ``dt``."""
+    stream = ds.read_dataset(path)
+    ds.write_dataset(
+        [ds.DatasetRecord(r.kind, r.timestamp + dt, r.payload) for r in stream.records],
+        path, stream.meta,
+    )
+
+
+class TestReplayTimes:
+    def test_track_refuses_detections_no_scan_replays(self, tmp_path, capsys):
+        # Shifted by 1 ms, no detection record lies within 1e-6 s of a scan:
+        # each would be dropped without a word.
+        data = simulate_detect_track(tmp_path / "data")
+        shift_times(data / "detections.jsonl", 0.001)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(["track", "--in", data, "--preset", "config-3", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "the detection record at t=0.001 has no scan within 1e-06 s" in err
+        assert "41 of 41 records found no scan" in err
+        assert not (out / "tracks.jsonl").exists()
+
+    def test_one_unmatched_record_is_refused(self, tmp_path, capsys):
+        data = simulate_detect_track(tmp_path / "data")
+        stream = ds.read_dataset(data / "detections.jsonl")
+        records = stream.records[:-1] + [
+            ds.DatasetRecord("detection", stream.records[-1].timestamp + 2e-6, {"detections": []})
+        ]
+        ds.write_dataset(records, data / "detections.jsonl")
+        assert run(["track", "--in", data, "--preset", "config-3", "--out", data]) == 2
+        assert "1 of 41 records found no scan" in capsys.readouterr().err
+
+    def test_times_within_tolerance_replay(self, tmp_path):
+        data = simulate_detect_track(tmp_path / "data")
+        want = (data / "tracks.jsonl").read_bytes()
+        shift_times(data / "detections.jsonl", 5e-7)
+        assert run(["track", "--in", data, "--preset", "config-3", "--out", data]) == 0
+        assert (data / "tracks.jsonl").read_bytes() == want
+
+
+def test_evaluate_reads_only_the_first_scan(sim_dir, tmp_path, monkeypatch):
+    # evaluate needs the scans only for their field of view: it decodes the
+    # first scan line and stops, so a bad later line goes unseen.
+    data = tmp_path / "data"
+    shutil.copytree(sim_dir, data)
+    assert run(["pipeline", "--in", data, "--preset", "config-2", "--out", data]) == 0
+    assert run(["evaluate", "--in", data, "--out", tmp_path / "whole"]) == 0
+    lines = (data / "scans.jsonl").read_text().splitlines(keepends=True)
+    lines[2] = "{nope\n"
+    (data / "scans.jsonl").write_text("".join(lines))
+    decoded = []
+
+    def counted(t, payload, decode=ds._decode_ranges):
+        decoded.append(t)
+        return decode(t, payload)
+
+    monkeypatch.setattr(ds, "_decode_ranges", counted)
+    assert run(["evaluate", "--in", data, "--out", tmp_path / "cut"]) == 0
+    assert decoded == [0.0]
+    assert mot_of(tmp_path / "cut") == mot_of(tmp_path / "whole")
+
+
 class TestBench:
     def test_bench_on_simulated_input(self, sim_dir, tmp_path):
         out = tmp_path / "bench"
@@ -105,6 +168,22 @@ class TestBench:
         assert 0 <= report["mot"]["mota"] <= 1
         assert report["mot"]["motp"] is not None
         assert "timing" not in report
+
+    def test_bench_in_reports_the_recordings_scene(self, mr2_dir, tmp_path, capsys):
+        # The scene comes from the recording's header and scan times, not
+        # from the settings' defaults (sr, seed 0, 120 s).
+        out = tmp_path / "bench"
+        capsys.readouterr()
+        assert run(["bench", "--in", mr2_dir, "--preset", "config-2", "--out", out]) == 0
+        meta = json.loads((out / "report.json").read_text())["metadata"]
+        assert (meta["kind"], meta["seed"], meta["duration"]) == ("mr2", 3, 6.0)
+        assert "bench config-2 seed 3: MOTA" in capsys.readouterr().out
+        sweep = tmp_path / "sweep"
+        assert run(["bench", "--in", mr2_dir, "--preset", "config-1,config-3",
+                    "--out", sweep]) == 0
+        report = json.loads((sweep / "report.json").read_text())
+        assert [(r["kind"], r["seed"]) for r in report["rows"]] == [("mr2", 3)] * 2
+        assert report["metadata"]["duration"] == 6.0
 
     def test_bench_self_contained_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -149,8 +228,10 @@ class TestBench:
                     "--seeds", "4,5", "--out", out]) == 0
         assert sorted(reads) == ["ground_truth.jsonl", "scans.jsonl"]
         rows = json.loads((out / "report.json").read_text())["rows"]
-        assert [(r["preset"], r["seed"]) for r in rows] == [
-            ("config-1", 4), ("config-1", 5), ("config-2", 4), ("config-2", 5),
+        # Each row names the recording's scene (sr, seed 1), not the flags'.
+        assert [(r["preset"], r["kind"], r["seed"]) for r in rows] == [
+            ("config-1", "sr", 1), ("config-1", "sr", 1),
+            ("config-2", "sr", 1), ("config-2", "sr", 1),
         ]
         assert all(r["mot"] == singles[r["preset"]] for r in rows)
 

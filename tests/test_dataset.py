@@ -573,3 +573,44 @@ def test_ranges_round_trip_bit_for_bit(tmp_path_factory, values, extra):
     ds.write_dataset([ds.scan_to_record(LidarScan(0.05, ranges, 0.0, 0.1, 30.0))], path)
     back = ds.record_to_scan(ds.read_dataset(path).records[0])
     assert back.ranges.tobytes() == ranges.tobytes()
+
+
+def test_header_meta_kept_on_stream(tmp_path):
+    path = tmp_path / "scans.jsonl"
+    scan = ds.scan_to_record(LidarScan(0.05, [1.0], 0.0, 0.1, 30.0))
+    ds.write_dataset([scan], path, metadata={"kind": "mr2", "seed": 3})
+    assert ds.read_dataset(path).meta == {"kind": "mr2", "seed": 3}
+    ds.write_dataset([scan], path)
+    assert ds.read_dataset(path).meta == {}
+    # Version 1: the writer's fields sat beside the format's, its kind over
+    # the header tag.
+    path.write_text("\n".join(_V1_LINES) + "\n")
+    assert ds.read_dataset(path).meta == {"kind": "sr", "seed": 2}
+    path.write_text('{"kind":"header","format":"lidarmot-dataset","version":1,"seed":4}\n')
+    assert ds.read_dataset(path).meta == {"seed": 4}
+
+
+def test_non_object_meta_refused(tmp_path):
+    path = tmp_path / "scans.jsonl"
+    path.write_text('{"kind":"header","format":"lidarmot-dataset","version":2,"meta":[1]}\n')
+    for strict in (True, False):
+        with pytest.raises(ds.DatasetFormatError, match=r"^line 1: header meta is \[1\]"):
+            ds.read_dataset(path, strict=strict)
+
+
+def test_iter_dataset_reads_no_further_than_asked(tmp_path):
+    path = tmp_path / "scans.jsonl"
+    ds.write_dataset(
+        [ds.scan_to_record(LidarScan(t, [1.0, 2.0], 0.0, 0.1, 30.0)) for t in (0.0, 0.05)],
+        path, metadata={"seed": 1},
+    )
+    path.write_text(path.read_text() + "{nope\n")
+    with pytest.raises(ds.DatasetFormatError, match="^line 4: "):
+        ds.read_dataset(path)
+    stream = ds.RecordStream()
+    records = ds.iter_dataset(path, stream)
+    first = next(records)
+    records.close()
+    assert (first.kind, first.timestamp) == ("scan", 0.0)
+    assert first.payload["ranges"].tolist() == [1.0, 2.0]
+    assert stream.meta == {"seed": 1} and stream.records == []

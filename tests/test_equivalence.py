@@ -12,6 +12,7 @@ tells -0.0 from 0.0) and arrays through their bytes and dtype.
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_right
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
 
+from lidarmot import dataset as ds
 from lidarmot import simulator
 from lidarmot.assignment import linear_sum_assignment
 from lidarmot.config import load_config
@@ -52,10 +54,12 @@ from lidarmot.geometry import (
     PointXY,
     Pose2D,
     interpolate_pose,
+    _beam_units,
     normalize_angle,
     scan_xy,
     transform_to_frame,
 )
+from lidarmot.pipeline import DynamicObstacle, export_dynamic_obstacles
 from lidarmot.simulator import (
     ROBOT_WALL_MARGIN,
     AgentModel,
@@ -87,7 +91,7 @@ from lidarmot.tracking import (
     kalman_update,
     solve_assignment,
 )
-from lidarmot.workflows import pose_for_scan
+from lidarmot.workflows import pose_for_scan, tracks_to_hypothesis
 
 # -- reference implementations ------------------------------------------
 
@@ -1367,3 +1371,206 @@ class TestAssignmentEquivalence:
         cost[1, :] = bad
         with pytest.raises(ValueError, match=f"^{message}$"):
             linear_sum_assignment(cost)
+
+
+# -- frame output: track state read once, beam grids projected once --------
+
+
+def ref_track_position(track: Track) -> PointXY:
+    x, y = track.state.position
+    return PointXY(float(x), float(y), frame=ODOM_FRAME)
+
+
+def ref_track_velocity(track: Track) -> tuple[float, float]:
+    vx, vy = track.state.velocity
+    return float(vx), float(vy)
+
+
+def ref_tracks_to_record(tracks, timestamp: float) -> ds.DatasetRecord:
+    items = [
+        {
+            "id": t.id,
+            "x": ref_track_position(t).x,
+            "y": ref_track_position(t).y,
+            "vx": ref_track_velocity(t)[0],
+            "vy": ref_track_velocity(t)[1],
+        }
+        for t in tracks
+    ]
+    return ds.DatasetRecord("track", timestamp, {"tracks": items})
+
+
+def ref_export_dynamic_obstacles(tracks, velocity_gate: float) -> list[DynamicObstacle]:
+    out = []
+    for t in tracks:
+        vx, vy = ref_track_velocity(t)
+        if math.hypot(vx, vy) >= velocity_gate:
+            out.append(DynamicObstacle(t.id, ref_track_position(t), (vx, vy), t.last_update))
+    return out
+
+
+def ref_dump_record(rec: ds.DatasetRecord) -> str:
+    body = json.dumps(rec.payload, separators=(",", ":"), allow_nan=False)
+    return '{"kind":%s,"t":%s,%s' % (
+        json.dumps(rec.kind), ds.fmt_seconds(rec.timestamp), body[1:] if rec.payload else "}"
+    )
+
+
+def ref_scan_xy(scan: LidarScan) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.nonzero(np.isfinite(scan.ranges))[0]
+    r = scan.ranges[idx]
+    ang = scan.angle_min + idx * scan.angle_increment
+    return idx, np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
+
+
+def float_key(value) -> tuple[str, str]:
+    """The type and repr of a number: tells np.float64 from float and -0.0
+    from 0.0."""
+    return type(value).__name__, repr(value)
+
+
+def point_key(p: PointXY) -> tuple:
+    return float_key(p.x), float_key(p.y), p.frame
+
+
+def obstacle_key(ob: DynamicObstacle) -> tuple:
+    return (ob.track_id, point_key(ob.position), tuple(map(float_key, ob.velocity)),
+            float_key(ob.timestamp))
+
+
+def make_track(tid: int, mean, last_update: float = 0.5) -> Track:
+    return Track(tid, KalmanState(mean, np.eye(4)), TrackStatus.INITIATED, 10, 0, last_update)
+
+
+#: Means that probe the edges: signed zeros, a speed exactly at the gate
+#: (3-4-5), a subnormal, and large and tiny magnitudes.
+EDGE_MEANS = [
+    [1.0, 2.0, -0.0, -0.0],
+    [-0.0, 0.0, 0.0, -0.0],
+    [0.1 + 0.2, -1e-300, 0.3, -0.4],
+    [1e300, -2.5, 5e-324, 0.05],
+    [-7.25, 3.5, -0.03, 0.04],
+]
+GATE = 0.5
+
+
+class TestFrameOutputEquivalence:
+    """The frame output path reads each track's mean once, through
+    ``tolist()``: the same plain floats as the per-property ``float()``
+    forms, -0.0 included, and the same written bytes."""
+
+    @pytest.fixture(scope="class")
+    def tracks(self):
+        rng = np.random.default_rng(5)
+        means = EDGE_MEANS + [list(m) for m in rng.normal(0.0, 2.0, (40, 4))]
+        return [make_track(i, m, 0.05 * i) for i, m in enumerate(means)]
+
+    def test_track_properties(self, tracks):
+        for t in tracks:
+            assert point_key(t.position) == point_key(ref_track_position(t))
+            assert tuple(map(float_key, t.velocity)) == tuple(
+                map(float_key, ref_track_velocity(t))
+            )
+        assert float_key(tracks[0].velocity[0]) == ("float", "-0.0")
+
+    def test_tracks_to_record_values_and_bytes(self, tracks):
+        got, want = ds.tracks_to_record(tracks, 1.25), ref_tracks_to_record(tracks, 1.25)
+        got_items, want_items = got.payload["tracks"], want.payload["tracks"]
+        assert [{k: float_key(v) for k, v in q.items()} for q in got_items] == [
+            {k: float_key(v) for k, v in q.items()} for q in want_items
+        ]
+        assert ds._dump_record(got.kind, got.timestamp, got.payload) == ref_dump_record(want)
+        assert '"vx":-0.0,"vy":-0.0' in ref_dump_record(want)
+
+    def test_empty_frame_bytes(self):
+        got, want = ds.tracks_to_record([], 0.05), ref_tracks_to_record([], 0.05)
+        assert ds._dump_record(got.kind, got.timestamp, got.payload) == ref_dump_record(want)
+        rec = ds.DatasetRecord("detection", 0.05, {})
+        assert ds._dump_record(rec.kind, rec.timestamp, rec.payload) == ref_dump_record(rec)
+
+    def test_export_dynamic_obstacles(self, tracks):
+        got = export_dynamic_obstacles(tracks, GATE)
+        want = ref_export_dynamic_obstacles(tracks, GATE)
+        assert [obstacle_key(ob) for ob in got] == [obstacle_key(ob) for ob in want]
+        assert 0 < len(got) < len(tracks)
+        written = ds.obstacles_to_record(got, 1.0)
+        assert ds._dump_record("obstacle", 1.0, written.payload) == ref_dump_record(
+            ds.obstacles_to_record(want, 1.0)
+        )
+
+    def test_track_exactly_at_the_gate_is_exported(self):
+        at_gate = make_track(1, [0.0, 0.0, 3.0, -4.0])  # speed exactly 5.0
+        for gate in (5.0, math.nextafter(5.0, math.inf)):
+            got = export_dynamic_obstacles([at_gate], gate)
+            want = ref_export_dynamic_obstacles([at_gate], gate)
+            assert [obstacle_key(ob) for ob in got] == [obstacle_key(ob) for ob in want]
+            assert len(got) == (gate == 5.0)
+        zero = make_track(2, [1.0, 2.0, -0.0, 0.0])
+        assert [obstacle_key(ob) for ob in export_dynamic_obstacles([zero], 0.0)] == [
+            obstacle_key(ob) for ob in ref_export_dynamic_obstacles([zero], 0.0)
+        ]
+
+    def test_tracks_to_hypothesis(self, tracks):
+        got = tracks_to_hypothesis(0.5, tracks).tracks
+        assert [(tid, point_key(p)) for tid, p in got] == [
+            (t.id, point_key(ref_track_position(t))) for t in tracks
+        ]
+
+    def test_tracker_output(self, scene_scans):
+        """The same, on the tracks a real scene produces."""
+        tracker = Tracker(load_config("config-1").tracker)
+        for scan in scene_scans["crowd"]:
+            dets = filter_by_confidence(cluster_detect(scan, DetectorConfig()), 0.5)
+            tracks = tracker.update(dets, scan.pose, scan.timestamp)
+            got = ds.tracks_to_record(tracks, scan.timestamp)
+            want = ref_tracks_to_record(tracks, scan.timestamp)
+            assert ds._dump_record("track", got.timestamp, got.payload) == ref_dump_record(want)
+            assert [obstacle_key(ob) for ob in export_dynamic_obstacles(tracks, 0.05)] == [
+                obstacle_key(ob) for ob in ref_export_dynamic_obstacles(tracks, 0.05)
+            ]
+
+
+class TestScanXYEquivalence:
+    """``scan_xy`` takes each grid's cos and sin from a cached table; it
+    returns the bits of the per-beam formula on every grid it meets."""
+
+    GRIDS = [
+        (-2.356194490192345, 0.004363323129985824, 1080),  # the default 270 deg sensor
+        (-math.pi / 2, math.radians(0.25), 720),
+        (0.0, 0.1, 63),
+        (-2.356194490192345, 0.004363323129985824, 541),  # first grid's angles, fewer beams
+    ]
+
+    def assert_same(self, scan):
+        got, want = scan_xy(scan), ref_scan_xy(scan)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    def test_grids_interleaved(self):
+        rng = np.random.default_rng(11)
+        before = _beam_units.cache_info()
+        for round_ in range(3):
+            for amin, inc, n in self.GRIDS:
+                ranges = rng.uniform(0.05, 30.0, n)
+                ranges[rng.random(n) < rng.uniform(0.0, 0.9)] = NO_RETURN
+                self.assert_same(LidarScan(0.05 * round_, ranges, amin, inc, 30.0))
+        after = _beam_units.cache_info()
+        assert after.hits - before.hits >= 2 * len(self.GRIDS)
+
+    @pytest.mark.parametrize("amin, inc, n", GRIDS[:2])
+    def test_every_beam_dropped(self, amin, inc, n):
+        scan = LidarScan(0.0, np.full(n, NO_RETURN), amin, inc, 30.0)
+        self.assert_same(scan)
+        idx, pts = scan_xy(scan)
+        assert idx.shape == (0,) and pts.shape == (0, 2)
+
+    def test_every_beam_returns(self):
+        amin, inc, n = self.GRIDS[1]
+        self.assert_same(LidarScan(0.0, np.linspace(0.5, 9.5, n), amin, inc, 30.0))
+
+    def test_table_is_read_only(self):
+        cos, sin = _beam_units(*self.GRIDS[2])
+        with pytest.raises(ValueError):
+            cos[0] = 2.0
+        with pytest.raises(ValueError):
+            sin[0] = 2.0
