@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from . import dataset as ds
+from . import simulator
 from .config import ConfigError, apply_layer, load_config
 from .dataset import DatasetFormatError
 from .detection import ReplayDetector
@@ -25,7 +26,7 @@ from .evaluation import evaluate_sequence
 from .geometry import LidarScan
 from .pipeline import collect_timings, paced, run_pipeline
 from .report import build_report, mot_section, timing_section, write_report
-from .simulator import PlacementError, run_scenario
+from .simulator import PlacementError
 from .workflows import bind_stages, build_detector, run_benchmark, sensor_fov
 
 SCANS_FILE = "scans.jsonl"
@@ -110,7 +111,7 @@ def _read_first(path: Path, kind: str, decode, strict: bool):
 def _cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
     out = _out_dir(args)
-    scans, gt = run_scenario(cfg.scenario)
+    scans, gt = simulator.run_scenario(cfg.scenario)
     meta = {"kind": cfg.scenario.kind, "seed": cfg.scenario.seed}
     ds.write_dataset((ds.scan_to_record(s) for s in scans), out / SCANS_FILE, meta)
     ds.write_dataset(
@@ -270,13 +271,15 @@ def _cmd_bench(args) -> int:
     # any scene is simulated.
     if not args.threshold > 0:  # also refuses NaN
         raise ValueError("threshold must be positive")
+    if args.in_dir and args.seeds:
+        raise ValueError("--seeds cannot be used with --in: a recording has one seed, its own")
     out = _out_dir(args)
     presets = args.preset.split(",") if args.preset else [None]
     seeds = _seed_list(args.seeds) if args.seeds else [args.seed]
     # Every row's settings are checked before the first row runs, and an
     # input directory is read once for all of them.
     cfgs = [_load_run_config(args, preset, seed) for preset in presets for seed in seeds]
-    scans = gt_frames = recording = None
+    recording = None
     if args.in_dir:
         in_dir = Path(args.in_dir)
         scans, meta = _read_with_meta(in_dir / SCANS_FILE, "scan", ds.record_to_scan, args.strict)
@@ -289,37 +292,54 @@ def _cmd_bench(args) -> int:
             "seed": meta.get("seed"),
             "duration": scans[-1].timestamp - scans[0].timestamp if scans else 0.0,
         }
+        scenes = [(range(len(cfgs)), scans, gt_frames)]
+    else:
+        # Presets that share scenario settings share one simulation.
+        rows_of: dict = {}
+        for i, cfg in enumerate(cfgs):
+            rows_of.setdefault(cfg.scenario, []).append(i)
+        scenes = ((rows, *simulator.run_scenario(sc)) for sc, rows in rows_of.items())
 
     def scenario_of(cfg) -> dict:
         sc = cfg.scenario
         return recording or {"kind": sc.kind, "seed": sc.seed, "duration": sc.duration}
 
-    rows = []
-    for cfg in cfgs:
-        mot, tracking = run_benchmark(
-            cfg, scans=scans, gt_frames=gt_frames, threshold=args.threshold
-        )
-        scenario = scenario_of(cfg)
-        row = {
-            "preset": cfg.preset,
-            "kind": scenario["kind"],
-            "seed": scenario["seed"],
-            "mot": mot_section(mot),
-        }
-        if args.timings:
-            stage = collect_timings(tracking.timings, cfg.pipeline.scan_rate_hz)
-            row["timing"] = timing_section(stage)
-        rows.append(row)
-        # mot_section writes None where MOTA or MOTP is undefined.
-        section = row["mot"]
-        mota = "n/a" if section["mota"] is None else f"{section['mota'] * 100:.2f}%"
-        motp = "n/a" if section["motp"] is None else f"{section['motp']:.3f} m"
-        print(
-            f"bench {cfg.preset or 'defaults'} seed {scenario['seed']}: "
-            f"MOTA {mota}  MOTP {motp}  "
-            f"(ID {mot.total_id_switches}  Miss {mot.total_misses}  "
-            f"FP {mot.total_false_positives}  g {mot.total_g})"
-        )
+    rows: list = [None] * len(cfgs)
+    lines: list = [None] * len(cfgs)
+    printed = 0
+    # One scene's scans are held at a time.
+    for members, scans, gt_frames in scenes:
+        for i in members:
+            cfg = cfgs[i]
+            mot, tracking = run_benchmark(
+                cfg, scans=scans, gt_frames=gt_frames, threshold=args.threshold
+            )
+            scenario = scenario_of(cfg)
+            row = {
+                "preset": cfg.preset,
+                "kind": scenario["kind"],
+                "seed": scenario["seed"],
+                "mot": mot_section(mot),
+            }
+            if args.timings:
+                stage = collect_timings(tracking.timings, cfg.pipeline.scan_rate_hz)
+                row["timing"] = timing_section(stage)
+            rows[i] = row
+            # mot_section writes None where MOTA or MOTP is undefined.
+            section = row["mot"]
+            mota = "n/a" if section["mota"] is None else f"{section['mota'] * 100:.2f}%"
+            motp = "n/a" if section["motp"] is None else f"{section['motp']:.3f} m"
+            lines[i] = (
+                f"bench {cfg.preset or 'defaults'} seed {scenario['seed']}: "
+                f"MOTA {mota}  MOTP {motp}  "
+                f"(ID {mot.total_id_switches}  Miss {mot.total_misses}  "
+                f"FP {mot.total_false_positives}  g {mot.total_g})"
+            )
+        del scans, gt_frames, tracking
+        # Lines come in row order, each once the rows before it are done.
+        while printed < len(lines) and lines[printed] is not None:
+            print(lines[printed])
+            printed += 1
 
     cfg0 = cfgs[0]
     metadata = {

@@ -91,7 +91,9 @@ def _build_section(name: str, base, overrides: dict):
             raise ConfigError(
                 f"invalid value in section {name!r}: {key} must be {expected}, got {value!r}"
             )
-    return section
+    # A JSON list fills a tuple field as a tuple, so a section stays hashable.
+    lists = {key: tuple(value) for key, value in overrides.items() if isinstance(value, list)}
+    return dataclasses.replace(section, **lists) if lists else section
 
 
 def _finite(value) -> bool:

@@ -16,11 +16,27 @@ is bit-reproducible.
 
 The two hot paths, ``step_world`` and the ray cast, work on Python floats
 and on sparse selections, but every product whose rounding numpy decides
-stays a numpy call: the per-circle beam matvecs (stacked, still one gemv
-per circle), the dot products of the segment clearance (BLAS may fuse a
-multiply-add) and np.hypot (it can differ from math.hypot in the last bit).
-So scans, labels and ground truth stay bit for bit those of the
-straightforward per-shape formulation.
+stays a numpy call: the per-circle beam matvecs, the dot products of the
+segment clearance (BLAS may fuse a multiply-add) and np.hypot (it can differ
+from math.hypot in the last bit). So scans, labels and ground truth stay bit
+for bit those of the straightforward per-shape formulation.
+
+``Scenario.run`` steps the world once per tick and emits ground truth every
+tick, but holds the scan ticks' world states back and casts them
+``SCAN_BLOCK`` at a time with :func:`raycast_scans`, then yields the held
+events in time order. This is sound because what a cast reads of a state
+(agent positions, radii and ids, the robot pose, the time) is final once
+its tick is emitted: the policies only reassign an agent's ``velocity`` and
+``next_resample`` and the state's ``robot_twist``, and ``step_world`` builds
+new agents and a new state. A block cast takes cos and sin of all its beam
+angles at once and tests each circle and segment only against the beams
+inside its angular window, widened by ``WINDOW_MARGIN`` beams; the discriminant,
+roots and segment intersections are elementwise, so they give the same
+bits on any subset of beams. Each circle's beam product keeps the operand
+shapes of a one-scan cast, ``(n_beams, 2) @ (2, 1)``, because BLAS fuses its
+multiply-add and a one-row slice of it rounds differently. The noise and
+dropout draws stay per scan and in order, ``normal(n_beams)`` then
+``random(n_beams)``, so no scan depends on the block it was cast in.
 """
 
 from __future__ import annotations
@@ -372,67 +388,254 @@ def step_world(state: WorldState, dt: float) -> WorldState:
     )
 
 
-def _ray_circles(
-    origin: np.ndarray, dirs: np.ndarray, circles: Sequence[tuple[float, float, float]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-hit distances and the index of the hit circle per beam, all
-    circles x beams in one pass.
+#: Scans that :meth:`Scenario.run` casts in one vectorized pass. A block's
+#: arrays add to a run's peak memory, and past 8 scans a block saves little
+#: more time.
+SCAN_BLOCK = 8
+#: Beams added on each side of a shape's angular window. The window's own
+#: rounding is far below one beam, so one would do; two leave room.
+WINDOW_MARGIN = 2
 
-    ``b`` is one stacked product, for which numpy still makes one matvec per
-    circle: a single circles x beams gemm, or a matvec over a slice of the
-    beams, rounds differently in some of them. Roots are taken only where a
-    beam meets a circle, and each beam keeps its nearest root; ties go to
-    the first circle, as a strict ``<`` scan over the circles does.
+
+def _window_beams(
+    start: np.ndarray, width: np.ndarray, th0: np.ndarray, whole: np.ndarray, lidar: LidarParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(shape, beam)`` for every beam that may meet a shape: the beams of
+    its scan within ``WINDOW_MARGIN`` beams of its angular window ``[start,
+    start + width]``, where ``th0`` is the angle of the scan's first beam.
+    A ``whole`` shape, or one whose window is not finite, gets every beam.
+    Pairs come shape by shape.
     """
-    n = len(dirs)
-    best = np.full(n, np.inf)
-    label = np.full(n, -1, dtype=int)
-    if not circles:
-        return best, label
-    shapes = np.array(circles, dtype=float)
-    m = shapes[:, :2] - origin
-    # Flat circle-major index: pair (k, j) of circle k and beam j is k * n + j.
-    b = (dirs @ m[:, :, None]).ravel()
-    c0 = (m[:, None, :] @ m[:, :, None]).ravel() - shapes[:, 2] * shapes[:, 2]
-    disc = (b * b).reshape(len(shapes), n)
-    disc -= c0[:, None]
-    pair = np.flatnonzero(disc >= 0)
-    b = b[pair]
-    sq = np.sqrt(disc.ravel()[pair])
+    n, inc = lidar.n_beams, lidar.angle_increment
+    first = np.mod(start - th0, 2.0 * math.pi) / inc
+    last = first + width / inc
+    whole = whole | ~np.isfinite(last)
+    # Two pieces per shape: the window, and its copy one turn earlier for a
+    # window that wraps past the first beam. A whole shape's copy is empty.
+    turn = np.array([0.0, 2.0 * math.pi / inc])
+    lo = np.floor(first[:, None] - turn) - WINDOW_MARGIN
+    hi = np.ceil(last[:, None] - turn) + (WINDOW_MARGIN + 1)
+    lo[whole] = 0.0
+    hi[whole] = (n, 0.0)
+    lo = np.minimum(np.maximum(lo, 0.0), n).astype(np.int64).ravel()
+    count = np.minimum(np.maximum(hi, 0.0), n).astype(np.int64).ravel() - lo
+    np.maximum(count, 0, out=count)
+    shape = np.repeat(np.arange(len(start)), count.reshape(-1, 2).sum(axis=1))
+    beam = np.arange(len(shape)) - np.repeat(np.cumsum(count) - count - lo, count)
+    return shape, beam
+
+
+def _cast_circles(
+    states: Sequence[WorldState], origin: np.ndarray, th0: np.ndarray, whole: np.ndarray,
+    dirs: np.ndarray, lidar: LidarParams, with_labels: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Nearest circle hit of every beam of every scan, flat scan by scan;
+    with ``with_labels`` the index of the hit circle (-1 for none), else
+    None; and each circle's label: its agent's id, or STATIC_LABEL.
+
+    Agents come before static circles, so a tie goes to the agent, and a
+    tie between circles goes to the first.
+    """
+    n = lidar.n_beams
+    shapes, tags, counts = [], [], []
+    for s in states:
+        shapes += [(*a.position.tolist(), a.radius) for a in s.agents]
+        shapes += [(c.x, c.y, c.radius) for c in s.circles]
+        tags += [a.id for a in s.agents] + [STATIC_LABEL] * len(s.circles)
+        counts.append(len(s.agents) + len(s.circles))
+    scan = np.repeat(np.arange(len(states)), counts)
+    tags = np.array(tags, dtype=int)
+    shapes = np.array(shapes, dtype=float).reshape(-1, 3)
+    m = shapes[:, :2] - origin[scan]
+    rad = shapes[:, 2]
+    # The window of a circle that holds the sensor, inside or on its rim,
+    # is the whole scan.
+    dist = np.hypot(m[:, 0], m[:, 1])
+    half = np.arcsin(np.abs(rad) / dist)
+    circle, beam = _window_beams(
+        np.arctan2(m[:, 1], m[:, 0]) - half, 2.0 * half, th0[scan],
+        whole[scan] | ~(dist > np.abs(rad)), lidar,
+    )
+    # Each circle's beam product keeps the operands (n, 2) @ (2, 1) of a
+    # one-scan cast, whose rounding BLAS decides: one stacked product per
+    # scan, of which only the windows' beams are kept.
+    ends = np.cumsum(counts)
+    first = ends - counts
+    flat = (circle - first[scan[circle]]) * n + beam
+    b = np.empty(len(circle))
+    lo = 0
+    for i, hi in enumerate(np.searchsorted(circle, ends).tolist()):
+        if hi > lo:
+            b[lo:hi] = (dirs[i] @ m[first[i]:ends[i], :, None]).ravel()[flat[lo:hi]]
+        lo = hi
+    c0 = (m[:, None, :] @ m[:, :, None]).ravel() - rad * rad
+    disc = b * b - c0[circle]
+    ok = np.flatnonzero(disc >= 0)
+    b, circle, beam = b[ok], circle[ok], beam[ok]
+    sq = np.sqrt(disc[ok])
     t_near = b - sq
     t = np.where(t_near > 1e-9, t_near, b + sq)
     hit = t > 1e-9
-    pair, t = pair[hit], t[hit]
-    beam = pair % n
+    circle, t = circle[hit], t[hit]
+    ray = scan[circle] * n + beam[hit]
+    best = np.full(len(states) * n, np.inf)
+    if not with_labels:
+        np.minimum.at(best, ray, t)
+        return best, None, tags
     # A stable sort on (beam, t) keeps equal distances in circle order.
-    order = np.lexsort((t, beam))
-    pair, beam, t = pair[order], beam[order], t[order]
-    nearest = np.ones(len(beam), dtype=bool)
-    nearest[1:] = beam[1:] != beam[:-1]
-    beam = beam[nearest]
-    best[beam] = t[nearest]
-    label[beam] = pair[nearest] // n
-    return best, label
+    order = np.lexsort((t, ray))
+    ray, t, circle = ray[order], t[order], circle[order]
+    nearest = np.ones(len(ray), dtype=bool)
+    nearest[1:] = ray[1:] != ray[:-1]
+    ray, circle = ray[nearest], circle[nearest]
+    best[ray] = t[nearest]
+    which = np.full(len(states) * n, -1)
+    which[ray] = circle
+    return best, which, tags
 
 
-def _ray_segments(
-    origin: np.ndarray, dirs: np.ndarray, segments: Sequence[Segment]
+def _cast_segments(
+    states: Sequence[WorldState], origin: np.ndarray, th0: np.ndarray, whole: np.ndarray,
+    dirs: np.ndarray, lidar: LidarParams,
 ) -> np.ndarray:
-    """Nearest-hit distances against line segments per beam, all segments x
-    beams in one pass."""
-    if not segments:
-        return np.full(len(dirs), np.inf)
-    sx = np.array([[seg.x2 - seg.x1] for seg in segments])
-    sy = np.array([[seg.y2 - seg.y1] for seg in segments])
-    q = np.array([[seg.x1, seg.y1] for seg in segments]) - origin
-    qx, qy = q[:, :1], q[:, 1:]
-    dx, dy = dirs[:, 0].copy(), dirs[:, 1].copy()
-    denom = dx * sy - dy * sx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (qx * sy - qy * sx) / denom
-        u = (qx * dy - qy * dx) / denom
+    """Nearest segment hit of every beam of every scan, flat scan by scan."""
+    n = lidar.n_beams
+    scan = np.repeat(np.arange(len(states)), [len(s.segments) for s in states])
+    ends = np.array(
+        [(g.x1, g.y1, g.x2, g.y2) for s in states for g in s.segments], dtype=float
+    ).reshape(-1, 4)
+    sx, sy = ends[:, 2] - ends[:, 0], ends[:, 3] - ends[:, 1]
+    qx, qy = ends[:, 0] - origin[scan, 0], ends[:, 1] - origin[scan, 1]
+    px, py = ends[:, 2] - origin[scan, 0], ends[:, 3] - origin[scan, 1]
+    # A segment whose line passes through the sensor (a zero-length one
+    # too), or whose window is within rounding of a half turn, gets the
+    # whole scan.
+    cross = qx * py - qy * px
+    a1, a2 = np.arctan2(qy, qx), np.arctan2(py, px)
+    ccw = cross > 0
+    span = np.mod(np.where(ccw, a2 - a1, a1 - a2), 2.0 * math.pi)
+    seg, ray = _window_beams(
+        np.where(ccw, a1, a2), span, th0[scan],
+        whole[scan] | ~(cross != 0) | ~(span < math.pi - 1e-9), lidar,
+    )
+    ray += scan[seg] * n
+    # denom = dx * sy - dy * sx and u = (qx * dy - qy * dx) / denom, built
+    # in place and one beam component at a time: a block's pairs are the
+    # largest arrays of a cast.
+    beams = dirs.reshape(-1, 2)
+    dy = beams[ray, 1]
+    u = qx[seg]
+    u *= dy
+    dy_sx = sx[seg]
+    dy_sx *= dy
+    del dy
+    dx = beams[ray, 0]
+    qy_dx = qy[seg]
+    qy_dx *= dx
+    u -= qy_dx
+    denom = sy[seg]
+    denom *= dx
+    denom -= dy_sx
+    del dx, qy_dx, dy_sx
+    t = (qx * sy - qy * sx)[seg]
+    t /= denom
+    u /= denom
     hit = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= 0.0) & (u <= 1.0)
-    return np.where(hit, t, np.inf).min(axis=0)
+    best = np.full(len(states) * n, np.inf)
+    np.minimum.at(best, ray[hit], t[hit])
+    return best
+
+
+def raycast_scans(
+    states: Sequence[WorldState],
+    lidar: LidarParams,
+    noise_std: float = 0.0,
+    dropout_prob: float = 0.0,
+    rng: np.random.Generator | None = None,
+    with_labels: bool = False,
+) -> list:
+    """Cast one scan per state, from its robot pose against its agents and
+    static geometry, all states in one vectorized pass.
+
+    Occlusion falls out of nearest-hit selection. Gaussian range noise is
+    truncated at three sigmas (so a return never overshoots the true surface
+    by more than 3*noise_std) and each returning beam independently drops to
+    no-return with ``dropout_prob``. With ``with_labels`` each scan comes as
+    a ``(scan, labels)`` pair carrying the per-beam hit attribution: an agent
+    id, STATIC_LABEL, or NO_LABEL.
+
+    Only a state's agent positions, radii and ids, its robot pose and its
+    time are read. The noise and dropout draws are made scan by scan, in
+    ``states`` order, so the scans do not depend on how states are grouped
+    into calls.
+    """
+    n, inc, n_scans = lidar.n_beams, lidar.angle_increment, len(states)
+    poses = [s.robot for s in states]
+    th0 = np.array([p.theta + lidar.angle_min for p in poses])
+    origin = np.array([(p.x, p.y) for p in poses]).reshape(-1, 2)
+    angles = th0[:, None] + np.arange(n) * inc
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=2)
+    # Arrays are dropped as soon as they are spent: a block's arrays set the
+    # peak memory of a run.
+    del angles
+    # A scan whose beams and margins go all the way round, or whose angles
+    # are too large for a beam index to be exact, is cast whole.
+    whole = ~(np.abs(th0) + 2.0 * math.pi < inc * 2.0**40)
+    whole |= (n + 2 * WINDOW_MARGIN) * inc >= 2.0 * math.pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_circles, which, tags = _cast_circles(
+            states, origin, th0, whole, dirs, lidar, with_labels
+        )
+        t_segments = _cast_segments(states, origin, th0, whole, dirs, lidar)
+    del dirs
+
+    best = np.minimum(t_circles, t_segments)
+    in_range = best <= lidar.range_max
+    if with_labels:
+        labels = np.full(n_scans * n, NO_LABEL, dtype=int)
+        won = (which >= 0) & (t_circles <= t_segments)
+        labels[won] = tags[which[won]]
+        labels[np.isfinite(best) & ~won] = STATIC_LABEL
+        labels[~in_range] = NO_LABEL
+        labels = labels.reshape(n_scans, n)
+    del t_circles, t_segments, which
+    ranges = np.where(in_range, best, NO_RETURN).reshape(n_scans, n)
+
+    # The draws stay per scan and in order: normal(n), then random(n).
+    noisy = rng is not None and noise_std > 0
+    dropping = rng is not None and dropout_prob > 0
+    if noisy or dropping:
+        finite = np.isfinite(ranges)
+        noise = np.empty((n_scans, n)) if noisy else None
+        draws = np.empty((n_scans, n)) if dropping else None
+        for i in range(n_scans):
+            if noisy:
+                noise[i] = rng.normal(0.0, noise_std, n)
+            if dropping:
+                draws[i] = rng.random(n)
+        if noisy:
+            np.clip(noise, -3 * noise_std, 3 * noise_std, out=noise)
+            noise += ranges
+            np.clip(noise, 1e-6, lidar.range_max, out=noise)
+            ranges = np.where(finite, noise, ranges)
+        if dropping:
+            dropped = finite & (draws < dropout_prob)
+            ranges[dropped] = NO_RETURN
+            if with_labels:
+                labels[dropped] = NO_LABEL
+
+    scans = [
+        LidarScan(
+            timestamp=s.time,
+            ranges=ranges[i],
+            angle_min=lidar.angle_min,
+            angle_increment=lidar.angle_increment,
+            range_max=lidar.range_max,
+            pose=s.robot,
+        )
+        for i, s in enumerate(states)
+    ]
+    return list(zip(scans, labels)) if with_labels else scans
 
 
 def raycast_scan(
@@ -443,58 +646,9 @@ def raycast_scan(
     rng: np.random.Generator | None = None,
     with_labels: bool = False,
 ):
-    """Cast one scan from the robot pose against agents and static geometry.
-
-    Occlusion falls out of nearest-hit selection. Gaussian range noise is
-    truncated at three sigmas (so a return never overshoots the true surface
-    by more than 3*noise_std) and each returning beam independently drops to
-    no-return with ``dropout_prob``. With ``with_labels`` the per-beam hit
-    attribution is returned as well: an agent id, STATIC_LABEL, or NO_LABEL.
-    """
-    pose = state.robot
-    origin = np.array([pose.x, pose.y])
-    angles = pose.theta + lidar.angle_min + np.arange(lidar.n_beams) * lidar.angle_increment
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-    # Agents first, so a tie with a static circle goes to the agent.
-    circles = [(*a.position.tolist(), a.radius) for a in state.agents]
-    circles += [(c.x, c.y, c.radius) for c in state.circles]
-    t_circles, which = _ray_circles(origin, dirs, circles)
-    t_segments = _ray_segments(origin, dirs, state.segments)
-    best = np.minimum(t_circles, t_segments)
-
-    labels = np.full(lidar.n_beams, NO_LABEL, dtype=int)
-    agent_ids = np.array([a.id for a in state.agents], dtype=int)
-    agent_hit = (which >= 0) & (which < len(agent_ids)) & (t_circles <= t_segments)
-    labels[agent_hit] = agent_ids[which[agent_hit]]
-    labels[np.isfinite(best) & ~agent_hit] = STATIC_LABEL
-
-    in_range = best <= lidar.range_max
-    ranges = np.where(in_range, best, NO_RETURN)
-    labels[~in_range] = NO_LABEL
-
-    finite = np.isfinite(ranges)
-    if rng is not None and noise_std > 0:
-        noise = np.clip(
-            rng.normal(0.0, noise_std, lidar.n_beams), -3 * noise_std, 3 * noise_std
-        )
-        ranges = np.where(finite, np.clip(ranges + noise, 1e-6, lidar.range_max), ranges)
-    if rng is not None and dropout_prob > 0:
-        dropped = finite & (rng.random(lidar.n_beams) < dropout_prob)
-        ranges = np.where(dropped, NO_RETURN, ranges)
-        labels[dropped] = NO_LABEL
-
-    scan = LidarScan(
-        timestamp=state.time,
-        ranges=ranges,
-        angle_min=lidar.angle_min,
-        angle_increment=lidar.angle_increment,
-        range_max=lidar.range_max,
-        pose=pose,
-    )
-    if with_labels:
-        return scan, labels
-    return scan
+    """One scan of :func:`raycast_scans`: a LidarScan, or a ``(scan,
+    labels)`` pair with ``with_labels``."""
+    return raycast_scans([state], lidar, noise_std, dropout_prob, rng, with_labels)[0]
 
 
 def emit_ground_truth(state: WorldState) -> GroundTruthFrame:
@@ -777,26 +931,44 @@ class Scenario:
         gt_dt = 1.0 / GT_RATE_HZ
         ticks_per_scan = round(GT_RATE_HZ / self.lidar.rate_hz)
         n_ticks = round(cfg.duration * GT_RATE_HZ)
+        # Events of the ticks since the last cast, in time order; a scan is
+        # held as its WorldState until SCAN_BLOCK of them are cast at once.
+        pending: list = []
+        held: list[WorldState] = []
+
+        def cast():
+            scans = iter(raycast_scans(
+                held, self.lidar, noise_std=cfg.noise_std, dropout_prob=cfg.dropout_prob,
+                rng=self._rng_sensor, with_labels=with_labels,
+            ))
+            out = [next(scans) if isinstance(e, WorldState) else e for e in pending]
+            pending.clear()
+            held.clear()
+            return out
+
         for k in range(n_ticks + 1):
             # Pin both clocks to the exact rational tick so timestamps never
             # drift from float accumulation across a long run.
             self.state.time = k / GT_RATE_HZ
             r = self.state.robot
             self.state.robot = Pose2D(r.x, r.y, r.theta, self.state.time)
-            yield emit_ground_truth(self.state)
+            pending.append(emit_ground_truth(self.state))
             if k % ticks_per_scan == 0:
-                yield raycast_scan(
-                    self.state,
-                    self.lidar,
-                    noise_std=cfg.noise_std,
-                    dropout_prob=cfg.dropout_prob,
-                    rng=self._rng_sensor,
-                    with_labels=with_labels,
-                )
+                # Must hold for a later cast to see this tick: nothing changes
+                # what the cast reads of a state (agent positions, radii and
+                # ids, robot pose, time) after its tick. The policies only
+                # reassign an agent's velocity and next_resample and the
+                # state's robot_twist, and step_world builds new agents and
+                # a new state instead of changing the old ones.
+                pending.append(self.state)
+                held.append(self.state)
+                if len(held) == SCAN_BLOCK:
+                    yield from cast()
             if k < n_ticks:
                 self._agent_policy(self.state.time)
                 self._robot_policy(self.state.time)
                 self.state = step_world(self.state, gt_dt)
+        yield from cast()
 
 
 def run_scenario(cfg: ScenarioConfig, labels: bool = False) -> tuple:

@@ -12,6 +12,7 @@ import pytest
 
 import lidarmot
 from lidarmot import dataset as ds
+from lidarmot import simulator
 from lidarmot.cli import run_cli
 from lidarmot.config import load_config
 from lidarmot.evaluation import GroundTruthFrame
@@ -225,15 +226,54 @@ class TestBench:
         monkeypatch.setattr(ds, "read_dataset", counted)
         out = tmp_path / "sweep"
         assert run(["bench", "--in", sim_dir, "--preset", "config-1,config-2",
-                    "--seeds", "4,5", "--out", out]) == 0
+                    "--out", out]) == 0
         assert sorted(reads) == ["ground_truth.jsonl", "scans.jsonl"]
         rows = json.loads((out / "report.json").read_text())["rows"]
-        # Each row names the recording's scene (sr, seed 1), not the flags'.
+        # Each row names the recording's scene (sr, seed 1).
         assert [(r["preset"], r["kind"], r["seed"]) for r in rows] == [
-            ("config-1", "sr", 1), ("config-1", "sr", 1),
-            ("config-2", "sr", 1), ("config-2", "sr", 1),
+            ("config-1", "sr", 1), ("config-2", "sr", 1),
         ]
         assert all(r["mot"] == singles[r["preset"]] for r in rows)
+
+    def test_bench_refuses_seeds_with_input(self, sim_dir, tmp_path, capsys):
+        # A recording has one seed, so a seed sweep over it would only repeat
+        # the same rows.
+        out = tmp_path / "sweep"
+        assert run(["bench", "--in", sim_dir, "--preset", "config-1", "--seeds", "4,5",
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--seeds" in err and "--in" in err
+        assert not (out / "report.json").exists()
+
+    def test_bench_sweep_simulates_each_scene_once(self, tmp_path, capsys, monkeypatch):
+        # Presets do not change the scene, so three presets over two seeds
+        # simulate two scenes. Rows, report and printed lines are those of
+        # the six single jobs, in preset-major order.
+        common = ["--kind", "sr", "--duration", "1"]
+        singles, lines = [], []
+        for preset in ("config-1", "config-2", "config-3"):
+            for seed in ("1", "2"):
+                out = tmp_path / f"{preset}-{seed}"
+                capsys.readouterr()
+                assert run(["bench", "--preset", preset, "--seed", seed, *common,
+                            "--out", out]) == 0
+                lines.append(capsys.readouterr().out.splitlines()[0])
+                singles.append(json.loads((out / "report.json").read_text())["mot"])
+        simulated = []
+
+        def counted(cfg, *args, **kwargs):
+            simulated.append(cfg.seed)
+            return run_scenario(cfg, *args, **kwargs)
+
+        run_scenario = simulator.run_scenario
+        monkeypatch.setattr(simulator, "run_scenario", counted)
+        out = tmp_path / "sweep"
+        assert run(["bench", "--preset", "config-1,config-2,config-3", "--seeds", "1,2",
+                    *common, "--out", out]) == 0
+        assert simulated == [1, 2]
+        assert capsys.readouterr().out.splitlines()[:-1] == lines
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert [r["mot"] for r in rows] == singles
 
     def test_bench_without_persons_reports_null(self, tmp_path, capsys):
         # MOTA and MOTP are undefined without ground-truth persons.

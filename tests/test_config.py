@@ -193,4 +193,8 @@ class TestScenarioObjectFields:
     def test_arena_list_still_accepted(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"scenario": {"kind": "mr1", "arena": [-4, -4, 4, 4]}}))
-        assert list(load_config(path).scenario.arena) == [-4, -4, 4, 4]
+        scenario = load_config(path).scenario
+        assert list(scenario.arena) == [-4, -4, 4, 4]
+        # Stored as the field's tuple, so the section stays hashable: a bench
+        # sweep keys its scenes by it.
+        assert scenario.arena == (-4, -4, 4, 4) and hash(scenario) == hash(scenario)

@@ -69,9 +69,8 @@ from lidarmot.simulator import (
     Segment,
     WorldState,
     _point_segment_distance,
-    _ray_circles,
-    _ray_segments,
     raycast_scan,
+    raycast_scans,
     run_scenario,
     step_world,
 )
@@ -737,105 +736,225 @@ class TestPointSegmentDistanceEquivalence:
 
 # -- raycast ---------------------------------------------------------------
 
+#: A robot heading that puts the default sensor's first beam exactly along
+#: +x: theta + angle_min is exactly 0, so beam 0's direction is (1, 0).
+ALONG_X = 0.75 * math.pi
+
 
 def beam_dirs(theta: float, n: int = 1080) -> np.ndarray:
     angles = theta + -0.75 * math.pi + np.arange(n) * math.radians(0.25)
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
+def shapes_world(circles=(), segments=(), robot=(0.0, 0.0, 0.0)) -> WorldState:
+    """A world whose circles ``(x, y, r)`` are all agents, with ids 0, 1, ...
+    in order, so a beam's label names the circle that won it (ties show),
+    and whose ``segments`` are static."""
+    agents = [agent(i, (x, y), radius=r) for i, (x, y, r) in enumerate(circles)]
+    return make_world(agents, (), segments, robot)
+
+
+def assert_cast_matches_reference(states, lidar=LidarParams(), noise_std=0.0, dropout_prob=0.0):
+    """``raycast_scans`` over all ``states`` in one call, with and without
+    labels, against a per-state loop of ``ref_raycast_scan`` drawing from
+    one generator: ranges, labels, times and poses. Returns the labelled
+    scans."""
+    for with_labels in (False, True):
+        got = raycast_scans(
+            states, lidar, noise_std, dropout_prob, np.random.default_rng(7), with_labels
+        )
+        rng = np.random.default_rng(7)
+        ref = [ref_raycast_scan(s, lidar, noise_std, dropout_prob, rng, with_labels)
+               for s in states]
+        assert len(got) == len(ref) == len(states)
+        for g, r in zip(got, ref):
+            if with_labels:
+                assert same_array(g[1], r[1])
+                g, r = g[0], r[0]
+            assert same_array(g.ranges, r.ranges)
+            assert repr((g.timestamp, g.pose)) == repr((r.timestamp, r.pose))
+    return got
+
+
 class TestRaycastEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_shapes(self, seed):
+        # Circles alone, segments alone and both, from a random pose.
         rng = np.random.default_rng(100 + seed)
-        origin = rng.uniform(-2, 2, 2)
-        dirs = beam_dirs(float(rng.uniform(-math.pi, math.pi)))
+        ox, oy = rng.uniform(-2, 2, 2).tolist()
+        robot = (ox, oy, float(rng.uniform(-math.pi, math.pi)))
         circles = [
-            (*rng.uniform(-5, 5, 2), float(rng.uniform(0.02, 0.5)))
+            (*rng.uniform(-5, 5, 2).tolist(), float(rng.uniform(0.02, 0.5)))
             for _ in range(int(rng.integers(1, 20)))
         ]
         # Two equal circles tie on every beam that hits them.
-        circles += [(origin[0] + 3.0, origin[1], 0.5), (origin[0] + 3.0, origin[1], 0.5)]
+        circles += [(ox + 3.0, oy, 0.5), (ox + 3.0, oy, 0.5)]
         segments = [Segment(*rng.uniform(-6, 6, 4)) for _ in range(int(rng.integers(1, 8)))]
-        segments += [Segment(1.0, 1.0, 1.0, 1.0), Segment(origin[0], origin[1], 4.0, 4.0)]
-        best, label = _ray_circles(origin, dirs, circles)
-        ref_best, ref_label = ref_ray_circles(origin, dirs, circles)
-        assert same_array(best, ref_best)
-        assert same_array(label, ref_label)
-        assert same_array(_ray_segments(origin, dirs, segments),
-                          ref_ray_segments(origin, dirs, segments))
+        segments += [Segment(1.0, 1.0, 1.0, 1.0), Segment(ox, oy, 4.0, 4.0)]
+        assert_cast_matches_reference([
+            shapes_world(circles, (), robot),
+            shapes_world((), segments, robot),
+            shapes_world(circles, segments, robot),
+        ])
 
     def test_origin_inside_circle(self):
-        origin, dirs = np.array([0.5, -0.5]), beam_dirs(1.0)
         circles = [(0.5, -0.5, 0.4), (0.6, -0.5, 0.2), (2.0, 0.0, 0.3)]
-        best, label = _ray_circles(origin, dirs, circles)
-        ref_best, ref_label = ref_ray_circles(origin, dirs, circles)
-        assert same_array(best, ref_best) and same_array(label, ref_label)
+        inside = shapes_world(circles, (), (0.5, -0.5, 1.0))
+        static = make_world((), [Circle(*c) for c in circles], robot=(0.5, -0.5, 1.0))
+        (scan, labels), _ = assert_cast_matches_reference([inside, static])
+        # The sensor is inside circles 0 and 1, and circle 1's far rim is
+        # the nearer on every beam.
+        assert np.all(np.isfinite(scan.ranges)) and set(labels.tolist()) == {1}
 
     def test_origin_on_circle_rims_and_beams_through_segment_ends(self):
-        # Circles through the origin give roots within rounding of zero; the
-        # axis beams meet segment ends at exactly u = 0 and u = 1.
+        # Circles through the sensor give roots within rounding of zero. Beam
+        # 0 points exactly along +x and meets the segments' ends at exactly
+        # u = 0 and u = 1.
         rng = np.random.default_rng(11)
-        origin = np.zeros(2)
-        dirs = np.vstack([[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], beam_dirs(0.3, 200)])
         circles = [(float(x), float(y), math.hypot(x, y)) for x, y in rng.uniform(-2, 2, (20, 2))]
-        best, label = _ray_circles(origin, dirs, circles)
-        ref_best, ref_label = ref_ray_circles(origin, dirs, circles)
-        assert same_array(best, ref_best) and same_array(label, ref_label)
-        segments = [Segment(2.0, 0.0, 2.0, 1.0), Segment(0.0, 3.0, -1.0, 3.0),
-                    Segment(-1.0, -4.0, 0.0, -4.0), Segment(-2.0, 0.5, -2.0, 0.0)]
-        got = _ray_segments(origin, dirs, segments)
-        assert same_array(got, ref_ray_segments(origin, dirs, segments))
-        assert list(got[:4]) == [2.0, 3.0, 2.0, 4.0]
+        robot = (0.0, 0.0, ALONG_X)
+        assert_cast_matches_reference([shapes_world(circles, (), robot)])
+        for seg, t in ((Segment(2.0, 0.0, 2.0, 1.0), 2.0), (Segment(3.0, -1.0, 3.0, 0.0), 3.0)):
+            (scan, _), = assert_cast_matches_reference([shapes_world((), [seg], robot)])
+            assert scan.ranges[0] == t
 
     def test_no_shapes(self):
-        origin, dirs = np.array([0.0, 0.0]), beam_dirs(0.0)
-        best, label = _ray_circles(origin, dirs, [])
-        ref_best, ref_label = ref_ray_circles(origin, dirs, [])
-        assert same_array(best, ref_best) and same_array(label, ref_label)
-        assert same_array(_ray_segments(origin, dirs, []), ref_ray_segments(origin, dirs, []))
+        (scan, labels), = assert_cast_matches_reference([make_world()])
+        assert np.all(np.isinf(scan.ranges)) and set(labels.tolist()) == {simulator.NO_LABEL}
+
+    def test_worlds_without_circles_or_segments(self):
+        rng = np.random.default_rng(31)
+        states = []
+        for _ in range(4):
+            s = random_world(rng)
+            states += [
+                make_world(s.agents, s.circles, (), (s.robot.x, s.robot.y, s.robot.theta)),
+                make_world((), (), s.segments, (s.robot.x, s.robot.y, s.robot.theta)),
+            ]
+        assert_cast_matches_reference(states, noise_std=0.01, dropout_prob=0.01)
 
     def test_beam_tangent_to_circle(self):
-        # The axis beams graze both circles: disc is exactly 0 there.
-        origin = np.zeros(2)
-        dirs = np.vstack([[[1.0, 0.0], [0.0, 1.0]], beam_dirs(0.2, 100)])
-        circles = [(2.0, 1.0, 1.0), (-1.0, 3.0, 1.0), (0.5, 0.5, 0.1)]
-        best, label = _ray_circles(origin, dirs, circles)
-        ref_best, ref_label = ref_ray_circles(origin, dirs, circles)
-        assert same_array(best, ref_best) and same_array(label, ref_label)
-        assert list(best[:2]) == [2.0, 3.0] and list(label[:2]) == [0, 1]
+        # Beam 0 grazes the first two circles: disc is exactly 0 there.
+        circles = [(2.0, 1.0, 1.0), (3.0, -1.0, 1.0), (0.5, 0.5, 0.1)]
+        robot = (0.0, 0.0, ALONG_X)
+        (scan, labels), (rest, rest_labels) = assert_cast_matches_reference(
+            [shapes_world(circles, (), robot), shapes_world(circles[1:], (), robot)]
+        )
+        assert scan.ranges[0] == 2.0 and labels[0] == 0
+        assert rest.ranges[0] == 3.0 and rest_labels[0] == 0
 
     def test_circle_in_the_blind_wedge(self):
-        # The beams span 270 degrees about heading 0; circle 1 sits straight
-        # behind, in the 90 degree wedge no beam reaches.
-        origin, dirs = np.zeros(2), beam_dirs(0.0)
+        # The beams span 270 degrees about heading 0; circle 1 and the
+        # segment sit straight behind, in the 90 degree wedge no beam reaches.
         circles = [(1.5, 0.5, 0.3), (-3.0, 0.0, 0.5), (2.0, -1.0, 0.3)]
-        best, label = _ray_circles(origin, dirs, circles)
-        ref_best, ref_label = ref_ray_circles(origin, dirs, circles)
-        assert same_array(best, ref_best) and same_array(label, ref_label)
-        assert set(label.tolist()) == {-1, 0, 2}
+        (_, labels), = assert_cast_matches_reference(
+            [shapes_world(circles, [Segment(-2.0, -0.5, -2.0, 0.5)])]
+        )
+        assert set(labels.tolist()) == {-1, 0, 2}
+
+    @pytest.mark.parametrize("theta", [ALONG_X, 0.0, math.pi / 2, math.pi, -math.pi, 3.0])
+    def test_shapes_straddling_first_and_last_beam_and_the_seam(self, theta):
+        # A circle across the first beam, one across the last and one across
+        # the -x axis, where atan2 jumps from pi to -pi; behind each, a
+        # segment across the same direction.
+        lidar = LidarParams()
+        first = theta + lidar.angle_min
+        last = first + (lidar.n_beams - 1) * lidar.angle_increment
+        circles, segments = [], []
+        for k, angle in enumerate((first, last, math.pi)):
+            c, s = math.cos(angle), math.sin(angle)
+            circles.append(((1.5 + k) * c, (1.5 + k) * s, 0.2))
+            d = 5.0 + k
+            segments.append(
+                Segment(d * c + 0.5 * s, d * s - 0.5 * c, d * c - 0.5 * s, d * s + 0.5 * c)
+            )
+        robot = (0.0, 0.0, theta)
+        (scan, labels), (walls, _) = assert_cast_matches_reference(
+            [shapes_world(circles, segments, robot), shapes_world((), segments, robot)]
+        )
+        assert labels[0] == 0 and labels[-1] == 1
+        assert math.isfinite(walls.ranges[0]) and math.isfinite(walls.ranges[-1])
+
+    def test_segment_lines_through_the_sensor(self):
+        # Collinear segments on either side of the sensor, one through it,
+        # one from it, and zero-length ones at and away from it.
+        ox, oy = 0.3, -0.2
+        segments = [
+            Segment(ox + 1.0, oy + 0.5, ox + 3.0, oy + 1.5),
+            Segment(ox - 1.0, oy - 0.5, ox - 2.0, oy - 1.0),
+            Segment(ox - 1.0, oy + 2.0, ox + 1.0, oy - 2.0),
+            Segment(ox, oy, ox + 2.0, oy - 1.0),
+            Segment(ox, oy, ox, oy),
+            Segment(1.5, 1.5, 1.5, 1.5),
+        ]
+        circles = [(ox + 4.0, oy + 2.0, 0.5), (ox - 2.0, oy + 2.0, 0.3)]
+        states = [
+            shapes_world(circles, segments, (ox, oy, theta))
+            for theta in (0.0, 0.4636476090008061, 2.0, -2.5)
+        ]
+        states += [shapes_world(circles, [seg], (ox, oy, 0.5)) for seg in segments]
+        assert_cast_matches_reference(states)
+
+    def test_distant_circle_narrower_than_a_beam(self):
+        # At 25 m a 1 cm circle spans 0.0008 rad, a fifth of a beam: on beam
+        # 0's line it is hit by that beam alone, and half-way between two
+        # beams by none.
+        inc = LidarParams().angle_increment
+        between = 10.5 * inc
+        circles = [(25.0, 0.0, 0.01), (25.0 * math.cos(between), 25.0 * math.sin(between), 0.01)]
+        robot = (0.0, 0.0, ALONG_X)
+        (scan, labels), _ = assert_cast_matches_reference(
+            [shapes_world(circles, (), robot),
+             make_world((), [Circle(*c) for c in circles], robot=robot)]
+        )
+        assert np.flatnonzero(np.isfinite(scan.ranges)).tolist() == [0]
+        assert labels[0] == 0 and 1 not in labels
+
+    @pytest.mark.parametrize("lidar", [
+        LidarParams(n_beams=1),
+        LidarParams(n_beams=2),
+        LidarParams(n_beams=2, angle_increment=math.pi),
+        LidarParams(n_beams=3, angle_min=-math.pi, angle_increment=2.5),
+        LidarParams(n_beams=400, angle_increment=math.radians(1.0)),
+        LidarParams(n_beams=356, angle_increment=math.radians(1.0)),
+        LidarParams(n_beams=1440, angle_min=-math.pi),
+    ], ids=["1", "2", "2-half-turns", "3-past-a-turn", "400-past-a-turn", "356-near-a-turn",
+            "1440-one-turn"])
+    def test_few_beams_and_beams_past_a_full_turn(self, lidar):
+        rng = np.random.default_rng(41)
+        states = [random_world(rng) for _ in range(5)]
+        states.append(shapes_world([(2.0, 0.0, 0.5), (0.0, -2.0, 0.3)], [Segment(-2, -2, -2, 2)]))
+        assert_cast_matches_reference(states, lidar, noise_std=0.01, dropout_prob=0.01)
 
     def test_exact_ties_at_non_adjacent_indices(self):
         rng = np.random.default_rng(21)
-        origin, dirs = np.array([0.3, -0.2]), beam_dirs(0.4)
+        origin = np.array([0.3, -0.2])
         circles = [(*rng.uniform(-6, 6, 2).tolist(), float(rng.uniform(0.05, 0.4)))
                    for _ in range(34)]
         circles[2], circles[14] = (1.8, 0.4, 0.3), (0.1, 1.6, 0.25)
         for copy, source in ((9, 2), (20, 2), (31, 14), (25, 14)):
             circles[copy] = circles[source]
-        best, label = _ray_circles(origin, dirs, circles)
-        ref_best, ref_label = ref_ray_circles(origin, dirs, circles)
-        assert same_array(best, ref_best) and same_array(label, ref_label)
+        (scan, labels), = assert_cast_matches_reference([shapes_world(circles, (), (*origin, 0.4))])
         # Both copied circles are the nearest hit on some beams, where each
         # ties with its copies; the first index must win.
+        dirs = beam_dirs(0.4)
         per_circle = np.array([ref_ray_circles(origin, dirs, [c])[0] for c in circles])
+        best = scan.ranges
         tied = ((per_circle == best).sum(axis=0) >= 2) & np.isfinite(best)
-        assert set(label[tied].tolist()) == {2, 14}
+        assert set(labels[tied].tolist()) == {2, 14}
+
+    def test_agent_ids_equal_to_label_values(self):
+        # An agent may carry the id NO_LABEL or STATIC_LABEL; the beams it
+        # wins still carry its id.
+        agents = [agent(simulator.NO_LABEL, (2.0, 0.5)), agent(simulator.STATIC_LABEL, (2.0, -0.5))]
+        state = make_world(agents, [Circle(3.0, 0.0, 0.2)], [Segment(4.0, -2.0, 4.0, 2.0)])
+        (_, labels), = assert_cast_matches_reference([state])
+        assert {-1, -2} <= set(labels.tolist())
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scan_labels_of_random_worlds(self, seed):
-        # One pass over agent and static circles labels every beam as the
-        # separate agent and static passes did, ties included: agent 0 has
-        # a static twin.
+        # Agent and static circles label every beam as the separate agent and
+        # static passes did, ties included: agent 0 has a static twin.
         rng = np.random.default_rng(300 + seed)
         state = random_world(rng)
         if state.agents:
@@ -859,15 +978,52 @@ class TestRaycastEquivalence:
         assert scan.ranges[540] == 1.5 and labels[540] == 7
         assert 8 not in labels
 
+    def test_scans_do_not_depend_on_block_boundaries(self):
+        # One call over twelve states, calls of five (a partial last block)
+        # and one call per state draw the same noise and dropout in the same
+        # order and give the same scans.
+        rng = np.random.default_rng(51)
+        states = [random_world(rng) for _ in range(12)]
+        lidar = LidarParams()
+        whole = raycast_scans(states, lidar, 0.01, 0.01, np.random.default_rng(3), True)
+        for size in (1, 5):
+            gen = np.random.default_rng(3)
+            parts = [
+                pair
+                for i in range(0, len(states), size)
+                for pair in raycast_scans(states[i:i + size], lidar, 0.01, 0.01, gen, True)
+            ]
+            for (a, la), (b, lb) in zip(whole, parts, strict=True):
+                assert same_array(a.ranges, b.ranges) and same_array(la, lb)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_streams_do_not_depend_on_the_block_size(self, block, monkeypatch):
+        # 3 s at 20 Hz is 61 scans: blocks of 3 and of the default 8 leave a
+        # partial last block, and 64 casts them all at once.
+        cfg = ScenarioConfig(kind="mr2", duration=3.0, seed=9)
+        scans, gt, labels = run_scenario(cfg, labels=True)
+        monkeypatch.setattr(simulator, "SCAN_BLOCK", block)
+        other, other_gt, other_labels = run_scenario(cfg, labels=True)
+        assert [frame_key(f) for f in gt] == [frame_key(f) for f in other_gt]
+        for a, b, la, lb in zip(scans, other, labels, other_labels, strict=True):
+            assert repr((a.timestamp, a.pose)) == repr((b.timestamp, b.pose))
+            assert same_array(a.ranges, b.ranges) and same_array(la, lb)
+
     @staticmethod
     def assert_stream_matches_reference(cfg, monkeypatch):
         scans, gt, labels = run_scenario(cfg, labels=True)
+        cast = []
+
+        def ref_raycast_scans(states, lidar, **kwargs):
+            cast.append(len(states))
+            return [ref_raycast_scan(s, lidar, **kwargs) for s in states]
+
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "step_world", ref_step_world)
-            patch.setattr(simulator, "raycast_scan", ref_raycast_scan)
-            patch.setattr(simulator, "_ray_circles", ref_ray_circles)
-            patch.setattr(simulator, "_ray_segments", ref_ray_segments)
+            patch.setattr(simulator, "raycast_scans", ref_raycast_scans)
             ref_scans, ref_gt, ref_labels = run_scenario(cfg, labels=True)
+        # Every reference scan came from the oracle.
+        assert sum(cast) == len(ref_scans) > 0
         assert [frame_key(f) for f in gt] == [frame_key(f) for f in ref_gt]
         assert len(scans) == len(ref_scans)
         for a, b, la, lb in zip(scans, ref_scans, labels, ref_labels):

@@ -1,0 +1,164 @@
+"""Alternating benchmark pairs of two checkouts, written as a BENCH_*.json file.
+
+    python3 tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \
+        --workload offline-mr2 --seeds 1701-1710 --out BENCH_name_offline-mr2.json
+
+Each seed runs ``perfbench/run.py --trace 0`` once in each checkout, one
+process at a time: the parent first for the 1st, 3rd, ... seed and the change
+first for the others. Each run's record is read from the checkout's
+``.perfbench/results``. The file keeps, per side, every run's end-to-end
+metrics with their median and quartiles, the summed operations, and the
+source hash; and the pairs the change won on each metric, where "better" is
+read from ``BENCHMARK.json``. With ``--quality-table`` the ROADMAP quality
+table (``bench --preset config-1,config-2,config-3 --seeds 1,2 --duration 20``
+for sr, mr1 and mr2) is run on both sides and its report digests recorded.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy")
+KINDS = ("sr", "mr1", "mr2")
+
+
+def seed_list(text: str) -> list[int]:
+    """``1401-1410`` or ``1,5,9``."""
+    if "-" in text:
+        lo, hi = map(int, text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    argv = [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}")
+    path = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-untraced.json"
+    return json.loads(path.read_text())
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": values}
+
+
+def side_record(records: list[dict], metrics: list[dict]) -> dict:
+    machine = records[0]["machine"]
+    return {
+        "git_commit": machine["git_commit"],
+        "source_sha256": machine["source_sha256"],
+        "attempted": sum(r["attempted"] for r in records),
+        "failed": sum(r["failed"] for r in records),
+        "metrics": {
+            m["name"]: {
+                "unit": m["unit"],
+                **summary([r["metrics"][m["name"]]["value"] for r in records]),
+            }
+            for m in metrics
+        },
+    }
+
+
+def quality_digests(checkout: Path) -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in KINDS:
+            target = Path(tmp) / kind
+            subprocess.run(
+                [sys.executable, "-m", "lidarmot.cli", "bench", "--preset",
+                 "config-1,config-2,config-3", "--seeds", "1,2", "--duration", "20",
+                 "--kind", kind, "--out", str(target)],
+                cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+                stdout=subprocess.DEVNULL, check=True,
+            )
+            out[kind] = hashlib.sha256((target / "report.json").read_bytes()).hexdigest()[:12]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="first-last or a comma list")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--quality-table", action="store_true")
+    args = parser.parse_args(argv)
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    seeds = seed_list(args.seeds)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    records: dict[str, list[dict]] = {"parent": [], "change": []}
+    for k, seed in enumerate(seeds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            records[side].append(run_side(sides[side], args.workload, seed, args.seconds))
+            value = records[side][-1]["metrics"]
+            print(f"seed {seed} {side}: " + ", ".join(
+                f"{m['name']} {value[m['name']]['value']:.4g}" for m in metrics
+            ), flush=True)
+
+    machines = {
+        json.dumps({key: r["machine"][key] for key in MACHINE_KEYS}, sort_keys=True)
+        for side in records.values() for r in side
+    }
+    if len(machines) != 1:
+        raise SystemExit(f"runs differ in their machine record: {sorted(machines)}")
+    result = {
+        "workload": args.workload,
+        "command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "seeds": seeds,
+        "order": "one parent run and one change run per seed, in separate processes, the "
+                 "parent first for the 1st, 3rd, ... seed and the change first for the others",
+        "quartiles": "numpy.percentile, linear interpolation, over the runs of one side",
+        "machine": json.loads(machines.pop()),
+        "parent": side_record(records["parent"], metrics),
+        "change": side_record(records["change"], metrics),
+    }
+    if result["parent"]["git_commit"] == result["change"]["git_commit"]:
+        result["change"]["note"] = (
+            "git_commit is the parent's: the change ran as an uncommitted tree on top of it, "
+            "which source_sha256 identifies"
+        )
+    wins = {}
+    for m in metrics:
+        sign = 1 if m["better"] == "higher" else -1
+        pairs = zip(records["parent"], records["change"])
+        won = sum(
+            sign * (c["metrics"][m["name"]]["value"] - p["metrics"][m["name"]]["value"]) > 0
+            for p, c in pairs
+        )
+        wins[m["name"]] = f"{won}/{len(seeds)}"
+    result["change_wins"] = wins
+    if args.quality_table:
+        digests = {side: quality_digests(path) for side, path in sides.items()}
+        key = ("bench --preset config-1,config-2,config-3 --seeds 1,2 --duration 20 --kind K, "
+               "report.json sha256[:12]")
+        if digests["parent"] == digests["change"]:
+            result["outputs_equal_on_both_sides"] = {key: digests["parent"]}
+        else:
+            result["outputs_differ"] = {key: digests}
+    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"-> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
