@@ -75,7 +75,6 @@ from .tracking import (
     Tracker,
     TrackerConfig,
     TrackStatus,
-    build_cost_matrix,
     kalman_predict,
     kalman_update,
     lifecycle_step,

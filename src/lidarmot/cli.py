@@ -12,7 +12,6 @@ import argparse
 import bisect
 import contextlib
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from . import dataset as ds
 from . import simulator
 from .config import ConfigError, apply_layer, load_config
 from .dataset import DatasetFormatError
-from .detection import ReplayDetector
+from .detection import Detection, Detector
 from .evaluation import evaluate_sequence
 from .geometry import LidarScan
 from .pipeline import collect_timings, paced, run_pipeline
@@ -165,24 +164,44 @@ def _track_and_write(args, cfg, frames, detector, out: Path, realtime: bool = Fa
     return summary
 
 
-def _check_replay_times(times: list[float], scans: list[LidarScan], path: Path) -> None:
-    """Refuse detection records that no scan replays: each record's time
-    must lie within ``ReplayDetector.TIME_TOLERANCE`` of some scan's, else
-    its detections would be dropped without a word."""
-    scan_times = sorted(s.timestamp for s in scans)
+#: How far (s) a detection record's time may sit from the frame it is
+#: replayed with.
+REPLAY_TIME_TOLERANCE = 1e-6
 
-    def replayed(t: float) -> bool:
-        k = bisect.bisect_left(scan_times, t)
-        near = scan_times[max(k - 1, 0):k + 1]
-        return any(abs(u - t) <= ReplayDetector.TIME_TOLERANCE for u in near)
 
-    unmatched = [t for t in times if not replayed(t)]
+def _replay_detector(recorded: list, frames: list[LidarScan], path: Path) -> Detector:
+    """A detector that hands each frame the recorded detections paired with
+    it. ``recorded`` holds ``(time, detections)`` per record; records of one
+    time are grouped, and each record time is paired with the nearest frame
+    time within ``REPLAY_TIME_TOLERANCE``. A record time with no frame that
+    near is refused, and so are two record times that meet one frame: either
+    way detections would be dropped without a word."""
+    by_time: dict[float, list[Detection]] = {}
+    for t, dets in recorded:
+        by_time.setdefault(t, []).extend(dets)
+    frame_times = [f.timestamp for f in frames]
+    paired: dict[float, float] = {}  # frame time -> record time
+    for t in sorted(by_time):
+        k = bisect.bisect_left(frame_times, t)
+        u = min(frame_times[max(k - 1, 0):k + 1], key=lambda u: abs(u - t), default=None)
+        if u is None or abs(u - t) > REPLAY_TIME_TOLERANCE:
+            continue
+        if u in paired:
+            raise DatasetFormatError(
+                f"{path}: the detection records at t={paired[u]!r} and t={t!r} both lie "
+                f"within {REPLAY_TIME_TOLERANCE:g} s of the scan at t={u!r}"
+            )
+        paired[u] = t
+    replayed = set(paired.values())
+    unmatched = [t for t, _ in recorded if t not in replayed]
     if unmatched:
         raise DatasetFormatError(
             f"{path}: the detection record at t={unmatched[0]!r} has no scan within "
-            f"{ReplayDetector.TIME_TOLERANCE:g} s of its time; {len(unmatched)} of "
-            f"{len(times)} records found no scan"
+            f"{REPLAY_TIME_TOLERANCE:g} s of its time; {len(unmatched)} of "
+            f"{len(recorded)} records found no scan"
         )
+    by_frame = {u: by_time[t] for u, t in paired.items()}
+    return lambda scan: by_frame.get(scan.timestamp, [])
 
 
 def _cmd_track(args) -> int:
@@ -199,10 +218,9 @@ def _cmd_track(args) -> int:
     scans_path = in_dir / SCANS_FILE
     if scans_path.exists():
         frames = _read(scans_path, "scan", ds.record_to_scan, args.strict)
-        _check_replay_times([t for t, _ in recorded], frames, in_dir / DETECTIONS_FILE)
     else:
         frames = [LidarScan(t, (), 0.0, 1.0, 0.0) for t in sorted({t for t, _ in recorded})]
-    detector = ReplayDetector([d for _, dets in recorded for d in dets])
+    detector = _replay_detector(recorded, frames, in_dir / DETECTIONS_FILE)
     summary = _track_and_write(args, cfg, frames, detector, out)
     print(f"tracked {summary.frames_processed} frames -> {out / TRACKS_FILE}")
     return 0
@@ -244,7 +262,7 @@ def _cmd_pipeline(args) -> int:
         "achieved_hz": summary.achieved_hz,
         "stage": timing_section(stage),
     }
-    (out / TIMINGS_FILE).write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
+    write_report(timings, out / TIMINGS_FILE)
     print(
         f"pipeline: {summary.frames_processed}/{summary.frames_in} frames "
         f"({summary.frames_dropped} dropped), "

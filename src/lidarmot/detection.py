@@ -1,9 +1,8 @@
 """Person detection stage: a jump-distance cluster detector standing in for
 a learned model, and confidence gating.
 
-A detector is a callable ``scan -> list[Detection]``: the
-:class:`ClusterDetector`, or a :class:`ReplayDetector` that plays back
-recorded detections. Detections are reported in the sensor frame with a
+A detector is a callable ``scan -> list[Detection]``, here the
+:class:`ClusterDetector`. Detections are reported in the sensor frame with a
 confidence in [0, 1]; thresholding is a separate step so the same detection
 stream can be re-gated.
 
@@ -246,32 +245,3 @@ class ClusterDetector:
 
     def __call__(self, scan: LidarScan) -> list[Detection]:
         return cluster_detect(scan, self.cfg)
-
-
-class ReplayDetector:
-    """Replays recorded detections keyed by scan timestamp, so the tracker
-    runs on detections produced elsewhere (``lidarmot track``)."""
-
-    #: How far (s) a replayed detection frame may sit from its scan's time.
-    TIME_TOLERANCE = 1e-6
-
-    def __init__(self, detections: Sequence[Detection]):
-        self._by_time: dict[float, list[Detection]] = {}
-        for d in detections:
-            self._by_time.setdefault(d.timestamp, []).append(d)
-        self._times = np.array(sorted(self._by_time), dtype=float)
-
-    def __call__(self, scan: LidarScan) -> list[Detection]:
-        if len(self._times) == 0:
-            return []
-        k = int(np.searchsorted(self._times, scan.timestamp))
-        best = None
-        for j in (k - 1, k):
-            if 0 <= j < len(self._times):
-                dt = abs(self._times[j] - scan.timestamp)
-                if best is None or dt < best[0]:
-                    best = (dt, self._times[j])
-        if best is None or best[0] > self.TIME_TOLERANCE:
-            return []
-        return list(self._by_time[float(best[1])])
-

@@ -276,36 +276,6 @@ def pose_lookup(gt_frames: Sequence[GroundTruthFrame]) -> Callable[[float], Pose
     return pose_at
 
 
-def _resample(
-    gt_frames: Sequence[GroundTruthFrame],
-    times: list[float],
-    pose_at: Callable[[float], Pose2D],
-    t: float,
-    tolerance: float,
-) -> GroundTruthFrame:
-    if t < times[0] or t > times[-1]:
-        raise ValueError(f"time {t} outside ground-truth range")
-    k = bisect_right(times, t)
-    lo = gt_frames[max(0, k - 1)]
-    hi = gt_frames[min(len(gt_frames) - 1, k)]
-    return GroundTruthFrame(
-        timestamp=t,
-        persons=_interp_persons(lo, hi, t, tolerance),
-        robot_pose=pose_at(t),
-    )
-
-
-def interpolate_ground_truth(
-    gt_frames: Sequence[GroundTruthFrame], t: float, tolerance: float = GT_TIME_TOLERANCE
-) -> GroundTruthFrame:
-    """Resample a ground-truth sequence at time t (persons linearly, robot
-    pose along the shortest arc)."""
-    if not gt_frames:
-        raise ValueError("empty ground-truth sequence")
-    times = [f.timestamp for f in gt_frames]
-    return _resample(gt_frames, times, pose_lookup(gt_frames), t, tolerance)
-
-
 def evaluate_sequence(
     gt_frames: Sequence[GroundTruthFrame],
     hyp_frames: Sequence[HypothesisFrame],
@@ -334,6 +304,7 @@ def evaluate_sequence(
             report.frames.append(counts)
         return report
 
+    # Persons are bracketed by frame time, the robot pose by pose time.
     times = [f.timestamp for f in gt_frames]
     pose_at = pose_lookup(gt_frames)
     t0 = gt_frames[0].timestamp - GT_TIME_TOLERANCE
@@ -345,7 +316,13 @@ def evaluate_sequence(
             report.skipped_frames += 1
             continue
         t = min(max(hyp.timestamp, lo_t), hi_t)
-        gt = _resample(gt_frames, times, pose_at, t, GT_TIME_TOLERANCE)
+        k = bisect_right(times, t)
+        lo, hi = gt_frames[k - 1], gt_frames[min(k, len(gt_frames) - 1)]
+        gt = GroundTruthFrame(
+            timestamp=t,
+            persons=_interp_persons(lo, hi, t, GT_TIME_TOLERANCE),
+            robot_pose=pose_at(t),
+        )
         gtf, hypf = filter_by_fov_frame(gt, hyp, fov)
         counts, correspondence = match_frame(gtf, hypf, threshold, correspondence)
         report.frames.append(counts)

@@ -23,27 +23,27 @@ for bit those of the straightforward per-shape formulation.
 
 ``Scenario.run`` steps the world once per tick and emits ground truth every
 tick, but holds the scan ticks' world states back and casts them
-``SCAN_BLOCK`` at a time with :func:`raycast_scans`, then yields the held
-events in time order. This is sound because what a cast reads of a state
-(agent positions, radii and ids, the robot pose, the time) is final once
-its tick is emitted: the policies only reassign an agent's ``velocity`` and
-``next_resample`` and the state's ``robot_twist``, and ``step_world`` builds
-new agents and a new state. A block cast takes cos and sin of all its beam
-angles at once and tests each circle and segment only against the beams
-inside its angular window, widened by ``WINDOW_MARGIN`` beams; the discriminant,
-roots and segment intersections are elementwise, so they give the same
-bits on any subset of beams. Each circle's beam product keeps the operand
-shapes of a one-scan cast, ``(n_beams, 2) @ (2, 1)``, because BLAS fuses its
-multiply-add and a one-row slice of it rounds differently. The noise and
-dropout draws stay per scan and in order, ``normal(n_beams)`` then
-``random(n_beams)``, so no scan depends on the block it was cast in.
+``SCAN_BLOCK`` at a time with :func:`raycast_scans`. This is sound because
+what a cast reads of a state (agent positions, radii and ids, the robot
+pose, the time) is final once its tick is emitted: the policies only
+reassign an agent's ``velocity`` and ``next_resample`` and the state's
+``robot_twist``, and ``step_world`` builds new agents and a new state. A
+block cast takes cos and sin of all its beam angles at once and tests each
+circle and segment only against the beams inside its angular window, widened
+by ``WINDOW_MARGIN`` beams; the discriminant, roots and segment
+intersections are elementwise, so they give the same bits on any subset of
+beams. Each circle's beam product keeps the operand shapes of a one-scan
+cast, ``(n_beams, 2) @ (2, 1)``, because BLAS fuses its multiply-add and a
+one-row slice of it rounds differently. The noise and dropout draws stay per
+scan and in order, ``normal(n_beams)`` then ``random(n_beams)``, so no scan
+depends on the block it was cast in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -434,7 +434,8 @@ def _cast_circles(
     None; and each circle's label: its agent's id, or STATIC_LABEL.
 
     Agents come before static circles, so a tie goes to the agent, and a
-    tie between circles goes to the first.
+    tie between circles goes to the first: a beam's label is the lowest
+    circle index among its pairs at the nearest distance.
     """
     n = lidar.n_beams
     shapes, tags, counts = [], [], []
@@ -479,18 +480,13 @@ def _cast_circles(
     circle, t = circle[hit], t[hit]
     ray = scan[circle] * n + beam[hit]
     best = np.full(len(states) * n, np.inf)
+    np.minimum.at(best, ray, t)
     if not with_labels:
-        np.minimum.at(best, ray, t)
         return best, None, tags
-    # A stable sort on (beam, t) keeps equal distances in circle order.
-    order = np.lexsort((t, ray))
-    ray, t, circle = ray[order], t[order], circle[order]
-    nearest = np.ones(len(ray), dtype=bool)
-    nearest[1:] = ray[1:] != ray[:-1]
-    ray, circle = ray[nearest], circle[nearest]
-    best[ray] = t[nearest]
-    which = np.full(len(states) * n, -1)
-    which[ray] = circle
+    nearest = t == best[ray]
+    which = np.full(len(states) * n, len(tags))
+    np.minimum.at(which, ray[nearest], circle[nearest])
+    which[which == len(tags)] = -1
     return best, which, tags
 
 
@@ -749,8 +745,8 @@ class PlacementError(RuntimeError):
 
 class Scenario:
     """A scenario bound to its seed: initial world plus deterministic policy
-    streams. ``run()`` yields GroundTruthFrame objects at 100 Hz interleaved
-    with LidarScan objects at the lidar rate, in time order."""
+    streams. ``run()`` returns its scans at the lidar rate and its
+    GroundTruthFrame objects at 100 Hz."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -920,31 +916,28 @@ class Scenario:
 
     # -- main loop --------------------------------------------------------
 
-    def run(self, with_labels: bool = False) -> Iterator:
-        """Generate the full event stream for the configured duration.
-
-        Yields GroundTruthFrame and LidarScan objects in time order; with
-        ``with_labels`` each scan arrives as a (scan, labels) tuple carrying
-        per-beam hit attribution.
+    def run(self, with_labels: bool = False) -> tuple:
+        """Simulate the configured duration: ``(scans, gt)``, each in time
+        order. With ``with_labels`` the result is ``(scans, gt, labels)``,
+        where ``labels[i]`` holds the per-beam hit attribution of
+        ``scans[i]``.
         """
         cfg = self.cfg
         gt_dt = 1.0 / GT_RATE_HZ
         ticks_per_scan = round(GT_RATE_HZ / self.lidar.rate_hz)
         n_ticks = round(cfg.duration * GT_RATE_HZ)
-        # Events of the ticks since the last cast, in time order; a scan is
-        # held as its WorldState until SCAN_BLOCK of them are cast at once.
-        pending: list = []
+        gt: list[GroundTruthFrame] = []
+        scans: list = []
+        # A scan is held as its WorldState until SCAN_BLOCK of them are cast
+        # at once.
         held: list[WorldState] = []
 
         def cast():
-            scans = iter(raycast_scans(
+            scans.extend(raycast_scans(
                 held, self.lidar, noise_std=cfg.noise_std, dropout_prob=cfg.dropout_prob,
                 rng=self._rng_sensor, with_labels=with_labels,
             ))
-            out = [next(scans) if isinstance(e, WorldState) else e for e in pending]
-            pending.clear()
             held.clear()
-            return out
 
         for k in range(n_ticks + 1):
             # Pin both clocks to the exact rational tick so timestamps never
@@ -952,7 +945,7 @@ class Scenario:
             self.state.time = k / GT_RATE_HZ
             r = self.state.robot
             self.state.robot = Pose2D(r.x, r.y, r.theta, self.state.time)
-            pending.append(emit_ground_truth(self.state))
+            gt.append(emit_ground_truth(self.state))
             if k % ticks_per_scan == 0:
                 # Must hold for a later cast to see this tick: nothing changes
                 # what the cast reads of a state (agent positions, radii and
@@ -960,35 +953,20 @@ class Scenario:
                 # reassign an agent's velocity and next_resample and the
                 # state's robot_twist, and step_world builds new agents and
                 # a new state instead of changing the old ones.
-                pending.append(self.state)
                 held.append(self.state)
                 if len(held) == SCAN_BLOCK:
-                    yield from cast()
+                    cast()
             if k < n_ticks:
                 self._agent_policy(self.state.time)
                 self._robot_policy(self.state.time)
                 self.state = step_world(self.state, gt_dt)
-        yield from cast()
+        cast()
+        if not with_labels:
+            return scans, gt
+        return [scan for scan, _ in scans], gt, [lab for _, lab in scans]
 
 
 def run_scenario(cfg: ScenarioConfig, labels: bool = False) -> tuple:
-    """Materialize the scan and ground-truth streams as ``(scans, gt)``.
-
-    With ``labels`` the result is ``(scans, gt, labels)``, where
-    ``labels[i]`` holds the per-beam hit attribution of ``scans[i]``.
-    """
-    scans: list[LidarScan] = []
-    gt: list[GroundTruthFrame] = []
-    beam_labels: list[np.ndarray] = []
-    for event in Scenario(cfg).run(with_labels=labels):
-        if isinstance(event, GroundTruthFrame):
-            gt.append(event)
-        elif labels:
-            scan, lab = event
-            scans.append(scan)
-            beam_labels.append(lab)
-        else:
-            scans.append(event)
-    if labels:
-        return scans, gt, beam_labels
-    return scans, gt
+    """Simulate ``cfg`` into ``(scans, gt)``, or ``(scans, gt, labels)`` with
+    ``labels``: see :meth:`Scenario.run`."""
+    return Scenario(cfg).run(labels)

@@ -203,27 +203,6 @@ def kalman_update(state: KalmanState, z, meas_std: float) -> KalmanState:
     return KalmanState._built(mean[0], cov[0])
 
 
-def _position_of(item) -> tuple[float, float, str]:
-    pos = item.position if isinstance(item, Detection) else item
-    return pos.x, pos.y, pos.frame
-
-
-def build_cost_matrix(
-    track_positions: Sequence[PointXY],
-    detections: Sequence,
-) -> np.ndarray:
-    """Pairwise Euclidean distances, tracks down the rows and detections
-    (Detection objects or bare points) across the columns. Everything must
-    live in one frame."""
-    det_xy = [_position_of(d) for d in detections]
-    frames = {p.frame for p in track_positions} | {f for _, _, f in det_xy}
-    if len(frames) > 1:
-        raise ValueError(f"mixed frames in association: {sorted(frames)}")
-    t = np.array([[p.x, p.y] for p in track_positions])
-    d = np.array([[x, y] for x, y, _ in det_xy])
-    return _distances(t, d)
-
-
 def _distances(t: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of t (n, 2) and of d (m, 2)."""
     if not len(t) or not len(d):

@@ -12,9 +12,10 @@ import pytest
 
 import lidarmot
 from lidarmot import dataset as ds
-from lidarmot import simulator
+from lidarmot import detection, evaluation, simulator
 from lidarmot.cli import run_cli
 from lidarmot.config import load_config
+from lidarmot.detection import Detection
 from lidarmot.evaluation import GroundTruthFrame
 from lidarmot.geometry import ODOM_FRAME, LidarScan, PointXY, Pose2D
 from lidarmot.pipeline import PipelineConfig, run_pipeline
@@ -128,6 +129,22 @@ class TestReplayTimes:
         ds.write_dataset(records, data / "detections.jsonl")
         assert run(["track", "--in", data, "--preset", "config-3", "--out", data]) == 2
         assert "1 of 41 records found no scan" in capsys.readouterr().err
+
+    def test_two_records_near_one_scan_are_refused(self, tmp_path, capsys):
+        # Both records lie within 1e-6 s of the one scan: replaying one of
+        # them would drop the other's detections without a word.
+        scan = LidarScan(1.0, np.full(8, 2.0), 0.0, 0.1, 30.0, pose=Pose2D(0, 0, 0, 1.0))
+        ds.write_dataset([ds.scan_to_record(scan)], tmp_path / "scans.jsonl")
+        ds.write_dataset(
+            [ds.detections_to_record([Detection(PointXY(1.0, 1.0), 0.9, t)], t)
+             for t in (1.0, 1.0000005)],
+            tmp_path / "detections.jsonl",
+        )
+        out = tmp_path / "out"
+        assert run(["track", "--in", tmp_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "t=1.0 and t=1.0000005 both lie within 1e-06 s of the scan at t=1.0" in err
+        assert not (out / "tracks.jsonl").exists()
 
     def test_times_within_tolerance_replay(self, tmp_path):
         data = simulate_detect_track(tmp_path / "data")
@@ -274,6 +291,30 @@ class TestBench:
         assert capsys.readouterr().out.splitlines()[:-1] == lines
         rows = json.loads((out / "report.json").read_text())["rows"]
         assert [r["mot"] for r in rows] == singles
+
+    def test_bench_reaches_every_layer_hook(self, tmp_path, monkeypatch):
+        # A profiler counts each layer by rebinding these module globals, so
+        # one bench job must reach every one of them through the module.
+        counts = {}
+
+        def count(module, name, size=lambda *args: 1):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + size(*args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(simulator, "step_world")
+        count(simulator, "raycast_scans", size=lambda states, *args: len(states))
+        count(detection, "cluster_detect")
+        count(evaluation, "interpolate_pose")
+        assert run(["bench", "--kind", "sr", "--duration", "1", "--out", tmp_path]) == 0
+        # 100 ticks of 10 ms; 21 scans at 20 Hz, each detected and evaluated.
+        assert counts == {
+            "step_world": 100, "raycast_scans": 21, "cluster_detect": 21, "interpolate_pose": 21,
+        }
 
     def test_bench_without_persons_reports_null(self, tmp_path, capsys):
         # MOTA and MOTP are undefined without ground-truth persons.

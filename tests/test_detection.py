@@ -7,7 +7,6 @@ from lidarmot.config import load_config
 from lidarmot.detection import (
     ClusterDetector,
     DetectorConfig,
-    ReplayDetector,
     cluster_detect,
     expected_person_beams,
     filter_by_confidence,
@@ -192,15 +191,6 @@ class TestDetectorFactory:
         det = build_detector(cfg)
         assert isinstance(det, ClusterDetector)
         assert det.cfg == cfg.detector
-
-    def test_replay_returns_frame_detections(self):
-        dets = [_det(0.9)]
-        replay = ReplayDetector(dets)
-        scan = make_scan(np.full(8, 2.0))
-        assert replay(scan) == dets
-        later = LidarScan(99.0, np.full(8, 2.0), 0.0, INC, 30.0)
-        assert replay(later) == []
-        assert ReplayDetector([])(scan) == []
 
 
 def test_expected_beams_monotone_in_range():

@@ -24,7 +24,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
 
 from lidarmot import dataset as ds
-from lidarmot import simulator
+from lidarmot import evaluation, simulator
 from lidarmot.assignment import linear_sum_assignment
 from lidarmot.config import load_config
 from lidarmot.detection import (
@@ -42,7 +42,6 @@ from lidarmot.evaluation import (
     _interp_persons,
     evaluate_sequence,
     filter_by_fov_frame,
-    interpolate_ground_truth,
     match_frame,
     pose_lookup,
 )
@@ -85,7 +84,6 @@ from lidarmot.tracking import (
     _predict_stacked,
     _stack_states,
     _update_stacked,
-    build_cost_matrix,
     kalman_predict,
     kalman_update,
     solve_assignment,
@@ -481,16 +479,17 @@ class RefTracker(Tracker):
         initiated = [t for t in self._tracks if t.status is TrackStatus.INITIATED]
         candidates = [t for t in self._tracks if t.status is TrackStatus.CANDIDATE]
 
-        a1 = solve_assignment(
-            build_cost_matrix([t.position for t in initiated], points),
-            self.cfg.gate_distance,
-        )
+        def cost(tracks, dets):
+            if not tracks or not dets:
+                return np.zeros((len(tracks), len(dets)))
+            t = np.array([[tr.position.x, tr.position.y] for tr in tracks])
+            d = np.array([[p.x, p.y] for p in dets])
+            return np.linalg.norm(t[:, None, :] - d[None, :, :], axis=2)
+
+        a1 = solve_assignment(cost(initiated, points), self.cfg.gate_distance)
         leftover = a1.unmatched_detections
         a2 = solve_assignment(
-            build_cost_matrix(
-                [t.position for t in candidates], [points[j] for j in leftover]
-            ),
-            self.cfg.gate_distance,
+            cost(candidates, [points[j] for j in leftover]), self.cfg.gate_distance
         )
 
         merged = AssociationResult(
@@ -1077,20 +1076,34 @@ def query_times(frames, rng):
     )
 
 
+def resampled_ground_truth(gt_frames, times, monkeypatch) -> list[str]:
+    """The ground-truth frames evaluate_sequence builds for hypothesis frames
+    at ``times``, as frame keys."""
+    seen = []
+
+    def capture(gt, hyp, fov):
+        seen.append(frame_key(gt))
+        return filter_by_fov_frame(gt, hyp, fov)
+
+    monkeypatch.setattr(evaluation, "filter_by_fov_frame", capture)
+    evaluate_sequence(gt_frames, [HypothesisFrame(t, ()) for t in times], FOV)
+    return seen
+
+
 class TestEvaluatorEquivalence:
     @pytest.mark.parametrize("seed", range(4))
-    def test_interpolate_ground_truth(self, seed):
+    def test_interpolate_ground_truth(self, seed, monkeypatch):
+        # The ground truth evaluate_sequence matches each hypothesis frame
+        # against, at times inside, on and just past the ends of the span.
         rng = np.random.default_rng(200 + seed)
         gt = random_ground_truth(rng)
-        for t in query_times(gt, rng):
-            try:
-                expected = frame_key(ref_interpolate_ground_truth(gt, t, 0.02))
-            except ValueError as exc:
-                with pytest.raises(ValueError) as err:
-                    interpolate_ground_truth(gt, t, 0.02)
-                assert str(err.value) == str(exc)
-                continue
-            assert frame_key(interpolate_ground_truth(gt, t, 0.02)) == expected
+        times = query_times(gt, rng)
+        lo, hi = gt[0].timestamp, gt[-1].timestamp
+        expected = [
+            frame_key(ref_interpolate_ground_truth(gt, min(max(t, lo), hi), 0.02))
+            for t in times if lo - 0.02 <= t <= hi + 0.02
+        ]
+        assert resampled_ground_truth(gt, times, monkeypatch) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_evaluate_sequence(self, seed):
@@ -1138,11 +1151,11 @@ class TestEvaluatorEquivalence:
         no_pose = LidarScan(0.2, np.zeros(3), 0.0, 0.1, 30.0)
         assert pose_for_scan(no_pose, None) == Pose2D(0, 0, 0, 0.2)
 
-    def test_single_frame(self):
+    def test_single_frame(self, monkeypatch):
         gt = random_ground_truth(np.random.default_rng(9), n=1)
-        assert frame_key(interpolate_ground_truth(gt, 0.0)) == frame_key(
-            ref_interpolate_ground_truth(gt, 0.0)
-        )
+        assert resampled_ground_truth(gt, [0.0], monkeypatch) == [
+            frame_key(ref_interpolate_ground_truth(gt, 0.0))
+        ]
 
 
 # -- detector and tracker --------------------------------------------------

@@ -253,19 +253,15 @@ class TestEvaluateSequence:
         assert report.motp == pytest.approx(0.0, abs=1e-12)
 
     def test_person_present_on_one_side_of_bracket(self):
-        from lidarmot.evaluation import interpolate_ground_truth
-
         # Person 2 only exists in the later frame: it is taken as-is for
-        # queries within the time tolerance of that frame and dropped for
-        # queries in the middle of the bracket.
+        # frames within the time tolerance (0.02 s) of that frame and dropped
+        # for frames in the middle of the bracket.
         gt = [
             gt_frame(0.0, [(1, 0.0, 1.0)]),
             gt_frame(0.1, [(1, 1.0, 1.0), (2, 5.0, 5.0)]),
         ]
-        mid = interpolate_ground_truth(gt, 0.05, tolerance=0.02)
-        assert [pid for pid, _ in mid.persons] == [1]
-        near = interpolate_ground_truth(gt, 0.095, tolerance=0.02)
-        assert [pid for pid, _ in near.persons] == [1, 2]
+        report = evaluate_sequence(gt, [hyp_frame(0.05, []), hyp_frame(0.095, [])], FOV)
+        assert [f.g for f in report.frames] == [1, 2]
 
     def test_out_of_range_hypothesis_frames_skipped(self):
         gt = self._constant_gt(n=2)

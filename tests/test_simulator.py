@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lidarmot.evaluation import GroundTruthFrame
-from lidarmot.geometry import NO_RETURN, LidarScan, Pose2D
+from lidarmot.geometry import NO_RETURN, Pose2D, normalize_angle
 from lidarmot.simulator import (
     STATIC_LABEL,
     AgentModel,
@@ -83,12 +83,18 @@ class TestScenarioKinds:
             )
 
     def test_mr1_twist_bounds(self):
+        # Each 10 ms tick moves the robot by at most robot_linear_max * dt
+        # and turns it by at most robot_angular_max * dt.
         cfg = small_cfg(kind="mr1", duration=5.0)
-        scen = Scenario(cfg)
-        for event in scen.run():
-            v, omega = scen.state.robot_twist
-            assert abs(v) <= 0.5 + 1e-9
-            assert abs(omega) <= 1.5 + 1e-9
+        _, gt = run_scenario(cfg)
+        poses = [f.robot_pose for f in gt]
+        dt = gt[1].timestamp - gt[0].timestamp
+        steps = [math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(poses, poses[1:])]
+        turns = [abs(normalize_angle(b.theta - a.theta)) for a, b in zip(poses, poses[1:])]
+        assert max(steps) <= cfg.robot_linear_max * dt + 1e-9
+        assert max(turns) <= cfg.robot_angular_max * dt + 1e-9
+        # The robot drives and turns, so the bounds are tested.
+        assert min(steps) < max(steps) and min(turns) < max(turns)
 
     def test_mr2_robot_actually_moves(self):
         _, gt = run_scenario(small_cfg(kind="mr2", duration=5.0))
@@ -246,12 +252,9 @@ class TestRaycast:
                     assert scan.ranges[i] == pytest.approx(expected, abs=1e-9)
 
     def test_occlusion_soundness_with_noise(self):
-        cfg = small_cfg(duration=1.0, noise_std=0.02, dropout_prob=0.1)
-        scen_noisy = Scenario(cfg)
-        clean_cfg = small_cfg(duration=1.0, noise_std=0.0, dropout_prob=0.0)
-        scen_clean = Scenario(clean_cfg)
-        noisy = [e for e in scen_noisy.run() if isinstance(e, LidarScan)]
-        clean = [e for e in scen_clean.run() if isinstance(e, LidarScan)]
+        noisy, _ = run_scenario(small_cfg(duration=1.0, noise_std=0.02, dropout_prob=0.1))
+        clean, _ = run_scenario(small_cfg(duration=1.0, noise_std=0.0, dropout_prob=0.0))
+        assert len(noisy) == len(clean) > 0
         for sn, sc in zip(noisy, clean):
             finite = np.isfinite(sn.ranges) & np.isfinite(sc.ranges)
             excess = sn.ranges[finite] - sc.ranges[finite]

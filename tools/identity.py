@@ -1,0 +1,159 @@
+"""Byte-identity check of two checkouts: the outputs a refactor must not move.
+
+    python3 tools/identity.py --parent PARENT_DIR --change CHANGE_DIR
+
+Runs one digest set in each checkout, with that checkout's ``src`` on
+``PYTHONPATH``, prints a table of both sides' digests (sha256, first 12 hex
+digits), and exits 1 if any output differs. The set:
+
+- the quality table: ``bench --preset config-1,config-2,config-3 --seeds 1,2
+  --duration 20 --kind K`` for sr, mr1 and mr2, each ``report.json``;
+- the crowd scene (mr1, 10 persons, seed 71, 8 m arena, 15 s) at
+  ``config-1``: ``simulate``'s scans and ground truth; ``detect``'s
+  detections; ``tracks.jsonl`` and ``obstacles.jsonl`` from ``pipeline``,
+  from ``track`` with the scans, and from ``track`` on detections and ground
+  truth alone; and the ``mot`` section of ``evaluate`` on the pipeline's
+  tracks;
+- ``run_scenario(cfg, labels=True)`` for sr, mr1 and mr2, seeds 1-3 (20 s):
+  its scans (times, poses and ranges), ground truth and labels.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+KINDS = ("sr", "mr1", "mr2")
+CROWD = {
+    "scenario": {"kind": "mr1", "n_persons": 10, "seed": 71, "arena": [-4, -4, 4, 4],
+                 "duration": 15.0},
+}
+SCENES = """
+import hashlib, json
+from lidarmot.simulator import ScenarioConfig, run_scenario
+
+def digest(parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.hexdigest()[:12]
+
+out = {}
+for kind in ("sr", "mr1", "mr2"):
+    for seed in (1, 2, 3):
+        scans, gt, labels = run_scenario(
+            ScenarioConfig(kind=kind, seed=seed, duration=20.0), labels=True
+        )
+        name = f"run_scenario {kind} seed {seed}"
+        out[f"{name} scans"] = digest(
+            repr((s.timestamp, s.pose)).encode() + s.ranges.tobytes() for s in scans
+        )
+        out[f"{name} ground truth"] = digest(repr(f).encode() for f in gt)
+        out[f"{name} labels"] = digest(lab.tobytes() for lab in labels)
+print(json.dumps(out))
+"""
+
+
+def short_digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:12]
+
+
+def _env(checkout: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(checkout / "src")}
+
+
+def lidarmot(checkout: Path, *argv) -> None:
+    """``lidarmot ARGV`` from ``checkout``'s source tree; its output is dropped."""
+    subprocess.run(
+        [sys.executable, "-m", "lidarmot.cli", *map(str, argv)], cwd=checkout,
+        env=_env(checkout), stdout=subprocess.DEVNULL, check=True,
+    )
+
+
+def quality_digests(checkout: Path) -> dict:
+    """The quality table's ``report.json`` digest for each scenario kind."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in KINDS:
+            target = Path(tmp) / kind
+            lidarmot(checkout, "bench", "--preset", "config-1,config-2,config-3", "--seeds",
+                     "1,2", "--duration", "20", "--kind", kind, "--out", target)
+            out[kind] = short_digest((target / "report.json").read_bytes())
+    return out
+
+
+def crowd_digests(checkout: Path) -> dict:
+    """Each command's outputs on the crowd scene."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "crowd.json"
+        config.write_text(json.dumps(CROWD))
+        sim, pipe = tmp / "sim", tmp / "pipeline"
+        lidarmot(checkout, "simulate", "--config", config, "--preset", "config-1", "--out", sim)
+        lidarmot(checkout, "detect", "--in", sim, "--preset", "config-1", "--out", sim)
+        lidarmot(checkout, "pipeline", "--in", sim, "--preset", "config-1", "--out", pipe)
+        lidarmot(checkout, "track", "--in", sim, "--preset", "config-1", "--out", tmp / "track")
+        no_scans = tmp / "no-scans"
+        no_scans.mkdir()
+        for name in ("ground_truth.jsonl", "detections.jsonl"):
+            shutil.copy(sim / name, no_scans / name)
+        lidarmot(checkout, "track", "--in", no_scans, "--preset", "config-1",
+                 "--out", tmp / "track-no-scans")
+        shutil.copy(pipe / "tracks.jsonl", sim / "tracks.jsonl")
+        lidarmot(checkout, "evaluate", "--in", sim, "--out", tmp / "evaluate")
+
+        for name in ("scans.jsonl", "ground_truth.jsonl", "detections.jsonl"):
+            out[f"crowd {name}"] = short_digest((sim / name).read_bytes())
+        for run in ("pipeline", "track", "track-no-scans"):
+            for name in ("tracks.jsonl", "obstacles.jsonl"):
+                out[f"crowd {run} {name}"] = short_digest((tmp / run / name).read_bytes())
+        mot = json.loads((tmp / "evaluate" / "report.json").read_text())["mot"]
+        out["crowd evaluate mot"] = short_digest(json.dumps(mot, sort_keys=True).encode())
+    return out
+
+
+def scene_digests(checkout: Path) -> dict:
+    """``run_scenario(labels=True)``'s streams for each kind and seed."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SCENES], cwd=checkout, env=_env(checkout),
+        stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def all_digests(checkout: Path) -> dict:
+    quality = {f"bench quality table {k} report.json": v
+               for k, v in quality_digests(checkout).items()}
+    return {**quality, **crowd_digests(checkout), **scene_digests(checkout)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    args = parser.parse_args(argv)
+
+    parent = all_digests(args.parent.resolve())
+    change = all_digests(args.change.resolve())
+    names = list(parent | change)
+    width = max(map(len, names))
+    print(f"{'output':<{width}}  {'parent':<12}  {'change':<12}")
+    differ = 0
+    for name in names:
+        a, b = parent.get(name, "-"), change.get(name, "-")
+        differ += a != b
+        print(f"{name:<{width}}  {a:<12}  {b:<12}{'' if a == b else '  DIFFERS'}")
+    print(f"{differ} of {len(names)} outputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
