@@ -35,10 +35,11 @@ FORMAT_NAME = "lidarmot-dataset"
 FORMAT_VERSION = 2
 
 KNOWN_KINDS = ("scan", "ground_truth", "detection", "track", "obstacle")
-#: Kinds whose timestamps must not decrease within a file. Readers of these
-#: streams bisect on time. Detection frames are not checked: ``lidarmot
-#: track`` sorts them itself.
-ORDERED_KINDS = ("scan", "ground_truth")
+#: Kinds whose timestamps must not decrease within a file. Readers of scans
+#: and ground truth bisect on time, and the evaluator carries its track
+#: correspondence from one track frame to the next. Detection frames are not
+#: checked: ``lidarmot track`` sorts them itself.
+ORDERED_KINDS = ("scan", "ground_truth", "track")
 
 
 class DatasetFormatError(Exception):
@@ -177,7 +178,7 @@ def iter_dataset(
     Malformed lines, including ones that are not a JSON object, lack
     ``kind`` or ``t``, hold NaN/Infinity/-Infinity tokens or a timestamp
     that is not a finite JSON number, scan records whose ``ranges`` do not
-    decode (see ``_decode_ranges``), and scan or ground-truth records
+    decode (see ``_decode_ranges``), and scan, ground-truth or track records
     timestamped before the previous record of their kind raise
     DatasetFormatError with the line number in strict mode.
     Otherwise they are skipped and counted in ``skipped_malformed``. Equal

@@ -288,9 +288,19 @@ def evaluate_sequence(
     timestamp, both sides are FOV-filtered, matched, and accumulated. With an
     empty hypothesis sequence every visible ground-truth person in every
     ground-truth frame counts as a miss.
+
+    Hypothesis frames must come in strictly increasing time order, because
+    an ID switch is judged against the previous frame's correspondence; a
+    ValueError names the first pair of times that breaks it.
     """
     if not gt_frames:
         raise ValueError("empty ground-truth sequence")
+    for prev, hyp in zip(hyp_frames, hyp_frames[1:]):
+        if not hyp.timestamp > prev.timestamp:
+            raise ValueError(
+                f"hypothesis frames must be in strictly increasing time order: the frame "
+                f"at t={hyp.timestamp!r} follows the one at t={prev.timestamp!r}"
+            )
     report = MotReport()
     correspondence: dict[int, int] = {}
     if not hyp_frames:

@@ -200,6 +200,63 @@ class AgentModel:
         )
 
 
+#: Slack added to every furniture bound, on top of the 1e-9 of the per-shape
+#: test; far above the rounding of a hypot or a sum in a world of metres.
+BOUND_MARGIN = 1e-6
+#: Largest bounding radius (leg rims included) of a run of circles that
+#: :func:`bound_furniture` groups: a chair's legs, or a table's pair.
+GROUP_SPAN = 0.5
+
+
+@dataclass(frozen=True)
+class FurnitureBounds:
+    """The bounding circles ``step_world`` culls furniture with, built once
+    per world from its ``circles`` and ``keep_out`` edges.
+
+    ``groups`` holds ``(gx, gy, reach, legs)`` per consecutive run of
+    circles, ``legs`` as ``(x, y, radius)``, and ``edges`` holds ``(mx, my,
+    reach, segment)`` per edge. No leg of a group, and no point of an edge,
+    can push an agent whose centre is farther than ``radius + reach`` from
+    ``(gx, gy)`` or ``(mx, my)``.
+    """
+
+    circles: tuple[Circle, ...]
+    keep_out: tuple[Segment, ...]
+    groups: tuple[tuple[float, float, float, tuple[tuple[float, float, float], ...]], ...]
+    edges: tuple[tuple[float, float, float, Segment], ...]
+
+
+def _leg_group(legs: list[Circle]) -> tuple[float, float, float]:
+    """Centre of the legs' box and the radius that covers every leg's rim."""
+    gx = (min(c.x for c in legs) + max(c.x for c in legs)) / 2.0
+    gy = (min(c.y for c in legs) + max(c.y for c in legs)) / 2.0
+    return gx, gy, max(math.hypot(c.x - gx, c.y - gy) + c.radius for c in legs)
+
+
+def bound_furniture(circles: tuple[Circle, ...], keep_out: tuple[Segment, ...]) -> FurnitureBounds:
+    """Group ``circles`` into consecutive runs no wider than ``GROUP_SPAN``
+    and bound each run and each ``keep_out`` edge by a circle."""
+    runs: list[list[Circle]] = []
+    for c in circles:
+        if runs and _leg_group(runs[-1] + [c])[2] <= GROUP_SPAN:
+            runs[-1].append(c)
+        else:
+            runs.append([c])
+    groups = []
+    for legs in runs:
+        gx, gy, span = _leg_group(legs)
+        groups.append((
+            gx, gy, span + 0.12 + 1e-9 + BOUND_MARGIN,
+            tuple((float(c.x), float(c.y), float(c.radius)) for c in legs),
+        ))
+    edges = tuple(
+        ((seg.x1 + seg.x2) / 2.0, (seg.y1 + seg.y2) / 2.0,
+         math.hypot(seg.x2 - seg.x1, seg.y2 - seg.y1) / 2.0 + 0.15 + 1e-9 + BOUND_MARGIN, seg)
+        for seg in keep_out
+    )
+    return FurnitureBounds(circles, keep_out, tuple(groups), edges)
+
+
 @dataclass
 class WorldState:
     time: float
@@ -211,6 +268,9 @@ class WorldState:
     arena: tuple[float, float, float, float]
     #: Furniture edges agents must keep clear of (subset of ``segments``).
     keep_out: tuple[Segment, ...] = ()
+    #: ``bound_furniture(circles, keep_out)``, set by ``step_world`` on the
+    #: states it builds: built on a world's first step, then handed on.
+    furniture: FurnitureBounds | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _point_segment_distance(
@@ -260,9 +320,26 @@ def step_world(state: WorldState, dt: float) -> WorldState:
     resampling, steering) are not made here.
 
     Agents are resolved one pair, robot, circle and edge at a time
-    (Gauss-Seidel), on Python floats. A shape is skipped when a cheap lower
-    bound on its distance (math.hypot, or the distance to an edge's bounding
-    box) clears the threshold by more than 1e-9, which no rounding can undo.
+    (Gauss-Seidel), on Python floats. A pair or a leg is skipped when its
+    math.hypot distance clears the threshold by more than 1e-9, which no
+    rounding can undo.
+
+    Furniture is culled a group at a time with the world's
+    :class:`FurnitureBounds`, built on its first step and handed on to every
+    state after it. A group of legs (a chair, a table's pair) is skipped when
+    the agent's current centre lies farther than ``radius + reach`` from the
+    group's centre, where ``reach`` is the farthest leg rim from that centre
+    plus the leg clearance 0.12, the 1e-9 of the per-leg test and
+    ``BOUND_MARGIN`` (1e-6). By the triangle inequality every leg of a
+    skipped group is then at least 1e-6 farther than its push threshold, and
+    the rounding of a few hypots and sums in a world of metres is below
+    1e-12, so no rounding can turn a skip into a missed push. An edge is
+    skipped by the same rule around its midpoint, with half its length in
+    ``reach``, before :func:`_point_segment_distance`. The legs of a group
+    that is not skipped get the per-leg test and push, in the order of
+    ``circles``, and a group is tested at the position the groups before it
+    left, so each push happens exactly as without the groups.
+
     Every distance that decides a push is np.hypot (which can differ from
     math.hypot in the last bit) or :func:`_point_segment_distance` (which
     keeps its dot products in numpy), so positions stay bit-for-bit those of
@@ -299,10 +376,11 @@ def step_world(state: WorldState, dt: float) -> WorldState:
     n = len(free)
     rx, ry = state.robot.x, state.robot.y
     near = max(COMFORT_SEPARATION, MIN_SEPARATION) + 1e-9
-    boxes = [
-        (seg, min(seg.x1, seg.x2), max(seg.x1, seg.x2), min(seg.y1, seg.y2), max(seg.y1, seg.y2))
-        for seg in state.keep_out
-    ]
+    furniture = state.furniture
+    if furniture is None or not (
+        furniture.circles is state.circles and furniture.keep_out is state.keep_out
+    ):
+        furniture = bound_furniture(state.circles, state.keep_out)
     for _ in range(2):
         for i in range(n):
             for j in range(i + 1, n):
@@ -341,22 +419,24 @@ def step_world(state: WorldState, dt: float) -> WorldState:
         # ... and around the furniture rather than through it.
         for i, a in enumerate(free):
             x, y = xs[i], ys[i]
-            for c in state.circles:
-                clear = a.radius + c.radius + 0.12
-                dx = x - c.x
-                dy = y - c.y
-                if math.hypot(dx, dy) > clear + 1e-9:
+            r = a.radius
+            for gx, gy, reach, legs in furniture.groups:
+                if math.hypot(x - gx, y - gy) > r + reach:
                     continue
-                d = float(np.hypot(dx, dy))
-                if d < clear:
-                    ux, uy = (dx / d, dy / d) if d > 1e-9 else (1.0, 0.0)
-                    x = c.x + ux * clear
-                    y = c.y + uy * clear
-            clear = a.radius + 0.15
-            for seg, bx0, bx1, by0, by1 in boxes:
-                gap_x = max(bx0 - x, x - bx1, 0.0)
-                gap_y = max(by0 - y, y - by1, 0.0)
-                if math.hypot(gap_x, gap_y) > clear + 1e-9:
+                for cx, cy, cr in legs:
+                    clear = r + cr + 0.12
+                    dx = x - cx
+                    dy = y - cy
+                    if math.hypot(dx, dy) > clear + 1e-9:
+                        continue
+                    d = float(np.hypot(dx, dy))
+                    if d < clear:
+                        ux, uy = (dx / d, dy / d) if d > 1e-9 else (1.0, 0.0)
+                        x = cx + ux * clear
+                        y = cy + uy * clear
+            clear = r + 0.15
+            for mx, my, reach, seg in furniture.edges:
+                if math.hypot(x - mx, y - my) > r + reach:
                     continue
                 d, ux, uy = _point_segment_distance(x, y, seg)
                 if d < clear:
@@ -376,7 +456,7 @@ def step_world(state: WorldState, dt: float) -> WorldState:
     ny = min(max(ny, y0 + ROBOT_WALL_MARGIN), y1 - ROBOT_WALL_MARGIN)
     robot = Pose2D(nx, ny, normalize_angle(r.theta + omega * dt), state.time + dt)
 
-    return WorldState(
+    new = WorldState(
         time=state.time + dt,
         robot=robot,
         robot_twist=state.robot_twist,
@@ -386,6 +466,8 @@ def step_world(state: WorldState, dt: float) -> WorldState:
         arena=state.arena,
         keep_out=state.keep_out,
     )
+    new.furniture = furniture
+    return new
 
 
 #: Scans that :meth:`Scenario.run` casts in one vectorized pass. A block's
@@ -652,8 +734,7 @@ def emit_ground_truth(state: WorldState) -> GroundTruthFrame:
     return GroundTruthFrame(
         timestamp=state.time,
         persons=tuple(
-            (a.id, PointXY(float(a.position[0]), float(a.position[1]), frame=ODOM_FRAME))
-            for a in state.agents
+            (a.id, PointXY(*a.position.tolist(), frame=ODOM_FRAME)) for a in state.agents
         ),
         robot_pose=state.robot,
     )
@@ -736,6 +817,16 @@ def _arena_walls(arena: tuple[float, float, float, float]) -> tuple[Segment, ...
         Segment(x1, y1, x0, y1),
         Segment(x0, y1, x0, y0),
     )
+
+
+def _centroid(agents: Sequence[AgentModel]) -> tuple[float, float]:
+    """Mean agent position, bit for bit ``np.mean(positions, axis=0)``: a
+    row-by-row sum from the first agent, divided by the count."""
+    (cx, cy), *rest = [a.position.tolist() for a in agents]
+    for x, y in rest:
+        cx += x
+        cy += y
+    return cx / len(agents), cy / len(agents)
 
 
 class PlacementError(RuntimeError):
@@ -894,8 +985,8 @@ class Scenario:
             # Steer the wedge at the crowd so nobody slips behind the robot.
             r = self.state.robot
             if self.state.agents:
-                centroid = np.mean([a.position for a in self.state.agents], axis=0)
-                bearing = math.atan2(centroid[1] - r.y, centroid[0] - r.x)
+                cx, cy = _centroid(self.state.agents)
+                bearing = math.atan2(cy - r.y, cx - r.x)
                 err = normalize_angle(bearing - r.theta)
                 omega = max(-cfg.robot_angular_max, min(cfg.robot_angular_max, 2.0 * err))
             else:
@@ -960,7 +1051,8 @@ class Scenario:
                 self._agent_policy(self.state.time)
                 self._robot_policy(self.state.time)
                 self.state = step_world(self.state, gt_dt)
-        cast()
+        if held:
+            cast()
         if not with_labels:
             return scans, gt
         return [scan for scan, _ in scans], gt, [lab for _, lab in scans]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -154,6 +155,45 @@ class TestReplayTimes:
         assert (data / "tracks.jsonl").read_bytes() == want
 
 
+class TestTrackOrder:
+    """``evaluate`` scores track frames in time order or not at all: a
+    shuffled file once scored 40.62% where the ordered one scored 75.52%."""
+
+    @staticmethod
+    def edit_tracks(tmp_path, edit):
+        data = simulate_detect_track(tmp_path / "data")
+        assert run(["evaluate", "--in", data, "--out", tmp_path / "ordered"]) == 0
+        header, *records = (data / "tracks.jsonl").read_text().splitlines(keepends=True)
+        (data / "tracks.jsonl").write_text("".join([header] + edit(records)))
+        return data
+
+    def test_shuffled_tracks_exit_2(self, tmp_path, capsys):
+        data = self.edit_tracks(
+            tmp_path, lambda records: [records[i] for i in
+                                       np.random.default_rng(5).permutation(len(records))]
+        )
+        assert run(["evaluate", "--in", data, "--out", tmp_path / "eval"]) == 2
+        assert re.search(r"error: line \d+: track record at t=\S+ is before the previous one",
+                         capsys.readouterr().err)
+
+    def test_regressing_tracks_exit_2(self, tmp_path, capsys):
+        # Two records appended a second time: the first of them is line 43
+        # (a header and 41 frames come before it).
+        data = self.edit_tracks(tmp_path, lambda records: records + records[3:5])
+        assert run(["evaluate", "--in", data, "--out", tmp_path / "eval"]) == 2
+        assert ("error: line 43: track record at t=0.15 is before the previous one at t=2.0"
+                in capsys.readouterr().err)
+
+    def test_duplicated_track_frame_exit_2(self, tmp_path, capsys):
+        # The reader takes equal times; the evaluator refuses to score one
+        # instant twice.
+        data = self.edit_tracks(tmp_path, lambda records: records[:8] + records[7:])
+        assert run(["evaluate", "--in", data, "--out", tmp_path / "eval"]) == 2
+        assert ("error: hypothesis frames must be in strictly increasing time order: the "
+                "frame at t=0.35 follows the one at t=0.35" in capsys.readouterr().err)
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+
 def test_evaluate_reads_only_the_first_scan(sim_dir, tmp_path, monkeypatch):
     # evaluate needs the scans only for their field of view: it decodes the
     # first scan line and stops, so a bad later line goes unseen.
@@ -295,13 +335,13 @@ class TestBench:
     def test_bench_reaches_every_layer_hook(self, tmp_path, monkeypatch):
         # A profiler counts each layer by rebinding these module globals, so
         # one bench job must reach every one of them through the module.
-        counts = {}
+        sizes = {}
 
         def count(module, name, size=lambda *args: 1):
             original = getattr(module, name)
 
             def counted(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + size(*args)
+                sizes.setdefault(name, []).append(size(*args))
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -310,11 +350,15 @@ class TestBench:
         count(simulator, "raycast_scans", size=lambda states, *args: len(states))
         count(detection, "cluster_detect")
         count(evaluation, "interpolate_pose")
+        # Blocks of 7 hold the 21 scans exactly, so a cast after the last
+        # full block would be a call with no states.
+        monkeypatch.setattr(simulator, "SCAN_BLOCK", 7)
         assert run(["bench", "--kind", "sr", "--duration", "1", "--out", tmp_path]) == 0
         # 100 ticks of 10 ms; 21 scans at 20 Hz, each detected and evaluated.
-        assert counts == {
+        assert {name: sum(n) for name, n in sizes.items()} == {
             "step_world": 100, "raycast_scans": 21, "cluster_detect": 21, "interpolate_pose": 21,
         }
+        assert sizes["raycast_scans"] == [7, 7, 7]
 
     def test_bench_without_persons_reports_null(self, tmp_path, capsys):
         # MOTA and MOTP are undefined without ground-truth persons.

@@ -220,7 +220,7 @@ def _timed_lines(kind: str, times) -> list[str]:
     return [ds._dump_record(kind, t, {"n": i}) for i, t in enumerate(times)]
 
 
-@pytest.mark.parametrize("kind", ["scan", "ground_truth"])
+@pytest.mark.parametrize("kind", ["scan", "ground_truth", "track"])
 def test_out_of_order_record_rejected_with_line_number(tmp_path, kind):
     path = tmp_path / "swapped.jsonl"
     lines = _timed_lines(kind, [0.0, 0.05, 0.15, 0.1, 0.2])
@@ -286,14 +286,14 @@ def test_integer_timestamp_read_as_float(tmp_path):
 
 
 def test_record_order_checked_per_kind(tmp_path):
-    # Equal timestamps are legal; scans and ground truth keep separate
-    # clocks; detection, track and obstacle frames are not checked.
+    # Equal timestamps are legal; scans, ground truth and tracks keep
+    # separate clocks; detection and obstacle frames are not checked.
     path = tmp_path / "mixed.jsonl"
     lines = (
         _timed_lines("scan", [0.0, 0.05, 0.05])
         + _timed_lines("ground_truth", [0.0, 0.01])
         + _timed_lines("detection", [0.1, 0.05])
-        + _timed_lines("track", [0.1, 0.0])
+        + _timed_lines("track", [0.0, 0.0])
         + _timed_lines("obstacle", [0.1, 0.0])
         + _timed_lines("scan", [0.1])
     )

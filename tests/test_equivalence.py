@@ -584,6 +584,37 @@ def random_world(rng: np.random.Generator) -> WorldState:
     return make_world(agents, circles, keep_out, robot, (-half, -half, half, half), twist)
 
 
+def clustered_world(rng: np.random.Generator) -> WorldState:
+    """Furniture in tight clusters, as chairs and tables come: runs of 2-5
+    legs of mixed radii, most of which ``bound_furniture`` groups, with
+    agents started near them."""
+    half = float(rng.uniform(2.5, 4.0))
+    circles = []
+    for _ in range(int(rng.integers(1, 6))):
+        cx, cy = rng.uniform(-half + 0.5, half - 0.5, 2)
+        spread = float(rng.uniform(0.05, 0.3))
+        circles += [
+            Circle(*(np.array([cx, cy]) + rng.uniform(-spread, spread, 2)),
+                   float(rng.choice([0.03, 0.2])))
+            for _ in range(int(rng.integers(2, 6)))
+        ]
+    keep_out = []
+    for _ in range(int(rng.integers(0, 3))):
+        x, y = rng.uniform(-half, half, 2)
+        angle = float(rng.uniform(-math.pi, math.pi))
+        length = float(rng.uniform(0.0, 1.5))
+        keep_out.append(Segment(x, y, x + length * math.cos(angle), y + length * math.sin(angle)))
+    agents = []
+    for i in range(int(rng.integers(1, 9))):
+        c = circles[int(rng.integers(len(circles)))]
+        agents.append(agent(
+            i, np.array([c.x, c.y]) + rng.uniform(-0.9, 0.9, 2), rng.uniform(-1.2, 1.2, 2),
+            radius=float(rng.uniform(0.2, 0.35)),
+        ))
+    robot = (*rng.uniform(-half / 2, half / 2, 2), float(rng.uniform(-math.pi, math.pi)))
+    return make_world(agents, circles, keep_out, robot, (-half, -half, half, half))
+
+
 def assert_same_steps(state: WorldState, steps: int, dt: float = 0.01) -> None:
     ref = new = state
     for _ in range(steps):
@@ -679,6 +710,81 @@ class TestStepWorldEquivalence:
         ref = ref_step_world(state, 0.01)
         assert repr(float(ref.agents[0].position[0])) == "0.0"
         assert repr(float(ref.agents[1].position[1])) == "0.0"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_clustered_furniture(self, seed):
+        state = clustered_world(np.random.default_rng(100 + seed))
+        assert_same_steps(state, steps=40)
+
+    def test_clustered_worlds_group_and_push(self):
+        # The clustered worlds put several legs in a group, and their legs
+        # push agents.
+        grouped = pushed = 0
+        for seed in range(12):
+            state = clustered_world(np.random.default_rng(100 + seed))
+            bounds = simulator.bound_furniture(state.circles, state.keep_out)
+            grouped += len(bounds.groups) < len(state.circles)
+            for _ in range(40):
+                pushed += any(
+                    math.hypot(a.position[0] - c.x, a.position[1] - c.y)
+                    < a.radius + c.radius + 0.12
+                    for a in state.agents for c in state.circles
+                )
+                state = step_world(state, 0.01)
+        assert grouped == 12 and pushed > 0
+
+    def test_push_into_the_next_group_in_one_pass(self):
+        # The first leg pushes the agent to (0.5, 0), 0.49 from the second
+        # leg, a group of its own that was out of reach before the push: the
+        # second group is tested at the agent's new position and pushes it
+        # in the same pass.
+        legs = (Circle(0.0, 0.0, 0.03), Circle(0.95, 0.2, 0.03))
+        _, (gx, gy, reach, _) = simulator.bound_furniture(legs, ()).groups
+        mover = agent(0, (0.45, 0.0), radius=0.35)
+        assert math.hypot(0.45 - gx, 0.0 - gy) > 0.35 + reach
+        assert math.hypot(0.5 - gx, 0.0 - gy) < 0.35 + reach
+        state = make_world([mover], legs, robot=(-3.0, -3.0, 0.0))
+        assert_same_steps(state, steps=3)
+        # One pass of the first leg alone leaves the agent at (0.5, 0).
+        first_only = ref_step_world(make_world([mover], legs[:1], robot=(-3.0, -3.0, 0.0)), 0.01)
+        assert first_only.agents[0].position.tolist() == [0.5, 0.0]
+        assert ref_step_world(state, 0.01).agents[0].position[1] < 0.0
+
+    @pytest.mark.parametrize("eps", [1e-12, -1e-12])
+    def test_agents_at_a_bound(self, eps):
+        # Agents a hair outside (eps > 0) or inside (eps < 0) the bound of a
+        # chair and of an edge: the group is skipped or entered, with the
+        # same positions either way.
+        chair = [Circle(1.0 + sx * 0.21, 1.0 + sy * 0.21, 0.03) for sx, sy in
+                 ((-1, -1), (1, -1), (-1, 1), (1, 1))]
+        edge = Segment(-2.5, -2.0, -1.0, -2.0)
+        bounds = simulator.bound_furniture(tuple(chair), (edge,))
+        (gx, gy, g_reach, _), = bounds.groups
+        (mx, my, e_reach, _), = bounds.edges
+        agents = [
+            agent(0, (gx + 0.3 + g_reach + eps, gy)), agent(1, (gx, gy - 0.25 - g_reach - eps),
+                                                           radius=0.25),
+            agent(2, (mx, my + 0.3 + e_reach + eps)),
+        ]
+        for a, (cx, cy, reach) in zip(agents, [(gx, gy, g_reach)] * 2 + [(mx, my, e_reach)]):
+            skipped = math.hypot(a.position[0] - cx, a.position[1] - cy) > a.radius + reach
+            assert skipped == (eps > 0)
+        assert_same_steps(make_world(agents, chair, [edge], robot=(3.0, -3.0, 0.0)), steps=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 17, 59])
+    def test_crowd_centroid_is_np_mean(self, n):
+        # numpy sums a reduction along a contiguous axis pairwise in blocks
+        # of 8, but an axis-0 reduction row by row, as _centroid does.
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            scale = 10.0 ** float(rng.uniform(-3, 3))
+            agents = [agent(i, rng.normal(0.0, scale, 2)) for i in range(n)]
+            want = np.mean([a.position for a in agents], axis=0)
+            got = simulator._centroid(agents)
+            assert tuple(map(repr, got)) == (repr(float(want[0])), repr(float(want[1])))
+        # The sum starts from the first agent, not from 0.0: -0.0 stays.
+        assert tuple(map(repr, simulator._centroid([agent(i, (-0.0, -0.0)) for i in range(n)]))
+                     ) == ("-0.0", "-0.0")
 
 
 # -- point to segment ------------------------------------------------------

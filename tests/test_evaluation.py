@@ -270,6 +270,19 @@ class TestEvaluateSequence:
         assert report.skipped_frames == 1
         assert report.frames == []
 
+    @pytest.mark.parametrize("times, later, earlier", [
+        ((0.0, 0.1, 0.05, 0.15), "0.05", "0.1"),  # regressing
+        ((0.0, 0.05, 0.05, 0.1), "0.05", "0.05"),  # one instant twice
+        ((99.0, 98.0), "98.0", "99.0"),  # both out of range
+    ])
+    def test_hypothesis_times_must_strictly_increase(self, times, later, earlier):
+        # Switches are judged against the previous frame, so an unordered
+        # sequence would score a different run.
+        gt = self._constant_gt()
+        hyp = [hyp_frame(t, [(1, 1.0, 0.5)]) for t in times]
+        with pytest.raises(ValueError, match=rf"t={later} follows the one at t={earlier}$"):
+            evaluate_sequence(gt, hyp, FOV)
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         gt = [

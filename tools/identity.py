@@ -14,8 +14,9 @@ digits), and exits 1 if any output differs. The set:
   from ``track`` with the scans, and from ``track`` on detections and ground
   truth alone; and the ``mot`` section of ``evaluate`` on the pipeline's
   tracks;
-- ``run_scenario(cfg, labels=True)`` for sr, mr1 and mr2, seeds 1-3 (20 s):
-  its scans (times, poses and ranges), ground truth and labels.
+- ``run_scenario(cfg, labels=True)`` for sr, mr1 and mr2, seeds 1-3 (20 s),
+  and for the crowd scene, where ten persons walk among the furniture: its
+  scans (times, poses and ranges), ground truth and labels.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ CROWD = {
                  "duration": 15.0},
 }
 SCENES = """
-import hashlib, json
+import hashlib, json, sys
 from lidarmot.simulator import ScenarioConfig, run_scenario
 
 def digest(parts):
@@ -45,18 +46,19 @@ def digest(parts):
         h.update(part)
     return h.hexdigest()[:12]
 
+crowd = json.loads(sys.argv[1])
+crowd["arena"] = tuple(crowd["arena"])
+scenes = {f"run_scenario {kind} seed {seed}": ScenarioConfig(kind=kind, seed=seed, duration=20.0)
+          for kind in ("sr", "mr1", "mr2") for seed in (1, 2, 3)}
+scenes["run_scenario crowd"] = ScenarioConfig(**crowd)
 out = {}
-for kind in ("sr", "mr1", "mr2"):
-    for seed in (1, 2, 3):
-        scans, gt, labels = run_scenario(
-            ScenarioConfig(kind=kind, seed=seed, duration=20.0), labels=True
-        )
-        name = f"run_scenario {kind} seed {seed}"
-        out[f"{name} scans"] = digest(
-            repr((s.timestamp, s.pose)).encode() + s.ranges.tobytes() for s in scans
-        )
-        out[f"{name} ground truth"] = digest(repr(f).encode() for f in gt)
-        out[f"{name} labels"] = digest(lab.tobytes() for lab in labels)
+for name, cfg in scenes.items():
+    scans, gt, labels = run_scenario(cfg, labels=True)
+    out[f"{name} scans"] = digest(
+        repr((s.timestamp, s.pose)).encode() + s.ranges.tobytes() for s in scans
+    )
+    out[f"{name} ground truth"] = digest(repr(f).encode() for f in gt)
+    out[f"{name} labels"] = digest(lab.tobytes() for lab in labels)
 print(json.dumps(out))
 """
 
@@ -121,10 +123,11 @@ def crowd_digests(checkout: Path) -> dict:
 
 
 def scene_digests(checkout: Path) -> dict:
-    """``run_scenario(labels=True)``'s streams for each kind and seed."""
+    """``run_scenario(labels=True)``'s streams for each kind and seed, and for
+    the crowd scene."""
     proc = subprocess.run(
-        [sys.executable, "-c", SCENES], cwd=checkout, env=_env(checkout),
-        stdout=subprocess.PIPE, text=True, check=True,
+        [sys.executable, "-c", SCENES, json.dumps(CROWD["scenario"])], cwd=checkout,
+        env=_env(checkout), stdout=subprocess.PIPE, text=True, check=True,
     )
     return json.loads(proc.stdout)
 
