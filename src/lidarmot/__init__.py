@@ -77,7 +77,6 @@ from .tracking import (
     TrackStatus,
     kalman_predict,
     kalman_update,
-    lifecycle_step,
     solve_assignment,
 )
 

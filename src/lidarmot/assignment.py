@@ -30,15 +30,14 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], list[int]]:
     nr, nc = cost.shape
     if nr == 0 or nc == 0:
         return [], []
+    # NaN and -inf are the entries not greater than -inf.
+    if not (cost > -_INF).all():
+        raise ValueError("matrix contains invalid numeric entries")
     # A tall matrix is solved transposed: every row must be assigned.
     transpose = nc < nr
     c = (cost.T if transpose else cost).tolist()
     if transpose:
         nr, nc = nc, nr
-    for row in c:
-        for x in row:
-            if x != x or x == -_INF:
-                raise ValueError("matrix contains invalid numeric entries")
 
     u = [0.0] * nr
     v = [0.0] * nc

@@ -15,10 +15,11 @@ so detections do not depend on which one runs:
   ``ndarray.mean(axis=0)`` sums a column. The builtin ``sum()`` is not
   used: from Python 3.12 it compensates float sums. ``np.add.reduceat``
   is not used either: it sums pairwise;
-- the chord lengths and the centroid range use ``np.hypot`` and the
-  bounding-box span ``math.hypot``. The two round differently for about
-  one input in 200, so swapping either moves a decision that sits on a
-  threshold;
+- the chord lengths and the centroid range are libm's ``hypot``, which
+  ``np.hypot`` calls, taken through :func:`~lidarmot.geometry.libm_hypot`
+  without numpy's per-call cost; the bounding-box span is ``math.hypot``.
+  The two round differently for about one input in 200, so swapping
+  either moves a decision that sits on a threshold;
 - the arc-depth sign test and deviations stay numpy products: BLAS may
   fuse their multiply-adds, which Python float arithmetic never does.
 """
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import LidarScan, PointXY, scan_xy
+from .geometry import LidarScan, PointXY, libm_hypot, scan_xy
 
 #: Detector interface: one scan in, sensor-frame detections out.
 Detector = Callable[[LidarScan], "list[Detection]"]
@@ -107,7 +108,7 @@ def _arc_depth(cluster: np.ndarray, xs: list[float], ys: list[float]) -> float:
     k = max(1, min(3, len(xs) // 4))
     ax, ay = _mean(xs[:k]), _mean(ys[:k])
     chord_x, chord_y = _mean(xs[-k:]) - ax, _mean(ys[-k:]) - ay
-    norm = float(np.hypot(chord_x, chord_y))
+    norm = libm_hypot(chord_x, chord_y)
     if norm < 1e-9:
         return 0.0
     # Perpendicular pointing from the chord back toward the sensor (origin).
@@ -210,11 +211,11 @@ def cluster_detect(
         if stride > 1 and on_grid[a] == on_grid[b]:
             continue
         xs, ys = cols or pts[a:b].T.tolist()
-        chord = float(np.hypot(xs[-1] - xs[0], ys[-1] - ys[0]))
+        chord = libm_hypot(xs[-1] - xs[0], ys[-1] - ys[0])
         if chord >= flat_min_chord and _arc_depth(pts[a:b], xs, ys) < min_arc_depth:
             continue
         cx, cy = _mean(xs), _mean(ys)
-        rng = float(np.hypot(cx, cy))
+        rng = libm_hypot(cx, cy)
         if rng <= 0:
             continue
         push = 1.0 + center_offset / rng

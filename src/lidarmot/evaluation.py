@@ -285,37 +285,37 @@ def evaluate_sequence(
     """Run the benchmark over a full recording.
 
     For each hypothesis frame the ground truth is interpolated to its
-    timestamp, both sides are FOV-filtered, matched, and accumulated. With an
-    empty hypothesis sequence every visible ground-truth person in every
-    ground-truth frame counts as a miss.
+    timestamp, both sides are FOV-filtered, matched, and accumulated. Only
+    hypothesis frames are scored, so a run that saw nothing is written as
+    one empty frame per scan; an empty hypothesis sequence has no times to
+    score at and is refused with a ValueError.
 
     Hypothesis frames must come in strictly increasing time order, because
-    an ID switch is judged against the previous frame's correspondence; a
-    ValueError names the first pair of times that breaks it.
+    an ID switch is judged against the previous frame's correspondence, and
+    ground-truth times must never decrease, because each hypothesis frame
+    bisects them; a ValueError names the first pair of times that breaks
+    either rule.
     """
     if not gt_frames:
         raise ValueError("empty ground-truth sequence")
+    if not hyp_frames:
+        raise ValueError("no hypothesis frames to score")
     for prev, hyp in zip(hyp_frames, hyp_frames[1:]):
         if not hyp.timestamp > prev.timestamp:
             raise ValueError(
                 f"hypothesis frames must be in strictly increasing time order: the frame "
                 f"at t={hyp.timestamp!r} follows the one at t={prev.timestamp!r}"
             )
+    times = [f.timestamp for f in gt_frames]
+    for prev_t, t in zip(times, times[1:]):
+        if not t >= prev_t:
+            raise ValueError(
+                f"ground-truth frames must not go back in time: the frame at t={t!r} "
+                f"follows the one at t={prev_t!r}"
+            )
     report = MotReport()
     correspondence: dict[int, int] = {}
-    if not hyp_frames:
-        for gt in gt_frames:
-            gtf, hypf = filter_by_fov_frame(
-                gt, HypothesisFrame(gt.timestamp, ()), fov
-            )
-            counts, correspondence = match_frame(
-                gtf, hypf, threshold, correspondence
-            )
-            report.frames.append(counts)
-        return report
-
     # Persons are bracketed by frame time, the robot pose by pose time.
-    times = [f.timestamp for f in gt_frames]
     pose_at = pose_lookup(gt_frames)
     t0 = gt_frames[0].timestamp - GT_TIME_TOLERANCE
     t1 = gt_frames[-1].timestamp + GT_TIME_TOLERANCE

@@ -25,6 +25,22 @@ NO_RETURN = math.inf
 TWO_PI = 2.0 * math.pi
 
 
+def libm_hypot(x: float, y: float) -> float:
+    """``float(np.hypot(x, y))`` for two Python floats, at a sixth of its cost.
+
+    ``abs(complex(x, y))`` makes the same C ``hypot`` call that ``np.hypot``
+    makes, so it rounds the same way, which ``math.hypot`` (its own
+    algorithm) does not for about one input in 200. CPython raises
+    ``OverflowError`` where the exact value overflows; ``np.hypot`` gives
+    inf there, and so does this. A NaN input gives NaN, though its sign bit
+    may differ from numpy's.
+    """
+    try:
+        return abs(complex(x, y))
+    except OverflowError:
+        return math.inf
+
+
 def normalize_angle(angle: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     return -((math.pi - angle) % TWO_PI - math.pi)

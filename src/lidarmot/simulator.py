@@ -17,9 +17,11 @@ is bit-reproducible.
 The two hot paths, ``step_world`` and the ray cast, work on Python floats
 and on sparse selections, but every product whose rounding numpy decides
 stays a numpy call: the per-circle beam matvecs, the dot products of the
-segment clearance (BLAS may fuse a multiply-add) and np.hypot (it can differ
-from math.hypot in the last bit). So scans, labels and ground truth stay bit
-for bit those of the straightforward per-shape formulation.
+segment clearance (BLAS may fuse a multiply-add). Every hypot that decides
+a push is libm's, the one np.hypot calls, taken through
+:func:`~lidarmot.geometry.libm_hypot` (math.hypot can differ from it in the
+last bit). So scans, labels and ground truth stay bit for bit those of the
+straightforward per-shape formulation.
 
 ``Scenario.run`` steps the world once per tick and emits ground truth every
 tick, but holds the scan ticks' world states back and casts them
@@ -55,6 +57,7 @@ from .geometry import (
     LidarScan,
     PointXY,
     Pose2D,
+    libm_hypot,
     normalize_angle,
 )
 
@@ -279,10 +282,11 @@ def _point_segment_distance(
     """Distance from a point to a segment and the outward unit direction
     ``(d, ux, uy)``.
 
-    Python floats throughout, except the two dot products and the hypot:
-    numpy's BLAS dot may fuse a multiply-add, and np.hypot can differ from
-    math.hypot in the last bit, so both stay numpy to keep the rounding of
-    the 2-vector formulation.
+    Python floats throughout, except the two dot products, which stay numpy
+    because BLAS may fuse a multiply-add. The distance is libm's hypot
+    through :func:`~lidarmot.geometry.libm_hypot`, the call np.hypot makes
+    (math.hypot can differ from it in the last bit). Both keep the rounding
+    of the 2-vector formulation.
     """
     ax, ay = seg.x1, seg.y1
     abx, aby = seg.x2 - ax, seg.y2 - ay
@@ -296,7 +300,7 @@ def _point_segment_distance(
         u = min(max(float(np.array([x - ax, y - ay]) @ ab) / denom, 0.0), 1.0)
     dx = x - (ax + u * abx)
     dy = y - (ay + u * aby)
-    d = float(np.hypot(dx, dy))
+    d = libm_hypot(dx, dy)
     if d > 1e-9:
         return d, dx / d, dy / d
     return d, 0.0, 1.0
@@ -340,8 +344,9 @@ def step_world(state: WorldState, dt: float) -> WorldState:
     ``circles``, and a group is tested at the position the groups before it
     left, so each push happens exactly as without the groups.
 
-    Every distance that decides a push is np.hypot (which can differ from
-    math.hypot in the last bit) or :func:`_point_segment_distance` (which
+    Every distance that decides a push is np.hypot's value, taken from libm
+    through :func:`~lidarmot.geometry.libm_hypot` (math.hypot can differ
+    from it in the last bit), or :func:`_point_segment_distance` (which
     keeps its dot products in numpy), so positions stay bit-for-bit those of
     the 2-vector formulation. Each agent gets one new AgentModel and its
     position array is built once, after the pushes.
@@ -388,7 +393,7 @@ def step_world(state: WorldState, dt: float) -> WorldState:
                 dy = ys[j] - ys[i]
                 if math.hypot(dx, dy) > near:
                     continue
-                d = float(np.hypot(dx, dy))
+                d = libm_hypot(dx, dy)
                 if d < MIN_SEPARATION:
                     shift = 0.5 * (MIN_SEPARATION - d)
                 elif d < COMFORT_SEPARATION:
@@ -408,7 +413,7 @@ def step_world(state: WorldState, dt: float) -> WorldState:
             dy = ys[i] - ry
             if math.hypot(dx, dy) > near:
                 continue
-            d = float(np.hypot(dx, dy))
+            d = libm_hypot(dx, dy)
             if d < MIN_SEPARATION:
                 ux, uy = (dx / d, dy / d) if d > 1e-9 else (1.0, 0.0)
                 xs[i] = rx + ux * MIN_SEPARATION
@@ -429,7 +434,7 @@ def step_world(state: WorldState, dt: float) -> WorldState:
                     dy = y - cy
                     if math.hypot(dx, dy) > clear + 1e-9:
                         continue
-                    d = float(np.hypot(dx, dy))
+                    d = libm_hypot(dx, dy)
                     if d < clear:
                         ux, uy = (dx / d, dy / d) if d > 1e-9 else (1.0, 0.0)
                         x = cx + ux * clear

@@ -7,21 +7,29 @@ candidates cannot steal detections from confirmed tracks. Track lifecycle is
 counter-based: a candidate is promoted after c_init cumulative matches and
 any track is dropped once its miss streak strictly exceeds c_del.
 
-The Kalman filter runs stacked: each frame predicts every track in one pass
-and updates every matched track in one pass, over means of shape (N, 4) and
-covariances of shape (N, 4, 4). The single-track ``kalman_predict`` and
-``kalman_update`` are the N = 1 case of the same functions. Every stacked
-product keeps each track's own operand shapes (``F @ means[:, :, None]``,
-``F @ covs @ F.T``, ``transpose(0, 2, 1)`` for a per-track transpose), so
-numpy makes the same gemv, gemm and LAPACK solve call per track as for one
-track, and the results are bit for bit those of a per-track loop. The row
-form ``means @ F.T`` is one (N, 4) x (4, 4) gemm instead, which sums in
-another order and rounds differently.
+The tracker holds its state stacked between frames: the means of all live
+tracks as one (N, 4) array, their covariances as one (N, 4, 4) array, and
+id, status, hit, streak and last-update columns in parallel lists. Each
+frame predicts every row in one pass (F and Q are rebuilt only when dt
+changes), gathers the matched rows in match order, updates them in one pass
+and scatters them back. Terminated rows are deleted and new candidates
+appended, so the rows stay in birth order, and the output tracks come from
+one gather of the initiated rows. The single-track ``kalman_predict`` and
+``kalman_update`` are the N = 1 case of the same kernels.
+
+Every stacked product keeps each track's own operand shapes
+(``F @ means[:, :, None]``, ``F @ covs @ F.T``, ``transpose(0, 2, 1)`` for a
+per-track transpose), so numpy makes the same gemv, gemm and LAPACK solve
+call per track as for one track, and the results are bit for bit those of a
+per-track loop; a row gather or scatter only copies bits. The row form
+``means @ F.T`` is one (N, 4) x (4, 4) gemm instead, which sums in another
+order and rounds differently.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +37,7 @@ import numpy as np
 
 from .assignment import linear_sum_assignment
 from .detection import Detection
-from .geometry import ODOM_FRAME, PointXY, Pose2D, transform_to_frame
+from .geometry import ODOM_FRAME, PointXY, Pose2D
 
 _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 _I4 = np.eye(4)
@@ -112,16 +120,6 @@ class Track:
     def speed(self) -> float:
         return float(np.hypot(*self.state.velocity))
 
-    def snapshot(self) -> "Track":
-        return Track(
-            id=self.id,
-            state=KalmanState._built(self.state.mean.copy(), self.state.covariance.copy()),
-            status=self.status,
-            hit_counter=self.hit_counter,
-            miss_streak=self.miss_streak,
-            last_update=self.last_update,
-        )
-
 
 @dataclass(frozen=True)
 class AssociationResult:
@@ -179,16 +177,13 @@ def _update_stacked(
     return mean, 0.5 * (cov + cov.transpose(0, 2, 1))
 
 
-def _stack_states(states: Sequence[KalmanState]) -> tuple[np.ndarray, np.ndarray]:
-    means = np.array([s.mean for s in states]).reshape(-1, 4)
-    return means, np.array([s.covariance for s in states]).reshape(-1, 4, 4)
-
-
 def kalman_predict(state: KalmanState, dt: float, accel_std: float) -> KalmanState:
     """Propagate the CV model by dt with piecewise-white-acceleration noise."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    mean, cov = _predict_stacked(*_stack_states([state]), *_cv_model(dt, accel_std))
+    mean, cov = _predict_stacked(
+        np.array([state.mean]), np.array([state.covariance]), *_cv_model(dt, accel_std)
+    )
     return KalmanState._built(mean[0], cov[0])
 
 
@@ -199,15 +194,23 @@ def kalman_update(state: KalmanState, z, meas_std: float) -> KalmanState:
     long update sequences.
     """
     z = np.asarray([z.x, z.y] if isinstance(z, PointXY) else z, dtype=float)
-    mean, cov = _update_stacked(*_stack_states([state]), z.reshape(1, 2), meas_std)
+    mean, cov = _update_stacked(
+        np.array([state.mean]), np.array([state.covariance]), z.reshape(1, 2), meas_std
+    )
     return KalmanState._built(mean[0], cov[0])
 
 
 def _distances(t: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of t (n, 2) and of d (m, 2)."""
+    """Euclidean distances between the rows of t (n, 2) and of d (m, 2).
+
+    Bit for bit ``np.linalg.norm(t[:, None, :] - d[None, :, :], axis=2)``,
+    which squares the differences and adds the two squares in this order,
+    without its wrapper's cost."""
     if not len(t) or not len(d):
         return np.zeros((len(t), len(d)))
-    return np.linalg.norm(t[:, None, :] - d[None, :, :], axis=2)
+    diff = t[:, None, :] - d[None, :, :]
+    sq = diff * diff
+    return np.sqrt(sq[:, :, 0] + sq[:, :, 1])
 
 
 def solve_assignment(cost: np.ndarray, gate_distance: float) -> AssociationResult:
@@ -218,14 +221,13 @@ def solve_assignment(cost: np.ndarray, gate_distance: float) -> AssociationResul
     if n_tracks == 0 or n_dets == 0:
         return AssociationResult([], list(range(n_tracks)), list(range(n_dets)))
     rows, cols = linear_sum_assignment(cost)
-    matches = []
-    matched_t, matched_d = set(), set()
-    for r, c in zip(rows, cols):
-        dist = float(cost[r, c])
-        if dist <= gate_distance:
-            matches.append((int(r), int(c), dist))
-            matched_t.add(int(r))
-            matched_d.add(int(c))
+    matches = [
+        (r, c, dist)
+        for r, c, dist in zip(rows, cols, cost[rows, cols].tolist())
+        if dist <= gate_distance
+    ]
+    matched_t = {r for r, _, _ in matches}
+    matched_d = {c for _, c, _ in matches}
     return AssociationResult(
         matches=matches,
         unmatched_tracks=[i for i in range(n_tracks) if i not in matched_t],
@@ -233,66 +235,6 @@ def solve_assignment(cost: np.ndarray, gate_distance: float) -> AssociationResul
     )
 
 
-def lifecycle_step(
-    tracks: list[Track],
-    association: AssociationResult,
-    measurements: Sequence[PointXY],
-    cfg: TrackerConfig,
-    timestamp: float,
-    next_id,
-) -> list[Track]:
-    """Apply one update's worth of lifecycle bookkeeping.
-
-    Association keys are track ids. Matched tracks are Kalman-updated with
-    their measurement, gain a hit (clamped at c_init) and reset their miss
-    streak. Unmatched tracks lose a hit (floored at 0) and extend the streak;
-    a streak strictly over c_del terminates the track. Each unmatched
-    measurement spawns a fresh candidate with zero velocity, the spawning
-    detection counting as its first hit. Terminated tracks leave the set.
-    """
-    by_id = {t.id: t for t in tracks}
-    matched = [by_id[track_id] for track_id, _, _ in association.matches]
-    if matched:
-        zs = np.array(
-            [[measurements[j].x, measurements[j].y] for _, j, _ in association.matches],
-            dtype=float,
-        )
-        means, covs = _update_stacked(
-            *_stack_states([t.state for t in matched]), zs, cfg.measurement_noise
-        )
-        for t, mean, cov in zip(matched, means, covs):
-            t.state = KalmanState._built(mean, cov)
-    for t in matched:
-        t.hit_counter = min(cfg.c_init, t.hit_counter + 1)
-        t.miss_streak = 0
-        t.last_update = timestamp
-        if t.status is TrackStatus.CANDIDATE and t.hit_counter >= cfg.c_init:
-            t.status = TrackStatus.INITIATED
-    for track_id in association.unmatched_tracks:
-        t = by_id[track_id]
-        t.hit_counter = max(0, t.hit_counter - 1)
-        t.miss_streak += 1
-        if t.miss_streak > cfg.c_del:
-            t.status = TrackStatus.TERMINATED
-    survivors = [t for t in tracks if t.status is not TrackStatus.TERMINATED]
-    pos_var = cfg.measurement_noise**2
-    vel_var = cfg.initial_velocity_std**2
-    for det_idx in association.unmatched_detections:
-        m = measurements[det_idx]
-        survivors.append(
-            Track(
-                id=next_id(),
-                state=KalmanState._built(
-                    np.array([m.x, m.y, 0.0, 0.0], dtype=float),
-                    np.diag([pos_var, pos_var, vel_var, vel_var]),
-                ),
-                status=TrackStatus.CANDIDATE,
-                hit_counter=1,
-                miss_streak=0,
-                last_update=timestamp,
-            )
-        )
-    return survivors
 
 
 class Tracker:
@@ -302,22 +244,61 @@ class Tracker:
     the odometry frame; tracking runs in the odometry frame so robot
     self-motion does not masquerade as person motion. Track ids increase
     monotonically and are never reused within a tracker instance.
+
+    The live tracks are held as rows: means ``(N, 4)`` and covariances
+    ``(N, 4, 4)``, with parallel id, status, hit, streak and last-update
+    lists, in the order the tracks were born. Terminated rows are deleted at
+    once, so every row is a candidate or an initiated track.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = cfg or TrackerConfig()
-        self._tracks: list[Track] = []
+        self._means = np.empty((0, 4))
+        self._covs = np.empty((0, 4, 4))
+        self._ids: list[int] = []
+        self._status: list[TrackStatus] = []
+        self._hits: list[int] = []
+        self._streaks: list[int] = []
+        self._updated: list[float] = []
         self._next_id = 0
         self._last_timestamp: float | None = None
-
-    def _issue_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
+        # F and Q of the last dt. The sign is part of the key, because a dt
+        # of -0.0 (a frame at -0.0 after one at 0.0) puts -0.0 in F and Q.
+        self._model_key: tuple[float, float] | None = None
+        self._fq: tuple[np.ndarray, np.ndarray] | None = None
+        pos_var = self.cfg.measurement_noise**2
+        vel_var = self.cfg.initial_velocity_std**2
+        self._birth_cov = np.diag([pos_var, pos_var, vel_var, vel_var])
 
     @property
     def tracks(self) -> list[Track]:
-        """Snapshots of all live tracks, candidates included."""
-        return [t.snapshot() for t in self._tracks]
+        """Copies of all live tracks, candidates included."""
+        return self._gather(range(len(self._ids)))
+
+    def _gather(self, rows) -> list[Track]:
+        """Tracks of the given rows, each owning a copy of its state: one
+        gather of the means and one of the covariances."""
+        rows = list(rows)
+        means, covs = self._means[rows], self._covs[rows]
+        return [
+            Track(
+                id=self._ids[i],
+                state=KalmanState._built(mean, cov),
+                status=self._status[i],
+                hit_counter=self._hits[i],
+                miss_streak=self._streaks[i],
+                last_update=self._updated[i],
+            )
+            for i, mean, cov in zip(rows, means, covs)
+        ]
+
+    def _model(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """``_cv_model(dt)``, kept from the last frame while dt repeats."""
+        key = (dt, math.copysign(1.0, dt))
+        if key != self._model_key:
+            self._model_key = key
+            self._fq = _cv_model(dt, self.cfg.process_noise_accel)
+        return self._fq
 
     def update(
         self,
@@ -325,51 +306,98 @@ class Tracker:
         robot_pose_in_odom: Pose2D,
         timestamp: float,
     ) -> list[Track]:
-        """Advance one frame; returns snapshots of initiated tracks only."""
+        """Advance one frame; returns copies of initiated tracks only.
+
+        Matched tracks are Kalman-updated with their detection, gain a hit
+        (clamped at c_init) and reset their miss streak; a candidate reaching
+        c_init hits is initiated. Unmatched tracks lose a hit (floored at 0)
+        and extend the streak; a streak strictly over c_del terminates the
+        track. Each unmatched detection spawns a fresh candidate at rest, the
+        spawning detection counting as its first hit.
+        """
         if self._last_timestamp is not None and timestamp < self._last_timestamp:
             raise ValueError(f"time regression: {timestamp} < {self._last_timestamp}")
-        points = [
-            transform_to_frame(d.position, robot_pose_in_odom, ODOM_FRAME)
-            for d in detections
-        ]
+        cfg = self.cfg
+        # transform_to_frame's arithmetic, one detection at a time.
+        pose = robot_pose_in_odom
+        c, s = math.cos(pose.theta), math.sin(pose.theta)
+        det_xy = np.array(
+            [
+                (pose.x + c * p.x - s * p.y, pose.y + s * p.x + c * p.y)
+                for p in (d.position for d in detections)
+            ],
+            dtype=float,
+        ).reshape(-1, 2)
         dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
-        tracks = self._tracks
-        means = np.empty((0, 4))
-        if tracks:
-            means, covs = _predict_stacked(
-                *_stack_states([t.state for t in tracks]),
-                *_cv_model(dt, self.cfg.process_noise_accel),
+        if self._ids:
+            self._means, self._covs = _predict_stacked(
+                self._means, self._covs, *self._model(dt)
             )
-            for t, mean, cov in zip(tracks, means, covs):
-                t.state = KalmanState._built(mean, cov)
-        det_xy = np.array([[p.x, p.y] for p in points], dtype=float).reshape(-1, 2)
+        means, status = self._means, self._status
+        init_rows = [i for i, st in enumerate(status) if st is TrackStatus.INITIATED]
+        cand_rows = [i for i, st in enumerate(status) if st is TrackStatus.CANDIDATE]
 
-        init_rows = [i for i, t in enumerate(tracks) if t.status is TrackStatus.INITIATED]
-        cand_rows = [i for i, t in enumerate(tracks) if t.status is TrackStatus.CANDIDATE]
-        initiated = [tracks[i] for i in init_rows]
-        candidates = [tracks[i] for i in cand_rows]
-
+        # Initiated tracks choose first, so candidates cannot steal their
+        # detections.
         a1 = solve_assignment(
-            _distances(means[init_rows, :2], det_xy), self.cfg.gate_distance
+            _distances(means[init_rows, :2], det_xy), cfg.gate_distance
         )
         leftover = a1.unmatched_detections
         a2 = solve_assignment(
-            _distances(means[cand_rows, :2], det_xy[leftover]), self.cfg.gate_distance
+            _distances(means[cand_rows, :2], det_xy[leftover]), cfg.gate_distance
+        )
+        matched = [init_rows[r] for r, _, _ in a1.matches]
+        matched += [cand_rows[r] for r, _, _ in a2.matches]
+        used = [c for _, c, _ in a1.matches] + [leftover[c] for _, c, _ in a2.matches]
+        missed = [init_rows[r] for r in a1.unmatched_tracks]
+        missed += [cand_rows[r] for r in a2.unmatched_tracks]
+        born = [leftover[c] for c in a2.unmatched_detections]
+
+        if matched:
+            means[matched], self._covs[matched] = _update_stacked(
+                means[matched], self._covs[matched], det_xy[used], cfg.measurement_noise
+            )
+        hits, streaks = self._hits, self._streaks
+        for i in matched:
+            hits[i] = min(cfg.c_init, hits[i] + 1)
+            streaks[i] = 0
+            self._updated[i] = timestamp
+            if status[i] is TrackStatus.CANDIDATE and hits[i] >= cfg.c_init:
+                status[i] = TrackStatus.INITIATED
+        dead = []
+        for i in missed:
+            hits[i] = max(0, hits[i] - 1)
+            streaks[i] += 1
+            if streaks[i] > cfg.c_del:
+                dead.append(i)
+        if dead:
+            self._drop(dead)
+        if born:
+            self._spawn(det_xy[born], timestamp)
+        self._last_timestamp = timestamp
+        return self._gather(
+            i for i, st in enumerate(self._status) if st is TrackStatus.INITIATED
         )
 
-        merged = AssociationResult(
-            matches=[(initiated[r].id, c, d) for r, c, d in a1.matches]
-            + [(candidates[r].id, leftover[c], d) for r, c, d in a2.matches],
-            unmatched_tracks=[initiated[r].id for r in a1.unmatched_tracks]
-            + [candidates[r].id for r in a2.unmatched_tracks],
-            unmatched_detections=[leftover[c] for c in a2.unmatched_detections],
-        )
-        self._tracks = lifecycle_step(
-            self._tracks, merged, points, self.cfg, timestamp, self._issue_id
-        )
-        self._last_timestamp = timestamp
-        return [
-            t.snapshot()
-            for t in self._tracks
-            if t.status is TrackStatus.INITIATED
-        ]
+    def _drop(self, rows: list[int]) -> None:
+        """Delete the rows of terminated tracks, keeping the others' order."""
+        self._means = np.delete(self._means, rows, axis=0)
+        self._covs = np.delete(self._covs, rows, axis=0)
+        doomed = sorted(rows, reverse=True)
+        for column in (self._ids, self._status, self._hits, self._streaks, self._updated):
+            for i in doomed:
+                del column[i]
+
+    def _spawn(self, xy: np.ndarray, timestamp: float) -> None:
+        """Append one candidate row per position, at rest with one hit."""
+        n = len(xy)
+        means = np.zeros((n, 4))
+        means[:, :2] = xy
+        self._means = np.concatenate([self._means, means])
+        self._covs = np.concatenate([self._covs, np.broadcast_to(self._birth_cov, (n, 4, 4))])
+        self._ids += range(self._next_id + 1, self._next_id + n + 1)
+        self._next_id += n
+        self._status += [TrackStatus.CANDIDATE] * n
+        self._hits += [1] * n
+        self._streaks += [0] * n
+        self._updated += [timestamp] * n

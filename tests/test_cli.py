@@ -13,7 +13,7 @@ import pytest
 
 import lidarmot
 from lidarmot import dataset as ds
-from lidarmot import detection, evaluation, simulator
+from lidarmot import detection, evaluation, simulator, tracking
 from lidarmot.cli import run_cli
 from lidarmot.config import load_config
 from lidarmot.detection import Detection
@@ -193,6 +193,11 @@ class TestTrackOrder:
                 "frame at t=0.35 follows the one at t=0.35" in capsys.readouterr().err)
         assert not (tmp_path / "eval" / "report.json").exists()
 
+    def test_header_only_tracks_exit_2(self, tmp_path, capsys):
+        data = self.edit_tracks(tmp_path, lambda records: [])
+        assert run(["evaluate", "--in", data, "--out", tmp_path / "eval"]) == 2
+        assert "error: no hypothesis frames to score" in capsys.readouterr().err
+
 
 def test_evaluate_reads_only_the_first_scan(sim_dir, tmp_path, monkeypatch):
     # evaluate needs the scans only for their field of view: it decodes the
@@ -333,8 +338,9 @@ class TestBench:
         assert [r["mot"] for r in rows] == singles
 
     def test_bench_reaches_every_layer_hook(self, tmp_path, monkeypatch):
-        # A profiler counts each layer by rebinding these module globals, so
-        # one bench job must reach every one of them through the module.
+        # A profiler counts each layer by rebinding these module globals and
+        # Tracker.update, so one bench job must reach every one of them
+        # through the module or the class.
         sizes = {}
 
         def count(module, name, size=lambda *args: 1):
@@ -350,13 +356,16 @@ class TestBench:
         count(simulator, "raycast_scans", size=lambda states, *args: len(states))
         count(detection, "cluster_detect")
         count(evaluation, "interpolate_pose")
+        count(tracking.Tracker, "update")
         # Blocks of 7 hold the 21 scans exactly, so a cast after the last
         # full block would be a call with no states.
         monkeypatch.setattr(simulator, "SCAN_BLOCK", 7)
         assert run(["bench", "--kind", "sr", "--duration", "1", "--out", tmp_path]) == 0
-        # 100 ticks of 10 ms; 21 scans at 20 Hz, each detected and evaluated.
+        # 100 ticks of 10 ms; 21 scans at 20 Hz, each detected, tracked and
+        # evaluated.
         assert {name: sum(n) for name, n in sizes.items()} == {
-            "step_world": 100, "raycast_scans": 21, "cluster_detect": 21, "interpolate_pose": 21,
+            "step_world": 100, "raycast_scans": 21, "cluster_detect": 21, "update": 21,
+            "interpolate_pose": 21,
         }
         assert sizes["raycast_scans"] == [7, 7, 7]
 

@@ -81,12 +81,11 @@ from lidarmot.tracking import (
     TrackerConfig,
     TrackStatus,
     _cv_model,
+    _distances,
     _predict_stacked,
-    _stack_states,
     _update_stacked,
     kalman_predict,
     kalman_update,
-    solve_assignment,
 )
 from lidarmot.workflows import pose_for_scan, tracks_to_hypothesis
 
@@ -461,9 +460,50 @@ def ref_lifecycle_step(tracks, association, measurements, cfg, timestamp, next_i
     return survivors
 
 
-class RefTracker(Tracker):
-    """``Tracker.update`` with ``kalman_predict`` and ``kalman_update`` called
-    once per track, and track positions read one ``PointXY`` at a time."""
+def ref_solve_assignment(cost, gate_distance):
+    n_tracks, n_dets = cost.shape
+    if n_tracks == 0 or n_dets == 0:
+        return AssociationResult([], list(range(n_tracks)), list(range(n_dets)))
+    rows, cols = scipy_linear_sum_assignment(cost)
+    matches = []
+    for r, c in zip(rows, cols):
+        dist = float(cost[r, c])
+        if dist <= gate_distance:
+            matches.append((int(r), int(c), dist))
+    matched_t = {r for r, _, _ in matches}
+    matched_d = {c for _, c, _ in matches}
+    return AssociationResult(
+        matches,
+        [i for i in range(n_tracks) if i not in matched_t],
+        [j for j in range(n_dets) if j not in matched_d],
+    )
+
+
+def ref_copy(t: Track) -> Track:
+    return Track(
+        t.id, KalmanState(t.state.mean.copy(), t.state.covariance.copy()), t.status,
+        t.hit_counter, t.miss_streak, t.last_update,
+    )
+
+
+class RefTracker:
+    """The tracker as a list of ``Track`` objects: ``kalman_predict`` and
+    ``kalman_update`` called once per track, detections transformed one
+    ``PointXY`` at a time, and track positions read one at a time."""
+
+    def __init__(self, cfg: TrackerConfig):
+        self.cfg = cfg
+        self._tracks: list[Track] = []
+        self._next_id = 0
+        self._last_timestamp = None
+
+    def _issue_id(self) -> int:
+        self._next_id += 1
+        return self._next_id
+
+    @property
+    def tracks(self) -> list[Track]:
+        return [ref_copy(t) for t in self._tracks]
 
     def update(self, detections, robot_pose_in_odom, timestamp):
         if self._last_timestamp is not None and timestamp < self._last_timestamp:
@@ -486,9 +526,9 @@ class RefTracker(Tracker):
             d = np.array([[p.x, p.y] for p in dets])
             return np.linalg.norm(t[:, None, :] - d[None, :, :], axis=2)
 
-        a1 = solve_assignment(cost(initiated, points), self.cfg.gate_distance)
+        a1 = ref_solve_assignment(cost(initiated, points), self.cfg.gate_distance)
         leftover = a1.unmatched_detections
-        a2 = solve_assignment(
+        a2 = ref_solve_assignment(
             cost(candidates, [points[j] for j in leftover]), self.cfg.gate_distance
         )
 
@@ -503,11 +543,7 @@ class RefTracker(Tracker):
             self._tracks, merged, points, self.cfg, timestamp, self._issue_id
         )
         self._last_timestamp = timestamp
-        return [
-            t.snapshot()
-            for t in self._tracks
-            if t.status is TrackStatus.INITIATED
-        ]
+        return [ref_copy(t) for t in self._tracks if t.status is TrackStatus.INITIATED]
 
 
 # -- exact comparison helpers ----------------------------------------------
@@ -1546,8 +1582,10 @@ class TestTrackerEquivalence:
         roots = data.draw(arrays(np.float64, (n, 4, 4), elements=values))
         zs = data.draw(arrays(np.float64, (n, 2), elements=values))
         states = [KalmanState(m, r @ r.T + 1e-3 * np.eye(4)) for m, r in zip(means, roots)]
-        pm, pc = _predict_stacked(*_stack_states(states), *_cv_model(dt, accel))
-        um, uc = _update_stacked(*_stack_states(states), zs, std)
+        stacked_means = np.array([s.mean for s in states]).reshape(-1, 4)
+        stacked_covs = np.array([s.covariance for s in states]).reshape(-1, 4, 4)
+        pm, pc = _predict_stacked(stacked_means, stacked_covs, *_cv_model(dt, accel))
+        um, uc = _update_stacked(stacked_means, stacked_covs, zs, std)
         assert pm.shape == um.shape == (n, 4) and pc.shape == uc.shape == (n, 4, 4)
         for state, z, *stacked in zip(states, zs, pm, pc, um, uc):
             p, u = ref_kalman_predict(state, dt, accel), ref_kalman_update(state, z, std)
@@ -1560,6 +1598,39 @@ class TestTrackerEquivalence:
         frames = [([], pose, 0.0), ([det], pose, 0.05), ([det], pose, 0.05), ([], pose, 0.1)]
         assert_same_tracking(frames, TrackerConfig(c_init=1))
         assert_same_tracking(frames[1:], TrackerConfig(c_init=1))
+
+    def test_death_between_live_rows_and_two_births(self):
+        # Three walkers become tracks 1-3. The middle one vanishes, and its
+        # row is deleted in the frame that two newcomers are born in.
+        pose = Pose2D(0.3, -0.1, 0.4, 0.0)
+        cfg = TrackerConfig(c_init=2, c_del=2)
+
+        def frame(k, points):
+            t = 0.05 * k
+            return [Detection(PointXY(x + 0.02 * k, y), 1.0, t) for x, y in points], pose, t
+
+        walkers, newcomers = [(1.0, 0.1), (4.0, 0.4), (7.0, 0.7)], [(1.0, 6.0), (7.0, 6.0)]
+        frames = [frame(k, walkers) for k in range(4)]
+        frames += [frame(k, walkers[::2]) for k in range(4, 6)]
+        frames += [frame(k, walkers[::2] + newcomers) for k in range(6, 10)]
+        tracker = Tracker(cfg)
+        states = []
+        for detections, pose, t in frames:
+            tracker.update(detections, pose, t)
+            states.append([(x.id, x.status) for x in tracker.tracks])
+        initiated, candidate = TrackStatus.INITIATED, TrackStatus.CANDIDATE
+        assert states[5] == [(1, initiated), (2, initiated), (3, initiated)]
+        assert states[6] == [(1, initiated), (3, initiated), (4, candidate), (5, candidate)]
+        assert states[9] == [(1, initiated), (3, initiated), (4, initiated), (5, initiated)]
+        assert assert_same_tracking(frames, cfg) > 0
+
+    def test_distances_are_norm_bit_for_bit(self):
+        rng = np.random.default_rng(701)
+        for n, m in [(0, 3), (3, 0), (1, 1), (8, 9), (40, 40)]:
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            t, d = rng.normal(0.0, scale, (n, 2)), rng.normal(0.0, scale, (m, 2))
+            want = np.linalg.norm(t[:, None, :] - d[None, :, :], axis=2)
+            assert same_array(_distances(t, d), want)
 
     def test_kalman_steps_of_random_states(self):
         rng = np.random.default_rng(700)

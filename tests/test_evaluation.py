@@ -238,11 +238,18 @@ class TestEvaluateSequence:
         assert report.total_misses == 10
         assert report.mota == pytest.approx(0.5)
 
-    def test_empty_hypothesis_counts_all_misses(self):
+    def test_empty_hypothesis_sequence_refused(self):
+        # Scoring needs hypothesis times; the ground truth's own 100 Hz clock
+        # would weigh a run that saw nothing five times as heavily.
+        with pytest.raises(ValueError, match="^no hypothesis frames to score$"):
+            evaluate_sequence(self._constant_gt(n=4), [], FOV)
+
+    def test_empty_frames_count_misses_at_scan_times(self):
+        # One empty frame per 20 Hz scan: 4 frames of 2 visible persons.
         gt = self._constant_gt(n=4)
-        report = evaluate_sequence(gt, [], FOV)
-        assert report.total_g == len(gt) * 2
-        assert report.total_misses == report.total_g
+        report = evaluate_sequence(gt, [hyp_frame(k * 0.05, []) for k in range(4)], FOV)
+        assert len(report.frames) == 4
+        assert report.total_g == report.total_misses == 8
         assert report.total_matches == 0
 
     def test_interpolates_between_gt_frames(self):
@@ -282,6 +289,16 @@ class TestEvaluateSequence:
         hyp = [hyp_frame(t, [(1, 1.0, 0.5)]) for t in times]
         with pytest.raises(ValueError, match=rf"t={later} follows the one at t={earlier}$"):
             evaluate_sequence(gt, hyp, FOV)
+
+    @pytest.mark.parametrize("times, later, earlier", [
+        ((0.0, 0.01, 0.005, 0.02), "0.005", "0.01"),
+        ((0.0, 0.01, 0.01, -1.0), "-1.0", "0.01"),  # equal times pass
+    ])
+    def test_ground_truth_times_must_not_decrease(self, times, later, earlier):
+        # Each hypothesis frame bisects the ground-truth times.
+        gt = [gt_frame(t, [(1, 1.0, 0.5)]) for t in times]
+        with pytest.raises(ValueError, match=rf"t={later} follows the one at t={earlier}$"):
+            evaluate_sequence(gt, [hyp_frame(0.0, [(1, 1.0, 0.5)])], FOV)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,12 +13,49 @@ from lidarmot.geometry import (
     in_fov,
     interpolate_pose,
     invert_pose,
+    libm_hypot,
     normalize_angle,
     scan_xy,
     transform_to_frame,
 )
 
 FOV_270 = FieldOfView(-0.75 * math.pi, 0.75 * math.pi, 30.0)
+
+
+def float_bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+class TestLibmHypot:
+    """``libm_hypot`` stands in for ``float(np.hypot(x, y))`` wherever a
+    threshold decision must keep numpy's rounding."""
+
+    def test_equals_np_hypot_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for scale in (1e-310, 1e-200, 1e-9, 1e-3, 1.0, 1e3, 1e9, 1e200, 1e304):
+            for ratio in (1e-12, 1e-3, 1.0, 1e3):
+                xs, ys = rng.standard_normal((2, 2000))
+                for x, y in zip((xs * scale).tolist(), (ys * scale * ratio).tolist()):
+                    want = float(np.hypot(x, y))
+                    assert float_bits(libm_hypot(x, y)) == float_bits(want), (x, y)
+
+    def test_special_values(self):
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 3.0,
+                    1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+        for x in specials:
+            for y in specials:
+                with np.errstate(over="ignore"):
+                    want = float(np.hypot(x, y))
+                got = libm_hypot(x, y)
+                if math.isnan(want):
+                    # The sign bit of a NaN is numpy's own choice.
+                    assert math.isnan(got), (x, y)
+                else:
+                    assert float_bits(got) == float_bits(want), (x, y)
+
+    def test_overflow_gives_inf(self):
+        # CPython's complex abs raises here; np.hypot gives inf.
+        assert libm_hypot(1.7e308, -1.7e308) == math.inf
 
 
 def make_scan(ranges, angle_min=0.0, inc=math.radians(0.25), t=0.0):

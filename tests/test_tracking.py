@@ -7,16 +7,13 @@ import pytest
 from lidarmot.detection import Detection
 from lidarmot.geometry import PointXY, Pose2D
 from lidarmot.tracking import (
-    AssociationResult,
     KalmanState,
-    Track,
     Tracker,
     TrackerConfig,
     TrackStatus,
     _distances,
     kalman_predict,
     kalman_update,
-    lifecycle_step,
     solve_assignment,
 )
 
@@ -164,43 +161,29 @@ class TestSolveAssignment:
             assert sorted(seen_d) == list(range(cost.shape[1]))
 
 
-def make_track(tid, x, y, status=TrackStatus.CANDIDATE, hits=1, misses=0):
-    return Track(
-        id=tid,
-        state=KalmanState([x, y, 0, 0], np.diag([0.01, 0.01, 2.25, 2.25])),
-        status=status,
-        hit_counter=hits,
-        miss_streak=misses,
-        last_update=0.0,
-    )
+def lifecycle(tracker, frames):
+    """``tracker.tracks`` after each frame, one detection list per frame, at
+    0.05 s steps from t = 0 and the identity pose."""
+    pose = Pose2D(0, 0, 0)
+    for k, points in enumerate(frames):
+        tracker.update([det(x, y, 0.05 * k) for x, y in points], pose, 0.05 * k)
+        yield tracker.tracks
 
 
 class TestLifecycle:
     def test_initiation_on_tenth_consecutive_match(self):
-        cfg = TrackerConfig(c_init=10, c_del=15)
-        counter = itertools.count(1)
-        tracks = lifecycle_step(
-            [], AssociationResult([], [], [0]), [PointXY(0, 0, frame="odom")],
-            cfg, 0.0, lambda: next(counter),
-        )
-        for k in range(2, 11):
-            assoc = AssociationResult([(tracks[0].id, 0, 0.0)], [], [])
-            tracks = lifecycle_step(
-                tracks, assoc, [PointXY(0, 0, frame="odom")], cfg, 0.05 * k,
-                lambda: next(counter),
-            )
+        tracker = Tracker(TrackerConfig(c_init=10, c_del=15))
+        for k, tracks in enumerate(lifecycle(tracker, [[(0, 0)]] * 10), start=1):
             expected = TrackStatus.INITIATED if k >= 10 else TrackStatus.CANDIDATE
             assert tracks[0].status is expected
 
     def test_termination_strictly_over_c_del(self):
-        cfg = TrackerConfig(c_init=2, c_del=15)
-        track = make_track(1, 0, 0, status=TrackStatus.INITIATED, hits=2)
-        tracks = [track]
-        for k in range(1, 17):
-            tracks = lifecycle_step(
-                tracks, AssociationResult([], [track.id], []), [], cfg, 0.05 * k,
-                lambda: 99,
-            )
+        # Born, then matched once: initiated with two hits at c_init=2.
+        tracker = Tracker(TrackerConfig(c_init=2, c_del=15))
+        frames = [[(0, 0)]] * 2 + [[]] * 16
+        history = list(lifecycle(tracker, frames))
+        assert history[1][0].status is TrackStatus.INITIATED
+        for k, tracks in enumerate(history[2:], start=1):
             if k <= 15:
                 assert tracks and tracks[0].miss_streak == k
             else:
@@ -209,33 +192,20 @@ class TestLifecycle:
     def test_alternating_never_initiates_fast(self):
         # Oracle: hand-simulated counter recurrence. Alternating match/miss
         # from spawn can never reach c_init=5 within nine updates.
-        cfg = TrackerConfig(c_init=5, c_del=15)
-        counter = itertools.count(1)
-        tracks = lifecycle_step(
-            [], AssociationResult([], [], [0]), [PointXY(0, 0, frame="odom")],
-            cfg, 0.0, lambda: next(counter),
-        )
+        tracker = Tracker(TrackerConfig(c_init=5, c_del=15))
+        frames = [[(0, 0)]] + [[(0, 0)] if k % 2 == 1 else [] for k in range(1, 10)]
+        history = lifecycle(tracker, frames)
+        next(history)
         hit = 1
-        for k in range(1, 10):
+        for k, tracks in enumerate(history, start=1):
             matched = k % 2 == 1
-            if matched:
-                assoc = AssociationResult([(tracks[0].id, 0, 0.0)], [], [])
-            else:
-                assoc = AssociationResult([], [tracks[0].id], [])
-            tracks = lifecycle_step(
-                tracks, assoc, [PointXY(0, 0, frame="odom")], cfg, 0.05 * k,
-                lambda: next(counter),
-            )
             hit = min(5, hit + 1) if matched else max(0, hit - 1)
             assert tracks[0].hit_counter == hit
             assert tracks[0].status is TrackStatus.CANDIDATE
 
     def test_new_candidate_starts_at_rest_with_one_hit(self):
         cfg = TrackerConfig()
-        tracks = lifecycle_step(
-            [], AssociationResult([], [], [0]), [PointXY(2, 3, frame="odom")],
-            cfg, 1.0, lambda: 7,
-        )
+        (tracks,) = lifecycle(Tracker(cfg), [[(2, 3)]])
         t = tracks[0]
         assert t.hit_counter == 1 and t.status is TrackStatus.CANDIDATE
         np.testing.assert_allclose(t.state.mean, [2, 3, 0, 0])
@@ -258,6 +228,16 @@ class TestTracker:
         (track,) = tracker.update([det(2.05, 0.0, 2.05)], pose, 2.05)
         vx, vy = track.velocity
         assert abs(vx - 1.0) < 0.1 and abs(vy) < 0.1
+
+    def test_detection_exactly_at_the_gate_matches(self):
+        # The candidate rests at the origin; a detection 1.0 m away, exactly
+        # the gate distance, still belongs to it.
+        tracker = Tracker(TrackerConfig(gate_distance=1.0))
+        pose = Pose2D(0, 0, 0)
+        tracker.update([det(0.0, 0.0, 0.0)], pose, 0.0)
+        tracker.update([det(1.0, 0.0, 0.05)], pose, 0.05)
+        (track,) = tracker.tracks
+        assert (track.id, track.hit_counter) == (1, 2)
 
     def test_rotating_robot_keeps_static_person_still(self):
         # Person fixed in the odometry frame by construction; detections are
