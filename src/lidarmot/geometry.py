@@ -149,13 +149,15 @@ def transform_to_frame(
 ) -> PointXY:
     """Rigid-body transform of a point given the pose of its frame in the
     target frame (rotate by theta, then translate)."""
-    pose = pose_of_source_in_target
+    x, y = transform_xy(p.x, p.y, pose_of_source_in_target)
+    return PointXY(x, y, frame=target_frame)
+
+
+def transform_xy(x: float, y: float, pose: Pose2D) -> tuple[float, float]:
+    """``transform_to_frame`` on plain floats: (x, y) rotated by the pose's
+    theta, then translated by its position."""
     c, s = math.cos(pose.theta), math.sin(pose.theta)
-    return PointXY(
-        pose.x + c * p.x - s * p.y,
-        pose.y + s * p.x + c * p.y,
-        frame=target_frame,
-    )
+    return pose.x + c * x - s * y, pose.y + s * x + c * y
 
 
 def invert_pose(pose: Pose2D) -> Pose2D:

@@ -10,12 +10,12 @@ any track is dropped once its miss streak strictly exceeds c_del.
 The tracker holds its state stacked between frames: the means of all live
 tracks as one (N, 4) array, their covariances as one (N, 4, 4) array, and
 id, status, hit, streak and last-update columns in parallel lists. Each
-frame predicts every row in one pass (F and Q are rebuilt only when dt
-changes), gathers the matched rows in match order, updates them in one pass
-and scatters them back. Terminated rows are deleted and new candidates
-appended, so the rows stay in birth order, and the output tracks come from
-one gather of the initiated rows. The single-track ``kalman_predict`` and
-``kalman_update`` are the N = 1 case of the same kernels.
+frame predicts every row in one pass, gathers the matched rows in match
+order, updates them in one pass and scatters them back. Terminated rows are
+deleted and new candidates appended, so the rows stay in birth order, and
+the output tracks come from one gather of the initiated rows. The
+single-track ``kalman_predict`` and ``kalman_update`` are the N = 1 case of
+the same kernels.
 
 Every stacked product keeps each track's own operand shapes
 (``F @ means[:, :, None]``, ``F @ covs @ F.T``, ``transpose(0, 2, 1)`` for a
@@ -29,7 +29,6 @@ order and rounds differently.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from .assignment import linear_sum_assignment
 from .detection import Detection
-from .geometry import ODOM_FRAME, PointXY, Pose2D
+from .geometry import ODOM_FRAME, PointXY, Pose2D, transform_xy
 
 _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 _I4 = np.eye(4)
@@ -262,10 +261,6 @@ class Tracker:
         self._updated: list[float] = []
         self._next_id = 0
         self._last_timestamp: float | None = None
-        # F and Q of the last dt. The sign is part of the key, because a dt
-        # of -0.0 (a frame at -0.0 after one at 0.0) puts -0.0 in F and Q.
-        self._model_key: tuple[float, float] | None = None
-        self._fq: tuple[np.ndarray, np.ndarray] | None = None
         pos_var = self.cfg.measurement_noise**2
         vel_var = self.cfg.initial_velocity_std**2
         self._birth_cov = np.diag([pos_var, pos_var, vel_var, vel_var])
@@ -292,14 +287,6 @@ class Tracker:
             for i, mean, cov in zip(rows, means, covs)
         ]
 
-    def _model(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """``_cv_model(dt)``, kept from the last frame while dt repeats."""
-        key = (dt, math.copysign(1.0, dt))
-        if key != self._model_key:
-            self._model_key = key
-            self._fq = _cv_model(dt, self.cfg.process_noise_accel)
-        return self._fq
-
     def update(
         self,
         detections: Sequence[Detection],
@@ -318,12 +305,9 @@ class Tracker:
         if self._last_timestamp is not None and timestamp < self._last_timestamp:
             raise ValueError(f"time regression: {timestamp} < {self._last_timestamp}")
         cfg = self.cfg
-        # transform_to_frame's arithmetic, one detection at a time.
-        pose = robot_pose_in_odom
-        c, s = math.cos(pose.theta), math.sin(pose.theta)
         det_xy = np.array(
             [
-                (pose.x + c * p.x - s * p.y, pose.y + s * p.x + c * p.y)
+                transform_xy(p.x, p.y, robot_pose_in_odom)
                 for p in (d.position for d in detections)
             ],
             dtype=float,
@@ -331,7 +315,7 @@ class Tracker:
         dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
         if self._ids:
             self._means, self._covs = _predict_stacked(
-                self._means, self._covs, *self._model(dt)
+                self._means, self._covs, *_cv_model(dt, cfg.process_noise_accel)
             )
         means, status = self._means, self._status
         init_rows = [i for i, st in enumerate(status) if st is TrackStatus.INITIATED]

@@ -17,6 +17,7 @@ from lidarmot.geometry import (
     normalize_angle,
     scan_xy,
     transform_to_frame,
+    transform_xy,
 )
 
 FOV_270 = FieldOfView(-0.75 * math.pi, 0.75 * math.pi, 30.0)
@@ -117,6 +118,19 @@ class TestTransform:
             )
             assert q.x == pytest.approx(p.x, abs=1e-12)
             assert q.y == pytest.approx(p.y, abs=1e-12)
+
+    def test_floats_keep_the_operation_order(self):
+        # The tracker's and the evaluator's bits depend on this exact order:
+        # rotate (c*x - s*y, s*x + c*y), then add the translation first.
+        rng = np.random.default_rng(7)
+        for _ in range(1000):
+            pose = Pose2D(*rng.uniform(-10, 10, 2), rng.uniform(-math.pi, math.pi))
+            x, y = rng.uniform(-10, 10, 2).tolist()
+            c, s = math.cos(pose.theta), math.sin(pose.theta)
+            want = (pose.x + c * x - s * y, pose.y + s * x + c * y)
+            assert transform_xy(x, y, pose) == want
+            p = transform_to_frame(PointXY(x, y), pose)
+            assert (p.x, p.y) == want
 
 
 class TestInFov:
