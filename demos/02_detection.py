@@ -14,7 +14,7 @@ from lidarmot.simulator import (
     Pose2D,
     Segment,
     WorldState,
-    raycast_scan,
+    raycast_scans,
 )
 
 world = WorldState(
@@ -29,7 +29,7 @@ world = WorldState(
     segments=(Segment(5.0, -4.0, 5.0, 4.0),),  # wall behind them
     arena=(-1, -5, 6, 5),
 )
-scan = raycast_scan(world, LidarParams(), noise_std=0.01, rng=np.random.default_rng(0))
+scan = raycast_scans([world], LidarParams(), noise_std=0.01, rng=np.random.default_rng(0))[0]
 
 cfg = DetectorConfig(window_stride=10, confidence_threshold=0.85)
 

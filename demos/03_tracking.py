@@ -6,6 +6,7 @@ distance, and runs a counter-based lifecycle: candidates earn initiation
 after c_init matches and die after c_del straight misses.
 """
 
+import math
 from collections import Counter
 
 from lidarmot import ScenarioConfig, run_scenario
@@ -32,5 +33,5 @@ print(f"\nfinal frame (t={ts:.2f} s):")
 for t in tracks:
     vx, vy = t.velocity
     print(f"  track {t.id} at ({t.position.x:+.2f}, {t.position.y:+.2f}) "
-          f"moving ({vx:+.2f}, {vy:+.2f}) m/s, speed {t.speed:.2f}")
+          f"moving ({vx:+.2f}, {vy:+.2f}) m/s, speed {math.hypot(vx, vy):.2f}")
 print("\nthree people in the arena -> ideally three long-lived ids")

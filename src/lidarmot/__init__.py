@@ -56,28 +56,18 @@ from .pipeline import (
     time_to_closest_approach,
 )
 from .simulator import (
-    AgentModel,
     Circle,
     LidarParams,
     ScenarioConfig,
     ScriptedAgent,
     Segment,
-    WorldState,
-    emit_ground_truth,
-    raycast_scan,
     run_scenario,
-    step_world,
 )
 from .tracking import (
-    AssociationResult,
-    KalmanState,
     Track,
     Tracker,
     TrackerConfig,
     TrackStatus,
-    kalman_predict,
-    kalman_update,
-    solve_assignment,
 )
 
 __version__ = "0.1.0"

@@ -8,9 +8,9 @@ float64 bytes, next to their count in ``beams``; no-return ranges are
 stored as the bytes of inf. A header line carries the format name, the
 version and, under ``meta``, the writer's metadata.
 
-Version 1 files still read: there a scan's ranges are a JSON list of
-numbers, with null for no return, and a writer's metadata could overwrite
-the header's ``kind`` tag.
+Only version 2 is read. A version 1 file, whose scan ranges were a JSON
+list, is refused at its header, or at its first scan line if no header
+names the version.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .detection import Detection
 from .evaluation import GroundTruthFrame, HypothesisFrame
-from .geometry import NO_RETURN, ODOM_FRAME, SENSOR_FRAME, LidarScan, PointXY, Pose2D
+from .geometry import ODOM_FRAME, SENSOR_FRAME, LidarScan, PointXY, Pose2D
 from .pipeline import DynamicObstacle
 from .tracking import Track
 
@@ -73,8 +73,7 @@ class DatasetRecord:
 @dataclass
 class RecordStream:
     records: list[DatasetRecord] = field(default_factory=list)
-    #: The writer's metadata: the header's ``meta`` object, or in a version 1
-    #: file the header's fields other than ``format`` and ``version``.
+    #: The writer's metadata: the header's ``meta`` object.
     meta: dict = field(default_factory=dict)
     #: Records of a kind this reader does not know, skipped in both modes.
     skipped_unknown: int = 0
@@ -134,19 +133,15 @@ def _is_number(value) -> bool:
 
 def _header_meta(header: dict, lineno: int) -> dict:
     """The writer's metadata in a header line, its ``kind`` tag already
-    taken out. Refuses a header that names another format, a version this
-    reader does not know, or a ``meta`` that is no object. A header without
-    these fields is accepted."""
+    taken out. Refuses a header that names another format, a version other
+    than ``FORMAT_VERSION``, or a ``meta`` that is no object. A header
+    without these fields is accepted."""
     name = header.get("format", FORMAT_NAME)
     version = header.get("version", FORMAT_VERSION)
     if name != FORMAT_NAME:
         raise DatasetFormatError(f"format {name!r} is not {FORMAT_NAME!r}", lineno)
-    if type(version) is not int or version > FORMAT_VERSION:
-        raise DatasetFormatError(
-            f"version {version!r} is not an integer <= {FORMAT_VERSION}", lineno
-        )
-    if version == 1:
-        return {k: v for k, v in header.items() if k not in ("format", "version")}
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DatasetFormatError(f"version {version!r} is not {FORMAT_VERSION}", lineno)
     meta = header.get("meta", {})
     if type(meta) is not dict:
         raise DatasetFormatError(f"header meta is {meta!r}, not an object", lineno)
@@ -169,11 +164,9 @@ def iter_dataset(
     The header's metadata and the skip counts go to ``stream`` as they are
     met; its ``records`` are left alone.
 
-    The header is a line tagged ``kind: header``, or the first line when it
-    carries ``format`` (version 1 writers let their metadata overwrite the
-    tag). A header naming another format, or a version that is not an
-    integer up to ``FORMAT_VERSION``, raises DatasetFormatError in both
-    modes.
+    The header is a line tagged ``kind: header``. A header naming another
+    format, or a version other than ``FORMAT_VERSION``, raises
+    DatasetFormatError in both modes.
 
     Malformed lines, including ones that are not a JSON object, lack
     ``kind`` or ``t``, hold NaN/Infinity/-Infinity tokens or a timestamp
@@ -196,9 +189,7 @@ def iter_dataset(
                 if type(obj) is not dict:
                     raise ValueError("record is not an object")
                 kind = obj.pop("kind", _MISSING)
-                if kind == "header" or (lineno == 1 and "format" in obj):
-                    if kind not in ("header", _MISSING):
-                        obj["kind"] = kind  # a version 1 writer's metadata
+                if kind == "header":
                     stream.meta = _header_meta(obj, lineno)
                     continue
                 if kind not in KNOWN_KINDS:
@@ -289,50 +280,40 @@ def scan_to_record(scan: LidarScan) -> DatasetRecord:
     return DatasetRecord("scan", scan.timestamp, payload)
 
 
-#: The bytes of a version 2 ``ranges`` string: float64, little-endian on
-#: every host.
+#: The bytes of a ``ranges`` string: float64, little-endian on every host.
 _RANGE_DTYPE = np.dtype("<f8")
-#: What a version 1 ``ranges`` list may hold: JSON numbers, or null for no
-#: return.
-_RANGE_TYPES = {float, int, type(None)}
 _SCAN_NUMBERS = ("angle_min", "angle_increment", "range_max")
 _SCAN_FIELDS = ("ranges", *_SCAN_NUMBERS)
 
 
 def _decode_ranges(t: float, payload: dict) -> np.ndarray:
-    """A scan payload's ``ranges`` as an owned float64 array.
+    """A scan payload's ``ranges`` as an owned float64 array, decoded from
+    the base64 of ``beams`` little-endian float64 values.
 
-    Version 2 stores them as the base64 of ``beams`` little-endian float64
-    values; version 1 as a list of JSON numbers, with null for no return.
-    Invalid base64, a byte count that is not 8 x ``beams``, a ``beams`` that
-    is missing or no integer, a NaN, a list item that is no number or null,
-    or any other type raise ValueError naming the scan's time and
+    A value that is no string (a version 1 list included), invalid base64, a
+    byte count that is not 8 x ``beams``, a ``beams`` that is missing or no
+    integer, or a NaN raise ValueError naming the scan's time and
     ``ranges``.
     """
     ranges = payload["ranges"]
     where = f"scan at t={t!r}: ranges"
-    if type(ranges) is str:
-        try:
-            raw = base64.b64decode(ranges, validate=True)
-        except ValueError:  # binascii.Error, or a non-ASCII character
-            raise ValueError(f"{where} is {reprlib.repr(ranges)}, not valid base64") from None
-        beams = payload.get("beams", _MISSING)
-        if type(beams) is not int:
-            got = "missing" if beams is _MISSING else f"{beams!r}, not an integer"
-            raise ValueError(f"{where} is binary, but beams is {got}")
-        if len(raw) != 8 * beams:
-            raise ValueError(f"{where} holds {len(raw)} bytes, not 8 x {beams} beams")
-        decoded = np.frombuffer(raw, _RANGE_DTYPE).astype(float)
-        nan = np.isnan(decoded)
-        if nan.any():
-            raise ValueError(f"{where}[{nan.argmax()}] is NaN")
-        return decoded
-    if type(ranges) is list:
-        if not _RANGE_TYPES.issuperset(map(type, ranges)):
-            i, bad = next((i, r) for i, r in enumerate(ranges) if type(r) not in _RANGE_TYPES)
-            raise ValueError(f"{where}[{i}] is {bad!r}, not a number or null")
-        return np.array([NO_RETURN if r is None else r for r in ranges], dtype=float)
-    raise ValueError(f"{where} is {ranges!r}, not a base64 string or a list")
+    if type(ranges) is not str:
+        raise ValueError(f"{where} is {reprlib.repr(ranges)}, not a base64 string")
+    try:
+        raw = base64.b64decode(ranges, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{where} is {reprlib.repr(ranges)}, not valid base64") from None
+    beams = payload.get("beams", _MISSING)
+    if type(beams) is not int:
+        got = "missing" if beams is _MISSING else f"{beams!r}, not an integer"
+        raise ValueError(f"{where} is binary, but beams is {got}")
+    if len(raw) != 8 * beams:
+        raise ValueError(f"{where} holds {len(raw)} bytes, not 8 x {beams} beams")
+    decoded = np.frombuffer(raw, _RANGE_DTYPE).astype(float)
+    nan = np.isnan(decoded)
+    if nan.any():
+        raise ValueError(f"{where}[{nan.argmax()}] is NaN")
+    return decoded
 
 
 def record_to_scan(rec: DatasetRecord) -> LidarScan:
@@ -451,7 +432,7 @@ def record_to_detections(rec: DatasetRecord) -> list[Detection]:
 def tracks_to_record(tracks: Sequence[Track], timestamp: float) -> DatasetRecord:
     items = []
     for t in tracks:
-        x, y, vx, vy = t.state.mean.tolist()
+        x, y, vx, vy = t.mean.tolist()
         items.append({"id": t.id, "x": x, "y": y, "vx": vx, "vy": vy})
     return DatasetRecord("track", timestamp, {"tracks": items})
 

@@ -41,6 +41,8 @@ class PipelineConfig:
     drop_stale: bool = True
 
     def __post_init__(self):
+        if not math.isfinite(self.scan_rate_hz):
+            raise ValueError(f"scan_rate_hz must be a finite number, got {self.scan_rate_hz}")
         if self.scan_rate_hz <= 0:
             raise ValueError("scan_rate_hz must be positive")
         if self.queue_capacity < 1:
@@ -157,7 +159,7 @@ def export_dynamic_obstacles(
     """
     out = []
     for t in tracks:
-        x, y, vx, vy = t.state.mean.tolist()
+        x, y, vx, vy = t.mean.tolist()
         if math.hypot(vx, vy) >= velocity_gate:
             out.append(
                 DynamicObstacle(

@@ -25,7 +25,8 @@ straightforward per-shape formulation.
 
 ``Scenario.run`` steps the world once per tick and emits ground truth every
 tick, but holds the scan ticks' world states back and casts them
-``SCAN_BLOCK`` at a time with :func:`raycast_scans`. This is sound because
+``SCAN_BLOCK`` at a time with :func:`raycast_scans`, the one cast there is
+(a caller with a single state passes ``[state]``). This is sound because
 what a cast reads of a state (agent positions, radii and ids, the robot
 pose, the time) is final once its tick is emitted: the policies only
 reassign an agent's ``velocity`` and ``next_resample`` and the state's
@@ -174,6 +175,12 @@ class ScenarioConfig:
             raise ValueError(f"n_persons must be >= 0, got {self.n_persons}")
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
+        if not 0 < self.person_radius < math.inf:
+            raise ValueError(f"person_radius must be positive and finite, got {self.person_radius}")
+        for name in ("robot_linear_max", "robot_angular_max"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
         if self.person_speed[0] < 0 or self.person_speed[1] < self.person_speed[0]:
             raise ValueError("person_speed must be a nonnegative (lo, hi) range")
         if not 0.0 <= self.dropout_prob < 1.0:
@@ -191,16 +198,6 @@ class AgentModel:
     velocity: np.ndarray
     scripted: bool = False
     next_resample: float = 0.0
-
-    def copy(self) -> "AgentModel":
-        return AgentModel(
-            self.id,
-            self.radius,
-            self.position.copy(),
-            self.velocity.copy(),
-            self.scripted,
-            self.next_resample,
-        )
 
 
 #: Slack added to every furniture bound, on top of the 1e-9 of the per-shape
@@ -719,19 +716,6 @@ def raycast_scans(
         for i, s in enumerate(states)
     ]
     return list(zip(scans, labels)) if with_labels else scans
-
-
-def raycast_scan(
-    state: WorldState,
-    lidar: LidarParams,
-    noise_std: float = 0.0,
-    dropout_prob: float = 0.0,
-    rng: np.random.Generator | None = None,
-    with_labels: bool = False,
-):
-    """One scan of :func:`raycast_scans`: a LidarScan, or a ``(scan,
-    labels)`` pair with ``with_labels``."""
-    return raycast_scans([state], lidar, noise_std, dropout_prob, rng, with_labels)[0]
 
 
 def emit_ground_truth(state: WorldState) -> GroundTruthFrame:

@@ -13,9 +13,9 @@ id, status, hit, streak and last-update columns in parallel lists. Each
 frame predicts every row in one pass, gathers the matched rows in match
 order, updates them in one pass and scatters them back. Terminated rows are
 deleted and new candidates appended, so the rows stay in birth order, and
-the output tracks come from one gather of the initiated rows. The
-single-track ``kalman_predict`` and ``kalman_update`` are the N = 1 case of
-the same kernels.
+the output tracks come from one gather of the initiated rows. A ``Track``
+is only what a SORT-style tracker needs per track: its mean and covariance
+and its lifecycle counters.
 
 Every stacked product keeps each track's own operand shapes
 (``F @ means[:, :, None]``, ``F @ covs @ F.T``, ``transpose(0, 2, 1)`` for a
@@ -29,6 +29,7 @@ order and rounds differently.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,34 +47,6 @@ _I2 = np.eye(2)
 class TrackStatus(enum.Enum):
     CANDIDATE = "candidate"
     INITIATED = "initiated"
-    TERMINATED = "terminated"
-
-
-@dataclass
-class KalmanState:
-    mean: np.ndarray        # [x, y, vx, vy]
-    covariance: np.ndarray  # 4x4, symmetric PSD
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(4)
-        self.covariance = np.asarray(self.covariance, dtype=float).reshape(4, 4)
-
-    @classmethod
-    def _built(cls, mean: np.ndarray, covariance: np.ndarray) -> "KalmanState":
-        """A state from float arrays the filter shaped (4,) and (4, 4) itself,
-        without the constructor's conversion."""
-        state = object.__new__(cls)
-        state.mean = mean
-        state.covariance = covariance
-        return state
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.mean[:2]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.mean[2:]
 
 
 @dataclass(frozen=True)
@@ -92,32 +65,39 @@ class TrackerConfig:
             raise ValueError("c_del must be >= 1")
         if not self.gate_distance > 0:  # also refuses NaN
             raise ValueError("gate_distance must be positive")
+        # The std's are squared, so a negative one would pass for its
+        # absolute value; a zero measurement std makes S singular.
+        if not 0 < self.measurement_noise < math.inf:
+            raise ValueError(
+                f"measurement_noise must be positive and finite, got {self.measurement_noise}"
+            )
+        for name in ("process_noise_accel", "initial_velocity_std"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
 
 
 @dataclass
 class Track:
     id: int
-    state: KalmanState
+    mean: np.ndarray        # (4,) float: [x, y, vx, vy] in the odometry frame
+    covariance: np.ndarray  # (4, 4) float, symmetric PSD
     status: TrackStatus
     hit_counter: int
     miss_streak: int
     last_update: float
 
-    # Both read the state through one ``tolist()``, which yields plain
+    # Both read the mean through one ``tolist()``, which yields plain
     # floats equal to ``float()`` of each element, -0.0 included.
     @property
     def position(self) -> PointXY:
-        x, y, _, _ = self.state.mean.tolist()
+        x, y, _, _ = self.mean.tolist()
         return PointXY(x, y, frame=ODOM_FRAME)
 
     @property
     def velocity(self) -> tuple[float, float]:
-        _, _, vx, vy = self.state.mean.tolist()
+        _, _, vx, vy = self.mean.tolist()
         return vx, vy
-
-    @property
-    def speed(self) -> float:
-        return float(np.hypot(*self.state.velocity))
 
 
 @dataclass(frozen=True)
@@ -163,8 +143,9 @@ def _predict_stacked(
 def _update_stacked(
     means: np.ndarray, covs: np.ndarray, zs: np.ndarray, meas_std: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joseph-form position update of N stacked states with measurements zs
-    (N, 2); see kalman_update."""
+    """Position update of N stacked states with measurements zs (N, 2) and
+    R = meas_std^2 * I, in the Joseph form and re-symmetrized, so the
+    covariances stay PSD under long update sequences."""
     r = (meas_std * meas_std) * _I2
     s = _H @ covs @ _H.T + r
     k = np.linalg.solve(
@@ -174,29 +155,6 @@ def _update_stacked(
     ikh = _I4 - k @ _H
     cov = ikh @ covs @ ikh.transpose(0, 2, 1) + k @ r @ k.transpose(0, 2, 1)
     return mean, 0.5 * (cov + cov.transpose(0, 2, 1))
-
-
-def kalman_predict(state: KalmanState, dt: float, accel_std: float) -> KalmanState:
-    """Propagate the CV model by dt with piecewise-white-acceleration noise."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    mean, cov = _predict_stacked(
-        np.array([state.mean]), np.array([state.covariance]), *_cv_model(dt, accel_std)
-    )
-    return KalmanState._built(mean[0], cov[0])
-
-
-def kalman_update(state: KalmanState, z, meas_std: float) -> KalmanState:
-    """Correct with a position measurement; R = meas_std^2 * I.
-
-    Uses the Joseph form and re-symmetrizes so the covariance stays PSD under
-    long update sequences.
-    """
-    z = np.asarray([z.x, z.y] if isinstance(z, PointXY) else z, dtype=float)
-    mean, cov = _update_stacked(
-        np.array([state.mean]), np.array([state.covariance]), z.reshape(1, 2), meas_std
-    )
-    return KalmanState._built(mean[0], cov[0])
 
 
 def _distances(t: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -232,8 +190,6 @@ def solve_assignment(cost: np.ndarray, gate_distance: float) -> AssociationResul
         unmatched_tracks=[i for i in range(n_tracks) if i not in matched_t],
         unmatched_detections=[j for j in range(n_dets) if j not in matched_d],
     )
-
-
 
 
 class Tracker:
@@ -274,17 +230,12 @@ class Tracker:
         """Tracks of the given rows, each owning a copy of its state: one
         gather of the means and one of the covariances."""
         rows = list(rows)
-        means, covs = self._means[rows], self._covs[rows]
         return [
             Track(
-                id=self._ids[i],
-                state=KalmanState._built(mean, cov),
-                status=self._status[i],
-                hit_counter=self._hits[i],
-                miss_streak=self._streaks[i],
-                last_update=self._updated[i],
+                self._ids[i], mean, cov, self._status[i],
+                self._hits[i], self._streaks[i], self._updated[i],
             )
-            for i, mean, cov in zip(rows, means, covs)
+            for i, mean, cov in zip(rows, self._means[rows], self._covs[rows])
         ]
 
     def update(
@@ -300,8 +251,11 @@ class Tracker:
         c_init hits is initiated. Unmatched tracks lose a hit (floored at 0)
         and extend the streak; a streak strictly over c_del terminates the
         track. Each unmatched detection spawns a fresh candidate at rest, the
-        spawning detection counting as its first hit.
+        spawning detection counting as its first hit. A timestamp that is not
+        finite or goes back in time raises ValueError and changes nothing.
         """
+        if not math.isfinite(timestamp):
+            raise ValueError(f"timestamp {timestamp!r} is not finite")
         if self._last_timestamp is not None and timestamp < self._last_timestamp:
             raise ValueError(f"time regression: {timestamp} < {self._last_timestamp}")
         cfg = self.cfg

@@ -30,7 +30,7 @@ from lidarmot.geometry import (
 )
 from lidarmot.pipeline import PipelineConfig, paced, run_pipeline
 from lidarmot.simulator import run_scenario
-from lidarmot.tracking import KalmanState, kalman_predict, kalman_update, solve_assignment
+from lidarmot.tracking import _cv_model, _predict_stacked, _update_stacked, solve_assignment
 from lidarmot.workflows import run_tracking
 
 # Reference benchmark rows: (dataset, preset, valid, id_sw, miss, fp,
@@ -143,25 +143,27 @@ def test_criterion_3_kalman_matches_textbook_oracle():
         p2 = (i4 - k @ h) @ p
         return x2, p2
 
+    # The filter under test is one row of the stacked kernels the tracker
+    # runs on all of its tracks at once.
     rng = np.random.default_rng(3)
     for _ in range(100):
         a = rng.normal(0, 1, (4, 4))
         p = a @ a.T + 0.1 * np.eye(4)
         x = rng.normal(0, 3, 4)
-        state = KalmanState(x.copy(), p.copy())
+        means, covs = x[None, :].copy(), p[None, :, :].copy()
         for _ in range(50):
             dt = rng.uniform(0.01, 0.2)
             z = rng.normal(0, 3, 2)
             x, p = oracle_predict(x, p, dt, 2.0)
-            state = kalman_predict(state, dt, 2.0)
-            np.testing.assert_allclose(state.mean, x, atol=1e-9, rtol=0)
-            np.testing.assert_allclose(state.covariance, p, atol=1e-9, rtol=0)
+            means, covs = _predict_stacked(means, covs, *_cv_model(dt, 2.0))
+            np.testing.assert_allclose(means[0], x, atol=1e-9, rtol=0)
+            np.testing.assert_allclose(covs[0], p, atol=1e-9, rtol=0)
             x, p = oracle_update(x, p, z, 0.1)
-            state = kalman_update(state, z, 0.1)
-            np.testing.assert_allclose(state.mean, x, atol=1e-9, rtol=0)
-            np.testing.assert_allclose(state.covariance, p, atol=1e-9, rtol=0)
-            assert np.allclose(state.covariance, state.covariance.T, atol=1e-9)
-            assert np.linalg.eigvalsh(state.covariance).min() >= -1e-9
+            means, covs = _update_stacked(means, covs, z[None, :], 0.1)
+            np.testing.assert_allclose(means[0], x, atol=1e-9, rtol=0)
+            np.testing.assert_allclose(covs[0], p, atol=1e-9, rtol=0)
+            assert np.allclose(covs[0], covs[0].T, atol=1e-9)
+            assert np.linalg.eigvalsh(covs[0]).min() >= -1e-9
     print("\nPASS criterion 3: predict/update match the textbook recursion "
           "within 1e-9 over 100 sequences of 50 steps")
 

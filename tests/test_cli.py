@@ -571,6 +571,29 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("tracker", "measurement_noise", -0.1),
+        ("tracker", "measurement_noise", 0),
+        ("tracker", "process_noise_accel", -2.0),
+        ("tracker", "initial_velocity_std", -1.5),
+        ("scenario", "person_radius", -0.3),
+        ("scenario", "person_radius", 0),
+        ("scenario", "robot_linear_max", -0.5),
+        ("scenario", "robot_angular_max", -1.5),
+    ], ids=["measurement_noise-negative", "measurement_noise-zero",
+            "process_noise_accel-negative", "initial_velocity_std-negative",
+            "person_radius-negative", "person_radius-zero", "robot_linear_max-negative",
+            "robot_angular_max-negative"])
+    def test_degenerate_config_value_exits_2(self, tmp_path, capsys, section, key, value):
+        # Each of these used to run: a negative std as its absolute value, a
+        # zero radius to MOTA 0, a negative speed limit into numpy's error.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        assert run(["bench", "--kind", "mr1", "--duration", "1", "--seed", "1",
+                    "--config", path, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"section '{section}': {key} must be " in err
+
     @pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
     def test_bad_threshold_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
                                                      threshold):

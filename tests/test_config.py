@@ -109,6 +109,29 @@ class TestConfigFiles:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("cls, key, value", [
+        (cls, key, value)
+        for cls, key, values in [
+            # A std is squared, so a negative one passed for its absolute
+            # value; a zero measurement std made the innovation singular.
+            (TrackerConfig, "measurement_noise", (-0.1, 0.0, math.nan, math.inf)),
+            (TrackerConfig, "process_noise_accel", (-2.0, math.nan, math.inf)),
+            (TrackerConfig, "initial_velocity_std", (-1.5, math.nan, math.inf)),
+            (ScenarioConfig, "person_radius", (-0.3, 0.0, math.nan, math.inf)),
+            (ScenarioConfig, "robot_linear_max", (-0.5, math.nan, math.inf)),
+            (ScenarioConfig, "robot_angular_max", (-1.5, math.nan, math.inf)),
+            (PipelineConfig, "scan_rate_hz", (0.0, -20.0, math.nan, math.inf)),
+        ]
+        for value in values
+    ])
+    def test_degenerate_setting_refused_by_name(self, cls, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            cls(**{key: value})
+
+    def test_zero_noise_and_robot_speed_limits_accepted(self):
+        TrackerConfig(process_noise_accel=0.0, initial_velocity_std=0.0)
+        ScenarioConfig(robot_linear_max=0.0, robot_angular_max=0.0)
+
     @pytest.mark.parametrize("section, key, literal, expected", [
         ("scenario", "n_persons", "2.5", "an integer"),
         ("scenario", "seed", "1.5", "an integer"),

@@ -14,7 +14,16 @@ from lidarmot.evaluation import GroundTruthFrame
 from lidarmot.geometry import NO_RETURN, LidarScan, PointXY, Pose2D
 from lidarmot.pipeline import DynamicObstacle
 from lidarmot.simulator import ScenarioConfig, run_scenario
-from lidarmot.tracking import KalmanState, Track, TrackStatus
+from lidarmot.tracking import Track, TrackStatus
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.array(values, "<f8").tobytes()).decode("ascii")
+
+
+def _ranges(values=()) -> dict:
+    """The ``beams`` and ``ranges`` fields of a scan payload."""
+    return {"beams": len(values), "ranges": _b64(values)}
 
 
 def test_scan_round_trip_bit_exact(tmp_path):
@@ -65,7 +74,7 @@ def test_fmt_seconds_round_trips_arbitrary_floats():
 
 def test_corrupt_line_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
-    good = ds._dump_record("scan", 0.0, {"ranges": [], "angle_min": 0.0,
+    good = ds._dump_record("scan", 0.0, {**_ranges(), "angle_min": 0.0,
                                          "angle_increment": 0.1, "range_max": 1.0})
     lines = [good] * 1000
     lines[499] = '{"kind": "scan", "t": not-json}'
@@ -77,7 +86,7 @@ def test_corrupt_line_reports_line_number(tmp_path):
 
 def test_lenient_mode_skips_corrupt_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
-    good = ds._dump_record("scan", 0.0, {"ranges": []})
+    good = ds._dump_record("scan", 0.0, _ranges())
     path.write_text(good + "\n" + "garbage\n" + good + "\n")
     stream = ds.read_dataset(path, strict=False)
     assert len(stream.records) == 2
@@ -95,7 +104,7 @@ def test_empty_file_is_empty_stream(tmp_path):
 def test_unknown_kind_skipped_with_count(tmp_path):
     path = tmp_path / "mixed.jsonl"
     path.write_text(
-        ds._dump_record("scan", 0.0, {"ranges": []})
+        ds._dump_record("scan", 0.0, _ranges())
         + "\n"
         + '{"kind":"imu","t":0.1,"accel":[0,0,9.8]}\n'
     )
@@ -135,12 +144,11 @@ def test_header_read_under_writer_metadata(tmp_path):
     ({"kind": "header", "version": "1"}, "version '1' is not"),
     ({"kind": "header", "version": True}, "version True is not"),
     ({"kind": "header", "version": 1.0}, "version 1.0 is not"),
-    ({"kind": "sr", "format": "other", "version": 1}, "format 'other' is not"),
-], ids=["format", "newer-version", "string-version", "bool-version", "float-version",
-        "overwritten-tag"])
+    ({"kind": "header", "format": ds.FORMAT_NAME, "version": 1}, "version 1 is not 2"),
+], ids=["format", "newer-version", "string-version", "bool-version", "float-version", "v1"])
 def test_foreign_header_rejected_in_both_modes(tmp_path, header, expected):
     path = tmp_path / "h.jsonl"
-    good = ds._dump_record("scan", 0.0, {"ranges": []})
+    good = ds._dump_record("scan", 0.0, _ranges())
     path.write_text(json.dumps(header) + "\n" + good + "\n")
     for strict in (True, False):
         with pytest.raises(ds.DatasetFormatError, match=expected) as err:
@@ -152,11 +160,11 @@ def test_foreign_header_rejected_in_both_modes(tmp_path, header, expected):
     ("[1, 2]", "record is not an object"),
     ('"abc"', "record is not an object"),
     ('{"t": 0}', "kind is missing"),
-    ('{"kind": "scan", "ranges": []}', "scan record: t is missing"),
+    ('{"kind": "scan", "beams": 0, "ranges": ""}', "scan record: t is missing"),
 ], ids=["list", "string", "no-kind", "no-t"])
 def test_bad_line_names_its_cause(tmp_path, line, expected):
     path = tmp_path / "bad.jsonl"
-    good = ds._dump_record("scan", 0.0, {"ranges": []})
+    good = ds._dump_record("scan", 0.0, _ranges())
     path.write_text(line + "\n" + good + "\n" + good + "\n")
     with pytest.raises(ds.DatasetFormatError, match=f"^line 1: {expected}$"):
         ds.read_dataset(path)
@@ -189,7 +197,8 @@ def test_detection_frame_round_trip():
 def test_track_and_obstacle_records():
     track = Track(
         id=3,
-        state=KalmanState([1.0, 2.0, 0.5, -0.5], np.eye(4)),
+        mean=np.array([1.0, 2.0, 0.5, -0.5]),
+        covariance=np.eye(4),
         status=TrackStatus.INITIATED,
         hit_counter=10,
         miss_streak=0,
@@ -206,7 +215,7 @@ def test_track_and_obstacle_records():
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_token_rejected_with_line_number(tmp_path, token):
     path = tmp_path / "bad.jsonl"
-    good = ds._dump_record("scan", 0.0, {"ranges": [1.0, None]})
+    good = ds._dump_record("scan", 0.0, {"range_max": 1.0, **_ranges([2.0, NO_RETURN])})
     path.write_text(good + "\n" + good.replace("1.0", token) + "\n" + good + "\n")
     with pytest.raises(ds.DatasetFormatError, match=token) as err:
         ds.read_dataset(path)
@@ -313,7 +322,7 @@ def test_simulated_files_read_in_order(tmp_path):
 
 def _scan_record(ranges, pose=None, t=0.05):
     payload = {"angle_min": 0.0, "angle_increment": 0.01, "range_max": 30.0,
-               "frame": "laser", "ranges": ranges}
+               "frame": "laser", **_ranges(ranges)}
     if pose is not None:
         payload["pose"] = pose
     return ds.DatasetRecord("scan", t, payload)
@@ -321,14 +330,22 @@ def _scan_record(ranges, pose=None, t=0.05):
 
 @pytest.mark.parametrize("bad", ["1.5", True, False, [1.0], {"r": 1.0}])
 def test_non_numeric_range_rejected(bad):
-    # float() would read "1.5" as 1.5 and true as 1.0.
-    with pytest.raises(ds.DatasetFormatError, match=r"scan at t=0\.05: ranges\[2\] is "):
-        ds.record_to_scan(_scan_record([1.0, None, bad, 2.0]))
+    # A list of ranges, the version 1 form, is refused whatever it holds;
+    # float() would once have read "1.5" as 1.5 and true as 1.0.
+    rec = _scan_record([1.0, 2.0])
+    rec.payload["ranges"] = [1.0, None, bad, 2.0]
+    with pytest.raises(
+        ds.DatasetFormatError,
+        match=r"^scan at t=0\.05: ranges is \[1\.0, None, .*, 2\.0\], not a base64 string$",
+    ):
+        ds.record_to_scan(rec)
 
 
 def test_non_list_ranges_rejected():
+    rec = _scan_record([1.0, 2.0])
+    rec.payload["ranges"] = "1.0 2.0"
     with pytest.raises(ds.DatasetFormatError, match=r"t=0\.05: ranges is '1\.0 2\.0'"):
-        ds.record_to_scan(_scan_record("1.0 2.0"))
+        ds.record_to_scan(rec)
 
 
 @pytest.mark.parametrize("key", ["x", "y", "theta"])
@@ -452,16 +469,9 @@ def test_item_values_checked_and_read(kind, name, item, decode):
     decode(_item_record(kind, name, item, x=1, y=-2, **ids))
 
 
-def test_null_and_integer_values_read():
-    scan = ds.record_to_scan(_scan_record([None, 2, 1.5], {"x": 1, "y": 0, "theta": 0.5}))
-    assert scan.ranges.dtype == np.float64
-    assert scan.ranges.tolist() == [NO_RETURN, 2.0, 1.5]
-    assert scan.pose == Pose2D(1, 0, 0.5, 0.05)
-
-
 def test_scan_lines_written_as_v2(tmp_path):
     # The ranges are the base64 of their little-endian float64 bytes, after
-    # their count; every other field is JSON as in version 1.
+    # their count; every other field is plain JSON.
     ranges = np.array([1.0, NO_RETURN, 0.1 + 0.2, 1e-7, 29.999999999999996, NO_RETURN])
     scan = LidarScan(0.05, ranges, -2.35, 0.004, 30.0, pose=Pose2D(0.1, -0.2, 3.0, 0.05))
     path = tmp_path / "s.jsonl"
@@ -476,7 +486,7 @@ def test_scan_lines_written_as_v2(tmp_path):
 
 
 #: A version 1 file as its writer left it: the metadata's kind over the
-#: header tag, null for no return, integer and shortest-repr ranges.
+#: header tag, and ranges as a JSON list with null for no return.
 _V1_LINES = [
     '{"kind":"sr","format":"lidarmot-dataset","version":1,"seed":2}',
     '{"kind":"scan","t":0.000000000,"angle_min":-2.356194490192345,'
@@ -489,20 +499,18 @@ _V1_LINES = [
 ]
 
 
-def test_v1_file_reads_bit_exact(tmp_path):
+def test_v1_file_refused(tmp_path):
+    # Version 1 is no longer read. Its first line has lost the header tag, so
+    # it is a record of unknown kind, and each scan fails on its list ranges.
     path = tmp_path / "scans.jsonl"
     path.write_text("\n".join(_V1_LINES) + "\n")
-    stream = ds.read_dataset(path)
-    assert (stream.skipped_unknown, stream.skipped_malformed) == (0, 0)
-    scans = [ds.record_to_scan(r) for r in stream.records]
-    want = [
-        [1.0, NO_RETURN, 0.1 + 0.2, 2.0, 1e-7, 29.999999999999996],
-        [NO_RETURN, NO_RETURN, 3.0, 5e-324, 0.1, NO_RETURN],
-    ]
-    assert [s.ranges.tobytes() for s in scans] == [np.array(w).tobytes() for w in want]
-    assert [s.timestamp for s in scans] == [0.0, 0.05]
-    assert scans[0].angle_increment == 0.004363323129985824
-    assert scans[1].pose == Pose2D(0.5, -1.0, 3.0, 0.05)
+    with pytest.raises(
+        ds.DatasetFormatError, match=r"^line 2: scan at t=0\.0: ranges is \[.*\], not a base64 string$"
+    ):
+        ds.read_dataset(path)
+    lenient = ds.read_dataset(path, strict=False)
+    assert lenient.records == [] and lenient.meta == {}
+    assert (lenient.skipped_unknown, lenient.skipped_malformed) == (1, 2)
 
 
 def test_decoded_ranges_owned_and_writable(tmp_path):
@@ -522,10 +530,6 @@ def test_nan_range_refused_by_writer():
         ds.scan_to_record(scan)
 
 
-def _b64(values) -> str:
-    return base64.b64encode(np.array(values, "<f8").tobytes()).decode("ascii")
-
-
 @pytest.mark.parametrize("change, expected", [
     ({"ranges": "not base64!"}, "ranges is 'not base64!', not valid base64"),
     ({"ranges": _b64([1.0, 2.0])[:-1]}, r"ranges is '.*', not valid base64"),
@@ -537,12 +541,13 @@ def _b64(values) -> str:
     ({"beams": True}, r"ranges is binary, but beams is True, not an integer"),
     ({"beams": "2"}, r"ranges is binary, but beams is '2', not an integer"),
     ({"ranges": _b64([1.0, math.nan])}, r"ranges\[1\] is NaN"),
-    ({"ranges": 1.5}, r"ranges is 1\.5, not a base64 string or a list"),
-    ({"ranges": {"b64": "AAAA"}}, r"ranges is \{'b64': 'AAAA'\}, not a base64 string or a list"),
-    ({"ranges": None}, r"ranges is None, not a base64 string or a list"),
+    ({"ranges": 1.5}, r"ranges is 1\.5, not a base64 string"),
+    ({"ranges": {"b64": "AAAA"}}, r"ranges is \{'b64': 'AAAA'\}, not a base64 string"),
+    ({"ranges": None}, r"ranges is None, not a base64 string"),
+    ({"ranges": [1.0, 2.0]}, r"ranges is \[1\.0, 2\.0\], not a base64 string"),
 ], ids=["alphabet", "padding", "non-ascii", "beams-too-many", "bytes-too-many",
         "beams-missing", "beams-float", "beams-bool", "beams-string", "nan", "number",
-        "object", "null"])
+        "object", "null", "list"])
 def test_malformed_v2_ranges_name_their_cause(tmp_path, change, expected):
     good = ds.scan_to_record(LidarScan(0.05, [1.0, 2.0], 0.0, 0.1, 30.0))
     bad = dict(good.payload, **change)
@@ -582,12 +587,6 @@ def test_header_meta_kept_on_stream(tmp_path):
     assert ds.read_dataset(path).meta == {"kind": "mr2", "seed": 3}
     ds.write_dataset([scan], path)
     assert ds.read_dataset(path).meta == {}
-    # Version 1: the writer's fields sat beside the format's, its kind over
-    # the header tag.
-    path.write_text("\n".join(_V1_LINES) + "\n")
-    assert ds.read_dataset(path).meta == {"kind": "sr", "seed": 2}
-    path.write_text('{"kind":"header","format":"lidarmot-dataset","version":1,"seed":4}\n')
-    assert ds.read_dataset(path).meta == {"seed": 4}
 
 
 def test_non_object_meta_refused(tmp_path):

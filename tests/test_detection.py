@@ -17,7 +17,7 @@ from lidarmot.simulator import (
     LidarParams,
     Pose2D,
     WorldState,
-    raycast_scan,
+    raycast_scans,
 )
 from lidarmot.workflows import build_detector
 
@@ -105,7 +105,7 @@ class TestClusterDetect:
 
     def test_surrogate_on_simulated_person(self):
         # One circular agent at (2, 0): exactly one detection within 0.2 m.
-        scan = raycast_scan(circle_world([(2.0, 0.0)]), LidarParams())
+        scan = raycast_scans([circle_world([(2.0, 0.0)])], LidarParams())[0]
         dets = cluster_detect(scan, DetectorConfig(window_stride=10))
         assert len(dets) == 1
         d = dets[0]
@@ -117,7 +117,7 @@ class TestClusterDetect:
         # (within resampling noise bounds).
         offsets = []
         for center in [(2.0, 0.3), (2.4, -0.5)]:
-            scan = raycast_scan(circle_world([center]), LidarParams())
+            scan = raycast_scans([circle_world([center])], LidarParams())[0]
             (d,) = cluster_detect(scan, DetectorConfig(window_stride=10))
             offsets.append((d.position.x - center[0], d.position.y - center[1]))
         dx = offsets[0][0] - offsets[1][0]
@@ -127,7 +127,7 @@ class TestClusterDetect:
     def test_adjacent_bodies_resolved_by_split(self):
         # Two people shoulder to shoulder merge into one wide cluster that
         # must be cut at the grazing gap between the bodies.
-        scan = raycast_scan(circle_world([(2.0, 0.35), (2.0, -0.35)]), LidarParams())
+        scan = raycast_scans([circle_world([(2.0, 0.35), (2.0, -0.35)])], LidarParams())[0]
         dets = cluster_detect(scan, DetectorConfig(window_stride=10))
         assert len(dets) == 2
 
@@ -135,7 +135,7 @@ class TestClusterDetect:
         rng = np.random.default_rng(9)
         for _ in range(20):
             centers = rng.uniform(-3, 3, (3, 2))
-            scan = raycast_scan(circle_world(centers.tolist()), LidarParams())
+            scan = raycast_scans([circle_world(centers.tolist())], LidarParams())[0]
             for d in cluster_detect(scan, DetectorConfig()):
                 assert 0.0 <= d.confidence <= 1.0
 

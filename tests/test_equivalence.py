@@ -68,14 +68,12 @@ from lidarmot.simulator import (
     Segment,
     WorldState,
     _point_segment_distance,
-    raycast_scan,
     raycast_scans,
     run_scenario,
     step_world,
 )
 from lidarmot.tracking import (
     AssociationResult,
-    KalmanState,
     Track,
     Tracker,
     TrackerConfig,
@@ -84,8 +82,6 @@ from lidarmot.tracking import (
     _distances,
     _predict_stacked,
     _update_stacked,
-    kalman_predict,
-    kalman_update,
 )
 from lidarmot.workflows import pose_for_scan, tracks_to_hypothesis
 
@@ -113,9 +109,15 @@ def ref_reflect_axis(p, v, lo, hi):
     return p, v
 
 
+def ref_copy_agent(a: AgentModel) -> AgentModel:
+    return AgentModel(
+        a.id, a.radius, a.position.copy(), a.velocity.copy(), a.scripted, a.next_resample
+    )
+
+
 def ref_step_world(state, dt, wall_margin=0.7, comfort=1.0, min_separation=0.5):
     x0, y0, x1, y1 = state.arena
-    agents = [a.copy() for a in state.agents]
+    agents = [ref_copy_agent(a) for a in state.agents]
     for a in agents:
         a.position = a.position + a.velocity * dt
         if a.scripted:
@@ -387,9 +389,8 @@ def ref_cluster_detect(
     return detections
 
 
-def ref_kalman_predict(state, dt, accel_std):
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+def ref_kalman_predict(mean, cov, dt, accel_std):
+    """One track's CV predict: ``(mean, covariance)`` after dt."""
     f = np.eye(4)
     f[0, 2] = dt
     f[1, 3] = dt
@@ -405,41 +406,44 @@ def ref_kalman_predict(state, dt, accel_std):
             [0.0, b, 0.0, c],
         ]
     )
-    mean = f @ state.mean
-    cov = f @ state.covariance @ f.T + q
-    return KalmanState(mean, 0.5 * (cov + cov.T))
+    mean = f @ mean
+    cov = f @ cov @ f.T + q
+    return mean, 0.5 * (cov + cov.T)
 
 
-def ref_kalman_update(state, z, meas_std):
+def ref_kalman_update(mean, p, z, meas_std):
+    """One track's Joseph-form position update: ``(mean, covariance)``."""
     h = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     z = np.asarray([z.x, z.y] if isinstance(z, PointXY) else z, dtype=float)
-    p = state.covariance
     r = (meas_std * meas_std) * np.eye(2)
     s = h @ p @ h.T + r
     k = np.linalg.solve(s.T, (p @ h.T).T).T
-    mean = state.mean + k @ (z - h @ state.mean)
+    mean = mean + k @ (z - h @ mean)
     ikh = np.eye(4) - k @ h
     cov = ikh @ p @ ikh.T + k @ r @ k.T
-    return KalmanState(mean, 0.5 * (cov + cov.T))
+    return mean, 0.5 * (cov + cov.T)
 
 
 def ref_lifecycle_step(tracks, association, measurements, cfg, timestamp, next_id):
     by_id = {t.id: t for t in tracks}
     for track_id, det_idx, _dist in association.matches:
         t = by_id[track_id]
-        t.state = ref_kalman_update(t.state, measurements[det_idx], cfg.measurement_noise)
+        t.mean, t.covariance = ref_kalman_update(
+            t.mean, t.covariance, measurements[det_idx], cfg.measurement_noise
+        )
         t.hit_counter = min(cfg.c_init, t.hit_counter + 1)
         t.miss_streak = 0
         t.last_update = timestamp
         if t.status is TrackStatus.CANDIDATE and t.hit_counter >= cfg.c_init:
             t.status = TrackStatus.INITIATED
+    dead = set()
     for track_id in association.unmatched_tracks:
         t = by_id[track_id]
         t.hit_counter = max(0, t.hit_counter - 1)
         t.miss_streak += 1
         if t.miss_streak > cfg.c_del:
-            t.status = TrackStatus.TERMINATED
-    survivors = [t for t in tracks if t.status is not TrackStatus.TERMINATED]
+            dead.add(track_id)
+    survivors = [t for t in tracks if t.id not in dead]
     pos_var = cfg.measurement_noise**2
     vel_var = cfg.initial_velocity_std**2
     for det_idx in association.unmatched_detections:
@@ -447,10 +451,8 @@ def ref_lifecycle_step(tracks, association, measurements, cfg, timestamp, next_i
         survivors.append(
             Track(
                 id=next_id(),
-                state=KalmanState(
-                    np.array([m.x, m.y, 0.0, 0.0]),
-                    np.diag([pos_var, pos_var, vel_var, vel_var]),
-                ),
+                mean=np.array([m.x, m.y, 0.0, 0.0]),
+                covariance=np.diag([pos_var, pos_var, vel_var, vel_var]),
                 status=TrackStatus.CANDIDATE,
                 hit_counter=1,
                 miss_streak=0,
@@ -481,14 +483,14 @@ def ref_solve_assignment(cost, gate_distance):
 
 def ref_copy(t: Track) -> Track:
     return Track(
-        t.id, KalmanState(t.state.mean.copy(), t.state.covariance.copy()), t.status,
+        t.id, t.mean.copy(), t.covariance.copy(), t.status,
         t.hit_counter, t.miss_streak, t.last_update,
     )
 
 
 class RefTracker:
-    """The tracker as a list of ``Track`` objects: ``kalman_predict`` and
-    ``kalman_update`` called once per track, detections transformed one
+    """The tracker as a list of ``Track`` objects: ``ref_kalman_predict`` and
+    ``ref_kalman_update`` called once per track, detections transformed one
     ``PointXY`` at a time, and track positions read one at a time."""
 
     def __init__(self, cfg: TrackerConfig):
@@ -514,7 +516,9 @@ class RefTracker:
         ]
         dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
         for t in self._tracks:
-            t.state = ref_kalman_predict(t.state, dt, self.cfg.process_noise_accel)
+            t.mean, t.covariance = ref_kalman_predict(
+                t.mean, t.covariance, dt, self.cfg.process_noise_accel
+            )
 
         initiated = [t for t in self._tracks if t.status is TrackStatus.INITIATED]
         candidates = [t for t in self._tracks if t.status is TrackStatus.CANDIDATE]
@@ -1102,7 +1106,8 @@ class TestRaycastEquivalence:
             a = state.agents[0]
             state.circles += (Circle(float(a.position[0]), float(a.position[1]), a.radius),)
         lidar = LidarParams()
-        got = raycast_scan(state, lidar, 0.01, 0.01, np.random.default_rng(seed), with_labels=True)
+        got = raycast_scans([state], lidar, 0.01, 0.01, np.random.default_rng(seed),
+                            with_labels=True)[0]
         ref = ref_raycast_scan(state, lidar, 0.01, 0.01, np.random.default_rng(seed),
                                with_labels=True)
         assert same_array(got[0].ranges, ref[0].ranges) and same_array(got[1], ref[1])
@@ -1113,7 +1118,7 @@ class TestRaycastEquivalence:
         agents = [agent(7, (2.0, 0.0), radius=0.5), agent(8, (-3.0, 0.0))]
         state = make_world(agents, [Circle(2.0, 0.0, 0.5)], [Segment(1.5, -1.0, 1.5, 1.0)])
         lidar = LidarParams()
-        scan, labels = raycast_scan(state, lidar, with_labels=True)
+        scan, labels = raycast_scans([state], lidar, with_labels=True)[0]
         ref_scan, ref_labels = ref_raycast_scan(state, lidar, with_labels=True)
         assert same_array(scan.ranges, ref_scan.ranges) and same_array(labels, ref_labels)
         assert scan.ranges[540] == 1.5 and labels[540] == 7
@@ -1329,8 +1334,8 @@ def dense_scans():
 def track_key(track) -> tuple:
     return (
         track.id, track.status, track.hit_counter, track.miss_streak,
-        repr(track.last_update), track.state.mean.dtype.str, track.state.mean.tobytes(),
-        track.state.covariance.dtype.str, track.state.covariance.tobytes(),
+        repr(track.last_update), track.mean.dtype.str, track.mean.tobytes(),
+        track.covariance.dtype.str, track.covariance.tobytes(),
     )
 
 
@@ -1563,8 +1568,8 @@ class TestTrackerEquivalence:
             snapshots = poked.tracks
             assert [track_key(x) for x in snapshots] == [track_key(x) for x in clean.tracks]
             for x in got + snapshots:
-                x.state.mean += 1.0
-                x.state.covariance *= 2.0
+                x.mean += 1.0
+                x.covariance *= 2.0
             reported += len(got)
         assert reported > 0
 
@@ -1581,15 +1586,14 @@ class TestTrackerEquivalence:
         means = data.draw(arrays(np.float64, (n, 4), elements=values))
         roots = data.draw(arrays(np.float64, (n, 4, 4), elements=values))
         zs = data.draw(arrays(np.float64, (n, 2), elements=values))
-        states = [KalmanState(m, r @ r.T + 1e-3 * np.eye(4)) for m, r in zip(means, roots)]
-        stacked_means = np.array([s.mean for s in states]).reshape(-1, 4)
-        stacked_covs = np.array([s.covariance for s in states]).reshape(-1, 4, 4)
-        pm, pc = _predict_stacked(stacked_means, stacked_covs, *_cv_model(dt, accel))
-        um, uc = _update_stacked(stacked_means, stacked_covs, zs, std)
+        covs = np.array([r @ r.T + 1e-3 * np.eye(4) for r in roots]).reshape(-1, 4, 4)
+        pm, pc = _predict_stacked(means, covs, *_cv_model(dt, accel))
+        um, uc = _update_stacked(means, covs, zs, std)
         assert pm.shape == um.shape == (n, 4) and pc.shape == uc.shape == (n, 4, 4)
-        for state, z, *stacked in zip(states, zs, pm, pc, um, uc):
-            p, u = ref_kalman_predict(state, dt, accel), ref_kalman_update(state, z, std)
-            expected = [p.mean, p.covariance, u.mean, u.covariance]
+        for mean, cov, z, *stacked in zip(means, covs, zs, pm, pc, um, uc):
+            expected = [
+                *ref_kalman_predict(mean, cov, dt, accel), *ref_kalman_update(mean, cov, z, std)
+            ]
             assert all(map(same_array, stacked, expected))
 
     def test_first_frame_with_no_tracks(self):
@@ -1633,18 +1637,21 @@ class TestTrackerEquivalence:
             assert same_array(_distances(t, d), want)
 
     def test_kalman_steps_of_random_states(self):
+        # One track as one row of the stacked kernels the tracker runs.
         rng = np.random.default_rng(700)
         for _ in range(300):
             m = rng.normal(0.0, 2.0, (4, 4))
-            state = KalmanState(rng.normal(0.0, 3.0, 4), m @ m.T + 1e-3 * np.eye(4))
+            mean, cov = rng.normal(0.0, 3.0, 4), m @ m.T + 1e-3 * np.eye(4)
             dt = float(rng.choice([0.0, 0.05, float(rng.uniform(0.0, 1.0))]))
             accel = float(rng.uniform(0.0, 3.0))
-            a, b = kalman_predict(state, dt, accel), ref_kalman_predict(state, dt, accel)
-            assert same_array(a.mean, b.mean) and same_array(a.covariance, b.covariance)
+            a = _predict_stacked(mean[None], cov[None], *_cv_model(dt, accel))
+            b = ref_kalman_predict(mean, cov, dt, accel)
+            assert same_array(a[0][0], b[0]) and same_array(a[1][0], b[1])
             z = PointXY(*rng.normal(0.0, 3.0, 2))
             std = float(rng.uniform(0.01, 0.5))
-            a, b = kalman_update(state, z, std), ref_kalman_update(state, z, std)
-            assert same_array(a.mean, b.mean) and same_array(a.covariance, b.covariance)
+            a = _update_stacked(mean[None], cov[None], np.array([[z.x, z.y]]), std)
+            b = ref_kalman_update(mean, cov, z, std)
+            assert same_array(a[0][0], b[0]) and same_array(a[1][0], b[1])
 
 
 # -- assignment solver ---------------------------------------------------
@@ -1723,12 +1730,12 @@ class TestAssignmentEquivalence:
 
 
 def ref_track_position(track: Track) -> PointXY:
-    x, y = track.state.position
+    x, y = track.mean[:2]
     return PointXY(float(x), float(y), frame=ODOM_FRAME)
 
 
 def ref_track_velocity(track: Track) -> tuple[float, float]:
-    vx, vy = track.state.velocity
+    vx, vy = track.mean[2:]
     return float(vx), float(vy)
 
 
@@ -1785,7 +1792,9 @@ def obstacle_key(ob: DynamicObstacle) -> tuple:
 
 
 def make_track(tid: int, mean, last_update: float = 0.5) -> Track:
-    return Track(tid, KalmanState(mean, np.eye(4)), TrackStatus.INITIATED, 10, 0, last_update)
+    return Track(
+        tid, np.array(mean, dtype=float), np.eye(4), TrackStatus.INITIATED, 10, 0, last_update
+    )
 
 
 #: Means that probe the edges: signed zeros, a speed exactly at the gate

@@ -19,14 +19,15 @@ from lidarmot.pipeline import (
     run_pipeline,
     time_to_closest_approach,
 )
-from lidarmot.tracking import KalmanState, Track, TrackStatus
+from lidarmot.tracking import Track, TrackStatus
 from lidarmot.workflows import run_tracking
 
 
 def track(tid, x, y, vx, vy):
     return Track(
         id=tid,
-        state=KalmanState([x, y, vx, vy], np.eye(4)),
+        mean=np.array([x, y, vx, vy], dtype=float),
+        covariance=np.eye(4),
         status=TrackStatus.INITIATED,
         hit_counter=10,
         miss_streak=0,

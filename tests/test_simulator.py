@@ -16,7 +16,7 @@ from lidarmot.simulator import (
     Segment,
     WorldState,
     emit_ground_truth,
-    raycast_scan,
+    raycast_scans,
     run_scenario,
     step_world,
 )
@@ -191,7 +191,7 @@ class TestStepWorld:
 class TestRaycast:
     def test_single_circle_straight_ahead(self):
         state = world(agents=[agent(0, (2.0, 0.0), (0, 0))])
-        scan = raycast_scan(state, LidarParams())
+        scan = raycast_scans([state], LidarParams())[0]
         beam = round((0 - scan.angle_min) / scan.angle_increment)
         assert scan.ranges[beam] == pytest.approx(1.7, abs=1e-9)
 
@@ -200,7 +200,7 @@ class TestRaycast:
             agents=[agent(0, (3.0, 0.0), (0, 0))],
             segments=[Segment(2.0, -1.5, 2.0, 1.5)],
         )
-        scan, labels = raycast_scan(state, LidarParams(), with_labels=True)
+        scan, labels = raycast_scans([state], LidarParams(), with_labels=True)[0]
         assert not np.any(labels == 0)
         assert np.any(labels == STATIC_LABEL)
 
@@ -222,7 +222,7 @@ class TestRaycast:
                 segments=[Segment(sx1, sy1, sx2, sy2)],
                 robot=(rx, ry, rt),
             )
-            scan = raycast_scan(state, params)
+            scan = raycast_scans([state], params)[0]
             for i in range(0, params.n_beams, 17):
                 ang = rt + params.angle_min + i * params.angle_increment
                 dx, dy = math.cos(ang), math.sin(ang)

@@ -7,13 +7,13 @@ import pytest
 from lidarmot.detection import Detection
 from lidarmot.geometry import PointXY, Pose2D
 from lidarmot.tracking import (
-    KalmanState,
     Tracker,
     TrackerConfig,
     TrackStatus,
+    _cv_model,
     _distances,
-    kalman_predict,
-    kalman_update,
+    _predict_stacked,
+    _update_stacked,
     solve_assignment,
 )
 
@@ -27,17 +27,33 @@ def det(x, y, t=0.0, conf=1.0, frame="lidar"):
     return Detection(PointXY(x, y, frame=frame), conf, t)
 
 
+def predict(mean, cov, dt, accel_std):
+    """One track's CV predict, as a row of the stacked kernel the tracker runs."""
+    means, covs = _predict_stacked(
+        np.array([mean], dtype=float), np.array([cov], dtype=float), *_cv_model(dt, accel_std)
+    )
+    return means[0], covs[0]
+
+
+def update(mean, cov, z, meas_std):
+    """One track's position update, as a row of the stacked kernel."""
+    means, covs = _update_stacked(
+        np.array([mean], dtype=float), np.array([cov], dtype=float),
+        np.array([z], dtype=float), meas_std,
+    )
+    return means[0], covs[0]
+
+
 class TestKalmanPredict:
     def test_cv_propagation_at_scan_period(self):
-        s = kalman_predict(KalmanState([0, 0, 1, 0], np.eye(4)), 0.05, 2.0)
-        np.testing.assert_allclose(s.mean, [0.05, 0, 1, 0])
+        mean, _ = predict([0, 0, 1, 0], np.eye(4), 0.05, 2.0)
+        np.testing.assert_allclose(mean, [0.05, 0, 1, 0])
 
     def test_zero_dt_is_identity(self):
         cov = random_psd(np.random.default_rng(0))
-        before = KalmanState([1, 2, 3, 4], cov)
-        after = kalman_predict(before, 0.0, 2.0)
-        np.testing.assert_allclose(after.mean, before.mean)
-        np.testing.assert_allclose(after.covariance, before.covariance)
+        mean, after = predict([1, 2, 3, 4], cov, 0.0, 2.0)
+        np.testing.assert_allclose(mean, [1, 2, 3, 4])
+        np.testing.assert_allclose(after, cov)
 
     def test_process_noise_only_adds_uncertainty(self):
         # Additivity of the PSD noise term: propagation with noise dominates
@@ -45,11 +61,11 @@ class TestKalmanPredict:
         rng = np.random.default_rng(1)
         for _ in range(500):
             cov = random_psd(rng)
-            state = KalmanState(rng.normal(0, 1, 4), cov)
+            mean = rng.normal(0, 1, 4)
             dt = rng.uniform(0.001, 0.5)
-            noisy = kalman_predict(state, dt, 2.0)
-            quiet = kalman_predict(state, dt, 0.0)
-            diff = noisy.covariance - quiet.covariance
+            _, noisy = predict(mean, cov, dt, 2.0)
+            _, quiet = predict(mean, cov, dt, 0.0)
+            diff = noisy - quiet
             assert np.trace(diff) >= -1e-12
             assert np.linalg.eigvalsh(diff).min() >= -1e-9
 
@@ -58,47 +74,40 @@ class TestKalmanPredict:
         for _ in range(500):
             cov = np.diag(rng.uniform(0.01, 4.0, 4))
             dt = rng.uniform(0.001, 0.5)
-            after = kalman_predict(KalmanState(rng.normal(0, 1, 4), cov), dt, 2.0)
-            assert np.trace(after.covariance) >= np.trace(cov) - 1e-12
-
-    def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError):
-            kalman_predict(KalmanState(np.zeros(4), np.eye(4)), -0.01, 2.0)
+            _, after = predict(rng.normal(0, 1, 4), cov, dt, 2.0)
+            assert np.trace(after) >= np.trace(cov) - 1e-12
 
 
 class TestKalmanUpdate:
     def test_diffuse_prior_snaps_to_measurement(self):
-        prior = KalmanState(np.zeros(4), np.diag([1e6, 1e6, 1e6, 1e6]))
-        post = kalman_update(prior, PointXY(3.0, 4.0), 0.1)
-        assert post.mean[0] == pytest.approx(3.0, abs=1e-6)
-        assert post.mean[1] == pytest.approx(4.0, abs=1e-6)
+        mean, _ = update(np.zeros(4), np.diag([1e6, 1e6, 1e6, 1e6]), (3.0, 4.0), 0.1)
+        assert mean[0] == pytest.approx(3.0, abs=1e-6)
+        assert mean[1] == pytest.approx(4.0, abs=1e-6)
 
     def test_zero_innovation_keeps_position(self):
-        prior = KalmanState([2.0, -1.0, 0.3, 0.1], random_psd(np.random.default_rng(2)))
-        post = kalman_update(prior, PointXY(2.0, -1.0), 0.1)
-        assert post.mean[0] == pytest.approx(2.0, abs=1e-9)
-        assert post.mean[1] == pytest.approx(-1.0, abs=1e-9)
+        prior = random_psd(np.random.default_rng(2))
+        mean, _ = update([2.0, -1.0, 0.3, 0.1], prior, (2.0, -1.0), 0.1)
+        assert mean[0] == pytest.approx(2.0, abs=1e-9)
+        assert mean[1] == pytest.approx(-1.0, abs=1e-9)
 
     def test_velocity_decays_under_stationary_measurements(self):
         # Steady-state check against direct recursive computation: feeding a
         # fixed point must drive the velocity estimate to zero.
-        state = KalmanState([0, 0, 1.0, -0.5], np.diag([0.01, 0.01, 2.25, 2.25]))
+        mean, cov = [0, 0, 1.0, -0.5], np.diag([0.01, 0.01, 2.25, 2.25])
         for _ in range(50):
-            state = kalman_predict(state, 0.05, 2.0)
-            state = kalman_update(state, PointXY(1.0, 1.0), 0.1)
-        assert math.hypot(*state.velocity) < 0.01
+            mean, cov = predict(mean, cov, 0.05, 2.0)
+            mean, cov = update(mean, cov, (1.0, 1.0), 0.1)
+        assert math.hypot(*mean[2:]) < 0.01
 
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            state = KalmanState(rng.normal(0, 2, 4), random_psd(rng))
+            mean, cov = rng.normal(0, 2, 4), random_psd(rng)
             for _ in range(20):
-                state = kalman_predict(state, rng.uniform(0.01, 0.2), 2.0)
-                state = kalman_update(
-                    state, PointXY(*rng.normal(0, 3, 2)), 0.1
-                )
-                assert np.allclose(state.covariance, state.covariance.T, atol=1e-9)
-                assert np.linalg.eigvalsh(state.covariance).min() >= -1e-9
+                mean, cov = predict(mean, cov, rng.uniform(0.01, 0.2), 2.0)
+                mean, cov = update(mean, cov, rng.normal(0, 3, 2), 0.1)
+                assert np.allclose(cov, cov.T, atol=1e-9)
+                assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
 
 class TestCostMatrix:
@@ -208,8 +217,8 @@ class TestLifecycle:
         (tracks,) = lifecycle(Tracker(cfg), [[(2, 3)]])
         t = tracks[0]
         assert t.hit_counter == 1 and t.status is TrackStatus.CANDIDATE
-        np.testing.assert_allclose(t.state.mean, [2, 3, 0, 0])
-        assert t.state.covariance[2, 2] == pytest.approx(cfg.initial_velocity_std**2)
+        np.testing.assert_allclose(t.mean, [2, 3, 0, 0])
+        assert t.covariance[2, 2] == pytest.approx(cfg.initial_velocity_std**2)
 
 
 class TestTracker:
@@ -257,7 +266,7 @@ class TestTracker:
             )
             out = tracker.update([det(local[0], local[1], t)], pose, t)
             if out and t > 1.0:
-                speeds.append(out[0].speed)
+                speeds.append(math.hypot(*out[0].velocity))
         assert speeds and max(speeds) < 0.05
 
     def test_all_tracks_terminate_without_detections(self):
@@ -279,6 +288,22 @@ class TestTracker:
         with pytest.raises(ValueError):
             tracker.update([det(1, 1, 0.5)], pose, 0.5)
         assert [(t.id, t.hit_counter) for t in tracker.tracks] == before
+
+    @pytest.mark.parametrize("stamp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_rejected_and_state_intact(self, stamp):
+        # A NaN used to reach the solver as NaN distances, and then stood as
+        # the last time, so no later time counted as a regression.
+        with pytest.raises(ValueError, match=f"^timestamp {stamp!r} is not finite$"):
+            Tracker(TrackerConfig()).update([det(1, 1)], Pose2D(0, 0, 0), stamp)
+        tracker = Tracker(TrackerConfig())
+        pose = Pose2D(0, 0, 0)
+        tracker.update([det(1, 1, 1.0)], pose, 1.0)
+        before = [(t.id, t.hit_counter, t.mean.tobytes()) for t in tracker.tracks]
+        with pytest.raises(ValueError, match="is not finite"):
+            tracker.update([det(1, 1, 1.05)], pose, stamp)
+        assert [(t.id, t.hit_counter, t.mean.tobytes()) for t in tracker.tracks] == before
+        with pytest.raises(ValueError, match="time regression"):
+            tracker.update([det(1, 1, 0.5)], pose, 0.5)
 
     def test_ids_strictly_increase_and_never_return(self):
         cfg = TrackerConfig(c_init=1, c_del=1)
