@@ -13,23 +13,23 @@ from lidarmot.simulator import (
     LidarParams,
     Pose2D,
     Segment,
+    World,
     WorldState,
     raycast_scans,
 )
 
-world = WorldState(
+state = WorldState(
     time=0.0,
     robot=Pose2D(0, 0, 0),
     robot_twist=(0.0, 0.0),
     agents=[
-        AgentModel(id=0, radius=0.3, position=np.array([2.0, 0.6]), velocity=np.zeros(2)),
-        AgentModel(id=1, radius=0.3, position=np.array([3.0, -0.8]), velocity=np.zeros(2)),
+        AgentModel(id=0, radius=0.3, x=2.0, y=0.6, vx=0.0, vy=0.0),
+        AgentModel(id=1, radius=0.3, x=3.0, y=-0.8, vx=0.0, vy=0.0),
     ],
-    circles=(),
-    segments=(Segment(5.0, -4.0, 5.0, 4.0),),  # wall behind them
-    arena=(-1, -5, 6, 5),
+    # An empty room with a wall behind them.
+    world=World(arena=(-1, -5, 6, 5), segments=(Segment(5.0, -4.0, 5.0, 4.0),)),
 )
-scan = raycast_scans([world], LidarParams(), noise_std=0.01, rng=np.random.default_rng(0))[0]
+scan = raycast_scans([state], LidarParams(), noise_std=0.01, rng=np.random.default_rng(0))[0]
 
 cfg = DetectorConfig(window_stride=10, confidence_threshold=0.85)
 

@@ -29,7 +29,7 @@ tick, but holds the scan ticks' world states back and casts them
 (a caller with a single state passes ``[state]``). This is sound because
 what a cast reads of a state (agent positions, radii and ids, the robot
 pose, the time) is final once its tick is emitted: the policies only
-reassign an agent's ``velocity`` and ``next_resample`` and the state's
+reassign an agent's ``vx``, ``vy`` and ``next_resample`` and the state's
 ``robot_twist``, and ``step_world`` builds new agents and a new state. A
 block cast takes cos and sin of all its beam angles at once and tests each
 circle and segment only against the beams inside its angular window, widened
@@ -45,6 +45,7 @@ depends on the block it was cast in.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -171,31 +172,40 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be positive and finite, got {self.duration}")
-        if self.n_persons < 0:
-            raise ValueError(f"n_persons must be >= 0, got {self.n_persons}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
+        for name in ("n_persons", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0 < self.person_radius < math.inf:
             raise ValueError(f"person_radius must be positive and finite, got {self.person_radius}")
-        for name in ("robot_linear_max", "robot_angular_max"):
+        # The messages name the field in the words a config file's type
+        # check uses.
+        for name in ("noise_std", "robot_linear_max", "robot_angular_max"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
-        if self.person_speed[0] < 0 or self.person_speed[1] < self.person_speed[0]:
-            raise ValueError("person_speed must be a nonnegative (lo, hi) range")
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+        for name, size in (("person_speed", 2), ("arena", 4)):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and len(value) == size):
+                raise ValueError(f"{name} must be {size} numbers, got {value}")
+            if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in value):
+                raise ValueError(f"{name} must be a list of finite numbers, got {value}")
+        if not 0 <= self.person_speed[0] <= self.person_speed[1]:
+            raise ValueError(f"person_speed must be a range 0 <= lo <= hi, got {self.person_speed}")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout_prob must be in [0, 1)")
         x0, y0, x1, y1 = self.arena
         if not (x1 > x0 and y1 > y0):
-            raise ValueError("arena must have positive extent")
+            raise ValueError(f"arena must be (x0, y0, x1, y1), x1 > x0, y1 > y0, got {self.arena}")
 
 
 @dataclass
 class AgentModel:
     id: int
     radius: float
-    position: np.ndarray
-    velocity: np.ndarray
+    x: float
+    y: float
+    vx: float
+    vy: float
     scripted: bool = False
     next_resample: float = 0.0
 
@@ -204,26 +214,8 @@ class AgentModel:
 #: test; far above the rounding of a hypot or a sum in a world of metres.
 BOUND_MARGIN = 1e-6
 #: Largest bounding radius (leg rims included) of a run of circles that
-#: :func:`bound_furniture` groups: a chair's legs, or a table's pair.
+#: :class:`World` groups: a chair's legs, or a table's pair.
 GROUP_SPAN = 0.5
-
-
-@dataclass(frozen=True)
-class FurnitureBounds:
-    """The bounding circles ``step_world`` culls furniture with, built once
-    per world from its ``circles`` and ``keep_out`` edges.
-
-    ``groups`` holds ``(gx, gy, reach, legs)`` per consecutive run of
-    circles, ``legs`` as ``(x, y, radius)``, and ``edges`` holds ``(mx, my,
-    reach, segment)`` per edge. No leg of a group, and no point of an edge,
-    can push an agent whose centre is farther than ``radius + reach`` from
-    ``(gx, gy)`` or ``(mx, my)``.
-    """
-
-    circles: tuple[Circle, ...]
-    keep_out: tuple[Segment, ...]
-    groups: tuple[tuple[float, float, float, tuple[tuple[float, float, float], ...]], ...]
-    edges: tuple[tuple[float, float, float, Segment], ...]
 
 
 def _leg_group(legs: list[Circle]) -> tuple[float, float, float]:
@@ -233,28 +225,54 @@ def _leg_group(legs: list[Circle]) -> tuple[float, float, float]:
     return gx, gy, max(math.hypot(c.x - gx, c.y - gy) + c.radius for c in legs)
 
 
-def bound_furniture(circles: tuple[Circle, ...], keep_out: tuple[Segment, ...]) -> FurnitureBounds:
-    """Group ``circles`` into consecutive runs no wider than ``GROUP_SPAN``
-    and bound each run and each ``keep_out`` edge by a circle."""
-    runs: list[list[Circle]] = []
-    for c in circles:
-        if runs and _leg_group(runs[-1] + [c])[2] <= GROUP_SPAN:
-            runs[-1].append(c)
-        else:
-            runs.append([c])
-    groups = []
-    for legs in runs:
-        gx, gy, span = _leg_group(legs)
-        groups.append((
-            gx, gy, span + 0.12 + 1e-9 + BOUND_MARGIN,
-            tuple((float(c.x), float(c.y), float(c.radius)) for c in legs),
-        ))
-    edges = tuple(
-        ((seg.x1 + seg.x2) / 2.0, (seg.y1 + seg.y2) / 2.0,
-         math.hypot(seg.x2 - seg.x1, seg.y2 - seg.y1) / 2.0 + 0.15 + 1e-9 + BOUND_MARGIN, seg)
-        for seg in keep_out
+@dataclass(frozen=True)
+class World:
+    """The static part of a scene, one per scenario: the ``arena`` agents
+    and robot stay inside, the static ``circles`` and ``segments`` the lidar
+    sees, and the furniture edges agents keep clear of, ``keep_out`` (a
+    subset of ``segments``).
+
+    The constructor bounds the furniture that ``step_world`` culls with.
+    ``groups`` holds ``(gx, gy, reach, legs)`` per consecutive run of
+    ``circles`` no wider than ``GROUP_SPAN``, ``legs`` as ``(x, y,
+    radius)``, and ``edges`` holds ``(mx, my, reach, segment)`` per
+    ``keep_out`` edge. No leg of a group, and no point of an edge, can push
+    an agent whose centre is farther than ``radius + reach`` from ``(gx,
+    gy)`` or ``(mx, my)``.
+    """
+
+    arena: tuple[float, float, float, float]
+    circles: tuple[Circle, ...] = ()
+    segments: tuple[Segment, ...] = ()
+    keep_out: tuple[Segment, ...] = ()
+    groups: tuple[tuple[float, float, float, tuple[tuple[float, float, float], ...]], ...] = field(
+        init=False, repr=False, compare=False
     )
-    return FurnitureBounds(circles, keep_out, tuple(groups), edges)
+    edges: tuple[tuple[float, float, float, Segment], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        runs: list[list[Circle]] = []
+        for c in self.circles:
+            if runs and _leg_group(runs[-1] + [c])[2] <= GROUP_SPAN:
+                runs[-1].append(c)
+            else:
+                runs.append([c])
+        groups = []
+        for legs in runs:
+            gx, gy, span = _leg_group(legs)
+            groups.append((
+                gx, gy, span + 0.12 + 1e-9 + BOUND_MARGIN,
+                tuple((float(c.x), float(c.y), float(c.radius)) for c in legs),
+            ))
+        edges = tuple(
+            ((seg.x1 + seg.x2) / 2.0, (seg.y1 + seg.y2) / 2.0,
+             math.hypot(seg.x2 - seg.x1, seg.y2 - seg.y1) / 2.0 + 0.15 + 1e-9 + BOUND_MARGIN, seg)
+            for seg in self.keep_out
+        )
+        object.__setattr__(self, "groups", tuple(groups))
+        object.__setattr__(self, "edges", edges)
 
 
 @dataclass
@@ -263,14 +281,7 @@ class WorldState:
     robot: Pose2D
     robot_twist: tuple[float, float]  # (v, omega)
     agents: list[AgentModel]
-    circles: tuple[Circle, ...]
-    segments: tuple[Segment, ...]
-    arena: tuple[float, float, float, float]
-    #: Furniture edges agents must keep clear of (subset of ``segments``).
-    keep_out: tuple[Segment, ...] = ()
-    #: ``bound_furniture(circles, keep_out)``, set by ``step_world`` on the
-    #: states it builds: built on a world's first step, then handed on.
-    furniture: FurnitureBounds | None = field(default=None, init=False, repr=False, compare=False)
+    world: World
 
 
 def _point_segment_distance(
@@ -325,9 +336,8 @@ def step_world(state: WorldState, dt: float) -> WorldState:
     math.hypot distance clears the threshold by more than 1e-9, which no
     rounding can undo.
 
-    Furniture is culled a group at a time with the world's
-    :class:`FurnitureBounds`, built on its first step and handed on to every
-    state after it. A group of legs (a chair, a table's pair) is skipped when
+    Furniture is culled a group at a time with the bounds :class:`World`
+    builds. A group of legs (a chair, a table's pair) is skipped when
     the agent's current centre lies farther than ``radius + reach`` from the
     group's centre, where ``reach`` is the farthest leg rim from that centre
     plus the leg clearance 0.12, the 1e-9 of the per-leg test and
@@ -345,12 +355,13 @@ def step_world(state: WorldState, dt: float) -> WorldState:
     through :func:`~lidarmot.geometry.libm_hypot` (math.hypot can differ
     from it in the last bit), or :func:`_point_segment_distance` (which
     keeps its dot products in numpy), so positions stay bit-for-bit those of
-    the 2-vector formulation. Each agent gets one new AgentModel and its
-    position array is built once, after the pushes.
+    the 2-vector formulation. Each agent gets one new AgentModel, and the new
+    state shares ``state.world``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x0, y0, x1, y1 = state.arena
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    world = state.world
+    x0, y0, x1, y1 = world.arena
     lo_x, lo_y = x0 + WALL_MARGIN, y0 + WALL_MARGIN
     hi_x, hi_y = x1 - WALL_MARGIN, y1 - WALL_MARGIN
     agents: list[AgentModel] = []
@@ -358,18 +369,15 @@ def step_world(state: WorldState, dt: float) -> WorldState:
     xs: list[float] = []
     ys: list[float] = []
     for a in state.agents:
-        (px, py), (vx, vy) = a.position.tolist(), a.velocity.tolist()
-        px = px + vx * dt
-        py = py + vy * dt
+        px = a.x + a.vx * dt
+        py = a.y + a.vy * dt
         if a.scripted:
-            agents.append(AgentModel(
-                a.id, a.radius, np.array([px, py]), a.velocity.copy(), True, a.next_resample
-            ))
+            agents.append(AgentModel(a.id, a.radius, px, py, a.vx, a.vy, True, a.next_resample))
             continue
-        px, vx = _reflect_axis(px, vx, lo_x, hi_x)
-        py, vy = _reflect_axis(py, vy, lo_y, hi_y)
+        px, vx = _reflect_axis(px, a.vx, lo_x, hi_x)
+        py, vy = _reflect_axis(py, a.vy, lo_y, hi_y)
         # The position is set once the pushes below are resolved.
-        moved = AgentModel(a.id, a.radius, a.position, np.array([vx, vy]), False, a.next_resample)
+        moved = AgentModel(a.id, a.radius, px, py, vx, vy, False, a.next_resample)
         agents.append(moved)
         free.append(moved)
         xs.append(px)
@@ -378,11 +386,6 @@ def step_world(state: WorldState, dt: float) -> WorldState:
     n = len(free)
     rx, ry = state.robot.x, state.robot.y
     near = max(COMFORT_SEPARATION, MIN_SEPARATION) + 1e-9
-    furniture = state.furniture
-    if furniture is None or not (
-        furniture.circles is state.circles and furniture.keep_out is state.keep_out
-    ):
-        furniture = bound_furniture(state.circles, state.keep_out)
     for _ in range(2):
         for i in range(n):
             for j in range(i + 1, n):
@@ -422,7 +425,7 @@ def step_world(state: WorldState, dt: float) -> WorldState:
         for i, a in enumerate(free):
             x, y = xs[i], ys[i]
             r = a.radius
-            for gx, gy, reach, legs in furniture.groups:
+            for gx, gy, reach, legs in world.groups:
                 if math.hypot(x - gx, y - gy) > r + reach:
                     continue
                 for cx, cy, cr in legs:
@@ -437,7 +440,7 @@ def step_world(state: WorldState, dt: float) -> WorldState:
                         x = cx + ux * clear
                         y = cy + uy * clear
             clear = r + 0.15
-            for mx, my, reach, seg in furniture.edges:
+            for mx, my, reach, seg in world.edges:
                 if math.hypot(x - mx, y - my) > r + reach:
                     continue
                 d, ux, uy = _point_segment_distance(x, y, seg)
@@ -448,7 +451,7 @@ def step_world(state: WorldState, dt: float) -> WorldState:
             xs[i] = min(hi_x, max(lo_x, x))
             ys[i] = min(hi_y, max(lo_y, y))
     for a, x, y in zip(free, xs, ys):
-        a.position = np.array([x, y])
+        a.x, a.y = x, y
 
     v, omega = state.robot_twist
     r = state.robot
@@ -458,18 +461,7 @@ def step_world(state: WorldState, dt: float) -> WorldState:
     ny = min(max(ny, y0 + ROBOT_WALL_MARGIN), y1 - ROBOT_WALL_MARGIN)
     robot = Pose2D(nx, ny, normalize_angle(r.theta + omega * dt), state.time + dt)
 
-    new = WorldState(
-        time=state.time + dt,
-        robot=robot,
-        robot_twist=state.robot_twist,
-        agents=agents,
-        circles=state.circles,
-        segments=state.segments,
-        arena=state.arena,
-        keep_out=state.keep_out,
-    )
-    new.furniture = furniture
-    return new
+    return WorldState(state.time + dt, robot, state.robot_twist, agents, world)
 
 
 #: Scans that :meth:`Scenario.run` casts in one vectorized pass. A block's
@@ -524,10 +516,11 @@ def _cast_circles(
     n = lidar.n_beams
     shapes, tags, counts = [], [], []
     for s in states:
-        shapes += [(*a.position.tolist(), a.radius) for a in s.agents]
-        shapes += [(c.x, c.y, c.radius) for c in s.circles]
-        tags += [a.id for a in s.agents] + [STATIC_LABEL] * len(s.circles)
-        counts.append(len(s.agents) + len(s.circles))
+        circles = s.world.circles
+        shapes += [(a.x, a.y, a.radius) for a in s.agents]
+        shapes += [(c.x, c.y, c.radius) for c in circles]
+        tags += [a.id for a in s.agents] + [STATIC_LABEL] * len(circles)
+        counts.append(len(s.agents) + len(circles))
     scan = np.repeat(np.arange(len(states)), counts)
     tags = np.array(tags, dtype=int)
     shapes = np.array(shapes, dtype=float).reshape(-1, 3)
@@ -580,9 +573,9 @@ def _cast_segments(
 ) -> np.ndarray:
     """Nearest segment hit of every beam of every scan, flat scan by scan."""
     n = lidar.n_beams
-    scan = np.repeat(np.arange(len(states)), [len(s.segments) for s in states])
+    scan = np.repeat(np.arange(len(states)), [len(s.world.segments) for s in states])
     ends = np.array(
-        [(g.x1, g.y1, g.x2, g.y2) for s in states for g in s.segments], dtype=float
+        [(g.x1, g.y1, g.x2, g.y2) for s in states for g in s.world.segments], dtype=float
     ).reshape(-1, 4)
     sx, sy = ends[:, 2] - ends[:, 0], ends[:, 3] - ends[:, 1]
     qx, qy = ends[:, 0] - origin[scan, 0], ends[:, 1] - origin[scan, 1]
@@ -644,10 +637,10 @@ def raycast_scans(
     a ``(scan, labels)`` pair carrying the per-beam hit attribution: an agent
     id, STATIC_LABEL, or NO_LABEL.
 
-    Only a state's agent positions, radii and ids, its robot pose and its
-    time are read. The noise and dropout draws are made scan by scan, in
-    ``states`` order, so the scans do not depend on how states are grouped
-    into calls.
+    Only a state's agents (positions, radii and ids), its world's circles
+    and segments, its robot pose and its time are read. The noise and
+    dropout draws are made scan by scan, in ``states`` order, so the scans
+    do not depend on how states are grouped into calls.
     """
     n, inc, n_scans = lidar.n_beams, lidar.angle_increment, len(states)
     poses = [s.robot for s in states]
@@ -723,7 +716,7 @@ def emit_ground_truth(state: WorldState) -> GroundTruthFrame:
     return GroundTruthFrame(
         timestamp=state.time,
         persons=tuple(
-            (a.id, PointXY(*a.position.tolist(), frame=ODOM_FRAME)) for a in state.agents
+            (a.id, PointXY(a.x, a.y, frame=ODOM_FRAME)) for a in state.agents
         ),
         robot_pose=state.robot,
     )
@@ -811,10 +804,10 @@ def _arena_walls(arena: tuple[float, float, float, float]) -> tuple[Segment, ...
 def _centroid(agents: Sequence[AgentModel]) -> tuple[float, float]:
     """Mean agent position, bit for bit ``np.mean(positions, axis=0)``: a
     row-by-row sum from the first agent, divided by the count."""
-    (cx, cy), *rest = [a.position.tolist() for a in agents]
-    for x, y in rest:
-        cx += x
-        cy += y
+    cx, cy = agents[0].x, agents[0].y
+    for a in agents[1:]:
+        cx += a.x
+        cy += a.y
     return cx / len(agents), cy / len(agents)
 
 
@@ -845,24 +838,13 @@ class Scenario:
         if cfg.kind == "custom":
             # Hand-built: the robot at the origin facing +x, the caller's
             # walls and scripted agents, nothing else.
-            return WorldState(
-                time=0.0,
-                robot=Pose2D(0.0, 0.0, 0.0, 0.0),
-                robot_twist=(0.0, 0.0),
-                agents=[
-                    AgentModel(
-                        id=sa.id,
-                        radius=sa.radius,
-                        position=np.array([sa.x, sa.y], dtype=float),
-                        velocity=np.array([sa.vx, sa.vy], dtype=float),
-                        scripted=True,
-                    )
-                    for sa in cfg.scripted_agents
-                ],
-                circles=(),
-                segments=tuple(cfg.occluder_walls),
-                arena=cfg.arena,
-            )
+            agents = [
+                AgentModel(sa.id, sa.radius, float(sa.x), float(sa.y), float(sa.vx),
+                           float(sa.vy), scripted=True)
+                for sa in cfg.scripted_agents
+            ]
+            world = World(cfg.arena, segments=tuple(cfg.occluder_walls))
+            return WorldState(0.0, Pose2D(0.0, 0.0, 0.0, 0.0), (0.0, 0.0), agents, world)
 
         # Generated: a walled arena, seeded furniture and seeded persons.
         rng = self._rng_world
@@ -875,16 +857,10 @@ class Scenario:
             rx, ry = (x0 + x1) / 2.0, (y0 + y1) / 2.0
         robot = Pose2D(rx, ry, 0.0, 0.0)
         circles, furniture = _default_clutter(cfg.arena, rng, (rx, ry))
-        return WorldState(
-            time=0.0,
-            robot=robot,
-            robot_twist=(0.0, 0.0),
-            agents=self._place_persons(robot, circles, furniture, rng),
-            circles=circles,
-            segments=_arena_walls(cfg.arena) + furniture + tuple(cfg.occluder_walls),
-            arena=cfg.arena,
-            keep_out=furniture,
-        )
+        agents = self._place_persons(robot, circles, furniture, rng)
+        segments = _arena_walls(cfg.arena) + furniture + tuple(cfg.occluder_walls)
+        world = World(cfg.arena, circles, segments, keep_out=furniture)
+        return WorldState(0.0, robot, (0.0, 0.0), agents, world)
 
     def _place_persons(
         self,
@@ -900,21 +876,18 @@ class Scenario:
         agents: list[AgentModel] = []
         for pid in range(cfg.n_persons):
             for _attempt in range(200):
-                pos = rng.uniform(lo, hi)
-                if any(
-                    np.hypot(*(pos - a.position)) < COMFORT_SEPARATION for a in agents
-                ):
+                x, y = rng.uniform(lo, hi).tolist()
+                if any(np.hypot(x - a.x, y - a.y) < COMFORT_SEPARATION for a in agents):
                     continue
-                if np.hypot(pos[0] - robot.x, pos[1] - robot.y) < 1.0:
+                if np.hypot(x - robot.x, y - robot.y) < 1.0:
                     continue
                 if any(
-                    np.hypot(pos[0] - c.x, pos[1] - c.y)
-                    < c.radius + cfg.person_radius + 0.3
+                    np.hypot(x - c.x, y - c.y) < c.radius + cfg.person_radius + 0.3
                     for c in circles
                 ):
                     continue
                 if any(
-                    _point_segment_distance(*pos.tolist(), seg)[0] < cfg.person_radius + 0.3
+                    _point_segment_distance(x, y, seg)[0] < cfg.person_radius + 0.3
                     for seg in keep_out
                 ):
                     continue
@@ -926,15 +899,9 @@ class Scenario:
                 )
             heading = rng.uniform(-math.pi, math.pi)
             speed = rng.uniform(*cfg.person_speed)
-            agents.append(
-                AgentModel(
-                    id=pid,
-                    radius=cfg.person_radius,
-                    position=pos,
-                    velocity=speed * np.array([math.cos(heading), math.sin(heading)]),
-                    next_resample=0.0,
-                )
-            )
+            agents.append(AgentModel(
+                pid, cfg.person_radius, x, y, speed * math.cos(heading), speed * math.sin(heading)
+            ))
         return agents
 
     # -- policies ---------------------------------------------------------
@@ -951,7 +918,8 @@ class Scenario:
                 continue
             heading = rng.uniform(-math.pi, math.pi)
             speed = rng.uniform(*cfg.person_speed)
-            a.velocity = speed * np.array([math.cos(heading), math.sin(heading)])
+            a.vx = speed * math.cos(heading)
+            a.vy = speed * math.sin(heading)
             a.next_resample = t + rng.uniform(1.0, 3.0)
 
     def _robot_policy(self, t: float):
@@ -1030,7 +998,7 @@ class Scenario:
                 # Must hold for a later cast to see this tick: nothing changes
                 # what the cast reads of a state (agent positions, radii and
                 # ids, robot pose, time) after its tick. The policies only
-                # reassign an agent's velocity and next_resample and the
+                # reassign an agent's vx, vy and next_resample and the
                 # state's robot_twist, and step_world builds new agents and
                 # a new state instead of changing the old ones.
                 held.append(self.state)

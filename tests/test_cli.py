@@ -559,8 +559,9 @@ class TestErrors:
         (["simulate", "--config", '{"scenario": {"duration": 1e999}}'], "duration"),
         (["simulate", "--noise-std", "nan"], "noise_std must be a finite number"),
         (["bench", "--duration", "1", "--threshold", "nan"], "threshold must be positive"),
+        (["simulate", "--seed", "-1"], "section 'scenario': seed must be >= 0, got -1"),
     ], ids=["velocity-gate-nan", "velocity-gate-negative", "duration-inf",
-            "config-nan", "config-overflow", "noise-std-nan", "threshold-nan"])
+            "config-nan", "config-overflow", "noise-std-nan", "threshold-nan", "seed-negative"])
     def test_non_finite_setting_exits_2(self, sim_dir, tmp_path, capsys, argv, expected):
         argv = [sim_dir if a == "SIM" else a for a in argv]
         if "--config" in argv:
@@ -580,16 +581,23 @@ class TestErrors:
         ("scenario", "person_radius", 0),
         ("scenario", "robot_linear_max", -0.5),
         ("scenario", "robot_angular_max", -1.5),
+        ("scenario", "person_speed", [0.3]),
+        ("scenario", "person_speed", [0.3, 1.0, 2.0]),
+        ("scenario", "arena", [1, 2, 3]),
+        ("scenario", "seed", -1),
     ], ids=["measurement_noise-negative", "measurement_noise-zero",
             "process_noise_accel-negative", "initial_velocity_std-negative",
             "person_radius-negative", "person_radius-zero", "robot_linear_max-negative",
-            "robot_angular_max-negative"])
+            "robot_angular_max-negative", "person_speed-one", "person_speed-three",
+            "arena-three", "seed-negative"])
     def test_degenerate_config_value_exits_2(self, tmp_path, capsys, section, key, value):
         # Each of these used to run: a negative std as its absolute value, a
-        # zero radius to MOTA 0, a negative speed limit into numpy's error.
+        # zero radius to MOTA 0, a negative speed limit into numpy's error. A
+        # short speed range or arena, or a negative seed, died in Python or
+        # numpy with an error that named no field.
         path = tmp_path / "run.json"
         path.write_text(json.dumps({section: {key: value}}))
-        assert run(["bench", "--kind", "mr1", "--duration", "1", "--seed", "1",
+        assert run(["bench", "--kind", "mr1", "--duration", "1",
                     "--config", path, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"section '{section}': {key} must be " in err

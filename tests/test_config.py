@@ -121,6 +121,14 @@ class TestConfigFiles:
             (ScenarioConfig, "robot_linear_max", (-0.5, math.nan, math.inf)),
             (ScenarioConfig, "robot_angular_max", (-1.5, math.nan, math.inf)),
             (PipelineConfig, "scan_rate_hz", (0.0, -20.0, math.nan, math.inf)),
+            # NaN noise ran without noise; the rest died in numpy or in an
+            # unpacking error that named no field.
+            (ScenarioConfig, "noise_std", (-0.01, math.nan, math.inf)),
+            (ScenarioConfig, "seed", (-1,)),
+            (ScenarioConfig, "person_speed", ((0.3,), (0.3, 1.0, 2.0), (0.3, math.inf),
+                                              (math.nan, 1.0), (-0.1, 1.0), (1.0, 0.5))),
+            (ScenarioConfig, "arena", ((1.0, 2.0, 3.0), (-2.0, -2.0, 2.0, math.inf),
+                                       (-2.0, math.nan, 2.0, 2.0), (2.0, -2.0, -2.0, 2.0))),
         ]
         for value in values
     ])

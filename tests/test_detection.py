@@ -16,6 +16,7 @@ from lidarmot.simulator import (
     AgentModel,
     LidarParams,
     Pose2D,
+    World,
     WorldState,
     raycast_scans,
 )
@@ -30,22 +31,15 @@ def make_scan(ranges, angle_min=-0.75 * math.pi, t=0.0, range_max=30.0):
 
 def circle_world(centers, radius=0.3, robot=(0.0, 0.0, 0.0)):
     agents = [
-        AgentModel(
-            id=i,
-            radius=radius,
-            position=np.array(c, dtype=float),
-            velocity=np.zeros(2),
-        )
-        for i, c in enumerate(centers)
+        AgentModel(id=i, radius=radius, x=float(x), y=float(y), vx=0.0, vy=0.0)
+        for i, (x, y) in enumerate(centers)
     ]
     return WorldState(
         time=0.0,
         robot=Pose2D(*robot),
         robot_twist=(0.0, 0.0),
         agents=agents,
-        circles=(),
-        segments=(),
-        arena=(-10, -10, 10, 10),
+        world=World((-10, -10, 10, 10)),
     )
 
 

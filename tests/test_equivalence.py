@@ -12,9 +12,11 @@ tells -0.0 from 0.0) and arrays through their bytes and dtype.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,6 +68,7 @@ from lidarmot.simulator import (
     LidarParams,
     ScenarioConfig,
     Segment,
+    World,
     WorldState,
     _point_segment_distance,
     raycast_scans,
@@ -109,15 +112,55 @@ def ref_reflect_axis(p, v, lo, hi):
     return p, v
 
 
-def ref_copy_agent(a: AgentModel) -> AgentModel:
-    return AgentModel(
-        a.id, a.radius, a.position.copy(), a.velocity.copy(), a.scripted, a.next_resample
+def ref_array_agent(a: AgentModel) -> SimpleNamespace:
+    """A copy of ``a`` whose position and velocity are numpy 2-vectors."""
+    return SimpleNamespace(
+        id=a.id, radius=a.radius, position=np.array([a.x, a.y]), velocity=np.array([a.vx, a.vy]),
+        scripted=a.scripted, next_resample=a.next_resample,
     )
 
 
+def ref_float_agent(a: SimpleNamespace) -> AgentModel:
+    return AgentModel(
+        a.id, a.radius, *a.position.tolist(), *a.velocity.tolist(), a.scripted, a.next_resample
+    )
+
+
+def ref_bound_furniture(circles, keep_out):
+    """``(groups, edges)``: consecutive runs of ``circles`` no wider than
+    ``GROUP_SPAN``, each as ``(gx, gy, reach, legs)``, and each ``keep_out``
+    edge as ``(mx, my, reach, segment)``."""
+    def leg_group(legs):
+        gx = (min(c.x for c in legs) + max(c.x for c in legs)) / 2.0
+        gy = (min(c.y for c in legs) + max(c.y for c in legs)) / 2.0
+        return gx, gy, max(math.hypot(c.x - gx, c.y - gy) + c.radius for c in legs)
+
+    runs = []
+    for c in circles:
+        if runs and leg_group(runs[-1] + [c])[2] <= simulator.GROUP_SPAN:
+            runs[-1].append(c)
+        else:
+            runs.append([c])
+    groups = []
+    for legs in runs:
+        gx, gy, span = leg_group(legs)
+        groups.append((
+            gx, gy, span + 0.12 + 1e-9 + simulator.BOUND_MARGIN,
+            tuple((float(c.x), float(c.y), float(c.radius)) for c in legs),
+        ))
+    edges = tuple(
+        ((seg.x1 + seg.x2) / 2.0, (seg.y1 + seg.y2) / 2.0,
+         math.hypot(seg.x2 - seg.x1, seg.y2 - seg.y1) / 2.0 + 0.15 + 1e-9 + simulator.BOUND_MARGIN,
+         seg)
+        for seg in keep_out
+    )
+    return tuple(groups), edges
+
+
 def ref_step_world(state, dt, wall_margin=0.7, comfort=1.0, min_separation=0.5):
-    x0, y0, x1, y1 = state.arena
-    agents = [ref_copy_agent(a) for a in state.agents]
+    world = state.world
+    x0, y0, x1, y1 = world.arena
+    agents = [ref_array_agent(a) for a in state.agents]
     for a in agents:
         a.position = a.position + a.velocity * dt
         if a.scripted:
@@ -157,14 +200,14 @@ def ref_step_world(state, dt, wall_margin=0.7, comfort=1.0, min_separation=0.5):
                 unit = delta / d
                 a.position = a.position + unit * (comfort - d) * dt
         for a in free:
-            for c in state.circles:
+            for c in world.circles:
                 clear = a.radius + c.radius + 0.12
                 delta = a.position - np.array([c.x, c.y])
                 d = float(np.hypot(*delta))
                 if d < clear:
                     unit = delta / d if d > 1e-9 else np.array([1.0, 0.0])
                     a.position = np.array([c.x, c.y]) + unit * clear
-            for seg in state.keep_out:
+            for seg in world.keep_out:
                 clear = a.radius + 0.15
                 d, direction = ref_point_segment_distance(a.position, seg)
                 if d < clear:
@@ -187,11 +230,8 @@ def ref_step_world(state, dt, wall_margin=0.7, comfort=1.0, min_separation=0.5):
         time=state.time + dt,
         robot=robot,
         robot_twist=state.robot_twist,
-        agents=agents,
-        circles=state.circles,
-        segments=state.segments,
-        arena=state.arena,
-        keep_out=state.keep_out,
+        agents=[ref_float_agent(a) for a in agents],
+        world=world,
     )
 
 
@@ -239,12 +279,11 @@ def ref_raycast_scan(state, lidar, noise_std=0.0, dropout_prob=0.0, rng=None,
     origin = np.array([pose.x, pose.y])
     angles = pose.theta + lidar.angle_min + np.arange(lidar.n_beams) * lidar.angle_increment
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    agent_circles = [
-        (float(a.position[0]), float(a.position[1]), a.radius) for a in state.agents
-    ]
+    agent_circles = [(a.x, a.y, a.radius) for a in state.agents]
     t_agents, which_agent = ref_ray_circles(origin, dirs, agent_circles)
-    t_static_c, _ = ref_ray_circles(origin, dirs, [(c.x, c.y, c.radius) for c in state.circles])
-    t_static_s = ref_ray_segments(origin, dirs, state.segments)
+    world = state.world
+    t_static_c, _ = ref_ray_circles(origin, dirs, [(c.x, c.y, c.radius) for c in world.circles])
+    t_static_s = ref_ray_segments(origin, dirs, world.segments)
     t_static = np.minimum(t_static_c, t_static_s)
     best = np.minimum(t_agents, t_static)
     labels = np.full(lidar.n_beams, simulator.NO_LABEL, dtype=int)
@@ -558,12 +597,13 @@ def same_array(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def world_key(state: WorldState) -> tuple:
+    """A state's time, robot and agents; coordinates by their bits, so -0.0
+    and 0.0 differ, as do two values one ulp apart."""
     return (
         repr(state.time),
         repr(state.robot),
         tuple(
-            (a.id, a.position.dtype.str, a.position.tobytes(), a.velocity.dtype.str,
-             a.velocity.tobytes(), a.scripted, a.next_resample)
+            (a.id, *map(float.hex, (a.x, a.y, a.vx, a.vy)), a.scripted, a.next_resample)
             for a in state.agents
         ),
     )
@@ -583,15 +623,15 @@ def make_world(agents=(), circles=(), keep_out=(), robot=(0.0, 0.0, 0.0),
         robot=Pose2D(*robot),
         robot_twist=twist,
         agents=list(agents),
-        circles=tuple(circles),
-        segments=tuple(keep_out),
-        arena=arena,
-        keep_out=tuple(keep_out),
+        world=World(arena, tuple(circles), tuple(keep_out), tuple(keep_out)),
     )
 
 
 def agent(aid, pos, vel=(0.0, 0.0), scripted=False, radius=0.3):
-    return AgentModel(aid, radius, np.array(pos, dtype=float), np.array(vel, dtype=float), scripted)
+    return AgentModel(
+        aid, radius, *np.asarray(pos, dtype=float).tolist(), *np.asarray(vel, dtype=float).tolist(),
+        scripted,
+    )
 
 
 def random_world(rng: np.random.Generator) -> WorldState:
@@ -626,7 +666,7 @@ def random_world(rng: np.random.Generator) -> WorldState:
 
 def clustered_world(rng: np.random.Generator) -> WorldState:
     """Furniture in tight clusters, as chairs and tables come: runs of 2-5
-    legs of mixed radii, most of which ``bound_furniture`` groups, with
+    legs of mixed radii, most of which ``World`` groups, with
     agents started near them."""
     half = float(rng.uniform(2.5, 4.0))
     circles = []
@@ -661,6 +701,7 @@ def assert_same_steps(state: WorldState, steps: int, dt: float = 0.01) -> None:
         ref = ref_step_world(ref, dt)
         new = step_world(new, dt)
         assert world_key(new) == world_key(ref)
+        assert new.world is state.world
 
 
 class TestStepWorldEquivalence:
@@ -678,19 +719,18 @@ class TestStepWorldEquivalence:
                 free = [a for a in state.agents if not a.scripted]
                 for i, a in enumerate(free):
                     for b in free[i + 1:]:
-                        d = float(np.hypot(*(b.position - a.position)))
+                        d = float(np.hypot(b.x - a.x, b.y - a.y))
                         hits["pair_hard"] += d < 0.5
                         hits["pair_soft"] += 0.5 <= d < 1.0
-                    d = math.hypot(a.position[0] - state.robot.x, a.position[1] - state.robot.y)
+                    d = math.hypot(a.x - state.robot.x, a.y - state.robot.y)
                     hits["robot"] += d < 1.0
                     hits["circle"] += any(
-                        math.hypot(a.position[0] - c.x, a.position[1] - c.y)
-                        < a.radius + c.radius + 0.12
-                        for c in state.circles
+                        math.hypot(a.x - c.x, a.y - c.y) < a.radius + c.radius + 0.12
+                        for c in state.world.circles
                     )
                     hits["edge"] += any(
-                        ref_point_segment_distance(a.position, s)[0] < a.radius + 0.15
-                        for s in state.keep_out
+                        ref_point_segment_distance(np.array([a.x, a.y]), s)[0] < a.radius + 0.15
+                        for s in state.world.keep_out
                     )
                 state = step_world(state, 0.01)
         assert all(v > 0 for v in hits.values()), hits
@@ -709,9 +749,7 @@ class TestStepWorldEquivalence:
         state = make_world(agents, circles, [edge])
         assert_same_steps(state, steps=1)
         moved = ref_step_world(state, 0.01)
-        assert all(
-            not np.array_equal(a.position, b.position) for a, b in zip(state.agents, moved.agents)
-        )
+        assert all((a.x, a.y) != (b.x, b.y) for a, b in zip(state.agents, moved.agents))
 
     def test_coincident_agents(self):
         assert_same_steps(make_world([agent(0, (1.0, 1.0)), agent(1, (1.0, 1.0)),
@@ -748,8 +786,8 @@ class TestStepWorldEquivalence:
                            robot=(2.0, 2.0, 0.0), arena=(-0.7, -0.7, 2.7, 2.7))
         assert_same_steps(state, steps=1)
         ref = ref_step_world(state, 0.01)
-        assert repr(float(ref.agents[0].position[0])) == "0.0"
-        assert repr(float(ref.agents[1].position[1])) == "0.0"
+        assert repr(ref.agents[0].x) == "0.0"
+        assert repr(ref.agents[1].y) == "0.0"
 
     @pytest.mark.parametrize("seed", range(12))
     def test_clustered_furniture(self, seed):
@@ -762,16 +800,26 @@ class TestStepWorldEquivalence:
         grouped = pushed = 0
         for seed in range(12):
             state = clustered_world(np.random.default_rng(100 + seed))
-            bounds = simulator.bound_furniture(state.circles, state.keep_out)
-            grouped += len(bounds.groups) < len(state.circles)
+            grouped += len(state.world.groups) < len(state.world.circles)
             for _ in range(40):
                 pushed += any(
-                    math.hypot(a.position[0] - c.x, a.position[1] - c.y)
-                    < a.radius + c.radius + 0.12
-                    for a in state.agents for c in state.circles
+                    math.hypot(a.x - c.x, a.y - c.y) < a.radius + c.radius + 0.12
+                    for a in state.agents for c in state.world.circles
                 )
                 state = step_world(state, 0.01)
         assert grouped == 12 and pushed > 0
+
+    def test_world_bounds_match_the_reference(self):
+        # World bounds its furniture once, as the per-world bounds function
+        # did: the same groups, reaches and edges, bit for bit.
+        worlds = [clustered_world(np.random.default_rng(100 + seed)).world for seed in range(12)]
+        worlds += [random_world(np.random.default_rng(seed)).world for seed in range(12)]
+        worlds += [simulator.Scenario(ScenarioConfig(kind=kind, seed=1, duration=1.0)).state.world
+                   for kind in ("sr", "mr1", "mr2")]
+        for world in worlds:
+            want = ref_bound_furniture(world.circles, world.keep_out)
+            assert repr((world.groups, world.edges)) == repr(want)
+        assert sum(len(w.groups) < len(w.circles) for w in worlds) >= 12
 
     def test_push_into_the_next_group_in_one_pass(self):
         # The first leg pushes the agent to (0.5, 0), 0.49 from the second
@@ -779,7 +827,7 @@ class TestStepWorldEquivalence:
         # second group is tested at the agent's new position and pushes it
         # in the same pass.
         legs = (Circle(0.0, 0.0, 0.03), Circle(0.95, 0.2, 0.03))
-        _, (gx, gy, reach, _) = simulator.bound_furniture(legs, ()).groups
+        _, (gx, gy, reach, _) = World((-4.0, -4.0, 4.0, 4.0), legs).groups
         mover = agent(0, (0.45, 0.0), radius=0.35)
         assert math.hypot(0.45 - gx, 0.0 - gy) > 0.35 + reach
         assert math.hypot(0.5 - gx, 0.0 - gy) < 0.35 + reach
@@ -787,8 +835,8 @@ class TestStepWorldEquivalence:
         assert_same_steps(state, steps=3)
         # One pass of the first leg alone leaves the agent at (0.5, 0).
         first_only = ref_step_world(make_world([mover], legs[:1], robot=(-3.0, -3.0, 0.0)), 0.01)
-        assert first_only.agents[0].position.tolist() == [0.5, 0.0]
-        assert ref_step_world(state, 0.01).agents[0].position[1] < 0.0
+        assert (first_only.agents[0].x, first_only.agents[0].y) == (0.5, 0.0)
+        assert ref_step_world(state, 0.01).agents[0].y < 0.0
 
     @pytest.mark.parametrize("eps", [1e-12, -1e-12])
     def test_agents_at_a_bound(self, eps):
@@ -798,7 +846,7 @@ class TestStepWorldEquivalence:
         chair = [Circle(1.0 + sx * 0.21, 1.0 + sy * 0.21, 0.03) for sx, sy in
                  ((-1, -1), (1, -1), (-1, 1), (1, 1))]
         edge = Segment(-2.5, -2.0, -1.0, -2.0)
-        bounds = simulator.bound_furniture(tuple(chair), (edge,))
+        bounds = World((-4.0, -4.0, 4.0, 4.0), tuple(chair), (edge,), (edge,))
         (gx, gy, g_reach, _), = bounds.groups
         (mx, my, e_reach, _), = bounds.edges
         agents = [
@@ -807,7 +855,7 @@ class TestStepWorldEquivalence:
             agent(2, (mx, my + 0.3 + e_reach + eps)),
         ]
         for a, (cx, cy, reach) in zip(agents, [(gx, gy, g_reach)] * 2 + [(mx, my, e_reach)]):
-            skipped = math.hypot(a.position[0] - cx, a.position[1] - cy) > a.radius + reach
+            skipped = math.hypot(a.x - cx, a.y - cy) > a.radius + reach
             assert skipped == (eps > 0)
         assert_same_steps(make_world(agents, chair, [edge], robot=(3.0, -3.0, 0.0)), steps=1)
 
@@ -819,7 +867,7 @@ class TestStepWorldEquivalence:
         for _ in range(200):
             scale = 10.0 ** float(rng.uniform(-3, 3))
             agents = [agent(i, rng.normal(0.0, scale, 2)) for i in range(n)]
-            want = np.mean([a.position for a in agents], axis=0)
+            want = np.mean([(a.x, a.y) for a in agents], axis=0)
             got = simulator._centroid(agents)
             assert tuple(map(repr, got)) == (repr(float(want[0])), repr(float(want[1])))
         # The sum starts from the first agent, not from 0.0: -0.0 stays.
@@ -973,8 +1021,8 @@ class TestRaycastEquivalence:
         for _ in range(4):
             s = random_world(rng)
             states += [
-                make_world(s.agents, s.circles, (), (s.robot.x, s.robot.y, s.robot.theta)),
-                make_world((), (), s.segments, (s.robot.x, s.robot.y, s.robot.theta)),
+                make_world(s.agents, s.world.circles, (), (s.robot.x, s.robot.y, s.robot.theta)),
+                make_world((), (), s.world.segments, (s.robot.x, s.robot.y, s.robot.theta)),
             ]
         assert_cast_matches_reference(states, noise_std=0.01, dropout_prob=0.01)
 
@@ -1104,7 +1152,8 @@ class TestRaycastEquivalence:
         state = random_world(rng)
         if state.agents:
             a = state.agents[0]
-            state.circles += (Circle(float(a.position[0]), float(a.position[1]), a.radius),)
+            twin = Circle(a.x, a.y, a.radius)
+            state.world = dataclasses.replace(state.world, circles=state.world.circles + (twin,))
         lidar = LidarParams()
         got = raycast_scans([state], lidar, 0.01, 0.01, np.random.default_rng(seed),
                             with_labels=True)[0]

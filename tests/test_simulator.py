@@ -8,12 +8,14 @@ from lidarmot.geometry import NO_RETURN, Pose2D, normalize_angle
 from lidarmot.simulator import (
     STATIC_LABEL,
     AgentModel,
+    Circle,
     LidarParams,
     PlacementError,
     Scenario,
     ScenarioConfig,
     ScriptedAgent,
     Segment,
+    World,
     WorldState,
     emit_ground_truth,
     raycast_scans,
@@ -34,20 +36,12 @@ def world(agents=(), circles=(), segments=(), robot=(0, 0, 0), arena=(-10, -10, 
         robot=Pose2D(*robot),
         robot_twist=(0.0, 0.0),
         agents=list(agents),
-        circles=tuple(circles),
-        segments=tuple(segments),
-        arena=arena,
+        world=World(arena, tuple(circles), tuple(segments)),
     )
 
 
 def agent(aid, pos, vel, radius=0.3, scripted=False):
-    return AgentModel(
-        id=aid,
-        radius=radius,
-        position=np.array(pos, dtype=float),
-        velocity=np.array(vel, dtype=float),
-        scripted=scripted,
-    )
+    return AgentModel(aid, radius, *map(float, pos), *map(float, vel), scripted=scripted)
 
 
 class TestDeterminism:
@@ -146,15 +140,15 @@ class TestStepWorld:
     def test_plain_advance(self):
         state = world(agents=[agent(0, (3.0, 0), (1.0, 0.0))])
         after = step_world(state, 0.1)
-        np.testing.assert_allclose(after.agents[0].position, [3.1, 0.0])
+        np.testing.assert_allclose((after.agents[0].x, after.agents[0].y), [3.1, 0.0])
 
     def test_reflection_at_inset_boundary(self):
         state = world(
             agents=[agent(0, (9.25, 0), (1.0, 0.0))], arena=(-10, -10, 10, 10)
         )
         after = step_world(state, 0.1)
-        assert after.agents[0].velocity[0] < 0
-        assert after.agents[0].position[0] <= 10 - 0.7
+        assert after.agents[0].vx < 0
+        assert after.agents[0].x <= 10 - 0.7
 
     def test_pairwise_separation_floor(self):
         state = world(
@@ -165,7 +159,8 @@ class TestStepWorld:
         )
         for _ in range(300):
             state = step_world(state, 0.01)
-            d = np.hypot(*(state.agents[0].position - state.agents[1].position))
+            a, b = state.agents
+            d = math.hypot(a.x - b.x, a.y - b.y)
             assert d >= 0.45
 
     def test_scripted_agents_ignore_walls_and_repulsion(self):
@@ -176,12 +171,30 @@ class TestStepWorld:
             ]
         )
         after = step_world(state, 0.5)
-        np.testing.assert_allclose(after.agents[0].position, [10.4, 0.0])
-        np.testing.assert_allclose(after.agents[1].position, [10.4, 0.1])
+        np.testing.assert_allclose([(a.x, a.y) for a in after.agents], [[10.4, 0.0], [10.4, 0.1]])
 
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError):
-            step_world(world(), 0.0)
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_nonpositive_dt_rejected(self, dt):
+        # NaN passed a `dt <= 0` test into a NaN time and robot pose.
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            step_world(world(), dt)
+
+    def test_steps_share_the_world(self):
+        # The static world is built once and handed on by reference, for a
+        # hand-built state and for a generated scene alike.
+        hand_built = world([agent(0, (3.0, 0.0), (1.0, 0.0))], [Circle(1.0, 1.0, 0.03)],
+                           [Segment(-5.0, 5.0, 5.0, 5.0)])
+        scene = Scenario(small_cfg(kind="mr1")).state
+        for state in (hand_built, scene):
+            after = step_world(step_world(state, 0.01), 0.01)
+            assert after.world is state.world
+
+    def test_scene_agents_hold_python_floats(self):
+        # A numpy scalar would print as np.float64(...) in ground truth.
+        scenario = Scenario(small_cfg(kind="mr1"))
+        scenario.run()
+        for a in scenario.state.agents:
+            assert {type(v) for v in (a.x, a.y, a.vx, a.vy)} == {float}
 
     def test_time_advances(self):
         after = step_world(world(), 0.25)
@@ -311,14 +324,13 @@ class TestGroundTruth:
             ScenarioConfig(kind="custom", arena=(-1.0, -5.0, 6.0, 5.0), occluder_walls=(wall,))
         ).state
         assert (state.robot.x, state.robot.y, state.robot.theta) == (0.0, 0.0, 0.0)
-        assert state.segments == (wall,)
-        assert state.circles == () and state.keep_out == ()
+        assert state.world == World((-1.0, -5.0, 6.0, 5.0), (), (wall,), ())
 
     def test_agents_clear_of_clutter_at_start(self):
         scen = Scenario(small_cfg(seed=11))
         for a in scen.state.agents:
-            for c in scen.state.circles:
-                assert np.hypot(a.position[0] - c.x, a.position[1] - c.y) > c.radius + 0.3
+            for c in scen.state.world.circles:
+                assert np.hypot(a.x - c.x, a.y - c.y) > c.radius + 0.3
 
 
 def test_config_validation():

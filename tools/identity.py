@@ -15,8 +15,10 @@ digits), and exits 1 if any output differs. The set:
   truth alone; and the ``mot`` section of ``evaluate`` on the pipeline's
   tracks;
 - ``run_scenario(cfg, labels=True)`` for sr, mr1 and mr2, seeds 1-3 (20 s),
-  and for the crowd scene, where ten persons walk among the furniture: its
-  scans (times, poses and ranges), ground truth and labels.
+  for the crowd scene, where ten persons walk among the furniture, and for
+  the hand-built ``custom`` kind, ``experiments.emergence_scenario(seed)``
+  for seeds 0-2 (a scripted person behind a wall): its scans (times, poses
+  and ranges), ground truth and labels.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ CROWD = {
 }
 SCENES = """
 import hashlib, json, sys
+from lidarmot.experiments import emergence_scenario
 from lidarmot.simulator import ScenarioConfig, run_scenario
 
 def digest(parts):
@@ -51,6 +54,7 @@ crowd["arena"] = tuple(crowd["arena"])
 scenes = {f"run_scenario {kind} seed {seed}": ScenarioConfig(kind=kind, seed=seed, duration=20.0)
           for kind in ("sr", "mr1", "mr2") for seed in (1, 2, 3)}
 scenes["run_scenario crowd"] = ScenarioConfig(**crowd)
+scenes.update({f"run_scenario custom seed {seed}": emergence_scenario(seed) for seed in (0, 1, 2)})
 out = {}
 for name, cfg in scenes.items():
     scans, gt, labels = run_scenario(cfg, labels=True)
