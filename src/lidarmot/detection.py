@@ -20,8 +20,14 @@ so detections do not depend on which one runs:
   without numpy's per-call cost; the bounding-box span is ``math.hypot``.
   The two round differently for about one input in 200, so swapping
   either moves a decision that sits on a threshold;
-- the arc-depth sign test and deviations stay numpy products: BLAS may
-  fuse their multiply-adds, which Python float arithmetic never does.
+- the flat-surface test decides on floats. The arc depth it thresholds is
+  a numpy product in the array formulation (the ``perp @ anchor`` sign test
+  and the ``(cluster[1:-1] - anchor) @ perp`` deviations), and BLAS may
+  fuse those multiply-adds, which Python float arithmetic never does. The
+  two differ by a few ulps, far less than :data:`FLAT_MARGIN`, so
+  :func:`_is_flat` decides on floats and falls back to the exact numpy
+  :func:`_arc_depth` only when the float sign test or the float depth lies
+  within that margin of its threshold.
 """
 
 from __future__ import annotations
@@ -94,6 +100,34 @@ def _mean(values: list[float]) -> float:
     return total / len(values)
 
 
+#: Slack around the flat test's two decisions, inside which :func:`_is_flat`
+#: asks the exact :func:`_arc_depth`: relative to the sign test's terms, and
+#: in metres, per metre of cluster span, around ``min_arc_depth``. Rounding
+#: moves either decision by about 1e-15 of the same scale.
+FLAT_MARGIN = 1e-9
+
+
+def _chord_normal(xs: list[float], ys: list[float]) -> tuple[float, float, float, float] | None:
+    """The arc depth's chord: its anchor, the average of up to three
+    starting points, and its unit normal ``(-chord_y, chord_x) / norm``,
+    not yet turned toward the sensor; None for a chord shorter than 1e-9."""
+    k = max(1, min(3, len(xs) // 4))
+    ax, ay = _mean(xs[:k]), _mean(ys[:k])
+    chord_x, chord_y = _mean(xs[-k:]) - ax, _mean(ys[-k:]) - ay
+    norm = libm_hypot(chord_x, chord_y)
+    if norm < 1e-9:
+        return None
+    return ax, ay, -chord_y / norm, chord_x / norm
+
+
+def _median(values: list[float]) -> float:
+    """The value of ``np.median`` of a non-empty list; only the sign of a
+    zero median may differ."""
+    mid = sorted(values)
+    h = len(mid) // 2
+    return mid[h] if len(mid) % 2 else (mid[h - 1] + mid[h]) / 2
+
+
 def _arc_depth(cluster: np.ndarray, xs: list[float], ys: list[float]) -> float:
     """Inward bulge of a cluster's interior relative to its endpoint chord:
     around 0 for a straight surface (a wall or table edge), clearly positive
@@ -104,26 +138,73 @@ def _arc_depth(cluster: np.ndarray, xs: list[float], ys: list[float]) -> float:
     median over the middle third, so neither endpoint range noise nor a
     minority of outlier points (a chair leg poking out of a wall run) can
     make flat structure look like a torso.
+
+    This is the exact value: the sign test and the deviations are the numpy
+    products of the array formulation, whose multiply-adds BLAS may fuse.
+    :func:`_is_flat` asks it only near a threshold.
     """
-    k = max(1, min(3, len(xs) // 4))
-    ax, ay = _mean(xs[:k]), _mean(ys[:k])
-    chord_x, chord_y = _mean(xs[-k:]) - ax, _mean(ys[-k:]) - ay
-    norm = libm_hypot(chord_x, chord_y)
-    if norm < 1e-9:
+    normal = _chord_normal(xs, ys)
+    if normal is None:
         return 0.0
+    ax, ay, px, py = normal
     # Perpendicular pointing from the chord back toward the sensor (origin).
     anchor = np.array([ax, ay])
-    perp = np.array([-chord_y / norm, chord_x / norm])
+    perp = np.array([px, py])
     if perp @ anchor > 0:
         perp = -perp
     dev = ((cluster[1:-1] - anchor) @ perp).tolist()
     third = len(dev) // 3
-    mid = sorted(dev[third : max(third + 1, 2 * len(dev) // 3)])
-    if not mid:
-        return 0.0
-    # The value of np.median; only the sign of a zero median may differ.
-    h = len(mid) // 2
-    return mid[h] if len(mid) % 2 else (mid[h - 1] + mid[h]) / 2
+    mid = dev[third : max(third + 1, 2 * len(dev) // 3)]
+    return _median(mid) if mid else 0.0
+
+
+def _is_flat(
+    cluster: np.ndarray, xs: list[float], ys: list[float], span: float, min_arc_depth: float
+) -> bool:
+    """``_arc_depth(cluster, xs, ys) < min_arc_depth``, decided on floats.
+    ``span`` bounds the cluster's extent (its bounding-box diagonal).
+
+    The anchor, the normal and the middle-third slice are those of
+    :func:`_arc_depth`, from the same float operations. The sign test is
+    ``px*ax + py*ay`` and each middle-third deviation ``dx*px + dy*py``,
+    where the exact value takes numpy products that BLAS may fuse. A fused
+    and an unfused multiply-add both lie within one rounding of each
+    product and of the sum of the exact value, so they differ by less than
+    2**-51 of the sum of the terms' magnitudes:
+
+    - the sign test falls back when its float sum is within
+      ``FLAT_MARGIN`` of the sum of its terms' magnitudes, so outside that
+      the two agree on which way the normal turns;
+    - ``|dx|`` and ``|dy|`` are at most the span and ``|px|, |py| <= 1``,
+      so each deviation moves by less than 2**-50 * span. A median is an
+      order statistic, or the halved sum of two, which moves no more than
+      its elements do, plus one rounding of its own. The test falls back
+      when the float median is within ``FLAT_MARGIN * (1 + span)`` of
+      ``min_arc_depth``, which is over a million times that, so outside it
+      the exact median lies on the same side of the threshold.
+
+    A chord shorter than 1e-9 and an empty middle third give depth 0 from
+    the same floats on both paths.
+    """
+    normal = _chord_normal(xs, ys)
+    if normal is None:
+        return 0.0 < min_arc_depth
+    ax, ay, px, py = normal
+    tx, ty = px * ax, py * ay
+    if abs(tx + ty) <= FLAT_MARGIN * (abs(tx) + abs(ty)):
+        return _arc_depth(cluster, xs, ys) < min_arc_depth
+    if tx + ty > 0:
+        px, py = -px, -py
+    # The middle third of the m interior points, as _arc_depth slices them.
+    m = len(xs) - 2
+    if m < 1:
+        return 0.0 < min_arc_depth
+    third = m // 3
+    lo, hi = 1 + third, 1 + max(third + 1, 2 * m // 3)
+    depth = _median([(x - ax) * px + (y - ay) * py for x, y in zip(xs[lo:hi], ys[lo:hi])])
+    if abs(depth - min_arc_depth) <= FLAT_MARGIN * (1.0 + span):
+        return _arc_depth(cluster, xs, ys) < min_arc_depth
+    return depth < min_arc_depth
 
 
 def cluster_detect(
@@ -197,10 +278,11 @@ def cluster_detect(
             cols = xs, ys = pts[a:b].T.tolist()
             box = min(xs), min(ys), max(xs), max(ys)
         x0, y0, x1, y1 = box
-        if math.hypot(x1 - x0, y1 - y0) > max_cluster_span:
+        span = math.hypot(x1 - x0, y1 - y0)
+        if span > max_cluster_span:
             if splits_left > 0 and n >= 2 * min_points:
                 inner = gaps[a : b - 1]
-                widest = int(np.argmax(inner))
+                widest = int(inner.argmax())
                 # Only a physically meaningful gap separates bodies; noise
                 # ripple on a wall is no reason to carve it up.
                 if inner[widest] >= 0.06:
@@ -212,7 +294,7 @@ def cluster_detect(
             continue
         xs, ys = cols or pts[a:b].T.tolist()
         chord = libm_hypot(xs[-1] - xs[0], ys[-1] - ys[0])
-        if chord >= flat_min_chord and _arc_depth(pts[a:b], xs, ys) < min_arc_depth:
+        if chord >= flat_min_chord and _is_flat(pts[a:b], xs, ys, span, min_arc_depth):
             continue
         cx, cy = _mean(xs), _mean(ys)
         rng = libm_hypot(cx, cy)

@@ -196,6 +196,21 @@ class ScenarioConfig:
         x0, y0, x1, y1 = self.arena
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"arena must be (x0, y0, x1, y1), x1 > x0, y1 > y0, got {self.arena}")
+        for i, agent in enumerate(self.scripted_agents):
+            _require_finite(agent, f"scripted_agents[{i}]", ("x", "y", "vx", "vy"))
+            if not 0 < agent.radius < math.inf:
+                raise ValueError(
+                    f"scripted_agents[{i}].radius must be positive and finite, got {agent.radius}"
+                )
+        for i, wall in enumerate(self.occluder_walls):
+            _require_finite(wall, f"occluder_walls[{i}]", ("x1", "y1", "x2", "y2"))
+
+
+def _require_finite(item, where: str, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(item, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"{where}.{name} must be a finite number, got {value}")
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 
 from lidarmot.config import ConfigError, PRESETS, expand_preset, load_config
 from lidarmot.pipeline import PipelineConfig
-from lidarmot.simulator import ScenarioConfig
+from lidarmot.simulator import ScenarioConfig, ScriptedAgent, Segment
 from lidarmot.tracking import TrackerConfig
 
 
@@ -135,6 +135,32 @@ class TestConfigFiles:
     def test_degenerate_setting_refused_by_name(self, cls, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be "):
             cls(**{key: value})
+
+    @pytest.mark.parametrize("key, value, expected", [
+        # These simulated without a word: the ground truth held NaN and the
+        # first scan had no finite return.
+        ("scripted_agents", (ScriptedAgent(0, math.nan, 0.0, 0.0, 0.0),),
+         r"scripted_agents\[0\]\.x must be a finite number, got nan"),
+        ("scripted_agents", (ScriptedAgent(0, 1.0, 0.0, 0.0, 0.0),
+                             ScriptedAgent(1, 1.0, 1.0, 0.0, -math.inf)),
+         r"scripted_agents\[1\]\.vy must be a finite number, got -inf"),
+        ("scripted_agents", (ScriptedAgent(0, 1.0, "0", 0.0, 0.0),),
+         r"scripted_agents\[0\]\.y must be a finite number, got 0"),
+        ("scripted_agents", (ScriptedAgent(0, 1.0, 0.0, 0.0, 0.0, radius=-0.3),),
+         r"scripted_agents\[0\]\.radius must be positive and finite, got -0.3"),
+        ("scripted_agents", (ScriptedAgent(0, 1.0, 0.0, 0.0, 0.0, radius=0.0),),
+         r"scripted_agents\[0\]\.radius must be positive and finite, got 0.0"),
+        ("scripted_agents", (ScriptedAgent(0, 1.0, 0.0, 0.0, 0.0, radius=math.nan),),
+         r"scripted_agents\[0\]\.radius must be positive and finite, got nan"),
+        ("occluder_walls", (Segment(1.0, math.inf, 1.0, 0.0),),
+         r"occluder_walls\[0\]\.y1 must be a finite number, got inf"),
+        ("occluder_walls", (Segment(1.0, 0.0, 1.0, 1.0), Segment(0.0, 0.0, math.nan, 0.0)),
+         r"occluder_walls\[1\]\.x2 must be a finite number, got nan"),
+    ], ids=["agent-x-nan", "agent-vy-inf", "agent-y-str", "agent-radius-negative",
+            "agent-radius-zero", "agent-radius-nan", "wall-y1-inf", "wall-x2-nan"])
+    def test_bad_scripted_agent_or_wall_refused_by_name(self, key, value, expected):
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            ScenarioConfig(kind="custom", **{key: value})
 
     def test_zero_noise_and_robot_speed_limits_accepted(self):
         TrackerConfig(process_noise_accel=0.0, initial_velocity_std=0.0)

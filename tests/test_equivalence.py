@@ -26,13 +26,14 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
 
 from lidarmot import dataset as ds
-from lidarmot import evaluation, simulator
+from lidarmot import detection, evaluation, simulator
 from lidarmot.assignment import linear_sum_assignment
 from lidarmot.config import load_config
 from lidarmot.detection import (
     Detection,
     DetectorConfig,
     _arc_depth,
+    _is_flat,
     cluster_detect,
     expected_person_beams,
     filter_by_confidence,
@@ -1482,6 +1483,24 @@ class TestDetectorEquivalence:
                     decided += 1
                     assert_same_detections(scan, max_cluster_span=min(spans))
         assert decided >= 5
+        # The same for a jump threshold at a gap that np.hypot rounds apart
+        # from sqrt(dx*dx + dy*dy) (np.linalg.norm's value), where moving
+        # that one gap across the threshold changes the detections.
+        decided = 0
+        for scan in scene_scans["crowd"][::4]:
+            _, pts = scan_xy(scan)
+            dx, dy = np.diff(pts, axis=0).T
+            gaps, hypots = np.sqrt(dx * dx + dy * dy), np.hypot(dx, dy)
+            for i in np.nonzero(gaps != hypots)[0][:3]:
+                lo, hi = sorted((float(gaps[i]), float(hypots[i])))
+                below = ref_cluster_detect(scan, DetectorConfig(), jump_threshold=lo)
+                above = ref_cluster_detect(
+                    scan, DetectorConfig(), jump_threshold=math.nextafter(hi, math.inf)
+                )
+                if repr(below) != repr(above):
+                    decided += 1
+                    assert_same_detections(scan, jump_threshold=hi)
+        assert decided >= 5
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_scans(self, seed):
@@ -1507,6 +1526,87 @@ class TestDetectorEquivalence:
             cluster = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
             cluster += rng.normal(0.0, 0.01, cluster.shape)
             assert _arc_depth(cluster, *cluster_lists(cluster)) == ref_arc_depth(cluster)
+
+    @staticmethod
+    def count_calls(monkeypatch, name: str) -> list[int]:
+        """Count the calls of a detection module function; the flat test
+        calls the exact ``_arc_depth`` only near a threshold."""
+        calls = [0]
+        function = getattr(detection, name)
+
+        def counted(*args):
+            calls[0] += 1
+            return function(*args)
+
+        monkeypatch.setattr(detection, name, counted)
+        return calls
+
+    def test_thresholds_at_the_exact_arc_depth(self, scene_scans, monkeypatch):
+        # With min_arc_depth at a cluster's exact depth, or one step to
+        # either side, the float depth lies within the margin, so the
+        # decision comes from the exact fallback. Rounding puts the float
+        # median a few ulps from the exact one for about a third of these
+        # clusters, so dropping the fallback changes detections here.
+        calls = self.count_calls(monkeypatch, "_arc_depth")
+        tried = 0
+        for scene in SCENES:
+            for scan in scene_scans[scene][::10]:
+                idx, pts = scan_xy(scan)
+                for sl in ref_split_clusters(idx, pts, 0.25):
+                    cluster = pts[sl]
+                    extent = cluster.max(axis=0) - cluster.min(axis=0)
+                    if (len(cluster) < 5 or math.hypot(*extent) > 0.8
+                            or float(np.hypot(*(cluster[-1] - cluster[0]))) < 0.18):
+                        continue
+                    depth = ref_arc_depth(cluster)
+                    for threshold in (math.nextafter(depth, -math.inf), depth,
+                                      math.nextafter(depth, math.inf)):
+                        before = calls[0]
+                        assert_same_detections(scan, min_arc_depth=threshold)
+                        assert calls[0] > before
+                        tried += 1
+        assert tried >= 300
+
+    @staticmethod
+    def bent_radial_cluster(rng: np.random.Generator) -> np.ndarray:
+        """The first and last three points on one ray from the sensor, the
+        middle bulging 3 cm sideways: the chord points at the sensor, so
+        which way its normal turns is decided by rounding alone."""
+        n = int(rng.integers(12, 24))
+        theta = float(rng.uniform(-math.pi, math.pi))
+        r = float(rng.uniform(0.5, 5.0)) + float(rng.uniform(0.01, 0.04)) * np.arange(n)
+        side = np.zeros(n)
+        side[3:-3] = 0.03 * np.sin(np.pi * np.arange(1, n - 5) / (n - 5))
+        ux, uy = math.cos(theta), math.sin(theta)
+        return np.stack([r * ux - side * uy, r * uy + side * ux], axis=1)
+
+    def test_bent_radial_clusters_take_the_exact_sign_test(self, monkeypatch):
+        # The float sign test and numpy's dot product disagree on about
+        # 2.5% of these clusters where BLAS fuses the multiply-adds, and
+        # then the depth changes sign. So each decision must come from the
+        # exact fallback, on every machine.
+        calls = self.count_calls(monkeypatch, "_arc_depth")
+        rng = np.random.default_rng(700)
+        for k in range(400):
+            cluster = self.bent_radial_cluster(rng)
+            xs, ys = cluster_lists(cluster)
+            span = math.hypot(*(cluster.max(axis=0) - cluster.min(axis=0)))
+            depth = ref_arc_depth(cluster)
+            assert abs(depth) > 0.012
+            assert _arc_depth(cluster, xs, ys) == depth
+            assert _is_flat(cluster, xs, ys, span, 0.012) == (depth < 0.012)
+            assert calls[0] == k + 1
+
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_crowd_decides_on_floats(self, scene_scans, stride, monkeypatch):
+        # At the default threshold no crowd cluster comes near either
+        # margin, so the exact numpy depth is never computed.
+        calls = self.count_calls(monkeypatch, "_arc_depth")
+        flat_tests = self.count_calls(monkeypatch, "_is_flat")
+        for scan in scene_scans["crowd"]:
+            assert_same_detections(scan, DetectorConfig(window_stride=stride))
+        assert flat_tests[0] >= 5 * len(scene_scans["crowd"])
+        assert calls[0] == 0
 
     def test_no_returns(self):
         scan = LidarScan(0.0, np.full(100, NO_RETURN), -1.0, 0.01, 30.0)

@@ -9,7 +9,10 @@ first for the others. Each run's record is read from the checkout's
 ``.perfbench/results``. The file keeps, per side, every run's end-to-end
 metrics with their median and quartiles, the summed operations, and the
 source hash; and the pairs the change won on each metric, where "better" is
-read from ``BENCHMARK.json``. With ``--quality-table`` the ROADMAP quality
+read from ``BENCHMARK.json``. With ``--trace`` each seed also runs
+``perfbench/run.py --trace 1`` once in each checkout, in the same order, and
+the file keeps, per side, the median and quartiles of every ``per_layer``
+metric of ``BENCHMARK.json``. With ``--quality-table`` the ROADMAP quality
 table (``bench --preset config-1,config-2,config-3 --seeds 1,2 --duration 20``
 for sr, mr1 and mr2, as ``tools/identity.py`` runs it) is run on both sides and
 its report digests recorded.
@@ -40,21 +43,35 @@ def seed_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_side(checkout: Path, workload: str, seed: int, seconds: float, traced: bool) -> dict:
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(seconds), "--trace", str(int(traced)),
     ]
     proc = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}")
-    path = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-untraced.json"
-    return json.loads(path.read_text())
+    mode = "traced" if traced else "untraced"
+    path = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-{mode}.json"
+    record = json.loads(path.read_text())
+    if not record["correct"]:
+        raise SystemExit(f"{checkout}: {' '.join(argv[1:])} failed its output checks")
+    return record
 
 
 def summary(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": values}
+
+
+def metric_summaries(records: list[dict], metrics: list[dict]) -> dict:
+    return {
+        m["name"]: {
+            "unit": m["unit"],
+            **summary([r["metrics"][m["name"]]["value"] for r in records]),
+        }
+        for m in metrics
+    }
 
 
 def side_record(records: list[dict], metrics: list[dict]) -> dict:
@@ -64,13 +81,7 @@ def side_record(records: list[dict], metrics: list[dict]) -> dict:
         "source_sha256": machine["source_sha256"],
         "attempted": sum(r["attempted"] for r in records),
         "failed": sum(r["failed"] for r in records),
-        "metrics": {
-            m["name"]: {
-                "unit": m["unit"],
-                **summary([r["metrics"][m["name"]]["value"] for r in records]),
-            }
-            for m in metrics
-        },
+        "metrics": metric_summaries(records, metrics),
     }
 
 
@@ -82,25 +93,33 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, help="first-last or a comma list")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--trace", action="store_true",
+                        help="also one traced run per seed and side, for per-layer medians")
     parser.add_argument("--quality-table", action="store_true")
     args = parser.parse_args(argv)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, layers = bench["end_to_end"], bench["per_layer"]
     seeds = seed_list(args.seeds)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     records: dict[str, list[dict]] = {"parent": [], "change": []}
+    traces: dict[str, list[dict]] = {"parent": [], "change": []}
     for k, seed in enumerate(seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            records[side].append(run_side(sides[side], args.workload, seed, args.seconds))
+            records[side].append(run_side(sides[side], args.workload, seed, args.seconds, False))
             value = records[side][-1]["metrics"]
             print(f"seed {seed} {side}: " + ", ".join(
                 f"{m['name']} {value[m['name']]['value']:.4g}" for m in metrics
             ), flush=True)
+        if args.trace:
+            for side in order:
+                traces[side].append(run_side(sides[side], args.workload, seed, args.seconds, True))
+                print(f"seed {seed} {side} traced", flush=True)
 
     machines = {
         json.dumps({key: r["machine"][key] for key in MACHINE_KEYS}, sort_keys=True)
-        for side in records.values() for r in side
+        for side in (*records.values(), *traces.values()) for r in side
     }
     if len(machines) != 1:
         raise SystemExit(f"runs differ in their machine record: {sorted(machines)}")
@@ -121,6 +140,19 @@ def main(argv=None) -> int:
             "git_commit is the parent's: the change ran as an uncommitted tree on top of it, "
             "which source_sha256 identifies"
         )
+    if args.trace:
+        result["traced_command"] = (
+            f"python3 perfbench/run.py --workload {args.workload} --seed SEED "
+            f"--seconds {args.seconds:g} --trace 1, once per seed and side after the "
+            "untraced pair, in the same order"
+        )
+        result["per_layer_note"] = (
+            "simulator.raycast_scan.calls and .self_s read 0 in every traced run: the "
+            "benchmark's hook rebinds simulator.raycast_scan, which no longer exists, while "
+            "scenes are cast through simulator.raycast_scans (ROADMAP item 0)"
+        )
+        for side in sides:
+            result[side]["per_layer"] = metric_summaries(traces[side], layers)
     wins = {}
     for m in metrics:
         sign = 1 if m["better"] == "higher" else -1
