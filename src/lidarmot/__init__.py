@@ -46,8 +46,6 @@ from .pipeline import (
     FrameTiming,
     PipelineConfig,
     RunSummary,
-    StageTimings,
-    collect_timings,
     export_dynamic_obstacles,
     forecast_position,
     paced,

@@ -23,10 +23,10 @@ from .dataset import DatasetFormatError
 from .detection import Detection, Detector
 from .evaluation import evaluate_sequence
 from .geometry import LidarScan
-from .pipeline import collect_timings, paced, run_pipeline
+from .pipeline import paced, run_pipeline
 from .report import build_report, mot_section, timing_section, write_report
 from .simulator import PlacementError
-from .workflows import bind_stages, build_detector, run_benchmark, sensor_fov
+from .workflows import bind_stages, build_detector, run_benchmark, scan_period_ms, sensor_fov
 
 SCANS_FILE = "scans.jsonl"
 GROUND_TRUTH_FILE = "ground_truth.jsonl"
@@ -139,15 +139,16 @@ def _track_and_write(args, cfg, frames, detector, out: Path, realtime: bool = Fa
     ground truth, by :func:`~lidarmot.workflows.pose_for_scan`.
 
     Without ``realtime`` this is a batch job: serial, with every frame
-    processed. ``realtime`` paces the frames like a live sensor into the
-    pipelined runtime, which sheds the oldest when it falls behind."""
+    processed. ``realtime`` offers the frames at their recorded times, like a
+    live sensor, to the pipelined runtime, which sheds the oldest when it
+    falls behind."""
     gt_path = _in_dir(args) / GROUND_TRUTH_FILE
     gt_frames = None
     if gt_path.exists() and any(f.pose is None for f in frames):
         gt_frames = _read(gt_path, "ground_truth", ds.record_to_ground_truth, args.strict)
     detect_fn, track_fn = bind_stages(cfg, detector, gt_frames)
     pipe_cfg = dataclasses.replace(cfg.pipeline, pipelined=realtime, drop_stale=realtime)
-    source = paced(frames, pipe_cfg.scan_rate_hz) if realtime else frames
+    source = paced(frames) if realtime else frames
 
     track_records = []
     obstacle_records = []
@@ -254,19 +255,19 @@ def _cmd_pipeline(args) -> int:
     out = _out_dir(args)
     scans = _read(_in_dir(args) / SCANS_FILE, "scan", ds.record_to_scan, args.strict)
     summary = _track_and_write(args, cfg, scans, build_detector(cfg), out, args.realtime)
-    stage = collect_timings(summary.timings, cfg.pipeline.scan_rate_hz)
+    stage = timing_section(summary.timings, scan_period_ms(scans))
     timings = {
         "frames_in": summary.frames_in,
         "frames_processed": summary.frames_processed,
         "frames_dropped": summary.frames_dropped,
         "achieved_hz": summary.achieved_hz,
-        "stage": timing_section(stage),
+        "stage": stage,
     }
     write_report(timings, out / TIMINGS_FILE)
     print(
         f"pipeline: {summary.frames_processed}/{summary.frames_in} frames "
         f"({summary.frames_dropped} dropped), "
-        f"avg latency {stage.lat_avg_ms:.2f} ms -> {out}"
+        f"avg latency {stage['total_ms']['avg']:.2f} ms -> {out}"
     )
     if summary.error:
         print(f"source error: {summary.error}", file=sys.stderr)
@@ -340,8 +341,7 @@ def _cmd_bench(args) -> int:
                 "mot": mot_section(mot),
             }
             if args.timings:
-                stage = collect_timings(tracking.timings, cfg.pipeline.scan_rate_hz)
-                row["timing"] = timing_section(stage)
+                row["timing"] = timing_section(tracking.timings, scan_period_ms(scans))
             rows[i] = row
             # mot_section writes None where MOTA or MOTP is undefined.
             section = row["mot"]
@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--realtime",
         action="store_true",
-        help="pace scans at the scan rate through the pipelined runtime, "
+        help="offer scans at their recorded times to the pipelined runtime, "
         "dropping the oldest when it falls behind (default: serial batch)",
     )
     p.add_argument("--velocity-gate", dest="velocity_gate", type=float)

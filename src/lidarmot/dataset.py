@@ -131,6 +131,31 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float(rec: DatasetRecord, path: str, value) -> float:
+    """``value``, the field at ``path`` in a record's payload, as a float. A
+    value that is no JSON number, or an integer too large for a float,
+    raises DatasetFormatError naming the kind, time and field."""
+    where = f"{rec.kind} at t={rec.timestamp!r}: {path}"
+    if not _is_number(value):
+        raise DatasetFormatError(f"{where} is {value!r}, not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DatasetFormatError(f"{where} is an integer too large for a float") from None
+
+
+def _frame(rec: DatasetRecord, obj: dict, path: str = "frame") -> str:
+    """The ``frame`` tag of ``obj``, the payload or an item in it at
+    ``path``; the sensor frame when absent. A tag that is no string raises
+    DatasetFormatError naming the kind, time and field."""
+    frame = obj.get("frame", SENSOR_FRAME)
+    if type(frame) is not str:
+        raise DatasetFormatError(
+            f"{rec.kind} at t={rec.timestamp!r}: {path} is {frame!r}, not a string"
+        )
+    return frame
+
+
 def _header_meta(header: dict, lineno: int) -> dict:
     """The writer's metadata in a header line, its ``kind`` tag already
     taken out. Refuses a header that names another format, a version other
@@ -252,12 +277,7 @@ def _pose_from(rec: DatasetRecord, name: str) -> Pose2D:
     _require(rec.payload, (name,), rec)
     payload = rec.payload[name]
     _require(payload, _POSE_FIELDS, rec, name)
-    x, y, theta = payload["x"], payload["y"], payload["theta"]
-    if not (_is_number(x) and _is_number(y) and _is_number(theta)):
-        key = next(k for k in _POSE_FIELDS if not _is_number(payload[k]))
-        raise DatasetFormatError(
-            f"{rec.kind} at t={rec.timestamp!r}: {name}.{key} is {payload[key]!r}, not a number"
-        )
+    x, y, theta = (_float(rec, f"{name}.{key}", payload[key]) for key in _POSE_FIELDS)
     return Pose2D(x, y, theta, rec.timestamp)
 
 
@@ -318,17 +338,15 @@ def _decode_ranges(t: float, payload: dict) -> np.ndarray:
 
 def record_to_scan(rec: DatasetRecord) -> LidarScan:
     """Decode a scan record; a missing field, ``ranges`` that do not decode,
-    or an angle, range limit or pose value that is not a JSON number (a
-    string, ``true``), raises DatasetFormatError naming the scan's time.
+    an angle, range limit or pose value that is not a JSON number (a
+    string, ``true``) or is an integer too large for a float, or a ``frame``
+    that is no string, raises DatasetFormatError naming the scan's time.
     ``read_dataset`` has already decoded the ranges of the records it
     returns."""
     p = rec.payload
     _require(p, _SCAN_FIELDS, rec)
-    for key in _SCAN_NUMBERS:
-        if not _is_number(p[key]):
-            raise DatasetFormatError(
-                f"scan at t={rec.timestamp!r}: {key} is {p[key]!r}, not a number"
-            )
+    angle_min, angle_increment, range_max = (_float(rec, key, p[key]) for key in _SCAN_NUMBERS)
+    frame = _frame(rec, p)
     ranges = p["ranges"]
     if type(ranges) is not np.ndarray:
         try:
@@ -339,10 +357,10 @@ def record_to_scan(rec: DatasetRecord) -> LidarScan:
     return LidarScan(
         timestamp=rec.timestamp,
         ranges=ranges,
-        angle_min=p["angle_min"],
-        angle_increment=p["angle_increment"],
-        range_max=p["range_max"],
-        frame=p.get("frame", SENSOR_FRAME),
+        angle_min=angle_min,
+        angle_increment=angle_increment,
+        range_max=range_max,
+        frame=frame,
         pose=pose,
     )
 
@@ -378,10 +396,11 @@ def record_to_ground_truth(rec: DatasetRecord) -> GroundTruthFrame:
 def _items(
     rec: DatasetRecord, name: str, numbers: tuple[str, ...], ids: bool = False
 ) -> list[dict]:
-    """The list of items under ``name`` in a record's payload. Each item must
-    be an object, each field in ``numbers`` a JSON number and, with ``ids``,
-    ``id`` an integer; otherwise DatasetFormatError names the kind, time,
-    item and field."""
+    """The list of items under ``name`` in a record's payload, each field in
+    ``numbers`` turned to a float in place. Each item must be an object,
+    each field in ``numbers`` a JSON number that a float can hold and, with
+    ``ids``, ``id`` an integer; otherwise DatasetFormatError names the kind,
+    time, item and field."""
     _require(rec.payload, (name,), rec)
     items = rec.payload[name]
     where = f"{rec.kind} at t={rec.timestamp!r}: {name}"
@@ -391,8 +410,7 @@ def _items(
     for i, q in enumerate(items):
         _require(q, fields, rec, f"{name}[{i}]")
         for key in numbers:
-            if not _is_number(q[key]):
-                raise DatasetFormatError(f"{where}[{i}].{key} is {q[key]!r}, not a number")
+            q[key] = _float(rec, f"{name}[{i}].{key}", q[key])
         if ids and type(q["id"]) is not int:
             raise DatasetFormatError(f"{where}[{i}].id is {q['id']!r}, not an integer")
     return items
@@ -419,14 +437,24 @@ def detections_to_record(
 
 
 def record_to_detections(rec: DatasetRecord) -> list[Detection]:
-    return [
-        Detection(
-            position=PointXY(q["x"], q["y"], frame=q.get("frame", SENSOR_FRAME)),
+    """Decode a detection record. A detection's ``frame`` must be a string
+    other than the odometry frame: the tracker takes every detection in the
+    sensor frame and transforms it at the scan's pose."""
+    detections = []
+    for i, q in enumerate(_items(rec, "detections", ("x", "y", "confidence"))):
+        path = f"detections[{i}].frame"
+        frame = _frame(rec, q, path)
+        if frame == ODOM_FRAME:
+            raise DatasetFormatError(
+                f"detection at t={rec.timestamp!r}: {path} is {frame!r}; the tracker "
+                "takes detections in the sensor frame"
+            )
+        detections.append(Detection(
+            position=PointXY(q["x"], q["y"], frame=frame),
             confidence=q["confidence"],
             timestamp=rec.timestamp,
-        )
-        for q in _items(rec, "detections", ("x", "y", "confidence"))
-    ]
+        ))
+    return detections
 
 
 def tracks_to_record(tracks: Sequence[Track], timestamp: float) -> DatasetRecord:

@@ -4,7 +4,10 @@ a learned model, and confidence gating.
 A detector is a callable ``scan -> list[Detection]``, here the
 :class:`ClusterDetector`. Detections are reported in the sensor frame with a
 confidence in [0, 1]; thresholding is a separate step so the same detection
-stream can be re-gated.
+stream can be re-gated. The cluster detector's geometric thresholds are
+module constants (:data:`JUMP_THRESHOLD` through :data:`MIN_ARC_DEPTH`);
+only the window stride and the confidence gate are configured, by
+:class:`DetectorConfig`.
 
 The cluster detector walks each cluster on Python floats, because a dozen
 small numpy calls per cluster would cost more than the arithmetic. Every
@@ -74,6 +77,27 @@ class DetectorConfig:
             raise ValueError("confidence_threshold must be in [0, 1]")
 
 
+# The cluster detector's thresholds; lengths in metres.
+#: Consecutive beams at least this far apart start a new cluster.
+JUMP_THRESHOLD = 0.25
+#: Fewest beams a person cluster holds.
+MIN_POINTS = 5
+#: Largest bounding-box diagonal of a person cluster.
+MAX_CLUSTER_SPAN = 0.8
+#: Body radius behind the beam count a person is expected to subtend.
+PERSON_RADIUS = 0.3
+#: Push from the near surface to the body centre.
+CENTER_OFFSET = 0.25
+#: Share of the expected beam count that gives full confidence.
+DETECTABLE_FRACTION = 0.4
+#: Most beams a person cluster holds, as a multiple of the expected count.
+OVERSIZE_RATIO = 1.8
+#: Shortest endpoint chord from which a cluster must bulge toward the sensor.
+FLAT_MIN_CHORD = 0.18
+#: Least median bulge such a cluster needs.
+MIN_ARC_DEPTH = 0.012
+
+
 def filter_by_confidence(
     detections: Sequence[Detection], threshold: float
 ) -> list[Detection]:
@@ -102,8 +126,8 @@ def _mean(values: list[float]) -> float:
 
 #: Slack around the flat test's two decisions, inside which :func:`_is_flat`
 #: asks the exact :func:`_arc_depth`: relative to the sign test's terms, and
-#: in metres, per metre of cluster span, around ``min_arc_depth``. Rounding
-#: moves either decision by about 1e-15 of the same scale.
+#: in metres, per metre of cluster span, around the arc-depth threshold.
+#: Rounding moves either decision by about 1e-15 of the same scale.
 FLAT_MARGIN = 1e-9
 
 
@@ -207,43 +231,28 @@ def _is_flat(
     return depth < min_arc_depth
 
 
-def cluster_detect(
-    scan: LidarScan,
-    cfg: DetectorConfig,
-    jump_threshold: float = 0.25,
-    min_points: int = 5,
-    max_cluster_span: float = 0.8,
-    person_radius: float = 0.3,
-    center_offset: float = 0.25,
-    detectable_fraction: float = 0.4,
-    oversize_ratio: float = 1.8,
-    flat_min_chord: float = 0.18,
-    min_arc_depth: float = 0.012,
-) -> list[Detection]:
+def cluster_detect(scan: LidarScan, cfg: DetectorConfig) -> list[Detection]:
     """Jump-distance cluster detector.
 
-    Consecutive returning beams closer than ``jump_threshold`` form clusters.
-    A cluster yields a detection when it has at least ``min_points`` beams, a
-    bounding-box diagonal at most ``max_cluster_span`` (rejects walls and
-    anything merged into them), no more than ``oversize_ratio`` times the
-    beam count a person could subtend at its range (rejects large structure
-    seen point-blank), and contains at least one beam on the configured
-    window-stride grid. Clusters whose endpoint chord is at least
-    ``flat_min_chord`` must additionally bulge toward the sensor by a median
-    ``min_arc_depth``, which rejects straight wall and table-edge
-    stretches that person shadows chop into person-sized pieces. The reported
-    position is the cluster centroid pushed away from the sensor by
-    ``center_offset`` to land at the body center rather than on the near
-    surface.
+    Consecutive returning beams closer than :data:`JUMP_THRESHOLD` form
+    clusters. A cluster yields a detection when it has at least
+    :data:`MIN_POINTS` beams, a bounding-box diagonal at most
+    :data:`MAX_CLUSTER_SPAN` (rejects walls and anything merged into them),
+    no more than :data:`OVERSIZE_RATIO` times the beam count a person could
+    subtend at its range (rejects large structure seen point-blank), and
+    contains at least one beam on the configured window-stride grid.
+    Clusters whose endpoint chord is at least :data:`FLAT_MIN_CHORD` must
+    additionally bulge toward the sensor by a median :data:`MIN_ARC_DEPTH`,
+    which rejects straight wall and table-edge stretches that person shadows
+    chop into person-sized pieces. The reported position is the cluster
+    centroid pushed away from the sensor by :data:`CENTER_OFFSET` to land at
+    the body center rather than on the near surface.
 
-    Confidence compares the beam count against the count a person subtends at
-    the centroid range, scaled by ``detectable_fraction``: a partially visible
-    person reaches full confidence once that visibility fraction is exceeded.
+    Confidence compares the beam count against the count a person of
+    :data:`PERSON_RADIUS` subtends at the centroid range, scaled by
+    :data:`DETECTABLE_FRACTION`: a partially visible person reaches full
+    confidence once that visibility fraction is exceeded.
     """
-    if jump_threshold <= 0:
-        raise ValueError("jump_threshold must be positive")
-    if min_points < 1:
-        raise ValueError("min_points must be >= 1")
     idx, pts = scan_xy(scan)
     detections: list[Detection] = []
     if len(idx) == 0:
@@ -254,7 +263,7 @@ def cluster_detect(
     # bit for bit, without its slow two-element reduction.
     dx, dy = np.diff(pts, axis=0).T
     gaps = np.sqrt(dx * dx + dy * dy)
-    starts = np.concatenate([[0], np.nonzero(gaps >= jump_threshold)[0] + 1])
+    starts = np.concatenate([[0], np.nonzero(gaps >= JUMP_THRESHOLD)[0] + 1])
     bounds = starts.tolist() + [len(idx)]
     boxes = np.concatenate(
         [np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)], axis=1
@@ -271,7 +280,7 @@ def cluster_detect(
     while work:
         a, b, splits_left, box = work.pop()
         n = b - a
-        if n < min_points:
+        if n < MIN_POINTS:
             continue
         cols = None
         if box is None:
@@ -279,8 +288,8 @@ def cluster_detect(
             box = min(xs), min(ys), max(xs), max(ys)
         x0, y0, x1, y1 = box
         span = math.hypot(x1 - x0, y1 - y0)
-        if span > max_cluster_span:
-            if splits_left > 0 and n >= 2 * min_points:
+        if span > MAX_CLUSTER_SPAN:
+            if splits_left > 0 and n >= 2 * MIN_POINTS:
                 inner = gaps[a : b - 1]
                 widest = int(inner.argmax())
                 # Only a physically meaningful gap separates bodies; noise
@@ -294,19 +303,19 @@ def cluster_detect(
             continue
         xs, ys = cols or pts[a:b].T.tolist()
         chord = libm_hypot(xs[-1] - xs[0], ys[-1] - ys[0])
-        if chord >= flat_min_chord and _is_flat(pts[a:b], xs, ys, span, min_arc_depth):
+        if chord >= FLAT_MIN_CHORD and _is_flat(pts[a:b], xs, ys, span, MIN_ARC_DEPTH):
             continue
         cx, cy = _mean(xs), _mean(ys)
         rng = libm_hypot(cx, cy)
         if rng <= 0:
             continue
-        push = 1.0 + center_offset / rng
+        push = 1.0 + CENTER_OFFSET / rng
         expected = expected_person_beams(
-            rng + center_offset, scan.angle_increment, person_radius
+            rng + CENTER_OFFSET, scan.angle_increment, PERSON_RADIUS
         )
-        if n > oversize_ratio * expected:
+        if n > OVERSIZE_RATIO * expected:
             continue
-        confidence = min(1.0, n / (detectable_fraction * expected))
+        confidence = min(1.0, n / (DETECTABLE_FRACTION * expected))
         detections.append(
             Detection(
                 position=PointXY(cx * push, cy * push, frame=scan.frame),

@@ -8,7 +8,9 @@ calling thread. A live source is read on a thread of its own, which drops
 stream stays fresh and ordered. In pipelined mode the detector works on scan
 i+1 on a thread of its own while the caller tracks scan i, so sustained
 throughput is bound by the slower stage rather than their sum. Scans cross
-threads as immutable snapshots through bounded ordered queues.
+threads as immutable snapshots through ordered queues of
+:data:`QUEUE_CAPACITY`. :func:`paced` offers a recording at its recorded
+times, as the sensor delivered it.
 """
 
 from __future__ import annotations
@@ -29,11 +31,14 @@ DetectFn = Callable[[LidarScan], "list[Detection]"]
 TrackFn = Callable[[LidarScan, "list[Detection]"], "list[Track]"]
 
 
+#: Scans each of the runtime's queues holds. Past it, a queue fed by a live
+#: source drops its oldest scan, and any other queue makes its producer wait.
+QUEUE_CAPACITY = 2
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    scan_rate_hz: float = 20.0
     velocity_gate: float = 0.05   # m/s; slower tracks are not exported
-    queue_capacity: int = 2
     pipelined: bool = True
     #: Live sources cannot wait: past capacity the oldest queued scan is
     #: dropped (and counted). Batch replay sets this False to back-pressure
@@ -41,12 +46,6 @@ class PipelineConfig:
     drop_stale: bool = True
 
     def __post_init__(self):
-        if not math.isfinite(self.scan_rate_hz):
-            raise ValueError(f"scan_rate_hz must be a finite number, got {self.scan_rate_hz}")
-        if self.scan_rate_hz <= 0:
-            raise ValueError("scan_rate_hz must be positive")
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
         if not 0 <= self.velocity_gate < math.inf:
             raise ValueError(f"velocity_gate must be >= 0 and finite, got {self.velocity_gate}")
 
@@ -65,20 +64,6 @@ class FrameTiming:
     t_det_ms: float
     t_track_ms: float
     t_lat_ms: float
-
-
-@dataclass(frozen=True)
-class StageTimings:
-    """Worst/average per stage over a run; t_scan_ms is the nominal period."""
-
-    n_frames: int
-    det_worst_ms: float
-    det_avg_ms: float
-    track_worst_ms: float
-    track_avg_ms: float
-    lat_worst_ms: float
-    lat_avg_ms: float
-    t_scan_ms: float
 
 
 @dataclass(frozen=True)
@@ -214,33 +199,16 @@ def predicts_collision(
     return t_star <= horizon and d_min < safety_distance
 
 
-def collect_timings(
-    timings: Sequence[FrameTiming], scan_rate_hz: float = 20.0
-) -> StageTimings:
-    """Worst/average per stage across processed frames."""
-    if not timings:
-        raise ValueError("no frames processed")
-    det = [t.t_det_ms for t in timings]
-    trk = [t.t_track_ms for t in timings]
-    lat = [t.t_lat_ms for t in timings]
-    return StageTimings(
-        n_frames=len(timings),
-        det_worst_ms=max(det),
-        det_avg_ms=sum(det) / len(det),
-        track_worst_ms=max(trk),
-        track_avg_ms=sum(trk) / len(trk),
-        lat_worst_ms=max(lat),
-        lat_avg_ms=sum(lat) / len(lat),
-        t_scan_ms=1000.0 / scan_rate_hz,
-    )
-
-
-def paced(scans: Iterable[LidarScan], rate_hz: float) -> Iterator[LidarScan]:
-    """Deliver scans on a wall-clock schedule at the given rate."""
+def paced(scans: Iterable[LidarScan]) -> Iterator[LidarScan]:
+    """Deliver scans on the wall clock at their recorded times: each one as
+    long after the first as its timestamp is, so a recording replays at its
+    own rate, gaps included."""
     start = time.perf_counter()
-    for i, scan in enumerate(scans):
-        target = start + i / rate_hz
-        delay = target - time.perf_counter()
+    first = None
+    for scan in scans:
+        if first is None:
+            first = scan.timestamp
+        delay = start + (scan.timestamp - first) - time.perf_counter()
         if delay > 0:
             time.sleep(delay)
         yield scan
@@ -292,7 +260,7 @@ def run_pipeline(
         """Drain ``items`` on a thread of their own into a bounded queue and
         return the queue's items; an exception is kept for the caller. A
         dropping queue is fed by a live source, which the run never joins."""
-        queue = _Queue(cfg.queue_capacity, drop_oldest)
+        queue = _Queue(QUEUE_CAPACITY, drop_oldest)
 
         def drain():
             try:

@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Sequence
 
 from .evaluation import MotReport
-from .pipeline import StageTimings
+from .pipeline import FrameTiming
 
 REPORT_FORMAT = "lidarmot-report"
 REPORT_VERSION = 1
@@ -30,13 +31,21 @@ def mot_section(report: MotReport) -> dict:
     }
 
 
-def timing_section(stage: StageTimings) -> dict:
+def timing_section(timings: Sequence[FrameTiming], t_scan_ms: float) -> dict:
+    """Worst and average time per stage over the processed frames, set
+    against the scan period ``t_scan_ms``."""
+    if not timings:
+        raise ValueError("no frames processed")
+
+    def worst_avg(values: list[float]) -> dict:
+        return {"worst": max(values), "avg": sum(values) / len(values)}
+
     return {
-        "n_frames": stage.n_frames,
-        "t_scan_ms": stage.t_scan_ms,
-        "detector_ms": {"worst": stage.det_worst_ms, "avg": stage.det_avg_ms},
-        "tracker_ms": {"worst": stage.track_worst_ms, "avg": stage.track_avg_ms},
-        "total_ms": {"worst": stage.lat_worst_ms, "avg": stage.lat_avg_ms},
+        "n_frames": len(timings),
+        "t_scan_ms": t_scan_ms,
+        "detector_ms": worst_avg([t.t_det_ms for t in timings]),
+        "tracker_ms": worst_avg([t.t_track_ms for t in timings]),
+        "total_ms": worst_avg([t.t_lat_ms for t in timings]),
     }
 
 

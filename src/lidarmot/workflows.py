@@ -1,7 +1,7 @@
 """End-to-end compositions shared by the command-line tools and the
-benchmark: detector construction, the sensor's field of view, the detect and
-track stages of a run, serial tracking over a scan list, and the
-simulate/track/evaluate bundle.
+benchmark: detector construction, the sensor's field of view and scan period
+as the scans give them, the detect and track stages of a run, serial
+tracking over a scan list, and the simulate/track/evaluate bundle.
 
 :func:`bind_stages` is the one place the frame chain is assembled; every
 run drives it through :func:`lidarmot.pipeline.run_pipeline`. Serial batch
@@ -53,6 +53,14 @@ def sensor_fov(scans: list[LidarScan]) -> FieldOfView:
         return LidarParams().fov()
     s = scans[0]
     return FieldOfView(s.angle_min, s.angle_min + len(s.ranges) * s.angle_increment, s.range_max)
+
+
+def scan_period_ms(scans: list[LidarScan]) -> float:
+    """The scans' mean period in ms: their time span over the number of
+    intervals in it. With fewer than two scans, the default sensor's."""
+    if len(scans) < 2:
+        return 1000.0 / LidarParams().rate_hz
+    return 1000.0 * (scans[-1].timestamp - scans[0].timestamp) / (len(scans) - 1)
 
 
 def pose_for_scan(scan: LidarScan, gt_pose_at: Callable[[float], Pose2D] | None) -> Pose2D:

@@ -239,7 +239,7 @@ def test_criterion_7_pipelining_throughput():
         for attempt in range(8):
             attempts += 1
             pipelined = run_pipeline(
-                paced(scans(100), 20.0), delayed_detect, delayed_track,
+                paced(scans(100)), delayed_detect, delayed_track,
                 PipelineConfig(pipelined=True),
             )
             handoffs = [
@@ -253,7 +253,7 @@ def test_criterion_7_pipelining_throughput():
     assert max(handoffs) <= 1.0
 
     serial = run_pipeline(
-        paced(scans(100), 20.0), delayed_detect, delayed_track,
+        paced(scans(100)), delayed_detect, delayed_track,
         PipelineConfig(pipelined=False),
     )
     assert serial.achieved_hz < 17.0

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,7 @@ class TestBench:
                     "--out", out, "--timings"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["timing"]["n_frames"] == 101
+        assert report["timing"]["t_scan_ms"] == 50.0
 
     def test_bench_sweep_emits_table(self, tmp_path):
         out = tmp_path / "sweep"
@@ -390,6 +392,37 @@ class TestPipelineCommand:
         assert timings["frames_processed"] == 101
         assert timings["frames_dropped"] == 0
         assert timings["stage"]["total_ms"]["avg"] > 0
+        assert timings["stage"]["t_scan_ms"] == 50.0
+
+    @staticmethod
+    def recording(data, rate_hz, n_scans=None):
+        """An sr recording at ``rate_hz``, 1 s long or its first ``n_scans``."""
+        cfg = simulator.ScenarioConfig(
+            kind="sr", seed=1, duration=1.0, lidar=simulator.LidarParams(rate_hz=rate_hz)
+        )
+        scans, _ = simulator.run_scenario(cfg)
+        data.mkdir()
+        ds.write_dataset(map(ds.scan_to_record, scans[:n_scans]), data / "scans.jsonl")
+        return data
+
+    @pytest.mark.parametrize("rate_hz, n_scans, t_scan_ms", [
+        (10.0, None, 100.0), (20.0, None, 50.0), (10.0, 1, 50.0),
+    ], ids=["10Hz", "20Hz", "one-scan"])
+    def test_scan_period_read_from_the_scans(self, tmp_path, rate_hz, n_scans, t_scan_ms):
+        # The period once came from a setting that nothing tied to the
+        # scans. One scan has no period, and takes the default sensor's.
+        data = self.recording(tmp_path / "data", rate_hz, n_scans)
+        assert run(["pipeline", "--in", data, "--out", tmp_path / "out"]) == 0
+        timings = json.loads((tmp_path / "out" / "timings.json").read_text())
+        assert timings["stage"]["t_scan_ms"] == t_scan_ms
+
+    def test_realtime_replays_at_the_recorded_rate(self, tmp_path):
+        # 11 scans at 10 Hz take at least 1 s, where a fixed 20 Hz pace
+        # took half that.
+        data = self.recording(tmp_path / "data", 10.0)
+        start = time.perf_counter()
+        assert run(["pipeline", "--in", data, "--realtime", "--out", tmp_path / "out"]) == 0
+        assert time.perf_counter() - start >= 1.0
 
 
 def write_frames(frames, preset, out):
@@ -546,6 +579,13 @@ class TestErrors:
             assert run(["pipeline", "--in", sim_dir, "--config", path,
                         "--out", tmp_path / "out"]) == 2
             assert f"pipeline.{key} cannot be set" in capsys.readouterr().err
+        # The scan period is read from the scans and the queues hold a fixed
+        # two scans, so a file sets neither.
+        for key in ("scan_rate_hz", "queue_capacity"):
+            path.write_text(json.dumps({"pipeline": {key: 10}}))
+            assert run(["pipeline", "--in", sim_dir, "--config", path,
+                        "--out", tmp_path / "out"]) == 2
+            assert f"error: unknown field pipeline.{key}\n" == capsys.readouterr().err
         # bench writes no obstacles, so it takes no velocity gate.
         with pytest.raises(SystemExit) as exc:
             run(["bench", "--velocity-gate", "0.1", "--out", tmp_path / "out"])
@@ -692,6 +732,42 @@ class TestErrors:
         assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert f"at t={rec['t']!r}: {expected}" in err
+
+    @pytest.mark.parametrize("command", ["detect", "pipeline"])
+    def test_scan_integer_too_large_exits_2(self, tmp_path, capsys, command):
+        # 2**70 and 10**400 both ended in an OverflowError traceback (exit
+        # 1). A float holds 2**70, which now reads like the float 2.0**70.
+        data = tmp_path / "data"
+        assert run(["simulate", "--kind", "sr", "--seed", "2", "--duration", "1",
+                    "--out", data]) == 0
+        path = data / "scans.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[3])
+        for value, code in ((2**70, 0), (10**400, 2)):
+            rec["angle_increment"] = value
+            lines[3] = json.dumps(rec) + "\n"
+            path.write_text("".join(lines))
+            capsys.readouterr()
+            assert run([command, "--in", data, "--out", tmp_path / "out"]) == code
+        assert capsys.readouterr().err == (
+            f"error: scan at t={rec['t']!r}: angle_increment is an integer too large for "
+            "a float\n"
+        )
+
+    @pytest.mark.parametrize("value", ["odom", 5, None])
+    def test_detection_frame_contradicting_the_tracker_exits_2(self, tmp_path, capsys, value):
+        data = simulate_detect_track(tmp_path / "data")
+        path = data / "detections.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        i, rec = next((i, r) for i, r in enumerate(map(json.loads, lines))
+                      if r.get("detections"))
+        rec["detections"][0]["frame"] = value
+        lines[i] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(["track", "--in", data, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: detection at t={rec['t']!r}: detections[0].frame is ")
 
     @pytest.mark.parametrize("name,command,items,key,value,expected", [
         ("ground_truth.jsonl", "evaluate", "persons", "x", "0.5", "not a number"),

@@ -120,7 +120,6 @@ class TestConfigFiles:
             (ScenarioConfig, "person_radius", (-0.3, 0.0, math.nan, math.inf)),
             (ScenarioConfig, "robot_linear_max", (-0.5, math.nan, math.inf)),
             (ScenarioConfig, "robot_angular_max", (-1.5, math.nan, math.inf)),
-            (PipelineConfig, "scan_rate_hz", (0.0, -20.0, math.nan, math.inf)),
             # NaN noise ran without noise; the rest died in numpy or in an
             # unpacking error that named no field.
             (ScenarioConfig, "noise_std", (-0.01, math.nan, math.inf)),
@@ -178,18 +177,27 @@ class TestConfigFiles:
         ("tracker", "gate_distance", "1e999", "a finite number"),
         ("detector", "window_stride", "2.5", "an integer"),
         ("detector", "confidence_threshold", "true", "a finite number"),
-        ("pipeline", "queue_capacity", "2.5", "an integer"),
-        ("pipeline", "scan_rate_hz", "1e999", "a finite number"),
     ], ids=["n_persons-float", "seed-float", "seed-bool", "noise_std-bool",
             "arena-overflow", "person_speed-bool", "c_init-float", "c_del-bool",
-            "gate_distance-overflow", "window_stride-float", "confidence_threshold-bool",
-            "queue_capacity-float", "scan_rate_hz-overflow"])
+            "gate_distance-overflow", "window_stride-float", "confidence_threshold-bool"])
     def test_wrong_type_refused_by_name(self, tmp_path, section, key, literal, expected):
         path = tmp_path / "run.json"
         path.write_text(f'{{"{section}": {{"{key}": {literal}}}}}')
         with pytest.raises(
             ConfigError, match=rf"section '{section}': {key} must be {expected}, got "
         ):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, literal", [
+        ("queue_capacity", "2.5"),
+        ("scan_rate_hz", "1e999"),
+    ])
+    def test_removed_pipeline_field_unknown(self, tmp_path, key, literal):
+        # The scan period is read from the scans, and the queues hold a
+        # fixed two scans.
+        path = tmp_path / "run.json"
+        path.write_text(f'{{"pipeline": {{"{key}": {literal}}}}}')
+        with pytest.raises(ConfigError, match=rf"^unknown field pipeline\.{key}$"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from lidarmot import dataset as ds
 from lidarmot.detection import Detection
 from lidarmot.evaluation import GroundTruthFrame
-from lidarmot.geometry import NO_RETURN, LidarScan, PointXY, Pose2D
+from lidarmot.geometry import NO_RETURN, SENSOR_FRAME, LidarScan, PointXY, Pose2D
 from lidarmot.pipeline import DynamicObstacle
 from lidarmot.simulator import ScenarioConfig, run_scenario
 from lidarmot.tracking import Track, TrackStatus
@@ -348,6 +349,45 @@ def test_non_list_ranges_rejected():
         ds.record_to_scan(rec)
 
 
+@pytest.mark.parametrize("key", ["angle_min", "angle_increment", "range_max"])
+def test_scan_geometry_read_as_float(key):
+    # An integer too large for a float ended in an OverflowError traceback
+    # in the detector (2**70 as well, which a float holds).
+    rec = _scan_record([1.0])
+    rec.payload[key] = 2**70
+    scan = ds.record_to_scan(rec)
+    assert type(getattr(scan, key)) is float and getattr(scan, key) == 2.0**70
+    rec.payload[key] = 10**400
+    with pytest.raises(
+        ds.DatasetFormatError,
+        match=rf"^scan at t=0\.05: {key} is an integer too large for a float$",
+    ):
+        ds.record_to_scan(rec)
+
+
+@pytest.mark.parametrize("key", ["x", "y", "theta"])
+def test_pose_integer_too_large_rejected(key):
+    pose = {"x": 0.5, "y": -1.0, "theta": 0.25, key: 10**400}
+    with pytest.raises(
+        ds.DatasetFormatError,
+        match=rf"^scan at t=0\.05: pose\.{key} is an integer too large for a float$",
+    ):
+        ds.record_to_scan(_scan_record([1.0], pose))
+
+
+@pytest.mark.parametrize("bad", [5, None, ["lidar"]])
+def test_non_string_scan_frame_rejected(bad):
+    rec = _scan_record([1.0])
+    rec.payload["frame"] = bad
+    with pytest.raises(
+        ds.DatasetFormatError, match=rf"^scan at t=0\.05: frame is {re.escape(repr(bad))}, "
+        "not a string$"
+    ):
+        ds.record_to_scan(rec)
+    del rec.payload["frame"]
+    assert ds.record_to_scan(rec).frame == SENSOR_FRAME
+
+
 @pytest.mark.parametrize("key", ["x", "y", "theta"])
 @pytest.mark.parametrize("bad", ["0.5", True, None])
 def test_non_numeric_pose_rejected(key, bad):
@@ -433,6 +473,36 @@ def test_non_numeric_item_value_rejected(kind, name, item, decode, bad):
             match=rf"{kind} at t=0\.05: {name}\[1\]\.{key} is {bad!r}, not {want}",
         ):
             decode(rec)
+
+
+@pytest.mark.parametrize("kind, name, item, decode", _ITEM_RECORDS)
+def test_item_integer_too_large_rejected(kind, name, item, decode):
+    for key in [k for k in ("x", "y", "confidence") if k in item]:
+        rec = _item_record(kind, name, item, **{key: 10**400})
+        with pytest.raises(
+            ds.DatasetFormatError,
+            match=rf"^{kind} at t=0\.05: {name}\[1\]\.{key} is an integer too large for a float$",
+        ):
+            decode(rec)
+
+
+@pytest.mark.parametrize("bad, expected", [
+    (5, "5, not a string"),
+    (None, "None, not a string"),
+    ("odom", "'odom'; the tracker takes detections in the sensor frame"),
+])
+def test_detection_frame_contradicting_the_tracker_rejected(bad, expected):
+    # Each of these was read, and the tracker then transformed the detection
+    # from the sensor frame at the scan's pose.
+    item = {"x": 0.5, "y": -1.0, "frame": "laser", "confidence": 0.9}
+    rec = _item_record("detection", "detections", item, frame=bad)
+    with pytest.raises(
+        ds.DatasetFormatError,
+        match=rf"^detection at t=0\.05: detections\[1\]\.frame is {re.escape(expected)}$",
+    ):
+        ds.record_to_detections(rec)
+    del rec.payload["detections"][1]["frame"]
+    assert [d.position.frame for d in ds.record_to_detections(rec)] == ["laser", SENSOR_FRAME]
 
 
 @pytest.mark.parametrize("kind, name, item, decode", _ITEM_RECORDS)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lidarmot import detection
 from lidarmot.config import load_config
 from lidarmot.detection import (
     ClusterDetector,
@@ -44,20 +45,17 @@ def circle_world(centers, radius=0.3, robot=(0.0, 0.0, 0.0)):
 
 
 class TestClusterDetect:
-    def test_two_groups_at_centroids(self):
+    def test_two_groups_at_centroids(self, monkeypatch):
         # Hand-built scan: two 20-beam arcs at different bearings, brute
         # force the centroid oracle from the raw points.
         ranges = np.full(1080, NO_RETURN)
         ranges[200:220] = 2.0
         ranges[600:620] = 3.0
         scan = make_scan(ranges)
-        dets = cluster_detect(
-            scan,
-            DetectorConfig(window_stride=1),
-            min_points=5,
-            center_offset=0.0,
-            flat_min_chord=99.0,
-        )
+        monkeypatch.setattr(detection, "MIN_POINTS", 5)
+        monkeypatch.setattr(detection, "CENTER_OFFSET", 0.0)
+        monkeypatch.setattr(detection, "FLAT_MIN_CHORD", 99.0)
+        dets = cluster_detect(scan, DetectorConfig(window_stride=1))
         assert len(dets) == 2
         for beams, rng_val, det in [
             (range(200, 220), 2.0, dets[0]),
@@ -68,13 +66,14 @@ class TestClusterDetect:
             cy = float(np.mean(rng_val * np.sin(angs)))
             assert math.hypot(det.position.x - cx, det.position.y - cy) < 0.05
 
-    def test_speck_below_min_points(self):
+    def test_speck_below_min_points(self, monkeypatch):
         ranges = np.full(1080, NO_RETURN)
         ranges[500:502] = 2.0
-        dets = cluster_detect(make_scan(ranges), DetectorConfig(), min_points=5)
+        monkeypatch.setattr(detection, "MIN_POINTS", 5)
+        dets = cluster_detect(make_scan(ranges), DetectorConfig())
         assert dets == []
 
-    def test_wall_rejected_by_span(self):
+    def test_wall_rejected_by_span(self, monkeypatch):
         # A straight wall 2 m ahead spanning ~2.5 m.
         angs = -0.75 * math.pi + np.arange(1080) * INC
         with np.errstate(divide="ignore"):
@@ -83,13 +82,12 @@ class TestClusterDetect:
                 2.0 / np.cos(angs),
                 NO_RETURN,
             )
-        dets = cluster_detect(
-            make_scan(ranges), DetectorConfig(), max_cluster_span=0.8
-        )
+        monkeypatch.setattr(detection, "MAX_CLUSTER_SPAN", 0.8)
+        dets = cluster_detect(make_scan(ranges), DetectorConfig())
         assert dets == []
 
     def test_straight_fragment_rejected_by_flatness(self):
-        # A 0.5 m piece of wall (chord above flat_min_chord, no bulge).
+        # A 0.5 m piece of wall (chord above FLAT_MIN_CHORD, no bulge).
         angs = -0.75 * math.pi + np.arange(1080) * INC
         with np.errstate(divide="ignore"):
             wall = 2.0 / np.cos(angs)
@@ -137,13 +135,12 @@ class TestClusterDetect:
         scan = make_scan(np.full(1080, NO_RETURN))
         assert cluster_detect(scan, DetectorConfig()) == []
 
-    def test_stride_anchor_required(self):
+    def test_stride_anchor_required(self, monkeypatch):
         # A cluster that covers no beam on the stride grid is skipped.
         ranges = np.full(1080, NO_RETURN)
         ranges[101:109] = 2.0  # beams 101..108, stride 1000 anchor = 0 only
-        dets = cluster_detect(
-            make_scan(ranges), DetectorConfig(window_stride=1000), min_points=5
-        )
+        monkeypatch.setattr(detection, "MIN_POINTS", 5)
+        dets = cluster_detect(make_scan(ranges), DetectorConfig(window_stride=1000))
         assert dets == []
 
 

@@ -1389,9 +1389,15 @@ def track_key(track) -> tuple:
     )
 
 
-def assert_same_detections(scan, cfg=DetectorConfig(), **kwargs):
-    got = cluster_detect(scan, cfg, **kwargs)
-    expected = ref_cluster_detect(scan, cfg, **kwargs)
+def assert_same_detections(scan, cfg=DetectorConfig(), **thresholds):
+    """The detector's and the reference's detections agree, with each of
+    ``thresholds`` (a keyword of ``ref_cluster_detect``) set on both: as
+    the detection module's constant of that name in capitals."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in thresholds.items():
+            mp.setattr(detection, name.upper(), value)
+        got = cluster_detect(scan, cfg)
+    expected = ref_cluster_detect(scan, cfg, **thresholds)
     assert repr(got) == repr(expected)
     return got
 

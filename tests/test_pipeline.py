@@ -10,8 +10,8 @@ from lidarmot.config import load_config
 from lidarmot.geometry import LidarScan, PointXY
 from lidarmot.pipeline import (
     DynamicObstacle,
+    FrameTiming,
     PipelineConfig,
-    collect_timings,
     export_dynamic_obstacles,
     forecast_position,
     paced,
@@ -19,6 +19,7 @@ from lidarmot.pipeline import (
     run_pipeline,
     time_to_closest_approach,
 )
+from lidarmot.report import timing_section
 from lidarmot.tracking import Track, TrackStatus
 from lidarmot.workflows import run_tracking
 
@@ -136,30 +137,29 @@ class TestClosestApproach:
         assert not predicts_collision(robot, (0.5, 0), far, 0.5, horizon=2.0)
 
 
-class TestCollectTimings:
+class TestTimingSection:
     def test_worst_and_avg(self):
-        from lidarmot.pipeline import FrameTiming
-
         timings = [
             FrameTiming(0.0, 10.0, 1.0, 11.0),
             FrameTiming(0.05, 20.0, 2.0, 22.0),
             FrameTiming(0.10, 30.0, 3.0, 33.0),
         ]
-        stage = collect_timings(timings, 20.0)
-        assert stage.det_worst_ms == 30.0
-        assert stage.det_avg_ms == pytest.approx(20.0)
-        assert stage.track_worst_ms == 3.0
-        assert stage.t_scan_ms == pytest.approx(50.0)
+        stage = timing_section(timings, 50.0)
+        assert list(stage) == ["n_frames", "t_scan_ms", "detector_ms", "tracker_ms", "total_ms"]
+        assert stage["n_frames"] == 3
+        assert stage["detector_ms"]["worst"] == 30.0
+        assert stage["detector_ms"]["avg"] == pytest.approx(20.0)
+        assert stage["tracker_ms"]["worst"] == 3.0
+        assert stage["total_ms"] == {"worst": 33.0, "avg": pytest.approx(22.0)}
+        assert stage["t_scan_ms"] == 50.0
 
     def test_single_frame(self):
-        from lidarmot.pipeline import FrameTiming
-
-        stage = collect_timings([FrameTiming(0.0, 5.0, 1.0, 6.0)])
-        assert stage.det_worst_ms == stage.det_avg_ms == 5.0
+        stage = timing_section([FrameTiming(0.0, 5.0, 1.0, 6.0)], 50.0)
+        assert stage["detector_ms"]["worst"] == stage["detector_ms"]["avg"] == 5.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            collect_timings([])
+        with pytest.raises(ValueError, match="no frames processed"):
+            timing_section([], 50.0)
 
 
 BATCH = PipelineConfig(drop_stale=False)
@@ -169,7 +169,7 @@ class TestRunPipeline:
     @pytest.mark.wallclock
     def test_zero_delay_paced_no_drops(self):
         summary = run_pipeline(
-            paced(scans(50), 400.0), lambda s: [], lambda s, d: [], PipelineConfig()
+            paced(scans(50, 400.0)), lambda s: [], lambda s, d: [], PipelineConfig()
         )
         assert summary.frames_processed == 50
         assert summary.frames_dropped == 0
@@ -226,10 +226,10 @@ class TestRunPipeline:
             return []
 
         summary = run_pipeline(
-            paced(scans(30), 200.0),
+            paced(scans(30, 200.0)),
             slow_detect,
             lambda s, d: [],
-            PipelineConfig(queue_capacity=2),
+            PipelineConfig(),
         )
         # The detector falls behind a 200 Hz source; the bounded queue sheds
         # oldest scans, counted, and processed frames stay in order.
@@ -241,10 +241,23 @@ class TestRunPipeline:
 
     def test_paced_source_rate(self):
         start = time.perf_counter()
-        out = list(paced(scans(10), 100.0))
+        out = list(paced(scans(10, 100.0)))
         elapsed = time.perf_counter() - start
         assert len(out) == 10
         assert elapsed >= 0.09
+
+    def test_paced_keeps_recorded_gaps(self):
+        # A 0.25 s gap in the recording stays a gap on the wall clock: each
+        # scan comes no sooner than its time after the first. (A late second
+        # scan shortens the gap after it, so the bound is on the start.)
+        recording = [
+            LidarScan(t, np.full(8, 2.0), -2.356, math.radians(0.25), 30.0)
+            for t in (0.0, 0.05, 0.30)
+        ]
+        start = time.perf_counter()
+        arrivals = [time.perf_counter() - start for _ in paced(recording)]
+        assert arrivals[1] >= 0.05
+        assert arrivals[2] >= 0.30
 
 
 def endless_scans():
@@ -357,10 +370,3 @@ def test_failing_stage_returns_while_live_source_blocks(pipelined, stage):
         assert errors_within_5s(blocking_source(), detect_fn, track_fn, cfg) == ["boom"]
     finally:
         release.set()
-
-
-def test_pipeline_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(scan_rate_hz=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(queue_capacity=0)

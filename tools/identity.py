@@ -12,8 +12,11 @@ digits), and exits 1 if any output differs. The set:
   ``config-1``: ``simulate``'s scans and ground truth; ``detect``'s
   detections; ``tracks.jsonl`` and ``obstacles.jsonl`` from ``pipeline``,
   from ``track`` with the scans, and from ``track`` on detections and ground
-  truth alone; and the ``mot`` section of ``evaluate`` on the pipeline's
-  tracks;
+  truth alone; the ``mot`` section of ``evaluate`` on the pipeline's
+  tracks; and, with every wall-clock value (``worst``, ``avg``,
+  ``achieved_hz``) masked, the pipeline's ``timings.json`` and the
+  ``report.json`` of a one-row ``bench --timings`` that simulates the
+  scene;
 - ``run_scenario(cfg, labels=True)`` for sr, mr1 and mr2, seeds 1-3 (20 s),
   for the crowd scene, where ten persons walk among the furniture, and for
   the hand-built ``custom`` kind, ``experiments.emergence_scenario(seed)``
@@ -67,8 +70,24 @@ print(json.dumps(out))
 """
 
 
+#: The wall-clock values of a timing output, masked before it is digested.
+WALL_CLOCK_KEYS = ("worst", "avg", "achieved_hz")
+
+
 def short_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
+
+
+def masked_digest(path: Path) -> str:
+    """Digest of a JSON report with each value under a wall-clock key set to
+    null; its keys and every other value are compared."""
+    def mask(node):
+        if isinstance(node, dict):
+            return {k: None if k in WALL_CLOCK_KEYS else mask(v) for k, v in node.items()}
+        return node
+
+    report = mask(json.loads(path.read_text()))
+    return short_digest(json.dumps(report, sort_keys=True).encode())
 
 
 def _env(checkout: Path) -> dict:
@@ -115,6 +134,8 @@ def crowd_digests(checkout: Path) -> dict:
                  "--out", tmp / "track-no-scans")
         shutil.copy(pipe / "tracks.jsonl", sim / "tracks.jsonl")
         lidarmot(checkout, "evaluate", "--in", sim, "--out", tmp / "evaluate")
+        lidarmot(checkout, "bench", "--config", config, "--preset", "config-1", "--timings",
+                 "--out", tmp / "bench")
 
         for name in ("scans.jsonl", "ground_truth.jsonl", "detections.jsonl"):
             out[f"crowd {name}"] = short_digest((sim / name).read_bytes())
@@ -123,6 +144,10 @@ def crowd_digests(checkout: Path) -> dict:
                 out[f"crowd {run} {name}"] = short_digest((tmp / run / name).read_bytes())
         mot = json.loads((tmp / "evaluate" / "report.json").read_text())["mot"]
         out["crowd evaluate mot"] = short_digest(json.dumps(mot, sort_keys=True).encode())
+        out["crowd pipeline timings.json (masked)"] = masked_digest(pipe / "timings.json")
+        out["crowd bench --timings report.json (masked)"] = masked_digest(
+            tmp / "bench" / "report.json"
+        )
     return out
 
 
