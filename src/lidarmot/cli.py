@@ -330,7 +330,7 @@ def _cmd_bench(args) -> int:
     for members, scans, gt_frames in scenes:
         for i in members:
             cfg = cfgs[i]
-            mot, tracking = run_benchmark(
+            mot, timings = run_benchmark(
                 cfg, scans=scans, gt_frames=gt_frames, threshold=args.threshold
             )
             scenario = scenario_of(cfg)
@@ -341,7 +341,7 @@ def _cmd_bench(args) -> int:
                 "mot": mot_section(mot),
             }
             if args.timings:
-                row["timing"] = timing_section(tracking.timings, scan_period_ms(scans))
+                row["timing"] = timing_section(timings, scan_period_ms(scans))
             rows[i] = row
             # mot_section writes None where MOTA or MOTP is undefined.
             section = row["mot"]
@@ -353,7 +353,7 @@ def _cmd_bench(args) -> int:
                 f"(ID {mot.total_id_switches}  Miss {mot.total_misses}  "
                 f"FP {mot.total_false_positives}  g {mot.total_g})"
             )
-        del scans, gt_frames, tracking
+        del scans, gt_frames, timings
         # Lines come in row order, each once the rows before it are done.
         while printed < len(lines) and lines[printed] is not None:
             print(lines[printed])

@@ -63,7 +63,7 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatasetRecord:
     kind: str
     timestamp: float
@@ -340,13 +340,19 @@ def record_to_scan(rec: DatasetRecord) -> LidarScan:
     """Decode a scan record; a missing field, ``ranges`` that do not decode,
     an angle, range limit or pose value that is not a JSON number (a
     string, ``true``) or is an integer too large for a float, or a ``frame``
-    that is no string, raises DatasetFormatError naming the scan's time.
-    ``read_dataset`` has already decoded the ranges of the records it
-    returns."""
+    that is no string or is the odometry frame, raises DatasetFormatError
+    naming the scan's time. The detector takes every scan in the sensor
+    frame and tags its detections with the scan's frame. ``read_dataset``
+    has already decoded the ranges of the records it returns."""
     p = rec.payload
     _require(p, _SCAN_FIELDS, rec)
     angle_min, angle_increment, range_max = (_float(rec, key, p[key]) for key in _SCAN_NUMBERS)
     frame = _frame(rec, p)
+    if frame == ODOM_FRAME:
+        raise DatasetFormatError(
+            f"scan at t={rec.timestamp!r}: frame is {frame!r}; the detector takes scans "
+            "in the sensor frame"
+        )
     ranges = p["ranges"]
     if type(ranges) is not np.ndarray:
         try:

@@ -47,7 +47,7 @@ from .geometry import LidarScan, PointXY, libm_hypot, scan_xy
 Detector = Callable[[LidarScan], "list[Detection]"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A 2D person-center hypothesis with confidence, in a named frame."""
 

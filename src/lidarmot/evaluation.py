@@ -32,7 +32,7 @@ from .geometry import (
 GT_TIME_TOLERANCE = 0.02
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthFrame:
     timestamp: float
     persons: tuple[tuple[int, PointXY], ...]
@@ -44,7 +44,7 @@ class GroundTruthFrame:
             raise ValueError("duplicate person ids in a ground-truth frame")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HypothesisFrame:
     timestamp: float
     tracks: tuple[tuple[int, PointXY], ...]
@@ -55,7 +55,7 @@ class HypothesisFrame:
             raise ValueError("duplicate track ids in a hypothesis frame")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotFrameCounts:
     """Per-frame error bookkeeping; matches + misses == g always holds."""
 

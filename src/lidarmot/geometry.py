@@ -46,7 +46,7 @@ def normalize_angle(angle: float) -> float:
     return -((math.pi - angle) % TWO_PI - math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose2D:
     """Pose of one frame in another: translation (x, y) plus heading theta."""
 
@@ -59,7 +59,7 @@ class Pose2D:
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointXY:
     """A 2D point tagged with the frame it is expressed in."""
 
@@ -86,7 +86,7 @@ class FieldOfView:
             raise ValueError("FieldOfView wider than a full turn")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LidarScan:
     """One range sweep. ``ranges[i]`` is the return along beam i at angle
     ``angle_min + i * angle_increment`` in the sensor frame; no-return beams

@@ -50,7 +50,7 @@ class PipelineConfig:
             raise ValueError(f"velocity_gate must be >= 0 and finite, got {self.velocity_gate}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DynamicObstacle:
     track_id: int
     position: PointXY
@@ -58,7 +58,7 @@ class DynamicObstacle:
     timestamp: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameTiming:
     timestamp: float
     t_det_ms: float
@@ -66,7 +66,7 @@ class FrameTiming:
     t_lat_ms: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameResult:
     scan: LidarScan
     tracks: list[Track]

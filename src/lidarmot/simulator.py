@@ -213,7 +213,7 @@ def _require_finite(item, where: str, names: tuple[str, ...]) -> None:
             raise ValueError(f"{where}.{name} must be a finite number, got {value}")
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentModel:
     id: int
     radius: float
@@ -290,7 +290,7 @@ class World:
         object.__setattr__(self, "edges", edges)
 
 
-@dataclass
+@dataclass(slots=True)
 class WorldState:
     time: float
     robot: Pose2D

@@ -77,7 +77,7 @@ class TrackerConfig:
                 raise ValueError(f"{name} must be >= 0 and finite, got {value}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Track:
     id: int
     mean: np.ndarray        # (4,) float: [x, y, vx, vy] in the odometry frame
@@ -100,7 +100,7 @@ class Track:
         return vx, vy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssociationResult:
     """Gated one-to-one assignment: matches as (track key, detection index,
     distance); everything else listed unmatched on its own side."""

@@ -24,7 +24,7 @@ from .evaluation import (
     pose_lookup,
 )
 from .geometry import FieldOfView, LidarScan, Pose2D
-from .pipeline import DetectFn, DynamicObstacle, FrameTiming, TrackFn, run_pipeline
+from .pipeline import DetectFn, DynamicObstacle, FrameResult, FrameTiming, TrackFn, run_pipeline
 from .simulator import LidarParams, run_scenario
 from .tracking import Track, Tracker
 
@@ -102,6 +102,20 @@ def bind_stages(
     return detect_fn, track_fn
 
 
+def _run_serial(
+    scans: list[LidarScan],
+    run_cfg: RunConfig,
+    sink: Callable[[FrameResult], None],
+    detector: Detector | None = None,
+    gt_frames: list[GroundTruthFrame] | None = None,
+) -> list[FrameTiming]:
+    """Every scan, in order, through the detect and track stages on the
+    calling thread, each frame's result handed to ``sink``."""
+    detect_fn, track_fn = bind_stages(run_cfg, detector, gt_frames)
+    serial = replace(run_cfg.pipeline, pipelined=False, drop_stale=False)
+    return run_pipeline(scans, detect_fn, track_fn, serial, sinks=[sink]).timings
+
+
 def run_tracking(
     scans: list[LidarScan],
     run_cfg: RunConfig,
@@ -109,8 +123,7 @@ def run_tracking(
     gt_frames: list[GroundTruthFrame] | None = None,
 ) -> TrackingRun:
     """Every scan, in order, through the detect and track stages on the
-    calling thread."""
-    detect_fn, track_fn = bind_stages(run_cfg, detector, gt_frames)
+    calling thread, with every frame's hypothesis, tracks and obstacles kept."""
     out = TrackingRun()
 
     def collect(result):
@@ -119,8 +132,7 @@ def run_tracking(
         out.tracks_by_frame.append((t, result.tracks))
         out.obstacles_by_frame.append((t, result.obstacles))
 
-    serial = replace(run_cfg.pipeline, pipelined=False, drop_stale=False)
-    out.timings = run_pipeline(scans, detect_fn, track_fn, serial, sinks=[collect]).timings
+    out.timings = _run_serial(scans, run_cfg, collect, detector, gt_frames)
     return out
 
 
@@ -129,12 +141,17 @@ def run_benchmark(
     scans: list[LidarScan] | None = None,
     gt_frames: list[GroundTruthFrame] | None = None,
     threshold: float = 0.75,
-) -> tuple[MotReport, TrackingRun]:
-    """simulate (unless streams are supplied) + track + evaluate."""
+) -> tuple[MotReport, list[FrameTiming]]:
+    """simulate (unless streams are supplied) + track + evaluate: the report
+    and the per-frame timings. Of each frame, only the hypothesis it is
+    scored on is kept."""
     if scans is None or gt_frames is None:
         scans, gt_frames = run_scenario(run_cfg.scenario)
-    tracking = run_tracking(scans, run_cfg, gt_frames=gt_frames)
-    report = evaluate_sequence(
-        gt_frames, tracking.hypothesis_frames, sensor_fov(scans), threshold=threshold
-    )
-    return report, tracking
+    hypotheses: list[HypothesisFrame] = []
+
+    def keep(result):
+        hypotheses.append(tracks_to_hypothesis(result.scan.timestamp, result.tracks))
+
+    timings = _run_serial(scans, run_cfg, keep, gt_frames=gt_frames)
+    report = evaluate_sequence(gt_frames, hypotheses, sensor_fov(scans), threshold=threshold)
+    return report, timings

@@ -754,6 +754,25 @@ class TestErrors:
             "a float\n"
         )
 
+    @pytest.mark.parametrize("command", ["detect", "pipeline"])
+    def test_odom_scan_frame_exits_2(self, tmp_path, capsys, command):
+        # Both exited 0: detect wrote odom-tagged detections that track then
+        # refused, and pipeline tracked them as sensor-frame detections.
+        data = tmp_path / "data"
+        assert run(["simulate", "--kind", "sr", "--seed", "2", "--duration", "1",
+                    "--out", data]) == 0
+        path = data / "scans.jsonl"
+        header, *records = map(json.loads, path.read_text().splitlines())
+        for rec in records:
+            rec["frame"] = "odom"
+        path.write_text("".join(json.dumps(r) + "\n" for r in (header, *records)))
+        capsys.readouterr()
+        assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: scan at t={records[0]['t']!r}: frame is 'odom'; the detector takes "
+            "scans in the sensor frame\n"
+        )
+
     @pytest.mark.parametrize("value", ["odom", 5, None])
     def test_detection_frame_contradicting_the_tracker_exits_2(self, tmp_path, capsys, value):
         data = simulate_detect_track(tmp_path / "data")

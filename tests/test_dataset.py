@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from lidarmot import dataset as ds
 from lidarmot.detection import Detection
 from lidarmot.evaluation import GroundTruthFrame
-from lidarmot.geometry import NO_RETURN, SENSOR_FRAME, LidarScan, PointXY, Pose2D
+from lidarmot.geometry import NO_RETURN, ODOM_FRAME, SENSOR_FRAME, LidarScan, PointXY, Pose2D
 from lidarmot.pipeline import DynamicObstacle
 from lidarmot.simulator import ScenarioConfig, run_scenario
 from lidarmot.tracking import Track, TrackStatus
@@ -386,6 +386,20 @@ def test_non_string_scan_frame_rejected(bad):
         ds.record_to_scan(rec)
     del rec.payload["frame"]
     assert ds.record_to_scan(rec).frame == SENSOR_FRAME
+
+
+def test_odom_scan_frame_rejected():
+    # The detector tags its detections with the scan's frame, so an odom
+    # scan gave detections that the tracker read as sensor-frame ones.
+    rec = _scan_record([1.0])
+    rec.payload["frame"] = ODOM_FRAME
+    with pytest.raises(
+        ds.DatasetFormatError,
+        match=r"^scan at t=0\.05: frame is 'odom'; the detector takes scans in the sensor frame$",
+    ):
+        ds.record_to_scan(rec)
+    rec.payload["frame"] = "laser"
+    assert ds.record_to_scan(rec).frame == "laser"
 
 
 @pytest.mark.parametrize("key", ["x", "y", "theta"])

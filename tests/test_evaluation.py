@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -312,7 +313,9 @@ class TestEvaluateSequence:
         ]
         a = evaluate_sequence(gt, hyp, FOV)
         b = evaluate_sequence(gt, hyp, FOV)
-        assert [f.__dict__ for f in a.frames] == [f.__dict__ for f in b.frames]
+        assert [dataclasses.astuple(f) for f in a.frames] == [
+            dataclasses.astuple(f) for f in b.frames
+        ]
 
     def test_report_valid_column(self):
         report = MotReport()

@@ -2,11 +2,13 @@ import itertools
 import math
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lidarmot.config import load_config
+from lidarmot.evaluation import evaluate_sequence
 from lidarmot.geometry import LidarScan, PointXY
 from lidarmot.pipeline import (
     DynamicObstacle,
@@ -20,8 +22,9 @@ from lidarmot.pipeline import (
     time_to_closest_approach,
 )
 from lidarmot.report import timing_section
+from lidarmot.simulator import run_scenario
 from lidarmot.tracking import Track, TrackStatus
-from lidarmot.workflows import run_tracking
+from lidarmot.workflows import run_benchmark, run_tracking, sensor_fov
 
 
 def track(tid, x, y, vx, vy):
@@ -321,6 +324,24 @@ def test_batch_run_tracking_starts_no_thread(started):
     run = run_tracking(scans(20), load_config("config-2"))
     assert len(run.timings) == 20
     assert started == []
+
+
+@pytest.mark.parametrize("kind", ["sr", "mr2"])
+def test_run_benchmark_scores_what_run_tracking_keeps(kind):
+    # Only each frame's hypothesis is held, and scored as run_tracking's.
+    scenario = replace(load_config("config-1").scenario, kind=kind, duration=5.0)
+    scans, gt = run_scenario(scenario)
+    for preset in ("config-1", "config-2", "config-3"):
+        cfg = replace(load_config(preset), scenario=scenario)
+        report, timings = run_benchmark(cfg, scans=scans, gt_frames=gt)
+        ref = evaluate_sequence(
+            gt, run_tracking(scans, cfg, gt_frames=gt).hypothesis_frames, sensor_fov(scans)
+        )
+        assert report.frames == ref.frames
+        assert report.skipped_frames == ref.skipped_frames
+        assert [t.timestamp for t in timings] == [s.timestamp for s in scans]
+    simulated, _ = run_benchmark(cfg)
+    assert simulated.frames == report.frames
 
 
 @pytest.mark.parametrize("pipelined", [False, True], ids=["serial", "pipelined"])

@@ -15,7 +15,8 @@ the file keeps, per side, the median and quartiles of every ``per_layer``
 metric of ``BENCHMARK.json``. With ``--quality-table`` the ROADMAP quality
 table (``bench --preset config-1,config-2,config-3 --seeds 1,2 --duration 20``
 for sr, mr1 and mr2, as ``tools/identity.py`` runs it) is run on both sides and
-its report digests recorded.
+its report digests recorded, with the cells of each preset, kind and seed
+(``QUALITY_CELLS`` of the row's ``mot`` section) read from the same reports.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-# The quality table's digests, from the byte-identity script next to this one.
-from identity import quality_digests
+# The quality table's reports, from the byte-identity script next to this one.
+from identity import quality_reports, short_digest
 
 ROOT = Path(__file__).resolve().parent.parent
 MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy")
+QUALITY_CELLS = ("mota", "motp", "g", "matches", "misses", "false_positives", "id_switches")
 
 
 def seed_list(text: str) -> list[int]:
@@ -83,6 +85,17 @@ def side_record(records: list[dict], metrics: list[dict]) -> dict:
         "failed": sum(r["failed"] for r in records),
         "metrics": metric_summaries(records, metrics),
     }
+
+
+def quality_cells(reports: dict) -> dict:
+    """The quality table's cells, keyed ``PRESET KIND seed SEED``, from its
+    ``report.json`` bytes per kind."""
+    cells = {}
+    for raw in reports.values():
+        for row in json.loads(raw)["rows"]:
+            key = f"{row['preset']} {row['kind']} seed {row['seed']}"
+            cells[key] = {name: row["mot"][name] for name in QUALITY_CELLS}
+    return cells
 
 
 def main(argv=None) -> int:
@@ -164,13 +177,20 @@ def main(argv=None) -> int:
         wins[m["name"]] = f"{won}/{len(seeds)}"
     result["change_wins"] = wins
     if args.quality_table:
-        digests = {side: quality_digests(path) for side, path in sides.items()}
+        reports = {side: quality_reports(path) for side, path in sides.items()}
+        digests = {
+            side: {kind: short_digest(raw) for kind, raw in by_kind.items()}
+            for side, by_kind in reports.items()
+        }
         key = ("bench --preset config-1,config-2,config-3 --seeds 1,2 --duration 20 --kind K, "
                "report.json sha256[:12]")
+        cells = {side: quality_cells(by_kind) for side, by_kind in reports.items()}
         if digests["parent"] == digests["change"]:
             result["outputs_equal_on_both_sides"] = {key: digests["parent"]}
+            result["quality_table"] = cells["parent"]
         else:
             result["outputs_differ"] = {key: digests}
+            result["quality_table"] = cells
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"-> {args.out}")
     return 0

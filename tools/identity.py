@@ -102,16 +102,21 @@ def lidarmot(checkout: Path, *argv) -> None:
     )
 
 
-def quality_digests(checkout: Path) -> dict:
-    """The quality table's ``report.json`` digest for each scenario kind."""
+def quality_reports(checkout: Path) -> dict:
+    """The quality table's ``report.json`` bytes for each scenario kind."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for kind in KINDS:
             target = Path(tmp) / kind
             lidarmot(checkout, "bench", "--preset", "config-1,config-2,config-3", "--seeds",
                      "1,2", "--duration", "20", "--kind", kind, "--out", target)
-            out[kind] = short_digest((target / "report.json").read_bytes())
+            out[kind] = (target / "report.json").read_bytes()
     return out
+
+
+def quality_digests(checkout: Path) -> dict:
+    """The quality table's ``report.json`` digest for each scenario kind."""
+    return {kind: short_digest(raw) for kind, raw in quality_reports(checkout).items()}
 
 
 def crowd_digests(checkout: Path) -> dict:
