@@ -21,7 +21,7 @@ from . import simulator
 from .config import ConfigError, apply_layer, load_config
 from .dataset import DatasetFormatError
 from .detection import Detection, Detector
-from .evaluation import evaluate_sequence
+from .evaluation import MATCH_THRESHOLD, evaluate_sequence
 from .geometry import LidarScan
 from .pipeline import paced, run_pipeline
 from .report import build_report, mot_section, timing_section, write_report
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="CLEAR MOT benchmark of tracks vs ground truth")
     _add_common(p, configured=False)
-    p.add_argument("--threshold", type=float, default=0.75, help="match threshold [m]")
+    p.add_argument("--threshold", type=float, default=MATCH_THRESHOLD, help="match threshold [m]")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="end-to-end detect/track runtime over scans")
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="simulate + track + evaluate in one run")
     _add_common(p, scenario=True)
-    p.add_argument("--threshold", type=float, default=0.75, help="match threshold [m]")
+    p.add_argument("--threshold", type=float, default=MATCH_THRESHOLD, help="match threshold [m]")
     p.add_argument(
         "--seeds",
         help="comma-separated seed sweep (one table row per preset x seed)",

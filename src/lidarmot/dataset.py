@@ -27,7 +27,7 @@ import numpy as np
 
 from .detection import Detection
 from .evaluation import GroundTruthFrame, HypothesisFrame
-from .geometry import ODOM_FRAME, SENSOR_FRAME, LidarScan, PointXY, Pose2D
+from .geometry import ODOM_FRAME, SENSOR_FRAME, FieldOfView, LidarScan, PointXY, Pose2D
 from .pipeline import DynamicObstacle
 from .tracking import Track
 
@@ -336,14 +336,34 @@ def _decode_ranges(t: float, payload: dict) -> np.ndarray:
     return decoded
 
 
+def _check_geometry(
+    t: float, angle_min: float, angle_increment: float, range_max: float, beams: int
+) -> None:
+    """Refuse a scan whose ``range_max`` is not positive and finite, or whose
+    beams span no field of view: the wedge ``angle_min + beams x
+    angle_increment`` that the evaluator builds (``workflows.sensor_fov``)
+    must be nonempty and at most a full turn."""
+    where = f"scan at t={t!r}"
+    if not 0 < range_max < math.inf:
+        raise DatasetFormatError(f"{where}: range_max is {range_max!r}, not positive and finite")
+    try:
+        FieldOfView(angle_min, angle_min + beams * angle_increment, range_max)
+    except ValueError as exc:
+        raise DatasetFormatError(
+            f"{where}: angle_min {angle_min!r}, angle_increment {angle_increment!r} and "
+            f"{beams} beams give no field of view ({exc})"
+        ) from None
+
+
 def record_to_scan(rec: DatasetRecord) -> LidarScan:
     """Decode a scan record; a missing field, ``ranges`` that do not decode,
     an angle, range limit or pose value that is not a JSON number (a
-    string, ``true``) or is an integer too large for a float, or a ``frame``
-    that is no string or is the odometry frame, raises DatasetFormatError
-    naming the scan's time. The detector takes every scan in the sensor
-    frame and tags its detections with the scan's frame. ``read_dataset``
-    has already decoded the ranges of the records it returns."""
+    string, ``true``) or is an integer too large for a float, a ``frame``
+    that is no string or is the odometry frame, or a geometry that spans no
+    field of view (see ``_check_geometry``) raises DatasetFormatError naming
+    the scan's time. The detector takes every scan in the sensor frame and
+    tags its detections with the scan's frame. ``read_dataset`` has already
+    decoded the ranges of the records it returns."""
     p = rec.payload
     _require(p, _SCAN_FIELDS, rec)
     angle_min, angle_increment, range_max = (_float(rec, key, p[key]) for key in _SCAN_NUMBERS)
@@ -359,6 +379,7 @@ def record_to_scan(rec: DatasetRecord) -> LidarScan:
             ranges = _decode_ranges(rec.timestamp, p)
         except ValueError as exc:
             raise DatasetFormatError(str(exc)) from None
+    _check_geometry(rec.timestamp, angle_min, angle_increment, range_max, len(ranges))
     pose = _pose_from(rec, "pose") if "pose" in p else None
     return LidarScan(
         timestamp=rec.timestamp,

@@ -30,6 +30,9 @@ from .geometry import (
 #: Seconds outside the ground-truth span that a hypothesis frame is still
 #: evaluated, and that a person seen in one bracketing frame only is kept.
 GT_TIME_TOLERANCE = 0.02
+#: CLEAR MOT match threshold (m): the default of the evaluator, of ``bench``
+#: and of the ``--threshold`` flags.
+MATCH_THRESHOLD = 0.75
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,7 +283,7 @@ def evaluate_sequence(
     gt_frames: Sequence[GroundTruthFrame],
     hyp_frames: Sequence[HypothesisFrame],
     fov: FieldOfView,
-    threshold: float = 0.75,
+    threshold: float = MATCH_THRESHOLD,
 ) -> MotReport:
     """Run the benchmark over a full recording.
 

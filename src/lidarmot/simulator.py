@@ -8,7 +8,10 @@ The three build the same kind of world from the seed: a walled arena with
 furniture and randomly walking persons. A "custom" kind is built by hand
 instead, for the occlusion experiment: the robot stands still at the origin
 facing +x, with no arena walls and no furniture, and the world holds only the
-caller's scripted constant-velocity agents and occluder walls.
+caller's scripted constant-velocity agents and occluder walls. Generated
+persons have radius ``PERSON_RADIUS`` and walk at speeds drawn from
+``PERSON_SPEED``; a moving robot keeps within ``ROBOT_LINEAR_MAX`` and
+``ROBOT_ANGULAR_MAX``.
 
 All randomness derives from the scenario seed; the scan clock (20 Hz) and
 ground-truth clock (100 Hz) are exact rationals of the same tick, so a run
@@ -78,6 +81,11 @@ MIN_SEPARATION = 0.5
 #: from merging with wall returns.
 WALL_MARGIN = 0.7
 ROBOT_WALL_MARGIN = 0.4
+
+PERSON_SPEED = (0.3, 1.1)  # m/s, range of a generated person's drawn speed
+PERSON_RADIUS = 0.3        # m
+ROBOT_LINEAR_MAX = 0.5     # m/s, bound of the moving robot's drawn speed
+ROBOT_ANGULAR_MAX = 1.5    # rad/s, bound of its drawn or steered turn rate
 
 
 @dataclass(frozen=True)
@@ -156,10 +164,6 @@ class ScenarioConfig:
     arena: tuple[float, float, float, float] = (-2.0, -2.0, 2.0, 2.0)
     duration: float = 120.0
     n_persons: int = 3
-    person_speed: tuple[float, float] = (0.3, 1.1)
-    person_radius: float = 0.3
-    robot_linear_max: float = 0.5
-    robot_angular_max: float = 1.5
     occluder_walls: tuple[Segment, ...] = ()
     seed: int = 0
     noise_std: float = 0.01
@@ -175,22 +179,14 @@ class ScenarioConfig:
         for name in ("n_persons", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0 < self.person_radius < math.inf:
-            raise ValueError(f"person_radius must be positive and finite, got {self.person_radius}")
         # The messages name the field in the words a config file's type
         # check uses.
-        for name in ("noise_std", "robot_linear_max", "robot_angular_max"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
-        for name, size in (("person_speed", 2), ("arena", 4)):
-            value = getattr(self, name)
-            if not (isinstance(value, (tuple, list)) and len(value) == size):
-                raise ValueError(f"{name} must be {size} numbers, got {value}")
-            if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in value):
-                raise ValueError(f"{name} must be a list of finite numbers, got {value}")
-        if not 0 <= self.person_speed[0] <= self.person_speed[1]:
-            raise ValueError(f"person_speed must be a range 0 <= lo <= hi, got {self.person_speed}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be a finite number >= 0, got {self.noise_std}")
+        if not (isinstance(self.arena, (tuple, list)) and len(self.arena) == 4):
+            raise ValueError(f"arena must be 4 numbers, got {self.arena}")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in self.arena):
+            raise ValueError(f"arena must be a list of finite numbers, got {self.arena}")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout_prob must be in [0, 1)")
         x0, y0, x1, y1 = self.arena
@@ -897,12 +893,12 @@ class Scenario:
                 if np.hypot(x - robot.x, y - robot.y) < 1.0:
                     continue
                 if any(
-                    np.hypot(x - c.x, y - c.y) < c.radius + cfg.person_radius + 0.3
+                    np.hypot(x - c.x, y - c.y) < c.radius + PERSON_RADIUS + 0.3
                     for c in circles
                 ):
                     continue
                 if any(
-                    _point_segment_distance(x, y, seg)[0] < cfg.person_radius + 0.3
+                    _point_segment_distance(x, y, seg)[0] < PERSON_RADIUS + 0.3
                     for seg in keep_out
                 ):
                     continue
@@ -913,9 +909,9 @@ class Scenario:
                     f"in the {cfg.kind} scenario with seed {cfg.seed}"
                 )
             heading = rng.uniform(-math.pi, math.pi)
-            speed = rng.uniform(*cfg.person_speed)
+            speed = rng.uniform(*PERSON_SPEED)
             agents.append(AgentModel(
-                pid, cfg.person_radius, x, y, speed * math.cos(heading), speed * math.sin(heading)
+                pid, PERSON_RADIUS, x, y, speed * math.cos(heading), speed * math.sin(heading)
             ))
         return agents
 
@@ -932,7 +928,7 @@ class Scenario:
             if a.scripted or t < a.next_resample:
                 continue
             heading = rng.uniform(-math.pi, math.pi)
-            speed = rng.uniform(*cfg.person_speed)
+            speed = rng.uniform(*PERSON_SPEED)
             a.vx = speed * math.cos(heading)
             a.vy = speed * math.sin(heading)
             a.next_resample = t + rng.uniform(1.0, 3.0)
@@ -944,11 +940,9 @@ class Scenario:
             return
         rng = self._rng_world
         if t >= self._robot_next_resample:
-            self._robot_v = float(rng.uniform(-cfg.robot_linear_max, cfg.robot_linear_max))
+            self._robot_v = float(rng.uniform(-ROBOT_LINEAR_MAX, ROBOT_LINEAR_MAX))
             if cfg.kind == "mr2":
-                self._robot_omega = float(
-                    rng.uniform(-cfg.robot_angular_max, cfg.robot_angular_max)
-                )
+                self._robot_omega = float(rng.uniform(-ROBOT_ANGULAR_MAX, ROBOT_ANGULAR_MAX))
                 self._robot_next_resample = t + float(rng.uniform(0.8, 2.0))
             else:
                 self._robot_next_resample = t + float(rng.uniform(1.0, 2.5))
@@ -960,7 +954,7 @@ class Scenario:
                 cx, cy = _centroid(self.state.agents)
                 bearing = math.atan2(cy - r.y, cx - r.x)
                 err = normalize_angle(bearing - r.theta)
-                omega = max(-cfg.robot_angular_max, min(cfg.robot_angular_max, 2.0 * err))
+                omega = max(-ROBOT_ANGULAR_MAX, min(ROBOT_ANGULAR_MAX, 2.0 * err))
             else:
                 omega = 0.0
         v = self._robot_v

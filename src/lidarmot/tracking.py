@@ -43,6 +43,11 @@ _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 _I4 = np.eye(4)
 _I2 = np.eye(2)
 
+PROCESS_NOISE_ACCEL = 2.0   # m/s^2, white-acceleration std
+MEASUREMENT_NOISE = 0.1     # m, position std
+INITIAL_VELOCITY_STD = 1.5  # m/s, prior std for a fresh candidate
+BIRTH_COVARIANCE = np.diag(np.repeat([MEASUREMENT_NOISE**2, INITIAL_VELOCITY_STD**2], 2))
+
 
 class TrackStatus(enum.Enum):
     CANDIDATE = "candidate"
@@ -51,12 +56,13 @@ class TrackStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class TrackerConfig:
+    """SORT's settings: a candidate is initiated after ``c_init`` matches, a
+    track dies once its miss streak exceeds ``c_del``, and no detection
+    farther than ``gate_distance`` (m) from a track matches it."""
+
     c_init: int = 10
     c_del: int = 15
     gate_distance: float = 1.0
-    process_noise_accel: float = 2.0   # m/s^2, white-acceleration std
-    measurement_noise: float = 0.1     # m, position std
-    initial_velocity_std: float = 1.5  # m/s, prior std for a fresh candidate
 
     def __post_init__(self):
         if self.c_init < 1:
@@ -65,16 +71,6 @@ class TrackerConfig:
             raise ValueError("c_del must be >= 1")
         if not self.gate_distance > 0:  # also refuses NaN
             raise ValueError("gate_distance must be positive")
-        # The std's are squared, so a negative one would pass for its
-        # absolute value; a zero measurement std makes S singular.
-        if not 0 < self.measurement_noise < math.inf:
-            raise ValueError(
-                f"measurement_noise must be positive and finite, got {self.measurement_noise}"
-            )
-        for name in ("process_noise_accel", "initial_velocity_std"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
 
 
 @dataclass(slots=True)
@@ -217,9 +213,6 @@ class Tracker:
         self._updated: list[float] = []
         self._next_id = 0
         self._last_timestamp: float | None = None
-        pos_var = self.cfg.measurement_noise**2
-        vel_var = self.cfg.initial_velocity_std**2
-        self._birth_cov = np.diag([pos_var, pos_var, vel_var, vel_var])
 
     @property
     def tracks(self) -> list[Track]:
@@ -269,7 +262,7 @@ class Tracker:
         dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
         if self._ids:
             self._means, self._covs = _predict_stacked(
-                self._means, self._covs, *_cv_model(dt, cfg.process_noise_accel)
+                self._means, self._covs, *_cv_model(dt, PROCESS_NOISE_ACCEL)
             )
         means, status = self._means, self._status
         init_rows = [i for i, st in enumerate(status) if st is TrackStatus.INITIATED]
@@ -293,7 +286,7 @@ class Tracker:
 
         if matched:
             means[matched], self._covs[matched] = _update_stacked(
-                means[matched], self._covs[matched], det_xy[used], cfg.measurement_noise
+                means[matched], self._covs[matched], det_xy[used], MEASUREMENT_NOISE
             )
         hits, streaks = self._hits, self._streaks
         for i in matched:
@@ -332,7 +325,7 @@ class Tracker:
         means = np.zeros((n, 4))
         means[:, :2] = xy
         self._means = np.concatenate([self._means, means])
-        self._covs = np.concatenate([self._covs, np.broadcast_to(self._birth_cov, (n, 4, 4))])
+        self._covs = np.concatenate([self._covs, np.broadcast_to(BIRTH_COVARIANCE, (n, 4, 4))])
         self._ids += range(self._next_id + 1, self._next_id + n + 1)
         self._next_id += n
         self._status += [TrackStatus.CANDIDATE] * n

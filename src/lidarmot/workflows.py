@@ -17,6 +17,7 @@ from typing import Callable
 from .config import RunConfig
 from .detection import ClusterDetector, Detection, Detector, filter_by_confidence
 from .evaluation import (
+    MATCH_THRESHOLD,
     GroundTruthFrame,
     HypothesisFrame,
     MotReport,
@@ -106,12 +107,11 @@ def _run_serial(
     scans: list[LidarScan],
     run_cfg: RunConfig,
     sink: Callable[[FrameResult], None],
-    detector: Detector | None = None,
     gt_frames: list[GroundTruthFrame] | None = None,
 ) -> list[FrameTiming]:
     """Every scan, in order, through the detect and track stages on the
     calling thread, each frame's result handed to ``sink``."""
-    detect_fn, track_fn = bind_stages(run_cfg, detector, gt_frames)
+    detect_fn, track_fn = bind_stages(run_cfg, gt_frames=gt_frames)
     serial = replace(run_cfg.pipeline, pipelined=False, drop_stale=False)
     return run_pipeline(scans, detect_fn, track_fn, serial, sinks=[sink]).timings
 
@@ -119,7 +119,6 @@ def _run_serial(
 def run_tracking(
     scans: list[LidarScan],
     run_cfg: RunConfig,
-    detector: Detector | None = None,
     gt_frames: list[GroundTruthFrame] | None = None,
 ) -> TrackingRun:
     """Every scan, in order, through the detect and track stages on the
@@ -132,7 +131,7 @@ def run_tracking(
         out.tracks_by_frame.append((t, result.tracks))
         out.obstacles_by_frame.append((t, result.obstacles))
 
-    out.timings = _run_serial(scans, run_cfg, collect, detector, gt_frames)
+    out.timings = _run_serial(scans, run_cfg, collect, gt_frames)
     return out
 
 
@@ -140,7 +139,7 @@ def run_benchmark(
     run_cfg: RunConfig,
     scans: list[LidarScan] | None = None,
     gt_frames: list[GroundTruthFrame] | None = None,
-    threshold: float = 0.75,
+    threshold: float = MATCH_THRESHOLD,
 ) -> tuple[MotReport, list[FrameTiming]]:
     """simulate (unless streams are supplied) + track + evaluate: the report
     and the per-frame timings. Of each frame, only the hypothesis it is
@@ -152,6 +151,6 @@ def run_benchmark(
     def keep(result):
         hypotheses.append(tracks_to_hypothesis(result.scan.timestamp, result.tracks))
 
-    timings = _run_serial(scans, run_cfg, keep, gt_frames=gt_frames)
+    timings = _run_serial(scans, run_cfg, keep, gt_frames)
     report = evaluate_sequence(gt_frames, hypotheses, sensor_fov(scans), threshold=threshold)
     return report, timings

@@ -6,11 +6,16 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lidarmot
 from lidarmot import dataset as ds
@@ -43,6 +48,36 @@ def sim_dir(tmp_path_factory):
     assert run(["simulate", "--kind", "sr", "--seed", "1", "--duration", "5",
                 "--out", out]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def sr_one_second(tmp_path_factory):
+    """A 1 s sr recording (seed 2) with its detections and tracks."""
+    out = tmp_path_factory.mktemp("sr1")
+    assert run(["simulate", "--kind", "sr", "--seed", "2", "--duration", "1",
+                "--out", out]) == 0
+    for step in ("detect", "track"):
+        assert run([step, "--in", out, "--out", out]) == 0
+    return out
+
+
+def with_every_scan(recording, target, key, literal):
+    """A copy of ``recording`` in ``target`` whose scan lines all have ``key``
+    set to the JSON text ``literal``, or removed when ``literal`` is None."""
+    shutil.copytree(recording, target)
+    path = target / "scans.jsonl"
+    header, *records = path.read_text().splitlines()
+    lines = [header]
+    for line in records:
+        rec = json.loads(line)
+        if literal is None:
+            del rec[key]
+            lines.append(json.dumps(rec))
+        else:
+            rec[key] = "VALUE"
+            lines.append(json.dumps(rec).replace('"VALUE"', literal))
+    path.write_text("\n".join(lines) + "\n")
+    return target
 
 
 @pytest.fixture(scope="module")
@@ -613,34 +648,38 @@ class TestErrors:
         assert err.startswith("error: ") and expected in err
 
     @pytest.mark.parametrize("section, key, value", [
-        ("tracker", "measurement_noise", -0.1),
-        ("tracker", "measurement_noise", 0),
-        ("tracker", "process_noise_accel", -2.0),
-        ("tracker", "initial_velocity_std", -1.5),
-        ("scenario", "person_radius", -0.3),
-        ("scenario", "person_radius", 0),
-        ("scenario", "robot_linear_max", -0.5),
-        ("scenario", "robot_angular_max", -1.5),
-        ("scenario", "person_speed", [0.3]),
-        ("scenario", "person_speed", [0.3, 1.0, 2.0]),
         ("scenario", "arena", [1, 2, 3]),
         ("scenario", "seed", -1),
-    ], ids=["measurement_noise-negative", "measurement_noise-zero",
-            "process_noise_accel-negative", "initial_velocity_std-negative",
-            "person_radius-negative", "person_radius-zero", "robot_linear_max-negative",
-            "robot_angular_max-negative", "person_speed-one", "person_speed-three",
-            "arena-three", "seed-negative"])
+    ], ids=["arena-three", "seed-negative"])
     def test_degenerate_config_value_exits_2(self, tmp_path, capsys, section, key, value):
-        # Each of these used to run: a negative std as its absolute value, a
-        # zero radius to MOTA 0, a negative speed limit into numpy's error. A
-        # short speed range or arena, or a negative seed, died in Python or
-        # numpy with an error that named no field.
+        # A short arena, or a negative seed, died in Python or numpy with an
+        # error that named no field.
         path = tmp_path / "run.json"
         path.write_text(json.dumps({section: {key: value}}))
         assert run(["bench", "--kind", "mr1", "--duration", "1",
                     "--config", path, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"section '{section}': {key} must be " in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("tracker", "process_noise_accel", 2.0),
+        ("tracker", "measurement_noise", 0.1),
+        ("tracker", "initial_velocity_std", 1.5),
+        ("scenario", "person_speed", [0.3, 1.1]),
+        ("scenario", "person_radius", 0.3),
+        ("scenario", "robot_linear_max", 0.5),
+        ("scenario", "robot_angular_max", 1.5),
+    ])
+    def test_fixed_setting_is_unknown_field(self, tmp_path, capsys, section, key, value):
+        # The Kalman noise and the scene's walking and driving limits are
+        # module constants, so a file cannot set them, not even to their
+        # values.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        assert run(["bench", "--kind", "mr1", "--duration", "1",
+                    "--config", path, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: unknown field {section}\.{key}\n", err)
 
     @pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
     def test_bad_threshold_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
@@ -736,23 +775,24 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["detect", "pipeline"])
     def test_scan_integer_too_large_exits_2(self, tmp_path, capsys, command):
         # 2**70 and 10**400 both ended in an OverflowError traceback (exit
-        # 1). A float holds 2**70, which now reads like the float 2.0**70.
+        # 1). A float holds 2**70, which reads like the float 2.0**70 and
+        # then spans more than a full turn.
         data = tmp_path / "data"
         assert run(["simulate", "--kind", "sr", "--seed", "2", "--duration", "1",
                     "--out", data]) == 0
         path = data / "scans.jsonl"
         lines = path.read_text().splitlines(keepends=True)
         rec = json.loads(lines[3])
-        for value, code in ((2**70, 0), (10**400, 2)):
+        wedge = (f"angle_min {rec['angle_min']!r}, angle_increment {2.0**70!r} and 1080 beams "
+                 "give no field of view (FieldOfView wider than a full turn)")
+        for value, expected in ((2**70, wedge),
+                                (10**400, "angle_increment is an integer too large for a float")):
             rec["angle_increment"] = value
             lines[3] = json.dumps(rec) + "\n"
             path.write_text("".join(lines))
             capsys.readouterr()
-            assert run([command, "--in", data, "--out", tmp_path / "out"]) == code
-        assert capsys.readouterr().err == (
-            f"error: scan at t={rec['t']!r}: angle_increment is an integer too large for "
-            "a float\n"
-        )
+            assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
+            assert capsys.readouterr().err == f"error: scan at t={rec['t']!r}: {expected}\n"
 
     @pytest.mark.parametrize("command", ["detect", "pipeline"])
     def test_odom_scan_frame_exits_2(self, tmp_path, capsys, command):
@@ -772,6 +812,23 @@ class TestErrors:
             f"error: scan at t={records[0]['t']!r}: frame is 'odom'; the detector takes "
             "scans in the sensor frame\n"
         )
+
+    @pytest.mark.parametrize("command", ["detect", "pipeline", "track", "evaluate", "bench"])
+    @pytest.mark.parametrize("key, literal, expected", [
+        ("angle_increment", "1e300",
+         "angle_min -2.356194490192345, angle_increment 1e+300 and 1080 beams give no field "
+         "of view (FieldOfView wider than a full turn)"),
+        ("range_max", "-1", "range_max is -1.0, not positive and finite"),
+    ], ids=["increment-1e300", "range_max-negative"])
+    def test_scan_spanning_no_field_of_view_exits_2(self, sr_one_second, tmp_path, capsys,
+                                                    command, key, literal, expected):
+        # detect and pipeline exited 0 on both; evaluate and bench refused
+        # the first without naming scan or field, and scored the second as
+        # if every person were out of view.
+        data = with_every_scan(sr_one_second, tmp_path / "data", key, literal)
+        capsys.readouterr()
+        assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: scan at t=0.0: {expected}\n"
 
     @pytest.mark.parametrize("value", ["odom", 5, None])
     def test_detection_frame_contradicting_the_tracker_exits_2(self, tmp_path, capsys, value):
@@ -858,6 +915,33 @@ class TestErrors:
         assert run(["simulate", "--kind", "sr", "--seed", "3",
                     "--duration", "1"]) == 0
         assert (tmp_path / "scans.jsonl").exists()
+
+
+#: JSON texts a scan field is set to; "1e999" is the literal that decodes to
+#: inf.
+ODD_LITERALS = ("null", "true", "0", "-0.0", "-1", "1e-320", "1e308", "-1e308", "1e999",
+                '"x"', "[]", str(2**70), str(10**400))
+
+
+@settings(max_examples=39, derandomize=True, deadline=None)
+@given(key=st.sampled_from(["angle_min", "angle_increment", "range_max", "beams"]),
+       literal=st.sampled_from([*ODD_LITERALS, None]))
+@example(key="angle_increment", literal="1e308")  # exited 0 in detect, 2 in evaluate
+def test_scan_readers_agree_on_odd_geometry(sr_one_second, key, literal):
+    # Every command that reads scans accepts a recording or refuses it by
+    # name, and all of them decide alike. evaluate scores the tracks of the
+    # unchanged recording.
+    with tempfile.TemporaryDirectory() as tmp:
+        data = with_every_scan(sr_one_second, Path(tmp) / "data", key, literal)
+        codes = {}
+        for command in ("detect", "pipeline", "evaluate", "bench"):
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                codes[command] = run_cli([command, "--in", str(data),
+                                          "--out", str(Path(tmp) / command)])
+            assert codes[command] in (0, 2), (command, err.getvalue())
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert len(set(codes.values())) == 1, codes
 
 
 def test_runtime_imports_no_scipy(tmp_path):

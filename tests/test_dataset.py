@@ -353,16 +353,71 @@ def test_non_list_ranges_rejected():
 def test_scan_geometry_read_as_float(key):
     # An integer too large for a float ended in an OverflowError traceback
     # in the detector (2**70 as well, which a float holds).
+    # An angle of 2**70 spans no field of view, so it is refused by the
+    # geometry rule, which shows it read as the float 2.0**70.
     rec = _scan_record([1.0])
     rec.payload[key] = 2**70
-    scan = ds.record_to_scan(rec)
-    assert type(getattr(scan, key)) is float and getattr(scan, key) == 2.0**70
+    if key == "range_max":
+        scan = ds.record_to_scan(rec)
+        assert type(scan.range_max) is float and scan.range_max == 2.0**70
+    else:
+        with pytest.raises(ds.DatasetFormatError, match=rf"{key} {re.escape(repr(2.0**70))}[, ].* no field of"):
+            ds.record_to_scan(rec)
     rec.payload[key] = 10**400
     with pytest.raises(
         ds.DatasetFormatError,
         match=rf"^scan at t=0\.05: {key} is an integer too large for a float$",
     ):
         ds.record_to_scan(rec)
+
+
+@pytest.mark.parametrize("key, value, ranges, reason", [
+    # Each was read: the detector cast beams at NaN or inf angles, or every
+    # person fell outside the field of view.
+    ("angle_increment", 1e300, [1.0], "wider than a full turn"),
+    ("angle_increment", math.tau / 2, [1.0, 2.0, 3.0], "wider than a full turn"),
+    ("angle_increment", math.inf, [1.0], "wider than a full turn"),
+    ("angle_increment", 0.0, [1.0], "requires angle_min < angle_max"),
+    ("angle_increment", -0.01, [1.0], "requires angle_min < angle_max"),
+    ("angle_min", 1e308, [1.0], "requires angle_min < angle_max"),
+    ("angle_min", -math.inf, [1.0], "requires angle_min < angle_max"),
+    ("angle_min", math.inf, [1.0], "requires angle_min < angle_max"),
+    ("angle_min", 0.0, [], "requires angle_min < angle_max"),
+], ids=["increment-1e300", "increment-past-a-turn", "increment-inf", "increment-zero",
+        "increment-negative", "angle_min-1e308", "angle_min--inf", "angle_min-inf", "no-beams"])
+def test_scan_spanning_no_field_of_view_rejected(key, value, ranges, reason):
+    rec = _scan_record(ranges)
+    rec.payload[key] = value
+    angle_min, increment = rec.payload["angle_min"], rec.payload["angle_increment"]
+    with pytest.raises(ds.DatasetFormatError, match=(
+        rf"^scan at t=0\.05: angle_min {re.escape(repr(angle_min))}, angle_increment "
+        rf"{re.escape(repr(increment))} and {len(ranges)} beams give no field of view "
+        rf"\(FieldOfView {reason}\)$"
+    )):
+        ds.record_to_scan(rec)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, -0.0, math.inf, -math.inf])
+def test_scan_range_max_not_positive_and_finite_rejected(value):
+    rec = _scan_record([1.0])
+    rec.payload["range_max"] = value
+    with pytest.raises(ds.DatasetFormatError, match=(
+        rf"^scan at t=0\.05: range_max is {re.escape(repr(value))}, not positive and finite$"
+    )):
+        ds.record_to_scan(rec)
+
+
+@pytest.mark.parametrize("key, value, ranges", [
+    ("angle_increment", math.tau / 4, [1.0] * 4),  # exactly a full turn
+    ("angle_increment", 1e-320, [1.0]),  # from angle_min 0, still a wedge
+    ("angle_min", -1e3, [1.0]),
+    ("range_max", 1e-320, [1.0]),
+    ("range_max", 1e308, [1.0]),
+])
+def test_scan_with_a_field_of_view_accepted(key, value, ranges):
+    rec = _scan_record(ranges)
+    rec.payload[key] = value
+    assert getattr(ds.record_to_scan(rec), key) == value
 
 
 @pytest.mark.parametrize("key", ["x", "y", "theta"])
@@ -659,9 +714,14 @@ _FLOAT64 = st.floats(width=64, allow_nan=False, allow_infinity=True, allow_subno
 def test_ranges_round_trip_bit_for_bit(tmp_path_factory, values, extra):
     ranges = np.concatenate([values, extra])
     path = tmp_path_factory.mktemp("rt") / "s.jsonl"
-    ds.write_dataset([ds.scan_to_record(LidarScan(0.05, ranges, 0.0, 0.1, 30.0))], path)
-    back = ds.record_to_scan(ds.read_dataset(path).records[0])
-    assert back.ranges.tobytes() == ranges.tobytes()
+    ds.write_dataset([ds.scan_to_record(LidarScan(0.05, ranges, 0.0, 0.01, 30.0))], path)
+    rec = ds.read_dataset(path).records[0]
+    assert rec.payload["ranges"].tobytes() == ranges.tobytes()
+    if not len(ranges):  # no beams span no field of view
+        with pytest.raises(ds.DatasetFormatError, match="0 beams give no field of view"):
+            ds.record_to_scan(rec)
+    else:
+        assert ds.record_to_scan(rec).ranges.tobytes() == ranges.tobytes()
 
 
 def test_header_meta_kept_on_stream(tmp_path):

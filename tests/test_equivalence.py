@@ -429,6 +429,13 @@ def ref_cluster_detect(
     return detections
 
 
+#: The tracker's Kalman noise, written out: white-acceleration std (m/s^2),
+#: position std (m) and a fresh candidate's velocity std (m/s).
+REF_PROCESS_NOISE_ACCEL = 2.0
+REF_MEASUREMENT_NOISE = 0.1
+REF_INITIAL_VELOCITY_STD = 1.5
+
+
 def ref_kalman_predict(mean, cov, dt, accel_std):
     """One track's CV predict: ``(mean, covariance)`` after dt."""
     f = np.eye(4)
@@ -469,7 +476,7 @@ def ref_lifecycle_step(tracks, association, measurements, cfg, timestamp, next_i
     for track_id, det_idx, _dist in association.matches:
         t = by_id[track_id]
         t.mean, t.covariance = ref_kalman_update(
-            t.mean, t.covariance, measurements[det_idx], cfg.measurement_noise
+            t.mean, t.covariance, measurements[det_idx], REF_MEASUREMENT_NOISE
         )
         t.hit_counter = min(cfg.c_init, t.hit_counter + 1)
         t.miss_streak = 0
@@ -484,8 +491,8 @@ def ref_lifecycle_step(tracks, association, measurements, cfg, timestamp, next_i
         if t.miss_streak > cfg.c_del:
             dead.add(track_id)
     survivors = [t for t in tracks if t.id not in dead]
-    pos_var = cfg.measurement_noise**2
-    vel_var = cfg.initial_velocity_std**2
+    pos_var = REF_MEASUREMENT_NOISE**2
+    vel_var = REF_INITIAL_VELOCITY_STD**2
     for det_idx in association.unmatched_detections:
         m = measurements[det_idx]
         survivors.append(
@@ -557,7 +564,7 @@ class RefTracker:
         dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
         for t in self._tracks:
             t.mean, t.covariance = ref_kalman_predict(
-                t.mean, t.covariance, dt, self.cfg.process_noise_accel
+                t.mean, t.covariance, dt, REF_PROCESS_NOISE_ACCEL
             )
 
         initiated = [t for t in self._tracks if t.status is TrackStatus.INITIATED]

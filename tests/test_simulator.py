@@ -6,6 +6,8 @@ import pytest
 from lidarmot.evaluation import GroundTruthFrame
 from lidarmot.geometry import NO_RETURN, Pose2D, normalize_angle
 from lidarmot.simulator import (
+    ROBOT_ANGULAR_MAX,
+    ROBOT_LINEAR_MAX,
     STATIC_LABEL,
     AgentModel,
     Circle,
@@ -77,16 +79,16 @@ class TestScenarioKinds:
             )
 
     def test_mr1_twist_bounds(self):
-        # Each 10 ms tick moves the robot by at most robot_linear_max * dt
-        # and turns it by at most robot_angular_max * dt.
+        # Each 10 ms tick moves the robot by at most ROBOT_LINEAR_MAX * dt
+        # and turns it by at most ROBOT_ANGULAR_MAX * dt.
         cfg = small_cfg(kind="mr1", duration=5.0)
         _, gt = run_scenario(cfg)
         poses = [f.robot_pose for f in gt]
         dt = gt[1].timestamp - gt[0].timestamp
         steps = [math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(poses, poses[1:])]
         turns = [abs(normalize_angle(b.theta - a.theta)) for a, b in zip(poses, poses[1:])]
-        assert max(steps) <= cfg.robot_linear_max * dt + 1e-9
-        assert max(turns) <= cfg.robot_angular_max * dt + 1e-9
+        assert max(steps) <= ROBOT_LINEAR_MAX * dt + 1e-9
+        assert max(turns) <= ROBOT_ANGULAR_MAX * dt + 1e-9
         # The robot drives and turns, so the bounds are tested.
         assert min(steps) < max(steps) and min(turns) < max(turns)
 
@@ -338,8 +340,6 @@ def test_config_validation():
         ScenarioConfig(duration=0)
     with pytest.raises(ValueError):
         ScenarioConfig(dropout_prob=1.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(person_speed=(1.0, 0.5))
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from lidarmot.detection import Detection
 from lidarmot.geometry import PointXY, Pose2D
 from lidarmot.tracking import (
+    INITIAL_VELOCITY_STD,
     Tracker,
     TrackerConfig,
     TrackStatus,
@@ -218,7 +219,7 @@ class TestLifecycle:
         t = tracks[0]
         assert t.hit_counter == 1 and t.status is TrackStatus.CANDIDATE
         np.testing.assert_allclose(t.mean, [2, 3, 0, 0])
-        assert t.covariance[2, 2] == pytest.approx(cfg.initial_velocity_std**2)
+        assert t.covariance[2, 2] == pytest.approx(INITIAL_VELOCITY_STD**2)
 
 
 class TestTracker:

@@ -17,6 +17,11 @@ table (``bench --preset config-1,config-2,config-3 --seeds 1,2 --duration 20``
 for sr, mr1 and mr2, as ``tools/identity.py`` runs it) is run on both sides and
 its report digests recorded, with the cells of each preset, kind and seed
 (``QUALITY_CELLS`` of the row's ``mot`` section) read from the same reports.
+With ``--timing-table`` each seed also runs ``lidarmot bench --timings`` on
+the crowd scene at config-1, config-2 and config-3 once in each checkout, in
+the same order, and the file keeps, per side and preset, the median over
+those runs of each stage's average and worst frame time next to the scan
+period: the paper's per-stage timing against its scan budget.
 """
 
 from __future__ import annotations
@@ -25,16 +30,20 @@ import argparse
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-# The quality table's reports, from the byte-identity script next to this one.
-from identity import quality_reports, short_digest
+# The quality table's reports and the crowd scene, from the byte-identity
+# script next to this one.
+from identity import CROWD, lidarmot, quality_reports, short_digest
 
 ROOT = Path(__file__).resolve().parent.parent
 MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy")
 QUALITY_CELLS = ("mota", "motp", "g", "matches", "misses", "false_positives", "id_switches")
+TIMING_PRESETS = "config-1,config-2,config-3"
+TIMING_STAGES = ("detector_ms", "tracker_ms", "total_ms")
 
 
 def seed_list(text: str) -> list[int]:
@@ -98,6 +107,32 @@ def quality_cells(reports: dict) -> dict:
     return cells
 
 
+def timing_sections(checkout: Path) -> dict:
+    """Each preset's ``timing`` section from one ``bench --timings`` run of
+    the crowd scene at ``TIMING_PRESETS``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "crowd.json", Path(tmp) / "bench"
+        config.write_text(json.dumps(CROWD))
+        lidarmot(checkout, "bench", "--config", config, "--preset", TIMING_PRESETS, "--timings",
+                 "--out", out)
+        rows = json.loads((out / "report.json").read_text())["rows"]
+    return {row["preset"]: row["timing"] for row in rows}
+
+
+def timing_table(runs: list[dict]) -> dict:
+    """Per preset, the median over ``runs`` of each stage's ``avg`` and
+    ``worst``, next to the scan period."""
+    table = {}
+    for preset in runs[0]:
+        sections = [run[preset] for run in runs]
+        table[preset] = {"t_scan_ms": sections[0]["t_scan_ms"]} | {
+            stage: {stat: float(np.median([s[stage][stat] for s in sections]))
+                    for stat in ("avg", "worst")}
+            for stage in TIMING_STAGES
+        }
+    return table
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
@@ -109,6 +144,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", action="store_true",
                         help="also one traced run per seed and side, for per-layer medians")
     parser.add_argument("--quality-table", action="store_true")
+    parser.add_argument("--timing-table", action="store_true",
+                        help="also one bench --timings run of the crowd scene per seed and side")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -117,6 +154,7 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     records: dict[str, list[dict]] = {"parent": [], "change": []}
     traces: dict[str, list[dict]] = {"parent": [], "change": []}
+    timings: dict[str, list[dict]] = {"parent": [], "change": []}
     for k, seed in enumerate(seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
@@ -129,6 +167,10 @@ def main(argv=None) -> int:
             for side in order:
                 traces[side].append(run_side(sides[side], args.workload, seed, args.seconds, True))
                 print(f"seed {seed} {side} traced", flush=True)
+        if args.timing_table:
+            for side in order:
+                timings[side].append(timing_sections(sides[side]))
+                print(f"seed {seed} {side} timing table", flush=True)
 
     machines = {
         json.dumps({key: r["machine"][key] for key in MACHINE_KEYS}, sort_keys=True)
@@ -166,6 +208,14 @@ def main(argv=None) -> int:
         )
         for side in sides:
             result[side]["per_layer"] = metric_summaries(traces[side], layers)
+    if args.timing_table:
+        result["timing_table_command"] = (
+            f"lidarmot bench --config CROWD --preset {TIMING_PRESETS} --timings, with CROWD "
+            f"{json.dumps(CROWD)}, once per seed and side after the pair, in the same order; "
+            "each cell is the median over those runs"
+        )
+        for side in sides:
+            result[side]["timing_table"] = timing_table(timings[side])
     wins = {}
     for m in metrics:
         sign = 1 if m["better"] == "higher" else -1
