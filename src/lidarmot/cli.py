@@ -12,6 +12,7 @@ import argparse
 import bisect
 import contextlib
 import dataclasses
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -110,13 +111,16 @@ def _read_first(path: Path, kind: str, decode, strict: bool):
 def _cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
     out = _out_dir(args)
-    scans, gt = simulator.run_scenario(cfg.scenario)
+    gt: list = []
+    # The scans are written as they are cast; the ground truth is complete
+    # once they are all written.
+    scans = simulator.Scenario(cfg.scenario).stream(gt)
     meta = {"kind": cfg.scenario.kind, "seed": cfg.scenario.seed}
-    ds.write_dataset((ds.scan_to_record(s) for s in scans), out / SCANS_FILE, meta)
+    n_scans = ds.write_dataset((ds.scan_to_record(s) for s in scans), out / SCANS_FILE, meta)
     ds.write_dataset(
         (ds.ground_truth_to_record(f) for f in gt), out / GROUND_TRUTH_FILE, meta
     )
-    print(f"simulated {len(scans)} scans / {len(gt)} ground-truth frames -> {out}")
+    print(f"simulated {n_scans} scans / {len(gt)} ground-truth frames -> {out}")
     return 0
 
 
@@ -285,6 +289,17 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
+def _scene_streams(scenario, n: int) -> tuple:
+    """``(streams, gt)``: ``n`` streams over one simulation of ``scenario``
+    and the ground truth it fills, complete once the first stream is drained.
+    A lone stream is the simulation's own, so its reader holds one cast block
+    at a time; ``n`` > 1 streams share it through one tee, which keeps every
+    scan until the last stream has read it."""
+    gt: list = []
+    stream = simulator.Scenario(scenario).stream(gt)
+    return (itertools.tee(stream, n) if n > 1 else (stream,)), gt
+
+
 def _cmd_bench(args) -> int:
     # Checked here, not only by the evaluator, so a bad value fails before
     # any scene is simulated.
@@ -311,13 +326,13 @@ def _cmd_bench(args) -> int:
             "seed": meta.get("seed"),
             "duration": scans[-1].timestamp - scans[0].timestamp if scans else 0.0,
         }
-        scenes = [(range(len(cfgs)), scans, gt_frames)]
+        scenes = [(range(len(cfgs)), itertools.repeat(scans), gt_frames)]
     else:
         # Presets that share scenario settings share one simulation.
         rows_of: dict = {}
         for i, cfg in enumerate(cfgs):
             rows_of.setdefault(cfg.scenario, []).append(i)
-        scenes = ((rows, *simulator.run_scenario(sc)) for sc, rows in rows_of.items())
+        scenes = ((rows, *_scene_streams(sc, len(rows))) for sc, rows in rows_of.items())
 
     def scenario_of(cfg) -> dict:
         sc = cfg.scenario
@@ -326,9 +341,9 @@ def _cmd_bench(args) -> int:
     rows: list = [None] * len(cfgs)
     lines: list = [None] * len(cfgs)
     printed = 0
-    # One scene's scans are held at a time.
-    for members, scans, gt_frames in scenes:
-        for i in members:
+    # One scene is read at a time.
+    for members, streams, gt_frames in scenes:
+        for i, scans in zip(members, streams):
             cfg = cfgs[i]
             mot, timings = run_benchmark(
                 cfg, scans=scans, gt_frames=gt_frames, threshold=args.threshold
@@ -341,7 +356,7 @@ def _cmd_bench(args) -> int:
                 "mot": mot_section(mot),
             }
             if args.timings:
-                row["timing"] = timing_section(timings, scan_period_ms(scans))
+                row["timing"] = timing_section(timings, scan_period_ms(timings))
             rows[i] = row
             # mot_section writes None where MOTA or MOTP is undefined.
             section = row["mot"]
@@ -353,7 +368,7 @@ def _cmd_bench(args) -> int:
                 f"(ID {mot.total_id_switches}  Miss {mot.total_misses}  "
                 f"FP {mot.total_false_positives}  g {mot.total_g})"
             )
-        del scans, gt_frames, timings
+        del streams, scans, gt_frames, timings
         # Lines come in row order, each once the rows before it are done.
         while printed < len(lines) and lines[printed] is not None:
             print(lines[printed])

@@ -107,19 +107,29 @@ def _dump_record(kind: str, timestamp: float, payload: dict) -> str:
 
 def write_dataset(
     records: Iterable[DatasetRecord], path: str | Path, metadata: dict | None = None
-) -> None:
+) -> int:
     """Write records to a file, prefixed with a self-describing header that
-    holds ``metadata`` under its own ``meta`` key."""
+    holds ``metadata`` under its own ``meta`` key; return how many records
+    were written. The file appears whole or not at all: it is written beside
+    its place and moved there at the end, and removed if ``records`` or a
+    write fails."""
     path = Path(path)
     header = {"kind": "header", "format": FORMAT_NAME, "version": FORMAT_VERSION}
     if metadata:
         header["meta"] = metadata
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as f:
-        f.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for rec in records:
-            f.write(_dump_record(rec.kind, rec.timestamp, rec.payload) + "\n")
+    written = 0
+    try:
+        with open(tmp, "w") as f:
+            f.write(json.dumps(header, separators=(",", ":")) + "\n")
+            for rec in records:
+                f.write(_dump_record(rec.kind, rec.timestamp, rec.payload) + "\n")
+                written += 1
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     tmp.replace(path)
+    return written
 
 
 #: Stands for a field a line does not have.

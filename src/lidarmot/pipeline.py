@@ -81,6 +81,9 @@ class RunSummary:
     timings: list[FrameTiming] = field(default_factory=list)
     wall_time_s: float = 0.0
     error: str | None = None
+    #: The source's exception that ``error`` names, for a caller that fails
+    #: the run with it.
+    exception: Exception | None = field(default=None, repr=False, compare=False)
 
     @property
     def achieved_hz(self) -> float:
@@ -223,6 +226,7 @@ def _counted(scans: Iterable[LidarScan], summary: RunSummary) -> Iterator[LidarS
             yield scan
     except Exception as exc:  # clean shutdown with partial results
         summary.error = f"{type(exc).__name__}: {exc}"
+        summary.exception = exc
 
 
 def run_pipeline(
@@ -243,11 +247,11 @@ def run_pipeline(
     hand-off that never drops. Serial batch mode starts no thread.
 
     A failing source ends the run cleanly with a partial summary whose
-    ``error`` names the failure. A failing stage stops the run and the first
-    stage exception is re-raised here; frames the detector handed over
-    before it failed are still tracked. The ``detector`` thread has ended on
-    return; the ``scan-ingest`` thread, whose live source may block forever,
-    stops at its next scan.
+    ``error`` names the failure and whose ``exception`` it is. A failing
+    stage stops the run and the first stage exception is re-raised here;
+    frames the detector handed over before it failed are still tracked. The
+    ``detector`` thread has ended on return; the ``scan-ingest`` thread,
+    whose live source may block forever, stops at its next scan.
     """
     cfg = cfg or PipelineConfig()
     summary = RunSummary()

@@ -26,8 +26,8 @@ a push is libm's, the one np.hypot calls, taken through
 last bit). So scans, labels and ground truth stay bit for bit those of the
 straightforward per-shape formulation.
 
-``Scenario.run`` steps the world once per tick and emits ground truth every
-tick, but holds the scan ticks' world states back and casts them
+``Scenario.stream`` steps the world once per tick and emits ground truth
+every tick, but holds the scan ticks' world states back and casts them
 ``SCAN_BLOCK`` at a time with :func:`raycast_scans`, the one cast there is
 (a caller with a single state passes ``[state]``). This is sound because
 what a cast reads of a state (agent positions, radii and ids, the robot
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -246,10 +246,10 @@ class World:
     The constructor bounds the furniture that ``step_world`` culls with.
     ``groups`` holds ``(gx, gy, reach, legs)`` per consecutive run of
     ``circles`` no wider than ``GROUP_SPAN``, ``legs`` as ``(x, y,
-    radius)``, and ``edges`` holds ``(mx, my, reach, segment)`` per
-    ``keep_out`` edge. No leg of a group, and no point of an edge, can push
-    an agent whose centre is farther than ``radius + reach`` from ``(gx,
-    gy)`` or ``(mx, my)``.
+    radius)``, and ``edges`` holds ``(mx, my, reach, terms)`` per
+    ``keep_out`` edge, ``terms`` from :func:`_edge_terms`. No leg of a group,
+    and no point of an edge, can push an agent whose centre is farther than
+    ``radius + reach`` from ``(gx, gy)`` or ``(mx, my)``.
     """
 
     arena: tuple[float, float, float, float]
@@ -259,7 +259,7 @@ class World:
     groups: tuple[tuple[float, float, float, tuple[tuple[float, float, float], ...]], ...] = field(
         init=False, repr=False, compare=False
     )
-    edges: tuple[tuple[float, float, float, Segment], ...] = field(
+    edges: tuple[tuple[float, float, float, EdgeTerms], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -279,7 +279,8 @@ class World:
             ))
         edges = tuple(
             ((seg.x1 + seg.x2) / 2.0, (seg.y1 + seg.y2) / 2.0,
-             math.hypot(seg.x2 - seg.x1, seg.y2 - seg.y1) / 2.0 + 0.15 + 1e-9 + BOUND_MARGIN, seg)
+             math.hypot(seg.x2 - seg.x1, seg.y2 - seg.y1) / 2.0 + 0.15 + 1e-9 + BOUND_MARGIN,
+             _edge_terms(seg))
             for seg in self.keep_out
         )
         object.__setattr__(self, "groups", tuple(groups))
@@ -295,11 +296,24 @@ class WorldState:
     world: World
 
 
-def _point_segment_distance(
-    x: float, y: float, seg: Segment
-) -> tuple[float, float, float]:
-    """Distance from a point to a segment and the outward unit direction
-    ``(d, ux, uy)``.
+#: What :func:`_point_segment_distance` reads of a segment.
+EdgeTerms = tuple[float, float, float, float, np.ndarray, float]
+
+
+def _edge_terms(seg: Segment) -> EdgeTerms:
+    """``(ax, ay, abx, aby, ab, ab_ab)``, computed once per segment: its
+    start, its direction as floats and as the numpy 2-vector ``ab``, and
+    ``float(ab @ ab)``, a numpy product because BLAS may fuse its
+    multiply-add."""
+    ax, ay = seg.x1, seg.y1
+    abx, aby = seg.x2 - ax, seg.y2 - ay
+    ab = np.array([abx, aby])
+    return ax, ay, abx, aby, ab, float(ab @ ab)
+
+
+def _point_segment_distance(x: float, y: float, edge: EdgeTerms) -> tuple[float, float, float]:
+    """Distance from a point to a segment, given as its
+    :func:`_edge_terms`, and the outward unit direction ``(d, ux, uy)``.
 
     Python floats throughout, except the two dot products, which stay numpy
     because BLAS may fuse a multiply-add. The distance is libm's hypot
@@ -307,16 +321,13 @@ def _point_segment_distance(
     (math.hypot can differ from it in the last bit). Both keep the rounding
     of the 2-vector formulation.
     """
-    ax, ay = seg.x1, seg.y1
-    abx, aby = seg.x2 - ax, seg.y2 - ay
-    ab = np.array([abx, aby])
-    denom = float(ab @ ab)
-    if denom == 0:
+    ax, ay, abx, aby, ab, ab_ab = edge
+    if ab_ab == 0:
         u = 0.0
     else:
         # The same rule as np.clip with scalar bounds: on a tie the value
         # wins (-0.0 stays -0.0), and NaN passes through.
-        u = min(max(float(np.array([x - ax, y - ay]) @ ab) / denom, 0.0), 1.0)
+        u = min(max(float(np.array([x - ax, y - ay]) @ ab) / ab_ab, 0.0), 1.0)
     dx = x - (ax + u * abx)
     dy = y - (ay + u * aby)
     d = libm_hypot(dx, dy)
@@ -451,10 +462,10 @@ def step_world(state: WorldState, dt: float) -> WorldState:
                         x = cx + ux * clear
                         y = cy + uy * clear
             clear = r + 0.15
-            for mx, my, reach, seg in world.edges:
+            for mx, my, reach, edge in world.edges:
                 if math.hypot(x - mx, y - my) > r + reach:
                     continue
-                d, ux, uy = _point_segment_distance(x, y, seg)
+                d, ux, uy = _point_segment_distance(x, y, edge)
                 if d < clear:
                     x = x + ux * (clear - d)
                     y = y + uy * (clear - d)
@@ -475,9 +486,9 @@ def step_world(state: WorldState, dt: float) -> WorldState:
     return WorldState(state.time + dt, robot, state.robot_twist, agents, world)
 
 
-#: Scans that :meth:`Scenario.run` casts in one vectorized pass. A block's
-#: arrays add to a run's peak memory, and past 8 scans a block saves little
-#: more time.
+#: Scans that :meth:`Scenario.stream` casts in one vectorized pass. A
+#: block's arrays, and the scans a streaming reader holds, add to a run's
+#: peak memory, and past 8 scans a block saves little more time.
 SCAN_BLOCK = 8
 #: Beams added on each side of a shape's angular window. The window's own
 #: rounding is far below one beam, so one would do; two leave room.
@@ -829,8 +840,9 @@ class PlacementError(RuntimeError):
 
 class Scenario:
     """A scenario bound to its seed: initial world plus deterministic policy
-    streams. ``run()`` returns its scans at the lidar rate and its
-    GroundTruthFrame objects at 100 Hz."""
+    streams. ``stream()`` yields its scans at the lidar rate as they are cast
+    and appends its GroundTruthFrame objects at 100 Hz to a caller's list;
+    ``run()`` returns both as lists."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -884,6 +896,7 @@ class Scenario:
         x0, y0, x1, y1 = cfg.arena
         lo = np.array([x0 + WALL_MARGIN, y0 + WALL_MARGIN])
         hi = np.array([x1 - WALL_MARGIN, y1 - WALL_MARGIN])
+        edges = [_edge_terms(seg) for seg in keep_out]
         agents: list[AgentModel] = []
         for pid in range(cfg.n_persons):
             for _attempt in range(200):
@@ -898,8 +911,8 @@ class Scenario:
                 ):
                     continue
                 if any(
-                    _point_segment_distance(x, y, seg)[0] < PERSON_RADIUS + 0.3
-                    for seg in keep_out
+                    _point_segment_distance(x, y, edge)[0] < PERSON_RADIUS + 0.3
+                    for edge in edges
                 ):
                     continue
                 break
@@ -973,28 +986,30 @@ class Scenario:
 
     # -- main loop --------------------------------------------------------
 
-    def run(self, with_labels: bool = False) -> tuple:
-        """Simulate the configured duration: ``(scans, gt)``, each in time
-        order. With ``with_labels`` the result is ``(scans, gt, labels)``,
-        where ``labels[i]`` holds the per-beam hit attribution of
-        ``scans[i]``.
+    def stream(self, gt: list[GroundTruthFrame], with_labels: bool = False) -> Iterator:
+        """Simulate the configured duration as a stream: yield the scans in
+        time order, each block of ``SCAN_BLOCK`` as soon as
+        :func:`raycast_scans` casts it, and append every ground-truth frame to
+        ``gt`` as its tick is emitted. With ``with_labels`` each scan comes as
+        a ``(scan, labels)`` pair. ``gt`` is complete once the stream is
+        drained, and a reader that hands each scan on holds at most one block.
+        This is the one simulation loop; :meth:`run` lists it.
         """
         cfg = self.cfg
         gt_dt = 1.0 / GT_RATE_HZ
         ticks_per_scan = round(GT_RATE_HZ / self.lidar.rate_hz)
         n_ticks = round(cfg.duration * GT_RATE_HZ)
-        gt: list[GroundTruthFrame] = []
-        scans: list = []
         # A scan is held as its WorldState until SCAN_BLOCK of them are cast
         # at once.
         held: list[WorldState] = []
 
-        def cast():
-            scans.extend(raycast_scans(
+        def cast() -> list:
+            scans = raycast_scans(
                 held, self.lidar, noise_std=cfg.noise_std, dropout_prob=cfg.dropout_prob,
                 rng=self._rng_sensor, with_labels=with_labels,
-            ))
+            )
             held.clear()
+            return scans
 
         for k in range(n_ticks + 1):
             # Pin both clocks to the exact rational tick so timestamps never
@@ -1012,13 +1027,22 @@ class Scenario:
                 # a new state instead of changing the old ones.
                 held.append(self.state)
                 if len(held) == SCAN_BLOCK:
-                    cast()
+                    yield from cast()
             if k < n_ticks:
                 self._agent_policy(self.state.time)
                 self._robot_policy(self.state.time)
                 self.state = step_world(self.state, gt_dt)
         if held:
-            cast()
+            yield from cast()
+
+    def run(self, with_labels: bool = False) -> tuple:
+        """Simulate the configured duration into lists: ``(scans, gt)``, each
+        in time order. With ``with_labels`` the result is ``(scans, gt,
+        labels)``, where ``labels[i]`` holds the per-beam hit attribution of
+        ``scans[i]``. This is :meth:`stream` drained, so every scan is held.
+        """
+        gt: list[GroundTruthFrame] = []
+        scans = list(self.stream(gt, with_labels))
         if not with_labels:
             return scans, gt
         return [scan for scan, _ in scans], gt, [lab for _, lab in scans]

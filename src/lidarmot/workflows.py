@@ -1,7 +1,7 @@
 """End-to-end compositions shared by the command-line tools and the
 benchmark: detector construction, the sensor's field of view and scan period
 as the scans give them, the detect and track stages of a run, serial
-tracking over a scan list, and the simulate/track/evaluate bundle.
+tracking over a scan stream, and the simulate/track/evaluate bundle.
 
 :func:`bind_stages` is the one place the frame chain is assembled; every
 run drives it through :func:`lidarmot.pipeline.run_pipeline`. Serial batch
@@ -12,7 +12,7 @@ yields the identical result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .config import RunConfig
 from .detection import ClusterDetector, Detection, Detector, filter_by_confidence
@@ -26,7 +26,7 @@ from .evaluation import (
 )
 from .geometry import FieldOfView, LidarScan, Pose2D
 from .pipeline import DetectFn, DynamicObstacle, FrameResult, FrameTiming, TrackFn, run_pipeline
-from .simulator import LidarParams, run_scenario
+from .simulator import LidarParams, Scenario
 from .tracking import Track, Tracker
 
 
@@ -56,12 +56,14 @@ def sensor_fov(scans: list[LidarScan]) -> FieldOfView:
     return FieldOfView(s.angle_min, s.angle_min + len(s.ranges) * s.angle_increment, s.range_max)
 
 
-def scan_period_ms(scans: list[LidarScan]) -> float:
-    """The scans' mean period in ms: their time span over the number of
-    intervals in it. With fewer than two scans, the default sensor's."""
-    if len(scans) < 2:
+def scan_period_ms(frames: Sequence) -> float:
+    """The mean period in ms of time-ordered ``frames``, scans or the
+    timings of their frames (either has a ``timestamp``): their time span over
+    the number of intervals in it. With fewer than two, the default
+    sensor's."""
+    if len(frames) < 2:
         return 1000.0 / LidarParams().rate_hz
-    return 1000.0 * (scans[-1].timestamp - scans[0].timestamp) / (len(scans) - 1)
+    return 1000.0 * (frames[-1].timestamp - frames[0].timestamp) / (len(frames) - 1)
 
 
 def pose_for_scan(scan: LidarScan, gt_pose_at: Callable[[float], Pose2D] | None) -> Pose2D:
@@ -104,25 +106,32 @@ def bind_stages(
 
 
 def _run_serial(
-    scans: list[LidarScan],
+    scans: Iterable[LidarScan],
     run_cfg: RunConfig,
     sink: Callable[[FrameResult], None],
     gt_frames: list[GroundTruthFrame] | None = None,
 ) -> list[FrameTiming]:
     """Every scan, in order, through the detect and track stages on the
-    calling thread, each frame's result handed to ``sink``."""
+    calling thread, each frame's result handed to ``sink``. A source that
+    fails fails the run: its exception is raised here, once the frames before
+    it are handled."""
     detect_fn, track_fn = bind_stages(run_cfg, gt_frames=gt_frames)
     serial = replace(run_cfg.pipeline, pipelined=False, drop_stale=False)
-    return run_pipeline(scans, detect_fn, track_fn, serial, sinks=[sink]).timings
+    summary = run_pipeline(scans, detect_fn, track_fn, serial, sinks=[sink])
+    if summary.exception is not None:
+        raise summary.exception
+    return summary.timings
 
 
 def run_tracking(
-    scans: list[LidarScan],
+    scans: Iterable[LidarScan],
     run_cfg: RunConfig,
     gt_frames: list[GroundTruthFrame] | None = None,
 ) -> TrackingRun:
     """Every scan, in order, through the detect and track stages on the
-    calling thread, with every frame's hypothesis, tracks and obstacles kept."""
+    calling thread, with every frame's hypothesis, tracks and obstacles kept.
+    A scan without a pose is tracked at the robot pose of ``gt_frames``. A
+    failing source raises its error."""
     out = TrackingRun()
 
     def collect(result):
@@ -137,20 +146,35 @@ def run_tracking(
 
 def run_benchmark(
     run_cfg: RunConfig,
-    scans: list[LidarScan] | None = None,
+    scans: Iterable[LidarScan] | None = None,
     gt_frames: list[GroundTruthFrame] | None = None,
     threshold: float = MATCH_THRESHOLD,
 ) -> tuple[MotReport, list[FrameTiming]]:
-    """simulate (unless streams are supplied) + track + evaluate: the report
-    and the per-frame timings. Of each frame, only the hypothesis it is
-    scored on is kept."""
+    """Track ``scans`` and score them against ``gt_frames``: the report and
+    the per-frame timings. Of each frame, only the hypothesis it is scored on
+    is kept, and the field of view is read from the first scan.
+
+    ``scans`` may be a simulation's stream
+    (:meth:`~lidarmot.simulator.Scenario.stream`) with ``gt_frames`` the list
+    it appends to, which is read only once the stream is drained. Without
+    them, the scenario of ``run_cfg`` is streamed in this way, each scan
+    detected and tracked as it is cast. A scan without a pose is tracked at
+    the robot pose of ``gt_frames`` as it stands when the run starts, so only
+    a recorded ground truth serves it; simulated scans carry their pose. A
+    failing source raises its error.
+    """
     if scans is None or gt_frames is None:
-        scans, gt_frames = run_scenario(run_cfg.scenario)
+        gt_frames = []
+        scans = Scenario(run_cfg.scenario).stream(gt_frames)
     hypotheses: list[HypothesisFrame] = []
+    fov = sensor_fov([])
 
     def keep(result):
+        nonlocal fov
+        if not hypotheses:
+            fov = sensor_fov([result.scan])
         hypotheses.append(tracks_to_hypothesis(result.scan.timestamp, result.tracks))
 
     timings = _run_serial(scans, run_cfg, keep, gt_frames)
-    report = evaluate_sequence(gt_frames, hypotheses, sensor_fov(scans), threshold=threshold)
+    report = evaluate_sequence(gt_frames, hypotheses, fov, threshold=threshold)
     return report, timings

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -360,12 +361,12 @@ class TestBench:
                 singles.append(json.loads((out / "report.json").read_text())["mot"])
         simulated = []
 
-        def counted(cfg, *args, **kwargs):
-            simulated.append(cfg.seed)
-            return run_scenario(cfg, *args, **kwargs)
+        def counted(scenario, *args, **kwargs):
+            simulated.append(scenario.cfg.seed)
+            return stream(scenario, *args, **kwargs)
 
-        run_scenario = simulator.run_scenario
-        monkeypatch.setattr(simulator, "run_scenario", counted)
+        stream = simulator.Scenario.stream
+        monkeypatch.setattr(simulator.Scenario, "stream", counted)
         out = tmp_path / "sweep"
         assert run(["bench", "--preset", "config-1,config-2,config-3", "--seeds", "1,2",
                     *common, "--out", out]) == 0
@@ -405,6 +406,52 @@ class TestBench:
             "interpolate_pose": 21,
         }
         assert sizes["raycast_scans"] == [7, 7, 7]
+
+    @pytest.mark.parametrize("command, module, name", [
+        ("bench", detection, "cluster_detect"), ("simulate", ds, "scan_to_record"),
+    ], ids=["bench", "simulate"])
+    def test_scans_are_streamed_as_cast(self, tmp_path, monkeypatch, command, module, name):
+        # A job hands each scan on as its block is cast: whenever a scan is
+        # detected or written, at most one block and the scan before it are
+        # alive. Scans are slotted, so their range arrays are what is counted.
+        alive = []
+        counts = []
+
+        def cast(*args, **kwargs):
+            scans = raycast_scans(*args, **kwargs)
+            alive.extend(weakref.ref(scan.ranges) for scan in scans)
+            return scans
+
+        def hand_on(*args, **kwargs):
+            counts.append(sum(ref() is not None for ref in alive))
+            return consumer(*args, **kwargs)
+
+        raycast_scans = simulator.raycast_scans
+        consumer = getattr(module, name)
+        monkeypatch.setattr(simulator, "raycast_scans", cast)
+        monkeypatch.setattr(module, name, hand_on)
+        assert run([command, "--kind", "sr", "--duration", "2", "--out", tmp_path]) == 0
+        assert len(counts) == len(alive) == 41
+        assert max(counts) <= simulator.SCAN_BLOCK + 1
+
+    @pytest.mark.parametrize("command", ["bench", "simulate"])
+    def test_fails_with_its_simulation(self, tmp_path, capsys, monkeypatch, command):
+        # A simulation that fails mid-run fails the job: no short report, no
+        # part of a scan file.
+        ticks = []
+
+        def failing(state, dt):
+            ticks.append(state.time)
+            if len(ticks) == 50:
+                raise ValueError("boom")
+            return step_world(state, dt)
+
+        step_world = simulator.step_world
+        monkeypatch.setattr(simulator, "step_world", failing)
+        out = tmp_path / command
+        assert run([command, "--kind", "sr", "--duration", "2", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: boom\n"
+        assert list(out.iterdir()) == []
 
     def test_bench_without_persons_reports_null(self, tmp_path, capsys):
         # MOTA and MOTP are undefined without ground-truth persons.

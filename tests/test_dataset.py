@@ -42,6 +42,21 @@ def test_scan_round_trip_bit_exact(tmp_path):
         assert back.pose == orig.pose
 
 
+def test_failed_write_leaves_no_file(tmp_path):
+    # The second scan cannot be written: neither the file nor its
+    # half-written temporary remains.
+    scans = [LidarScan(t, [1.0, r], 0.0, 0.1, 5.0) for t, r in ((0.0, 2.0), (0.05, math.nan))]
+    with pytest.raises(ValueError, match="NaN"):
+        ds.write_dataset((ds.scan_to_record(s) for s in scans), tmp_path / "scans.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_returns_the_records_written(tmp_path):
+    scans = [LidarScan(t, [1.0, 2.0], 0.0, 0.1, 5.0) for t in (0.0, 0.05, 0.1)]
+    assert ds.write_dataset(map(ds.scan_to_record, scans), tmp_path / "scans.jsonl") == 3
+    assert ds.write_dataset([], tmp_path / "empty.jsonl") == 0
+
+
 def test_no_returns_stored_as_inf_bytes(tmp_path):
     # Version 2 carries the bytes of inf; version 1 needed null for them.
     scan = LidarScan(0.05, [1.0, NO_RETURN, 2.0], 0.0, 0.1, 30.0)

@@ -71,6 +71,7 @@ from lidarmot.simulator import (
     Segment,
     World,
     WorldState,
+    _edge_terms,
     _point_segment_distance,
     raycast_scans,
     run_scenario,
@@ -130,7 +131,8 @@ def ref_float_agent(a: SimpleNamespace) -> AgentModel:
 def ref_bound_furniture(circles, keep_out):
     """``(groups, edges)``: consecutive runs of ``circles`` no wider than
     ``GROUP_SPAN``, each as ``(gx, gy, reach, legs)``, and each ``keep_out``
-    edge as ``(mx, my, reach, segment)``."""
+    edge as ``(mx, my, reach, (ax, ay, abx, aby, ab, ab @ ab))``, ``ab`` as a
+    tuple of floats."""
     def leg_group(legs):
         gx = (min(c.x for c in legs) + max(c.x for c in legs)) / 2.0
         gy = (min(c.y for c in legs) + max(c.y for c in legs)) / 2.0
@@ -149,10 +151,15 @@ def ref_bound_furniture(circles, keep_out):
             gx, gy, span + 0.12 + 1e-9 + simulator.BOUND_MARGIN,
             tuple((float(c.x), float(c.y), float(c.radius)) for c in legs),
         ))
+    def terms(seg):
+        ab = np.array([seg.x2, seg.y2]) - np.array([seg.x1, seg.y1])
+        return (seg.x1, seg.y1, seg.x2 - seg.x1, seg.y2 - seg.y1, tuple(ab.tolist()),
+                float(ab @ ab))
+
     edges = tuple(
         ((seg.x1 + seg.x2) / 2.0, (seg.y1 + seg.y2) / 2.0,
          math.hypot(seg.x2 - seg.x1, seg.y2 - seg.y1) / 2.0 + 0.15 + 1e-9 + simulator.BOUND_MARGIN,
-         seg)
+         terms(seg))
         for seg in keep_out
     )
     return tuple(groups), edges
@@ -819,14 +826,17 @@ class TestStepWorldEquivalence:
 
     def test_world_bounds_match_the_reference(self):
         # World bounds its furniture once, as the per-world bounds function
-        # did: the same groups, reaches and edges, bit for bit.
+        # did: the same groups, reaches and edges, bit for bit, and each
+        # edge's terms of the point-segment distance.
         worlds = [clustered_world(np.random.default_rng(100 + seed)).world for seed in range(12)]
         worlds += [random_world(np.random.default_rng(seed)).world for seed in range(12)]
         worlds += [simulator.Scenario(ScenarioConfig(kind=kind, seed=1, duration=1.0)).state.world
                    for kind in ("sr", "mr1", "mr2")]
         for world in worlds:
             want = ref_bound_furniture(world.circles, world.keep_out)
-            assert repr((world.groups, world.edges)) == repr(want)
+            edges = tuple((mx, my, reach, (*t[:4], tuple(t[4].tolist()), t[5]))
+                          for mx, my, reach, t in world.edges)
+            assert repr((world.groups, edges)) == repr(want)
         assert sum(len(w.groups) < len(w.circles) for w in worlds) >= 12
 
     def test_push_into_the_next_group_in_one_pass(self):
@@ -887,7 +897,7 @@ class TestStepWorldEquivalence:
 
 
 def assert_same_distance(x: float, y: float, seg: Segment) -> tuple[float, float, float]:
-    got = _point_segment_distance(x, y, seg)
+    got = _point_segment_distance(x, y, _edge_terms(seg))
     d, direction = ref_point_segment_distance(np.array([x, y]), seg)
     assert tuple(map(repr, got)) == (repr(d), repr(float(direction[0])), repr(float(direction[1])))
     return got

@@ -211,6 +211,7 @@ class TestRunPipeline:
 
         summary = run_pipeline(broken(), lambda s: [], lambda s, d: [], BATCH)
         assert summary.error is not None and "sensor unplugged" in summary.error
+        assert isinstance(summary.exception, IOError)
         assert summary.frames_processed == 5
 
     def test_serial_mode_processes_everything_when_fast(self):
@@ -324,6 +325,16 @@ def test_batch_run_tracking_starts_no_thread(started):
     run = run_tracking(scans(20), load_config("config-2"))
     assert len(run.timings) == 20
     assert started == []
+
+
+def test_batch_run_tracking_raises_its_source_error():
+    # A batch run is not scored short: its failing source fails it.
+    def broken():
+        yield from scans(5)
+        raise IOError("sensor unplugged")
+
+    with pytest.raises(IOError, match="sensor unplugged"):
+        run_tracking(broken(), load_config("config-2"))
 
 
 @pytest.mark.parametrize("kind", ["sr", "mr2"])

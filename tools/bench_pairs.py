@@ -7,9 +7,11 @@ Each seed runs ``perfbench/run.py --trace 0`` once in each checkout, one
 process at a time: the parent first for the 1st, 3rd, ... seed and the change
 first for the others. Each run's record is read from the checkout's
 ``.perfbench/results``. The file keeps, per side, every run's end-to-end
-metrics with their median and quartiles, the summed operations, and the
-source hash; and the pairs the change won on each metric, where "better" is
-read from ``BENCHMARK.json``. With ``--trace`` each seed also runs
+metrics with their median and quartiles, the summed operations, each run's
+attempted count in run order beside its metrics' ``runs`` (so a run's
+``peak_rss_mb`` can be read against the jobs it completed), and the source
+hash; and the pairs the change won on each metric, where "better" is read
+from ``BENCHMARK.json``. With ``--trace`` each seed also runs
 ``perfbench/run.py --trace 1`` once in each checkout, in the same order, and
 the file keeps, per side, the median and quartiles of every ``per_layer``
 metric of ``BENCHMARK.json``. With ``--quality-table`` the ROADMAP quality
@@ -91,6 +93,7 @@ def side_record(records: list[dict], metrics: list[dict]) -> dict:
         "git_commit": machine["git_commit"],
         "source_sha256": machine["source_sha256"],
         "attempted": sum(r["attempted"] for r in records),
+        "attempted_runs": [r["attempted"] for r in records],
         "failed": sum(r["failed"] for r in records),
         "metrics": metric_summaries(records, metrics),
     }
@@ -204,7 +207,10 @@ def main(argv=None) -> int:
         result["per_layer_note"] = (
             "simulator.raycast_scan.calls and .self_s read 0 in every traced run: the "
             "benchmark's hook rebinds simulator.raycast_scan, which no longer exists, while "
-            "scenes are cast through simulator.raycast_scans (ROADMAP item 0)"
+            "scenes are cast through simulator.raycast_scans (ROADMAP item 0). "
+            "simulator.run_scenario_s does not cover lidarmot bench, which simulates "
+            "through simulator.Scenario.stream: it reads 0 for offline-mr2, where it is "
+            "unmeasured, and covers only the set-up of replay-crowd and live-crowd"
         )
         for side in sides:
             result[side]["per_layer"] = metric_summaries(traces[side], layers)
