@@ -19,7 +19,6 @@ from lidarmot.simulator import (
 )
 
 state = WorldState(
-    time=0.0,
     robot=Pose2D(0, 0, 0),
     robot_twist=(0.0, 0.0),
     agents=[

@@ -239,11 +239,10 @@ def _cmd_evaluate(args) -> int:
     )
     hyp = _read(in_dir / TRACKS_FILE, "track", ds.record_to_hypothesis_frame, args.strict)
     scans_path = in_dir / SCANS_FILE
-    scans = []
+    first = None
     if scans_path.exists():  # only the first scan, for the field of view
         first = _read_first(scans_path, "scan", ds.record_to_scan, args.strict)
-        scans = [] if first is None else [first]
-    mot = evaluate_sequence(gt_frames, hyp, sensor_fov(scans), threshold=args.threshold)
+    mot = evaluate_sequence(gt_frames, hyp, sensor_fov(first), threshold=args.threshold)
     report = build_report(
         metadata={"threshold": args.threshold, "source": str(in_dir)},
         mot=mot,

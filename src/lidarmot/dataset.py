@@ -27,7 +27,7 @@ import numpy as np
 
 from .detection import Detection
 from .evaluation import GroundTruthFrame, HypothesisFrame
-from .geometry import ODOM_FRAME, SENSOR_FRAME, FieldOfView, LidarScan, PointXY, Pose2D
+from .geometry import ODOM_FRAME, SENSOR_FRAME, LidarScan, PointXY, Pose2D, beam_wedge
 from .pipeline import DynamicObstacle
 from .tracking import Track
 
@@ -350,14 +350,14 @@ def _check_geometry(
     t: float, angle_min: float, angle_increment: float, range_max: float, beams: int
 ) -> None:
     """Refuse a scan whose ``range_max`` is not positive and finite, or whose
-    beams span no field of view: the wedge ``angle_min + beams x
-    angle_increment`` that the evaluator builds (``workflows.sensor_fov``)
-    must be nonempty and at most a full turn."""
+    beams span no field of view: the wedge that the evaluator builds
+    (:func:`~lidarmot.geometry.beam_wedge`) must be nonempty and at most a
+    full turn."""
     where = f"scan at t={t!r}"
     if not 0 < range_max < math.inf:
         raise DatasetFormatError(f"{where}: range_max is {range_max!r}, not positive and finite")
     try:
-        FieldOfView(angle_min, angle_min + beams * angle_increment, range_max)
+        beam_wedge(angle_min, angle_increment, beams, range_max)
     except ValueError as exc:
         raise DatasetFormatError(
             f"{where}: angle_min {angle_min!r}, angle_increment {angle_increment!r} and "

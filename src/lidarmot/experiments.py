@@ -68,7 +68,7 @@ def measure_initiation(run_cfg: RunConfig, scenario: ScenarioConfig) -> Initiati
         raise RuntimeError("person never became visible; check the scenario")
     tracking = run_tracking(scans, run_cfg, gt_frames=gt)
     first_initiated = next(
-        (h.timestamp for h in tracking.hypothesis_frames if h.tracks), None
+        (t for t, tracks in tracking.tracks_by_frame if tracks), None
     )
     latency = None if first_initiated is None else first_initiated - first_visible
     return InitiationResult(first_visible, first_initiated, latency)

@@ -86,6 +86,15 @@ class FieldOfView:
             raise ValueError("FieldOfView wider than a full turn")
 
 
+def beam_wedge(
+    angle_min: float, angle_increment: float, beams: int, range_max: float
+) -> FieldOfView:
+    """The wedge a grid of beams covers: from the first beam's angle through
+    one increment past the last beam, out to ``range_max``. Raises
+    ValueError when that wedge is empty or wider than a full turn."""
+    return FieldOfView(angle_min, angle_min + beams * angle_increment, range_max)
+
+
 @dataclass(frozen=True, slots=True)
 class LidarScan:
     """One range sweep. ``ranges[i]`` is the return along beam i at angle

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -75,21 +75,36 @@ class FrameResult:
 
 @dataclass
 class RunSummary:
+    """What a run did. ``exception`` is the source's failure, for a caller
+    that fails the run with it, and ``error`` names it. A summary built by
+    hand may give ``error`` as text instead; it is held as a RuntimeError."""
+
     frames_in: int = 0
     frames_processed: int = 0
     frames_dropped: int = 0
     timings: list[FrameTiming] = field(default_factory=list)
     wall_time_s: float = 0.0
-    error: str | None = None
-    #: The source's exception that ``error`` names, for a caller that fails
-    #: the run with it.
-    exception: Exception | None = field(default=None, repr=False, compare=False)
+    exception: Exception | None = None
+    error: InitVar[str | None] = None
+
+    def __post_init__(self, error: str | None) -> None:
+        if error is not None and self.exception is None:
+            self.exception = RuntimeError(error)
 
     @property
     def achieved_hz(self) -> float:
         if self.wall_time_s <= 0:
             return 0.0
         return self.frames_processed / self.wall_time_s
+
+
+def _error(summary: RunSummary) -> str | None:
+    exc = summary.exception
+    return None if exc is None else f"{type(exc).__name__}: {exc}"
+
+
+# Set once the class is built, as ``error`` is also an init-only parameter.
+RunSummary.error = property(_error)
 
 
 class _Queue:
@@ -225,7 +240,6 @@ def _counted(scans: Iterable[LidarScan], summary: RunSummary) -> Iterator[LidarS
             summary.frames_in += 1
             yield scan
     except Exception as exc:  # clean shutdown with partial results
-        summary.error = f"{type(exc).__name__}: {exc}"
         summary.exception = exc
 
 

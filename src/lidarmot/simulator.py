@@ -15,7 +15,9 @@ persons have radius ``PERSON_RADIUS`` and walk at speeds drawn from
 
 All randomness derives from the scenario seed; the scan clock (20 Hz) and
 ground-truth clock (100 Hz) are exact rationals of the same tick, so a run
-is bit-reproducible.
+is bit-reproducible; a ``duration`` is a whole number of ticks. A
+``WorldState``'s ``time`` is its robot pose's timestamp, and the robot's
+twist is kept in the state alone.
 
 The two hot paths, ``step_world`` and the ray cast, work on Python floats
 and on sparse selections, but every product whose rounding numpy decides
@@ -26,7 +28,8 @@ a push is libm's, the one np.hypot calls, taken through
 last bit). So scans, labels and ground truth stay bit for bit those of the
 straightforward per-shape formulation.
 
-``Scenario.stream`` steps the world once per tick and emits ground truth
+``Scenario.stream`` is the one simulation loop (``run_scenario`` drains it
+into lists). It steps the world once per tick and emits ground truth
 every tick, but holds the scan ticks' world states back and casts them
 ``SCAN_BLOCK`` at a time with :func:`raycast_scans`, the one cast there is
 (a caller with a single state passes ``[state]``). This is sound because
@@ -62,6 +65,7 @@ from .geometry import (
     LidarScan,
     PointXY,
     Pose2D,
+    beam_wedge,
     libm_hypot,
     normalize_angle,
 )
@@ -132,11 +136,7 @@ class LidarParams:
             raise ValueError(f"lidar.range_max must be positive, got {self.range_max}")
 
     def fov(self) -> FieldOfView:
-        return FieldOfView(
-            self.angle_min,
-            self.angle_min + self.n_beams * self.angle_increment,
-            self.range_max,
-        )
+        return beam_wedge(self.angle_min, self.angle_increment, self.n_beams, self.range_max)
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,13 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be positive and finite, got {self.duration}")
+        # A run steps whole ticks, so it would end past a duration between two.
+        ticks = self.duration * GT_RATE_HZ
+        if not (round(ticks) >= 1 and abs(ticks - round(ticks)) <= 1e-9 * ticks):
+            raise ValueError(
+                f"duration must be a whole number of {1 / GT_RATE_HZ:g} s ticks, "
+                f"got {self.duration}"
+            )
         for name in ("n_persons", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -289,11 +296,15 @@ class World:
 
 @dataclass(slots=True)
 class WorldState:
-    time: float
     robot: Pose2D
-    robot_twist: tuple[float, float]  # (v, omega)
+    robot_twist: tuple[float, float]  # (v, omega), carried by step_world
     agents: list[AgentModel]
     world: World
+
+    @property
+    def time(self) -> float:
+        """The tick's time, held once, as the robot pose's timestamp."""
+        return self.robot.timestamp
 
 
 #: What :func:`_point_segment_distance` reads of a segment.
@@ -481,9 +492,9 @@ def step_world(state: WorldState, dt: float) -> WorldState:
     ny = r.y + v * math.sin(r.theta) * dt
     nx = min(max(nx, x0 + ROBOT_WALL_MARGIN), x1 - ROBOT_WALL_MARGIN)
     ny = min(max(ny, y0 + ROBOT_WALL_MARGIN), y1 - ROBOT_WALL_MARGIN)
-    robot = Pose2D(nx, ny, normalize_angle(r.theta + omega * dt), state.time + dt)
+    robot = Pose2D(nx, ny, normalize_angle(r.theta + omega * dt), r.timestamp + dt)
 
-    return WorldState(state.time + dt, robot, state.robot_twist, agents, world)
+    return WorldState(robot, state.robot_twist, agents, world)
 
 
 #: Scans that :meth:`Scenario.stream` casts in one vectorized pass. A
@@ -842,7 +853,7 @@ class Scenario:
     """A scenario bound to its seed: initial world plus deterministic policy
     streams. ``stream()`` yields its scans at the lidar rate as they are cast
     and appends its GroundTruthFrame objects at 100 Hz to a caller's list;
-    ``run()`` returns both as lists."""
+    :func:`run_scenario` returns both as lists."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -850,11 +861,8 @@ class Scenario:
         world_seed, sensor_seed = seq.spawn(2)
         self._rng_world = np.random.default_rng(world_seed)
         self._rng_sensor = np.random.default_rng(sensor_seed)
-        self.lidar = cfg.lidar
         self.state = self._build_initial_state()
         self._robot_next_resample = 0.0
-        self._robot_v = 0.0
-        self._robot_omega = 0.0
 
     def _build_initial_state(self) -> WorldState:
         cfg = self.cfg
@@ -867,7 +875,7 @@ class Scenario:
                 for sa in cfg.scripted_agents
             ]
             world = World(cfg.arena, segments=tuple(cfg.occluder_walls))
-            return WorldState(0.0, Pose2D(0.0, 0.0, 0.0, 0.0), (0.0, 0.0), agents, world)
+            return WorldState(Pose2D(0.0, 0.0, 0.0, 0.0), (0.0, 0.0), agents, world)
 
         # Generated: a walled arena, seeded furniture and seeded persons.
         rng = self._rng_world
@@ -880,23 +888,17 @@ class Scenario:
             rx, ry = (x0 + x1) / 2.0, (y0 + y1) / 2.0
         robot = Pose2D(rx, ry, 0.0, 0.0)
         circles, furniture = _default_clutter(cfg.arena, rng, (rx, ry))
-        agents = self._place_persons(robot, circles, furniture, rng)
         segments = _arena_walls(cfg.arena) + furniture + tuple(cfg.occluder_walls)
         world = World(cfg.arena, circles, segments, keep_out=furniture)
-        return WorldState(0.0, robot, (0.0, 0.0), agents, world)
+        return WorldState(robot, (0.0, 0.0), self._place_persons(robot, world, rng), world)
 
     def _place_persons(
-        self,
-        robot: Pose2D,
-        circles: tuple[Circle, ...],
-        keep_out: tuple[Segment, ...],
-        rng: np.random.Generator,
+        self, robot: Pose2D, world: World, rng: np.random.Generator
     ) -> list[AgentModel]:
         cfg = self.cfg
         x0, y0, x1, y1 = cfg.arena
         lo = np.array([x0 + WALL_MARGIN, y0 + WALL_MARGIN])
         hi = np.array([x1 - WALL_MARGIN, y1 - WALL_MARGIN])
-        edges = [_edge_terms(seg) for seg in keep_out]
         agents: list[AgentModel] = []
         for pid in range(cfg.n_persons):
             for _attempt in range(200):
@@ -907,12 +909,12 @@ class Scenario:
                     continue
                 if any(
                     np.hypot(x - c.x, y - c.y) < c.radius + PERSON_RADIUS + 0.3
-                    for c in circles
+                    for c in world.circles
                 ):
                     continue
                 if any(
                     _point_segment_distance(x, y, edge)[0] < PERSON_RADIUS + 0.3
-                    for edge in edges
+                    for *_, edge in world.edges
                 ):
                     continue
                 break
@@ -947,22 +949,23 @@ class Scenario:
             a.next_resample = t + rng.uniform(1.0, 3.0)
 
     def _robot_policy(self, t: float):
+        """Draw the moving robot's next twist over the one it drives; a
+        stationary robot keeps its initial zero twist."""
         cfg = self.cfg
         if cfg.kind in ("sr", "custom"):
-            self.state.robot_twist = (0.0, 0.0)
             return
+        v, omega = self.state.robot_twist
         rng = self._rng_world
         if t >= self._robot_next_resample:
-            self._robot_v = float(rng.uniform(-ROBOT_LINEAR_MAX, ROBOT_LINEAR_MAX))
+            v = float(rng.uniform(-ROBOT_LINEAR_MAX, ROBOT_LINEAR_MAX))
             if cfg.kind == "mr2":
-                self._robot_omega = float(rng.uniform(-ROBOT_ANGULAR_MAX, ROBOT_ANGULAR_MAX))
+                omega = float(rng.uniform(-ROBOT_ANGULAR_MAX, ROBOT_ANGULAR_MAX))
                 self._robot_next_resample = t + float(rng.uniform(0.8, 2.0))
             else:
                 self._robot_next_resample = t + float(rng.uniform(1.0, 2.5))
-        omega = self._robot_omega
+        r = self.state.robot
         if cfg.kind == "mr1":
             # Steer the wedge at the crowd so nobody slips behind the robot.
-            r = self.state.robot
             if self.state.agents:
                 cx, cy = _centroid(self.state.agents)
                 bearing = math.atan2(cy - r.y, cx - r.x)
@@ -970,9 +973,7 @@ class Scenario:
                 omega = max(-ROBOT_ANGULAR_MAX, min(ROBOT_ANGULAR_MAX, 2.0 * err))
             else:
                 omega = 0.0
-        v = self._robot_v
         # Reverse instead of driving into a wall.
-        r = self.state.robot
         x0, y0, x1, y1 = cfg.arena
         ahead_x = r.x + v * math.cos(r.theta) * 0.5
         ahead_y = r.y + v * math.sin(r.theta) * 0.5
@@ -981,7 +982,6 @@ class Scenario:
             and y0 + ROBOT_WALL_MARGIN <= ahead_y <= y1 - ROBOT_WALL_MARGIN
         ):
             v = -v
-            self._robot_v = v
         self.state.robot_twist = (v, omega)
 
     # -- main loop --------------------------------------------------------
@@ -993,11 +993,12 @@ class Scenario:
         ``gt`` as its tick is emitted. With ``with_labels`` each scan comes as
         a ``(scan, labels)`` pair. ``gt`` is complete once the stream is
         drained, and a reader that hands each scan on holds at most one block.
-        This is the one simulation loop; :meth:`run` lists it.
+        This is the one simulation loop; :func:`run_scenario` lists it.
         """
         cfg = self.cfg
         gt_dt = 1.0 / GT_RATE_HZ
-        ticks_per_scan = round(GT_RATE_HZ / self.lidar.rate_hz)
+        ticks_per_scan = round(GT_RATE_HZ / cfg.lidar.rate_hz)
+        # ScenarioConfig holds the duration to a whole number of ticks.
         n_ticks = round(cfg.duration * GT_RATE_HZ)
         # A scan is held as its WorldState until SCAN_BLOCK of them are cast
         # at once.
@@ -1005,18 +1006,17 @@ class Scenario:
 
         def cast() -> list:
             scans = raycast_scans(
-                held, self.lidar, noise_std=cfg.noise_std, dropout_prob=cfg.dropout_prob,
+                held, cfg.lidar, noise_std=cfg.noise_std, dropout_prob=cfg.dropout_prob,
                 rng=self._rng_sensor, with_labels=with_labels,
             )
             held.clear()
             return scans
 
         for k in range(n_ticks + 1):
-            # Pin both clocks to the exact rational tick so timestamps never
+            # Pin the clock to the exact rational tick so timestamps never
             # drift from float accumulation across a long run.
-            self.state.time = k / GT_RATE_HZ
             r = self.state.robot
-            self.state.robot = Pose2D(r.x, r.y, r.theta, self.state.time)
+            self.state.robot = Pose2D(r.x, r.y, r.theta, k / GT_RATE_HZ)
             gt.append(emit_ground_truth(self.state))
             if k % ticks_per_scan == 0:
                 # Must hold for a later cast to see this tick: nothing changes
@@ -1035,20 +1035,14 @@ class Scenario:
         if held:
             yield from cast()
 
-    def run(self, with_labels: bool = False) -> tuple:
-        """Simulate the configured duration into lists: ``(scans, gt)``, each
-        in time order. With ``with_labels`` the result is ``(scans, gt,
-        labels)``, where ``labels[i]`` holds the per-beam hit attribution of
-        ``scans[i]``. This is :meth:`stream` drained, so every scan is held.
-        """
-        gt: list[GroundTruthFrame] = []
-        scans = list(self.stream(gt, with_labels))
-        if not with_labels:
-            return scans, gt
-        return [scan for scan, _ in scans], gt, [lab for _, lab in scans]
-
 
 def run_scenario(cfg: ScenarioConfig, labels: bool = False) -> tuple:
-    """Simulate ``cfg`` into ``(scans, gt)``, or ``(scans, gt, labels)`` with
-    ``labels``: see :meth:`Scenario.run`."""
-    return Scenario(cfg).run(labels)
+    """Simulate ``cfg`` into lists: ``(scans, gt)``, each in time order. With
+    ``labels`` the result is ``(scans, gt, labels)``, where ``labels[i]``
+    holds the per-beam hit attribution of ``scans[i]``. This is
+    :meth:`Scenario.stream` drained, so every scan is held."""
+    gt: list[GroundTruthFrame] = []
+    scans = list(Scenario(cfg).stream(gt, labels))
+    if not labels:
+        return scans, gt
+    return [scan for scan, _ in scans], gt, [lab for _, lab in scans]

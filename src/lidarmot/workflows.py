@@ -24,7 +24,7 @@ from .evaluation import (
     evaluate_sequence,
     pose_lookup,
 )
-from .geometry import FieldOfView, LidarScan, Pose2D
+from .geometry import FieldOfView, LidarScan, Pose2D, beam_wedge
 from .pipeline import DetectFn, DynamicObstacle, FrameResult, FrameTiming, TrackFn, run_pipeline
 from .simulator import LidarParams, Scenario
 from .tracking import Track, Tracker
@@ -32,9 +32,9 @@ from .tracking import Track, Tracker
 
 @dataclass
 class TrackingRun:
-    """Everything one pass over a scan stream produced."""
+    """Everything one pass over a scan stream produced. A frame's hypothesis
+    is :func:`tracks_to_hypothesis` of its tracks."""
 
-    hypothesis_frames: list[HypothesisFrame] = field(default_factory=list)
     tracks_by_frame: list[tuple[float, list[Track]]] = field(default_factory=list)
     obstacles_by_frame: list[tuple[float, list[DynamicObstacle]]] = field(
         default_factory=list
@@ -46,14 +46,12 @@ def build_detector(run_cfg: RunConfig) -> Detector:
     return ClusterDetector(run_cfg.detector)
 
 
-def sensor_fov(scans: list[LidarScan]) -> FieldOfView:
-    """The wedge the scans cover, taken from the first one: from its first
-    beam's angle through one increment past its last beam, out to its
-    maximum range. Without scans, the default sensor's."""
-    if not scans:
+def sensor_fov(scan: LidarScan | None) -> FieldOfView:
+    """The wedge a scan's beams cover (:func:`~lidarmot.geometry.beam_wedge`);
+    without a scan, the default sensor's."""
+    if scan is None:
         return LidarParams().fov()
-    s = scans[0]
-    return FieldOfView(s.angle_min, s.angle_min + len(s.ranges) * s.angle_increment, s.range_max)
+    return beam_wedge(scan.angle_min, scan.angle_increment, len(scan.ranges), scan.range_max)
 
 
 def scan_period_ms(frames: Sequence) -> float:
@@ -129,14 +127,13 @@ def run_tracking(
     gt_frames: list[GroundTruthFrame] | None = None,
 ) -> TrackingRun:
     """Every scan, in order, through the detect and track stages on the
-    calling thread, with every frame's hypothesis, tracks and obstacles kept.
+    calling thread, with every frame's tracks and obstacles kept.
     A scan without a pose is tracked at the robot pose of ``gt_frames``. A
     failing source raises its error."""
     out = TrackingRun()
 
     def collect(result):
         t = result.scan.timestamp
-        out.hypothesis_frames.append(tracks_to_hypothesis(t, result.tracks))
         out.tracks_by_frame.append((t, result.tracks))
         out.obstacles_by_frame.append((t, result.obstacles))
 
@@ -158,21 +155,24 @@ def run_benchmark(
     (:meth:`~lidarmot.simulator.Scenario.stream`) with ``gt_frames`` the list
     it appends to, which is read only once the stream is drained. Without
     them, the scenario of ``run_cfg`` is streamed in this way, each scan
-    detected and tracked as it is cast. A scan without a pose is tracked at
-    the robot pose of ``gt_frames`` as it stands when the run starts, so only
-    a recorded ground truth serves it; simulated scans carry their pose. A
-    failing source raises its error.
+    detected and tracked as it is cast; one without the other raises
+    ValueError. A scan without a pose is tracked at the robot pose of
+    ``gt_frames`` as it stands when the run starts, so only a recorded ground
+    truth serves it; simulated scans carry their pose. A failing source
+    raises its error.
     """
-    if scans is None or gt_frames is None:
+    if (scans is None) != (gt_frames is None):
+        raise ValueError("run_benchmark takes scans and gt_frames together, or neither")
+    if scans is None:
         gt_frames = []
         scans = Scenario(run_cfg.scenario).stream(gt_frames)
     hypotheses: list[HypothesisFrame] = []
-    fov = sensor_fov([])
+    fov = sensor_fov(None)
 
     def keep(result):
         nonlocal fov
         if not hypotheses:
-            fov = sensor_fov([result.scan])
+            fov = sensor_fov(result.scan)
         hypotheses.append(tracks_to_hypothesis(result.scan.timestamp, result.tracks))
 
     timings = _run_serial(scans, run_cfg, keep, gt_frames)

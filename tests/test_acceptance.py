@@ -31,7 +31,7 @@ from lidarmot.geometry import (
 from lidarmot.pipeline import PipelineConfig, paced, run_pipeline
 from lidarmot.simulator import run_scenario
 from lidarmot.tracking import _cv_model, _predict_stacked, _update_stacked, solve_assignment
-from lidarmot.workflows import run_tracking
+from lidarmot.workflows import run_tracking, tracks_to_hypothesis
 
 # Reference benchmark rows: (dataset, preset, valid, id_sw, miss, fp,
 # mota_pct, motp_m). The ground-truth total per dataset reconstructs as
@@ -61,9 +61,8 @@ def scenario_run(kind, preset, seed, duration=120.0):
     start = time.perf_counter()
     scans, gt = run_scenario(cfg.scenario)
     tracking = run_tracking(scans, cfg, gt_frames=gt)
-    report = evaluate_sequence(
-        gt, tracking.hypothesis_frames, cfg.scenario.lidar.fov(), threshold=0.75
-    )
+    hypotheses = [tracks_to_hypothesis(t, tracks) for t, tracks in tracking.tracks_by_frame]
+    report = evaluate_sequence(gt, hypotheses, cfg.scenario.lidar.fov(), threshold=0.75)
     elapsed = time.perf_counter() - start
     return report, elapsed
 

@@ -679,11 +679,14 @@ class TestErrors:
         (["bench", "--duration", "inf"], "duration"),
         (["bench", "--config", '{"tracker": {"gate_distance": NaN}}'], "NaN"),
         (["simulate", "--config", '{"scenario": {"duration": 1e999}}'], "duration"),
+        (["bench", "--duration", "0.016"], "duration must be a whole number of 0.01 s ticks"),
+        (["simulate", "--duration", "0.001"], "duration must be a whole number of 0.01 s ticks"),
         (["simulate", "--noise-std", "nan"], "noise_std must be a finite number"),
         (["bench", "--duration", "1", "--threshold", "nan"], "threshold must be positive"),
         (["simulate", "--seed", "-1"], "section 'scenario': seed must be >= 0, got -1"),
     ], ids=["velocity-gate-nan", "velocity-gate-negative", "duration-inf",
-            "config-nan", "config-overflow", "noise-std-nan", "threshold-nan", "seed-negative"])
+            "config-nan", "config-overflow", "duration-between-ticks-bench",
+            "duration-between-ticks-simulate", "noise-std-nan", "threshold-nan", "seed-negative"])
     def test_non_finite_setting_exits_2(self, sim_dir, tmp_path, capsys, argv, expected):
         argv = [sim_dir if a == "SIM" else a for a in argv]
         if "--config" in argv:

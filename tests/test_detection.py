@@ -36,7 +36,6 @@ def circle_world(centers, radius=0.3, robot=(0.0, 0.0, 0.0)):
         for i, (x, y) in enumerate(centers)
     ]
     return WorldState(
-        time=0.0,
         robot=Pose2D(*robot),
         robot_twist=(0.0, 0.0),
         agents=agents,

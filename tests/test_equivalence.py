@@ -63,6 +63,8 @@ from lidarmot.geometry import (
 )
 from lidarmot.pipeline import DynamicObstacle, export_dynamic_obstacles
 from lidarmot.simulator import (
+    ROBOT_ANGULAR_MAX,
+    ROBOT_LINEAR_MAX,
     ROBOT_WALL_MARGIN,
     AgentModel,
     Circle,
@@ -235,12 +237,51 @@ def ref_step_world(state, dt, wall_margin=0.7, comfort=1.0, min_separation=0.5):
     ny = min(max(ny, y0 + ROBOT_WALL_MARGIN), y1 - ROBOT_WALL_MARGIN)
     robot = Pose2D(nx, ny, normalize_angle(r.theta + omega * dt), state.time + dt)
     return WorldState(
-        time=state.time + dt,
         robot=robot,
         robot_twist=state.robot_twist,
         agents=[ref_float_agent(a) for a in agents],
         world=world,
     )
+
+
+def ref_robot_policy(scenario, t, drawn):
+    """``Scenario._robot_policy`` with the drawn speed and turn rate, and
+    the time of the next draw, kept in ``drawn``, apart from the state's
+    twist, which is written afresh every tick (zero for a stationary robot).
+    A reversal at a wall is kept in the drawn speed too."""
+    cfg = scenario.cfg
+    if cfg.kind in ("sr", "custom"):
+        scenario.state.robot_twist = (0.0, 0.0)
+        return
+    rng = scenario._rng_world
+    if t >= drawn.next_resample:
+        drawn.v = float(rng.uniform(-ROBOT_LINEAR_MAX, ROBOT_LINEAR_MAX))
+        if cfg.kind == "mr2":
+            drawn.omega = float(rng.uniform(-ROBOT_ANGULAR_MAX, ROBOT_ANGULAR_MAX))
+            drawn.next_resample = t + float(rng.uniform(0.8, 2.0))
+        else:
+            drawn.next_resample = t + float(rng.uniform(1.0, 2.5))
+    omega = drawn.omega
+    if cfg.kind == "mr1":
+        r = scenario.state.robot
+        if scenario.state.agents:
+            cx, cy = simulator._centroid(scenario.state.agents)
+            err = normalize_angle(math.atan2(cy - r.y, cx - r.x) - r.theta)
+            omega = max(-ROBOT_ANGULAR_MAX, min(ROBOT_ANGULAR_MAX, 2.0 * err))
+        else:
+            omega = 0.0
+    v = drawn.v
+    r = scenario.state.robot
+    x0, y0, x1, y1 = cfg.arena
+    ahead_x = r.x + v * math.cos(r.theta) * 0.5
+    ahead_y = r.y + v * math.sin(r.theta) * 0.5
+    if not (
+        x0 + ROBOT_WALL_MARGIN <= ahead_x <= x1 - ROBOT_WALL_MARGIN
+        and y0 + ROBOT_WALL_MARGIN <= ahead_y <= y1 - ROBOT_WALL_MARGIN
+    ):
+        v = -v
+        drawn.v = v
+    scenario.state.robot_twist = (v, omega)
 
 
 def ref_ray_circles(origin, dirs, circles):
@@ -634,7 +675,6 @@ def frame_key(frame: GroundTruthFrame) -> str:
 def make_world(agents=(), circles=(), keep_out=(), robot=(0.0, 0.0, 0.0),
                arena=(-4.0, -4.0, 4.0, 4.0), twist=(0.0, 0.0)):
     return WorldState(
-        time=0.0,
         robot=Pose2D(*robot),
         robot_twist=twist,
         agents=list(agents),
@@ -1252,6 +1292,44 @@ class TestRaycastEquivalence:
         cfg = ScenarioConfig(kind="mr1", duration=2.0, seed=71, n_persons=10,
                              arena=(-4.0, -4.0, 4.0, 4.0))
         self.assert_stream_matches_reference(cfg, monkeypatch)
+
+
+def robot_ticks(cfg, monkeypatch, policy=None) -> list[str]:
+    """The robot's twist and pose at every step of ``cfg``'s stream, as
+    ``step_world`` receives them, by ``repr``; with ``policy`` in place of
+    ``Scenario._robot_policy``."""
+    ticks = []
+
+    def recorded_step(state, dt):
+        ticks.append(repr((state.robot_twist, state.robot)))
+        return step_world(state, dt)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "step_world", recorded_step)
+        if policy is not None:
+            patch.setattr(simulator.Scenario, "_robot_policy", policy)
+        for _ in simulator.Scenario(cfg).stream([]):
+            pass
+    return ticks
+
+
+ROBOT_SCENES = {
+    **{f"{kind} seed {seed}": ScenarioConfig(kind=kind, seed=seed, duration=20.0)
+       for kind in ("mr1", "mr2") for seed in (1, 2, 3)},
+    "crowd": ScenarioConfig(kind="mr1", duration=15.0, seed=71, n_persons=10,
+                            arena=(-4.0, -4.0, 4.0, 4.0)),
+}
+
+
+@pytest.mark.parametrize("scene", ROBOT_SCENES)
+def test_robot_twist_matches_reference_policy(scene, monkeypatch):
+    # The state's twist is the one place the policy keeps its speed and turn
+    # rate between draws; the reference keeps its own copy of the draws.
+    cfg = ROBOT_SCENES[scene]
+    drawn = SimpleNamespace(v=0.0, omega=0.0, next_resample=0.0)
+    ref = robot_ticks(cfg, monkeypatch, lambda self, t: ref_robot_policy(self, t, drawn))
+    assert robot_ticks(cfg, monkeypatch) == ref
+    assert len(ref) == round(cfg.duration * simulator.GT_RATE_HZ)
 
 
 # -- evaluator -------------------------------------------------------------

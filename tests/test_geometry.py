@@ -10,6 +10,7 @@ from lidarmot.geometry import (
     LidarScan,
     PointXY,
     Pose2D,
+    beam_wedge,
     in_fov,
     interpolate_pose,
     invert_pose,
@@ -212,6 +213,12 @@ def test_normalize_angle_range():
 
 def test_pose_normalizes_theta_on_construction():
     assert Pose2D(0, 0, 3 * math.pi).theta == pytest.approx(math.pi)
+
+
+def test_beam_wedge_ends_one_increment_past_the_last_beam():
+    assert beam_wedge(-1.0, 0.25, 8, 5.0) == FieldOfView(-1.0, 1.0, 5.0)
+    with pytest.raises(ValueError, match="wider than a full turn"):
+        beam_wedge(0.0, 1.0, 7, 5.0)
 
 
 def test_scan_requires_positive_increment():

@@ -14,6 +14,7 @@ from lidarmot.pipeline import (
     DynamicObstacle,
     FrameTiming,
     PipelineConfig,
+    RunSummary,
     export_dynamic_obstacles,
     forecast_position,
     paced,
@@ -24,7 +25,7 @@ from lidarmot.pipeline import (
 from lidarmot.report import timing_section
 from lidarmot.simulator import run_scenario
 from lidarmot.tracking import Track, TrackStatus
-from lidarmot.workflows import run_benchmark, run_tracking, sensor_fov
+from lidarmot.workflows import run_benchmark, run_tracking, sensor_fov, tracks_to_hypothesis
 
 
 def track(tid, x, y, vx, vy):
@@ -214,6 +215,16 @@ class TestRunPipeline:
         assert isinstance(summary.exception, IOError)
         assert summary.frames_processed == 5
 
+    def test_summary_error_names_its_exception(self):
+        assert RunSummary().error is None
+        assert RunSummary(exception=OSError("sensor unplugged")).error == (
+            "OSError: sensor unplugged"
+        )
+        # A summary built by hand may give the error as text.
+        by_hand = replace(RunSummary(frames_in=3), error="boom")
+        assert (by_hand.frames_in, by_hand.error) == (3, "RuntimeError: boom")
+        assert replace(by_hand).error == "RuntimeError: boom"
+
     def test_serial_mode_processes_everything_when_fast(self):
         summary = run_pipeline(
             iter(scans(40)),
@@ -345,14 +356,25 @@ def test_run_benchmark_scores_what_run_tracking_keeps(kind):
     for preset in ("config-1", "config-2", "config-3"):
         cfg = replace(load_config(preset), scenario=scenario)
         report, timings = run_benchmark(cfg, scans=scans, gt_frames=gt)
+        tracked = run_tracking(scans, cfg, gt_frames=gt).tracks_by_frame
         ref = evaluate_sequence(
-            gt, run_tracking(scans, cfg, gt_frames=gt).hypothesis_frames, sensor_fov(scans)
+            gt, [tracks_to_hypothesis(t, tracks) for t, tracks in tracked], sensor_fov(scans[0])
         )
         assert report.frames == ref.frames
         assert report.skipped_frames == ref.skipped_frames
         assert [t.timestamp for t in timings] == [s.timestamp for s in scans]
     simulated, _ = run_benchmark(cfg)
     assert simulated.frames == report.frames
+
+
+@pytest.mark.parametrize("given", ["scans", "gt_frames"])
+def test_run_benchmark_refuses_half_a_scene(given):
+    # Recorded scans without their ground truth were scored against a fresh
+    # simulation of the configured scenario.
+    scans, gt = run_scenario(replace(load_config("config-1").scenario, duration=1.0))
+    half = {"scans": scans, "gt_frames": gt}[given]
+    with pytest.raises(ValueError, match="scans and gt_frames together, or neither"):
+        run_benchmark(load_config("config-1"), **{given: half})
 
 
 @pytest.mark.parametrize("pipelined", [False, True], ids=["serial", "pipelined"])

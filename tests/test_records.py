@@ -40,7 +40,7 @@ RECORDS = [
     FrameResult(SCAN, [TRACK], [OBSTACLE]),
     DatasetRecord("scan", 0.1, {"frame": "laser"}),
     AGENT,
-    WorldState(0.0, POSE, (0.1, 0.0), [AGENT], World(arena=(-4.0, -4.0, 4.0, 4.0))),
+    WorldState(POSE, (0.1, 0.0), [AGENT], World(arena=(-4.0, -4.0, 4.0, 4.0))),
 ]
 
 

@@ -34,7 +34,6 @@ def small_cfg(**kw):
 
 def world(agents=(), circles=(), segments=(), robot=(0, 0, 0), arena=(-10, -10, 10, 10)):
     return WorldState(
-        time=0.0,
         robot=Pose2D(*robot),
         robot_twist=(0.0, 0.0),
         agents=list(agents),
@@ -194,7 +193,8 @@ class TestStepWorld:
     def test_scene_agents_hold_python_floats(self):
         # A numpy scalar would print as np.float64(...) in ground truth.
         scenario = Scenario(small_cfg(kind="mr1"))
-        scenario.run()
+        for _ in scenario.stream([]):
+            pass
         for a in scenario.state.agents:
             assert {type(v) for v in (a.x, a.y, a.vx, a.vy)} == {float}
 
@@ -338,6 +338,21 @@ class TestGroundTruth:
 def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(duration=0)
+
+
+@pytest.mark.parametrize("duration", [0.016, 0.001, 1e-9])
+def test_duration_between_ticks_rejected(duration):
+    # 0.016 s ran to t = 0.02 s, and 0.001 s and 1e-9 s ran one tick at t = 0.
+    with pytest.raises(ValueError, match=f"^duration must be a whole number of 0.01 s ticks, "
+                                         f"got {duration}$"):
+        ScenarioConfig(duration=duration)
+
+
+@pytest.mark.parametrize("duration, ticks", [(0.02, 2), (30.0, 3000)])
+def test_duration_on_ticks_runs_to_its_end(duration, ticks):
+    _, gt = run_scenario(small_cfg(duration=duration))
+    assert len(gt) == ticks + 1
+    assert gt[-1].timestamp == duration
     with pytest.raises(ValueError):
         ScenarioConfig(dropout_prob=1.0)
 

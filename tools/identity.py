@@ -16,7 +16,8 @@ digits), and exits 1 if any output differs. The set:
   tracks; and, with every wall-clock value (``worst``, ``avg``,
   ``achieved_hz``) masked, the pipeline's ``timings.json`` and the
   ``report.json`` of a one-row ``bench --timings`` that simulates the
-  scene;
+  scene; and the ``report.json`` of ``bench --in`` on the recording, with
+  its ``source`` (a temporary directory) masked;
 - ``run_scenario(cfg, labels=True)`` for sr, mr1 and mr2, seeds 1-3 (20 s),
   for the crowd scene, where ten persons walk among the furniture, and for
   the hand-built ``custom`` kind, ``experiments.emergence_scenario(seed)``
@@ -141,6 +142,7 @@ def crowd_digests(checkout: Path) -> dict:
         lidarmot(checkout, "evaluate", "--in", sim, "--out", tmp / "evaluate")
         lidarmot(checkout, "bench", "--config", config, "--preset", "config-1", "--timings",
                  "--out", tmp / "bench")
+        lidarmot(checkout, "bench", "--in", sim, "--preset", "config-1", "--out", tmp / "bench-in")
 
         for name in ("scans.jsonl", "ground_truth.jsonl", "detections.jsonl"):
             out[f"crowd {name}"] = short_digest((sim / name).read_bytes())
@@ -152,6 +154,11 @@ def crowd_digests(checkout: Path) -> dict:
         out["crowd pipeline timings.json (masked)"] = masked_digest(pipe / "timings.json")
         out["crowd bench --timings report.json (masked)"] = masked_digest(
             tmp / "bench" / "report.json"
+        )
+        replayed = json.loads((tmp / "bench-in" / "report.json").read_text())
+        replayed["metadata"]["source"] = None
+        out["crowd bench --in report.json (source masked)"] = short_digest(
+            json.dumps(replayed, sort_keys=True).encode()
         )
     return out
 
