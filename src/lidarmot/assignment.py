@@ -7,10 +7,13 @@ Aerospace and Electronic Systems 52(4), 2016). The port keeps scipy's
 order of operations, so it returns the same assignment, ties included, and
 the same ``ValueError`` messages. The tracker and the CLEAR MOT matcher solve
 matrices of a few rows each frame; at that size this loop costs tens of
-microseconds, and the runtime needs no scipy.
+microseconds, and the runtime needs no scipy. Both gate the solution with
+:func:`solve_assignment`, so a pair beyond the gate is dropped in one place.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,3 +110,37 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], list[int]]:
         cols = sorted(range(nr), key=col4row.__getitem__)
         return [col4row[k] for k in cols], cols
     return list(range(nr)), col4row
+
+
+@dataclass(frozen=True, slots=True)
+class AssociationResult:
+    """Gated one-to-one assignment of a cost matrix's rows (the tracker's
+    tracks) to its columns (detections): matches as (row, column, cost);
+    every other row and column listed unmatched on its own side."""
+
+    matches: list[tuple[int, int, float]]
+    unmatched_tracks: list[int]
+    unmatched_detections: list[int]
+
+
+def solve_assignment(cost: np.ndarray, gate_distance: float) -> AssociationResult:
+    """Minimum-total-cost one-to-one assignment (rectangular supported); any
+    assigned pair beyond the gate is demoted to unmatched on both sides.
+    Matches come in ascending row order."""
+    cost = np.asarray(cost, dtype=float)
+    n_tracks, n_dets = cost.shape
+    if n_tracks == 0 or n_dets == 0:
+        return AssociationResult([], list(range(n_tracks)), list(range(n_dets)))
+    rows, cols = linear_sum_assignment(cost)
+    matches = [
+        (r, c, dist)
+        for r, c, dist in zip(rows, cols, cost[rows, cols].tolist())
+        if dist <= gate_distance
+    ]
+    matched_t = {r for r, _, _ in matches}
+    matched_d = {c for _, c, _ in matches}
+    return AssociationResult(
+        matches=matches,
+        unmatched_tracks=[i for i in range(n_tracks) if i not in matched_t],
+        unmatched_detections=[j for j in range(n_dets) if j not in matched_d],
+    )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import bisect
 import contextlib
-import dataclasses
 import itertools
 import os
 import sys
@@ -24,7 +23,7 @@ from .dataset import DatasetFormatError
 from .detection import Detection, Detector
 from .evaluation import MATCH_THRESHOLD, evaluate_sequence
 from .geometry import LidarScan
-from .pipeline import paced, run_pipeline
+from .pipeline import VELOCITY_GATE, PipelineConfig, paced, run_pipeline
 from .report import build_report, mot_section, timing_section, write_report
 from .simulator import PlacementError
 from .workflows import bind_stages, build_detector, run_benchmark, scan_period_ms, sensor_fov
@@ -62,9 +61,6 @@ _FLAG_FIELDS = {
     "seed": ("scenario", "seed"),
     "duration": ("scenario", "duration"),
     "persons": ("scenario", "n_persons"),
-    "noise_std": ("scenario", "noise_std"),
-    "dropout": ("scenario", "dropout_prob"),
-    "velocity_gate": ("pipeline", "velocity_gate"),
 }
 
 
@@ -151,7 +147,7 @@ def _track_and_write(args, cfg, frames, detector, out: Path, realtime: bool = Fa
     if gt_path.exists() and any(f.pose is None for f in frames):
         gt_frames = _read(gt_path, "ground_truth", ds.record_to_ground_truth, args.strict)
     detect_fn, track_fn = bind_stages(cfg, detector, gt_frames)
-    pipe_cfg = dataclasses.replace(cfg.pipeline, pipelined=realtime, drop_stale=realtime)
+    pipe_cfg = PipelineConfig(pipelined=realtime, drop_stale=realtime)
     source = paced(frames) if realtime else frames
 
     track_records = []
@@ -377,7 +373,7 @@ def _cmd_bench(args) -> int:
     metadata = {
         **scenario_of(cfg0),
         "threshold": args.threshold,
-        "velocity_gate": cfg0.pipeline.velocity_gate,
+        "velocity_gate": VELOCITY_GATE,
         "source": str(args.in_dir) if args.in_dir else "simulated",
         "preset": cfg0.preset,
     }
@@ -416,8 +412,6 @@ def _add_common(
         p.add_argument("--seed", type=int, help="scenario seed")
         p.add_argument("--duration", type=float, help="scenario duration in seconds")
         p.add_argument("--persons", type=int, help="number of simulated persons")
-        p.add_argument("--noise-std", dest="noise_std", type=float)
-        p.add_argument("--dropout", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="offer scans at their recorded times to the pipelined runtime, "
         "dropping the oldest when it falls behind (default: serial batch)",
     )
-    p.add_argument("--velocity-gate", dest="velocity_gate", type=float)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("bench", help="simulate + track + evaluate in one run")

@@ -47,10 +47,12 @@ PRESETS: dict[str, dict] = {
     },
 }
 
+#: The sections a file or flag may set. ``RunConfig.pipeline`` is not one:
+#: each command picks the pipeline mode itself (``--realtime``, or a serial
+#: batch), and the mode is its only setting.
 _SECTION_TYPES = {
     "detector": DetectorConfig,
     "tracker": TrackerConfig,
-    "pipeline": PipelineConfig,
     "scenario": ScenarioConfig,
 }
 _FIELD_TYPES = {name: typing.get_type_hints(cls) for name, cls in _SECTION_TYPES.items()}
@@ -60,6 +62,8 @@ _FIELD_TYPES = {name: typing.get_type_hints(cls) for name, cls in _SECTION_TYPES
 class RunConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
+    # No command reads it: each builds its own PipelineConfig. The
+    # benchmark's live workload replaces its two fields.
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     preset: str | None = None
@@ -67,11 +71,9 @@ class RunConfig:
 
 #: Fields only Python callers may set, per section. Scenario fields that
 #: hold objects (LidarParams, agents, shapes) would store raw dicts from
-#: JSON. The pipeline mode is chosen by each command (``--realtime``, or a
-#: serial batch), so a file's value would be ignored.
+#: JSON.
 _NOT_FROM_FILE = {
     "scenario": ("lidar", "scripted_agents", "occluder_walls"),
-    "pipeline": ("pipelined", "drop_stale"),
 }
 
 

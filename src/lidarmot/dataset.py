@@ -154,6 +154,18 @@ def _float(rec: DatasetRecord, path: str, value) -> float:
         raise DatasetFormatError(f"{where} is an integer too large for a float") from None
 
 
+def _finite(rec: DatasetRecord, path: str, value) -> float:
+    """:func:`_float` of ``value`` that must also be finite; an overflowing
+    literal such as ``1e999`` reads as inf and is refused here, naming the
+    kind, time and field."""
+    number = _float(rec, path, value)
+    if not math.isfinite(number):
+        raise DatasetFormatError(
+            f"{rec.kind} at t={rec.timestamp!r}: {path} is {number!r}, not a finite number"
+        )
+    return number
+
+
 def _frame(rec: DatasetRecord, obj: dict, path: str = "frame") -> str:
     """The ``frame`` tag of ``obj``, the payload or an item in it at
     ``path``; the sensor frame when absent. A tag that is no string raises
@@ -287,7 +299,7 @@ def _pose_from(rec: DatasetRecord, name: str) -> Pose2D:
     _require(rec.payload, (name,), rec)
     payload = rec.payload[name]
     _require(payload, _POSE_FIELDS, rec, name)
-    x, y, theta = (_float(rec, f"{name}.{key}", payload[key]) for key in _POSE_FIELDS)
+    x, y, theta = (_finite(rec, f"{name}.{key}", payload[key]) for key in _POSE_FIELDS)
     return Pose2D(x, y, theta, rec.timestamp)
 
 
@@ -368,12 +380,13 @@ def _check_geometry(
 def record_to_scan(rec: DatasetRecord) -> LidarScan:
     """Decode a scan record; a missing field, ``ranges`` that do not decode,
     an angle, range limit or pose value that is not a JSON number (a
-    string, ``true``) or is an integer too large for a float, a ``frame``
-    that is no string or is the odometry frame, or a geometry that spans no
-    field of view (see ``_check_geometry``) raises DatasetFormatError naming
-    the scan's time. The detector takes every scan in the sensor frame and
-    tags its detections with the scan's frame. ``read_dataset`` has already
-    decoded the ranges of the records it returns."""
+    string, ``true``) or is an integer too large for a float, a pose value
+    that is not finite, a ``frame`` that is no string or is the odometry
+    frame, or a geometry that spans no field of view (see
+    ``_check_geometry``) raises DatasetFormatError naming the scan's time.
+    The detector takes every scan in the sensor frame and tags its
+    detections with the scan's frame. ``read_dataset`` has already decoded
+    the ranges of the records it returns."""
     p = rec.payload
     _require(p, _SCAN_FIELDS, rec)
     angle_min, angle_increment, range_max = (_float(rec, key, p[key]) for key in _SCAN_NUMBERS)
@@ -435,9 +448,9 @@ def _items(
 ) -> list[dict]:
     """The list of items under ``name`` in a record's payload, each field in
     ``numbers`` turned to a float in place. Each item must be an object,
-    each field in ``numbers`` a JSON number that a float can hold and, with
-    ``ids``, ``id`` an integer; otherwise DatasetFormatError names the kind,
-    time, item and field."""
+    each field in ``numbers`` a finite JSON number that a float can hold and,
+    with ``ids``, ``id`` an integer; otherwise DatasetFormatError names the
+    kind, time, item and field."""
     _require(rec.payload, (name,), rec)
     items = rec.payload[name]
     where = f"{rec.kind} at t={rec.timestamp!r}: {name}"
@@ -447,7 +460,7 @@ def _items(
     for i, q in enumerate(items):
         _require(q, fields, rec, f"{name}[{i}]")
         for key in numbers:
-            q[key] = _float(rec, f"{name}[{i}].{key}", q[key])
+            q[key] = _finite(rec, f"{name}[{i}].{key}", q[key])
         if ids and type(q["id"]) is not int:
             raise DatasetFormatError(f"{where}[{i}].id is {q['id']!r}, not an integer")
     return items

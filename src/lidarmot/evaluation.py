@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assignment import linear_sum_assignment
+from .assignment import solve_assignment
 from .geometry import (
     SENSOR_FRAME,
     FieldOfView,
@@ -203,13 +203,10 @@ def match_frame(
         )
         big = threshold * 1e6 + 1.0
         gated = np.where(cost <= threshold, cost, big)
-        rows, cols = linear_sum_assignment(gated)
-        for r, c in zip(rows, cols):
-            if cost[r, c] <= threshold:
-                pid = free_persons[r][0]
-                tid = free_tracks[c][0]
-                pairs[pid] = (tid, float(cost[r, c]))
-                claimed.add(tid)
+        for r, c, d in solve_assignment(gated, threshold).matches:
+            tid = free_tracks[c][0]
+            pairs[free_persons[r][0]] = (tid, d)
+            claimed.add(tid)
 
     id_switches = sum(
         1 for pid, (tid, _) in pairs.items() if pid in prev and prev[pid] != tid
@@ -297,8 +294,11 @@ def evaluate_sequence(
     an ID switch is judged against the previous frame's correspondence, and
     ground-truth times must never decrease, because each hypothesis frame
     bisects them; a ValueError names the first pair of times that breaks
-    either rule.
+    either rule. A ``threshold`` that is not positive is refused before any
+    frame is read, so also when no frame is scored.
     """
+    if not threshold > 0:  # also refuses NaN
+        raise ValueError("threshold must be positive")
     if not gt_frames:
         raise ValueError("empty ground-truth sequence")
     if not hyp_frames:

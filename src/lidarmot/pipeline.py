@@ -34,20 +34,17 @@ TrackFn = Callable[[LidarScan, "list[Detection]"], "list[Track]"]
 #: Scans each of the runtime's queues holds. Past it, a queue fed by a live
 #: source drops its oldest scan, and any other queue makes its producer wait.
 QUEUE_CAPACITY = 2
+#: Speed (m/s) below which a track is not exported to the planner.
+VELOCITY_GATE = 0.05
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    velocity_gate: float = 0.05   # m/s; slower tracks are not exported
     pipelined: bool = True
     #: Live sources cannot wait: past capacity the oldest queued scan is
     #: dropped (and counted). Batch replay sets this False to back-pressure
     #: the source instead, so every frame is processed.
     drop_stale: bool = True
-
-    def __post_init__(self):
-        if not 0 <= self.velocity_gate < math.inf:
-            raise ValueError(f"velocity_gate must be >= 0 and finite, got {self.velocity_gate}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,12 +72,12 @@ class FrameResult:
 
 @dataclass
 class RunSummary:
-    """What a run did. ``exception`` is the source's failure, for a caller
+    """What a run did. ``frames_processed`` counts ``timings``, one per
+    processed frame. ``exception`` is the source's failure, for a caller
     that fails the run with it, and ``error`` names it. A summary built by
     hand may give ``error`` as text instead; it is held as a RuntimeError."""
 
     frames_in: int = 0
-    frames_processed: int = 0
     frames_dropped: int = 0
     timings: list[FrameTiming] = field(default_factory=list)
     wall_time_s: float = 0.0
@@ -90,6 +87,10 @@ class RunSummary:
     def __post_init__(self, error: str | None) -> None:
         if error is not None and self.exception is None:
             self.exception = RuntimeError(error)
+
+    @property
+    def frames_processed(self) -> int:
+        return len(self.timings)
 
     @property
     def achieved_hz(self) -> float:
@@ -313,14 +314,13 @@ def run_pipeline(
             t2 = time.perf_counter()
             tracks = track_fn(scan, dets)
             t3 = time.perf_counter()
-            obstacles = export_dynamic_obstacles(tracks, cfg.velocity_gate)
+            obstacles = export_dynamic_obstacles(tracks, VELOCITY_GATE)
             summary.timings.append(FrameTiming(
                 timestamp=scan.timestamp,
                 t_det_ms=(t1 - t0) * 1e3,
                 t_track_ms=(t3 - t2) * 1e3,
                 t_lat_ms=(t3 - t0) * 1e3,
             ))
-            summary.frames_processed += 1
             result = FrameResult(scan=scan, tracks=tracks, obstacles=obstacles)
             for sink in sinks:
                 sink(result)

@@ -61,7 +61,13 @@ def build_report(metadata: dict, mot: MotReport | None = None) -> dict:
 
 
 def write_report(report: dict, path: str | Path) -> None:
+    """Write ``report`` as JSON. The file appears whole or not at all, and a
+    NaN or infinite number raises ValueError, as no JSON reader takes it."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    try:
+        tmp.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     tmp.replace(path)

@@ -11,7 +11,8 @@ facing +x, with no arena walls and no furniture, and the world holds only the
 caller's scripted constant-velocity agents and occluder walls. Generated
 persons have radius ``PERSON_RADIUS`` and walk at speeds drawn from
 ``PERSON_SPEED``; a moving robot keeps within ``ROBOT_LINEAR_MAX`` and
-``ROBOT_ANGULAR_MAX``.
+``ROBOT_ANGULAR_MAX``. Every scenario's scans carry range noise of std
+``RANGE_NOISE_STD`` and lose each return with ``DROPOUT_PROB``.
 
 All randomness derives from the scenario seed; the scan clock (20 Hz) and
 ground-truth clock (100 Hz) are exact rationals of the same tick, so a run
@@ -90,6 +91,8 @@ PERSON_SPEED = (0.3, 1.1)  # m/s, range of a generated person's drawn speed
 PERSON_RADIUS = 0.3        # m
 ROBOT_LINEAR_MAX = 0.5     # m/s, bound of the moving robot's drawn speed
 ROBOT_ANGULAR_MAX = 1.5    # rad/s, bound of its drawn or steered turn rate
+RANGE_NOISE_STD = 0.01     # m, std of a simulated scan's Gaussian range noise
+DROPOUT_PROB = 0.005       # chance that a returning beam of a scan drops out
 
 
 @dataclass(frozen=True)
@@ -166,8 +169,6 @@ class ScenarioConfig:
     n_persons: int = 3
     occluder_walls: tuple[Segment, ...] = ()
     seed: int = 0
-    noise_std: float = 0.01
-    dropout_prob: float = 0.005
     scripted_agents: tuple[ScriptedAgent, ...] = ()
     lidar: LidarParams = field(default_factory=LidarParams)
 
@@ -188,14 +189,10 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         # The messages name the field in the words a config file's type
         # check uses.
-        if not 0 <= self.noise_std < math.inf:
-            raise ValueError(f"noise_std must be a finite number >= 0, got {self.noise_std}")
         if not (isinstance(self.arena, (tuple, list)) and len(self.arena) == 4):
             raise ValueError(f"arena must be 4 numbers, got {self.arena}")
         if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in self.arena):
             raise ValueError(f"arena must be a list of finite numbers, got {self.arena}")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise ValueError("dropout_prob must be in [0, 1)")
         x0, y0, x1, y1 = self.arena
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"arena must be (x0, y0, x1, y1), x1 > x0, y1 > y0, got {self.arena}")
@@ -1006,7 +1003,7 @@ class Scenario:
 
         def cast() -> list:
             scans = raycast_scans(
-                held, cfg.lidar, noise_std=cfg.noise_std, dropout_prob=cfg.dropout_prob,
+                held, cfg.lidar, noise_std=RANGE_NOISE_STD, dropout_prob=DROPOUT_PROB,
                 rng=self._rng_sensor, with_labels=with_labels,
             )
             held.clear()

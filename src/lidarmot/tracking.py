@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import linear_sum_assignment
+from .assignment import solve_assignment
 from .detection import Detection
 from .geometry import ODOM_FRAME, PointXY, Pose2D, transform_xy
 
@@ -96,16 +96,6 @@ class Track:
         return vx, vy
 
 
-@dataclass(frozen=True, slots=True)
-class AssociationResult:
-    """Gated one-to-one assignment: matches as (track key, detection index,
-    distance); everything else listed unmatched on its own side."""
-
-    matches: list[tuple[int, int, float]]
-    unmatched_tracks: list[int]
-    unmatched_detections: list[int]
-
-
 def _cv_model(dt: float, accel_std: float) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrix F and piecewise-white-acceleration noise Q of the CV
     model over dt."""
@@ -164,28 +154,6 @@ def _distances(t: np.ndarray, d: np.ndarray) -> np.ndarray:
     diff = t[:, None, :] - d[None, :, :]
     sq = diff * diff
     return np.sqrt(sq[:, :, 0] + sq[:, :, 1])
-
-
-def solve_assignment(cost: np.ndarray, gate_distance: float) -> AssociationResult:
-    """Minimum-total-cost one-to-one assignment (rectangular supported); any
-    assigned pair beyond the gate is demoted to unmatched on both sides."""
-    cost = np.asarray(cost, dtype=float)
-    n_tracks, n_dets = cost.shape
-    if n_tracks == 0 or n_dets == 0:
-        return AssociationResult([], list(range(n_tracks)), list(range(n_dets)))
-    rows, cols = linear_sum_assignment(cost)
-    matches = [
-        (r, c, dist)
-        for r, c, dist in zip(rows, cols, cost[rows, cols].tolist())
-        if dist <= gate_distance
-    ]
-    matched_t = {r for r, _, _ in matches}
-    matched_d = {c for _, c, _ in matches}
-    return AssociationResult(
-        matches=matches,
-        unmatched_tracks=[i for i in range(n_tracks) if i not in matched_t],
-        unmatched_detections=[j for j in range(n_dets) if j not in matched_d],
-    )
 
 
 class Tracker:

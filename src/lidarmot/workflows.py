@@ -11,7 +11,7 @@ yields the identical result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .config import RunConfig
@@ -25,7 +25,15 @@ from .evaluation import (
     pose_lookup,
 )
 from .geometry import FieldOfView, LidarScan, Pose2D, beam_wedge
-from .pipeline import DetectFn, DynamicObstacle, FrameResult, FrameTiming, TrackFn, run_pipeline
+from .pipeline import (
+    DetectFn,
+    DynamicObstacle,
+    FrameResult,
+    FrameTiming,
+    PipelineConfig,
+    TrackFn,
+    run_pipeline,
+)
 from .simulator import LidarParams, Scenario
 from .tracking import Track, Tracker
 
@@ -114,7 +122,7 @@ def _run_serial(
     fails fails the run: its exception is raised here, once the frames before
     it are handled."""
     detect_fn, track_fn = bind_stages(run_cfg, gt_frames=gt_frames)
-    serial = replace(run_cfg.pipeline, pipelined=False, drop_stale=False)
+    serial = PipelineConfig(pipelined=False, drop_stale=False)
     summary = run_pipeline(scans, detect_fn, track_fn, serial, sinks=[sink])
     if summary.exception is not None:
         raise summary.exception

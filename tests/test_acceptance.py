@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from lidarmot.assignment import solve_assignment
 from lidarmot.cli import run_cli
 from lidarmot.config import expand_preset
 from lidarmot.evaluation import evaluate_sequence, match_frame, mota
@@ -30,7 +31,7 @@ from lidarmot.geometry import (
 )
 from lidarmot.pipeline import PipelineConfig, paced, run_pipeline
 from lidarmot.simulator import run_scenario
-from lidarmot.tracking import _cv_model, _predict_stacked, _update_stacked, solve_assignment
+from lidarmot.tracking import _cv_model, _predict_stacked, _update_stacked
 from lidarmot.workflows import run_tracking, tracks_to_hypothesis
 
 # Reference benchmark rows: (dataset, preset, valid, id_sw, miss, fp,
@@ -54,8 +55,7 @@ def scenario_run(kind, preset, seed, duration=120.0):
     cfg = dataclasses.replace(
         cfg,
         scenario=dataclasses.replace(
-            cfg.scenario, kind=kind, seed=seed, duration=duration,
-            noise_std=0.01, dropout_prob=0.005, n_persons=3,
+            cfg.scenario, kind=kind, seed=seed, duration=duration, n_persons=3,
         ),
     )
     start = time.perf_counter()

@@ -655,38 +655,26 @@ class TestErrors:
         path.write_text(json.dumps({"scenario": {"lidar": {"rate_hz": 10}}}))
         assert run(["bench", "--config", path, "--out", tmp_path / "out"]) == 2
         assert "scenario.lidar" in capsys.readouterr().err
-        # The pipeline mode comes from --realtime, not from a file.
-        for key in ("pipelined", "drop_stale"):
-            path.write_text(json.dumps({"pipeline": {key: False}}))
-            assert run(["pipeline", "--in", sim_dir, "--config", path,
-                        "--out", tmp_path / "out"]) == 2
-            assert f"pipeline.{key} cannot be set" in capsys.readouterr().err
-        # The scan period is read from the scans and the queues hold a fixed
-        # two scans, so a file sets neither.
-        for key in ("scan_rate_hz", "queue_capacity"):
+        # The pipeline mode comes from --realtime, the scan period from the
+        # scans, the queues hold a fixed two scans and the velocity gate is a
+        # constant, so a file has no pipeline section.
+        for key in ("pipelined", "drop_stale", "scan_rate_hz", "queue_capacity",
+                    "velocity_gate"):
             path.write_text(json.dumps({"pipeline": {key: 10}}))
             assert run(["pipeline", "--in", sim_dir, "--config", path,
                         "--out", tmp_path / "out"]) == 2
-            assert f"error: unknown field pipeline.{key}\n" == capsys.readouterr().err
-        # bench writes no obstacles, so it takes no velocity gate.
-        with pytest.raises(SystemExit) as exc:
-            run(["bench", "--velocity-gate", "0.1", "--out", tmp_path / "out"])
-        assert exc.value.code == 2
+            assert "error: unknown field pipeline\n" == capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, expected", [
-        (["pipeline", "--in", "SIM", "--velocity-gate", "nan"], "velocity_gate"),
-        (["pipeline", "--in", "SIM", "--velocity-gate", "-1"], "velocity_gate"),
         (["bench", "--duration", "inf"], "duration"),
         (["bench", "--config", '{"tracker": {"gate_distance": NaN}}'], "NaN"),
         (["simulate", "--config", '{"scenario": {"duration": 1e999}}'], "duration"),
         (["bench", "--duration", "0.016"], "duration must be a whole number of 0.01 s ticks"),
         (["simulate", "--duration", "0.001"], "duration must be a whole number of 0.01 s ticks"),
-        (["simulate", "--noise-std", "nan"], "noise_std must be a finite number"),
         (["bench", "--duration", "1", "--threshold", "nan"], "threshold must be positive"),
         (["simulate", "--seed", "-1"], "section 'scenario': seed must be >= 0, got -1"),
-    ], ids=["velocity-gate-nan", "velocity-gate-negative", "duration-inf",
-            "config-nan", "config-overflow", "duration-between-ticks-bench",
-            "duration-between-ticks-simulate", "noise-std-nan", "threshold-nan", "seed-negative"])
+    ], ids=["duration-inf", "config-nan", "config-overflow", "duration-between-ticks-bench",
+            "duration-between-ticks-simulate", "threshold-nan", "seed-negative"])
     def test_non_finite_setting_exits_2(self, sim_dir, tmp_path, capsys, argv, expected):
         argv = [sim_dir if a == "SIM" else a for a in argv]
         if "--config" in argv:
@@ -696,6 +684,24 @@ class TestErrors:
         assert run([*argv, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--in", "SIM", "--velocity-gate", "nan"],
+        ["pipeline", "--in", "SIM", "--velocity-gate", "-1"],
+        ["bench", "--velocity-gate", "0.1"],
+        ["simulate", "--noise-std", "nan"],
+        ["bench", "--noise-std", "0.01"],
+        ["simulate", "--dropout", "0.005"],
+    ], ids=["velocity-gate-nan", "velocity-gate-negative", "velocity-gate-bench",
+            "noise-std-nan", "noise-std-bench", "dropout-simulate"])
+    def test_removed_flag_exits_2(self, sim_dir, tmp_path, capsys, argv):
+        # The scan noise, the dropout and the velocity gate are constants, so
+        # no command takes a flag for them.
+        argv = [sim_dir if a == "SIM" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [
         ("scenario", "arena", [1, 2, 3]),
@@ -719,11 +725,13 @@ class TestErrors:
         ("scenario", "person_radius", 0.3),
         ("scenario", "robot_linear_max", 0.5),
         ("scenario", "robot_angular_max", 1.5),
+        ("scenario", "noise_std", 0.01),
+        ("scenario", "dropout_prob", 0.005),
     ])
     def test_fixed_setting_is_unknown_field(self, tmp_path, capsys, section, key, value):
-        # The Kalman noise and the scene's walking and driving limits are
-        # module constants, so a file cannot set them, not even to their
-        # values.
+        # The Kalman noise, the scene's walking and driving limits and the
+        # scan noise and dropout are module constants, so a file cannot set
+        # them, not even to their values.
         path = tmp_path / "run.json"
         path.write_text(json.dumps({section: {key: value}}))
         assert run(["bench", "--kind", "mr1", "--duration", "1",
@@ -742,6 +750,24 @@ class TestErrors:
         assert run(["bench", "--duration", "100000", "--threshold", threshold,
                     "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == "error: threshold must be positive\n"
+
+    @pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
+    def test_bad_threshold_refused_when_no_frame_is_scored(self, sr_one_second, tmp_path,
+                                                           capsys, threshold):
+        # Track frames at t = 50 s and 51 s lie past the 1 s ground truth,
+        # so every frame is skipped. The bad threshold was written into the
+        # report, and evaluate exited 0.
+        data = tmp_path / "data"
+        shutil.copytree(sr_one_second, data)
+        ds.write_dataset([ds.tracks_to_record([], t) for t in (50.0, 51.0)],
+                         data / "tracks.jsonl")
+        assert run(["evaluate", "--in", data, "--out", tmp_path / "good"]) == 0
+        assert mot_of(tmp_path / "good")["frames_skipped"] == 2
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(["evaluate", "--in", data, "--threshold", threshold, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: threshold must be positive\n"
+        assert list(out.iterdir()) == []
 
     def test_bad_seed_list_names_flag_and_field(self, tmp_path, capsys):
         assert run(["bench", "--duration", "1", "--seeds", "1,x",
@@ -913,6 +939,41 @@ class TestErrors:
         assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert f"at t={rec['t']!r}: {items}[0].{key} is {value!r}, {expected}" in err
+
+    @pytest.mark.parametrize("name, command, items, key, literal", [
+        ("scans.jsonl", "pipeline", "pose", "x", "1e999"),
+        ("scans.jsonl", "detect", "pose", "theta", "-1e999"),
+        ("ground_truth.jsonl", "evaluate", "persons", "x", "1e999"),
+        ("ground_truth.jsonl", "bench", "persons", "y", "-1e999"),
+        ("ground_truth.jsonl", "evaluate", "robot", "x", "1e999"),
+        ("detections.jsonl", "track", "detections", "confidence", "1e999"),
+        ("tracks.jsonl", "evaluate", "tracks", "x", "-1e999"),
+    ], ids=["scan-pose-pipeline", "scan-pose-detect", "person-evaluate", "person-bench",
+            "robot-evaluate", "detection-track", "track-evaluate"])
+    def test_non_finite_coordinate_exits_2(self, tmp_path, capsys, name, command, items,
+                                           key, literal):
+        # A scan pose of inf ended in the assignment solver's error, which
+        # named no record or field; an infinite person, robot or track was
+        # scored, and detect read the pose.
+        data = simulate_detect_track(tmp_path / "data")
+        path = data / name
+        lines = path.read_text().splitlines(keepends=True)
+        i, rec = next((i, r) for i, r in enumerate(map(json.loads, lines)) if r.get(items))
+        if isinstance(rec[items], list):
+            rec[items][0][key] = "VALUE"
+            field = f"{items}[0].{key}"
+        else:
+            rec[items][key] = "VALUE"
+            field = f"{items}.{key}"
+        lines[i] = json.dumps(rec).replace('"VALUE"', literal) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
+        kind = rec["kind"]
+        value = float(literal)
+        assert capsys.readouterr().err == (
+            f"error: {kind} at t={rec['t']!r}: {field} is {value!r}, not a finite number\n"
+        )
 
     @pytest.mark.parametrize("name,command,items,key", [
         ("scans.jsonl", "pipeline", None, "ranges"),

@@ -65,9 +65,9 @@ class TestConfigFiles:
         path.write_text(json.dumps({"tracker": {"c_int": 5}}))
         with pytest.raises(ConfigError, match="c_int"):
             load_config(path)
-        # Nothing read this speed limit, so it is no longer a field.
+        # Nothing read this speed limit, and a file has no pipeline section.
         path.write_text(json.dumps({"pipeline": {"robot_speed_max": 0.5}}))
-        with pytest.raises(ConfigError, match=r"unknown field pipeline\.robot_speed_max"):
+        with pytest.raises(ConfigError, match=r"^unknown field pipeline$"):
             load_config(path)
 
     def test_unknown_section_named(self, tmp_path):
@@ -85,11 +85,13 @@ class TestConfigFiles:
     @pytest.mark.parametrize("text, expected", [
         ('{"tracker": {"gate_distance": NaN}}', "non-finite number NaN"),
         ('{"scenario": {"duration": Infinity}}', "non-finite number Infinity"),
+        # The token is refused before any section is read.
         ('{"pipeline": {"velocity_gate": -Infinity}}', "non-finite number -Infinity"),
         # An overflowing literal decodes to inf; the section refuses it.
         ('{"scenario": {"duration": 1e999}}', "duration must be positive and finite"),
-        ('{"pipeline": {"velocity_gate": 1e999}}', "velocity_gate must be >= 0 and finite"),
-        ('{"pipeline": {"velocity_gate": -0.1}}', "velocity_gate must be >= 0 and finite"),
+        # The velocity gate is a constant, and a file has no pipeline section.
+        ('{"pipeline": {"velocity_gate": 1e999}}', "^unknown field pipeline$"),
+        ('{"pipeline": {"velocity_gate": -0.1}}', "^unknown field pipeline$"),
     ], ids=["gate_distance-NaN", "duration-Infinity", "velocity_gate--Infinity",
             "duration-1e999", "velocity_gate-1e999", "velocity_gate-negative"])
     def test_non_finite_value_refused(self, tmp_path, text, expected):
@@ -102,10 +104,7 @@ class TestConfigFiles:
         lambda: TrackerConfig(gate_distance=math.nan),
         lambda: ScenarioConfig(duration=math.inf),
         lambda: ScenarioConfig(duration=math.nan),
-        lambda: PipelineConfig(velocity_gate=math.nan),
-        lambda: PipelineConfig(velocity_gate=math.inf),
-    ], ids=["gate_distance-nan", "duration-inf", "duration-nan", "velocity_gate-nan",
-            "velocity_gate-inf"])
+    ], ids=["gate_distance-nan", "duration-inf", "duration-nan"])
     def test_non_finite_setting_refused(self, make):
         with pytest.raises(ValueError):
             make()
@@ -113,9 +112,8 @@ class TestConfigFiles:
     @pytest.mark.parametrize("cls, key, value", [
         (cls, key, value)
         for cls, key, values in [
-            # NaN noise ran without noise; the rest died in numpy or in an
-            # unpacking error that named no field.
-            (ScenarioConfig, "noise_std", (-0.01, math.nan, math.inf)),
+            # These died in numpy or in an unpacking error that named no
+            # field.
             (ScenarioConfig, "seed", (-1,)),
             (ScenarioConfig, "arena", ((1.0, 2.0, 3.0), (-2.0, -2.0, 2.0, math.inf),
                                        (-2.0, math.nan, 2.0, 2.0), (2.0, -2.0, -2.0, 2.0))),
@@ -156,15 +154,13 @@ class TestConfigFiles:
         ("scenario", "n_persons", "2.5", "an integer"),
         ("scenario", "seed", "1.5", "an integer"),
         ("scenario", "seed", "true", "an integer"),
-        ("scenario", "noise_std", "true", "a finite number"),
         ("scenario", "arena", "[-4, -4, 4, 1e999]", "a list of finite numbers"),
         ("tracker", "c_init", "2.5", "an integer"),
         ("tracker", "c_del", "true", "an integer"),
         ("tracker", "gate_distance", "1e999", "a finite number"),
         ("detector", "window_stride", "2.5", "an integer"),
         ("detector", "confidence_threshold", "true", "a finite number"),
-    ], ids=["n_persons-float", "seed-float", "seed-bool", "noise_std-bool",
-            "arena-overflow", "c_init-float", "c_del-bool",
+    ], ids=["n_persons-float", "seed-float", "seed-bool", "arena-overflow", "c_init-float", "c_del-bool",
             "gate_distance-overflow", "window_stride-float", "confidence_threshold-bool"])
     def test_wrong_type_refused_by_name(self, tmp_path, section, key, literal, expected):
         path = tmp_path / "run.json"
@@ -177,23 +173,29 @@ class TestConfigFiles:
     @pytest.mark.parametrize("key, literal", [
         ("queue_capacity", "2.5"),
         ("scan_rate_hz", "1e999"),
+        ("velocity_gate", "0.05"),
     ])
     def test_removed_pipeline_field_unknown(self, tmp_path, key, literal):
-        # The scan period is read from the scans, and the queues hold a
-        # fixed two scans.
+        # The scan period is read from the scans, the queues hold a fixed
+        # two scans and the velocity gate is a constant; a file has no
+        # pipeline section at all.
         path = tmp_path / "run.json"
         path.write_text(f'{{"pipeline": {{"{key}": {literal}}}}}')
-        with pytest.raises(ConfigError, match=rf"^unknown field pipeline\.{key}$"):
+        with pytest.raises(ConfigError, match=r"^unknown field pipeline$"):
             load_config(path)
 
     def test_settable_fields(self):
-        # The Kalman noise and the scene's walking and driving limits are
-        # module constants; these are what a caller or a file can set.
+        # The Kalman noise, the scene's walking and driving limits, the scan
+        # noise and dropout and the velocity gate are module constants;
+        # these are what a caller can set. A file or flag sets no pipeline
+        # field.
         assert [f.name for f in dataclasses.fields(TrackerConfig)] == [
             "c_init", "c_del", "gate_distance"]
         assert [f.name for f in dataclasses.fields(ScenarioConfig)] == [
-            "kind", "arena", "duration", "n_persons", "occluder_walls", "seed", "noise_std",
-            "dropout_prob", "scripted_agents", "lidar"]
+            "kind", "arena", "duration", "n_persons", "occluder_walls", "seed",
+            "scripted_agents", "lidar"]
+        assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
+            "pipelined", "drop_stale"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -212,7 +214,7 @@ class TestConfigFiles:
         cfg = load_config(None)
         assert cfg.preset is None
         assert cfg.detector.window_stride == 1
-        assert cfg.pipeline.velocity_gate == 0.05
+        assert cfg.pipeline == PipelineConfig()
 
 
 class TestScenarioObjectFields:
@@ -228,14 +230,15 @@ class TestScenarioObjectFields:
         ],
     )
     def test_object_field_rejected_by_name(self, tmp_path, key, value):
-        # A bare key is a scenario field.
+        # A bare key is a scenario field. The pipeline's fields are refused
+        # with their whole section, which a file does not have.
         section, _, name = key.rpartition(".")
         section = section or "scenario"
         path = tmp_path / "run.json"
         path.write_text(json.dumps({section: {name: value}}))
-        with pytest.raises(
-            ConfigError, match=rf"{section}\.{name} cannot be set from a config file"
-        ):
+        expected = (r"^unknown field pipeline$" if section == "pipeline"
+                    else rf"{section}\.{name} cannot be set from a config file")
+        with pytest.raises(ConfigError, match=expected):
             load_config(path)
 
     @pytest.mark.parametrize("key, value", [

@@ -473,13 +473,21 @@ def test_odom_scan_frame_rejected():
 
 
 @pytest.mark.parametrize("key", ["x", "y", "theta"])
-@pytest.mark.parametrize("bad", ["0.5", True, None])
+@pytest.mark.parametrize("bad", ["0.5", True, None, math.inf, -math.inf])
 def test_non_numeric_pose_rejected(key, bad):
+    # An infinite pose (an overflowing literal such as 1e999) was read, and
+    # the tracker failed on it with an error that named no record.
     pose = {"x": 0.5, "y": -1.0, "theta": 0.25, key: bad}
-    with pytest.raises(ds.DatasetFormatError, match=rf"scan at t=0\.05: pose\.{key} is "):
+    want = "a finite number" if isinstance(bad, float) else "a number"
+    with pytest.raises(
+        ds.DatasetFormatError, match=rf"^scan at t=0\.05: pose\.{key} is {bad!r}, not {want}$"
+    ):
         ds.record_to_scan(_scan_record([1.0], pose))
     rec = ds.DatasetRecord("ground_truth", 0.02, {"persons": [], "robot": pose})
-    with pytest.raises(ds.DatasetFormatError, match=rf"ground_truth at t=0\.02: robot\.{key} is "):
+    with pytest.raises(
+        ds.DatasetFormatError,
+        match=rf"^ground_truth at t=0\.02: robot\.{key} is {bad!r}, not {want}$",
+    ):
         ds.record_to_ground_truth(rec)
 
 
@@ -545,12 +553,14 @@ def _item_record(kind, name, item, **change):
 
 
 @pytest.mark.parametrize("kind, name, item, decode", _ITEM_RECORDS)
-@pytest.mark.parametrize("bad", ["0.5", True, None])
+@pytest.mark.parametrize("bad", ["0.5", True, None, math.inf, -math.inf])
 def test_non_numeric_item_value_rejected(kind, name, item, decode, bad):
-    # These used to fail only later, in arithmetic, or read true as 1.
+    # These used to fail only later, in arithmetic, or read true as 1. An
+    # infinite person or track was scored.
     keys = [k for k in ("id", "x", "y", "confidence") if k in item]
     for key in keys:
-        want = "an integer" if key == "id" else "a number"
+        want = ("an integer" if key == "id" else
+                "a finite number" if isinstance(bad, float) else "a number")
         rec = _item_record(kind, name, item, **{key: bad})
         with pytest.raises(
             ds.DatasetFormatError,

@@ -27,7 +27,7 @@ from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
 
 from lidarmot import dataset as ds
 from lidarmot import detection, evaluation, simulator
-from lidarmot.assignment import linear_sum_assignment
+from lidarmot.assignment import AssociationResult, linear_sum_assignment
 from lidarmot.config import load_config
 from lidarmot.detection import (
     Detection,
@@ -80,7 +80,6 @@ from lidarmot.simulator import (
     step_world,
 )
 from lidarmot.tracking import (
-    AssociationResult,
     Track,
     Tracker,
     TrackerConfig,
@@ -396,6 +395,49 @@ def ref_evaluate_sequence(gt_frames, hyp_frames, fov, threshold=0.75, time_toler
         counts, correspondence = match_frame(gtf, hypf, threshold, correspondence)
         report.frames.append(counts)
     return report
+
+
+def ref_match_frame(gt, hyp, threshold, prev=None):
+    """CLEAR MOT matching with its own gate after the assignment: the pairs
+    the solver assigns beyond the threshold are dropped in this loop."""
+    prev = prev or {}
+    persons = sorted(gt.persons, key=lambda kv: kv[0])
+    tracks = sorted(hyp.tracks, key=lambda kv: kv[0])
+    track_pos = {tid: p for tid, p in tracks}
+    pairs, claimed = {}, set()
+    for pid, ppos in persons:
+        tid = prev.get(pid)
+        if tid is None or tid not in track_pos or tid in claimed:
+            continue
+        d = ppos.distance_to(track_pos[tid])
+        if d <= threshold:
+            pairs[pid] = (tid, d)
+            claimed.add(tid)
+    free_persons = [(pid, p) for pid, p in persons if pid not in pairs]
+    free_tracks = [(tid, p) for tid, p in tracks if tid not in claimed]
+    if free_persons and free_tracks:
+        cost = np.array(
+            [[pp.distance_to(tp) for _, tp in free_tracks] for _, pp in free_persons]
+        )
+        gated = np.where(cost <= threshold, cost, threshold * 1e6 + 1.0)
+        rows, cols = linear_sum_assignment(gated)
+        for r, c in zip(rows, cols):
+            if cost[r, c] <= threshold:
+                tid = free_tracks[c][0]
+                pairs[free_persons[r][0]] = (tid, float(cost[r, c]))
+                claimed.add(tid)
+    g, matches = len(persons), len(pairs)
+    counts = evaluation.MotFrameCounts(
+        timestamp=gt.timestamp, g=g, matches=matches, misses=g - matches,
+        false_positives=len(tracks) - matches,
+        id_switches=sum(1 for pid, (tid, _) in pairs.items() if pid in prev and prev[pid] != tid),
+        distance_sum=sum(d for _, d in pairs.values()),
+    )
+    new_map = {pid: tid for pid, (tid, _) in pairs.items()}
+    for pid, _ in persons:
+        if pid not in new_map and pid in prev:
+            new_map[pid] = prev[pid]
+    return counts, new_map
 
 
 def ref_split_clusters(idx, pts, jump):
@@ -1413,6 +1455,28 @@ class TestEvaluatorEquivalence:
         ref = ref_evaluate_sequence(gt, hyp, FOV, threshold=2.0)
         assert repr(got) == repr(ref)
         assert got.skipped_frames == 2 and got.frames
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.75, 2.0])
+    def test_match_frame(self, threshold):
+        # Coarse positions give equal distances, and so tied assignments, and
+        # pairs beyond the threshold that the solver assigns and the gate
+        # drops; a persistent correspondence carries switches between frames.
+        rng = np.random.default_rng(500 + int(threshold * 100))
+        pose = Pose2D(0.0, 0.0, 0.0, 0.0)
+
+        def points(n):
+            return tuple(
+                (i, PointXY(*(rng.integers(-6, 7, 2) * 0.25).tolist(), frame="odom"))
+                for i in sorted(rng.choice(8, n, replace=False).tolist())
+            )
+
+        got_map, ref_map = {}, {}
+        for t in range(200):
+            gt = GroundTruthFrame(float(t), points(int(rng.integers(0, 7))), pose)
+            hyp = HypothesisFrame(float(t), points(int(rng.integers(0, 7))))
+            got, got_map = match_frame(gt, hyp, threshold, got_map)
+            ref, ref_map = ref_match_frame(gt, hyp, threshold, ref_map)
+            assert (repr(got), got_map) == (repr(ref), ref_map)
 
     def test_pose_lookup_uses_pose_times(self):
         # Robot poses stamped a little after their frames: the lookup must

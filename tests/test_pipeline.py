@@ -2,7 +2,7 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from lidarmot.pipeline import (
     run_pipeline,
     time_to_closest_approach,
 )
-from lidarmot.report import timing_section
+from lidarmot.report import build_report, timing_section, write_report
 from lidarmot.simulator import run_scenario
 from lidarmot.tracking import Track, TrackStatus
 from lidarmot.workflows import run_benchmark, run_tracking, sensor_fov, tracks_to_hypothesis
@@ -166,6 +166,19 @@ class TestTimingSection:
             timing_section([], 50.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_report_holding_a_non_finite_number_not_written(tmp_path, value):
+    # It was written with a NaN or Infinity token, which is not JSON. The
+    # report already in place is kept, and no temporary file is left.
+    path = tmp_path / "report.json"
+    write_report(build_report({"threshold": 0.75}), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_report(build_report({"threshold": value}), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 BATCH = PipelineConfig(drop_stale=False)
 
 
@@ -224,6 +237,15 @@ class TestRunPipeline:
         by_hand = replace(RunSummary(frames_in=3), error="boom")
         assert (by_hand.frames_in, by_hand.error) == (3, "RuntimeError: boom")
         assert replace(by_hand).error == "RuntimeError: boom"
+
+    def test_frames_processed_counts_the_timings(self):
+        # The count is no field of its own, so it cannot drift from the
+        # timings, and a replaced summary keeps it.
+        assert "frames_processed" not in {f.name for f in fields(RunSummary)}
+        summary = run_pipeline(iter(scans(7)), lambda s: [], lambda s, d: [], BATCH)
+        assert summary.frames_processed == len(summary.timings) == 7
+        failed = replace(summary, error="boom")
+        assert (failed.frames_processed, failed.error) == (7, "RuntimeError: boom")
 
     def test_serial_mode_processes_everything_when_fast(self):
         summary = run_pipeline(

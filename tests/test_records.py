@@ -10,13 +10,14 @@ import pickle
 import numpy as np
 import pytest
 
+from lidarmot.assignment import AssociationResult
 from lidarmot.dataset import DatasetRecord
 from lidarmot.detection import Detection
 from lidarmot.evaluation import GroundTruthFrame, HypothesisFrame, MotFrameCounts
 from lidarmot.geometry import ODOM_FRAME, LidarScan, PointXY, Pose2D
 from lidarmot.pipeline import DynamicObstacle, FrameResult, FrameTiming
 from lidarmot.simulator import AgentModel, World, WorldState
-from lidarmot.tracking import AssociationResult, Track, TrackStatus
+from lidarmot.tracking import Track, TrackStatus
 
 POSE = Pose2D(1.0, -2.0, 0.5, 3.0)
 POINT = PointXY(0.5, 1.5, frame=ODOM_FRAME)

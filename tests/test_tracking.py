@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lidarmot.assignment import solve_assignment
 from lidarmot.detection import Detection
 from lidarmot.geometry import PointXY, Pose2D
 from lidarmot.tracking import (
@@ -15,7 +16,6 @@ from lidarmot.tracking import (
     _distances,
     _predict_stacked,
     _update_stacked,
-    solve_assignment,
 )
 
 

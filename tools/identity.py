@@ -12,12 +12,12 @@ digits), and exits 1 if any output differs. The set:
   ``config-1``: ``simulate``'s scans and ground truth; ``detect``'s
   detections; ``tracks.jsonl`` and ``obstacles.jsonl`` from ``pipeline``,
   from ``track`` with the scans, and from ``track`` on detections and ground
-  truth alone; the ``mot`` section of ``evaluate`` on the pipeline's
-  tracks; and, with every wall-clock value (``worst``, ``avg``,
+  truth alone; with every wall-clock value (``worst``, ``avg``,
   ``achieved_hz``) masked, the pipeline's ``timings.json`` and the
   ``report.json`` of a one-row ``bench --timings`` that simulates the
-  scene; and the ``report.json`` of ``bench --in`` on the recording, with
-  its ``source`` (a temporary directory) masked;
+  scene; and, with their ``metadata.source`` (a temporary directory)
+  masked, the ``report.json`` of ``evaluate`` on the pipeline's tracks and
+  of ``bench --in`` on the recording;
 - ``run_scenario(cfg, labels=True)`` for sr, mr1 and mr2, seeds 1-3 (20 s),
   for the crowd scene, where ten persons walk among the furniture, and for
   the hand-built ``custom`` kind, ``experiments.emergence_scenario(seed)``
@@ -149,17 +149,16 @@ def crowd_digests(checkout: Path) -> dict:
         for run in ("pipeline", "track", "track-no-scans"):
             for name in ("tracks.jsonl", "obstacles.jsonl"):
                 out[f"crowd {run} {name}"] = short_digest((tmp / run / name).read_bytes())
-        mot = json.loads((tmp / "evaluate" / "report.json").read_text())["mot"]
-        out["crowd evaluate mot"] = short_digest(json.dumps(mot, sort_keys=True).encode())
         out["crowd pipeline timings.json (masked)"] = masked_digest(pipe / "timings.json")
         out["crowd bench --timings report.json (masked)"] = masked_digest(
             tmp / "bench" / "report.json"
         )
-        replayed = json.loads((tmp / "bench-in" / "report.json").read_text())
-        replayed["metadata"]["source"] = None
-        out["crowd bench --in report.json (source masked)"] = short_digest(
-            json.dumps(replayed, sort_keys=True).encode()
-        )
+        for run, target in (("evaluate", "evaluate"), ("bench --in", "bench-in")):
+            report = json.loads((tmp / target / "report.json").read_text())
+            report["metadata"]["source"] = None
+            out[f"crowd {run} report.json (source masked)"] = short_digest(
+                json.dumps(report, sort_keys=True).encode()
+            )
     return out
 
 
