@@ -3,7 +3,7 @@
 Detections land in the sensor frame; the tracker transforms them into the
 odometry frame, associates them with Hungarian matching on Euclidean
 distance, and runs a counter-based lifecycle: candidates earn initiation
-after c_init matches and die after c_del straight misses.
+after c_init matches and die after more than C_DEL (15) straight misses.
 """
 
 import math

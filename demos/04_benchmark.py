@@ -9,6 +9,7 @@ MOTA = 1 - (ID + Miss + FP) / g; MOTP is the mean matched distance.
 import dataclasses
 
 from lidarmot.config import expand_preset
+from lidarmot.simulator import Scenario
 from lidarmot.workflows import run_benchmark
 
 print(f"{'kind':5s} {'valid':>6s} {'ID':>4s} {'miss':>5s} {'FP':>5s} "
@@ -19,7 +20,8 @@ for kind in ("sr", "mr1", "mr2"):
         cfg,
         scenario=dataclasses.replace(cfg.scenario, kind=kind, seed=1, duration=30.0),
     )
-    report, _ = run_benchmark(cfg)
+    gt = []  # filled as the scene is streamed through the tracker
+    report, _ = run_benchmark(cfg, Scenario(cfg.scenario).stream(gt), gt)
     print(f"{kind:5s} {report.valid:6d} {report.total_id_switches:4d} "
           f"{report.total_misses:5d} {report.total_false_positives:5d} "
           f"{report.mota * 100:7.2f}% {report.motp:6.3f}m")

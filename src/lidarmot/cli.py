@@ -238,9 +238,9 @@ def _cmd_evaluate(args) -> int:
     first = None
     if scans_path.exists():  # only the first scan, for the field of view
         first = _read_first(scans_path, "scan", ds.record_to_scan, args.strict)
-    mot = evaluate_sequence(gt_frames, hyp, sensor_fov(first), threshold=args.threshold)
+    mot = evaluate_sequence(gt_frames, hyp, sensor_fov(first))
     report = build_report(
-        metadata={"threshold": args.threshold, "source": str(in_dir)},
+        metadata={"threshold": MATCH_THRESHOLD, "source": str(in_dir)},
         mot=mot,
     )
     write_report(report, out / REPORT_FILE)
@@ -296,10 +296,6 @@ def _scene_streams(scenario, n: int) -> tuple:
 
 
 def _cmd_bench(args) -> int:
-    # Checked here, not only by the evaluator, so a bad value fails before
-    # any scene is simulated.
-    if not args.threshold > 0:  # also refuses NaN
-        raise ValueError("threshold must be positive")
     if args.in_dir and args.seeds:
         raise ValueError("--seeds cannot be used with --in: a recording has one seed, its own")
     out = _out_dir(args)
@@ -340,9 +336,7 @@ def _cmd_bench(args) -> int:
     for members, streams, gt_frames in scenes:
         for i, scans in zip(members, streams):
             cfg = cfgs[i]
-            mot, timings = run_benchmark(
-                cfg, scans=scans, gt_frames=gt_frames, threshold=args.threshold
-            )
+            mot, timings = run_benchmark(cfg, scans, gt_frames)
             scenario = scenario_of(cfg)
             row = {
                 "preset": cfg.preset,
@@ -372,7 +366,7 @@ def _cmd_bench(args) -> int:
     cfg0 = cfgs[0]
     metadata = {
         **scenario_of(cfg0),
-        "threshold": args.threshold,
+        "threshold": MATCH_THRESHOLD,
         "velocity_gate": VELOCITY_GATE,
         "source": str(args.in_dir) if args.in_dir else "simulated",
         "preset": cfg0.preset,
@@ -436,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="CLEAR MOT benchmark of tracks vs ground truth")
     _add_common(p, configured=False)
-    p.add_argument("--threshold", type=float, default=MATCH_THRESHOLD, help="match threshold [m]")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="end-to-end detect/track runtime over scans")
@@ -451,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="simulate + track + evaluate in one run")
     _add_common(p, scenario=True)
-    p.add_argument("--threshold", type=float, default=MATCH_THRESHOLD, help="match threshold [m]")
     p.add_argument(
         "--seeds",
         help="comma-separated seed sweep (one table row per preset x seed)",

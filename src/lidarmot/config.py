@@ -3,13 +3,16 @@ overrides.
 
 The three presets trade accuracy against speed and reaction time:
 
-==========  =============  ============  ======  =====
-preset      window stride  conf. thresh  c_init  c_del
-==========  =============  ============  ======  =====
-config-1    1              0.85          10      15
-config-2    10             0.85          10      15
-config-3    10             0.80          5       15
-==========  =============  ============  ======  =====
+==========  =============  ============  ======
+preset      window stride  conf. thresh  c_init
+==========  =============  ============  ======
+config-1    1              0.85          10
+config-2    10             0.85          10
+config-3    10             0.80          5
+==========  =============  ============  ======
+
+The deletion age ``c_del`` is 15 for all three: one constant,
+:data:`lidarmot.tracking.C_DEL`.
 """
 
 from __future__ import annotations
@@ -35,15 +38,15 @@ class ConfigError(Exception):
 PRESETS: dict[str, dict] = {
     "config-1": {
         "detector": {"window_stride": 1, "confidence_threshold": 0.85},
-        "tracker": {"c_init": 10, "c_del": 15},
+        "tracker": {"c_init": 10},
     },
     "config-2": {
         "detector": {"window_stride": 10, "confidence_threshold": 0.85},
-        "tracker": {"c_init": 10, "c_del": 15},
+        "tracker": {"c_init": 10},
     },
     "config-3": {
         "detector": {"window_stride": 10, "confidence_threshold": 0.8},
-        "tracker": {"c_init": 5, "c_del": 15},
+        "tracker": {"c_init": 5},
     },
 }
 

@@ -449,20 +449,28 @@ def _items(
     """The list of items under ``name`` in a record's payload, each field in
     ``numbers`` turned to a float in place. Each item must be an object,
     each field in ``numbers`` a finite JSON number that a float can hold and,
-    with ``ids``, ``id`` an integer; otherwise DatasetFormatError names the
-    kind, time, item and field."""
+    with ``ids``, ``id`` an integer that no earlier item holds; otherwise
+    DatasetFormatError names the kind, time, item and field."""
     _require(rec.payload, (name,), rec)
     items = rec.payload[name]
     where = f"{rec.kind} at t={rec.timestamp!r}: {name}"
     if type(items) is not list:
         raise DatasetFormatError(f"{where} is {items!r}, not a list")
     fields = ("id", *numbers) if ids else numbers
+    first: dict[int, int] = {}  # id -> index of the item that holds it
     for i, q in enumerate(items):
         _require(q, fields, rec, f"{name}[{i}]")
         for key in numbers:
             q[key] = _finite(rec, f"{name}[{i}].{key}", q[key])
-        if ids and type(q["id"]) is not int:
-            raise DatasetFormatError(f"{where}[{i}].id is {q['id']!r}, not an integer")
+        if ids:
+            item_id = q["id"]
+            if type(item_id) is not int:
+                raise DatasetFormatError(f"{where}[{i}].id is {item_id!r}, not an integer")
+            if item_id in first:
+                raise DatasetFormatError(
+                    f"{where}[{i}].id {item_id} repeats {name}[{first[item_id]}].id"
+                )
+            first[item_id] = i
     return items
 
 

@@ -30,8 +30,7 @@ from .geometry import (
 #: Seconds outside the ground-truth span that a hypothesis frame is still
 #: evaluated, and that a person seen in one bracketing frame only is kept.
 GT_TIME_TOLERANCE = 0.02
-#: CLEAR MOT match threshold (m): the default of the evaluator, of ``bench``
-#: and of the ``--threshold`` flags.
+#: CLEAR MOT match threshold (m) at which every sequence is scored.
 MATCH_THRESHOLD = 0.75
 
 
@@ -280,25 +279,22 @@ def evaluate_sequence(
     gt_frames: Sequence[GroundTruthFrame],
     hyp_frames: Sequence[HypothesisFrame],
     fov: FieldOfView,
-    threshold: float = MATCH_THRESHOLD,
 ) -> MotReport:
     """Run the benchmark over a full recording.
 
     For each hypothesis frame the ground truth is interpolated to its
-    timestamp, both sides are FOV-filtered, matched, and accumulated. Only
-    hypothesis frames are scored, so a run that saw nothing is written as
-    one empty frame per scan; an empty hypothesis sequence has no times to
-    score at and is refused with a ValueError.
+    timestamp, both sides are FOV-filtered, matched at
+    :data:`MATCH_THRESHOLD`, and accumulated. Only hypothesis frames are
+    scored, so a run that saw nothing is written as one empty frame per
+    scan; an empty hypothesis sequence has no times to score at and is
+    refused with a ValueError.
 
     Hypothesis frames must come in strictly increasing time order, because
     an ID switch is judged against the previous frame's correspondence, and
     ground-truth times must never decrease, because each hypothesis frame
     bisects them; a ValueError names the first pair of times that breaks
-    either rule. A ``threshold`` that is not positive is refused before any
-    frame is read, so also when no frame is scored.
+    either rule.
     """
-    if not threshold > 0:  # also refuses NaN
-        raise ValueError("threshold must be positive")
     if not gt_frames:
         raise ValueError("empty ground-truth sequence")
     if not hyp_frames:
@@ -337,6 +333,6 @@ def evaluate_sequence(
             robot_pose=pose_at(t),
         )
         gtf, hypf = filter_by_fov_frame(gt, hyp, fov)
-        counts, correspondence = match_frame(gtf, hypf, threshold, correspondence)
+        counts, correspondence = match_frame(gtf, hypf, MATCH_THRESHOLD, correspondence)
         report.frames.append(counts)
     return report

@@ -67,7 +67,13 @@ class FrameTiming:
 class FrameResult:
     scan: LidarScan
     tracks: list[Track]
-    obstacles: list[DynamicObstacle]
+
+    @property
+    def obstacles(self) -> list[DynamicObstacle]:
+        """The frame's tracks as planner obstacles, exported at
+        :data:`VELOCITY_GATE` when read, so a sink that keeps only the
+        tracks pays for no export."""
+        return export_dynamic_obstacles(self.tracks, VELOCITY_GATE)
 
 
 @dataclass
@@ -253,13 +259,14 @@ def run_pipeline(
 ) -> RunSummary:
     """Drive the detector and tracker over a scan stream.
 
-    Tracking, obstacle export, timing and the sinks run on the calling
-    thread, frame by frame in order. ``drop_stale`` reads a live source on a
-    ``scan-ingest`` thread into a queue that sheds (and counts) its oldest
-    scans when the detector falls behind; without it the source is
-    back-pressured and every scan is processed. ``pipelined`` runs the
-    detector one frame ahead on a ``detector`` thread, through a bounded
-    hand-off that never drops. Serial batch mode starts no thread.
+    Tracking, timing and the sinks run on the calling thread, frame by frame
+    in order; a sink that reads a frame's ``obstacles`` exports them there.
+    ``drop_stale`` reads a live source on a ``scan-ingest`` thread into a
+    queue that sheds (and counts) its oldest scans when the detector falls
+    behind; without it the source is back-pressured and every scan is
+    processed. ``pipelined`` runs the detector one frame ahead on a
+    ``detector`` thread, through a bounded hand-off that never drops. Serial
+    batch mode starts no thread.
 
     A failing source ends the run cleanly with a partial summary whose
     ``error`` names the failure and whose ``exception`` it is. A failing
@@ -314,14 +321,13 @@ def run_pipeline(
             t2 = time.perf_counter()
             tracks = track_fn(scan, dets)
             t3 = time.perf_counter()
-            obstacles = export_dynamic_obstacles(tracks, VELOCITY_GATE)
             summary.timings.append(FrameTiming(
                 timestamp=scan.timestamp,
                 t_det_ms=(t1 - t0) * 1e3,
                 t_track_ms=(t3 - t2) * 1e3,
                 t_lat_ms=(t3 - t0) * 1e3,
             ))
-            result = FrameResult(scan=scan, tracks=tracks, obstacles=obstacles)
+            result = FrameResult(scan=scan, tracks=tracks)
             for sink in sinks:
                 sink(result)
     except BaseException as exc:

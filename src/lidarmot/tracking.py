@@ -5,7 +5,7 @@ observed. Association is minimum-cost Hungarian on Euclidean distance with a
 gate, run in two passes (initiated tracks first, then candidates) so young
 candidates cannot steal detections from confirmed tracks. Track lifecycle is
 counter-based: a candidate is promoted after c_init cumulative matches and
-any track is dropped once its miss streak strictly exceeds c_del.
+any track is dropped once its miss streak strictly exceeds :data:`C_DEL`.
 
 The tracker holds its state stacked between frames: the means of all live
 tracks as one (N, 4) array, their covariances as one (N, 4, 4) array, and
@@ -46,6 +46,8 @@ _I2 = np.eye(2)
 PROCESS_NOISE_ACCEL = 2.0   # m/s^2, white-acceleration std
 MEASUREMENT_NOISE = 0.1     # m, position std
 INITIAL_VELOCITY_STD = 1.5  # m/s, prior std for a fresh candidate
+C_DEL = 15                  # misses a track survives in a row; one more kills it
+GATE_DISTANCE = 1.0         # m, farthest detection that may match a track
 BIRTH_COVARIANCE = np.diag(np.repeat([MEASUREMENT_NOISE**2, INITIAL_VELOCITY_STD**2], 2))
 
 
@@ -56,21 +58,15 @@ class TrackStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """SORT's settings: a candidate is initiated after ``c_init`` matches, a
-    track dies once its miss streak exceeds ``c_del``, and no detection
-    farther than ``gate_distance`` (m) from a track matches it."""
+    """SORT's one setting that the presets vary: a candidate is initiated
+    after ``c_init`` matches. The deletion age :data:`C_DEL` and the gate
+    :data:`GATE_DISTANCE` are the same for every run."""
 
     c_init: int = 10
-    c_del: int = 15
-    gate_distance: float = 1.0
 
     def __post_init__(self):
         if self.c_init < 1:
             raise ValueError("c_init must be >= 1")
-        if self.c_del < 1:
-            raise ValueError("c_del must be >= 1")
-        if not self.gate_distance > 0:  # also refuses NaN
-            raise ValueError("gate_distance must be positive")
 
 
 @dataclass(slots=True)
@@ -210,7 +206,7 @@ class Tracker:
         Matched tracks are Kalman-updated with their detection, gain a hit
         (clamped at c_init) and reset their miss streak; a candidate reaching
         c_init hits is initiated. Unmatched tracks lose a hit (floored at 0)
-        and extend the streak; a streak strictly over c_del terminates the
+        and extend the streak; a streak strictly over C_DEL terminates the
         track. Each unmatched detection spawns a fresh candidate at rest, the
         spawning detection counting as its first hit. A timestamp that is not
         finite or goes back in time raises ValueError and changes nothing.
@@ -219,7 +215,7 @@ class Tracker:
             raise ValueError(f"timestamp {timestamp!r} is not finite")
         if self._last_timestamp is not None and timestamp < self._last_timestamp:
             raise ValueError(f"time regression: {timestamp} < {self._last_timestamp}")
-        cfg = self.cfg
+        c_init = self.cfg.c_init
         det_xy = np.array(
             [
                 transform_xy(p.x, p.y, robot_pose_in_odom)
@@ -239,11 +235,11 @@ class Tracker:
         # Initiated tracks choose first, so candidates cannot steal their
         # detections.
         a1 = solve_assignment(
-            _distances(means[init_rows, :2], det_xy), cfg.gate_distance
+            _distances(means[init_rows, :2], det_xy), GATE_DISTANCE
         )
         leftover = a1.unmatched_detections
         a2 = solve_assignment(
-            _distances(means[cand_rows, :2], det_xy[leftover]), cfg.gate_distance
+            _distances(means[cand_rows, :2], det_xy[leftover]), GATE_DISTANCE
         )
         matched = [init_rows[r] for r, _, _ in a1.matches]
         matched += [cand_rows[r] for r, _, _ in a2.matches]
@@ -258,16 +254,16 @@ class Tracker:
             )
         hits, streaks = self._hits, self._streaks
         for i in matched:
-            hits[i] = min(cfg.c_init, hits[i] + 1)
+            hits[i] = min(c_init, hits[i] + 1)
             streaks[i] = 0
             self._updated[i] = timestamp
-            if status[i] is TrackStatus.CANDIDATE and hits[i] >= cfg.c_init:
+            if status[i] is TrackStatus.CANDIDATE and hits[i] >= c_init:
                 status[i] = TrackStatus.INITIATED
         dead = []
         for i in missed:
             hits[i] = max(0, hits[i] - 1)
             streaks[i] += 1
-            if streaks[i] > cfg.c_del:
+            if streaks[i] > C_DEL:
                 dead.append(i)
         if dead:
             self._drop(dead)

@@ -1,7 +1,7 @@
 """End-to-end compositions shared by the command-line tools and the
 benchmark: detector construction, the sensor's field of view and scan period
 as the scans give them, the detect and track stages of a run, serial
-tracking over a scan stream, and the simulate/track/evaluate bundle.
+tracking over a scan stream, and the track/evaluate bundle.
 
 :func:`bind_stages` is the one place the frame chain is assembled; every
 run drives it through :func:`lidarmot.pipeline.run_pipeline`. Serial batch
@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Sequence
 from .config import RunConfig
 from .detection import ClusterDetector, Detection, Detector, filter_by_confidence
 from .evaluation import (
-    MATCH_THRESHOLD,
     GroundTruthFrame,
     HypothesisFrame,
     MotReport,
@@ -34,7 +33,7 @@ from .pipeline import (
     TrackFn,
     run_pipeline,
 )
-from .simulator import LidarParams, Scenario
+from .simulator import LidarParams
 from .tracking import Track, Tracker
 
 
@@ -151,29 +150,22 @@ def run_tracking(
 
 def run_benchmark(
     run_cfg: RunConfig,
-    scans: Iterable[LidarScan] | None = None,
-    gt_frames: list[GroundTruthFrame] | None = None,
-    threshold: float = MATCH_THRESHOLD,
+    scans: Iterable[LidarScan],
+    gt_frames: list[GroundTruthFrame],
 ) -> tuple[MotReport, list[FrameTiming]]:
-    """Track ``scans`` and score them against ``gt_frames``: the report and
+    """Track ``scans`` and score them against ``gt_frames`` at the CLEAR MOT
+    threshold :data:`~lidarmot.evaluation.MATCH_THRESHOLD`: the report and
     the per-frame timings. Of each frame, only the hypothesis it is scored on
     is kept, and the field of view is read from the first scan.
 
     ``scans`` may be a simulation's stream
     (:meth:`~lidarmot.simulator.Scenario.stream`) with ``gt_frames`` the list
-    it appends to, which is read only once the stream is drained. Without
-    them, the scenario of ``run_cfg`` is streamed in this way, each scan
-    detected and tracked as it is cast; one without the other raises
-    ValueError. A scan without a pose is tracked at the robot pose of
-    ``gt_frames`` as it stands when the run starts, so only a recorded ground
-    truth serves it; simulated scans carry their pose. A failing source
-    raises its error.
+    it appends to, which is read only once the stream is drained, so each
+    scan is detected and tracked as it is cast. A scan without a pose is
+    tracked at the robot pose of ``gt_frames`` as it stands when the run
+    starts, so only a recorded ground truth serves it; simulated scans carry
+    their pose. A failing source raises its error.
     """
-    if (scans is None) != (gt_frames is None):
-        raise ValueError("run_benchmark takes scans and gt_frames together, or neither")
-    if scans is None:
-        gt_frames = []
-        scans = Scenario(run_cfg.scenario).stream(gt_frames)
     hypotheses: list[HypothesisFrame] = []
     fov = sensor_fov(None)
 
@@ -184,5 +176,5 @@ def run_benchmark(
         hypotheses.append(tracks_to_hypothesis(result.scan.timestamp, result.tracks))
 
     timings = _run_serial(scans, run_cfg, keep, gt_frames)
-    report = evaluate_sequence(gt_frames, hypotheses, fov, threshold=threshold)
+    report = evaluate_sequence(gt_frames, hypotheses, fov)
     return report, timings

@@ -62,7 +62,7 @@ def scenario_run(kind, preset, seed, duration=120.0):
     scans, gt = run_scenario(cfg.scenario)
     tracking = run_tracking(scans, cfg, gt_frames=gt)
     hypotheses = [tracks_to_hypothesis(t, tracks) for t, tracks in tracking.tracks_by_frame]
-    report = evaluate_sequence(gt, hypotheses, cfg.scenario.lidar.fov(), threshold=0.75)
+    report = evaluate_sequence(gt, hypotheses, cfg.scenario.lidar.fov())
     elapsed = time.perf_counter() - start
     return report, elapsed
 

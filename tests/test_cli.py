@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 import lidarmot
 from lidarmot import dataset as ds
-from lidarmot import detection, evaluation, simulator, tracking
-from lidarmot.cli import run_cli
+from lidarmot import detection, evaluation, pipeline, simulator, tracking
+from lidarmot.cli import build_parser, run_cli
 from lidarmot.config import load_config
 from lidarmot.detection import Detection
 from lidarmot.evaluation import GroundTruthFrame
@@ -407,6 +408,24 @@ class TestBench:
         }
         assert sizes["raycast_scans"] == [7, 7, 7]
 
+    def test_bench_exports_no_obstacles(self, tmp_path, monkeypatch):
+        # A bench job scores tracks only; planner obstacles were exported on
+        # every frame and thrown away.
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return export(*args)
+
+        export = pipeline.export_dynamic_obstacles
+        monkeypatch.setattr(pipeline, "export_dynamic_obstacles", counted)
+        assert run(["bench", "--kind", "sr", "--duration", "1", "--out", tmp_path / "b"]) == 0
+        assert calls == []
+        # The pipeline command writes the obstacles, so it exports each frame.
+        assert run(["simulate", "--kind", "sr", "--duration", "1", "--out", tmp_path]) == 0
+        assert run(["pipeline", "--in", tmp_path, "--out", tmp_path / "p"]) == 0
+        assert len(calls) == 21
+
     @pytest.mark.parametrize("command, module, name", [
         ("bench", detection, "cluster_detect"), ("simulate", ds, "scan_to_record"),
     ], ids=["bench", "simulate"])
@@ -671,10 +690,9 @@ class TestErrors:
         (["simulate", "--config", '{"scenario": {"duration": 1e999}}'], "duration"),
         (["bench", "--duration", "0.016"], "duration must be a whole number of 0.01 s ticks"),
         (["simulate", "--duration", "0.001"], "duration must be a whole number of 0.01 s ticks"),
-        (["bench", "--duration", "1", "--threshold", "nan"], "threshold must be positive"),
         (["simulate", "--seed", "-1"], "section 'scenario': seed must be >= 0, got -1"),
     ], ids=["duration-inf", "config-nan", "config-overflow", "duration-between-ticks-bench",
-            "duration-between-ticks-simulate", "threshold-nan", "seed-negative"])
+            "duration-between-ticks-simulate", "seed-negative"])
     def test_non_finite_setting_exits_2(self, sim_dir, tmp_path, capsys, argv, expected):
         argv = [sim_dir if a == "SIM" else a for a in argv]
         if "--config" in argv:
@@ -692,11 +710,15 @@ class TestErrors:
         ["simulate", "--noise-std", "nan"],
         ["bench", "--noise-std", "0.01"],
         ["simulate", "--dropout", "0.005"],
+        ["bench", "--duration", "1", "--threshold", "nan"],
+        ["bench", "--threshold", "0.5"],
+        ["evaluate", "--in", "SIM", "--threshold", "0.5"],
     ], ids=["velocity-gate-nan", "velocity-gate-negative", "velocity-gate-bench",
-            "noise-std-nan", "noise-std-bench", "dropout-simulate"])
+            "noise-std-nan", "noise-std-bench", "dropout-simulate", "threshold-nan",
+            "threshold-bench", "threshold-evaluate"])
     def test_removed_flag_exits_2(self, sim_dir, tmp_path, capsys, argv):
-        # The scan noise, the dropout and the velocity gate are constants, so
-        # no command takes a flag for them.
+        # The scan noise, the dropout, the velocity gate and the CLEAR MOT
+        # threshold are constants, so no command takes a flag for them.
         argv = [sim_dir if a == "SIM" else a for a in argv]
         with pytest.raises(SystemExit) as exc:
             run([*argv, "--out", tmp_path / "out"])
@@ -727,11 +749,13 @@ class TestErrors:
         ("scenario", "robot_angular_max", 1.5),
         ("scenario", "noise_std", 0.01),
         ("scenario", "dropout_prob", 0.005),
+        ("tracker", "c_del", 15),
+        ("tracker", "gate_distance", 1.0),
     ])
     def test_fixed_setting_is_unknown_field(self, tmp_path, capsys, section, key, value):
-        # The Kalman noise, the scene's walking and driving limits and the
-        # scan noise and dropout are module constants, so a file cannot set
-        # them, not even to their values.
+        # The deletion age, the gate, the Kalman noise, the scene's walking
+        # and driving limits and the scan noise and dropout are module
+        # constants, so a file cannot set them, not even to their values.
         path = tmp_path / "run.json"
         path.write_text(json.dumps({section: {key: value}}))
         assert run(["bench", "--kind", "mr1", "--duration", "1",
@@ -739,35 +763,45 @@ class TestErrors:
         err = capsys.readouterr().err
         assert re.fullmatch(rf"error: unknown field {section}\.{key}\n", err)
 
-    @pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("threshold", ["nan", "0", "-1", "inf"])
     def test_bad_threshold_refused_before_simulating(self, tmp_path, capsys, monkeypatch,
                                                      threshold):
-        # A 10^5 s scene would take hours to simulate; the check comes first.
+        # A 10^5 s scene would take hours to simulate. The threshold is a
+        # constant, so the flag is refused before anything runs; an infinite
+        # one used to be simulated and scored, and then failed to be written.
         def unreachable(*args, **kwargs):
             raise AssertionError("run_benchmark called")
 
         monkeypatch.setattr("lidarmot.cli.run_benchmark", unreachable)
-        assert run(["bench", "--duration", "100000", "--threshold", threshold,
-                    "--out", tmp_path / "out"]) == 2
-        assert capsys.readouterr().err == "error: threshold must be positive\n"
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", "--duration", "100000", "--threshold", threshold,
+                 "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --threshold {threshold}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("threshold", ["nan", "0", "-1", "inf"])
     def test_bad_threshold_refused_when_no_frame_is_scored(self, sr_one_second, tmp_path,
                                                            capsys, threshold):
         # Track frames at t = 50 s and 51 s lie past the 1 s ground truth,
-        # so every frame is skipped. The bad threshold was written into the
-        # report, and evaluate exited 0.
+        # so every frame is skipped. A bad threshold was once written into
+        # the report, and evaluate exited 0; now no flag takes one, and the
+        # report holds the constant.
         data = tmp_path / "data"
         shutil.copytree(sr_one_second, data)
         ds.write_dataset([ds.tracks_to_record([], t) for t in (50.0, 51.0)],
                          data / "tracks.jsonl")
         assert run(["evaluate", "--in", data, "--out", tmp_path / "good"]) == 0
         assert mot_of(tmp_path / "good")["frames_skipped"] == 2
+        report = json.loads((tmp_path / "good" / "report.json").read_text())
+        assert report["metadata"]["threshold"] == evaluation.MATCH_THRESHOLD
         capsys.readouterr()
         out = tmp_path / "out"
-        assert run(["evaluate", "--in", data, "--threshold", threshold, "--out", out]) == 2
-        assert capsys.readouterr().err == "error: threshold must be positive\n"
-        assert list(out.iterdir()) == []
+        with pytest.raises(SystemExit) as exc:
+            run(["evaluate", "--in", data, "--threshold", threshold, "--out", out])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --threshold {threshold}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_seed_list_names_flag_and_field(self, tmp_path, capsys):
         assert run(["bench", "--duration", "1", "--seeds", "1,x",
@@ -975,6 +1009,30 @@ class TestErrors:
             f"error: {kind} at t={rec['t']!r}: {field} is {value!r}, not a finite number\n"
         )
 
+    @pytest.mark.parametrize("strict", ["--strict", "--no-strict"])
+    @pytest.mark.parametrize("name, command, items", [
+        ("ground_truth.jsonl", "evaluate", "persons"),
+        ("ground_truth.jsonl", "bench", "persons"),
+        ("tracks.jsonl", "evaluate", "tracks"),
+    ], ids=["person-evaluate", "person-bench", "track-evaluate"])
+    def test_repeated_id_exits_2(self, tmp_path, capsys, name, command, items, strict):
+        # A repeated person or track id was refused by the frame's own
+        # check, naming no record or item.
+        data = simulate_detect_track(tmp_path / "data")
+        path = data / name
+        lines = path.read_text().splitlines(keepends=True)
+        i, rec = next((i, r) for i, r in enumerate(map(json.loads, lines)) if r.get(items))
+        rec[items].append(rec[items][0])
+        lines[i] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run([command, "--in", data, strict, "--out", tmp_path / "out"]) == 2
+        n, pid = len(rec[items]) - 1, rec[items][0]["id"]
+        assert capsys.readouterr().err == (
+            f"error: {rec['kind']} at t={rec['t']!r}: {items}[{n}].id {pid} repeats "
+            f"{items}[0].id\n"
+        )
+
     @pytest.mark.parametrize("name,command,items,key", [
         ("scans.jsonl", "pipeline", None, "ranges"),
         ("scans.jsonl", "pipeline", "pose", "theta"),
@@ -1073,3 +1131,26 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_each_command_takes_exactly_these_flags():
+    # Counted as the config fields are: a flag that is added, or comes back,
+    # shows here.
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {s for action in sub._actions for s in action.option_strings}
+        for name, sub in commands.choices.items()
+    }
+    common = {"-h", "--help", "--out"}
+    configured = {"--preset", "--config"}
+    reads = {"--in", "--strict", "--no-strict"}
+    scenario = {"--kind", "--seed", "--duration", "--persons"}
+    assert flags == {
+        "simulate": common | configured | scenario,
+        "detect": common | configured | reads,
+        "track": common | configured | reads,
+        "evaluate": common | reads,
+        "pipeline": common | configured | reads | {"--realtime"},
+        "bench": common | configured | reads | scenario | {"--seeds", "--timings"},
+    }

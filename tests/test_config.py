@@ -7,11 +7,12 @@ import pytest
 from lidarmot.config import ConfigError, PRESETS, expand_preset, load_config
 from lidarmot.pipeline import PipelineConfig
 from lidarmot.simulator import ScenarioConfig, ScriptedAgent, Segment
-from lidarmot.tracking import TrackerConfig
+from lidarmot.tracking import C_DEL, TrackerConfig
 
 
 class TestPresets:
-    # The three named configurations, exactly.
+    # The three named configurations, exactly. They share one deletion age,
+    # a constant.
     @pytest.mark.parametrize(
         "name, stride, threshold, c_init, c_del",
         [
@@ -25,7 +26,7 @@ class TestPresets:
         assert cfg.detector.window_stride == stride
         assert cfg.detector.confidence_threshold == threshold
         assert cfg.tracker.c_init == c_init
-        assert cfg.tracker.c_del == c_del
+        assert C_DEL == c_del
         assert cfg.preset == name
 
     def test_all_presets_expand(self):
@@ -44,8 +45,7 @@ class TestConfigFiles:
         cfg = load_config(path)
         assert cfg.detector.window_stride == 10
         assert cfg.detector.confidence_threshold == 0.85
-        assert cfg.tracker.c_init == 7
-        assert cfg.tracker.c_del == 15
+        assert cfg.tracker == TrackerConfig(c_init=7)
 
     def test_scenario_section(self, tmp_path):
         path = tmp_path / "run.json"
@@ -101,10 +101,9 @@ class TestConfigFiles:
             load_config(path)
 
     @pytest.mark.parametrize("make", [
-        lambda: TrackerConfig(gate_distance=math.nan),
         lambda: ScenarioConfig(duration=math.inf),
         lambda: ScenarioConfig(duration=math.nan),
-    ], ids=["gate_distance-nan", "duration-inf", "duration-nan"])
+    ], ids=["duration-inf", "duration-nan"])
     def test_non_finite_setting_refused(self, make):
         with pytest.raises(ValueError):
             make()
@@ -156,8 +155,10 @@ class TestConfigFiles:
         ("scenario", "seed", "true", "an integer"),
         ("scenario", "arena", "[-4, -4, 4, 1e999]", "a list of finite numbers"),
         ("tracker", "c_init", "2.5", "an integer"),
-        ("tracker", "c_del", "true", "an integer"),
-        ("tracker", "gate_distance", "1e999", "a finite number"),
+        # The deletion age and the gate are constants, so a file names
+        # neither, whatever the value.
+        ("tracker", "c_del", "true", None),
+        ("tracker", "gate_distance", "1e999", None),
         ("detector", "window_stride", "2.5", "an integer"),
         ("detector", "confidence_threshold", "true", "a finite number"),
     ], ids=["n_persons-float", "seed-float", "seed-bool", "arena-overflow", "c_init-float", "c_del-bool",
@@ -165,9 +166,11 @@ class TestConfigFiles:
     def test_wrong_type_refused_by_name(self, tmp_path, section, key, literal, expected):
         path = tmp_path / "run.json"
         path.write_text(f'{{"{section}": {{"{key}": {literal}}}}}')
-        with pytest.raises(
-            ConfigError, match=rf"section '{section}': {key} must be {expected}, got "
-        ):
+        match = (
+            rf"^unknown field {section}\.{key}$" if expected is None
+            else rf"section '{section}': {key} must be {expected}, got "
+        )
+        with pytest.raises(ConfigError, match=match):
             load_config(path)
 
     @pytest.mark.parametrize("key, literal", [
@@ -185,12 +188,11 @@ class TestConfigFiles:
             load_config(path)
 
     def test_settable_fields(self):
-        # The Kalman noise, the scene's walking and driving limits, the scan
-        # noise and dropout and the velocity gate are module constants;
-        # these are what a caller can set. A file or flag sets no pipeline
-        # field.
-        assert [f.name for f in dataclasses.fields(TrackerConfig)] == [
-            "c_init", "c_del", "gate_distance"]
+        # The Kalman noise, the deletion age and the gate, the scene's
+        # walking and driving limits, the scan noise and dropout and the
+        # velocity gate are module constants; these are what a caller can
+        # set. A file or flag sets no pipeline field.
+        assert [f.name for f in dataclasses.fields(TrackerConfig)] == ["c_init"]
         assert [f.name for f in dataclasses.fields(ScenarioConfig)] == [
             "kind", "arena", "duration", "n_persons", "occluder_walls", "seed",
             "scripted_agents", "lidar"]

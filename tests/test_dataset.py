@@ -621,6 +621,18 @@ def test_missing_item_field_rejected(kind, name, item, decode):
         decode(rec)
 
 
+@pytest.mark.parametrize("kind, name, item, decode", _ITEM_RECORDS[:2])
+def test_repeated_item_id_rejected(kind, name, item, decode):
+    # The frame's own check refused these without naming record or item.
+    rec = _item_record(kind, name, item, id=5)
+    rec.payload[name] += [dict(item, id=6), dict(item, id=5)]
+    with pytest.raises(
+        ds.DatasetFormatError,
+        match=rf"^{kind} at t=0\.05: {name}\[3\]\.id 5 repeats {name}\[1\]\.id$",
+    ):
+        decode(rec)
+
+
 @pytest.mark.parametrize("kind, name, item, decode", _ITEM_RECORDS)
 def test_item_values_checked_and_read(kind, name, item, decode):
     with pytest.raises(ds.DatasetFormatError, match=rf"{kind} at t=0\.05: {name} is 'x', not a list"):

@@ -392,7 +392,7 @@ def ref_evaluate_sequence(gt_frames, hyp_frames, fov, threshold=0.75, time_toler
         t = min(max(hyp.timestamp, lo_t), hi_t)
         gt = ref_interpolate_ground_truth(gt_frames, t, time_tolerance)
         gtf, hypf = filter_by_fov_frame(gt, hyp, fov)
-        counts, correspondence = match_frame(gtf, hypf, threshold, correspondence)
+        counts, correspondence = ref_match_frame(gtf, hypf, threshold, correspondence)
         report.frames.append(counts)
     return report
 
@@ -524,6 +524,9 @@ def ref_cluster_detect(
 REF_PROCESS_NOISE_ACCEL = 2.0
 REF_MEASUREMENT_NOISE = 0.1
 REF_INITIAL_VELOCITY_STD = 1.5
+#: Its deletion age (misses a track survives in a row) and its gate (m).
+REF_C_DEL = 15
+REF_GATE_DISTANCE = 1.0
 
 
 def ref_kalman_predict(mean, cov, dt, accel_std):
@@ -578,7 +581,7 @@ def ref_lifecycle_step(tracks, association, measurements, cfg, timestamp, next_i
         t = by_id[track_id]
         t.hit_counter = max(0, t.hit_counter - 1)
         t.miss_streak += 1
-        if t.miss_streak > cfg.c_del:
+        if t.miss_streak > REF_C_DEL:
             dead.add(track_id)
     survivors = [t for t in tracks if t.id not in dead]
     pos_var = REF_MEASUREMENT_NOISE**2
@@ -667,10 +670,10 @@ class RefTracker:
             d = np.array([[p.x, p.y] for p in dets])
             return np.linalg.norm(t[:, None, :] - d[None, :, :], axis=2)
 
-        a1 = ref_solve_assignment(cost(initiated, points), self.cfg.gate_distance)
+        a1 = ref_solve_assignment(cost(initiated, points), REF_GATE_DISTANCE)
         leftover = a1.unmatched_detections
         a2 = ref_solve_assignment(
-            cost(candidates, [points[j] for j in leftover]), self.cfg.gate_distance
+            cost(candidates, [points[j] for j in leftover]), REF_GATE_DISTANCE
         )
 
         merged = AssociationResult(
@@ -1440,9 +1443,19 @@ class TestEvaluatorEquivalence:
         assert resampled_ground_truth(gt, times, monkeypatch) == expected
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_evaluate_sequence(self, seed):
+    def test_evaluate_sequence(self, seed, monkeypatch):
+        # At a 2 m threshold the random tracks match often. Two more persons
+        # stand on exact coordinates. Person 6 keeps track 10, which is
+        # exactly 2 m away on odd frames, when track 11 lies nearer; person
+        # 7 meets a new track exactly 2 m away on every frame. So the gate
+        # at the threshold decides both kept and new correspondences.
+        monkeypatch.setattr(evaluation, "MATCH_THRESHOLD", 2.0)
         rng = np.random.default_rng(300 + seed)
-        gt = random_ground_truth(rng)
+        standing = ((6, PointXY(-3.0, 0.5, frame="odom")), (7, PointXY(-1.0, -2.5, frame="odom")))
+        gt = [
+            dataclasses.replace(f, persons=f.persons + standing)
+            for f in random_ground_truth(rng)
+        ]
         hyp = []
         for i, t in enumerate(query_times(gt, rng)):
             tracks = tuple(
@@ -1450,8 +1463,14 @@ class TestEvaluatorEquivalence:
                 for tid in range(int(rng.integers(0, 7)))
                 if tid != i % 5
             )
+            tracks += (
+                (10, PointXY(-3.0 - (1.75, 2.0, 2.25, 2.0)[i % 4], 0.5, frame="odom")),
+                (100 + i, PointXY(-1.0, -4.5, frame="odom")),
+            )
+            if i % 2:
+                tracks += ((11, PointXY(-3.0, 1.5, frame="odom")),)
             hyp.append(HypothesisFrame(t, tracks))
-        got = evaluate_sequence(gt, hyp, FOV, threshold=2.0)
+        got = evaluate_sequence(gt, hyp, FOV)
         ref = ref_evaluate_sequence(gt, hyp, FOV, threshold=2.0)
         assert repr(got) == repr(ref)
         assert got.skipped_frames == 2 and got.frames
@@ -1918,10 +1937,12 @@ class TestTrackerEquivalence:
         assert_same_tracking(frames[1:], TrackerConfig(c_init=1))
 
     def test_death_between_live_rows_and_two_births(self):
-        # Three walkers become tracks 1-3. The middle one vanishes, and its
-        # row is deleted in the frame that two newcomers are born in.
+        # Three walkers become tracks 1-3. The middle one vanishes at frame
+        # 4, and its row is deleted C_DEL + 1 frames later, in the frame that
+        # two newcomers are born in.
         pose = Pose2D(0.3, -0.1, 0.4, 0.0)
-        cfg = TrackerConfig(c_init=2, c_del=2)
+        cfg = TrackerConfig(c_init=2)
+        death = 4 + REF_C_DEL
 
         def frame(k, points):
             t = 0.05 * k
@@ -1929,17 +1950,17 @@ class TestTrackerEquivalence:
 
         walkers, newcomers = [(1.0, 0.1), (4.0, 0.4), (7.0, 0.7)], [(1.0, 6.0), (7.0, 6.0)]
         frames = [frame(k, walkers) for k in range(4)]
-        frames += [frame(k, walkers[::2]) for k in range(4, 6)]
-        frames += [frame(k, walkers[::2] + newcomers) for k in range(6, 10)]
+        frames += [frame(k, walkers[::2]) for k in range(4, death)]
+        frames += [frame(k, walkers[::2] + newcomers) for k in range(death, death + 4)]
         tracker = Tracker(cfg)
         states = []
         for detections, pose, t in frames:
             tracker.update(detections, pose, t)
             states.append([(x.id, x.status) for x in tracker.tracks])
         initiated, candidate = TrackStatus.INITIATED, TrackStatus.CANDIDATE
-        assert states[5] == [(1, initiated), (2, initiated), (3, initiated)]
-        assert states[6] == [(1, initiated), (3, initiated), (4, candidate), (5, candidate)]
-        assert states[9] == [(1, initiated), (3, initiated), (4, initiated), (5, initiated)]
+        assert states[death - 1] == [(1, initiated), (2, initiated), (3, initiated)]
+        assert states[death] == [(1, initiated), (3, initiated), (4, candidate), (5, candidate)]
+        assert states[death + 3] == [(1, initiated), (3, initiated), (4, initiated), (5, initiated)]
         assert assert_same_tracking(frames, cfg) > 0
 
     def test_distances_are_norm_bit_for_bit(self):

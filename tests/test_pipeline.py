@@ -7,10 +7,12 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from lidarmot import pipeline
 from lidarmot.config import load_config
 from lidarmot.evaluation import evaluate_sequence
 from lidarmot.geometry import LidarScan, PointXY
 from lidarmot.pipeline import (
+    VELOCITY_GATE,
     DynamicObstacle,
     FrameTiming,
     PipelineConfig,
@@ -23,7 +25,7 @@ from lidarmot.pipeline import (
     time_to_closest_approach,
 )
 from lidarmot.report import build_report, timing_section, write_report
-from lidarmot.simulator import run_scenario
+from lidarmot.simulator import Scenario, run_scenario
 from lidarmot.tracking import Track, TrackStatus
 from lidarmot.workflows import run_benchmark, run_tracking, sensor_fov, tracks_to_hypothesis
 
@@ -247,6 +249,26 @@ class TestRunPipeline:
         failed = replace(summary, error="boom")
         assert (failed.frames_processed, failed.error) == (7, "RuntimeError: boom")
 
+    def test_obstacles_are_the_export_of_the_frames_tracks(self, monkeypatch):
+        # A frame exports its tracks only when a sink reads its obstacles,
+        # at the velocity gate.
+        moving = [track(1, 0, 0, 0.04, 0.0), track(2, 1, 1, 0.3, -0.2), track(3, 2, 0, 0.05, 0)]
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return export_dynamic_obstacles(*args)
+
+        monkeypatch.setattr(pipeline, "export_dynamic_obstacles", counted)
+        results = []
+        run_pipeline(iter(scans(5)), lambda s: [], lambda s, d: moving, BATCH,
+                     sinks=[results.append])
+        assert calls == [] and len(results) == 5
+        for result in results:
+            assert result.obstacles == export_dynamic_obstacles(result.tracks, VELOCITY_GATE)
+            assert [ob.track_id for ob in result.obstacles] == [2, 3]
+        assert len(calls) == 10
+
     def test_serial_mode_processes_everything_when_fast(self):
         summary = run_pipeline(
             iter(scans(40)),
@@ -385,18 +407,11 @@ def test_run_benchmark_scores_what_run_tracking_keeps(kind):
         assert report.frames == ref.frames
         assert report.skipped_frames == ref.skipped_frames
         assert [t.timestamp for t in timings] == [s.timestamp for s in scans]
-    simulated, _ = run_benchmark(cfg)
-    assert simulated.frames == report.frames
-
-
-@pytest.mark.parametrize("given", ["scans", "gt_frames"])
-def test_run_benchmark_refuses_half_a_scene(given):
-    # Recorded scans without their ground truth were scored against a fresh
-    # simulation of the configured scenario.
-    scans, gt = run_scenario(replace(load_config("config-1").scenario, duration=1.0))
-    half = {"scans": scans, "gt_frames": gt}[given]
-    with pytest.raises(ValueError, match="scans and gt_frames together, or neither"):
-        run_benchmark(load_config("config-1"), **{given: half})
+    # A streamed scene, its ground truth filled as it is cast, scores as the
+    # listed one.
+    streamed_gt = []
+    streamed, _ = run_benchmark(cfg, Scenario(scenario).stream(streamed_gt), streamed_gt)
+    assert streamed.frames == report.frames
 
 
 @pytest.mark.parametrize("pipelined", [False, True], ids=["serial", "pipelined"])

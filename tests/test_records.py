@@ -38,7 +38,7 @@ RECORDS = [
     AssociationResult([(7, 0, 0.2)], [8], [1]),
     OBSTACLE,
     FrameTiming(0.1, 1.0, 2.0, 3.0),
-    FrameResult(SCAN, [TRACK], [OBSTACLE]),
+    FrameResult(SCAN, [TRACK]),
     DatasetRecord("scan", 0.1, {"frame": "laser"}),
     AGENT,
     WorldState(POSE, (0.1, 0.0), [AGENT], World(arena=(-4.0, -4.0, 4.0, 4.0))),

@@ -8,6 +8,8 @@ from lidarmot.assignment import solve_assignment
 from lidarmot.detection import Detection
 from lidarmot.geometry import PointXY, Pose2D
 from lidarmot.tracking import (
+    C_DEL,
+    GATE_DISTANCE,
     INITIAL_VELOCITY_STD,
     Tracker,
     TrackerConfig,
@@ -182,19 +184,19 @@ def lifecycle(tracker, frames):
 
 class TestLifecycle:
     def test_initiation_on_tenth_consecutive_match(self):
-        tracker = Tracker(TrackerConfig(c_init=10, c_del=15))
+        tracker = Tracker(TrackerConfig(c_init=10))
         for k, tracks in enumerate(lifecycle(tracker, [[(0, 0)]] * 10), start=1):
             expected = TrackStatus.INITIATED if k >= 10 else TrackStatus.CANDIDATE
             assert tracks[0].status is expected
 
     def test_termination_strictly_over_c_del(self):
         # Born, then matched once: initiated with two hits at c_init=2.
-        tracker = Tracker(TrackerConfig(c_init=2, c_del=15))
-        frames = [[(0, 0)]] * 2 + [[]] * 16
+        tracker = Tracker(TrackerConfig(c_init=2))
+        frames = [[(0, 0)]] * 2 + [[]] * (C_DEL + 1)
         history = list(lifecycle(tracker, frames))
         assert history[1][0].status is TrackStatus.INITIATED
         for k, tracks in enumerate(history[2:], start=1):
-            if k <= 15:
+            if k <= C_DEL:
                 assert tracks and tracks[0].miss_streak == k
             else:
                 assert tracks == []
@@ -202,7 +204,7 @@ class TestLifecycle:
     def test_alternating_never_initiates_fast(self):
         # Oracle: hand-simulated counter recurrence. Alternating match/miss
         # from spawn can never reach c_init=5 within nine updates.
-        tracker = Tracker(TrackerConfig(c_init=5, c_del=15))
+        tracker = Tracker(TrackerConfig(c_init=5))
         frames = [[(0, 0)]] + [[(0, 0)] if k % 2 == 1 else [] for k in range(1, 10)]
         history = lifecycle(tracker, frames)
         next(history)
@@ -224,7 +226,7 @@ class TestLifecycle:
 
 class TestTracker:
     def test_walking_person_initiates_and_converges(self):
-        cfg = TrackerConfig(c_init=5, c_del=15)
+        cfg = TrackerConfig(c_init=5)
         tracker = Tracker(cfg)
         pose = Pose2D(0, 0, 0)
         first_initiated = None
@@ -240,12 +242,12 @@ class TestTracker:
         assert abs(vx - 1.0) < 0.1 and abs(vy) < 0.1
 
     def test_detection_exactly_at_the_gate_matches(self):
-        # The candidate rests at the origin; a detection 1.0 m away, exactly
-        # the gate distance, still belongs to it.
-        tracker = Tracker(TrackerConfig(gate_distance=1.0))
+        # The candidate rests at the origin; a detection exactly the gate
+        # distance away still belongs to it.
+        tracker = Tracker(TrackerConfig())
         pose = Pose2D(0, 0, 0)
         tracker.update([det(0.0, 0.0, 0.0)], pose, 0.0)
-        tracker.update([det(1.0, 0.0, 0.05)], pose, 0.05)
+        tracker.update([det(GATE_DISTANCE, 0.0, 0.05)], pose, 0.05)
         (track,) = tracker.tracks
         assert (track.id, track.hit_counter) == (1, 2)
 
@@ -271,7 +273,7 @@ class TestTracker:
         assert speeds and max(speeds) < 0.05
 
     def test_all_tracks_terminate_without_detections(self):
-        cfg = TrackerConfig(c_init=2, c_del=15)
+        cfg = TrackerConfig(c_init=2)
         tracker = Tracker(cfg)
         pose = Pose2D(0, 0, 0)
         for k in range(3):
@@ -307,7 +309,7 @@ class TestTracker:
             tracker.update([det(1, 1, 0.5)], pose, 0.5)
 
     def test_ids_strictly_increase_and_never_return(self):
-        cfg = TrackerConfig(c_init=1, c_del=1)
+        cfg = TrackerConfig(c_init=1)
         tracker = Tracker(cfg)
         pose = Pose2D(0, 0, 0)
         seen = []
@@ -317,7 +319,7 @@ class TestTracker:
                 out = tracker.update([det(burst, 0.0, t)], pose, t)
                 t += 0.05
             seen.extend(o.id for o in out)
-            for _ in range(4):  # starve until termination
+            for _ in range(C_DEL + 1):  # starve until termination
                 tracker.update([], pose, t)
                 t += 0.05
         assert seen == sorted(seen)
@@ -325,7 +327,7 @@ class TestTracker:
     def test_separated_cv_agents_keep_identities(self):
         # Three well-separated constant-velocity walkers, perfect
         # detections, 30 seconds: exactly three tracks, zero id switches.
-        cfg = TrackerConfig(c_init=5, c_del=15, gate_distance=1.0)
+        cfg = TrackerConfig(c_init=5)
         tracker = Tracker(cfg)
         pose = Pose2D(0, 0, 0)
         starts = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
