@@ -20,7 +20,7 @@ for kind in ("sr", "mr1", "mr2"):
         cfg,
         scenario=dataclasses.replace(cfg.scenario, kind=kind, seed=1, duration=30.0),
     )
-    gt = []  # filled as the scene is streamed through the tracker
+    gt = []  # filled as the scene is streamed, trimmed as it is scored
     report, _ = run_benchmark(cfg, Scenario(cfg.scenario).stream(gt), gt)
     print(f"{kind:5s} {report.valid:6d} {report.total_id_switches:4d} "
           f"{report.total_misses:5d} {report.total_false_positives:5d} "

@@ -19,6 +19,7 @@ from .detection import (
 from .evaluation import (
     GroundTruthFrame,
     HypothesisFrame,
+    MotAccumulator,
     MotFrameCounts,
     MotReport,
     evaluate_sequence,

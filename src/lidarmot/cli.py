@@ -94,6 +94,13 @@ def _read(path: Path, kind: str, decode, strict: bool) -> list:
     return _read_with_meta(path, kind, decode, strict)[0]
 
 
+def _require_records(items: list, path: Path, kind: str) -> None:
+    """Refuse ``items`` read from ``path``, naming the file and the record
+    kind, when there are none."""
+    if not items:
+        raise DatasetFormatError(f"{path}: no {kind} records")
+
+
 def _read_first(path: Path, kind: str, decode, strict: bool):
     """The first ``kind`` record of a dataset file, decoded, or None; no line
     after it is read."""
@@ -230,10 +237,11 @@ def _cmd_track(args) -> int:
 def _cmd_evaluate(args) -> int:
     in_dir = _in_dir(args)
     out = _out_dir(args)
-    gt_frames = _read(
-        in_dir / GROUND_TRUTH_FILE, "ground_truth", ds.record_to_ground_truth, args.strict
-    )
-    hyp = _read(in_dir / TRACKS_FILE, "track", ds.record_to_hypothesis_frame, args.strict)
+    gt_path, tracks_path = in_dir / GROUND_TRUTH_FILE, in_dir / TRACKS_FILE
+    gt_frames = _read(gt_path, "ground_truth", ds.record_to_ground_truth, args.strict)
+    hyp = _read(tracks_path, "track", ds.record_to_hypothesis_frame, args.strict)
+    _require_records(gt_frames, gt_path, "ground_truth")
+    _require_records(hyp, tracks_path, "track")
     scans_path = in_dir / SCANS_FILE
     first = None
     if scans_path.exists():  # only the first scan, for the field of view
@@ -284,15 +292,37 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
-def _scene_streams(scenario, n: int) -> tuple:
-    """``(streams, gt)``: ``n`` streams over one simulation of ``scenario``
-    and the ground truth it fills, complete once the first stream is drained.
-    A lone stream is the simulation's own, so its reader holds one cast block
-    at a time; ``n`` > 1 streams share it through one tee, which keeps every
-    scan until the last stream has read it."""
+def _scene_streams(scenario, n: int) -> list:
+    """``n`` ``(scans, gt)`` pairs over one simulation of ``scenario``, one
+    per ``bench`` row: the row's scan stream and the ground-truth list that
+    :func:`~lidarmot.workflows.run_benchmark`'s scorer owns, which has every
+    frame the stream has reached. A lone row takes the simulation's own
+    stream and list, so it holds one cast block of scans and the few
+    ground-truth frames its scorer still needs. ``n`` > 1 rows share the
+    simulation through one tee, which keeps every scan until the last row
+    has read it, and the simulation's list keeps the whole ground truth; each
+    row's list takes pointers to its frames as the row's stream reaches
+    them."""
     gt: list = []
     stream = simulator.Scenario(scenario).stream(gt)
-    return (itertools.tee(stream, n) if n > 1 else (stream,)), gt
+    if n == 1:
+        return [(stream, gt)]
+    pairs = []
+    for scans in itertools.tee(stream, n):
+        own: list = []
+        pairs.append((_extending(scans, gt, own), own))
+    return pairs
+
+
+def _extending(scans, source: list, own: list):
+    """``scans``, with ``own`` extended before each scan, and once they
+    end, by the frames appended to ``source`` since the last extension."""
+    seen = 0
+    for scan in scans:
+        own.extend(source[seen:])
+        seen = len(source)
+        yield scan
+    own.extend(source[seen:])
 
 
 def _cmd_bench(args) -> int:
@@ -307,23 +337,26 @@ def _cmd_bench(args) -> int:
     recording = None
     if args.in_dir:
         in_dir = Path(args.in_dir)
-        scans, meta = _read_with_meta(in_dir / SCANS_FILE, "scan", ds.record_to_scan, args.strict)
-        gt_frames = _read(
-            in_dir / GROUND_TRUTH_FILE, "ground_truth", ds.record_to_ground_truth, args.strict
-        )
+        scans_path, gt_path = in_dir / SCANS_FILE, in_dir / GROUND_TRUTH_FILE
+        scans, meta = _read_with_meta(scans_path, "scan", ds.record_to_scan, args.strict)
+        gt_frames = _read(gt_path, "ground_truth", ds.record_to_ground_truth, args.strict)
+        _require_records(gt_frames, gt_path, "ground_truth")
+        _require_records(scans, scans_path, "scan")
         # A recording's scenario is its own, whatever the settings say.
         recording = {
             "kind": meta.get("kind"),
             "seed": meta.get("seed"),
-            "duration": scans[-1].timestamp - scans[0].timestamp if scans else 0.0,
+            "duration": scans[-1].timestamp - scans[0].timestamp,
         }
-        scenes = [(range(len(cfgs)), itertools.repeat(scans), gt_frames)]
+        # Each row's scorer takes its own list of the recording's frames.
+        copies = map(list, itertools.repeat(gt_frames))
+        scenes = [(range(len(cfgs)), zip(itertools.repeat(scans), copies))]
     else:
         # Presets that share scenario settings share one simulation.
         rows_of: dict = {}
         for i, cfg in enumerate(cfgs):
             rows_of.setdefault(cfg.scenario, []).append(i)
-        scenes = ((rows, *_scene_streams(sc, len(rows))) for sc, rows in rows_of.items())
+        scenes = ((rows, _scene_streams(sc, len(rows))) for sc, rows in rows_of.items())
 
     def scenario_of(cfg) -> dict:
         sc = cfg.scenario
@@ -333,8 +366,8 @@ def _cmd_bench(args) -> int:
     lines: list = [None] * len(cfgs)
     printed = 0
     # One scene is read at a time.
-    for members, streams, gt_frames in scenes:
-        for i, scans in zip(members, streams):
+    for members, streams in scenes:
+        for i, (scans, gt_frames) in zip(members, streams):
             cfg = cfgs[i]
             mot, timings = run_benchmark(cfg, scans, gt_frames)
             scenario = scenario_of(cfg)

@@ -71,8 +71,10 @@ class DetectorConfig:
     confidence_threshold: float = 0.85
 
     def __post_init__(self):
+        if isinstance(self.window_stride, bool) or not isinstance(self.window_stride, int):
+            raise ValueError(f"window_stride must be an integer, got {self.window_stride!r}")
         if self.window_stride < 1:
-            raise ValueError("window_stride must be >= 1")
+            raise ValueError(f"window_stride must be >= 1, got {self.window_stride}")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError("confidence_threshold must be in [0, 1]")
 

@@ -5,12 +5,19 @@ Ground truth arrives at a higher rate than the tracker output; the evaluator
 interpolates ground truth to each hypothesis timestamp, restricts both sides
 to the sensor's field of view at the robot pose of that instant, and then
 applies the CLEAR MOT matching protocol with a fixed distance threshold.
+
+CLEAR MOT is a sum of per-frame counts, so one scorer,
+:class:`MotAccumulator`, takes the frames as they come: from a simulation
+while it runs, holding only the ground truth its unscored frames still need,
+or from whole lists through :func:`evaluate_sequence`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -275,64 +282,154 @@ def pose_lookup(gt_frames: Sequence[GroundTruthFrame]) -> Callable[[float], Pose
     return pose_at
 
 
+class MotAccumulator:
+    """CLEAR MOT over a run, one frame at a time, in the shape of
+    py-motmetrics' ``MOTAccumulator``: :meth:`update` takes each hypothesis
+    frame as it is tracked, and :meth:`finish` scores the rest and returns
+    the report.
+
+    Ground truth comes in through :attr:`gt`, a plain list that its producer
+    appends frames to, as :meth:`~lidarmot.simulator.Scenario.stream` does.
+    A hypothesis frame is scored once the list holds the ground-truth frame
+    after its time, both by frame time and by pose time, so it is matched
+    against the bracket the whole list would give it; the frames behind the
+    earliest unscored hypothesis are then deleted from :attr:`gt`. A frame
+    after the last ground-truth time is clamped or skipped only at
+    :meth:`finish`, once that time is known. A streamed run so holds a few
+    ground-truth frames whatever its length, and scores exactly as
+    :func:`evaluate_sequence` does over the whole lists.
+
+    Hypothesis frames must come in strictly increasing time order, because
+    an ID switch is judged against the previous frame's correspondence, and
+    ground-truth times must never decrease, because each hypothesis frame
+    bisects them. A ValueError names the first pair of times that breaks
+    either rule: the hypothesis rule in :meth:`update`, the ground-truth rule
+    as far as a frame's scoring reads the list, and at :meth:`finish` over
+    the rest of it.
+    """
+
+    def __init__(self, fov: FieldOfView, gt: list[GroundTruthFrame] | None = None):
+        self.fov = fov
+        self.gt: list[GroundTruthFrame] = [] if gt is None else gt
+        self.report = MotReport()
+        self._pending: deque[HypothesisFrame] = deque()
+        self._last: float | None = None
+        # gt[:_checked] is known to be in time order.
+        self._checked = 1
+        # The first ground-truth frame's time and pose time, kept once the
+        # frame itself is deleted.
+        self._start: tuple[float, float] | None = None
+        self._correspondence: dict[int, int] = {}
+
+    def update(self, hyp: HypothesisFrame) -> None:
+        """Take the next hypothesis frame and score every frame whose
+        ground truth is in."""
+        if self._last is not None and not hyp.timestamp > self._last:
+            raise ValueError(
+                f"hypothesis frames must be in strictly increasing time order: the frame "
+                f"at t={hyp.timestamp!r} follows the one at t={self._last!r}"
+            )
+        self._last = hyp.timestamp
+        self._pending.append(hyp)
+        self._score(final=False)
+
+    def finish(self) -> MotReport:
+        """Score the frames still waiting against the ground truth as it now
+        stands, which is taken to be complete, and return the report. Only
+        hypothesis frames are scored, so a run that saw nothing is written as
+        one empty frame per scan; with no ground truth or no hypothesis frame
+        there is nothing to score, and a ValueError says which."""
+        if not self.gt:
+            raise ValueError("empty ground-truth sequence")
+        if self._last is None:
+            raise ValueError("no hypothesis frames to score")
+        self._check_order(len(self.gt))
+        self._score(final=True)
+        return self.report
+
+    def _check_order(self, upto: int) -> None:
+        gt = self.gt
+        for i in range(self._checked, min(upto, len(gt))):
+            prev_t, t = gt[i - 1].timestamp, gt[i].timestamp
+            if not t >= prev_t:
+                raise ValueError(
+                    f"ground-truth frames must not go back in time: the frame at t={t!r} "
+                    f"follows the one at t={prev_t!r}"
+                )
+        self._checked = max(self._checked, min(upto, len(gt)))
+
+    def _score(self, final: bool) -> None:
+        gt, pending = self.gt, self._pending
+        if not gt:
+            return
+        if self._start is None:
+            self._start = (gt[0].timestamp, gt[0].robot_pose.timestamp)
+        first_t, first_pose_t = self._start
+        last_t = gt[-1].timestamp
+        while pending:
+            hyp = pending[0]
+            if not first_t - GT_TIME_TOLERANCE <= hyp.timestamp or (
+                final and not hyp.timestamp <= last_t + GT_TIME_TOLERANCE
+            ):
+                pending.popleft()
+                self.report.skipped_frames += 1
+                continue
+            t = min(max(hyp.timestamp, first_t), last_t)
+            # Persons are bracketed by frame time, the robot pose by pose
+            # time. Until the finish, a frame waits for the ground-truth
+            # frame after t (a t clamped to the last time has none), even at
+            # u == 0: interpolating toward it turns a -0.0 coordinate into
+            # 0.0, and a person only that frame holds may be in tolerance.
+            k = bisect_right(gt, t, key=_frame_time)
+            kp = bisect_right(gt, t, key=_pose_time)
+            if not final and (max(k, kp) == len(gt) or t < first_pose_t):
+                return
+            self._check_order(k + 1)
+            last_pose_t = gt[-1].robot_pose.timestamp
+            if t < first_pose_t or t > last_pose_t:
+                raise ValueError(
+                    f"query time {t} outside trajectory range [{first_pose_t}, {last_pose_t}]"
+                )
+            frame = GroundTruthFrame(
+                timestamp=t,
+                persons=_interp_persons(
+                    gt[k - 1], gt[min(k, len(gt) - 1)], t, GT_TIME_TOLERANCE
+                ),
+                robot_pose=interpolate_pose([f.robot_pose for f in gt[kp - 1 : kp + 1]], t),
+            )
+            gtf, hypf = filter_by_fov_frame(frame, hyp, self.fov)
+            counts, self._correspondence = match_frame(
+                gtf, hypf, MATCH_THRESHOLD, self._correspondence
+            )
+            self.report.frames.append(counts)
+            pending.popleft()
+            cut = min(k, kp) - 1
+            if cut > 0:
+                del gt[:cut]
+                self._checked -= cut
+
+
+_frame_time = attrgetter("timestamp")
+_pose_time = attrgetter("robot_pose.timestamp")
+
+
 def evaluate_sequence(
     gt_frames: Sequence[GroundTruthFrame],
     hyp_frames: Sequence[HypothesisFrame],
     fov: FieldOfView,
 ) -> MotReport:
-    """Run the benchmark over a full recording.
-
-    For each hypothesis frame the ground truth is interpolated to its
-    timestamp, both sides are FOV-filtered, matched at
-    :data:`MATCH_THRESHOLD`, and accumulated. Only hypothesis frames are
-    scored, so a run that saw nothing is written as one empty frame per
-    scan; an empty hypothesis sequence has no times to score at and is
-    refused with a ValueError.
-
-    Hypothesis frames must come in strictly increasing time order, because
-    an ID switch is judged against the previous frame's correspondence, and
-    ground-truth times must never decrease, because each hypothesis frame
-    bisects them; a ValueError names the first pair of times that breaks
-    either rule.
+    """Score a whole recording: every hypothesis frame fed to a
+    :class:`MotAccumulator`, then the ground truth, then
+    :meth:`~MotAccumulator.finish`. For each hypothesis frame the ground
+    truth is interpolated to its timestamp, both sides are FOV-filtered,
+    matched at :data:`MATCH_THRESHOLD`, and accumulated. The accumulator's
+    rules hold: an empty sequence on either side is refused, and so are
+    hypothesis times that do not strictly increase (checked first) and
+    ground-truth times that go back, each with a ValueError. ``gt_frames``
+    is not changed.
     """
-    if not gt_frames:
-        raise ValueError("empty ground-truth sequence")
-    if not hyp_frames:
-        raise ValueError("no hypothesis frames to score")
-    for prev, hyp in zip(hyp_frames, hyp_frames[1:]):
-        if not hyp.timestamp > prev.timestamp:
-            raise ValueError(
-                f"hypothesis frames must be in strictly increasing time order: the frame "
-                f"at t={hyp.timestamp!r} follows the one at t={prev.timestamp!r}"
-            )
-    times = [f.timestamp for f in gt_frames]
-    for prev_t, t in zip(times, times[1:]):
-        if not t >= prev_t:
-            raise ValueError(
-                f"ground-truth frames must not go back in time: the frame at t={t!r} "
-                f"follows the one at t={prev_t!r}"
-            )
-    report = MotReport()
-    correspondence: dict[int, int] = {}
-    # Persons are bracketed by frame time, the robot pose by pose time.
-    pose_at = pose_lookup(gt_frames)
-    t0 = gt_frames[0].timestamp - GT_TIME_TOLERANCE
-    t1 = gt_frames[-1].timestamp + GT_TIME_TOLERANCE
-    lo_t = gt_frames[0].timestamp
-    hi_t = gt_frames[-1].timestamp
+    scorer = MotAccumulator(fov)
     for hyp in hyp_frames:
-        if not t0 <= hyp.timestamp <= t1:
-            report.skipped_frames += 1
-            continue
-        t = min(max(hyp.timestamp, lo_t), hi_t)
-        k = bisect_right(times, t)
-        lo, hi = gt_frames[k - 1], gt_frames[min(k, len(gt_frames) - 1)]
-        gt = GroundTruthFrame(
-            timestamp=t,
-            persons=_interp_persons(lo, hi, t, GT_TIME_TOLERANCE),
-            robot_pose=pose_at(t),
-        )
-        gtf, hypf = filter_by_fov_frame(gt, hyp, fov)
-        counts, correspondence = match_frame(gtf, hypf, MATCH_THRESHOLD, correspondence)
-        report.frames.append(counts)
-    return report
+        scorer.update(hyp)
+    scorer.gt.extend(gt_frames)
+    return scorer.finish()

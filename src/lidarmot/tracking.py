@@ -65,8 +65,10 @@ class TrackerConfig:
     c_init: int = 10
 
     def __post_init__(self):
+        if isinstance(self.c_init, bool) or not isinstance(self.c_init, int):
+            raise ValueError(f"c_init must be an integer, got {self.c_init!r}")
         if self.c_init < 1:
-            raise ValueError("c_init must be >= 1")
+            raise ValueError(f"c_init must be >= 1, got {self.c_init}")
 
 
 @dataclass(slots=True)

@@ -19,8 +19,8 @@ from .detection import ClusterDetector, Detection, Detector, filter_by_confidenc
 from .evaluation import (
     GroundTruthFrame,
     HypothesisFrame,
+    MotAccumulator,
     MotReport,
-    evaluate_sequence,
     pose_lookup,
 )
 from .geometry import FieldOfView, LidarScan, Pose2D, beam_wedge
@@ -154,27 +154,31 @@ def run_benchmark(
     gt_frames: list[GroundTruthFrame],
 ) -> tuple[MotReport, list[FrameTiming]]:
     """Track ``scans`` and score them against ``gt_frames`` at the CLEAR MOT
-    threshold :data:`~lidarmot.evaluation.MATCH_THRESHOLD`: the report and
-    the per-frame timings. Of each frame, only the hypothesis it is scored on
-    is kept, and the field of view is read from the first scan.
+    threshold :data:`~lidarmot.evaluation.MATCH_THRESHOLD`, in one pass: the
+    report and the per-frame timings. Each frame's hypothesis goes to a
+    :class:`~lidarmot.evaluation.MotAccumulator` as the frame is tracked,
+    and the field of view is read from the first scan.
 
-    ``scans`` may be a simulation's stream
-    (:meth:`~lidarmot.simulator.Scenario.stream`) with ``gt_frames`` the list
-    it appends to, which is read only once the stream is drained, so each
-    scan is detected and tracked as it is cast. A scan without a pose is
-    tracked at the robot pose of ``gt_frames`` as it stands when the run
-    starts, so only a recorded ground truth serves it; simulated scans carry
-    their pose. A failing source raises its error.
+    The accumulator takes ``gt_frames`` as its own list: frames may still be
+    appended to it while the run goes on, and the frames it has scored past
+    are deleted from it, so pass a copy to keep them. ``scans`` may thus be a
+    simulation's stream (:meth:`~lidarmot.simulator.Scenario.stream`) with
+    ``gt_frames`` the list it appends to; each scan is detected, tracked and
+    scored as it is cast, and the run holds a few ground-truth frames
+    whatever its duration. A scan without a pose is tracked at the robot
+    pose of ``gt_frames`` as it stands when the run starts, so only a
+    recorded ground truth serves it; simulated scans carry their pose. A
+    failing source raises its error.
     """
-    hypotheses: list[HypothesisFrame] = []
-    fov = sensor_fov(None)
+    scorer: MotAccumulator | None = None
 
-    def keep(result):
-        nonlocal fov
-        if not hypotheses:
-            fov = sensor_fov(result.scan)
-        hypotheses.append(tracks_to_hypothesis(result.scan.timestamp, result.tracks))
+    def score(result):
+        nonlocal scorer
+        if scorer is None:
+            scorer = MotAccumulator(sensor_fov(result.scan), gt_frames)
+        scorer.update(tracks_to_hypothesis(result.scan.timestamp, result.tracks))
 
-    timings = _run_serial(scans, run_cfg, keep, gt_frames)
-    report = evaluate_sequence(gt_frames, hypotheses, fov)
-    return report, timings
+    timings = _run_serial(scans, run_cfg, score, gt_frames)
+    if scorer is None:  # no scan, so nothing to score
+        scorer = MotAccumulator(sensor_fov(None), gt_frames)
+    return scorer.finish(), timings

@@ -231,10 +231,6 @@ class TestTrackOrder:
                 "frame at t=0.35 follows the one at t=0.35" in capsys.readouterr().err)
         assert not (tmp_path / "eval" / "report.json").exists()
 
-    def test_header_only_tracks_exit_2(self, tmp_path, capsys):
-        data = self.edit_tracks(tmp_path, lambda records: [])
-        assert run(["evaluate", "--in", data, "--out", tmp_path / "eval"]) == 2
-        assert "error: no hypothesis frames to score" in capsys.readouterr().err
 
 
 def test_evaluate_reads_only_the_first_scan(sim_dir, tmp_path, monkeypatch):
@@ -377,16 +373,16 @@ class TestBench:
         assert [r["mot"] for r in rows] == singles
 
     def test_bench_reaches_every_layer_hook(self, tmp_path, monkeypatch):
-        # A profiler counts each layer by rebinding these module globals and
-        # Tracker.update, so one bench job must reach every one of them
-        # through the module or the class.
+        # A profiler counts each layer by rebinding these module globals,
+        # Tracker.update and MotAccumulator.update, so one bench job must
+        # reach every one of them through the module or the class.
         sizes = {}
 
-        def count(module, name, size=lambda *args: 1):
+        def count(module, name, size=lambda *args: 1, key=None):
             original = getattr(module, name)
 
             def counted(*args, **kwargs):
-                sizes.setdefault(name, []).append(size(*args))
+                sizes.setdefault(key or name, []).append(size(*args))
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -396,15 +392,16 @@ class TestBench:
         count(detection, "cluster_detect")
         count(evaluation, "interpolate_pose")
         count(tracking.Tracker, "update")
+        count(evaluation.MotAccumulator, "update", key="score")
         # Blocks of 7 hold the 21 scans exactly, so a cast after the last
         # full block would be a call with no states.
         monkeypatch.setattr(simulator, "SCAN_BLOCK", 7)
         assert run(["bench", "--kind", "sr", "--duration", "1", "--out", tmp_path]) == 0
         # 100 ticks of 10 ms; 21 scans at 20 Hz, each detected, tracked and
-        # evaluated.
+        # scored.
         assert {name: sum(n) for name, n in sizes.items()} == {
             "step_world": 100, "raycast_scans": 21, "cluster_detect": 21, "update": 21,
-            "interpolate_pose": 21,
+            "interpolate_pose": 21, "score": 21,
         }
         assert sizes["raycast_scans"] == [7, 7, 7]
 
@@ -452,6 +449,29 @@ class TestBench:
         assert run([command, "--kind", "sr", "--duration", "2", "--out", tmp_path]) == 0
         assert len(counts) == len(alive) == 41
         assert max(counts) <= simulator.SCAN_BLOCK + 1
+
+    def test_ground_truth_held_does_not_grow_with_duration(self, tmp_path, monkeypatch):
+        # A one-row job's scorer deletes the ground truth behind its earliest
+        # unscored frame, the previous block's last scan. So when a block's
+        # first scan arrives it holds the new block's 40 ticks and the 6
+        # ticks from the previous block's last two scans: the same for 2 s
+        # as for 20 s.
+        held = []
+
+        def update(self, hyp):
+            held.append(len(self.gt))
+            return original(self, hyp)
+
+        original = evaluation.MotAccumulator.update
+        monkeypatch.setattr(evaluation.MotAccumulator, "update", update)
+        peaks = []
+        for duration in ("2", "20"):
+            held.clear()
+            out = tmp_path / duration
+            assert run(["bench", "--kind", "mr2", "--duration", duration, "--out", out]) == 0
+            peaks.append(max(held))
+        assert len(held) == 401
+        assert peaks[0] == peaks[1] == (simulator.SCAN_BLOCK + 1) * 5 + 1
 
     @pytest.mark.parametrize("command", ["bench", "simulate"])
     def test_fails_with_its_simulation(self, tmp_path, capsys, monkeypatch, command):
@@ -1008,6 +1028,26 @@ class TestErrors:
         assert capsys.readouterr().err == (
             f"error: {kind} at t={rec['t']!r}: {field} is {value!r}, not a finite number\n"
         )
+
+    @pytest.mark.parametrize("name, command, kind", [
+        ("tracks.jsonl", "evaluate", "track"),
+        ("ground_truth.jsonl", "evaluate", "ground_truth"),
+        ("ground_truth.jsonl", "bench", "ground_truth"),
+        ("scans.jsonl", "bench", "scan"),
+    ], ids=["tracks-evaluate", "ground_truth-evaluate", "ground_truth-bench", "scans-bench"])
+    def test_header_only_input_exits_2(self, sr_one_second, tmp_path, capsys, name, command,
+                                       kind):
+        # A file that holds a header and no records was refused as "no
+        # hypothesis frames to score" or "empty ground-truth sequence",
+        # naming neither the file nor the kind of record.
+        data = tmp_path / "data"
+        shutil.copytree(sr_one_second, data)
+        path = data / name
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        capsys.readouterr()
+        assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: no {kind} records\n"
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("strict", ["--strict", "--no-strict"])
     @pytest.mark.parametrize("name, command, items", [

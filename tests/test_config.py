@@ -5,6 +5,7 @@ import math
 import pytest
 
 from lidarmot.config import ConfigError, PRESETS, expand_preset, load_config
+from lidarmot.detection import DetectorConfig
 from lidarmot.pipeline import PipelineConfig
 from lidarmot.simulator import ScenarioConfig, ScriptedAgent, Segment
 from lidarmot.tracking import C_DEL, TrackerConfig
@@ -116,6 +117,10 @@ class TestConfigFiles:
             (ScenarioConfig, "seed", (-1,)),
             (ScenarioConfig, "arena", ((1.0, 2.0, 3.0), (-2.0, -2.0, 2.0, math.inf),
                                        (-2.0, math.nan, 2.0, 2.0), (2.0, -2.0, -2.0, 2.0))),
+            # From Python these were taken: a NaN c_init never initiated a
+            # track, and a hit counter could read 2.5.
+            (TrackerConfig, "c_init", (math.nan, math.inf, 2.5, True, 0)),
+            (DetectorConfig, "window_stride", (math.nan, math.inf, 2.5, True, 0)),
         ]
         for value in values
     ])

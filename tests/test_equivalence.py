@@ -13,6 +13,7 @@ tells -0.0 from 0.0) and arrays through their bytes and dtype.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from bisect import bisect_right
@@ -41,6 +42,7 @@ from lidarmot.detection import (
 from lidarmot.evaluation import (
     GroundTruthFrame,
     HypothesisFrame,
+    MotAccumulator,
     MotReport,
     _interp_persons,
     evaluate_sequence,
@@ -1413,6 +1415,35 @@ def query_times(frames, rng):
     )
 
 
+def gated_scene(rng: np.random.Generator, pose_lag: float = 0.0):
+    """Ground truth and tracks at query times for a 2 m match threshold, at
+    which the random tracks match often. Two more persons stand on exact
+    coordinates. Person 6 keeps track 10, which is exactly 2 m away on odd
+    frames, when track 11 lies nearer; person 7 meets a new track exactly
+    2 m away on every frame. So the gate at the threshold decides both kept
+    and new correspondences."""
+    standing = ((6, PointXY(-3.0, 0.5, frame="odom")), (7, PointXY(-1.0, -2.5, frame="odom")))
+    gt = [
+        dataclasses.replace(f, persons=f.persons + standing)
+        for f in random_ground_truth(rng, pose_lag=pose_lag)
+    ]
+    hyp = []
+    for i, t in enumerate(query_times(gt, rng)):
+        tracks = tuple(
+            (tid, PointXY(*rng.uniform(-4, 4, 2), frame="odom"))
+            for tid in range(int(rng.integers(0, 7)))
+            if tid != i % 5
+        )
+        tracks += (
+            (10, PointXY(-3.0 - (1.75, 2.0, 2.25, 2.0)[i % 4], 0.5, frame="odom")),
+            (100 + i, PointXY(-1.0, -4.5, frame="odom")),
+        )
+        if i % 2:
+            tracks += ((11, PointXY(-3.0, 1.5, frame="odom")),)
+        hyp.append(HypothesisFrame(t, tracks))
+    return gt, hyp
+
+
 def resampled_ground_truth(gt_frames, times, monkeypatch) -> list[str]:
     """The ground-truth frames evaluate_sequence builds for hypothesis frames
     at ``times``, as frame keys."""
@@ -1444,36 +1475,83 @@ class TestEvaluatorEquivalence:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_evaluate_sequence(self, seed, monkeypatch):
-        # At a 2 m threshold the random tracks match often. Two more persons
-        # stand on exact coordinates. Person 6 keeps track 10, which is
-        # exactly 2 m away on odd frames, when track 11 lies nearer; person
-        # 7 meets a new track exactly 2 m away on every frame. So the gate
-        # at the threshold decides both kept and new correspondences.
         monkeypatch.setattr(evaluation, "MATCH_THRESHOLD", 2.0)
-        rng = np.random.default_rng(300 + seed)
-        standing = ((6, PointXY(-3.0, 0.5, frame="odom")), (7, PointXY(-1.0, -2.5, frame="odom")))
-        gt = [
-            dataclasses.replace(f, persons=f.persons + standing)
-            for f in random_ground_truth(rng)
-        ]
-        hyp = []
-        for i, t in enumerate(query_times(gt, rng)):
-            tracks = tuple(
-                (tid, PointXY(*rng.uniform(-4, 4, 2), frame="odom"))
-                for tid in range(int(rng.integers(0, 7)))
-                if tid != i % 5
-            )
-            tracks += (
-                (10, PointXY(-3.0 - (1.75, 2.0, 2.25, 2.0)[i % 4], 0.5, frame="odom")),
-                (100 + i, PointXY(-1.0, -4.5, frame="odom")),
-            )
-            if i % 2:
-                tracks += ((11, PointXY(-3.0, 1.5, frame="odom")),)
-            hyp.append(HypothesisFrame(t, tracks))
+        gt, hyp = gated_scene(np.random.default_rng(300 + seed))
         got = evaluate_sequence(gt, hyp, FOV)
         ref = ref_evaluate_sequence(gt, hyp, FOV, threshold=2.0)
         assert repr(got) == repr(ref)
         assert got.skipped_frames == 2 and got.frames
+
+    @pytest.mark.parametrize("pose_lag", [0.0, 0.004])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_accumulator_fed_as_a_stream(self, seed, pose_lag, monkeypatch):
+        # Ground truth comes in chunks, and each hypothesis frame just
+        # before the ground-truth frame after its time, as the last scan of
+        # a cast block does: so every frame waits, also at u == 0 (the
+        # frame times among the query times). Every third frame comes up to
+        # 8 frames earlier, further ahead of the ground truth than the
+        # tolerance. Person 8 stands at x = -0.0, which interpolating toward
+        # the next frame turns into 0.0. Times fall before the first and
+        # after the last frame, inside and outside the tolerance, and
+        # persons 1 to 3 leave and come back. Robot poses may be stamped
+        # after their frames.
+        monkeypatch.setattr(evaluation, "MATCH_THRESHOLD", 2.0)
+        rng = np.random.default_rng(600 + seed)
+        at_minus_zero = ((8, PointXY(-0.0, 1.5, frame="odom")),)
+        gt, hyp = gated_scene(rng, pose_lag)
+        gt = [dataclasses.replace(f, persons=f.persons + at_minus_zero) for f in gt]
+        times = [f.timestamp for f in gt]
+        lo, hi = times[0], times[-1]
+        # Person 3 is back at frames 8 and 71, inside the tolerance of 7 and
+        # 70, so the frames after those two must be read.
+        hyp = sorted(hyp + [HypothesisFrame(times[k], ()) for k in (7, 70)],
+                     key=lambda h: h.timestamp)
+        if pose_lag:  # a time before the first pose has none; see below
+            hyp = [h for h in hyp if not lo - 0.02 <= h.timestamp < lo + pose_lag]
+        expected = [
+            frame_key(ref_interpolate_ground_truth(gt, min(max(h.timestamp, lo), hi), 0.02))
+            for h in hyp if lo - 0.02 <= h.timestamp <= hi + 0.02
+        ]
+        assert sum("(8, PointXY(x=0.0, y=1.5" in key for key in expected) == len(expected)
+        seen = []
+
+        def capture(gt, hyp, fov):
+            seen.append(frame_key(gt))
+            return filter_by_fov_frame(gt, hyp, fov)
+
+        monkeypatch.setattr(evaluation, "filter_by_fov_frame", capture)
+        due = list(itertools.accumulate(
+            (max(bisect_right(times, h.timestamp) - (8 if i % 3 == 0 else 0), 0)
+             for i, h in enumerate(hyp)),
+            max,
+        ))
+        cuts = sorted({0, len(gt), *due, *rng.integers(0, len(gt), 30).tolist()})
+        scorer = MotAccumulator(FOV)
+        held, j = [], 0
+        for start, end in zip(cuts, cuts[1:] + [None]):
+            while j < len(hyp) and due[j] == start:
+                scorer.update(hyp[j])
+                held.append(len(scorer.gt))
+                j += 1
+            scorer.gt.extend(gt[start:end])
+        got = scorer.finish()
+        assert seen == expected
+        assert repr(got) == repr(ref_evaluate_sequence(gt, hyp, FOV, threshold=2.0))
+        assert got.skipped_frames == 2 and len(got.frames) == len(expected)
+        # The frames scored past were let go.
+        assert max(held) < len(gt) // 2
+        if pose_lag:
+            # A time before the first pose waits for the whole ground truth
+            # and is refused as the trajectory lookup refuses it.
+            early = HypothesisFrame(0.0, ())
+            with pytest.raises(ValueError) as ref_err:
+                ref_evaluate_sequence(gt, [early], FOV)
+            scorer = MotAccumulator(FOV, gt[:3])
+            scorer.update(early)
+            scorer.gt.extend(gt[3:])
+            with pytest.raises(ValueError) as err:
+                scorer.finish()
+            assert str(err.value) == str(ref_err.value)
 
     @pytest.mark.parametrize("threshold", [0.3, 0.75, 2.0])
     def test_match_frame(self, threshold):

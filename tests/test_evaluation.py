@@ -7,6 +7,7 @@ import pytest
 from lidarmot.evaluation import (
     GroundTruthFrame,
     HypothesisFrame,
+    MotAccumulator,
     MotReport,
     evaluate_sequence,
     filter_by_fov_frame,
@@ -300,6 +301,16 @@ class TestEvaluateSequence:
         gt = [gt_frame(t, [(1, 1.0, 0.5)]) for t in times]
         with pytest.raises(ValueError, match=rf"t={later} follows the one at t={earlier}$"):
             evaluate_sequence(gt, [hyp_frame(0.0, [(1, 1.0, 0.5)])], FOV)
+
+    def test_streamed_ground_truth_order_checked_as_it_is_read(self):
+        # A producer whose clock goes back is refused, with the message a
+        # whole list gets, by the first update that reads past the bad pair,
+        # before the run ends.
+        scorer = MotAccumulator(FOV, [gt_frame(t, [(1, 1.0, 0.5)])
+                                      for t in (0.0, 0.01, 0.005, 0.02, 0.03)])
+        scorer.update(hyp_frame(0.0, []))
+        with pytest.raises(ValueError, match=r"t=0.005 follows the one at t=0.01$"):
+            scorer.update(hyp_frame(0.015, []))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from lidarmot import pipeline
+from lidarmot import pipeline, simulator
 from lidarmot.config import load_config
 from lidarmot.evaluation import evaluate_sequence
 from lidarmot.geometry import LidarScan, PointXY
@@ -393,13 +393,15 @@ def test_batch_run_tracking_raises_its_source_error():
 
 
 @pytest.mark.parametrize("kind", ["sr", "mr2"])
-def test_run_benchmark_scores_what_run_tracking_keeps(kind):
-    # Only each frame's hypothesis is held, and scored as run_tracking's.
+def test_run_benchmark_scores_what_run_tracking_keeps(kind, monkeypatch):
+    # Each frame's hypothesis is scored as it is tracked, as run_tracking's
+    # are scored over the whole lists.
     scenario = replace(load_config("config-1").scenario, kind=kind, duration=5.0)
     scans, gt = run_scenario(scenario)
     for preset in ("config-1", "config-2", "config-3"):
         cfg = replace(load_config(preset), scenario=scenario)
-        report, timings = run_benchmark(cfg, scans=scans, gt_frames=gt)
+        # The scorer deletes the frames it has scored past from its list.
+        report, timings = run_benchmark(cfg, scans=scans, gt_frames=list(gt))
         tracked = run_tracking(scans, cfg, gt_frames=gt).tracks_by_frame
         ref = evaluate_sequence(
             gt, [tracks_to_hypothesis(t, tracks) for t, tracks in tracked], sensor_fov(scans[0])
@@ -407,11 +409,15 @@ def test_run_benchmark_scores_what_run_tracking_keeps(kind):
         assert report.frames == ref.frames
         assert report.skipped_frames == ref.skipped_frames
         assert [t.timestamp for t in timings] == [s.timestamp for s in scans]
-    # A streamed scene, its ground truth filled as it is cast, scores as the
-    # listed one.
-    streamed_gt = []
-    streamed, _ = run_benchmark(cfg, Scenario(scenario).stream(streamed_gt), streamed_gt)
-    assert streamed.frames == report.frames
+    # A streamed scene, its ground truth filled as it is cast and scored as
+    # the frame after each scan arrives, scores as the listed one, however
+    # many scans a cast block holds. 5 s at 20 Hz is 101 scans: blocks of 7
+    # and of the default 8 leave a partial last block.
+    for block in (1, 7, simulator.SCAN_BLOCK):
+        monkeypatch.setattr(simulator, "SCAN_BLOCK", block)
+        streamed_gt = []
+        streamed, _ = run_benchmark(cfg, Scenario(scenario).stream(streamed_gt), streamed_gt)
+        assert repr(streamed) == repr(report)
 
 
 @pytest.mark.parametrize("pipelined", [False, True], ids=["serial", "pipelined"])

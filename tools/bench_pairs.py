@@ -210,7 +210,12 @@ def main(argv=None) -> int:
             "scenes are cast through simulator.raycast_scans (ROADMAP item 0). "
             "simulator.run_scenario_s does not cover lidarmot bench, which simulates "
             "through simulator.Scenario.stream: it reads 0 for offline-mr2, where it is "
-            "unmeasured, and covers only the set-up of replay-crowd and live-crowd"
+            "unmeasured, and covers only the set-up of replay-crowd and live-crowd. "
+            "evaluation.evaluate_sequence_s, .gt_frames and .hyp_frames read 0 for "
+            "offline-mr2 in the same way, because lidarmot bench scores each frame as it is "
+            "tracked (evaluation.MotAccumulator.update) and never calls "
+            "evaluation.evaluate_sequence; evaluation.gt_poses_scanned still counts its "
+            "pose lookups"
         )
         for side in sides:
             result[side]["per_layer"] = metric_summaries(traces[side], layers)
