@@ -15,9 +15,9 @@ from lidarmot.workflows import run_tracking
 
 cfg = expand_preset("config-3")  # c_init=5: quick to initiate
 scenario = ScenarioConfig(kind="sr", duration=20.0, seed=5)
-scans, ground_truth = run_scenario(scenario)
+scans, _ = run_scenario(scenario)
 
-run = run_tracking(scans, cfg, gt_frames=ground_truth)
+run = run_tracking(scans, cfg)
 
 ids_seen = Counter()
 for ts, tracks in run.tracks_by_frame:

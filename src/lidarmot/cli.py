@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import bisect
 import contextlib
-import itertools
 import os
 import sys
 from pathlib import Path
@@ -26,7 +25,9 @@ from .geometry import LidarScan
 from .pipeline import VELOCITY_GATE, PipelineConfig, paced, run_pipeline
 from .report import build_report, mot_section, timing_section, write_report
 from .simulator import PlacementError
-from .workflows import bind_stages, build_detector, run_benchmark, scan_period_ms, sensor_fov
+from .workflows import (
+    bind_stages, build_detector, run_benchmark, scan_period_ms, sensor_fov, with_poses,
+)
 
 SCANS_FILE = "scans.jsonl"
 GROUND_TRUTH_FILE = "ground_truth.jsonl"
@@ -139,21 +140,37 @@ def _cmd_detect(args) -> int:
     return 0
 
 
+def _with_poses(scans: list[LidarScan], gt_path: Path, strict: bool, gt_frames=None) -> list:
+    """``scans``, each scan without a pose given the robot pose of the ground
+    truth in ``gt_path`` at its time (:func:`~lidarmot.workflows.with_poses`);
+    ``gt_frames`` are that file's frames when they are already read. The file
+    is read only when a scan lacks a pose, and without it the scans stay as
+    they are. Ground truth that cannot pose every scan is refused, naming the
+    file."""
+    if all(s.pose is not None for s in scans) or not gt_path.exists():
+        return scans
+    if gt_frames is None:
+        gt_frames = _read(gt_path, "ground_truth", ds.record_to_ground_truth, strict)
+    _require_records(gt_frames, gt_path, "ground_truth")
+    try:
+        return with_poses(scans, gt_frames)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{gt_path}: {exc}") from None
+
+
 def _track_and_write(args, cfg, frames, detector, out: Path, realtime: bool = False):
     """Track ``frames`` with ``detector`` and write each frame's tracks and
     obstacles to ``out``; returns the run's summary. A frame without a pose
-    is tracked at the ground-truth robot pose when the input directory holds
-    ground truth, by :func:`~lidarmot.workflows.pose_for_scan`.
+    is first given the ground-truth robot pose when the input directory holds
+    ground truth (:func:`_with_poses`), and the run tracks each frame at its
+    pose.
 
     Without ``realtime`` this is a batch job: serial, with every frame
     processed. ``realtime`` offers the frames at their recorded times, like a
     live sensor, to the pipelined runtime, which sheds the oldest when it
     falls behind."""
-    gt_path = _in_dir(args) / GROUND_TRUTH_FILE
-    gt_frames = None
-    if gt_path.exists() and any(f.pose is None for f in frames):
-        gt_frames = _read(gt_path, "ground_truth", ds.record_to_ground_truth, args.strict)
-    detect_fn, track_fn = bind_stages(cfg, detector, gt_frames)
+    frames = _with_poses(frames, _in_dir(args) / GROUND_TRUTH_FILE, args.strict)
+    detect_fn, track_fn = bind_stages(cfg, detector)
     pipe_cfg = PipelineConfig(pipelined=realtime, drop_stale=realtime)
     source = paced(frames) if realtime else frames
 
@@ -292,37 +309,18 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
-def _scene_streams(scenario, n: int) -> list:
-    """``n`` ``(scans, gt)`` pairs over one simulation of ``scenario``, one
-    per ``bench`` row: the row's scan stream and the ground-truth list that
-    :func:`~lidarmot.workflows.run_benchmark`'s scorer owns, which has every
-    frame the stream has reached. A lone row takes the simulation's own
-    stream and list, so it holds one cast block of scans and the few
-    ground-truth frames its scorer still needs. ``n`` > 1 rows share the
-    simulation through one tee, which keeps every scan until the last row
-    has read it, and the simulation's list keeps the whole ground truth; each
-    row's list takes pointers to its frames as the row's stream reaches
-    them."""
+def _scene(scenario, n_rows: int) -> tuple:
+    """One simulation of ``scenario`` for ``n_rows`` ``bench`` rows, as
+    ``(scans, gt)``. A lone row streams it: ``scans`` is
+    :meth:`~lidarmot.simulator.Scenario.stream` and ``gt`` the list it
+    appends to, which the row's scorer owns, so the row holds one cast block
+    of scans and the few ground-truth frames its scorer still needs. Rows
+    that share the scene take it as lists, from
+    :func:`~lidarmot.simulator.run_scenario`, as they take a recording."""
+    if n_rows > 1:
+        return simulator.run_scenario(scenario)
     gt: list = []
-    stream = simulator.Scenario(scenario).stream(gt)
-    if n == 1:
-        return [(stream, gt)]
-    pairs = []
-    for scans in itertools.tee(stream, n):
-        own: list = []
-        pairs.append((_extending(scans, gt, own), own))
-    return pairs
-
-
-def _extending(scans, source: list, own: list):
-    """``scans``, with ``own`` extended before each scan, and once they
-    end, by the frames appended to ``source`` since the last extension."""
-    seen = 0
-    for scan in scans:
-        own.extend(source[seen:])
-        seen = len(source)
-        yield scan
-    own.extend(source[seen:])
+    return simulator.Scenario(scenario).stream(gt), gt
 
 
 def _cmd_bench(args) -> int:
@@ -342,21 +340,20 @@ def _cmd_bench(args) -> int:
         gt_frames = _read(gt_path, "ground_truth", ds.record_to_ground_truth, args.strict)
         _require_records(gt_frames, gt_path, "ground_truth")
         _require_records(scans, scans_path, "scan")
+        scans = _with_poses(scans, gt_path, args.strict, gt_frames)
         # A recording's scenario is its own, whatever the settings say.
         recording = {
             "kind": meta.get("kind"),
             "seed": meta.get("seed"),
             "duration": scans[-1].timestamp - scans[0].timestamp,
         }
-        # Each row's scorer takes its own list of the recording's frames.
-        copies = map(list, itertools.repeat(gt_frames))
-        scenes = [(range(len(cfgs)), zip(itertools.repeat(scans), copies))]
+        scenes = [(range(len(cfgs)), (scans, gt_frames))]
     else:
         # Presets that share scenario settings share one simulation.
         rows_of: dict = {}
         for i, cfg in enumerate(cfgs):
             rows_of.setdefault(cfg.scenario, []).append(i)
-        scenes = ((rows, _scene_streams(sc, len(rows))) for sc, rows in rows_of.items())
+        scenes = ((rows, _scene(sc, len(rows))) for sc, rows in rows_of.items())
 
     def scenario_of(cfg) -> dict:
         sc = cfg.scenario
@@ -366,10 +363,13 @@ def _cmd_bench(args) -> int:
     lines: list = [None] * len(cfgs)
     printed = 0
     # One scene is read at a time.
-    for members, streams in scenes:
-        for i, (scans, gt_frames) in zip(members, streams):
+    for members, (scans, gt_frames) in scenes:
+        for i in members:
             cfg = cfgs[i]
-            mot, timings = run_benchmark(cfg, scans, gt_frames)
+            # A scorer deletes from its list, so each row but the scene's
+            # last scores a copy.
+            own = gt_frames if i == members[-1] else list(gt_frames)
+            mot, timings = run_benchmark(cfg, scans, own)
             scenario = scenario_of(cfg)
             row = {
                 "preset": cfg.preset,
@@ -390,7 +390,7 @@ def _cmd_bench(args) -> int:
                 f"(ID {mot.total_id_switches}  Miss {mot.total_misses}  "
                 f"FP {mot.total_false_positives}  g {mot.total_g})"
             )
-        del streams, scans, gt_frames, timings
+        del scans, gt_frames, own, timings
         # Lines come in row order, each once the rows before it are done.
         while printed < len(lines) and lines[printed] is not None:
             print(lines[printed])

@@ -58,7 +58,7 @@ def measure_initiation(run_cfg: RunConfig, scenario: ScenarioConfig) -> Initiati
     """Run an :func:`emergence_scenario` through detector and tracker and
     measure how long after first detectability the track reaches initiated
     status."""
-    scans, gt, labels = run_scenario(scenario, labels=True)
+    scans, _, labels = run_scenario(scenario, labels=True)
     first_visible = None
     for scan, lab in zip(scans, labels):
         if int((lab == EMERGING_PERSON_ID).sum()) >= VISIBLE_BEAMS:
@@ -66,7 +66,7 @@ def measure_initiation(run_cfg: RunConfig, scenario: ScenarioConfig) -> Initiati
             break
     if first_visible is None:
         raise RuntimeError("person never became visible; check the scenario")
-    tracking = run_tracking(scans, run_cfg, gt_frames=gt)
+    tracking = run_tracking(scans, run_cfg)
     first_initiated = next(
         (t for t, tracks in tracking.tracks_by_frame if tracks), None
     )

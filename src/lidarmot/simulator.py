@@ -185,8 +185,11 @@ class ScenarioConfig:
                 f"got {self.duration}"
             )
         for name in ("n_persons", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         # The messages name the field in the words a config file's type
         # check uses.
         if not (isinstance(self.arena, (tuple, list)) and len(self.arena) == 4):

@@ -1,7 +1,8 @@
 """End-to-end compositions shared by the command-line tools and the
 benchmark: detector construction, the sensor's field of view and scan period
-as the scans give them, the detect and track stages of a run, serial
-tracking over a scan stream, and the track/evaluate bundle.
+as the scans give them, the sensor poses of recorded scans, the detect and
+track stages of a run, serial tracking over a scan stream, and the
+track/evaluate bundle.
 
 :func:`bind_stages` is the one place the frame chain is assembled; every
 run drives it through :func:`lidarmot.pipeline.run_pipeline`. Serial batch
@@ -11,7 +12,7 @@ yields the identical result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from .config import RunConfig
@@ -89,23 +90,41 @@ def tracks_to_hypothesis(timestamp: float, tracks: list[Track]) -> HypothesisFra
     )
 
 
-def bind_stages(
-    run_cfg: RunConfig,
-    detector: Detector | None = None,
-    gt_frames: list[GroundTruthFrame] | None = None,
-) -> tuple[DetectFn, TrackFn]:
+def with_poses(scans: Iterable[LidarScan], gt_frames: Sequence[GroundTruthFrame]) -> list:
+    """``scans`` with each scan that has no pose given the robot pose of
+    ``gt_frames`` at its time, by :func:`pose_for_scan` over a
+    :func:`~lidarmot.evaluation.pose_lookup`; posed scans are kept as they
+    are. Empty ground truth, or a scan without a pose outside its time span,
+    raises ``ValueError``."""
+    gt_pose_at = pose_lookup(gt_frames)
+    first, last = gt_frames[0].robot_pose.timestamp, gt_frames[-1].robot_pose.timestamp
+    posed = []
+    for scan in scans:
+        if scan.pose is None:
+            if not first <= scan.timestamp <= last:
+                raise ValueError(
+                    f"the scan at t={scan.timestamp!r} has no pose, and the ground truth "
+                    f"spans only [{first!r}, {last!r}] s"
+                )
+            scan = replace(scan, pose=pose_for_scan(scan, gt_pose_at))
+        posed.append(scan)
+    return posed
+
+
+def bind_stages(run_cfg: RunConfig, detector: Detector | None = None) -> tuple[DetectFn, TrackFn]:
     """The two stages of a run: the detector followed by the confidence
-    gate, and the sensor pose lookup followed by a fresh tracker's update."""
+    gate, and a fresh tracker's update at the scan's pose (the identity for
+    a scan without one; :func:`with_poses` settles a recording's poses
+    before its run)."""
     detector = detector or build_detector(run_cfg)
     tracker = Tracker(run_cfg.tracker)
     threshold = run_cfg.detector.confidence_threshold
-    gt_pose_at = pose_lookup(gt_frames) if gt_frames else None
 
     def detect_fn(scan: LidarScan) -> list[Detection]:
         return filter_by_confidence(detector(scan), threshold)
 
     def track_fn(scan: LidarScan, detections: list[Detection]) -> list[Track]:
-        return tracker.update(detections, pose_for_scan(scan, gt_pose_at), scan.timestamp)
+        return tracker.update(detections, pose_for_scan(scan, None), scan.timestamp)
 
     return detect_fn, track_fn
 
@@ -114,13 +133,12 @@ def _run_serial(
     scans: Iterable[LidarScan],
     run_cfg: RunConfig,
     sink: Callable[[FrameResult], None],
-    gt_frames: list[GroundTruthFrame] | None = None,
 ) -> list[FrameTiming]:
     """Every scan, in order, through the detect and track stages on the
     calling thread, each frame's result handed to ``sink``. A source that
     fails fails the run: its exception is raised here, once the frames before
     it are handled."""
-    detect_fn, track_fn = bind_stages(run_cfg, gt_frames=gt_frames)
+    detect_fn, track_fn = bind_stages(run_cfg)
     serial = PipelineConfig(pipelined=False, drop_stale=False)
     summary = run_pipeline(scans, detect_fn, track_fn, serial, sinks=[sink])
     if summary.exception is not None:
@@ -128,15 +146,10 @@ def _run_serial(
     return summary.timings
 
 
-def run_tracking(
-    scans: Iterable[LidarScan],
-    run_cfg: RunConfig,
-    gt_frames: list[GroundTruthFrame] | None = None,
-) -> TrackingRun:
+def run_tracking(scans: Iterable[LidarScan], run_cfg: RunConfig) -> TrackingRun:
     """Every scan, in order, through the detect and track stages on the
-    calling thread, with every frame's tracks and obstacles kept.
-    A scan without a pose is tracked at the robot pose of ``gt_frames``. A
-    failing source raises its error."""
+    calling thread, with every frame's tracks and obstacles kept. Each scan
+    is tracked at its own pose. A failing source raises its error."""
     out = TrackingRun()
 
     def collect(result):
@@ -144,7 +157,7 @@ def run_tracking(
         out.tracks_by_frame.append((t, result.tracks))
         out.obstacles_by_frame.append((t, result.obstacles))
 
-    out.timings = _run_serial(scans, run_cfg, collect, gt_frames)
+    out.timings = _run_serial(scans, run_cfg, collect)
     return out
 
 
@@ -165,10 +178,8 @@ def run_benchmark(
     simulation's stream (:meth:`~lidarmot.simulator.Scenario.stream`) with
     ``gt_frames`` the list it appends to; each scan is detected, tracked and
     scored as it is cast, and the run holds a few ground-truth frames
-    whatever its duration. A scan without a pose is tracked at the robot
-    pose of ``gt_frames`` as it stands when the run starts, so only a
-    recorded ground truth serves it; simulated scans carry their pose. A
-    failing source raises its error.
+    whatever its duration. ``gt_frames`` is only scored against: each scan
+    is tracked at its own pose. A failing source raises its error.
     """
     scorer: MotAccumulator | None = None
 
@@ -178,7 +189,7 @@ def run_benchmark(
             scorer = MotAccumulator(sensor_fov(result.scan), gt_frames)
         scorer.update(tracks_to_hypothesis(result.scan.timestamp, result.tracks))
 
-    timings = _run_serial(scans, run_cfg, score, gt_frames)
+    timings = _run_serial(scans, run_cfg, score)
     if scorer is None:  # no scan, so nothing to score
         scorer = MotAccumulator(sensor_fov(None), gt_frames)
     return scorer.finish(), timings

@@ -60,7 +60,7 @@ def scenario_run(kind, preset, seed, duration=120.0):
     )
     start = time.perf_counter()
     scans, gt = run_scenario(cfg.scenario)
-    tracking = run_tracking(scans, cfg, gt_frames=gt)
+    tracking = run_tracking(scans, cfg)
     hypotheses = [tracks_to_hypothesis(t, tracks) for t, tracks in tracking.tracks_by_frame]
     report = evaluate_sequence(gt, hypotheses, cfg.scenario.lidar.fov())
     elapsed = time.perf_counter() - start

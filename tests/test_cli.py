@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import lidarmot
 from lidarmot import dataset as ds
-from lidarmot import detection, evaluation, pipeline, simulator, tracking
+from lidarmot import detection, evaluation, pipeline, simulator, tracking, workflows
 from lidarmot.cli import build_parser, run_cli
 from lidarmot.config import load_config
 from lidarmot.detection import Detection
@@ -652,6 +652,48 @@ class TestPoseRule:
         assert run(["track", "--in", bare, "--preset", "config-2", "--out", bare]) == 0
         for name in TestOneFrameLoop.FILES:
             assert (bare / name).read_bytes() == (data / name).read_bytes()
+
+    @pytest.mark.parametrize("posed, lookups", [(True, 0), (False, 1)],
+                             ids=["posed", "poseless"])
+    def test_recording_poses_settled_once(self, mr2_dir, poseless, tmp_path, monkeypatch,
+                                          posed, lookups):
+        # A sweep's rows share the recording's scans, so their poses are
+        # settled once for all rows, and not at all when the scans carry them.
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return pose_lookup(*args)
+
+        pose_lookup = workflows.pose_lookup
+        monkeypatch.setattr(workflows, "pose_lookup", counted)
+        assert run(["bench", "--in", mr2_dir if posed else poseless,
+                    "--preset", "config-1,config-2,config-3", "--out", tmp_path]) == 0
+        assert len(calls) == lookups
+
+    @pytest.mark.parametrize("until, expected", [
+        # The scans run 1.05 s past the last ground-truth pose. This exited 2
+        # with only the pose lookup's message, which named no file.
+        (1.0, "the scan at t=1.05 has no pose, and the ground truth spans only [0.0, 1.0] s"),
+        # pipeline and track tracked every scan at the origin.
+        (-1.0, "no ground_truth records"),
+    ], ids=["cut", "header-only"])
+    @pytest.mark.parametrize("command", ["pipeline", "track", "bench"])
+    def test_ground_truth_that_cannot_pose_a_scan_refused_by_file(
+        self, tmp_path, capsys, command, until, expected
+    ):
+        source = tmp_path / "source"
+        assert run(["simulate", "--kind", "sr", "--seed", "2", "--duration", "2",
+                    "--out", source]) == 0
+        assert run(["detect", "--in", source, "--out", source]) == 0
+        data = with_every_scan(source, tmp_path / "data", "pose", None)
+        gt_path = data / "ground_truth.jsonl"
+        header, *records = gt_path.read_text().splitlines()
+        kept = [line for line in records if json.loads(line)["t"] <= until]
+        gt_path.write_text("\n".join([header, *kept]) + "\n")
+        capsys.readouterr()
+        assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {gt_path}: {expected}\n"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "bench"])

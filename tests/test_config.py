@@ -115,6 +115,10 @@ class TestConfigFiles:
             # These died in numpy or in an unpacking error that named no
             # field.
             (ScenarioConfig, "seed", (-1,)),
+            # From Python these died in a TypeError that named no field, and
+            # a True n_persons simulated one person.
+            (ScenarioConfig, "n_persons", (2.5, math.nan, True)),
+            (ScenarioConfig, "seed", (2.5, math.nan, True)),
             (ScenarioConfig, "arena", ((1.0, 2.0, 3.0), (-2.0, -2.0, 2.0, math.inf),
                                        (-2.0, math.nan, 2.0, 2.0), (2.0, -2.0, -2.0, 2.0))),
             # From Python these were taken: a NaN c_init never initiated a

@@ -402,7 +402,7 @@ def test_run_benchmark_scores_what_run_tracking_keeps(kind, monkeypatch):
         cfg = replace(load_config(preset), scenario=scenario)
         # The scorer deletes the frames it has scored past from its list.
         report, timings = run_benchmark(cfg, scans=scans, gt_frames=list(gt))
-        tracked = run_tracking(scans, cfg, gt_frames=gt).tracks_by_frame
+        tracked = run_tracking(scans, cfg).tracks_by_frame
         ref = evaluate_sequence(
             gt, [tracks_to_hypothesis(t, tracks) for t, tracks in tracked], sensor_fov(scans[0])
         )

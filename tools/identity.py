@@ -18,6 +18,10 @@ digits), and exits 1 if any output differs. The set:
   scene; and, with their ``metadata.source`` (a temporary directory)
   masked, the ``report.json`` of ``evaluate`` on the pipeline's tracks and
   of ``bench --in`` on the recording;
+- the crowd recording with its scans' poses removed, which every command
+  tracks at the ground-truth robot pose: ``tracks.jsonl`` and
+  ``obstacles.jsonl`` from ``pipeline``, and the ``report.json`` of
+  ``bench --in`` with its ``metadata.source`` masked;
 - ``run_scenario(cfg, labels=True)`` for sr, mr1 and mr2, seeds 1-3 (20 s),
   for the crowd scene, where ten persons walk among the furniture, and for
   the hand-built ``custom`` kind, ``experiments.emergence_scenario(seed)``
@@ -91,6 +95,17 @@ def masked_digest(path: Path) -> str:
     return short_digest(json.dumps(report, sort_keys=True).encode())
 
 
+def strip_poses(scans: Path, target: Path) -> None:
+    """Copy a scan file to ``target`` without each scan's ``pose``."""
+    header, *records = scans.read_text().splitlines()
+    lines = [header]
+    for line in records:
+        rec = json.loads(line)
+        rec.pop("pose", None)
+        lines.append(json.dumps(rec))
+    target.write_text("\n".join(lines) + "\n")
+
+
 def _env(checkout: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(checkout / "src")}
 
@@ -143,17 +158,26 @@ def crowd_digests(checkout: Path) -> dict:
         lidarmot(checkout, "bench", "--config", config, "--preset", "config-1", "--timings",
                  "--out", tmp / "bench")
         lidarmot(checkout, "bench", "--in", sim, "--preset", "config-1", "--out", tmp / "bench-in")
+        poseless = tmp / "poseless"
+        poseless.mkdir()
+        shutil.copy(sim / "ground_truth.jsonl", poseless)
+        strip_poses(sim / "scans.jsonl", poseless / "scans.jsonl")
+        lidarmot(checkout, "pipeline", "--in", poseless, "--preset", "config-1",
+                 "--out", tmp / "pipeline-poseless")
+        lidarmot(checkout, "bench", "--in", poseless, "--preset", "config-1",
+                 "--out", tmp / "bench-in-poseless")
 
         for name in ("scans.jsonl", "ground_truth.jsonl", "detections.jsonl"):
             out[f"crowd {name}"] = short_digest((sim / name).read_bytes())
-        for run in ("pipeline", "track", "track-no-scans"):
+        for run in ("pipeline", "track", "track-no-scans", "pipeline-poseless"):
             for name in ("tracks.jsonl", "obstacles.jsonl"):
                 out[f"crowd {run} {name}"] = short_digest((tmp / run / name).read_bytes())
         out["crowd pipeline timings.json (masked)"] = masked_digest(pipe / "timings.json")
         out["crowd bench --timings report.json (masked)"] = masked_digest(
             tmp / "bench" / "report.json"
         )
-        for run, target in (("evaluate", "evaluate"), ("bench --in", "bench-in")):
+        for run, target in (("evaluate", "evaluate"), ("bench --in", "bench-in"),
+                            ("bench --in poseless", "bench-in-poseless")):
             report = json.loads((tmp / target / "report.json").read_text())
             report["metadata"]["source"] = None
             out[f"crowd {run} report.json (source masked)"] = short_digest(
