@@ -26,7 +26,8 @@ from .pipeline import VELOCITY_GATE, PipelineConfig, paced, run_pipeline
 from .report import build_report, mot_section, timing_section, write_report
 from .simulator import PlacementError
 from .workflows import (
-    bind_stages, build_detector, run_benchmark, scan_period_ms, sensor_fov, with_poses,
+    bind_stages, build_detector, recorded_scene, run_benchmark, scan_period_ms, sensor_fov,
+    with_poses,
 )
 
 SCANS_FILE = "scans.jsonl"
@@ -84,22 +85,19 @@ def _report_skipped(stream: ds.RecordStream, path: Path) -> None:
 
 def _read_with_meta(path: Path, kind: str, decode, strict: bool) -> tuple[list, dict]:
     """Every ``kind`` record of a dataset file, decoded, in file order, and
-    the writer's metadata from its header."""
+    the writer's metadata from its header. A file without such records is
+    refused, naming the file and the record kind."""
     stream = ds.read_dataset(path, strict=strict)
     _report_skipped(stream, path)
-    return [decode(r) for r in stream.records if r.kind == kind], stream.meta
+    items = [decode(r) for r in stream.records if r.kind == kind]
+    if not items:
+        raise DatasetFormatError(f"{path}: no {kind} records")
+    return items, stream.meta
 
 
 def _read(path: Path, kind: str, decode, strict: bool) -> list:
     """Every ``kind`` record of a dataset file, decoded, in file order."""
     return _read_with_meta(path, kind, decode, strict)[0]
-
-
-def _require_records(items: list, path: Path, kind: str) -> None:
-    """Refuse ``items`` read from ``path``, naming the file and the record
-    kind, when there are none."""
-    if not items:
-        raise DatasetFormatError(f"{path}: no {kind} records")
 
 
 def _read_first(path: Path, kind: str, decode, strict: bool):
@@ -151,7 +149,6 @@ def _with_poses(scans: list[LidarScan], gt_path: Path, strict: bool, gt_frames=N
         return scans
     if gt_frames is None:
         gt_frames = _read(gt_path, "ground_truth", ds.record_to_ground_truth, strict)
-    _require_records(gt_frames, gt_path, "ground_truth")
     try:
         return with_poses(scans, gt_frames)
     except ValueError as exc:
@@ -257,8 +254,6 @@ def _cmd_evaluate(args) -> int:
     gt_path, tracks_path = in_dir / GROUND_TRUTH_FILE, in_dir / TRACKS_FILE
     gt_frames = _read(gt_path, "ground_truth", ds.record_to_ground_truth, args.strict)
     hyp = _read(tracks_path, "track", ds.record_to_hypothesis_frame, args.strict)
-    _require_records(gt_frames, gt_path, "ground_truth")
-    _require_records(hyp, tracks_path, "track")
     scans_path = in_dir / SCANS_FILE
     first = None
     if scans_path.exists():  # only the first scan, for the field of view
@@ -309,20 +304,6 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
-def _scene(scenario, n_rows: int) -> tuple:
-    """One simulation of ``scenario`` for ``n_rows`` ``bench`` rows, as
-    ``(scans, gt)``. A lone row streams it: ``scans`` is
-    :meth:`~lidarmot.simulator.Scenario.stream` and ``gt`` the list it
-    appends to, which the row's scorer owns, so the row holds one cast block
-    of scans and the few ground-truth frames its scorer still needs. Rows
-    that share the scene take it as lists, from
-    :func:`~lidarmot.simulator.run_scenario`, as they take a recording."""
-    if n_rows > 1:
-        return simulator.run_scenario(scenario)
-    gt: list = []
-    return simulator.Scenario(scenario).stream(gt), gt
-
-
 def _cmd_bench(args) -> int:
     if args.in_dir and args.seeds:
         raise ValueError("--seeds cannot be used with --in: a recording has one seed, its own")
@@ -338,8 +319,6 @@ def _cmd_bench(args) -> int:
         scans_path, gt_path = in_dir / SCANS_FILE, in_dir / GROUND_TRUTH_FILE
         scans, meta = _read_with_meta(scans_path, "scan", ds.record_to_scan, args.strict)
         gt_frames = _read(gt_path, "ground_truth", ds.record_to_ground_truth, args.strict)
-        _require_records(gt_frames, gt_path, "ground_truth")
-        _require_records(scans, scans_path, "scan")
         scans = _with_poses(scans, gt_path, args.strict, gt_frames)
         # A recording's scenario is its own, whatever the settings say.
         recording = {
@@ -347,13 +326,16 @@ def _cmd_bench(args) -> int:
             "seed": meta.get("seed"),
             "duration": scans[-1].timestamp - scans[0].timestamp,
         }
-        scenes = [(range(len(cfgs)), (scans, gt_frames))]
+        gt: list = []
+        scenes = [(range(len(cfgs)), recorded_scene(scans, gt_frames, gt), gt)]
     else:
-        # Presets that share scenario settings share one simulation.
+        # Presets that share scenario settings share one simulation, each
+        # with a fresh list that its ground truth fills as it is cast.
         rows_of: dict = {}
         for i, cfg in enumerate(cfgs):
             rows_of.setdefault(cfg.scenario, []).append(i)
-        scenes = ((rows, _scene(sc, len(rows))) for sc, rows in rows_of.items())
+        scenes = ((members, simulator.Scenario(sc).stream(gt), gt)
+                  for sc, members in rows_of.items() for gt in [[]])
 
     def scenario_of(cfg) -> dict:
         sc = cfg.scenario
@@ -362,14 +344,11 @@ def _cmd_bench(args) -> int:
     rows: list = [None] * len(cfgs)
     lines: list = [None] * len(cfgs)
     printed = 0
-    # One scene is read at a time.
-    for members, (scans, gt_frames) in scenes:
-        for i in members:
+    # One scene is read at a time, and its rows take each scan in turn.
+    for members, scans, gt_frames in scenes:
+        results = run_benchmark([cfgs[i] for i in members], scans, gt_frames)
+        for i, (mot, timings) in zip(members, results):
             cfg = cfgs[i]
-            # A scorer deletes from its list, so each row but the scene's
-            # last scores a copy.
-            own = gt_frames if i == members[-1] else list(gt_frames)
-            mot, timings = run_benchmark(cfg, scans, own)
             scenario = scenario_of(cfg)
             row = {
                 "preset": cfg.preset,
@@ -390,7 +369,6 @@ def _cmd_bench(args) -> int:
                 f"(ID {mot.total_id_switches}  Miss {mot.total_misses}  "
                 f"FP {mot.total_false_positives}  g {mot.total_g})"
             )
-        del scans, gt_frames, own, timings
         # Lines come in row order, each once the rows before it are done.
         while printed < len(lines) and lines[printed] is not None:
             print(lines[printed])

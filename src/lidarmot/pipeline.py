@@ -2,15 +2,15 @@
 tracker-to-planner export: velocity-gated dynamic obstacles, constant-velocity
 forecasts, and a closed-form collision-forecast check.
 
-:func:`run_pipeline` is the only frame loop, and tracking always runs on the
-calling thread. A live source is read on a thread of its own, which drops
-(and counts) the oldest waiting scans when the detector falls behind, so the
-stream stays fresh and ordered. In pipelined mode the detector works on scan
-i+1 on a thread of its own while the caller tracks scan i, so sustained
-throughput is bound by the slower stage rather than their sum. Scans cross
-threads as immutable snapshots through ordered queues of
-:data:`QUEUE_CAPACITY`. :func:`paced` offers a recording at its recorded
-times, as the sensor delivered it.
+:class:`FrameStep` is the one frame body, which :func:`run_pipeline` runs over
+a stream; tracking always runs on the calling thread. A live source is read on
+a thread of its own, which drops (and counts) the oldest waiting scans when
+the detector falls behind, so the stream stays fresh and ordered. In pipelined
+mode the detector works on scan i+1 on a thread of its own while the caller
+tracks scan i, so sustained throughput is bound by the slower stage rather
+than their sum. Scans cross threads as immutable snapshots through ordered
+queues of :data:`QUEUE_CAPACITY`. :func:`paced` offers a recording at its
+recorded times, as the sensor delivered it.
 """
 
 from __future__ import annotations
@@ -112,6 +112,40 @@ def _error(summary: RunSummary) -> str | None:
 
 # Set once the class is built, as ``error`` is also an init-only parameter.
 RunSummary.error = property(_error)
+
+
+@dataclass
+class FrameStep:
+    """One run's frame body: :meth:`detect` detects a scan and stamps it;
+    :meth:`track` tracks the detections, appends the frame's timing to
+    ``timings`` and hands the result to each sink. A call does both."""
+
+    detect_fn: DetectFn
+    track_fn: TrackFn
+    sinks: Sequence[Callable[[FrameResult], None]] = ()
+    timings: list[FrameTiming] = field(default_factory=list)
+
+    def __call__(self, scan: LidarScan) -> FrameResult:
+        return self.track(*self.detect(scan))
+
+    def detect(self, scan: LidarScan) -> tuple:
+        t0 = time.perf_counter()
+        return scan, self.detect_fn(scan), t0, time.perf_counter()
+
+    def track(self, scan: LidarScan, dets: list[Detection], t0: float, t1: float) -> FrameResult:
+        t2 = time.perf_counter()
+        tracks = self.track_fn(scan, dets)
+        t3 = time.perf_counter()
+        self.timings.append(FrameTiming(
+            timestamp=scan.timestamp,
+            t_det_ms=(t1 - t0) * 1e3,
+            t_track_ms=(t3 - t2) * 1e3,
+            t_lat_ms=(t3 - t0) * 1e3,
+        ))
+        result = FrameResult(scan=scan, tracks=tracks)
+        for sink in self.sinks:
+            sink(result)
+        return result
 
 
 class _Queue:
@@ -305,31 +339,17 @@ def run_pipeline(
             joined.append(thread)
         return iter(queue.get, None)
 
-    def detect(scan: LidarScan):
-        t0 = time.perf_counter()
-        return scan, detect_fn(scan), t0, time.perf_counter()
-
+    step = FrameStep(detect_fn, track_fn, sinks, summary.timings)
     source: Iterator[LidarScan] = _counted(scans, summary)
     if cfg.drop_stale:
         source = on_thread(source, "scan-ingest", drop_oldest=True)
-    frames = map(detect, source)
+    frames = map(step.detect, source)
     if cfg.pipelined:
         frames = on_thread(frames, "detector", drop_oldest=False)
 
     try:
-        for scan, dets, t0, t1 in frames:
-            t2 = time.perf_counter()
-            tracks = track_fn(scan, dets)
-            t3 = time.perf_counter()
-            summary.timings.append(FrameTiming(
-                timestamp=scan.timestamp,
-                t_det_ms=(t1 - t0) * 1e3,
-                t_track_ms=(t3 - t2) * 1e3,
-                t_lat_ms=(t3 - t0) * 1e3,
-            ))
-            result = FrameResult(scan=scan, tracks=tracks)
-            for sink in sinks:
-                sink(result)
+        for frame in frames:
+            step.track(*frame)
     except BaseException as exc:
         errors.append(exc)
     for queue in queues:

@@ -2,18 +2,19 @@
 benchmark: detector construction, the sensor's field of view and scan period
 as the scans give them, the sensor poses of recorded scans, the detect and
 track stages of a run, serial tracking over a scan stream, and the
-track/evaluate bundle.
+track/evaluate bundle of the configs that share a scene.
 
-:func:`bind_stages` is the one place the frame chain is assembled; every
-run drives it through :func:`lidarmot.pipeline.run_pipeline`. Serial batch
-runs process every scan in order, so a fixed (config, seed) pair always
-yields the identical result.
+:func:`bind_stages` is the one place the frame chain is assembled. Serial
+runs step each scan through :class:`~lidarmot.pipeline.FrameStep`, the body
+of :func:`~lidarmot.pipeline.run_pipeline`'s loop, so a fixed (config, seed)
+pair always yields the identical result.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import RunConfig
 from .detection import ClusterDetector, Detection, Detector, filter_by_confidence
@@ -25,15 +26,7 @@ from .evaluation import (
     pose_lookup,
 )
 from .geometry import FieldOfView, LidarScan, Pose2D, beam_wedge
-from .pipeline import (
-    DetectFn,
-    DynamicObstacle,
-    FrameResult,
-    FrameTiming,
-    PipelineConfig,
-    TrackFn,
-    run_pipeline,
-)
+from .pipeline import DetectFn, DynamicObstacle, FrameStep, FrameTiming, TrackFn
 from .simulator import LidarParams
 from .tracking import Track, Tracker
 
@@ -129,67 +122,67 @@ def bind_stages(run_cfg: RunConfig, detector: Detector | None = None) -> tuple[D
     return detect_fn, track_fn
 
 
-def _run_serial(
-    scans: Iterable[LidarScan],
-    run_cfg: RunConfig,
-    sink: Callable[[FrameResult], None],
-) -> list[FrameTiming]:
-    """Every scan, in order, through the detect and track stages on the
-    calling thread, each frame's result handed to ``sink``. A source that
-    fails fails the run: its exception is raised here, once the frames before
-    it are handled."""
-    detect_fn, track_fn = bind_stages(run_cfg)
-    serial = PipelineConfig(pipelined=False, drop_stale=False)
-    summary = run_pipeline(scans, detect_fn, track_fn, serial, sinks=[sink])
-    if summary.exception is not None:
-        raise summary.exception
-    return summary.timings
-
-
 def run_tracking(scans: Iterable[LidarScan], run_cfg: RunConfig) -> TrackingRun:
     """Every scan, in order, through the detect and track stages on the
     calling thread, with every frame's tracks and obstacles kept. Each scan
     is tracked at its own pose. A failing source raises its error."""
     out = TrackingRun()
-
-    def collect(result):
-        t = result.scan.timestamp
-        out.tracks_by_frame.append((t, result.tracks))
-        out.obstacles_by_frame.append((t, result.obstacles))
-
-    out.timings = _run_serial(scans, run_cfg, collect)
+    step = FrameStep(*bind_stages(run_cfg), timings=out.timings)
+    for scan in scans:
+        result = step(scan)
+        out.tracks_by_frame.append((scan.timestamp, result.tracks))
+        out.obstacles_by_frame.append((scan.timestamp, result.obstacles))
     return out
 
 
+def recorded_scene(
+    scans: Iterable[LidarScan], gt_frames: list[GroundTruthFrame], gt: list[GroundTruthFrame]
+) -> Iterator[LidarScan]:
+    """A recording's ``scans`` as a scene for :func:`run_benchmark`, filling
+    ``gt`` as :meth:`~lidarmot.simulator.Scenario.stream` does: ``gt_frames``
+    move there up to the first after each scan's time as it is read, the rest
+    at the end, so each is freed once every scorer is past it."""
+    frames = deque(gt_frames)
+    gt_frames.clear()
+    for scan in scans:
+        while frames:
+            gt.append(frames.popleft())
+            if gt[-1].timestamp > scan.timestamp:
+                break
+        yield scan
+    gt.extend(frames)
+
+
 def run_benchmark(
-    run_cfg: RunConfig,
+    run_cfgs: Sequence[RunConfig],
     scans: Iterable[LidarScan],
     gt_frames: list[GroundTruthFrame],
-) -> tuple[MotReport, list[FrameTiming]]:
-    """Track ``scans`` and score them against ``gt_frames`` at the CLEAR MOT
-    threshold :data:`~lidarmot.evaluation.MATCH_THRESHOLD`, in one pass: the
-    report and the per-frame timings. Each frame's hypothesis goes to a
-    :class:`~lidarmot.evaluation.MotAccumulator` as the frame is tracked,
-    and the field of view is read from the first scan.
-
-    The accumulator takes ``gt_frames`` as its own list: frames may still be
-    appended to it while the run goes on, and the frames it has scored past
-    are deleted from it, so pass a copy to keep them. ``scans`` may thus be a
-    simulation's stream (:meth:`~lidarmot.simulator.Scenario.stream`) with
-    ``gt_frames`` the list it appends to; each scan is detected, tracked and
-    scored as it is cast, and the run holds a few ground-truth frames
-    whatever its duration. ``gt_frames`` is only scored against: each scan
-    is tracked at its own pose. A failing source raises its error.
+) -> list[tuple[MotReport, list[FrameTiming]]]:
+    """Track one scene under each of ``run_cfgs`` and score each run at
+    :data:`~lidarmot.evaluation.MATCH_THRESHOLD`: per config, its report and
+    per-frame timings. Each config steps a scan through its :class:`FrameStep`
+    and scores the frame with its own
+    :class:`~lidarmot.evaluation.MotAccumulator` before the next scan is read;
+    the field of view is the first scan's. ``gt_frames`` is consumed: as each
+    scan is read, and at the end, its frames are handed to every scorer and
+    deleted from it. Given a :meth:`~lidarmot.simulator.Scenario.stream` or a
+    :func:`recorded_scene` with the list it fills, each scorer so holds a few
+    ground-truth frames whatever the duration. Each scan is tracked at its
+    own pose, and a failing source raises its error.
     """
-    scorer: MotAccumulator | None = None
+    steps = [FrameStep(*bind_stages(cfg)) for cfg in run_cfgs]
+    scorers: list[MotAccumulator] = []
 
-    def score(result):
-        nonlocal scorer
-        if scorer is None:
-            scorer = MotAccumulator(sensor_fov(result.scan), gt_frames)
-        scorer.update(tracks_to_hypothesis(result.scan.timestamp, result.tracks))
+    def hand_over(scan: LidarScan | None = None) -> None:
+        if not scorers:  # made at the first scan, or at the end without one
+            scorers.extend(MotAccumulator(sensor_fov(scan)) for _ in run_cfgs)
+        for scorer in scorers:
+            scorer.gt.extend(gt_frames)
+        gt_frames.clear()
 
-    timings = _run_serial(scans, run_cfg, score)
-    if scorer is None:  # no scan, so nothing to score
-        scorer = MotAccumulator(sensor_fov(None), gt_frames)
-    return scorer.finish(), timings
+    for scan in scans:
+        hand_over(scan)
+        for step, scorer in zip(steps, scorers):
+            scorer.update(tracks_to_hypothesis(scan.timestamp, step(scan).tracks))
+    hand_over()
+    return [(scorer.finish(), step.timings) for scorer, step in zip(scorers, steps)]

@@ -99,6 +99,10 @@ def detect_and_track(recording, preset, out):
     return out
 
 
+#: A sweep's presets: rows that share each scene.
+SWEEP = ["--preset", "config-1,config-2,config-3"]
+
+
 def mot_of(directory):
     return json.loads((directory / "report.json").read_text())["mot"]
 
@@ -129,11 +133,14 @@ class TestDetectTrackEvaluate:
         assert report["mot"]["g"] > 0
         assert report["mot"]["mota"] is not None
 
-    def test_track_on_empty_detections(self, tmp_path):
-        ds.write_dataset([], tmp_path / "detections.jsonl")
-        assert run(["track", "--in", tmp_path, "--out", tmp_path]) == 0
-        tracks = ds.read_dataset(tmp_path / "tracks.jsonl")
-        assert tracks.records == []
+    def test_track_on_empty_detections(self, tmp_path, capsys):
+        # Detections with no record and no scans to pair them with are
+        # refused by name; they once gave an empty tracks.jsonl.
+        path = tmp_path / "detections.jsonl"
+        ds.write_dataset([], path)
+        assert run(["track", "--in", tmp_path, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: no detection records\n"
+        assert not (tmp_path / "tracks.jsonl").exists()
 
 
 def shift_times(path, dt):
@@ -429,7 +436,9 @@ class TestBench:
     def test_scans_are_streamed_as_cast(self, tmp_path, monkeypatch, command, module, name):
         # A job hands each scan on as its block is cast: whenever a scan is
         # detected or written, at most one block and the scan before it are
-        # alive. Scans are slotted, so their range arrays are what is counted.
+        # alive. The rows of a bench sweep that share a scene each detect a
+        # scan before the next is read. Scans are slotted, so their range
+        # arrays are what is counted.
         alive = []
         counts = []
 
@@ -446,38 +455,63 @@ class TestBench:
         consumer = getattr(module, name)
         monkeypatch.setattr(simulator, "raycast_scans", cast)
         monkeypatch.setattr(module, name, hand_on)
-        assert run([command, "--kind", "sr", "--duration", "2", "--out", tmp_path]) == 0
-        assert len(counts) == len(alive) == 41
-        assert max(counts) <= simulator.SCAN_BLOCK + 1
+        jobs = [([], 1)]
+        if command == "bench":
+            jobs.append((SWEEP, 3))
+        for argv, rows in jobs:
+            alive.clear()
+            counts.clear()
+            assert run([command, *argv, "--kind", "sr", "--duration", "2",
+                        "--out", tmp_path]) == 0
+            assert len(alive) == 41
+            assert len(counts) == rows * 41
+            assert max(counts) <= simulator.SCAN_BLOCK + 1
 
     def test_ground_truth_held_does_not_grow_with_duration(self, tmp_path, monkeypatch):
-        # A one-row job's scorer deletes the ground truth behind its earliest
+        # A row's scorer deletes the ground truth behind its earliest
         # unscored frame, the previous block's last scan. So when a block's
         # first scan arrives it holds the new block's 40 ticks and the 6
         # ticks from the previous block's last two scans: the same for 2 s
-        # as for 20 s.
+        # as for 20 s. The scene's list is empty then, as each scan's frames
+        # are handed to every row's scorer before a row takes the scan; rows
+        # that share a scene each hold their own.
+        lists = []  # the scene's ground-truth list and every scorer's
         held = []
 
-        def update(self, hyp):
-            held.append(len(self.gt))
-            return original(self, hyp)
+        def stream(scenario, gt, *args, **kwargs):
+            lists.append(gt)
+            return original_stream(scenario, gt, *args, **kwargs)
 
-        original = evaluation.MotAccumulator.update
+        def update(self, hyp):
+            if not any(self.gt is gt for gt in lists):
+                lists.append(self.gt)
+            held.append(sum(map(len, lists)))
+            return original_update(self, hyp)
+
+        original_stream = simulator.Scenario.stream
+        original_update = evaluation.MotAccumulator.update
+        monkeypatch.setattr(simulator.Scenario, "stream", stream)
         monkeypatch.setattr(evaluation.MotAccumulator, "update", update)
-        peaks = []
-        for duration in ("2", "20"):
-            held.clear()
-            out = tmp_path / duration
-            assert run(["bench", "--kind", "mr2", "--duration", duration, "--out", out]) == 0
-            peaks.append(max(held))
-        assert len(held) == 401
-        assert peaks[0] == peaks[1] == (simulator.SCAN_BLOCK + 1) * 5 + 1
+        per_row = (simulator.SCAN_BLOCK + 1) * 5 + 1
+        for argv, rows in ([], 1), (SWEEP, 3):
+            peaks = []
+            for duration in ("2", "20"):
+                lists.clear()
+                held.clear()
+                out = tmp_path / f"{rows}-{duration}"
+                assert run(["bench", *argv, "--kind", "mr2", "--duration", duration,
+                            "--out", out]) == 0
+                peaks.append(max(held))
+            assert len(held) == rows * 401
+            assert peaks[0] == peaks[1] == rows * per_row
 
     @pytest.mark.parametrize("command", ["bench", "simulate"])
     def test_fails_with_its_simulation(self, tmp_path, capsys, monkeypatch, command):
         # A simulation that fails mid-run fails the job: no short report, no
-        # part of a scan file.
+        # part of a scan file. Every row of a bench sweep has taken the scans
+        # cast before the failure: the first block's 8.
         ticks = []
+        detected = []
 
         def failing(state, dt):
             ticks.append(state.time)
@@ -485,12 +519,25 @@ class TestBench:
                 raise ValueError("boom")
             return step_world(state, dt)
 
+        def detect(*args, **kwargs):
+            detected.append(None)
+            return cluster_detect(*args, **kwargs)
+
         step_world = simulator.step_world
+        cluster_detect = detection.cluster_detect
         monkeypatch.setattr(simulator, "step_world", failing)
-        out = tmp_path / command
-        assert run([command, "--kind", "sr", "--duration", "2", "--out", out]) == 2
-        assert capsys.readouterr().err == "error: boom\n"
-        assert list(out.iterdir()) == []
+        monkeypatch.setattr(detection, "cluster_detect", detect)
+        jobs = [([], 1)]
+        if command == "bench":
+            jobs.append((SWEEP, 3))
+        for argv, rows in jobs:
+            ticks.clear()
+            detected.clear()
+            out = tmp_path / f"{command}-{rows}"
+            assert run([command, *argv, "--kind", "sr", "--duration", "2", "--out", out]) == 2
+            assert capsys.readouterr().err == "error: boom\n"
+            assert list(out.iterdir()) == []
+            assert len(detected) == (0 if command == "simulate" else rows * 8)
 
     def test_bench_without_persons_reports_null(self, tmp_path, capsys):
         # MOTA and MOTP are undefined without ground-truth persons.
@@ -1076,12 +1123,19 @@ class TestErrors:
         ("ground_truth.jsonl", "evaluate", "ground_truth"),
         ("ground_truth.jsonl", "bench", "ground_truth"),
         ("scans.jsonl", "bench", "scan"),
-    ], ids=["tracks-evaluate", "ground_truth-evaluate", "ground_truth-bench", "scans-bench"])
+        ("scans.jsonl", "pipeline", "scan"),
+        ("scans.jsonl", "detect", "scan"),
+        ("detections.jsonl", "track", "detection"),
+        ("scans.jsonl", "track", "scan"),
+    ], ids=["tracks-evaluate", "ground_truth-evaluate", "ground_truth-bench", "scans-bench",
+            "scans-pipeline", "scans-detect", "detections-track", "scans-track"])
     def test_header_only_input_exits_2(self, sr_one_second, tmp_path, capsys, name, command,
                                        kind):
         # A file that holds a header and no records was refused as "no
-        # hypothesis frames to score" or "empty ground-truth sequence",
-        # naming neither the file nor the kind of record.
+        # hypothesis frames to score", "empty ground-truth sequence" or "no
+        # frames processed", naming neither the file nor the kind of record,
+        # or as detections with no scan, or it gave empty outputs with exit 0.
+        # pipeline wrote its tracks and obstacles before it failed.
         data = tmp_path / "data"
         shutil.copytree(sr_one_second, data)
         path = data / name
@@ -1089,7 +1143,7 @@ class TestErrors:
         capsys.readouterr()
         assert run([command, "--in", data, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == f"error: {path}: no {kind} records\n"
-        assert not (tmp_path / "out" / "report.json").exists()
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("strict", ["--strict", "--no-strict"])
     @pytest.mark.parametrize("name, command, items", [

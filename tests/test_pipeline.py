@@ -9,7 +9,7 @@ import pytest
 
 from lidarmot import pipeline, simulator
 from lidarmot.config import load_config
-from lidarmot.evaluation import evaluate_sequence
+from lidarmot.evaluation import MotAccumulator, evaluate_sequence
 from lidarmot.geometry import LidarScan, PointXY
 from lidarmot.pipeline import (
     VELOCITY_GATE,
@@ -27,7 +27,9 @@ from lidarmot.pipeline import (
 from lidarmot.report import build_report, timing_section, write_report
 from lidarmot.simulator import Scenario, run_scenario
 from lidarmot.tracking import Track, TrackStatus
-from lidarmot.workflows import run_benchmark, run_tracking, sensor_fov, tracks_to_hypothesis
+from lidarmot.workflows import (
+    recorded_scene, run_benchmark, run_tracking, sensor_fov, tracks_to_hypothesis,
+)
 
 
 def track(tid, x, y, vx, vy):
@@ -395,13 +397,17 @@ def test_batch_run_tracking_raises_its_source_error():
 @pytest.mark.parametrize("kind", ["sr", "mr2"])
 def test_run_benchmark_scores_what_run_tracking_keeps(kind, monkeypatch):
     # Each frame's hypothesis is scored as it is tracked, as run_tracking's
-    # are scored over the whole lists.
+    # are scored over the whole lists, and the configs that share one scene
+    # score as each would alone.
     scenario = replace(load_config("config-1").scenario, kind=kind, duration=5.0)
     scans, gt = run_scenario(scenario)
-    for preset in ("config-1", "config-2", "config-3"):
-        cfg = replace(load_config(preset), scenario=scenario)
-        # The scorer deletes the frames it has scored past from its list.
-        report, timings = run_benchmark(cfg, scans=scans, gt_frames=list(gt))
+    cfgs = [replace(load_config(preset), scenario=scenario)
+            for preset in ("config-1", "config-2", "config-3")]
+    # The ground truth is handed to the scorers and deleted from its list.
+    handed = list(gt)
+    results = run_benchmark(cfgs, scans, handed)
+    assert handed == []
+    for cfg, (report, timings) in zip(cfgs, results):
         tracked = run_tracking(scans, cfg).tracks_by_frame
         ref = evaluate_sequence(
             gt, [tracks_to_hypothesis(t, tracks) for t, tracks in tracked], sensor_fov(scans[0])
@@ -409,15 +415,34 @@ def test_run_benchmark_scores_what_run_tracking_keeps(kind, monkeypatch):
         assert report.frames == ref.frames
         assert report.skipped_frames == ref.skipped_frames
         assert [t.timestamp for t in timings] == [s.timestamp for s in scans]
+    reports = [repr(report) for report, _ in results]
     # A streamed scene, its ground truth filled as it is cast and scored as
     # the frame after each scan arrives, scores as the listed one, however
-    # many scans a cast block holds. 5 s at 20 Hz is 101 scans: blocks of 7
-    # and of the default 8 leave a partial last block.
+    # many scans a cast block holds, and so does a recording's. 5 s at 20 Hz
+    # is 101 scans: blocks of 7 and of the default 8 leave a partial last
+    # block.
+    # A recording's ground truth reaches each scorer a scan at a time, so
+    # none holds a copy of it: at most the tick at or before the previous
+    # scan, the 5 ticks since, and the first one after the scan.
+    held = []
+
+    def update(self, hyp):
+        held.append(len(self.gt))
+        return original_update(self, hyp)
+
+    original_update = MotAccumulator.update
+    monkeypatch.setattr(MotAccumulator, "update", update)
+    replayed_gt = []
+    replayed = run_benchmark(cfgs, recorded_scene(scans, list(gt), replayed_gt), replayed_gt)
+    monkeypatch.undo()
+    assert [repr(r) for r, _ in replayed] == reports
+    assert len(held) == 3 * len(scans)
+    assert max(held) == 7
     for block in (1, 7, simulator.SCAN_BLOCK):
         monkeypatch.setattr(simulator, "SCAN_BLOCK", block)
         streamed_gt = []
-        streamed, _ = run_benchmark(cfg, Scenario(scenario).stream(streamed_gt), streamed_gt)
-        assert repr(streamed) == repr(report)
+        streamed = run_benchmark(cfgs, Scenario(scenario).stream(streamed_gt), streamed_gt)
+        assert [repr(r) for r, _ in streamed] == reports
 
 
 @pytest.mark.parametrize("pipelined", [False, True], ids=["serial", "pipelined"])

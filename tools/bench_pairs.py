@@ -9,27 +9,33 @@ first for the others. Each run's record is read from the checkout's
 ``.perfbench/results``. The file keeps, per side, every run's end-to-end
 metrics with their median and quartiles, the summed operations, each run's
 attempted count in run order beside its metrics' ``runs`` (so a run's
-``peak_rss_mb`` can be read against the jobs it completed), and the source
-hash; and the pairs the change won on each metric, where "better" is read
-from ``BENCHMARK.json``. With ``--trace`` each seed also runs
+``peak_rss_mb`` can be read against the jobs it completed), the CPU seconds
+the run's process and its children used (``resource.getrusage`` of this
+script's children, read before and after the run) in all and per attempted
+operation, and the source hash; the pairs the change won on each metric, where
+"better" is read from ``BENCHMARK.json``; and, for each end-to-end metric and
+for CPU seconds per attempted operation, each pair's ratio change/parent with
+the median of those ratios; CPU seconds are a second reading of a run beside
+its wall-clock figures. With ``--trace`` each seed also runs
 ``perfbench/run.py --trace 1`` once in each checkout, in the same order, and
 the file keeps, per side, the median and quartiles of every ``per_layer``
 metric of ``BENCHMARK.json``. With ``--quality-table`` the ROADMAP quality
 table (``bench --preset config-1,config-2,config-3 --seeds 1,2 --duration 20``
-for sr, mr1 and mr2, as ``tools/identity.py`` runs it) is run on both sides and
-its report digests recorded, with the cells of each preset, kind and seed
+for sr, mr1 and mr2, as ``tools/identity.py`` runs it) is run on both sides
+and its report digests recorded, with the cells of each preset, kind and seed
 (``QUALITY_CELLS`` of the row's ``mot`` section) read from the same reports.
 With ``--timing-table`` each seed also runs ``lidarmot bench --timings`` on
 the crowd scene at config-1, config-2 and config-3 once in each checkout, in
-the same order, and the file keeps, per side and preset, the median over
-those runs of each stage's average and worst frame time next to the scan
-period: the paper's per-stage timing against its scan budget.
+the same order, and the file keeps, per side and preset, the median over those
+runs of each stage's average and worst frame time next to the scan period: the
+paper's per-stage timing against its scan budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 import tempfile
@@ -56,12 +62,21 @@ def seed_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
+def children_cpu_s() -> float:
+    """User and system CPU seconds of this process's finished children."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float, traced: bool) -> dict:
+    """One run's record, with the CPU seconds its process used as ``cpu_s``."""
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(int(traced)),
     ]
+    cpu_before = children_cpu_s()
     proc = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    cpu_s = children_cpu_s() - cpu_before
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}")
     mode = "traced" if traced else "untraced"
@@ -69,7 +84,12 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, traced: b
     record = json.loads(path.read_text())
     if not record["correct"]:
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} failed its output checks")
+    record["cpu_s"] = cpu_s
     return record
+
+
+def cpu_per_attempted(record: dict) -> float:
+    return record["cpu_s"] / record["attempted"]
 
 
 def summary(values: list[float]) -> dict:
@@ -96,7 +116,29 @@ def side_record(records: list[dict], metrics: list[dict]) -> dict:
         "attempted_runs": [r["attempted"] for r in records],
         "failed": sum(r["failed"] for r in records),
         "metrics": metric_summaries(records, metrics),
+        "cpu_s": summary([r["cpu_s"] for r in records]),
+        "cpu_s_per_attempted": summary([cpu_per_attempted(r) for r in records]),
     }
+
+
+def ratios(parent: list[float], change: list[float], better: str) -> dict:
+    """Each pair's ratio change/parent, in seed order, and their median."""
+    runs = [c / p for p, c in zip(parent, change)]
+    return {"better": better, "median": float(np.median(runs)), "runs": runs}
+
+
+def pair_ratios(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
+    """:func:`ratios` of each end-to-end metric and of CPU seconds per
+    attempted operation."""
+    def values(records, name):
+        return [r["metrics"][name]["value"] for r in records]
+
+    out = {m["name"]: ratios(values(parent, m["name"]), values(change, m["name"]), m["better"])
+           for m in metrics}
+    out["cpu_s_per_attempted"] = ratios(
+        [cpu_per_attempted(r) for r in parent], [cpu_per_attempted(r) for r in change], "lower"
+    )
+    return out
 
 
 def quality_cells(reports: dict) -> dict:
@@ -165,7 +207,7 @@ def main(argv=None) -> int:
             value = records[side][-1]["metrics"]
             print(f"seed {seed} {side}: " + ", ".join(
                 f"{m['name']} {value[m['name']]['value']:.4g}" for m in metrics
-            ), flush=True)
+            ) + f", cpu_s {records[side][-1]['cpu_s']:.4g}", flush=True)
         if args.trace:
             for side in order:
                 traces[side].append(run_side(sides[side], args.workload, seed, args.seconds, True))
@@ -237,6 +279,7 @@ def main(argv=None) -> int:
         )
         wins[m["name"]] = f"{won}/{len(seeds)}"
     result["change_wins"] = wins
+    result["change_over_parent"] = pair_ratios(records["parent"], records["change"], metrics)
     if args.quality_table:
         reports = {side: quality_reports(path) for side, path in sides.items()}
         digests = {

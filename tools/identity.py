@@ -15,9 +15,11 @@ digits), and exits 1 if any output differs. The set:
   truth alone; with every wall-clock value (``worst``, ``avg``,
   ``achieved_hz``) masked, the pipeline's ``timings.json`` and the
   ``report.json`` of a one-row ``bench --timings`` that simulates the
-  scene; and, with their ``metadata.source`` (a temporary directory)
-  masked, the ``report.json`` of ``evaluate`` on the pipeline's tracks and
-  of ``bench --in`` on the recording;
+  scene and of a ``bench --timings`` sweep of config-1, config-2 and
+  config-3 over it; and, with their ``metadata.source`` (a temporary
+  directory) masked, the ``report.json`` of ``evaluate`` on the pipeline's
+  tracks, of ``bench --in`` on the recording and of a ``bench --in`` sweep
+  of the three presets over it;
 - the crowd recording with its scans' poses removed, which every command
   tracks at the ground-truth robot pose: ``tracks.jsonl`` and
   ``obstacles.jsonl`` from ``pipeline``, and the ``report.json`` of
@@ -27,6 +29,9 @@ digits), and exits 1 if any output differs. The set:
   the hand-built ``custom`` kind, ``experiments.emergence_scenario(seed)``
   for seeds 0-2 (a scripted person behind a wall): its scans (times, poses
   and ranges), ground truth and labels.
+
+That is 60 outputs: 3 quality-table reports, 15 of the crowd scene, 3 of the
+poseless recording and 39 scene streams.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ import tempfile
 from pathlib import Path
 
 KINDS = ("sr", "mr1", "mr2")
+#: The presets of a sweep over one scene.
+SWEEP = "config-1,config-2,config-3"
 CROWD = {
     "scenario": {"kind": "mr1", "n_persons": 10, "seed": 71, "arena": [-4, -4, 4, 4],
                  "duration": 15.0},
@@ -89,6 +96,8 @@ def masked_digest(path: Path) -> str:
     def mask(node):
         if isinstance(node, dict):
             return {k: None if k in WALL_CLOCK_KEYS else mask(v) for k, v in node.items()}
+        if isinstance(node, list):
+            return [mask(v) for v in node]
         return node
 
     report = mask(json.loads(path.read_text()))
@@ -124,8 +133,8 @@ def quality_reports(checkout: Path) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for kind in KINDS:
             target = Path(tmp) / kind
-            lidarmot(checkout, "bench", "--preset", "config-1,config-2,config-3", "--seeds",
-                     "1,2", "--duration", "20", "--kind", kind, "--out", target)
+            lidarmot(checkout, "bench", "--preset", SWEEP, "--seeds", "1,2", "--duration", "20",
+                     "--kind", kind, "--out", target)
             out[kind] = (target / "report.json").read_bytes()
     return out
 
@@ -157,7 +166,10 @@ def crowd_digests(checkout: Path) -> dict:
         lidarmot(checkout, "evaluate", "--in", sim, "--out", tmp / "evaluate")
         lidarmot(checkout, "bench", "--config", config, "--preset", "config-1", "--timings",
                  "--out", tmp / "bench")
+        lidarmot(checkout, "bench", "--config", config, "--preset", SWEEP, "--timings",
+                 "--out", tmp / "bench-sweep")
         lidarmot(checkout, "bench", "--in", sim, "--preset", "config-1", "--out", tmp / "bench-in")
+        lidarmot(checkout, "bench", "--in", sim, "--preset", SWEEP, "--out", tmp / "bench-in-sweep")
         poseless = tmp / "poseless"
         poseless.mkdir()
         shutil.copy(sim / "ground_truth.jsonl", poseless)
@@ -176,7 +188,11 @@ def crowd_digests(checkout: Path) -> dict:
         out["crowd bench --timings report.json (masked)"] = masked_digest(
             tmp / "bench" / "report.json"
         )
+        out["crowd bench --timings sweep report.json (masked)"] = masked_digest(
+            tmp / "bench-sweep" / "report.json"
+        )
         for run, target in (("evaluate", "evaluate"), ("bench --in", "bench-in"),
+                            ("bench --in sweep", "bench-in-sweep"),
                             ("bench --in poseless", "bench-in-poseless")):
             report = json.loads((tmp / target / "report.json").read_text())
             report["metadata"]["source"] = None
